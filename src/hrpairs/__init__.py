@@ -50,7 +50,6 @@ from .hrcheck import (
 from .ring import (
     RingElement,
     RingModel,
-    RingTPoly,
     load_ring_spec,
     parse_element,
     polynomial_ring,
@@ -64,6 +63,7 @@ from .ring import (
 from .symfunc import (
     ChernVector,
     Partition,
+    RingTPoly,
     SymPoly,
     complete_homogeneous,
     derived,

@@ -5,6 +5,7 @@ Exit codes: 0 = pass, 1 = failing/degenerate verdict, 2 = usage or I/O error.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -102,6 +103,8 @@ def _matrix_from_arg(text):
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         _die(f"matrix is not valid JSON: {exc.msg}")
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        _die("matrix must be a JSON list of rows")
     out = []
     for row in rows:
         conv = []
@@ -112,13 +115,16 @@ def _matrix_from_arg(text):
                 conv.append(Fraction(x))
             elif isinstance(x, str):
                 conv.append(_fraction(x))
-            elif isinstance(x, float):
+            elif isinstance(x, float) and math.isfinite(x):
                 conv.append(x)
             else:
                 _die(f"bad matrix entry {x!r}")
         out.append(conv)
-    if any(len(r) != len(out) for r in out):
+    n = len(out)
+    if any(len(r) != n for r in out):
         _die("matrix must be square")
+    if any(out[i][j] != out[j][i] for i in range(n) for j in range(i)):
+        _die("matrix must be symmetric")
     return out
 
 
@@ -195,7 +201,7 @@ def cmd_ring_check(args):
     except json.JSONDecodeError as exc:
         _die(f"{args.spec} is not valid JSON: line {exc.lineno}: {exc.msg}")
     try:
-        model = ring_from_spec(data, check=True)
+        model = ring_from_spec(data)
     except (ConstructionError, ConsistencyError) as exc:
         info = {"valid": False, "error": str(exc)}
         if getattr(exc, "witness", None) is not None:

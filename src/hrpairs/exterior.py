@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 
 from .errors import ConsistencyError, DegreeError
-from .linalg import float_signature, hermitian_rational_inertia
+from .linalg import det, float_signature, hermitian_rational_inertia
 from .scalars import GaussianRational, conj, i_power, imag_part, is_exact, real_part
 from .verdict import DEGENERATE, FAIL, PASS, Verdict
 
@@ -311,24 +311,6 @@ def extend_hat(form, theta_coeff):
     return out + theta
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        sub = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _det(sub)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return 0 if acc is None else acc
-
-
 def restrict_to_plane(form, frame, tol=1e-9):
     """Value of a (p,p)-form on the complex p-plane spanned by frame.
 
@@ -347,7 +329,7 @@ def restrict_to_plane(form, frame, tol=1e-9):
 
     def minor_det(I):
         if I not in dets:
-            dets[I] = _det([[frame[a][i] for a in range(p)] for i in I])
+            dets[I] = det([[frame[a][i] for a in range(p)] for i in I], 1)
         return dets[I]
 
     acc = None

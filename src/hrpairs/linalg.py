@@ -66,6 +66,33 @@ def rational_inertia(Q):
     return pos, zero, neg
 
 
+def det(rows, one):
+    """Determinant of a square matrix by cofactor expansion, memoized on minors.
+
+    Entries need only +, -, * and comparison with 0, so rationals, Gaussian
+    rationals, complex numbers and SymPoly polynomials all work; one is the
+    unit of the entry ring and the determinant of the empty matrix.
+    """
+    n = len(rows)
+    memo = {(): one}
+
+    def minor(cols):
+        # determinant of the last len(cols) rows restricted to cols
+        if cols not in memo:
+            r = n - len(cols)
+            acc = one - one
+            for pos, c in enumerate(cols):
+                entry = rows[r][c]
+                if entry == 0:
+                    continue
+                term = entry * minor(cols[:pos] + cols[pos + 1:])
+                acc = acc - term if pos % 2 else acc + term
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor(tuple(range(n)))
+
+
 def rational_rref(M):
     """Row-reduce a rational matrix in place; returns (rref, pivot_columns)."""
     A = _copy_rational(M)

@@ -2,8 +2,14 @@
 
 A RingModel carries, for each degree 0..d, a finite basis of labelled
 classes, sparse rational multiplication tensors between the graded pieces,
-and (optionally) an integration functional on the top degree.  Commutativity
-and associativity on basis elements are checked at construction.
+and (optionally) an integration functional on the top degree.
+
+RingModel.check_axioms() proves commutativity and associativity on basis
+elements exhaustively.  It runs where a ring enters from outside the program,
+in ring_from_spec (JSON specs, the CLI's --ring).  The torus, subring,
+projective-bundle and X x P^1 models are built from products that are
+associative by construction (wedge, ambient products, rewrite normal forms);
+the test suite checks their axioms instead of every process start.
 
 Concrete factories:
 
@@ -35,6 +41,7 @@ from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeErro
 from .exterior import PPForm, integrate_top, std_kahler, wedge
 from .linalg import rational_solve
 from .scalars import GaussianRational, conj, i_power, imag_part, real_part
+from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
 
 
 class RingElement:
@@ -144,7 +151,7 @@ class RingModel:
     """Graded commutative ring with finite rational bases per degree."""
 
     def __init__(self, dimension, bases, mult, integration=None, labels=None,
-                 name="ring", check=True):
+                 name="ring"):
         self.dimension = dimension
         self.name = name
         self._bases = [list(b) for b in bases]
@@ -165,9 +172,6 @@ class RingModel:
         if labels:
             self.labels.update(labels)
         self._pairings = {}
-        if check:
-            self._check_commutativity()
-            self._check_associativity()
 
     # -- basic access ------------------------------------------------------
 
@@ -256,25 +260,22 @@ class RingModel:
             self._pairings[key] = rows
         return self._pairings[key]
 
-    # -- construction checks -----------------------------------------------
+    # -- ring axioms --------------------------------------------------------
 
-    def _product_coords(self, p, i, q, j):
-        entries = self._mult.get((p, q), {}).get((i, j), ())
-        out = [Fraction(0)] * len(self.basis(p + q))
-        for k, c in entries:
-            out[k] += c
-        return out
+    def check_axioms(self):
+        """Raise ConstructionError unless basis products commute and associate.
 
-    def _check_commutativity(self):
+        Exhaustive over basis triples, so cubic in the basis size; the
+        error's witness names the offending degrees and basis classes.
+        """
         for (p, q), table in self._mult.items():
             for (i, j) in table:
-                if self._product_coords(p, i, q, j) != self._product_coords(q, j, p, i):
+                bi, bj = self.basis_element(p, i), self.basis_element(q, j)
+                if bi * bj != bj * bi:
                     raise ConstructionError(
                         f"multiplication not commutative on degrees ({p},{q})",
                         witness={"p": p, "q": q, "i": i, "j": j},
                     )
-
-    def _check_associativity(self):
         d = self.dimension
         for p in range(1, d + 1):
             for q in range(p, d + 1 - p):
@@ -340,7 +341,7 @@ def _real_pp_basis(d, p):
 class TorusModel(RingModel):
     """Full algebra of real constant (p,p)-forms, products by wedge."""
 
-    def __init__(self, d, check=True):
+    def __init__(self, d):
         basis_forms = [_real_pp_basis(d, p) for p in range(d + 1)]
         bases = [[lab for lab, _ in bf] for bf in basis_forms]
         self.basis_forms = [[f for _, f in bf] for bf in basis_forms]
@@ -372,7 +373,7 @@ class TorusModel(RingModel):
                             table[(i, j)] = entries
                 mult[(p, q)] = table
         integration = [integrate_top(f) for f in self.basis_forms[d]]
-        super().__init__(d, bases, mult, integration, name=f"torus(C^{d})", check=check)
+        super().__init__(d, bases, mult, integration, name=f"torus(C^{d})")
         self.labels["omega_std"] = self.from_form(std_kahler(d, exact=True))
 
     def _decompose(self, form, p):
@@ -450,7 +451,12 @@ class TorusModel(RingModel):
 
 @lru_cache(maxsize=None)
 def torus_ring(d):
-    """Cached torus model for C^d; construction validates the full ring axioms."""
+    """Cached torus model for C^d.
+
+    Products are wedges of explicit forms, associative by construction, so
+    the ring axioms are not re-proved here; the test suite runs
+    check_axioms() on d <= 4.
+    """
     return TorusModel(d)
 
 
@@ -474,7 +480,7 @@ class SubringModel(RingModel):
     generators; lift() maps elements back to the ambient model.
     """
 
-    def __init__(self, ambient, generators, name=None, check=True):
+    def __init__(self, ambient, generators, name=None):
         for gname, g in generators.items():
             if g.degree != 1:
                 raise ConstructionError(f"generator {gname} has degree {g.degree}")
@@ -549,7 +555,7 @@ class SubringModel(RingModel):
         self._lifts = lifts
         super().__init__(
             d, bases, mult, integration,
-            name=name or f"subring({ambient.name})", check=check,
+            name=name or f"subring({ambient.name})",
         )
         for gi, n in enumerate(names):
             expo = tuple(1 if i == gi else 0 for i in range(g))
@@ -564,8 +570,8 @@ class SubringModel(RingModel):
         return acc
 
 
-def subring(ambient, generators, name=None, check=True):
-    return SubringModel(ambient, generators, name=name, check=check)
+def subring(ambient, generators, name=None):
+    return SubringModel(ambient, generators, name=name)
 
 
 # -- relation rings --------------------------------------------------------
@@ -591,18 +597,27 @@ def _exponents_of_degree(n, degrees, target):
     return out
 
 
+def _split_power(factor, text):
+    """Split "x^3" into ("x", 3); a factor without "^" has power 1."""
+    if "^" not in factor:
+        return factor, 1
+    base, _, power = factor.partition("^")
+    try:
+        return base, int(power)
+    except ValueError:
+        raise ConfigError(f"bad power {power!r} in {text!r}") from None
+
+
 def parse_monomial(text, gen_names):
     """Parse "xi^2*f" into an exponent tuple over gen_names; "1" is allowed."""
+    if not isinstance(text, str):
+        raise ConfigError(f"monomial must be a string, got {text!r}")
     text = text.replace(" ", "")
     expo = [0] * len(gen_names)
     if text in ("", "1"):
         return tuple(expo)
     for factor in text.split("*"):
-        if "^" in factor:
-            base, _, power = factor.partition("^")
-            power = int(power)
-        else:
-            base, power = factor, 1
+        base, power = _split_power(factor, text)
         if base not in gen_names:
             raise ConfigError(f"unknown generator {base!r} in monomial {text!r}")
         if power < 0:
@@ -615,11 +630,11 @@ class RelationModel(RingModel):
     """Polynomial ring on weighted generators modulo rewrite rules."""
 
     def __init__(self, dimension, generators, relations, integration=None,
-                 labels=None, name="relation-ring", check=True):
+                 labels=None, name="relation-ring"):
         names = []
         degrees = []
         for gname, gdeg in generators:
-            if not _NAME_RE.match(gname):
+            if not isinstance(gname, str) or not _NAME_RE.match(gname):
                 raise ConstructionError(f"bad generator name {gname!r}")
             if gname in names:
                 raise ConstructionError(f"duplicate generator {gname!r}")
@@ -747,7 +762,7 @@ class RelationModel(RingModel):
                     )
                 ivec[index[dimension][next(iter(combo))]] = Fraction(value)
 
-        super().__init__(dimension, bases, mult, ivec, name=name, check=check)
+        super().__init__(dimension, bases, mult, ivec, name=name)
         for gi, gname in enumerate(names):
             expo = tuple(1 if i == gi else 0 for i in range(len(names)))
             combo = reduce_full(expo)
@@ -761,70 +776,81 @@ class RelationModel(RingModel):
 
 
 def relation_ring(dimension, generators, relations, integration=None,
-                  labels=None, name="relation-ring", check=True):
+                  labels=None, name="relation-ring"):
     return RelationModel(dimension, generators, relations, integration,
-                         labels, name=name, check=check)
+                         labels, name=name)
 
 
-def polynomial_ring(dimension, generators, name=None, check=True):
+def polynomial_ring(dimension, generators, name=None):
     """Free graded ring on weighted generators, truncated above the dimension."""
     return RelationModel(
-        dimension, generators, [], None, None,
-        name=name or "polynomial-ring", check=check,
+        dimension, generators, [], None, None, name=name or "polynomial-ring",
     )
 
 
-def ring_from_spec(data, check=True):
-    """Build a relation ring from a parsed ring-spec dict (see fixtures)."""
+def ring_from_spec(data):
+    """Build a relation ring from a parsed ring-spec dict (see fixtures).
+
+    This is where ring data enters from outside the program, so malformed
+    fields raise ConfigError and the built ring must pass check_axioms().
+    """
     try:
         dimension = int(data["dimension"])
+        if dimension < 0:
+            raise ConfigError(f"ring dimension must be non-negative, got {dimension}")
         generators = [(g["name"], int(g["degree"])) for g in data["generators"]]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed ring spec: {exc}") from exc
-    gen_names = [g for g, _ in generators]
-    relations = []
-    integration = []
-    for rel in data.get("relations", ()):
-        mono = parse_monomial(rel["monomial"], gen_names)
-        if "rewrite" in rel:
-            rhs = [
-                (Fraction(str(t["coeff"])), parse_monomial(t["monomial"], gen_names))
-                for t in rel["rewrite"]
-            ]
-            relations.append((mono, rhs))
-        elif "value" in rel:
-            value = Fraction(str(rel["value"]))
-            if value == 0:
-                relations.append((mono, []))
+        gen_names = [g for g, _ in generators]
+        relations = []
+        integration = []
+        labels = data.get("labels")
+        if labels is not None and not isinstance(labels, dict):
+            raise ConfigError(f"labels must map names to expressions, got {labels!r}")
+        for rel in data.get("relations", ()):
+            mono = parse_monomial(rel["monomial"], gen_names)
+            if "rewrite" in rel:
+                rhs = [
+                    (Fraction(str(t["coeff"])), parse_monomial(t["monomial"], gen_names))
+                    for t in rel["rewrite"]
+                ]
+                relations.append((mono, rhs))
+            elif "value" in rel:
+                value = Fraction(str(rel["value"]))
+                if value == 0:
+                    relations.append((mono, []))
+                else:
+                    # shorthand for a top-degree integration normalization
+                    integration.append((mono, value))
             else:
-                # shorthand for a top-degree integration normalization
-                integration.append((mono, value))
-        else:
-            raise ConfigError(f"relation entry needs 'rewrite' or 'value': {rel}")
-    ispec = data.get("integration")
-    if ispec is not None:
-        if isinstance(ispec, dict):
-            ispec = [ispec]
-        for entry in ispec:
-            integration.append(
-                (parse_monomial(entry["monomial"], gen_names),
-                 Fraction(str(entry["value"])))
-            )
-    return relation_ring(
+                raise ConfigError(f"relation entry needs 'rewrite' or 'value': {rel}")
+        ispec = data.get("integration")
+        if ispec is not None:
+            if isinstance(ispec, dict):
+                ispec = [ispec]
+            for entry in ispec:
+                integration.append(
+                    (parse_monomial(entry["monomial"], gen_names),
+                     Fraction(str(entry["value"])))
+                )
+    except KeyError as exc:
+        raise ConfigError(f"malformed ring spec: missing field {exc}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed ring spec: {exc}") from exc
+    model = relation_ring(
         dimension,
         generators,
         relations,
         integration=integration or None,
-        labels=data.get("labels"),
+        labels=labels,
         name=data.get("name", "ring-spec"),
-        check=check,
     )
+    model.check_axioms()
+    return model
 
 
-def load_ring_spec(path, check=True):
+def load_ring_spec(path):
     with open(path) as fh:
         data = json.load(fh)
-    return ring_from_spec(data, check=check)
+    return ring_from_spec(data)
 
 
 # -- element expressions ---------------------------------------------------
@@ -838,6 +864,8 @@ def parse_element(model, text):
     Factors resolve through generator labels first, then other model labels;
     a bare rational is a multiple of the unit.
     """
+    if not isinstance(text, str):
+        raise ConfigError(f"element expression must be a string, got {text!r}")
     squashed = text.replace(" ", "")
     if not squashed:
         raise ConfigError("empty element expression")
@@ -854,16 +882,15 @@ def parse_element(model, text):
         factors = []
         for factor in term.split("*"):
             if _COEF_RE.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ConfigError(f"zero denominator in {text!r}") from None
             else:
                 factors.append(factor)
         elem = None
         for factor in factors:
-            if "^" in factor:
-                base, _, power = factor.partition("^")
-                power = int(power)
-            else:
-                base, power = factor, 1
+            base, power = _split_power(factor, text)
             if base not in model.labels:
                 raise ConfigError(
                     f"unknown name {base!r} in expression {text!r} "
@@ -889,7 +916,7 @@ class ProjBundleModel(RingModel):
     xi^(e-1)-coefficient.
     """
 
-    def __init__(self, base, chern, rank, xi_name="xi", name=None, check=True):
+    def __init__(self, base, chern, rank, xi_name="xi", name=None):
         e = rank
         if e < 1:
             raise ConstructionError("bundle rank must be at least 1")
@@ -1001,7 +1028,7 @@ class ProjBundleModel(RingModel):
 
         super().__init__(
             D, bases, mult, integration,
-            name=name or f"P(rank {e} over {base.name})", check=check,
+            name=name or f"P(rank {e} over {base.name})",
         )
         if e == 1:
             # P(A) of a line bundle is the base itself and xi^1 rewrites
@@ -1040,18 +1067,18 @@ class ProjBundleModel(RingModel):
         return self.base.from_coeffs(tgt, out)
 
 
-def proj_bundle_ring(base, chern, rank, xi_name="xi", name=None, check=True):
-    return ProjBundleModel(base, chern, rank, xi_name=xi_name, name=name, check=check)
+def proj_bundle_ring(base, chern, rank, xi_name="xi", name=None):
+    return ProjBundleModel(base, chern, rank, xi_name=xi_name, name=name)
 
 
 class ProductWithP1Model(ProjBundleModel):
     """X x P^1 as P(O + O): tau^2 = 0 and int(x * tau) = int_X(x)."""
 
-    def __init__(self, base, name=None, check=True):
+    def __init__(self, base, name=None):
         chern = [base.one(), base.zero(1), base.zero(2)]
         super().__init__(
             base, chern, 2, xi_name="tau",
-            name=name or f"{base.name} x P^1", check=check,
+            name=name or f"{base.name} x P^1",
         )
         self.tau = self.xi
 
@@ -1076,95 +1103,5 @@ class ProductWithP1Model(ProjBundleModel):
         )
 
 
-def product_with_p1(base, name=None, check=True):
-    return ProductWithP1Model(base, name=name, check=check)
-
-
-# -- polynomials in a formal parameter over a ring -------------------------
-
-
-class RingTPoly:
-    """Polynomial in one formal variable t with coefficients in any ring.
-
-    Coefficients only need +, * and scalar multiples; used to compare
-    pushforwards of (xi + t h)^N with twisted Segre classes as exact
-    polynomials in t.
-    """
-
-    __slots__ = ("coeffs", "zero")
-
-    def __init__(self, coeffs, zero):
-        coeffs = list(coeffs)
-        while coeffs and _looks_zero(coeffs[-1]):
-            coeffs.pop()
-        self.coeffs = coeffs
-        self.zero = zero
-
-    @classmethod
-    def constant(cls, x, zero=None):
-        return cls([x], zero if zero is not None else x * 0)
-
-    @classmethod
-    def variable(cls, one):
-        z = one * 0
-        return cls([z, one], z)
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.zero
-
-    def __add__(self, other):
-        if not isinstance(other, RingTPoly):
-            # lift ring elements / scalars to constant polynomials
-            other = RingTPoly([other], self.zero)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RingTPoly([self[i] + other[i] for i in range(n)], self.zero)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RingTPoly([-c for c in self.coeffs], self.zero)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, RingTPoly):
-            n = len(self.coeffs) + len(other.coeffs)
-            out = [self.zero] * max(n - 1, 0)
-            for i, a in enumerate(self.coeffs):
-                if _looks_zero(a):
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if _looks_zero(b):
-                        continue
-                    out[i + j] = out[i + j] + a * b
-            return RingTPoly(out, self.zero)
-        return RingTPoly([c * other for c in self.coeffs], self.zero)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        out = None
-        for _ in range(n):
-            out = self if out is None else out * self
-        if out is None:
-            raise DegreeError("RingTPoly ** 0 needs a unit; multiply explicitly")
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingTPoly)
-            and len(self.coeffs) == len(other.coeffs)
-            and all(_looks_zero(a - b) for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-
-def _looks_zero(x):
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
+def product_with_p1(base, name=None):
+    return ProductWithP1Model(base, name=name)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ConfigError, DegreeError
+from .linalg import det
 
 
 class Partition:
@@ -253,33 +254,6 @@ def complete_homogeneous(k, num_vars):
     return hs[k]
 
 
-def _det(rows):
-    """Determinant of a square matrix of SymPoly, by column-subset minors."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    memo = {}
-
-    def minor(r, cols):
-        if r == n:
-            return SymPoly.one(rows[0][0].num_vars)
-        key = cols
-        if key in memo:
-            return memo[key]
-        acc = SymPoly.zero(rows[0][0].num_vars)
-        for pos, c in enumerate(cols):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            sub = minor(r + 1, cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            acc = acc + term if pos % 2 == 0 else acc - term
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))
-
-
 def schur(lam, num_vars):
     """Schur polynomial s_lam in num_vars variables, in the e-basis.
 
@@ -297,24 +271,31 @@ def schur(lam, num_vars):
     rows = [
         [elementary(mu[i] - i + j, num_vars) for j in range(n)] for i in range(n)
     ]
-    return _det(rows)
+    return det(rows, SymPoly.one(num_vars))
 
 
-class TPoly:
-    """Polynomial in a formal parameter t with SymPoly coefficients."""
+class RingTPoly:
+    """Polynomial in one formal variable t with coefficients in any ring.
 
-    __slots__ = ("num_vars", "coeffs")
+    Coefficients only need +, * and scalar multiples: SymPoly coefficients
+    carry the shift p(x + t), and ring-element coefficients compare
+    pushforwards of (xi + t h)^N with twisted Segre classes as exact
+    polynomials in t.
+    """
 
-    def __init__(self, num_vars, coeffs=()):
-        self.num_vars = num_vars
+    __slots__ = ("coeffs", "zero")
+
+    def __init__(self, coeffs, zero):
         coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
+        while coeffs and _looks_zero(coeffs[-1]):
             coeffs.pop()
         self.coeffs = coeffs
+        self.zero = zero
 
     @classmethod
-    def from_sympoly(cls, p):
-        return cls(p.num_vars, [p])
+    def variable(cls, one):
+        z = one * 0
+        return cls([z, one], z)
 
     def degree(self):
         return len(self.coeffs) - 1
@@ -322,57 +303,77 @@ class TPoly:
     def __getitem__(self, i):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return SymPoly.zero(self.num_vars)
+        return self.zero
 
     def __add__(self, other):
+        if not isinstance(other, RingTPoly):
+            # lift ring elements / scalars to constant polynomials
+            other = RingTPoly([other], self.zero)
         n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly(self.num_vars, [self[i] + other[i] for i in range(n)])
+        return RingTPoly([self[i] + other[i] for i in range(n)], self.zero)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RingTPoly([-c for c in self.coeffs], self.zero)
+
+    def __sub__(self, other):
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, SymPoly)):
-            return TPoly(self.num_vars, [c * other for c in self.coeffs])
-        out = [SymPoly.zero(self.num_vars) for _ in range(len(self.coeffs) + len(other.coeffs))]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return TPoly(self.num_vars, out)
+        if isinstance(other, RingTPoly):
+            n = len(self.coeffs) + len(other.coeffs)
+            out = [self.zero] * max(n - 1, 0)
+            for i, a in enumerate(self.coeffs):
+                if _looks_zero(a):
+                    continue
+                for j, b in enumerate(other.coeffs):
+                    if _looks_zero(b):
+                        continue
+                    out[i + j] = out[i + j] + a * b
+            return RingTPoly(out, self.zero)
+        return RingTPoly([c * other for c in self.coeffs], self.zero)
 
     __rmul__ = __mul__
 
+    def __pow__(self, n):
+        out = None
+        for _ in range(n):
+            out = self if out is None else out * self
+        if out is None:
+            raise DegreeError("RingTPoly ** 0 needs a unit; multiply explicitly")
+        return out
+
     def __eq__(self, other):
         return (
-            isinstance(other, TPoly)
-            and self.num_vars == other.num_vars
-            and self.coeffs == other.coeffs
+            isinstance(other, RingTPoly)
+            and len(self.coeffs) == len(other.coeffs)
+            and all(_looks_zero(a - b) for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"({c})" + ("" if i == 0 else f"*t^{i}" if i > 1 else "*t")
-            for i, c in enumerate(self.coeffs)
-            if not c.is_zero()
-        )
+
+def _looks_zero(x):
+    if hasattr(x, "is_zero"):
+        return x.is_zero()
+    return x == 0
 
 
 def _shift_elementary(k, num_vars):
     # e_k(x + t) = sum_m C(e-k+m, m) e_(k-m) t^m
-    return TPoly(
-        num_vars,
+    return RingTPoly(
         [comb(num_vars - k + m, m) * elementary(k - m, num_vars) for m in range(k + 1)],
+        SymPoly.zero(num_vars),
     )
 
 
 def shift(p):
-    """p(x_1 + t, ..., x_e + t) as a TPoly in t."""
+    """p(x_1 + t, ..., x_e + t) as a RingTPoly in t with SymPoly coefficients."""
     e = p.num_vars
+    zero = SymPoly.zero(e)
     shifted_gens = {}
-    out = TPoly(e)
+    out = RingTPoly([], zero)
     for mono, c in p.terms.items():
-        term = TPoly(e, [SymPoly.constant(e, c)])
+        term = RingTPoly([SymPoly.constant(e, c)], zero)
         for k, m in enumerate(mono):
             if m == 0:
                 continue

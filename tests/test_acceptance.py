@@ -115,7 +115,7 @@ def test_04_degenerate_limit():
 
 
 def test_05_projectivized_bundle_ring():
-    model = ring_from_spec(_fixture("fulger_lehmann.json"), check=True)
+    model = ring_from_spec(_fixture("fulger_lehmann.json"))
     xi = model.label("xi")
     f = model.label("f")
     vals = (

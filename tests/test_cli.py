@@ -284,12 +284,67 @@ def test_demo_delv_json_feeds_signature(capsys):
 # -- process-level behavior ------------------------------------------------
 
 
-def test_unknown_verb_is_a_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hrpairs.cli", "no-such-verb"],
-        capture_output=True, text=True,
+def cli_env():
+    """The caller's environment with the tree under test first on PYTHONPATH."""
+    src = str(Path(hrpairs.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_process(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "hrpairs.cli", *argv],
+        capture_output=True, text=True, env=cli_env(),
     )
+
+
+def test_unknown_verb_is_a_usage_error():
+    proc = run_process("no-such-verb")
     assert proc.returncode == 2
+
+
+def fl_spec_with(edit):
+    spec = json.loads(json.dumps(FL_SPEC))
+    edit(spec)
+    return spec
+
+
+# (ring spec written to SPEC, or None; arguments)
+MALFORMED_INPUT = [
+    pytest.param(fl_spec_with(lambda s: s["relations"][0].pop("monomial")),
+                 ["gram", "--ring", "SPEC", "--eta", "xi"],
+                 id="relation-without-monomial"),
+    pytest.param(fl_spec_with(lambda s: s["relations"][0].update(monomial="f^x")),
+                 ["gram", "--ring", "SPEC", "--eta", "xi"],
+                 id="bad-power-in-spec-monomial"),
+    pytest.param(fl_spec_with(
+        lambda s: s["relations"][1]["rewrite"][0].update(coeff="abc")),
+                 ["gram", "--ring", "SPEC", "--eta", "xi"],
+                 id="bad-coeff"),
+    pytest.param(fl_spec_with(lambda s: s.update(labels={"h": "xi^y"})),
+                 ["gram", "--ring", "SPEC", "--eta", "xi"],
+                 id="bad-power-in-label"),
+    pytest.param(FL_SPEC, ["gram", "--ring", "SPEC", "--eta", "xi^z"],
+                 id="bad-power-in-eta"),
+    pytest.param(None, ["signature", "--matrix", "[[1,2],[3,4]]"],
+                 id="asymmetric-matrix"),
+    pytest.param(None, ["signature", "--matrix", "[[1.0,2.0],[3.0,4.0]]"],
+                 id="asymmetric-float-matrix"),
+    pytest.param(None, ["signature", "--matrix", "[1,2]"],
+                 id="matrix-not-a-list-of-rows"),
+]
+
+
+@pytest.mark.parametrize("spec, argv", MALFORMED_INPUT)
+def test_malformed_input_exits_two_without_traceback(tmp_path, spec, argv):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    proc = run_process(*(str(path) if a == "SPEC" else a for a in argv))
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def declared_console_scripts():
@@ -325,13 +380,9 @@ def test_console_script_entry_point():
     assert callable(pkgutil.resolve_name(target))
     module, _, attr = target.partition(":")
 
-    src = str(Path(hrpairs.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     argv = ["derived", "--partition", "1", "--vars", "4"]
     runs = [([sys.executable, "-c",
-              LAUNCHER.format(module=module, attr=attr), *argv], env)]
+              LAUNCHER.format(module=module, attr=attr), *argv], cli_env())]
     installed = shutil.which("hrpairs")
     if installed:
         runs.append(([installed, *argv], None))

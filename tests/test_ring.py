@@ -16,6 +16,7 @@ from hrpairs.errors import (
 )
 from hrpairs.exterior import PPForm, form_from_dict, std_kahler, wedge
 from hrpairs.ring import (
+    RingModel,
     RingTPoly,
     parse_element,
     polynomial_ring,
@@ -255,14 +256,116 @@ def test_parse_element_error_paths():
         parse_element(model, "xi + zeta")
     with pytest.raises(ConfigError):
         parse_element(model, "")
+    with pytest.raises(ConfigError, match="bad power"):
+        parse_element(model, "xi^z")
+    with pytest.raises(ConfigError, match="zero denominator"):
+        parse_element(model, "1/0*xi")
 
 
 def test_ring_from_spec_rejects_malformed_input():
-    with pytest.raises(ConfigError):
-        ring_from_spec({"generators": [{"name": "x", "degree": 1}]})
-    with pytest.raises(ConfigError):
-        ring_from_spec({"dimension": 2, "generators": [{"name": "x", "degree": 1}],
-                        "relations": [{"monomial": "x^2"}]})
+    gens = [{"name": "x", "degree": 1}]
+
+    def spec(**fields):
+        return {"dimension": 2, "generators": gens, **fields}
+
+    malformed = [
+        {"generators": gens},
+        {"dimension": -1, "generators": []},
+        spec(relations=[{"monomial": "x^2"}]),
+        spec(relations=[{"value": 0}]),
+        spec(relations=[{"monomial": 2, "value": 0}]),
+        spec(relations=[{"monomial": "x^y", "value": 0}]),
+        spec(relations=[{"monomial": "x^2",
+                         "rewrite": [{"coeff": "abc", "monomial": "1"}]}]),
+        spec(relations=[{"monomial": "x^2",
+                         "rewrite": [{"coeff": "1/0", "monomial": "1"}]}]),
+        spec(labels={"h": "x^y"}),
+        spec(labels={"h": 5}),
+        spec(labels=["x"]),
+    ]
+    for data in malformed:
+        with pytest.raises(ConfigError):
+            ring_from_spec(data)
+
+
+# -- ring axioms -----------------------------------------------------------
+
+
+def bundle_over_chern_base(d, e):
+    """The projective bundle of acceptance check 09 for (dim, rank) = (d, e)."""
+    bdim = d - 1
+    gens = [(f"c{k}", k) for k in range(1, min(e, bdim) + 1)]
+    base = polynomial_ring(bdim, gens + [("h", 1)])
+    chern = [base.one()] + [
+        base.label(f"c{k}") if k <= bdim else base.zero(k) for k in range(1, e + 1)
+    ]
+    return proj_bundle_ring(base, chern, e)
+
+
+# The ring shapes the program and its acceptance checks build; of these only
+# the spec ring is checked at run time, inside ring_from_spec.
+PROGRAM_BUILT_MODELS = {
+    **{f"torus-{d}": (lambda d=d: torus_ring(d)) for d in (1, 2, 3, 4)},
+    "delv-subring": lambda: subring(*delv_generators(), name="delv"),
+    "fulger-lehmann": fulger_lehmann,
+    "fulger-lehmann-spec": lambda: ring_from_spec(fixture("fulger_lehmann.json")),
+    "chern-base-x-p1": lambda: product_with_p1(
+        polynomial_ring(3, [("c1", 1), ("c2", 2), ("c3", 3)])),
+    **{f"bundle-d{d}-e{e}": (lambda d=d, e=e: bundle_over_chern_base(d, e))
+       for d in (2, 3) for e in (1, 2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("build", PROGRAM_BUILT_MODELS.values(),
+                         ids=PROGRAM_BUILT_MODELS.keys())
+def test_program_built_models_satisfy_ring_axioms(build):
+    build().check_axioms()
+
+
+def hand_built_ring(bases, products):
+    """RingModel from basis labels and products of non-unit basis classes.
+
+    products maps a pair of labels to the label of their product; pairs left
+    out multiply to zero, and products with the unit are filled in.
+    """
+    where = {lab: (p, i) for p, labs in enumerate(bases) for i, lab in enumerate(labs)}
+    d = len(bases) - 1
+    mult = {(p, q): {} for p in range(d + 1) for q in range(d + 1 - p)}
+    for p, i in where.values():
+        mult[(0, p)][(0, i)] = ((i, 1),)
+        mult[(p, 0)][(i, 0)] = ((i, 1),)
+    for (a, b), c in products.items():
+        (p, i), (q, j), (_, k) = where[a], where[b], where[c]
+        mult[(p, q)][(i, j)] = ((k, 1),)
+    return RingModel(d, bases, mult)
+
+
+def test_check_axioms_rejects_non_commutative_table():
+    model = hand_built_ring([["1"], ["a", "b"], ["ab", "ba"]],
+                            {("a", "b"): "ab", ("b", "a"): "ba"})
+    with pytest.raises(ConstructionError, match="not commutative") as info:
+        model.check_axioms()
+    assert info.value.witness == {"p": 1, "q": 1, "i": 0, "j": 1}
+
+
+def test_check_axioms_rejects_non_associative_table():
+    # commutative, but (a*a)*b = 0 while a*(a*b) = a*ab = t
+    model = hand_built_ring(
+        [["1"], ["a", "b"], ["ab"], ["t"]],
+        {("a", "b"): "ab", ("b", "a"): "ab", ("a", "ab"): "t", ("ab", "a"): "t"},
+    )
+    with pytest.raises(ConstructionError, match="not associative") as info:
+        model.check_axioms()
+    assert info.value.witness == {"degrees": (1, 1, 1), "basis": ("a", "a", "b")}
+
+
+def test_ring_from_spec_runs_the_axiom_check(monkeypatch):
+    def refuse(model):
+        raise ConstructionError("axioms refused")
+
+    monkeypatch.setattr(RingModel, "check_axioms", refuse)
+    with pytest.raises(ConstructionError, match="axioms refused"):
+        ring_from_spec(fixture("fulger_lehmann.json"))
 
 
 # -- projective bundles ----------------------------------------------------
