@@ -182,10 +182,20 @@ def wedge(x, y):
     p, q = x.p + y.p, x.q + y.q
     if p > x.dim or q > x.dim:
         return PPForm.zero(x.dim, min(p, x.dim), min(q, x.dim))
-    cross = (-1) ** (x.q * y.p)
+    return PPForm(x.dim, p, q, wedge_coeffs(x.coeffs, y.coeffs, x.q, y.p))
+
+
+def wedge_coeffs(xc, yc, xq, yp):
+    """Coefficient dict of the wedge of coefficient dicts xc and yc.
+
+    xq is the antiholomorphic degree of the left factor and yp the
+    holomorphic degree of the right one (they fix the sign of moving dzbar_J1
+    past dz_I2); no dimension or bidegree checks.
+    """
+    cross = (-1) ** (xq * yp)
     coeffs = {}
-    for (I1, J1), c1 in x.coeffs.items():
-        for (I2, J2), c2 in y.coeffs.items():
+    for (I1, J1), c1 in xc.items():
+        for (I2, J2), c2 in yc.items():
             si, I = _merge(I1, I2)
             if si == 0:
                 continue
@@ -199,7 +209,7 @@ def wedge(x, y):
                 coeffs.pop(k, None)
             else:
                 coeffs[k] = s
-    return PPForm(x.dim, p, q, coeffs)
+    return coeffs
 
 
 def wedge_all(forms, dim=None, exact=True):

@@ -18,11 +18,20 @@ definite on {a : int(a * eta_top) = 0} and Q_eta_mid(h, h) > 0".
 
 Verdicts carry inertia triples; in the exact backend those come from
 rational congruence with no tolerance, and eigenvalues are float evidence.
+
+One core, _pair_verdict, decides every pair from coordinates: the Gram
+matrix, the multiplication matrix of eta_mid, eta_top, the functional
+int(b_i * eta_top) and h.  is_hr_pair feeds it from any ring model, exact or
+float.  pointwise_hr_pair feeds float forms from dense tables of the torus
+algebra, so a float trial builds no ring; exact forms still go through
+torus_ring(d), the ground-truth oracle.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -37,7 +46,7 @@ from .linalg import (
     rational_nullspace,
     rational_solve,
 )
-from .ring import torus_ring
+from .ring import real_coordinates, real_product_table, torus_ring
 from .symfunc import Partition, derived, evaluate, schur
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
@@ -50,16 +59,37 @@ def signature(Q, zero_tol=1e-9):
     """Inertia (pos, zero, neg) of a symmetric matrix plus eigenvalue evidence.
 
     Rational matrices are classified exactly (zero_tol ignored); float
-    matrices go through numpy with the relative zero threshold.
+    matrices and arrays go through numpy with the relative zero threshold.
     """
     if len(Q) == 0:
         return (0, 0, 0), []
-    Qf = [[float(x) for x in row] for row in Q]
     if _is_exact_matrix(Q):
         sig = rational_inertia(Q)
-        _, eigs = float_signature(Qf, zero_tol)
+        _, eigs = float_signature([[float(x) for x in row] for row in Q], zero_tol)
         return sig, eigs
-    return float_signature(Qf, zero_tol)
+    return float_signature(np.asarray(Q, dtype=float), zero_tol)
+
+
+def _images(model, eta, degree=1):
+    """Coordinates of eta * b_j for each degree-`degree` basis class b_j."""
+    return [(eta * model.basis_element(degree, j)).coeffs
+            for j in range(len(model.basis(degree)))]
+
+
+def _gram_of_images(model, images, degree=1):
+    """Q[i][j] = int(b_i * images[j]) through the model's cached pairing matrix.
+
+    Only the upper triangle is computed, so float Gram matrices are exactly
+    symmetric too.
+    """
+    P = model.pairing_matrix(degree)
+    n = len(images)
+    Q = [[None] * n for _ in range(n)]
+    for i in range(n):
+        row = [(o, p) for o, p in enumerate(P[i]) if p != 0]
+        for j in range(i, n):
+            Q[i][j] = Q[j][i] = sum((p * images[j][o] for o, p in row), Fraction(0))
+    return Q
 
 
 def gram(model, eta, degree=1):
@@ -69,31 +99,31 @@ def gram(model, eta, degree=1):
         raise DegreeError(
             f"eta has degree {eta.degree}; need {d - 2 * degree} to pair degree-{degree} classes"
         )
-    basis = [model.basis_element(degree, i) for i in range(len(model.basis(degree)))]
-    images = [eta * b for b in basis]
-    n = len(basis)
-    Q = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = (basis[i] * images[j]).integrate()
-            Q[i][j] = v
-            Q[j][i] = v
-    return Q
+    return _gram_of_images(model, _images(model, eta, degree), degree)
 
 
-def _quadratic_value(Q, v, w=None):
-    if w is None:
-        w = v
-    total = None
-    for i, a in enumerate(v):
+def _bilinear_value(Q, u, v):
+    """u^T Q v on rational lists, skipping zero coordinates."""
+    total = Fraction(0)
+    for i, a in enumerate(u):
         if a == 0:
             continue
-        for j, b in enumerate(w):
-            if b == 0:
-                continue
-            t = a * Q[i][j] * b
-            total = t if total is None else total + t
-    return 0 if total is None else total
+        for j, b in enumerate(v):
+            if b != 0:
+                total += a * Q[i][j] * b
+    return total
+
+
+def _dot(u, v, exact):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0)) if exact else float(u @ v)
+
+
+def _quadratic_value(Q, v, exact):
+    """v^T Q v: exactly on rational lists, in floats when Q is an array."""
+    if exact:
+        return _bilinear_value(Q, v, v)
+    v = np.asarray(v, dtype=float)
+    return float(v @ Q @ v)
 
 
 def _kernel_witness(Q, exact, zero_tol):
@@ -103,14 +133,8 @@ def _kernel_witness(Q, exact, zero_tol):
     return float_kernel_vector(Q, zero_tol)
 
 
-def has_hr_property(model, eta, h=None, zero_tol=1e-9, _gram=None):
-    """Does Q_eta have Lorentzian signature (1, 0, n-1), positive on h?
-
-    With h omitted, only the signature is checked and a certifying positive
-    direction (the top float eigenvector) is reported as witness.
-    """
-    Q = gram(model, eta) if _gram is None else _gram
-    exact = _is_exact_matrix(Q)
+def _hr_property(Q, exact, zero_tol, hval=None):
+    """has_hr_property's verdict from the Gram matrix and, if given, Q(h, h)."""
     sig, eigs = signature(Q, zero_tol)
     pos, zero, neg = sig
     n = len(Q)
@@ -123,8 +147,7 @@ def has_hr_property(model, eta, h=None, zero_tol=1e-9, _gram=None):
             tolerances=tolerances, details=details,
         )
     lorentzian = pos == 1 and neg == n - 1
-    if h is not None:
-        hval = _quadratic_value(Q, h.coeffs)
+    if hval is not None:
         details["h_pairing"] = jsonable(hval)
         ok = lorentzian and hval > 0
         witness = {} if ok else {"signature": sig, "h_pairing": jsonable(hval)}
@@ -140,6 +163,41 @@ def has_hr_property(model, eta, h=None, zero_tol=1e-9, _gram=None):
     )
 
 
+def has_hr_property(model, eta, h=None, zero_tol=1e-9):
+    """Does Q_eta have Lorentzian signature (1, 0, n-1), positive on h?
+
+    With h omitted, only the signature is checked and a certifying positive
+    direction (the top float eigenvector) is reported as witness.
+    """
+    Q = gram(model, eta)
+    exact = _is_exact_matrix(Q) and (h is None or h.is_exact())
+    if not exact:
+        Q = np.asarray(Q, dtype=float)
+    hval = None if h is None else _quadratic_value(Q, h.coeffs, exact)
+    return _hr_property(Q, exact, zero_tol, hval)
+
+
+def _solve_division(M, b, exact, zero_tol):
+    """x with M x = b; SingularPairingError with a kernel witness if there is none."""
+    if exact:
+        x = rational_solve(M, b)
+        if x is None:
+            null = rational_nullspace(M)
+            raise SingularPairingError(
+                "multiplication by eta is singular on degree-1 classes",
+                witness=[str(v) for v in null[0]] if null else None,
+            )
+        return x
+    x = float_solve(M, b, zero_tol)
+    if x is None:
+        M = np.asarray(M, dtype=float)
+        raise SingularPairingError(
+            "multiplication by eta is numerically singular on degree-1 classes",
+            witness=float_kernel_vector(M.T @ M, zero_tol),
+        )
+    return x
+
+
 def divide(model, gamma, eta, zero_tol=1e-9):
     """The class gamma / eta: solves eta * x = gamma for x of degree 1.
 
@@ -152,76 +210,47 @@ def divide(model, gamma, eta, zero_tol=1e-9):
             f"division expects quotient degree 1, got {qdeg} "
             f"(gamma degree {gamma.degree}, eta degree {eta.degree})"
         )
-    n = len(model.basis(1))
-    cols = [(eta * model.basis_element(1, j)).coeffs for j in range(n)]
-    m = len(model.basis(gamma.degree))
-    M = [[cols[j][i] for j in range(n)] for i in range(m)]
+    M = [list(row) for row in zip(*_images(model, eta))]
     exact = _is_exact_matrix(M) and gamma.is_exact()
-    if exact:
-        x = rational_solve(M, gamma.coeffs)
-        if x is None:
-            null = rational_nullspace(M)
-            raise SingularPairingError(
-                "multiplication by eta is singular on degree-1 classes",
-                witness=[str(v) for v in null[0]] if null else None,
-            )
-    else:
-        Mf = [[float(v) for v in row] for row in M]
-        x = float_solve(Mf, [float(v) for v in gamma.coeffs], zero_tol)
-        if x is None:
-            MtM = (np.asarray(Mf).T @ np.asarray(Mf)).tolist()
-            raise SingularPairingError(
-                "multiplication by eta is numerically singular on degree-1 classes",
-                witness=float_kernel_vector(MtM, zero_tol),
-            )
-    return model.from_coeffs(1, x)
+    return model.from_coeffs(1, _solve_division(M, gamma.coeffs, exact, zero_tol))
 
 
 def _restricted_negdef(Q, functional, zero_tol, exact):
     """Signature of Q restricted to the hyperplane {functional = 0}."""
-    n = len(Q)
     if exact:
-        null = rational_nullspace([functional])
-        B = null  # rows are basis vectors of the hyperplane
-        R = [
-            [_quadratic_value(Q, u, v) for v in B]
-            for u in B
-        ]
-        sig = rational_inertia(R) if R else (0, 0, 0)
-        return sig
-    f = np.asarray([float(x) for x in functional])
-    if np.linalg.norm(f) == 0.0:
-        B = np.eye(n)
+        B = rational_nullspace([functional])  # rows are basis vectors of the hyperplane
+        R = [[_bilinear_value(Q, u, v) for v in B] for u in B]
+        return rational_inertia(R) if R else (0, 0, 0)
+    if np.linalg.norm(functional) == 0.0:
+        B = np.eye(len(Q))
     else:
-        _, _, vh = np.linalg.svd(f[None, :])
+        _, _, vh = np.linalg.svd(functional[None, :])
         B = vh[1:].T
-    Qf = np.asarray([[float(x) for x in row] for row in Q])
-    R = B.T @ Qf @ B
-    sig, _ = float_signature(R, zero_tol)
+    sig, _ = float_signature(B.T @ Q @ B, zero_tol)
     return sig
 
 
-def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9):
-    """Check the three Hodge-Riemann pair conditions for (eta_top, eta_mid).
+def _pair_verdict(Q, M, top, functional, h, exact, zero_tol):
+    """The Hodge-Riemann pair verdict from coordinates; every pair check ends here.
+
+    Q is the Gram matrix of eta_mid on degree-1 classes, M the matrix of
+    multiplication by eta_mid from degree 1 to degree d-1, top the
+    coordinates of eta_top, functional[i] = int(b_i * eta_top) and h the
+    coordinates of h.  Exact input is lists of rationals; otherwise each is
+    taken as a float array.
 
     Any zero inertia along the way yields outcome "degenerate" (never a hard
     pass/fail); otherwise the kernel characterization is recomputed and a
     disagreement raises ConsistencyError.
     """
-    d = model.dimension
-    if eta_top.degree != d - 1 or eta_mid.degree != d - 2:
-        raise DegreeError(
-            f"pair must have degrees ({d - 1}, {d - 2}), got "
-            f"({eta_top.degree}, {eta_mid.degree})"
+    if not exact:
+        Q, M, top, functional, h = (
+            np.asarray(a, dtype=float) for a in (Q, M, top, functional, h)
         )
-    if h.degree != 1:
-        raise DegreeError(f"h must have degree 1, got {h.degree}")
-    Q = gram(model, eta_mid)
-    exact = _is_exact_matrix(Q) and eta_top.is_exact() and h.is_exact()
     tolerances = {} if exact else {"zero_tol": zero_tol}
-
-    prop = has_hr_property(model, eta_mid, h=h, zero_tol=zero_tol, _gram=Q)
-    c2val = (h * eta_top).integrate()
+    hval = _quadratic_value(Q, h, exact)
+    prop = _hr_property(Q, exact, zero_tol, hval)
+    c2val = _dot(h, functional, exact)
     details = {
         "hr_property": prop.to_dict(),
         "pairing_with_h": jsonable(c2val),
@@ -232,13 +261,8 @@ def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9):
             witness=prop.witness, tolerances=tolerances, details=details,
         )
 
-    quotient = None
-    c3val = None
     try:
-        quotient = divide(model, eta_top, eta_mid, zero_tol)
-        c3val = (eta_mid * quotient * quotient).integrate()
-        details["quotient"] = jsonable(quotient.coeffs)
-        details["quotient_square_value"] = jsonable(c3val)
+        quotient = _solve_division(M, top, exact, zero_tol)
     except SingularPairingError as exc:
         # Gram nondegenerate but the division failed: numerically borderline
         return Verdict(
@@ -246,19 +270,18 @@ def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9):
             witness={"division": str(exc), "kernel_vector": exc.witness},
             tolerances=tolerances, details=details,
         )
+    if exact:  # Q @ quotient = P @ M @ quotient = P @ top = functional: no quadratic form
+        c3val = _dot(quotient, functional, exact)
+    else:
+        c3val = _quadratic_value(Q, quotient, exact)
+    details["quotient"] = jsonable(quotient)
+    details["quotient_square_value"] = jsonable(c3val)
 
     passed = prop.passed and c2val > 0 and c3val > 0
 
     if c2val > 0:
-        functional = [
-            (model.basis_element(1, i) * eta_top).integrate()
-            for i in range(len(model.basis(1)))
-        ]
         rsig = _restricted_negdef(Q, functional, zero_tol, exact)
-        hval = _quadratic_value(Q, h.coeffs)
-        kernel_pass = (
-            rsig == (0, 0, len(Q) - 1) and hval > 0
-        )
+        kernel_pass = rsig == (0, 0, len(Q) - 1) and hval > 0
         details["kernel_characterization"] = {
             "restricted_signature": rsig,
             "h_pairing": jsonable(hval),
@@ -297,6 +320,32 @@ def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9):
     )
 
 
+def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9):
+    """Check the three Hodge-Riemann pair conditions for (eta_top, eta_mid).
+
+    Exact when every input is; see _pair_verdict for the verdict rules.
+    """
+    d = model.dimension
+    if eta_top.degree != d - 1 or eta_mid.degree != d - 2:
+        raise DegreeError(
+            f"pair must have degrees ({d - 1}, {d - 2}), got "
+            f"({eta_top.degree}, {eta_mid.degree})"
+        )
+    if h.degree != 1:
+        raise DegreeError(f"h must have degree 1, got {h.degree}")
+    images = _images(model, eta_mid)
+    Q = _gram_of_images(model, images)
+    functional = [
+        sum((p * t for p, t in zip(row, eta_top.coeffs) if p != 0), Fraction(0))
+        for row in model.pairing_matrix(1)
+    ]
+    exact = _is_exact_matrix(Q) and eta_top.is_exact() and h.is_exact()
+    return _pair_verdict(
+        Q, [list(row) for row in zip(*images)], eta_top.coeffs, functional,
+        h.coeffs, exact, zero_tol,
+    )
+
+
 def pos_cone_contains(model, beta, eta, h, zero_tol=1e-9):
     """Membership of a degree-1 class in the eta-positive cone.
 
@@ -331,27 +380,56 @@ def _check_strictly_positive(omega, zero_tol):
         )
 
 
+@lru_cache(maxsize=None)
+def _dense_tables(d):
+    """Float tensors (T, D, P) of the torus algebra on C^d for pointwise_hr_pair.
+
+    In the real bases of pp_slots -- b_j of degree 1, c_k of degree d-2 and
+    c_o of degree d-1 -- D[o, j, k] is coordinate o of c_k * b_j, P[i, o] is
+    int(b_i * c_o) and T[i, j, k] = int(b_i * b_j * c_k) = sum_o P[i, o] D[o, j, k].
+    For eta_mid with coordinates m, T @ m is its Gram matrix and D @ m its
+    multiplication matrix; P @ t is the functional int(b_i * eta_top).
+    Entries are small integers, so the float tables are exact.
+    """
+    n1, n_mid, n_top = (comb(d, p) ** 2 for p in (1, d - 2, d - 1))
+    D = np.zeros((n_top, n1, n_mid))
+    for (j, k), entries in real_product_table(d, 1, d - 2).items():
+        for o, c in entries:
+            D[o, j, k] = float(c)
+    # the top degree has one basis class, u[1..d], and it integrates to 1
+    P = np.zeros((n1, n_top))
+    for (i, o), ((_, c),) in real_product_table(d, 1, d - 1).items():
+        P[i, o] = float(c)
+    T = np.einsum("io,ojk->ijk", P, D)
+    for table in (T, D, P):
+        table.flags.writeable = False
+    return T, D, P
+
+
 def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
     """Hodge-Riemann pair check for constant-coefficient forms.
 
     omega_top is a (d-1,d-1)-form, omega_mid a (d-2,d-2)-form and omega a
-    strictly positive (1,1)-form; the check runs inside the full (p,p)-form
-    model on C^d.
+    strictly positive (1,1)-form.  Exact forms are checked inside the full
+    (p,p)-form model torus_ring(d); float forms contract their real
+    coordinates with the dense tables of _dense_tables(d).  Both end in the
+    same verdict core.
     """
     d = omega_top.dim
     if (omega_top.p, omega_top.q) != (d - 1, d - 1):
         raise DegreeError(f"expected a ({d - 1},{d - 1})-form, got {omega_top!r}")
-    if (omega_mid.p, omega_mid.q) != (d - 2, d - 2):
-        raise DegreeError(f"expected a ({d - 2},{d - 2})-form, got {omega_mid!r}")
+    if (omega_mid.p, omega_mid.q) != (d - 2, d - 2) or omega_mid.dim != d:
+        raise DegreeError(f"expected a ({d - 2},{d - 2})-form on C^{d}, got {omega_mid!r}")
+    if omega.dim != d:
+        raise DegreeError(f"expected a (1,1)-form on C^{d}, got {omega!r}")
     _check_strictly_positive(omega, zero_tol)
-    model = torus_ring(d)
-    return is_hr_pair(
-        model,
-        model.from_form(omega_top),
-        model.from_form(omega_mid),
-        model.from_form(omega),
-        zero_tol=zero_tol,
-    )
+    forms = (omega_top, omega_mid, omega)
+    if all(f.is_exact() for f in forms):
+        model = torus_ring(d)
+        return is_hr_pair(model, *(model.from_form(f) for f in forms), zero_tol=zero_tol)
+    T, D, P = _dense_tables(d)
+    top, mid, h = (np.asarray(real_coordinates(f), dtype=float) for f in forms)
+    return _pair_verdict(T @ mid, D @ mid, top, P @ top, h, False, zero_tol)
 
 
 def random_kahler(d, rng, delta=1e-3):
@@ -409,6 +487,10 @@ def sample_search(dim, num_vars, partition, trials=100, seed=0, zero_tol=1e-9,
     pointwise check against the standard Kahler form.  Trials derive their
     RNG from (seed, trial) so results are order-independent.
     """
+    if dim < 2:
+        raise ConfigError(f"dimension {dim} is below 2: a pair needs degrees d-1 and d-2 >= 0")
+    if trials < 0:
+        raise ConfigError(f"trials must be non-negative, got {trials}")
     lam = partition if isinstance(partition, Partition) else Partition.parse(str(partition))
     if lam.weight != dim - 1:
         raise ConfigError(

@@ -26,8 +26,9 @@ Concrete factories:
                             tau^2 = 0 and int(x * tau) = int(x).
 
 Ring elements keep exact Fraction coordinates; float coordinates are allowed
-too (the sampling harnesses use them) and multiplication then runs through a
-float mirror of the tensors.
+too (the CLI's --backend float uses them) and multiplication then runs through
+a float mirror of the tensors.  The float pointwise pair check does not use
+ring models: it contracts dense tables built from real_product_table.
 """
 
 import itertools
@@ -38,7 +39,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import PPForm, integrate_top, std_kahler, wedge
+from .exterior import PPForm, integrate_top, std_kahler, wedge_coeffs
 from .linalg import rational_solve
 from .scalars import GaussianRational, conj, i_power, imag_part, real_part
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
@@ -113,9 +114,15 @@ class RingElement:
     def __pow__(self, n):
         if n < 0:
             raise DegreeError("negative powers are not defined")
-        out = self.model.one()
-        for _ in range(n):
-            out = out * self
+        if n * self.degree > self.model.dimension:
+            return RingElement(self.model, n * self.degree, [])  # past the top degree
+        out, square = self.model.one(), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def integrate(self):
@@ -311,22 +318,41 @@ class RingModel:
 # -- torus model -----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def pp_slots(d, p):
+    """Layout of the real basis of constant (p,p)-forms on C^d.
+
+    The basis is u[I] for each p-subset I, then x[I|J] and y[I|J] for each
+    pair I < J of p-subsets, in itertools.combinations order.  Maps (I, I)
+    to (u slot,) and (I, J) to (x slot, y slot); a real form with
+    coefficients i^(p^2) * Z[I, J] (Z Hermitian) has u = Z[I, I],
+    x = Re Z[I, J] and y = Im Z[I, J].
+    """
+    subsets = list(itertools.combinations(range(d), p))
+    slots = {(I, I): (k,) for k, I in enumerate(subsets)}
+    pos = len(subsets)
+    for a, I in enumerate(subsets):
+        for J in subsets[a + 1:]:
+            slots[(I, J)] = (pos, pos + 1)
+            pos += 2
+    return slots
+
+
 def _real_pp_basis(d, p):
-    """Labelled real basis of constant (p,p)-forms on C^d (C(d,p)^2 classes)."""
+    """Labelled real basis of constant (p,p)-forms on C^d, in pp_slots order."""
     if p == 0:
         return [("1", PPForm.one(d))]
     ip = i_power(p * p)
     ip1 = i_power(p * p + 1)
-    subsets = list(itertools.combinations(range(d), p))
-    out = []
 
     def tag(S):
         return ",".join(str(i + 1) for i in S)
 
-    for I in subsets:
-        out.append((f"u[{tag(I)}]", PPForm.monomial(d, I, I, ip)))
-    for a, I in enumerate(subsets):
-        for J in subsets[a + 1:]:
+    out = []
+    for (I, J), slot in pp_slots(d, p).items():
+        if len(slot) == 1:
+            out.append((f"u[{tag(I)}]", PPForm.monomial(d, I, I, ip)))
+        else:
             out.append(
                 (f"x[{tag(I)}|{tag(J)}]",
                  PPForm(d, p, p, {(I, J): ip, (J, I): ip}))
@@ -338,6 +364,84 @@ def _real_pp_basis(d, p):
     return out
 
 
+def _slot_pairs(coeffs, slots):
+    """Each stored (I, J) with a nonzero c[I, J] or c[J, I], once, with its slot."""
+    seen = set()
+    for (I, J) in coeffs:
+        key = (I, J) if (I, J) in slots else (J, I)
+        if key not in seen:
+            seen.add(key)
+            yield key, slots[key]
+
+
+def _decompose(coeffs, d, p):
+    """Exact coordinates of a real (p,p)-form's coefficients in the real basis."""
+    coords = [Fraction(0)] * comb(d, p) ** 2
+    sign = -1 if (p * p) % 2 else 1
+    for (I, J), slot in _slot_pairs(coeffs, pp_slots(d, p)):
+        cIJ = coeffs.get((I, J), GaussianRational(0))
+        cJI = coeffs.get((J, I), GaussianRational(0))
+        # reality: c[J,I] = (-1)^(p^2) conj(c[I,J]); reject anything else
+        if sign * conj(cJI) != cIJ:
+            raise ConsistencyError(
+                f"form is not real at indices {(I, J)}: {cIJ} vs {cJI}"
+            )
+        z = cIJ * i_power(-(p * p))
+        if len(slot) == 1:
+            if imag_part(z) != 0:
+                raise ConsistencyError(f"diagonal coefficient {z} not real")
+            coords[slot[0]] = Fraction(real_part(z))
+        else:
+            coords[slot[0]] = Fraction(real_part(z))
+            coords[slot[1]] = Fraction(imag_part(z))
+    return coords
+
+
+def _decompose_float(coeffs, d, p):
+    """Float coordinates; slightly non-real input is symmetrized away."""
+    coords = [0.0] * comb(d, p) ** 2
+    scale = complex(1j) ** (-(p * p) % 4)
+    sign = -1.0 if (p * p) % 2 else 1.0
+    for (I, J), slot in _slot_pairs(coeffs, pp_slots(d, p)):
+        cIJ = complex(coeffs.get((I, J), 0))
+        cJI = complex(coeffs.get((J, I), 0))
+        z = 0.5 * (cIJ + sign * cJI.conjugate()) * scale
+        coords[slot[0]] = z.real
+        if len(slot) == 2:
+            coords[slot[1]] = z.imag
+    return coords
+
+
+def real_coordinates(form):
+    """Coordinates of a real (p,p)-form in the real basis of pp_slots.
+
+    Exact forms give Fractions and must be real; float forms give floats,
+    with slightly non-real input symmetrized away.
+    """
+    if form.p != form.q:
+        raise DegreeError(f"expected a (p,p)-form, got {form!r}")
+    if form.is_exact():
+        return _decompose(form.coeffs, form.dim, form.p)
+    return _decompose_float(form.coeffs, form.dim, form.p)
+
+
+def real_product_table(d, p, q):
+    """Products of the real bases of degrees p and q on C^d, p + q <= d.
+
+    {(i, j): ((k, c), ...)} lists the nonzero exact coordinates c of
+    b_i * b_j in degree p + q, multiplied by the wedge rule.
+    """
+    right = [f for _, f in _real_pp_basis(d, q)]
+    table = {}
+    for i, (_, fi) in enumerate(_real_pp_basis(d, p)):
+        for j, fj in enumerate(right):
+            coords = _decompose(wedge_coeffs(fi.coeffs, fj.coeffs, p, q), d, p + q)
+            entries = tuple((k, c) for k, c in enumerate(coords) if c != 0)
+            if entries:
+                table[(i, j)] = entries
+    return table
+
+
 class TorusModel(RingModel):
     """Full algebra of real constant (p,p)-forms, products by wedge."""
 
@@ -345,89 +449,14 @@ class TorusModel(RingModel):
         basis_forms = [_real_pp_basis(d, p) for p in range(d + 1)]
         bases = [[lab for lab, _ in bf] for bf in basis_forms]
         self.basis_forms = [[f for _, f in bf] for bf in basis_forms]
-        # index over subset pairs for decomposition: degree -> (I, J) -> slot
-        self._slots = []
-        for p in range(d + 1):
-            slots = {}
-            subsets = list(itertools.combinations(range(d), p))
-            pos = 0
-            for I in subsets:
-                slots[(I, I)] = ("diag", pos)
-                pos += 1
-            for a, I in enumerate(subsets):
-                for J in subsets[a + 1:]:
-                    slots[(I, J)] = ("pair", pos, pos + 1)
-                    pos += 2
-            self._slots.append(slots)
-        mult = {}
-        for p in range(d + 1):
-            for q in range(d + 1 - p):
-                table = {}
-                for i, fi in enumerate(self.basis_forms[p]):
-                    for j, fj in enumerate(self.basis_forms[q]):
-                        coords = self._decompose(wedge(fi, fj), p + q)
-                        entries = tuple(
-                            (k, c) for k, c in enumerate(coords) if c != 0
-                        )
-                        if entries:
-                            table[(i, j)] = entries
-                mult[(p, q)] = table
+        mult = {
+            (p, q): real_product_table(d, p, q)
+            for p in range(d + 1)
+            for q in range(d + 1 - p)
+        }
         integration = [integrate_top(f) for f in self.basis_forms[d]]
         super().__init__(d, bases, mult, integration, name=f"torus(C^{d})")
         self.labels["omega_std"] = self.from_form(std_kahler(d, exact=True))
-
-    def _decompose(self, form, p):
-        """Exact coordinates of a real (p,p)-form in the stored basis."""
-        slots = self._slots[p]
-        coords = [Fraction(0)] * len(self.basis_forms[p])
-        ip = i_power(p * p)
-        seen = set()
-        for (I, J) in form.coeffs:
-            key = (I, J) if (I, J) in slots else (J, I)
-            if key in seen:
-                continue
-            seen.add(key)
-            cIJ = form.coeffs.get(key, GaussianRational(0))
-            cJI = form.coeffs.get((key[1], key[0]), GaussianRational(0))
-            sign = -1 if (p * p) % 2 else 1
-            # reality: c[J,I] = (-1)^(p^2) conj(c[I,J]); reject anything else
-            if sign * conj(cJI) != cIJ:
-                raise ConsistencyError(
-                    f"form is not real at indices {key}: {cIJ} vs {cJI}"
-                )
-            z = cIJ * i_power(-(p * p))
-            slot = slots[key]
-            if slot[0] == "diag":
-                if imag_part(z) != 0:
-                    raise ConsistencyError(f"diagonal coefficient {z} not real")
-                coords[slot[1]] = Fraction(real_part(z))
-            else:
-                coords[slot[1]] = Fraction(real_part(z))
-                coords[slot[2]] = Fraction(imag_part(z))
-        return coords
-
-    def _decompose_float(self, form, p):
-        """Float coordinates; slightly non-real input is symmetrized away."""
-        slots = self._slots[p]
-        coords = [0.0] * len(self.basis_forms[p])
-        scale = complex(1j) ** (-(p * p) % 4)
-        sign = -1.0 if (p * p) % 2 else 1.0
-        seen = set()
-        for (I, J) in form.coeffs:
-            key = (I, J) if (I, J) in slots else (J, I)
-            if key in seen:
-                continue
-            seen.add(key)
-            cIJ = complex(form.coeffs.get(key, 0))
-            cJI = complex(form.coeffs.get((key[1], key[0]), 0))
-            z = 0.5 * (cIJ + sign * cJI.conjugate()) * scale
-            slot = slots[key]
-            if slot[0] == "diag":
-                coords[slot[1]] = z.real
-            else:
-                coords[slot[1]] = z.real
-                coords[slot[2]] = z.imag
-        return coords
 
     def from_form(self, form):
         """Ring element of a real (p,p)-form; float forms give float coordinates."""
@@ -435,11 +464,7 @@ class TorusModel(RingModel):
             raise DegreeError(
                 f"expected a (p,p)-form on C^{self.dimension}, got {form!r}"
             )
-        if form.is_exact():
-            coords = self._decompose(form, form.p)
-        else:
-            coords = self._decompose_float(form, form.p)
-        return RingElement(self, form.p, coords)
+        return RingElement(self, form.p, real_coordinates(form))
 
     def to_form(self, elem):
         acc = PPForm.zero(self.dimension, elem.degree, elem.degree)

@@ -334,6 +334,11 @@ MALFORMED_INPUT = [
                  id="asymmetric-float-matrix"),
     pytest.param(None, ["signature", "--matrix", "[1,2]"],
                  id="matrix-not-a-list-of-rows"),
+    pytest.param(None, ["sample-search", "--dim", "1", "--vars", "1", "--partition", "0"],
+                 id="sample-search-dim-below-two"),
+    pytest.param(None, ["sample-search", "--dim", "3", "--vars", "2", "--partition", "2",
+                        "--trials", "-3"],
+                 id="sample-search-negative-trials"),
 ]
 
 

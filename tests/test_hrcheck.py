@@ -6,14 +6,24 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrpairs.errors import (
     ConfigError,
     DegreeError,
     SingularPairingError,
 )
-from hrpairs.exterior import form_from_dict, std_kahler, wedge, wedge_all
+from hrpairs.exterior import (
+    PPForm,
+    form_from_dict,
+    form_from_hermitian,
+    hermitian_from_form,
+    std_kahler,
+    wedge,
+)
 from hrpairs.hrcheck import (
+    _dense_tables,
     divide,
     gram,
     has_hr_property,
@@ -27,6 +37,7 @@ from hrpairs.hrcheck import (
 )
 from hrpairs.ring import parse_element, relation_ring, subring, torus_ring
 from hrpairs.symfunc import Partition
+from hrpairs.verdict import jsonable
 
 
 def delv_model():
@@ -195,6 +206,31 @@ def test_nonhr_limit_fails_just_past_the_boundary():
     assert verdict.outcome == "fail"
 
 
+def test_pair_values_are_their_defining_integrals():
+    """pairing_with_h = int(h * top) and quotient_square_value = int(mid * q^2)."""
+    model, _ = delv_model()
+    eta = parse_element(model, "theta1*theta2")
+    h = parse_element(model, "theta1+theta2")
+    amb, hh, eeta = nonhr_inputs()
+    cases = [(model, eta * h, eta, h)] + [
+        (amb, hh ** 3, eeta + eps * hh * hh, hh) for eps in (Fraction(1, 10), Fraction(-1, 100))
+    ]
+    for m, top, mid, hv in cases:
+        q = divide(m, top, mid)
+        want = {
+            "quotient": q.coeffs,
+            "pairing_with_h": (hv * top).integrate(),
+            "quotient_square_value": (mid * q * q).integrate(),
+        }
+        exact = is_hr_pair(m, top, mid, hv)
+        floats = is_hr_pair(m, *(m.from_coeffs(e.degree, [float(c) for c in e.coeffs])
+                                 for e in (top, mid, hv)))
+        for key, value in want.items():
+            assert exact.details[key] == jsonable(value), key
+            assert np.allclose(np.asarray(floats.details[key], dtype=float),
+                               np.asarray(value, dtype=float), rtol=1e-9, atol=0), key
+
+
 # -- invariance properties -------------------------------------------------
 
 
@@ -343,3 +379,215 @@ def test_sample_search_report_serializes():
     data = json.loads(report.to_json())
     assert data["passes"] == 3
     assert data["config"]["dim"] == 2
+
+
+# -- dense float kernel against the torus-ring oracle ------------------------
+
+
+def ring_path_verdict(top, mid, omega, zero_tol=1e-9):
+    """The float pointwise check decided inside torus_ring(d), the oracle."""
+    model = torus_ring(top.dim)
+    return is_hr_pair(
+        model, model.from_form(top), model.from_form(mid), model.from_form(omega),
+        zero_tol=zero_tol,
+    )
+
+
+def close(a, b, rel=1e-9):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    return a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= rel * scale
+
+
+def assert_same_verdict(dense, ring):
+    assert dense.outcome == ring.outcome
+    assert tuple(dense.signature) == tuple(ring.signature)
+    assert dense.details.keys() == ring.details.keys()
+    assert dense.witness.keys() == ring.witness.keys()
+    assert close(dense.eigenvalues, ring.eigenvalues)
+    for key in ("pairing_with_h", "quotient", "quotient_square_value"):
+        if key in ring.details:
+            assert close(dense.details[key], ring.details[key]), key
+    if "kernel_characterization" in ring.details:
+        assert (dense.details["kernel_characterization"]["restricted_signature"]
+                == ring.details["kernel_characterization"]["restricted_signature"])
+
+
+def partitions(n, largest=None):
+    if n == 0:
+        return [()]
+    out = []
+    for first in range(min(n, largest or n), 0, -1):
+        out.extend((first,) + rest for rest in partitions(n - first, first))
+    return out
+
+
+# the (dim, vars, partition) configs of acceptance check 07
+ACCEPTANCE_CONFIGS = [(d, e, Partition(lam)) for d in (2, 3, 4) for e in range(d - 1, 6)
+                      for lam in partitions(d - 1) if len(lam) <= e]
+
+
+def schur_trial(d, e, lam, seed, trial):
+    """The pair that sample_search draws for (seed, trial)."""
+    rng = np.random.default_rng([seed, trial])
+    omegas = [random_kahler(d, rng) for _ in range(e)]
+    return schur_form_pair(lam, omegas, d)
+
+
+def to_float(form):
+    return PPForm(form.dim, form.p, form.q, {k: complex(c) for k, c in form.coeffs.items()})
+
+
+def test_dense_kernel_matches_torus_ring_on_acceptance_trials():
+    assert len(ACCEPTANCE_CONFIGS) == 22
+    for d, e, lam in ACCEPTANCE_CONFIGS:
+        reference = std_kahler(d, exact=False)
+        for trial in range(5):
+            top, mid = schur_trial(d, e, lam, 7000 + 100 * d + e, trial)
+            dense = pointwise_hr_pair(top, mid, reference)
+            assert dense.passed, (d, e, lam, trial)
+            assert_same_verdict(dense, ring_path_verdict(top, mid, reference))
+
+
+@pytest.mark.parametrize("eps, sign, outcome", [
+    (0.1, 1.0, "pass"),
+    (0.0, 1.0, "degenerate"),
+    (0.1, -1.0, "fail"),
+    (-0.01, 1.0, "fail"),
+])
+def test_dense_kernel_matches_torus_ring_on_the_delv_limit(eps, sign, outcome):
+    data = json.loads(
+        resources.files("hrpairs").joinpath("fixtures/delv.json").read_text()
+    )
+    forms = {name: to_float(form_from_dict(d)) for name, d in data["forms"].items()}
+    h = forms["theta1"] + forms["theta2"]
+    h2 = wedge(h, h)
+    mid = (wedge(forms["theta1"], forms["theta2"]) + h2 * eps) * sign
+    top, omega = wedge(h2, h), std_kahler(4, exact=False)
+    dense = pointwise_hr_pair(top, mid, omega)
+    assert dense.outcome == outcome
+    assert_same_verdict(dense, ring_path_verdict(top, mid, omega))
+
+
+def test_dense_kernel_symmetrizes_a_slightly_non_real_middle_form():
+    top, mid = schur_trial(3, 3, Partition((2,)), 7303, 0)
+    (I, J), c = next(((k, c) for k, c in mid.coeffs.items() if k[0] != k[1]))
+    coeffs = dict(mid.coeffs)
+    coeffs[(I, J)] = c + 1e-10j * mid.max_abs()  # (J, I) left alone
+    skewed = PPForm(3, 1, 1, coeffs)
+    assert not skewed.is_real()
+    reference = std_kahler(3, exact=False)
+    dense = pointwise_hr_pair(top, skewed, reference)
+    assert_same_verdict(dense, ring_path_verdict(top, skewed, reference))
+    assert_same_verdict(dense, pointwise_hr_pair(top, mid, reference))
+
+
+def test_singular_division_is_degenerate_in_both_backends():
+    """Gram form nondegenerate, eta_top outside the image of eta_mid.
+
+    On the torus the Gram matrix is P @ M with P the invertible pairing, so a
+    nondegenerate Gram matrix forces a solvable division; this ring has
+    three degree-2 classes against two of degree 1.
+    """
+    model = relation_ring(
+        3,
+        [("x", 1), ("y", 1)],
+        [((3, 0), []), ((0, 3), []), ((1, 2), [(1, (2, 1))])],
+        integration=[((2, 1), 1)],
+    )
+    h = parse_element(model, "x+y")
+    top = parse_element(model, "x^2")
+    verdicts = []
+    for backend in (lambda c: c, float):
+        args = [model.from_coeffs(e.degree, [backend(c) for c in e.coeffs])
+                for e in (top, h, h)]
+        verdicts.append(is_hr_pair(model, *args))
+    exact, flt = verdicts
+    for v in verdicts:
+        assert v.outcome == "degenerate"
+        assert tuple(v.signature) == (1, 0, 1)
+        assert "division" in v.witness
+    assert exact.details.keys() == flt.details.keys()
+
+
+def test_dense_kernel_matches_torus_ring_at_dimension_five():
+    reference = std_kahler(5, exact=False)
+    for trial in range(3):
+        top, mid = schur_trial(5, 3, Partition((3, 1)), 7503, trial)
+        assert_same_verdict(pointwise_hr_pair(top, mid, reference),
+                            ring_path_verdict(top, mid, reference))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dense_tables_are_contractions_of_the_torus_ring(d):
+    model = torus_ring(d)
+    T, D, P = _dense_tables(d)
+    n1, n_mid = len(model.basis(1)), len(model.basis(d - 2))
+    assert P.tolist() == [[float(x) for x in row] for row in model.pairing_matrix(1)]
+    for k in range(n_mid):
+        c = model.basis_element(d - 2, k)
+        assert T[:, :, k].tolist() == [[float(x) for x in row] for row in gram(model, c)]
+        for j in range(n1):
+            product = c * model.basis_element(1, j)
+            assert D[:, j, k].tolist() == [float(x) for x in product.coeffs]
+
+
+# -- property tests ----------------------------------------------------------
+
+SCHUR_CASES = [(d, Partition(lam)) for d in (2, 3, 4) for lam in partitions(d - 1)]
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def kahler_hermitians(d, count, rng):
+    return [hermitian_from_form(random_kahler(d, rng)) for _ in range(count)]
+
+
+def dense_pair(lam, hermitians, d):
+    """pointwise_hr_pair of the Schur pair of hermitians[1:] against hermitians[0]."""
+    omega, *omegas = [form_from_hermitian(H, exact=False) for H in hermitians]
+    top, mid = schur_form_pair(lam, omegas, d)
+    return top, mid, omega
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=st.sampled_from(SCHUR_CASES), seed=SEEDS,
+       scales=st.tuples(*[st.floats(1e-3, 1e3)] * 3))
+def test_dense_verdict_is_invariant_under_positive_scaling(case, seed, scales):
+    d, lam = case
+    hermitians = kahler_hermitians(d, len(lam) + 2, np.random.default_rng(seed))
+    top, mid, omega = dense_pair(lam, hermitians, d)
+    base = pointwise_hr_pair(top, mid, omega)
+    a, b, c = scales
+    scaled = pointwise_hr_pair(top * a, mid * b, omega * c)
+    assert (scaled.outcome, scaled.signature) == (base.outcome, base.signature)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=st.sampled_from(SCHUR_CASES), seed=SEEDS, gl_seed=SEEDS)
+def test_dense_verdict_is_invariant_under_a_change_of_coordinates(case, seed, gl_seed):
+    d, lam = case
+    hermitians = kahler_hermitians(d, len(lam) + 2, np.random.default_rng(seed))
+    rng = np.random.default_rng(gl_seed)
+    unitary = [np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+               for _ in range(2)]
+    g = unitary[0] @ np.diag(np.exp(rng.uniform(-0.7, 0.7, d))) @ unitary[1]  # cond(g) < 4.1
+    moved = [g.conj().T @ np.asarray(H) @ g for H in hermitians]  # pullback under z = g w
+    base = pointwise_hr_pair(*dense_pair(lam, hermitians, d))
+    after = pointwise_hr_pair(*dense_pair(lam, moved, d))
+    assert (after.outcome, after.signature) == (base.outcome, base.signature)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from(SCHUR_CASES), seed=SEEDS, rank=st.integers(1, 4),
+       eps=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6]))
+def test_near_boundary_input_never_raises_consistency_error(case, seed, rank, eps):
+    """Schur pairs of forms H = A^* A + eps * Id with A of low rank."""
+    d, lam = case
+    rng = np.random.default_rng(seed)
+    omegas = []
+    for _ in range(len(lam) + 1):
+        A = rng.standard_normal((min(rank, d), d)) + 1j * rng.standard_normal((min(rank, d), d))
+        omegas.append(form_from_hermitian(A.conj().T @ A + eps * np.eye(d), exact=False))
+    top, mid = schur_form_pair(lam, omegas, d)
+    verdict = pointwise_hr_pair(top, mid, std_kahler(d, exact=False))
+    assert verdict.outcome in ("pass", "fail", "degenerate")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -248,6 +249,20 @@ def test_parse_element_expressions():
     assert elem.integrate() == 3  # xi^3 = -xi^2 f
     assert parse_element(model, "1/2*xi + 1/2*xi") == model.label("xi")
     assert parse_element(model, "3") == 3 * model.one()
+
+
+def test_powers_past_the_top_degree_are_zero_at_once():
+    model = fulger_lehmann()
+    start = time.perf_counter()
+    big = parse_element(model, "xi^100000000")
+    assert time.perf_counter() - start < 1.0
+    assert big.is_zero() and big.degree == 100000000
+    assert (2 * model.one()) ** 1000 == 2 ** 1000 * model.one()
+    h = parse_element(model, "xi+f")
+    product = model.one()
+    for k in range(6):
+        assert h ** k == product
+        product = product * h
 
 
 def test_parse_element_error_paths():
