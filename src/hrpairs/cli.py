@@ -356,7 +356,7 @@ def cmd_trace_check(args):
                 top = form_from_dict(json.load(fh))
             with open(args.omega_mid) as fh:
                 mid = form_from_dict(json.load(fh))
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, DegreeError, ConfigError) as exc:
             _die(f"cannot load curvature data: {exc}")
         F0 = bg.CurvatureMatrix(entries, check=False)
     else:

@@ -12,8 +12,12 @@ Conventions, all verified by brute-force oracles in the test suite:
     the coefficient of dz_1..d wedge dzbar_1..d in the volume form is i^(d^2).
 """
 
+import itertools
 import json
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import ConsistencyError, DegreeError
 from .linalg import det, float_signature, hermitian_rational_inertia
@@ -60,6 +64,18 @@ class PPForm:
                 raise DegreeError(f"index tuple {S} is not strictly increasing of length {n}")
             if S and (S[0] < 0 or S[-1] >= self.dim):
                 raise DegreeError(f"index tuple {S} out of range for dimension {self.dim}")
+
+    @classmethod
+    def _valid(cls, dim, p, q, coeffs):
+        """A form whose keys are valid by construction: no key check, zeros dropped.
+
+        For the results of wedge, +, -, conj, scalar * and embed; coefficients
+        from outside the program go through PPForm(...), which checks keys.
+        """
+        form = cls.__new__(cls)
+        form.dim, form.p, form.q = dim, p, q
+        form.coeffs = {k: c for k, c in coeffs.items() if c != 0}
+        return form
 
     # -- constructors ------------------------------------------------------
 
@@ -108,10 +124,10 @@ class PPForm:
                 coeffs.pop(k, None)
             else:
                 coeffs[k] = s
-        return PPForm(self.dim, self.p, self.q, coeffs)
+        return PPForm._valid(self.dim, self.p, self.q, coeffs)
 
     def __neg__(self):
-        return PPForm(self.dim, self.p, self.q, {k: -c for k, c in self.coeffs.items()})
+        return PPForm._valid(self.dim, self.p, self.q, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -119,7 +135,7 @@ class PPForm:
     def __mul__(self, other):
         if isinstance(other, PPForm):
             return wedge(self, other)
-        return PPForm(
+        return PPForm._valid(
             self.dim, self.p, self.q, {k: c * other for k, c in self.coeffs.items()}
         )
 
@@ -138,7 +154,7 @@ class PPForm:
     def conj(self):
         """Complex conjugate, a (q,p)-form."""
         sign = (-1) ** (self.p * self.q)
-        return PPForm(
+        return PPForm._valid(
             self.dim,
             self.q,
             self.p,
@@ -146,12 +162,16 @@ class PPForm:
         )
 
     def is_real(self, tol=0.0):
-        diff = self - self.conj() if self.p == self.q else None
-        if diff is None:
+        """Is self == self.conj(), exactly or to tol relative to max(max_abs, 1)?"""
+        if self.p != self.q:
             return False
+        sign = (-1) ** (self.p * self.q)
+        get = self.coeffs.get
+        gaps = [c - sign * conj(get((J, I), 0)) for (I, J), c in self.coeffs.items()]
         if tol == 0.0:
-            return diff.is_zero()
-        return diff.max_abs() <= tol * max(self.max_abs(), 1.0)
+            return all(g == 0 for g in gaps)
+        worst = max((abs(complex(g)) for g in gaps), default=0.0)
+        return worst <= tol * max(self.max_abs(), 1.0)
 
     def max_abs(self):
         if not self.coeffs:
@@ -163,7 +183,7 @@ class PPForm:
         scale = self.max_abs()
         if scale == 0.0:
             return self
-        return PPForm(
+        return PPForm._valid(
             self.dim,
             self.p,
             self.q,
@@ -182,7 +202,7 @@ def wedge(x, y):
     p, q = x.p + y.p, x.q + y.q
     if p > x.dim or q > x.dim:
         return PPForm.zero(x.dim, min(p, x.dim), min(q, x.dim))
-    return PPForm(x.dim, p, q, wedge_coeffs(x.coeffs, y.coeffs, x.q, y.p))
+    return PPForm._valid(x.dim, p, q, wedge_coeffs(x.coeffs, y.coeffs, x.q, y.p))
 
 
 def wedge_coeffs(xc, yc, xq, yp):
@@ -210,6 +230,88 @@ def wedge_coeffs(xc, yc, xq, yp):
             else:
                 coeffs[k] = s
     return coeffs
+
+
+@lru_cache(maxsize=None)
+def _subset_index(d, p):
+    """{I: position} of the p-subsets I of range(d), in combinations order."""
+    return {I: i for i, I in enumerate(itertools.combinations(range(d), p))}
+
+
+@lru_cache(maxsize=None)
+def _merge_signs(d, p, q):
+    """Read-only S with dz_I wedge dz_J = S[k, i, j] dz_K, K the k-th (p+q)-subset.
+
+    I and J are the i-th p-subset and the j-th q-subset of range(d); S is 0
+    where they meet.
+    """
+    out, left, right = (_subset_index(d, k) for k in (p + q, p, q))
+    S = np.zeros((len(out), len(left), len(right)))
+    for I, i in left.items():
+        for J, j in right.items():
+            sign, K = _merge(I, J)
+            if sign:
+                S[out[K], i, j] = sign
+    S.flags.writeable = False
+    return S
+
+
+class DenseForm:
+    """Float (p,p)-form on C^d as its dense coefficient matrix.
+
+    coeffs[i, j] is the coefficient of dz_I wedge dzbar_J for the i-th and
+    j-th p-subsets I, J in combinations order.  A value type for long float
+    products such as symfunc.evaluate.  With S = _merge_signs(d, p, q), the
+    wedge of Z (degree p) and W (degree q) is
+    V[k, l] = (-1)^(pq) sum S[k, a, b] S[l, c, e] Z[a, c] W[b, e],
+    the sign rule of wedge_coeffs applied to every pair of terms at once.
+    Past degree d there are no subsets, so the matrix is empty: the zero
+    form.
+    """
+
+    __slots__ = ("dim", "p", "coeffs")
+
+    def __init__(self, dim, p, coeffs):
+        self.dim, self.p, self.coeffs = dim, p, coeffs
+
+    @classmethod
+    def one(cls, dim):
+        return cls(dim, 0, np.ones((1, 1), dtype=complex))
+
+    @classmethod
+    def from_form(cls, form):
+        if form.p != form.q:
+            raise DegreeError(f"expected a (p,p)-form, got {form!r}")
+        index = _subset_index(form.dim, form.p)
+        Z = np.zeros((len(index), len(index)), dtype=complex)
+        for (I, J), c in form.coeffs.items():
+            Z[index[I], index[J]] = complex(c)
+        return cls(form.dim, form.p, Z)
+
+    def to_form(self):
+        subsets = list(_subset_index(self.dim, self.p))
+        Z = self.coeffs
+        coeffs = {(subsets[i], subsets[j]): complex(Z[i, j])
+                  for i, j in zip(*np.nonzero(Z))}
+        return PPForm._valid(self.dim, self.p, self.p, coeffs)
+
+    def __add__(self, other):
+        if (self.dim, self.p) != (other.dim, other.p):
+            raise DegreeError(
+                f"cannot add ({self.dim};{self.p},{self.p}) and "
+                f"({other.dim};{other.p},{other.p}) forms"
+            )
+        return DenseForm(self.dim, self.p, self.coeffs + other.coeffs)
+
+    def __mul__(self, other):
+        if not isinstance(other, DenseForm):
+            return DenseForm(self.dim, self.p, self.coeffs * complex(other))
+        d, p, q = self.dim, self.p, other.p
+        S = _merge_signs(d, p, q)
+        X = np.tensordot(S, self.coeffs, axes=(1, 0))  # X[k, b, c]: sum over a
+        X = np.tensordot(X, other.coeffs, axes=(1, 0))  # X[k, c, e]: sum over b
+        V = np.tensordot(X, S, axes=((1, 2), (1, 2)))  # V[k, l]: sum over c, e
+        return DenseForm(d, p + q, -V if (p * q) % 2 else V)
 
 
 def wedge_all(forms, dim=None, exact=True):
@@ -302,7 +404,7 @@ def embed(form, new_dim):
     """The same form regarded on a larger C^new_dim (pullback under projection)."""
     if new_dim < form.dim:
         raise DegreeError(f"cannot embed a C^{form.dim} form into C^{new_dim}")
-    return PPForm(new_dim, form.p, form.q, dict(form.coeffs))
+    return PPForm._valid(new_dim, form.p, form.q, form.coeffs)
 
 
 def extend_hat(form, theta_coeff):

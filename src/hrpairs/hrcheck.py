@@ -23,8 +23,9 @@ One core, _pair_verdict, decides every pair from coordinates: the Gram
 matrix, the multiplication matrix of eta_mid, eta_top, the functional
 int(b_i * eta_top) and h.  is_hr_pair feeds it from any ring model, exact or
 float.  pointwise_hr_pair feeds float forms from dense tables of the torus
-algebra, so a float trial builds no ring; exact forms still go through
-torus_ring(d), the ground-truth oracle.
+algebra, and schur_form_pair multiplies float forms as dense coefficient
+matrices, so a float trial builds no ring and makes no sparse wedge; exact
+forms still go through wedge and torus_ring(d), the ground-truth oracle.
 """
 
 import json
@@ -36,7 +37,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingError
-from .exterior import PPForm, form_from_hermitian, hermitian_from_form, std_kahler
+from .exterior import DenseForm, PPForm, form_from_hermitian, hermitian_from_form, std_kahler
 from .linalg import (
     float_kernel_vector,
     float_signature,
@@ -190,10 +191,13 @@ def _solve_division(M, b, exact, zero_tol):
         return x
     x = float_solve(M, b, zero_tol)
     if x is None:
+        # a witness only when M is numerically rank-deficient, as in the exact branch
         M = np.asarray(M, dtype=float)
+        _, s, vh = np.linalg.svd(M)
+        deficient = M.shape[0] < M.shape[1] or s[-1] <= zero_tol * s[0]
         raise SingularPairingError(
             "multiplication by eta is numerically singular on degree-1 classes",
-            witness=float_kernel_vector(M.T @ M, zero_tol),
+            witness=[float(v) for v in vh[-1]] if deficient else None,
         )
     return x
 
@@ -439,14 +443,36 @@ def random_kahler(d, rng, delta=1e-3):
     return form_from_hermitian([[complex(x) for x in row] for row in H], exact=False)
 
 
-def schur_form_pair(lam, omegas, dim):
-    """(s_lam, derived s_lam) evaluated on (1,1)-forms; the candidate pair."""
-    e = len(omegas)
+@lru_cache(maxsize=None)
+def _schur_polys(lam, e):
+    """(s_lam, s'_lam) in e variables, in the e-basis; they depend on (lam, e) only."""
     p = schur(lam, e)
-    one = PPForm.one(dim, exact=all(w.is_exact() for w in omegas))
-    top = evaluate(p, omegas, one)
-    mid = evaluate(derived(p, 1), omegas, one)
-    return top, mid
+    return p, derived(p, 1)
+
+
+def schur_form_pair(lam, omegas, dim):
+    """(s_lam, derived s_lam) evaluated on (1,1)-forms; the candidate pair.
+
+    Both go through symfunc.evaluate: exact forms multiply by wedge, the
+    ground truth, float forms as DenseForm coefficient matrices.  The forms
+    must be real (1,1)-forms on C^dim, float ones to 1e-9 relative, and
+    |lam| must be dim - 1.
+    """
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    if lam.weight != dim - 1:
+        raise DegreeError(f"partition {lam} has weight {lam.weight}; need dim - 1 = {dim - 1}")
+    exact = all(w.is_exact() for w in omegas)
+    for w in omegas:
+        if (w.dim, w.p, w.q) != (dim, 1, 1):
+            raise DegreeError(f"expected a (1,1)-form on C^{dim}, got {w!r}")
+        if not w.is_real(0.0 if exact else 1e-9):
+            raise ConfigError(f"{w!r} is not a real form")
+    polys = _schur_polys(lam, len(omegas))
+    if exact:
+        one = PPForm.one(dim)
+        return tuple(evaluate(poly, omegas, one) for poly in polys)
+    one, values = DenseForm.one(dim), [DenseForm.from_form(w) for w in omegas]
+    return tuple(evaluate(poly, values, one).to_form() for poly in polys)
 
 
 @dataclass

@@ -41,7 +41,7 @@ from math import comb
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
 from .exterior import PPForm, integrate_top, std_kahler, wedge_coeffs
 from .linalg import rational_solve
-from .scalars import GaussianRational, conj, i_power, imag_part, real_part
+from .scalars import GaussianRational, conj, i_power, imag_part, is_exact, real_part
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
 
 
@@ -442,19 +442,44 @@ def real_product_table(d, p, q):
     return table
 
 
+def form_from_real_coordinates(d, p, coords):
+    """The real (p,p)-form on C^d with coordinates coords in the basis of pp_slots.
+
+    Inverse of real_coordinates: exact coordinates give GaussianRational
+    coefficients, float ones complex coefficients.
+    """
+    coords = list(coords)
+    if len(coords) != comb(d, p) ** 2:
+        raise DegreeError(
+            f"{len(coords)} coordinates for real ({p},{p})-forms on C^{d}, "
+            f"need {comb(d, p) ** 2}"
+        )
+    exact = all(is_exact(c) for c in coords)
+    scalar = GaussianRational if exact else complex
+    unit = i_power(p * p) if exact else 1j ** (p * p % 4)
+    coeffs = {}
+    for (I, J), slot in pp_slots(d, p).items():
+        if len(slot) == 1:
+            coeffs[(I, I)] = unit * scalar(coords[slot[0]])
+        else:
+            x, y = coords[slot[0]], coords[slot[1]]
+            coeffs[(I, J)] = unit * scalar(x, y)
+            coeffs[(J, I)] = unit * scalar(x, -y)
+    return PPForm._valid(d, p, p, coeffs)
+
+
 class TorusModel(RingModel):
     """Full algebra of real constant (p,p)-forms, products by wedge."""
 
     def __init__(self, d):
         basis_forms = [_real_pp_basis(d, p) for p in range(d + 1)]
         bases = [[lab for lab, _ in bf] for bf in basis_forms]
-        self.basis_forms = [[f for _, f in bf] for bf in basis_forms]
         mult = {
             (p, q): real_product_table(d, p, q)
             for p in range(d + 1)
             for q in range(d + 1 - p)
         }
-        integration = [integrate_top(f) for f in self.basis_forms[d]]
+        integration = [integrate_top(f) for _, f in basis_forms[d]]
         super().__init__(d, bases, mult, integration, name=f"torus(C^{d})")
         self.labels["omega_std"] = self.from_form(std_kahler(d, exact=True))
 
@@ -467,11 +492,7 @@ class TorusModel(RingModel):
         return RingElement(self, form.p, real_coordinates(form))
 
     def to_form(self, elem):
-        acc = PPForm.zero(self.dimension, elem.degree, elem.degree)
-        for c, f in zip(elem.coeffs, self.basis_forms[elem.degree]):
-            if c != 0:
-                acc = acc + f * c
-        return acc
+        return form_from_real_coordinates(self.dimension, elem.degree, elem.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -813,11 +834,38 @@ def polynomial_ring(dimension, generators, name=None):
     )
 
 
+# Largest ring spec that ring_from_spec builds: its dimension and its
+# monomials of degree 0..dimension.  Construction and check_axioms grow
+# polynomially in both; at the limits they take a few seconds (one generator
+# in dimension 64 about 0.4 s, two degree-1 generators in dimension 20, 231
+# monomials, about 2 s).  The fixtures have dimension 3 and 10 monomials.
+MAX_SPEC_DIMENSION = 64
+MAX_SPEC_MONOMIALS = 250
+
+
+def _monomial_count(dimension, degrees, limit):
+    """Monomials of degree 0..dimension in generators of the given degrees.
+
+    A coin-change DP over the degree; it stops adding generators once the
+    count is above limit, so the count is exact only up to limit.
+    """
+    ways = [1] + [0] * dimension
+    for g in degrees:
+        if 1 <= g <= dimension:
+            for k in range(g, dimension + 1):
+                ways[k] += ways[k - g]
+            if sum(ways) > limit:
+                break
+    return sum(ways)
+
+
 def ring_from_spec(data):
     """Build a relation ring from a parsed ring-spec dict (see fixtures).
 
     This is where ring data enters from outside the program, so malformed
-    fields raise ConfigError and the built ring must pass check_axioms().
+    fields raise ConfigError, a spec above MAX_SPEC_DIMENSION or
+    MAX_SPEC_MONOMIALS is refused before its monomials are enumerated, and
+    the built ring must pass check_axioms().
     """
     try:
         dimension = int(data["dimension"])
@@ -860,6 +908,16 @@ def ring_from_spec(data):
         raise ConfigError(f"malformed ring spec: missing field {exc}") from exc
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed ring spec: {exc}") from exc
+    if dimension > MAX_SPEC_DIMENSION:
+        raise ConfigError(
+            f"ring spec too large: dimension {dimension} is above {MAX_SPEC_DIMENSION}"
+        )
+    count = _monomial_count(dimension, [g for _, g in generators], MAX_SPEC_MONOMIALS)
+    if count > MAX_SPEC_MONOMIALS:
+        raise ConfigError(
+            f"ring spec too large: {len(generators)} generators in dimension {dimension} "
+            f"give more than {MAX_SPEC_MONOMIALS} monomials"
+        )
     model = relation_ring(
         dimension,
         generators,

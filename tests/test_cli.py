@@ -12,6 +12,7 @@ import pytest
 
 import hrpairs
 from hrpairs.cli import main
+from hrpairs.exterior import form_to_dict, std_kahler, wedge
 
 
 def run(capsys, *argv):
@@ -311,7 +312,51 @@ def fl_spec_with(edit):
     return spec
 
 
-# (ring spec written to SPEC, or None; arguments)
+class InputFiles(dict):
+    """Several JSON inputs, keyed by the placeholder that names each in argv."""
+
+
+def trace_check_files(**edit):
+    """trace-check's file-mode inputs on C^3: the trace-free primitive curvature
+    diag(a, -a), a = dz_1 dzbar_1 - dz_2 dzbar_2, with the fields in edit set
+    on a's first term, and omega_std^2, omega_std as the pair."""
+    def a(sign, **fields):
+        terms = [{"I": [1], "J": [1], "re": str(sign), "im": "0", **fields},
+                 {"I": [2], "J": [2], "re": str(-sign), "im": "0"}]
+        return {"dim": 3, "p": 1, "q": 1, "terms": terms}
+
+    zero = {"dim": 3, "p": 1, "q": 1, "terms": []}
+    omega = std_kahler(3)
+    return InputFiles(
+        CURVATURE={"entries": [[a(1, **edit), zero], [zero, a(-1)]]},
+        TOP=form_to_dict(wedge(omega, omega)),
+        MID=form_to_dict(omega),
+    )
+
+
+TRACE_CHECK_FILES = ["trace-check", "--curvature", "CURVATURE", "--omega-top", "TOP",
+                     "--omega-mid", "MID"]
+
+
+def write_inputs(tmp_path, spec):
+    """Write spec (or each of several InputFiles) as JSON; placeholder -> path."""
+    files = spec if isinstance(spec, InputFiles) else {"SPEC": spec}
+    paths = {}
+    for name, data in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths[name] = str(path)
+    return paths
+
+
+def test_trace_check_file_mode_reads_its_inputs(tmp_path):
+    paths = write_inputs(tmp_path, trace_check_files())
+    proc = run_process(*(paths.get(a, a) for a in TRACE_CHECK_FILES))
+    assert proc.returncode == 0, proc.stderr
+    assert "pass" in proc.stdout
+
+
+# (JSON written to SPEC, None, or InputFiles; arguments)
 MALFORMED_INPUT = [
     pytest.param(fl_spec_with(lambda s: s["relations"][0].pop("monomial")),
                  ["gram", "--ring", "SPEC", "--eta", "xi"],
@@ -339,14 +384,21 @@ MALFORMED_INPUT = [
     pytest.param(None, ["sample-search", "--dim", "3", "--vars", "2", "--partition", "2",
                         "--trials", "-3"],
                  id="sample-search-negative-trials"),
+    pytest.param({"dimension": 100000, "generators": [{"name": "x", "degree": 1},
+                                                      {"name": "y", "degree": 1}]},
+                 ["ring", "check", "SPEC"],
+                 id="ring-spec-too-large"),
+    pytest.param(trace_check_files(I=[9]), TRACE_CHECK_FILES,
+                 id="trace-check-index-out-of-range"),
+    pytest.param(trace_check_files(re="abc"), TRACE_CHECK_FILES,
+                 id="trace-check-bad-coefficient"),
 ]
 
 
 @pytest.mark.parametrize("spec, argv", MALFORMED_INPUT)
 def test_malformed_input_exits_two_without_traceback(tmp_path, spec, argv):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
-    proc = run_process(*(str(path) if a == "SPEC" else a for a in argv))
+    paths = write_inputs(tmp_path, spec)
+    proc = run_process(*(paths.get(a, a) for a in argv))
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -9,6 +9,7 @@ import pytest
 
 from hrpairs.errors import ConsistencyError, DegreeError
 from hrpairs.exterior import (
+    DenseForm,
     PPForm,
     embed,
     extend_hat,
@@ -340,3 +341,79 @@ def test_bad_index_tuples_rejected():
         PPForm(3, 2, 0, {((1, 1), ()): GaussianRational(1)})
     with pytest.raises(DegreeError):
         PPForm(3, 1, 0, {((3,), ()): GaussianRational(1)})
+
+
+@pytest.mark.parametrize("key", [
+    ((2, 1), ()),  # not increasing
+    ((0,), ()),  # wrong length for p = 2
+    ((0, 1, 2), ()),  # wrong length for p = 2
+    ((0, 3), ()),  # index past the dimension
+    ((-1, 0), ()),  # negative index
+])
+def test_public_constructors_check_keys(key):
+    (I, J) = key
+    with pytest.raises(DegreeError):
+        PPForm(3, 2, 0, {key: GaussianRational(1)})
+    with pytest.raises(DegreeError):
+        form_from_dict({"dim": 3, "p": 2, "q": 0, "terms": [
+            {"I": [i + 1 for i in I], "J": [], "re": "1", "im": "0"}]})
+    if len(I) == 2:
+        with pytest.raises(DegreeError):
+            PPForm.monomial(3, I, J, GaussianRational(1))
+
+
+def test_internal_results_keep_valid_keys_and_drop_zeros():
+    rng = np.random.default_rng(8)
+    x, y = random_form(rng, 3, terms=4), random_form(rng, 3, terms=4)
+    for form in (wedge(x, y), x + x, x - x, -x, x.conj(), x * 0, x * 2, embed(x, 4)):
+        for (I, J), c in form.coeffs.items():
+            assert c != 0
+            assert all(a < b for a, b in zip(I, I[1:])) and all(a < b for a, b in zip(J, J[1:]))
+            assert (len(I), len(J)) == (form.p, form.q)
+            assert all(0 <= i < form.dim for i in I + J)
+    assert (x - x).is_zero() and (x * 0).is_zero()
+
+
+# -- dense float forms -----------------------------------------------------
+
+
+def dense_random_form(rng, d, p):
+    """A float (p,p)-form on C^d with every coefficient random and nonzero."""
+    subsets = list(itertools.combinations(range(d), p))
+    return PPForm(d, p, p, {(I, J): complex(rng.standard_normal(), rng.standard_normal())
+                            for I in subsets for J in subsets})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_dense_form_product_is_wedge(d):
+    rng = np.random.default_rng(40 + d)
+    for p in range(d + 1):
+        for q in range(d + 1):
+            x, y = dense_random_form(rng, d, p), dense_random_form(rng, d, q)
+            got = DenseForm.from_form(x) * DenseForm.from_form(y)
+            assert got.p == p + q
+            if p + q > d:
+                assert got.coeffs.size == 0  # past the top degree: the zero form
+                continue
+            want = wedge(x, y)
+            form = got.to_form()
+            assert (form.dim, form.p, form.q) == (d, p + q, p + q)
+            assert form.coeffs.keys() == want.coeffs.keys()
+            scale = max(want.max_abs(), 1.0)
+            assert all(abs(form.coeffs[k] - c) <= 1e-12 * scale for k, c in want.coeffs.items())
+
+
+def test_dense_form_round_trip_sum_and_scalar_multiple():
+    rng = np.random.default_rng(45)
+    x = dense_random_form(rng, 4, 2)
+    y = PPForm(4, 2, 2, {((0, 1), (2, 3)): 1 + 2j, ((1, 3), (0, 1)): -0.5j})  # sparse
+    assert DenseForm.from_form(x).to_form() == x
+    assert DenseForm.from_form(y).to_form() == y
+    assert (DenseForm.from_form(x) + DenseForm.from_form(y)).to_form() == x + y
+    assert (DenseForm.from_form(x) * Fraction(1, 2)).to_form() == x * 0.5
+    assert (DenseForm.one(4) * 3).to_form() == PPForm.one(4, exact=False) * 3
+    assert DenseForm.from_form(PPForm.zero(4, 1, 1)).to_form().is_zero()
+    with pytest.raises(DegreeError):
+        DenseForm.from_form(PPForm.zero(4, 1, 2))
+    with pytest.raises(DegreeError):
+        DenseForm.from_form(x) + DenseForm.one(4)

@@ -24,6 +24,7 @@ from hrpairs.exterior import (
 )
 from hrpairs.hrcheck import (
     _dense_tables,
+    _restricted_negdef,
     divide,
     gram,
     has_hr_property,
@@ -35,8 +36,8 @@ from hrpairs.hrcheck import (
     schur_form_pair,
     signature,
 )
-from hrpairs.ring import parse_element, relation_ring, subring, torus_ring
-from hrpairs.symfunc import Partition
+from hrpairs.ring import parse_element, real_coordinates, relation_ring, subring, torus_ring
+from hrpairs.symfunc import Partition, derived, evaluate, schur
 from hrpairs.verdict import jsonable
 
 
@@ -52,6 +53,17 @@ def delv_model():
 
 
 # -- signatures ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("functional", [(-1, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 2),
+                                        (3, -1, 0, 2), (-5, 1, 1, 0)])
+def test_float_restriction_to_a_hyperplane_matches_the_exact_one(functional):
+    rows = [[2, 1, 0, 0], [1, -1, 1, 0], [0, 1, -3, 1], [0, 0, 1, -1]]
+    exact = _restricted_negdef([[Fraction(x) for x in r] for r in rows],
+                               [Fraction(x) for x in functional], 1e-9, True)
+    flt = _restricted_negdef(np.array(rows, dtype=float), np.array(functional, dtype=float),
+                             1e-9, False)
+    assert flt == exact and sum(flt) == 3
 
 
 def test_signature_exact_and_float_agree():
@@ -449,6 +461,72 @@ def test_dense_kernel_matches_torus_ring_on_acceptance_trials():
             assert_same_verdict(dense, ring_path_verdict(top, mid, reference))
 
 
+def wedge_schur_pair(lam, omegas, d):
+    """The Schur pair by symfunc.evaluate over sparse wedges, the reference."""
+    p = schur(lam, len(omegas))
+    one = PPForm.one(d, exact=False)
+    return evaluate(p, omegas, one), evaluate(derived(p, 1), omegas, one)
+
+
+def assert_same_schur_pair(omegas, lam, d, reference):
+    """Dense and wedge Schur pairs agree to 1e-12 and get the same verdict."""
+    dense = schur_form_pair(lam, omegas, d)
+    sparse = wedge_schur_pair(lam, omegas, d)
+    for a, b, degree in zip(dense, sparse, (d - 1, d - 2)):
+        assert (a.dim, a.p, a.q) == (b.dim, b.p, b.q) == (d, degree, degree)
+        assert close(real_coordinates(a), real_coordinates(b), rel=1e-12)
+    v, w = (pointwise_hr_pair(*pair, reference) for pair in (dense, sparse))
+    assert (v.outcome, tuple(v.signature)) == (w.outcome, tuple(w.signature))
+
+
+def test_dense_schur_pair_matches_wedge_evaluation_on_acceptance_trials():
+    for d, e, lam in ACCEPTANCE_CONFIGS:
+        reference = std_kahler(d, exact=False)
+        for trial in range(5):
+            rng = np.random.default_rng([7000 + 100 * d + e, trial])
+            omegas = [random_kahler(d, rng) for _ in range(e)]
+            assert_same_schur_pair(omegas, lam, d, reference)
+
+
+@pytest.mark.parametrize("lam", [Partition((4,)), Partition((2, 1, 1))])
+def test_dense_schur_pair_matches_wedge_evaluation_at_dimension_five(lam):
+    reference = std_kahler(5, exact=False)
+    for trial in range(3):
+        rng = np.random.default_rng([7503, trial])
+        omegas = [random_kahler(5, rng) for _ in range(3)]
+        assert_same_schur_pair(omegas, lam, 5, reference)
+
+
+def test_exact_schur_pair_is_the_wedge_evaluation():
+    omegas = [std_kahler(3), form_from_hermitian([[2, 1, 0], [1, 2, 0], [0, 0, 1]])]
+    p = schur(Partition((2,)), 2)
+    one = PPForm.one(3)
+    assert schur_form_pair(Partition((2,)), omegas, 3) == (
+        evaluate(p, omegas, one), evaluate(derived(p, 1), omegas, one))
+
+
+def test_schur_form_pair_rejects_bad_input():
+    omega = std_kahler(3, exact=False)
+    lam = Partition((2,))
+    with pytest.raises(DegreeError):
+        schur_form_pair(Partition((1,)), [omega, omega], 3)  # |lam| != dim - 1
+    with pytest.raises(DegreeError):
+        schur_form_pair(lam, [omega, wedge(omega, omega)], 3)  # a (2,2)-form
+    with pytest.raises(DegreeError):
+        schur_form_pair(lam, [omega, std_kahler(4, exact=False)], 3)  # on C^4
+    skew = form_from_hermitian([[1, 0.5, 0], [0, 1, 0], [0, 0, 1]], exact=False)
+    with pytest.raises(ConfigError):
+        schur_form_pair(lam, [omega, skew], 3)
+    exact_skew = form_from_hermitian([[1, 0], [0, 1]]) + PPForm.monomial(2, (0,), (1,), 1)
+    with pytest.raises(ConfigError):
+        schur_form_pair(Partition((1,)), [exact_skew], 2)
+    # a float form real to 1e-12 relative is accepted
+    (I, J), c = ((0,), (1,)), 1e-12j
+    nearly = omega + PPForm(3, 1, 1, {(I, J): c})
+    top, mid = schur_form_pair(lam, [omega, nearly], 3)
+    assert top.is_real(1e-9) and mid.is_real(1e-9)
+
+
 @pytest.mark.parametrize("eps, sign, outcome", [
     (0.1, 1.0, "pass"),
     (0.0, 1.0, "degenerate"),
@@ -507,7 +585,22 @@ def test_singular_division_is_degenerate_in_both_backends():
         assert v.outcome == "degenerate"
         assert tuple(v.signature) == (1, 0, 1)
         assert "division" in v.witness
+        assert v.witness["kernel_vector"] is None  # M is injective: no kernel to show
     assert exact.details.keys() == flt.details.keys()
+
+
+def test_rank_deficient_division_reports_a_kernel_witness():
+    """Dividing by u[1] = i dz_1 dzbar_1 on C^3 kills every class without index 1."""
+    model = torus_ring(3)
+    eta = model.from_form(PPForm.monomial(3, (0,), (0,), 1j))
+    gamma = model.from_form(PPForm.monomial(3, (1, 2), (1, 2), -1.0 + 0j))  # u[2,3]
+    with pytest.raises(SingularPairingError) as info:
+        divide(model, gamma, eta)
+    v = np.asarray(info.value.witness)
+    M = np.array([[float(c) for c in (eta * model.basis_element(1, j)).coeffs]
+                  for j in range(len(model.basis(1)))]).T
+    assert np.linalg.norm(v) == pytest.approx(1.0)
+    assert np.linalg.norm(M @ v) <= 1e-9 * np.linalg.norm(M)
 
 
 def test_dense_kernel_matches_torus_ring_at_dimension_five():

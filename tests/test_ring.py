@@ -17,12 +17,15 @@ from hrpairs.errors import (
 )
 from hrpairs.exterior import PPForm, form_from_dict, std_kahler, wedge
 from hrpairs.ring import (
+    MAX_SPEC_DIMENSION,
     RingModel,
     RingTPoly,
+    form_from_real_coordinates,
     parse_element,
     polynomial_ring,
     product_with_p1,
     proj_bundle_ring,
+    real_coordinates,
     relation_ring,
     ring_from_spec,
     subring,
@@ -78,6 +81,22 @@ def test_torus_form_round_trip():
         for _ in range(5):
             f = random_real_form(rng, 3, p)
             assert model.to_form(model.from_form(f)) == f
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_form_from_real_coordinates_inverts_real_coordinates(d):
+    rng = np.random.default_rng(20 + d)
+    for p in range(d + 1):
+        exact = random_real_form(rng, d, p)
+        flt = PPForm(d, p, p, {k: complex(c) for k, c in exact.coeffs.items()})
+        for f in (exact, flt):
+            coords = real_coordinates(f)
+            g = form_from_real_coordinates(d, p, coords)
+            assert g == f
+            assert g.is_exact() == f.is_exact()
+            assert real_coordinates(g) == coords
+    with pytest.raises(DegreeError):
+        form_from_real_coordinates(3, 1, [0.0] * 8)
 
 
 def test_torus_multiplication_is_wedge():
@@ -301,6 +320,22 @@ def test_ring_from_spec_rejects_malformed_input():
     for data in malformed:
         with pytest.raises(ConfigError):
             ring_from_spec(data)
+
+
+def test_ring_from_spec_refuses_specs_above_the_size_limit():
+    def spec(dimension, degrees):
+        return {"dimension": dimension,
+                "generators": [{"name": f"g{i}", "degree": g} for i, g in enumerate(degrees)]}
+
+    # two degree-1 generators in dimension d give (d + 1)(d + 2) / 2 monomials
+    started = time.perf_counter()
+    for data in (spec(100000, [1, 1]), spec(10 ** 12, []), spec(MAX_SPEC_DIMENSION + 1, [1]),
+                 spec(21, [1, 1]), spec(3, [1] * 12), spec(8, [1, 2] * 20)):
+        with pytest.raises(ConfigError, match="too large"):
+            ring_from_spec(data)
+    assert time.perf_counter() - started < 1.0
+    assert len(ring_from_spec(spec(3, [1, 1])).basis(3)) == 4
+    assert len(ring_from_spec(spec(MAX_SPEC_DIMENSION, [])).basis(1)) == 0
 
 
 # -- ring axioms -----------------------------------------------------------
