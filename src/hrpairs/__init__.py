@@ -31,7 +31,6 @@ from .exterior import (
     hermitian_from_form,
     integrate_top,
     positivity_dminus1,
-    restrict_to_plane,
     std_kahler,
     wedge,
     wedge_all,

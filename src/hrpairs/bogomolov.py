@@ -59,10 +59,7 @@ class SheafClassData:
 
 def slope(E, eta_top):
     """mu_eta(E) = int(c1(E) * eta) / rank(E)."""
-    val = (E.c1 * eta_top).integrate()
-    if isinstance(val, Fraction):
-        return val / E.rank
-    return val / float(E.rank)
+    return (E.c1 * eta_top).integrate() / E.rank
 
 
 def discriminant(E):
@@ -411,14 +408,6 @@ class HiggsField:
                 raise ConsistencyError(
                     f"Higgs field fails theta ^ theta = 0: residual {res}"
                 )
-
-    @classmethod
-    def tensor(cls, N, phi, check=True):
-        """theta = N (x) phi for a constant matrix N and a (1,0)-form phi."""
-        if (phi.p, phi.q) != (1, 0):
-            raise DegreeError(f"phi must be a (1,0)-form, got {phi!r}")
-        entries = [[phi * c for c in row] for row in N]
-        return cls(entries, check=check)
 
     def square_residual(self):
         worst = 0.0

@@ -63,14 +63,6 @@ def _element(model, expr, degree=None):
     return elem
 
 
-def _to_backend(elem, backend):
-    if backend == "float":
-        return elem.model.from_coeffs(
-            elem.degree, [float(c) for c in elem.coeffs]
-        )
-    return elem
-
-
 def _emit_verdict(v, as_json, extra=None):
     if as_json:
         data = v.to_dict()
@@ -225,10 +217,9 @@ def cmd_ring_check(args):
 
 def cmd_gram(args):
     model = _load_ring(args.ring)
-    eta = _to_backend(
-        _element(model, args.eta, model.dimension - 2), args.backend
-    )
-    Q = hrcheck.gram(model, eta)
+    Q = hrcheck.gram(model, _element(model, args.eta, model.dimension - 2))
+    if args.backend == "float":
+        Q = [[float(x) for x in row] for row in Q]
     if args.json:
         print(json.dumps({"eta": args.eta, "gram": jsonable(Q)}, indent=2))
     else:
@@ -261,10 +252,11 @@ def cmd_signature(args):
 def cmd_hr_pair(args):
     model = _load_ring(args.ring)
     d = model.dimension
-    top = _to_backend(_element(model, args.eta_top, d - 1), args.backend)
-    mid = _to_backend(_element(model, args.eta_mid, d - 2), args.backend)
-    h = _to_backend(_element(model, args.h, 1), args.backend)
-    v = hrcheck.is_hr_pair(model, top, mid, h, zero_tol=args.tolerance)
+    top = _element(model, args.eta_top, d - 1)
+    mid = _element(model, args.eta_mid, d - 2)
+    h = _element(model, args.h, 1)
+    v = hrcheck.is_hr_pair(model, top, mid, h, zero_tol=args.tolerance,
+                           exact=args.backend == "exact")
     return _emit_verdict(v, args.json)
 
 
@@ -273,7 +265,7 @@ def cmd_pos_cone(args):
     beta = _element(model, args.beta, 1)
     eta = _element(model, args.eta, model.dimension - 2)
     h = _element(model, args.h, 1)
-    v = hrcheck.pos_cone_contains(model, beta, eta, h, zero_tol=args.tolerance)
+    v = hrcheck.pos_cone_contains(model, beta, eta, h)
     return _emit_verdict(v, args.json)
 
 
@@ -506,7 +498,9 @@ def _add_common(p, tolerance=True, backend=False):
         p.add_argument("--tolerance", type=float, default=1e-9,
                        help="relative zero tolerance for float signatures")
     if backend:
-        p.add_argument("--backend", choices=("exact", "float"), default="exact")
+        p.add_argument("--backend", choices=("exact", "float"), default="exact",
+                       help="ring products are always exact; float decides on (or "
+                            "prints) float copies of the exact matrices")
 
 
 def build_parser():
@@ -574,7 +568,7 @@ def build_parser():
     p.add_argument("--beta", required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("--h", required=True)
-    _add_common(p)
+    _add_common(p, tolerance=False)
     p.set_defaults(fn=cmd_pos_cone)
 
     p = sub.add_parser("slope", help="slope of sheaf class data")

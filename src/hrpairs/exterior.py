@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConsistencyError, DegreeError
-from .linalg import det, float_signature, hermitian_rational_inertia
+from .linalg import float_signature, hermitian_rational_inertia
 from .scalars import GaussianRational, conj, i_power, imag_part, is_exact, real_part
 from .verdict import DEGENERATE, FAIL, PASS, Verdict
 
@@ -405,60 +405,6 @@ def embed(form, new_dim):
     if new_dim < form.dim:
         raise DegreeError(f"cannot embed a C^{form.dim} form into C^{new_dim}")
     return PPForm._valid(new_dim, form.p, form.q, form.coeffs)
-
-
-def extend_hat(form, theta_coeff):
-    """Extend a (1,1)-form to C^(d+1) adding theta_coeff * i dz_(d+1) dzbar_(d+1).
-
-    With theta_coeff = 0 any bidegree is accepted (pure pullback).
-    """
-    out = embed(form, form.dim + 1)
-    if theta_coeff == 0:
-        return out
-    if (form.p, form.q) != (1, 1):
-        raise DegreeError("nonzero hat extension only makes sense for (1,1)-forms")
-    exact = form.is_exact() and is_exact(theta_coeff)
-    i_unit = GaussianRational(0, 1) if exact else 1j
-    theta = PPForm(out.dim, 1, 1, {((form.dim,), (form.dim,)): i_unit * theta_coeff})
-    return out + theta
-
-
-def restrict_to_plane(form, frame, tol=1e-9):
-    """Value of a (p,p)-form on the complex p-plane spanned by frame.
-
-    Normalized so that omega_std^p / p! takes value 1 on a unitary frame;
-    weak positivity of the form means this is >= 0 for every frame.
-    """
-    p = form.p
-    if form.q != p:
-        raise DegreeError("restriction needs a (p,p)-form")
-    if len(frame) != p:
-        raise DegreeError(f"need {p} spanning vectors, got {len(frame)}")
-    frame = [list(v) for v in frame]
-    if any(len(v) != form.dim for v in frame):
-        raise DegreeError("frame vectors must have one entry per coordinate")
-    dets = {}
-
-    def minor_det(I):
-        if I not in dets:
-            dets[I] = det([[frame[a][i] for a in range(p)] for i in I], 1)
-        return dets[I]
-
-    acc = None
-    for (I, J), c in form.coeffs.items():
-        term = c * minor_det(I) * conj(minor_det(J))
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return Fraction(0) if form.is_exact() else 0.0
-    value = acc * i_power(-(p * p)) if is_exact(acc) else complex(acc) * (1j ** (-(p * p) % 4))
-    re, im = real_part(value), imag_part(value)
-    if is_exact(value):
-        if im != 0:
-            raise ConsistencyError(f"restriction of a real form came out complex: {value}")
-        return re
-    if abs(im) > tol * max(1.0, abs(complex(value))):
-        raise ConsistencyError(f"restriction has imaginary part {im}")
-    return re
 
 
 def positivity_dminus1(form, zero_tol=1e-9):

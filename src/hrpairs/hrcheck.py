@@ -21,11 +21,13 @@ rational congruence with no tolerance, and eigenvalues are float evidence.
 
 One core, _pair_verdict, decides every pair from coordinates: the Gram
 matrix, the multiplication matrix of eta_mid, eta_top, the functional
-int(b_i * eta_top) and h.  is_hr_pair feeds it from any ring model, exact or
-float.  pointwise_hr_pair feeds float forms from dense tables of the torus
-algebra, and schur_form_pair multiplies float forms as dense coefficient
-matrices, so a float trial builds no ring and makes no sparse wedge; exact
-forms still go through wedge and torus_ring(d), the ground-truth oracle.
+int(b_i * eta_top) and h.  is_hr_pair feeds it from any ring model.  Ring
+products are always exact; is_hr_pair(exact=False) decides on float copies
+of the exact matrices.  pointwise_hr_pair feeds float forms from dense tables
+of the torus algebra, and schur_form_pair multiplies float forms as dense
+coefficient matrices, so a float trial builds no ring and makes no sparse
+wedge; exact forms still go through wedge and torus_ring(d), the
+ground-truth oracle.
 """
 
 import json
@@ -52,10 +54,6 @@ from .symfunc import Partition, derived, evaluate, schur
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
 
-def _is_exact_matrix(Q):
-    return all(not isinstance(x, float) for row in Q for x in row)
-
-
 def signature(Q, zero_tol=1e-9):
     """Inertia (pos, zero, neg) of a symmetric matrix plus eigenvalue evidence.
 
@@ -64,9 +62,9 @@ def signature(Q, zero_tol=1e-9):
     """
     if len(Q) == 0:
         return (0, 0, 0), []
-    if _is_exact_matrix(Q):
+    if all(not isinstance(x, float) for row in Q for x in row):
         sig = rational_inertia(Q)
-        _, eigs = float_signature([[float(x) for x in row] for row in Q], zero_tol)
+        _, eigs = float_signature([[float(x) for x in row] for row in Q])
         return sig, eigs
     return float_signature(np.asarray(Q, dtype=float), zero_tol)
 
@@ -80,8 +78,7 @@ def _images(model, eta, degree=1):
 def _gram_of_images(model, images, degree=1):
     """Q[i][j] = int(b_i * images[j]) through the model's cached pairing matrix.
 
-    Only the upper triangle is computed, so float Gram matrices are exactly
-    symmetric too.
+    Only the upper triangle is computed; the lower one is its mirror.
     """
     P = model.pairing_matrix(degree)
     n = len(images)
@@ -164,18 +161,16 @@ def _hr_property(Q, exact, zero_tol, hval=None):
     )
 
 
-def has_hr_property(model, eta, h=None, zero_tol=1e-9):
+def has_hr_property(model, eta, h=None):
     """Does Q_eta have Lorentzian signature (1, 0, n-1), positive on h?
 
-    With h omitted, only the signature is checked and a certifying positive
-    direction (the top float eigenvector) is reported as witness.
+    Decided exactly.  With h omitted, only the signature is checked and a
+    certifying positive direction (the top float eigenvector) is reported as
+    witness.
     """
     Q = gram(model, eta)
-    exact = _is_exact_matrix(Q) and (h is None or h.is_exact())
-    if not exact:
-        Q = np.asarray(Q, dtype=float)
-    hval = None if h is None else _quadratic_value(Q, h.coeffs, exact)
-    return _hr_property(Q, exact, zero_tol, hval)
+    hval = None if h is None else _bilinear_value(Q, h.coeffs, h.coeffs)
+    return _hr_property(Q, True, None, hval)
 
 
 def _solve_division(M, b, exact, zero_tol):
@@ -202,8 +197,8 @@ def _solve_division(M, b, exact, zero_tol):
     return x
 
 
-def divide(model, gamma, eta, zero_tol=1e-9):
-    """The class gamma / eta: solves eta * x = gamma for x of degree 1.
+def divide(model, gamma, eta):
+    """The class gamma / eta: solves eta * x = gamma for x of degree 1, exactly.
 
     Raises SingularPairingError (with a kernel witness when available) if the
     multiplication map by eta is singular or gamma is not in its image.
@@ -215,8 +210,7 @@ def divide(model, gamma, eta, zero_tol=1e-9):
             f"(gamma degree {gamma.degree}, eta degree {eta.degree})"
         )
     M = [list(row) for row in zip(*_images(model, eta))]
-    exact = _is_exact_matrix(M) and gamma.is_exact()
-    return model.from_coeffs(1, _solve_division(M, gamma.coeffs, exact, zero_tol))
+    return model.from_coeffs(1, _solve_division(M, gamma.coeffs, True, None))
 
 
 def _restricted_negdef(Q, functional, zero_tol, exact):
@@ -324,10 +318,13 @@ def _pair_verdict(Q, M, top, functional, h, exact, zero_tol):
     )
 
 
-def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9):
+def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9, exact=True):
     """Check the three Hodge-Riemann pair conditions for (eta_top, eta_mid).
 
-    Exact when every input is; see _pair_verdict for the verdict rules.
+    The Gram matrix, the multiplication matrix, eta_top and the functional
+    are built from exact ring products.  With exact=False the decision runs
+    on float copies of them with the relative zero_tol; see _pair_verdict
+    for the verdict rules.
     """
     d = model.dimension
     if eta_top.degree != d - 1 or eta_mid.degree != d - 2:
@@ -343,15 +340,14 @@ def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9):
         sum((p * t for p, t in zip(row, eta_top.coeffs) if p != 0), Fraction(0))
         for row in model.pairing_matrix(1)
     ]
-    exact = _is_exact_matrix(Q) and eta_top.is_exact() and h.is_exact()
     return _pair_verdict(
         Q, [list(row) for row in zip(*images)], eta_top.coeffs, functional,
         h.coeffs, exact, zero_tol,
     )
 
 
-def pos_cone_contains(model, beta, eta, h, zero_tol=1e-9):
-    """Membership of a degree-1 class in the eta-positive cone.
+def pos_cone_contains(model, beta, eta, h):
+    """Membership of a degree-1 class in the eta-positive cone, decided exactly.
 
     Requires int(beta * eta * h) > 0 and int(beta^2 * eta) > 0.
     """
@@ -363,7 +359,6 @@ def pos_cone_contains(model, beta, eta, h, zero_tol=1e-9):
     return Verdict(
         PASS if ok else FAIL,
         witness={} if ok else {"pairing_with_h": jsonable(v1), "square": jsonable(v2)},
-        tolerances={"zero_tol": zero_tol},
         details={"pairing_with_h": jsonable(v1), "square": jsonable(v2)},
     )
 

@@ -25,10 +25,11 @@ Concrete factories:
   * product_with_p1(..)  -- X x P^1 as the rank-2 trivial bundle case,
                             tau^2 = 0 and int(x * tau) = int(x).
 
-Ring elements keep exact Fraction coordinates; float coordinates are allowed
-too (the CLI's --backend float uses them) and multiplication then runs through
-a float mirror of the tensors.  The float pointwise pair check does not use
-ring models: it contracts dense tables built from real_product_table.
+Ring elements have exact coordinates only, Fraction or GaussianRational: a
+float coefficient raises TypeError.  Every product in a ring model is an
+exact intersection number; float work happens on matrices built from them
+(is_hr_pair(exact=False)) or, for pointwise forms, in dense tables built from
+real_product_table, which use no ring model.
 """
 
 import itertools
@@ -45,6 +46,15 @@ from .scalars import GaussianRational, conj, i_power, imag_part, is_exact, real_
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
 
 
+def _refuse(c):
+    raise TypeError(
+        f"ring coefficients are Fraction or GaussianRational, got {type(c).__name__} {c!r}"
+    )
+
+
+_EXACT = (Fraction, GaussianRational)
+
+
 class RingElement:
     __slots__ = ("model", "degree", "coeffs")
 
@@ -58,14 +68,16 @@ class RingElement:
                 f"degree-{degree} element needs {n} coordinates, got {len(coeffs)}"
             )
         self.coeffs = [
-            Fraction(c) if isinstance(c, int) else c for c in coeffs
+            c if isinstance(c, _EXACT) else Fraction(c) if isinstance(c, int) else _refuse(c)
+            for c in coeffs
         ]
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
     def is_exact(self):
-        return all(not isinstance(c, float) for c in self.coeffs)
+        """Always true: __init__ admits exact coefficients only."""
+        return True
 
     def _check_model(self, other):
         if self.model is not other.model:
@@ -100,7 +112,7 @@ class RingElement:
         if isinstance(other, RingElement):
             self._check_model(other)
             return self.model._multiply(self, other)
-        if isinstance(other, (int, float, complex, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction, GaussianRational)):
             return RingElement(
                 self.model, self.degree, [c * other for c in self.coeffs]
             )
@@ -169,7 +181,6 @@ class RingModel:
         if len(self._bases[0]) != 1:
             raise ConstructionError("degree 0 must be one-dimensional")
         self._mult = mult
-        self._mult_float = {}
         self.integration = (
             None if integration is None else [Fraction(v) for v in integration]
         )
@@ -209,25 +220,12 @@ class RingModel:
 
     # -- multiplication ----------------------------------------------------
 
-    def _table(self, p, q, as_float):
-        if not as_float:
-            return self._mult.get((p, q), {})
-        tab = self._mult_float.get((p, q))
-        if tab is None:
-            tab = {
-                ij: tuple((k, float(c)) for k, c in entries)
-                for ij, entries in self._mult.get((p, q), {}).items()
-            }
-            self._mult_float[(p, q)] = tab
-        return tab
-
     def _multiply(self, x, y):
         deg = x.degree + y.degree
         if deg > self.dimension:
             return RingElement(self, deg, [])
-        as_float = not (x.is_exact() and y.is_exact())
-        table = self._table(x.degree, y.degree, as_float)
-        out = [0.0 if as_float else Fraction(0)] * len(self.basis(deg))
+        table = self._mult.get((x.degree, y.degree), {})
+        out = [Fraction(0)] * len(self.basis(deg))
         for i, a in enumerate(x.coeffs):
             if a == 0:
                 continue
@@ -484,7 +482,7 @@ class TorusModel(RingModel):
         self.labels["omega_std"] = self.from_form(std_kahler(d, exact=True))
 
     def from_form(self, form):
-        """Ring element of a real (p,p)-form; float forms give float coordinates."""
+        """Ring element of an exact real (p,p)-form; a float form raises TypeError."""
         if form.dim != self.dimension or form.p != form.q:
             raise DegreeError(
                 f"expected a (p,p)-form on C^{self.dimension}, got {form!r}"
@@ -530,8 +528,6 @@ class SubringModel(RingModel):
         for gname, g in generators.items():
             if g.degree != 1:
                 raise ConstructionError(f"generator {gname} has degree {g.degree}")
-            if not g.is_exact():
-                raise ConstructionError(f"generator {gname} has float coordinates")
         d = ambient.dimension
         names = list(generators)
         gens = [generators[n] for n in names]
@@ -1142,8 +1138,7 @@ class ProjBundleModel(RingModel):
         tgt = elem.degree - (self.rank - 1)
         if tgt < 0:
             return self.base.zero(0)
-        zero = Fraction(0) if elem.is_exact() else 0.0
-        out = [zero] * len(self.base.basis(tgt))
+        out = [Fraction(0)] * len(self.base.basis(tgt))
         for slot, (i, bk) in enumerate(self._layout[elem.degree]):
             if i == self.rank - 1 and elem.coeffs[slot] != 0:
                 out[bk] = out[bk] + elem.coeffs[slot]
@@ -1168,10 +1163,8 @@ class ProductWithP1Model(ProjBundleModel):
     def split(self, elem):
         """Decompose as x + tau*y; returns the pair of base elements (x, y)."""
         deg = elem.degree
-        as_float = not elem.is_exact()
-        zero = 0.0 if as_float else Fraction(0)
-        x = [zero] * len(self.base.basis(deg))
-        y = [zero] * len(self.base.basis(deg - 1)) if deg >= 1 else []
+        x = [Fraction(0)] * len(self.base.basis(deg))
+        y = [Fraction(0)] * len(self.base.basis(deg - 1)) if deg >= 1 else []
         for slot, (i, bk) in enumerate(self._layout[deg]):
             c = elem.coeffs[slot]
             if c == 0:

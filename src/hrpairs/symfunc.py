@@ -417,11 +417,6 @@ class ChernVector:
     def __iter__(self):
         return iter(self.classes)
 
-    @classmethod
-    def universal(cls, rank):
-        """c_k = e_k as SymPoly, the generic Chern vector of rank e."""
-        return cls(rank, [elementary(k, rank) for k in range(rank + 1)])
-
 
 def twist_chern(chern, t, h):
     """Chern classes of the R-twist A<t*h>.

@@ -352,7 +352,7 @@ def test_higgs_tensor_closed_form():
     phi = PPForm(d, 1, 0, {((0,), ()): GaussianRational(1), ((1,), ()): GaussianRational(0, 2)})
     N = [[GaussianRational(0), GaussianRational(1)],
          [GaussianRational(0), GaussianRational(0)]]
-    theta = HiggsField.tensor(N, phi)
+    theta = HiggsField([[phi * c for c in row] for row in N])
     term = higgs_curvature_term(theta)
     pp = wedge(phi, phi.conj())
     # N N* = diag(1, 0), N* N = diag(0, 1)

@@ -6,6 +6,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -177,9 +178,61 @@ def test_pos_cone_verb(capsys, fl_spec):
     code, _, _ = run(capsys, "pos-cone", "--ring", fl_spec, "--beta",
                      "xi+2*f", "--eta", "xi", "--h", "xi+f")
     assert code == 0
+    code, out, _ = run(capsys, "pos-cone", "--ring", fl_spec, "--beta",
+                       "xi+2*f", "--eta", "xi", "--h", "xi+f", "--json")
+    assert code == 0
+    assert json.loads(out)["tolerances"] == {}  # decided exactly, no threshold
     code, _, _ = run(capsys, "pos-cone", "--ring", fl_spec, "--beta", "f",
                      "--eta", "xi", "--h", "xi+f")
     assert code == 1
+
+
+# -- the two backends on the packaged fixture ---------------------------------
+
+FL_FIXTURE = str(resources.files("hrpairs").joinpath("fixtures/fulger_lehmann.json"))
+FL_HR_PAIR = ["hr-pair", "--ring", FL_FIXTURE, "--eta-top", "xi^2+3*xi*f",
+              "--eta-mid", "xi+2*f", "--h", "xi+2*f"]
+
+
+@pytest.mark.parametrize("backend, rows", [
+    ("exact", ["          xi | 1  1", "           f | 1  0"]),
+    ("float", ["          xi | 1.0  1.0", "           f | 1.0  0.0"]),
+])
+def test_gram_backends_on_the_fixture(capsys, backend, rows):
+    argv = ["gram", "--ring", FL_FIXTURE, "--eta", "xi+2*f", "--backend", backend]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == rows
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    Q = json.loads(out)["gram"]
+    assert Q == [[1, 1], [1, 0]]
+    kind = int if backend == "exact" else float
+    assert all(type(x) is kind for row in Q for x in row)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_hr_pair_backends_on_the_fixture(capsys, backend):
+    code, out, _ = run(capsys, *FL_HR_PAIR, "--backend", backend)
+    assert code == 0
+    assert out.splitlines() == [
+        "outcome    : pass",
+        "signature  : (1, 0, 1)",
+        "eigenvalues: [-0.618034, 1.61803]",
+    ]
+    code, out, _ = run(capsys, *FL_HR_PAIR, "--backend", backend, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["outcome"] == "pass"
+    assert report["signature"] == [1, 0, 1]
+    assert report["eigenvalues"] == pytest.approx([-0.6180339887498948, 1.618033988749895])
+    values = [report["details"][k] for k in ("pairing_with_h", "quotient_square_value")]
+    values += report["details"]["quotient"]
+    assert values == [4, 3, 1, 1]
+    kind = int if backend == "exact" else float
+    assert all(type(x) is kind for x in values)
+    assert report["details"]["hr_property"]["details"]["backend"] == backend
+    assert report["tolerances"] == ({} if backend == "exact" else {"zero_tol": 1e-9})
 
 
 # -- sheaf verbs -----------------------------------------------------------

@@ -12,7 +12,6 @@ from hrpairs.exterior import (
     DenseForm,
     PPForm,
     embed,
-    extend_hat,
     form_from_dict,
     form_from_hermitian,
     form_from_json,
@@ -21,7 +20,6 @@ from hrpairs.exterior import (
     hermitian_from_form,
     integrate_top,
     positivity_dminus1,
-    restrict_to_plane,
     std_kahler,
     wedge,
     wedge_all,
@@ -217,39 +215,6 @@ def test_integrate_top_rejects_wrong_degree_and_complex_values():
     assert integrate_top(crooked, allow_complex=True) == i_power(-9)
 
 
-# -- restriction to planes -------------------------------------------------
-
-
-def test_restriction_normalization_on_unitary_frames():
-    d = 4
-    omega = std_kahler(d)
-    e = [[1 if i == j else 0 for i in range(d)] for j in range(d)]
-    assert restrict_to_plane(omega, [e[0]]) == 1
-    omega2 = wedge(omega, omega)
-    assert restrict_to_plane(omega2, [e[0], e[2]]) == 2  # omega^2 = 2! * (vol of plane)
-
-
-def test_restriction_is_unitarily_invariant():
-    rng = np.random.default_rng(3)
-    d, p = 3, 2
-    omega = std_kahler(d, exact=False)
-    omega2 = wedge(omega, omega)
-    for _ in range(10):
-        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        Qm, _ = np.linalg.qr(A)
-        frame = [list(Qm[:, k]) for k in range(p)]
-        val = restrict_to_plane(omega2, frame)
-        assert abs(val - 2.0) < 1e-9
-
-
-def test_restriction_scales_by_frame_determinant():
-    d = 2
-    omega = std_kahler(d)
-    val = restrict_to_plane(omega, [[GaussianRational(3), GaussianRational(0, 4)]])
-    # |3|^2 + |4i|^2
-    assert val == 25
-
-
 # -- hermitian bridge ------------------------------------------------------
 
 
@@ -291,15 +256,12 @@ def test_positivity_check_flags_indefinite_form():
 # -- hat extension ---------------------------------------------------------
 
 
-def test_extend_hat_agrees_with_std_kahler():
-    assert extend_hat(std_kahler(2), GaussianRational(1)) == std_kahler(3)
-
-
 def test_extend_hat_splits_powers():
     """(omega + t theta)^2 = omega^2 + 2 t omega theta when theta^2 = 0."""
     omega = std_kahler(2)
-    hat = extend_hat(omega, GaussianRational(1))
-    theta = hat - embed(omega, 3)
+    theta = PPForm.monomial(3, (2,), (2,), GaussianRational(0, 1))  # i dz_3 dzbar_3
+    hat = embed(omega, 3) + theta
+    assert hat == std_kahler(3)
     hat2 = wedge(hat, hat)
     expect = wedge(embed(omega, 3), embed(omega, 3)) + wedge(embed(omega, 3), theta) * GaussianRational(2)
     assert hat2 == expect

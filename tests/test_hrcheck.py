@@ -25,6 +25,7 @@ from hrpairs.exterior import (
 from hrpairs.hrcheck import (
     _dense_tables,
     _restricted_negdef,
+    _solve_division,
     divide,
     gram,
     has_hr_property,
@@ -36,7 +37,15 @@ from hrpairs.hrcheck import (
     schur_form_pair,
     signature,
 )
-from hrpairs.ring import parse_element, real_coordinates, relation_ring, subring, torus_ring
+from hrpairs.ring import (
+    form_from_real_coordinates,
+    parse_element,
+    real_coordinates,
+    relation_ring,
+    subring,
+    torus_ring,
+)
+from hrpairs.scalars import GaussianRational
 from hrpairs.symfunc import Partition, derived, evaluate, schur
 from hrpairs.verdict import jsonable
 
@@ -235,8 +244,7 @@ def test_pair_values_are_their_defining_integrals():
             "quotient_square_value": (mid * q * q).integrate(),
         }
         exact = is_hr_pair(m, top, mid, hv)
-        floats = is_hr_pair(m, *(m.from_coeffs(e.degree, [float(c) for c in e.coeffs])
-                                 for e in (top, mid, hv)))
+        floats = is_hr_pair(m, top, mid, hv, exact=False)
         for key, value in want.items():
             assert exact.details[key] == jsonable(value), key
             assert np.allclose(np.asarray(floats.details[key], dtype=float),
@@ -393,36 +401,51 @@ def test_sample_search_report_serializes():
     assert data["config"]["dim"] == 2
 
 
-# -- dense float kernel against the torus-ring oracle ------------------------
+# -- dense float kernel against the exact torus-ring oracle ------------------
 
 
-def ring_path_verdict(top, mid, omega, zero_tol=1e-9):
-    """The float pointwise check decided inside torus_ring(d), the oracle."""
-    model = torus_ring(top.dim)
-    return is_hr_pair(
-        model, model.from_form(top), model.from_form(mid), model.from_form(omega),
-        zero_tol=zero_tol,
-    )
+def rationalize(form):
+    """The exact real form whose coordinates are form's, each to denominator 10^4."""
+    coords = [Fraction(x).limit_denominator(10 ** 4) for x in real_coordinates(form)]
+    return form_from_real_coordinates(form.dim, form.p, coords)
+
+
+def exact_verdict(top, mid, omega):
+    """The pointwise check of rationalized inputs, decided exactly in torus_ring(d)."""
+    return pointwise_hr_pair(*(f if f.is_exact() else rationalize(f)
+                               for f in (top, mid, omega)))
+
+
+def as_floats(values):
+    """A verdict value as a float array; exact verdicts report rationals as strings."""
+    values = values if isinstance(values, list) else [values]
+    return np.array([float(Fraction(v)) if isinstance(v, str) else float(v) for v in values])
 
 
 def close(a, b, rel=1e-9):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = as_floats(a), as_floats(b)
     scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
     return a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= rel * scale
 
 
-def assert_same_verdict(dense, ring):
-    assert dense.outcome == ring.outcome
-    assert tuple(dense.signature) == tuple(ring.signature)
-    assert dense.details.keys() == ring.details.keys()
-    assert dense.witness.keys() == ring.witness.keys()
-    assert close(dense.eigenvalues, ring.eigenvalues)
+def assert_same_verdict(dense, other, rel=1e-9):
+    assert dense.outcome == other.outcome
+    assert tuple(dense.signature) == tuple(other.signature)
+    assert dense.details.keys() == other.details.keys()
+    assert dense.witness.keys() == other.witness.keys()
+    assert close(dense.eigenvalues, other.eigenvalues, rel)
     for key in ("pairing_with_h", "quotient", "quotient_square_value"):
-        if key in ring.details:
-            assert close(dense.details[key], ring.details[key]), key
-    if "kernel_characterization" in ring.details:
+        if key in other.details:
+            assert close(dense.details[key], other.details[key], rel), key
+    if "kernel_characterization" in other.details:
         assert (dense.details["kernel_characterization"]["restricted_signature"]
-                == ring.details["kernel_characterization"]["restricted_signature"])
+                == other.details["kernel_characterization"]["restricted_signature"])
+
+
+# Rationalizing moves each coordinate by at most about 1e-8.  On the trials
+# below the oracle's values then differ from the dense ones by at most 8e-7
+# relative to the largest of them (d = 2, one form).
+ORACLE_REL = 1e-5
 
 
 def partitions(n, largest=None):
@@ -458,7 +481,8 @@ def test_dense_kernel_matches_torus_ring_on_acceptance_trials():
             top, mid = schur_trial(d, e, lam, 7000 + 100 * d + e, trial)
             dense = pointwise_hr_pair(top, mid, reference)
             assert dense.passed, (d, e, lam, trial)
-            assert_same_verdict(dense, ring_path_verdict(top, mid, reference))
+            if trial == 0:
+                assert_same_verdict(dense, exact_verdict(top, mid, reference), ORACLE_REL)
 
 
 def wedge_schur_pair(lam, omegas, d):
@@ -537,14 +561,20 @@ def test_dense_kernel_matches_torus_ring_on_the_delv_limit(eps, sign, outcome):
     data = json.loads(
         resources.files("hrpairs").joinpath("fixtures/delv.json").read_text()
     )
-    forms = {name: to_float(form_from_dict(d)) for name, d in data["forms"].items()}
-    h = forms["theta1"] + forms["theta2"]
-    h2 = wedge(h, h)
-    mid = (wedge(forms["theta1"], forms["theta2"]) + h2 * eps) * sign
-    top, omega = wedge(h2, h), std_kahler(4, exact=False)
-    dense = pointwise_hr_pair(top, mid, omega)
+    exact_forms = {name: form_from_dict(d) for name, d in data["forms"].items()}
+
+    def pair(forms, eps, sign, exact):
+        h = forms["theta1"] + forms["theta2"]
+        h2 = wedge(h, h)
+        mid = (wedge(forms["theta1"], forms["theta2"]) + h2 * eps) * sign
+        return wedge(h2, h), mid, std_kahler(4, exact=exact)
+
+    float_forms = {name: to_float(f) for name, f in exact_forms.items()}
+    dense = pointwise_hr_pair(*pair(float_forms, eps, sign, False))
     assert dense.outcome == outcome
-    assert_same_verdict(dense, ring_path_verdict(top, mid, omega))
+    # the oracle takes eps and sign as the rationals they are written as
+    exact = pointwise_hr_pair(*pair(exact_forms, Fraction(str(eps)), Fraction(str(sign)), True))
+    assert_same_verdict(dense, exact)
 
 
 def test_dense_kernel_symmetrizes_a_slightly_non_real_middle_form():
@@ -556,7 +586,7 @@ def test_dense_kernel_symmetrizes_a_slightly_non_real_middle_form():
     assert not skewed.is_real()
     reference = std_kahler(3, exact=False)
     dense = pointwise_hr_pair(top, skewed, reference)
-    assert_same_verdict(dense, ring_path_verdict(top, skewed, reference))
+    assert_same_verdict(dense, exact_verdict(top, mid, reference), ORACLE_REL)
     assert_same_verdict(dense, pointwise_hr_pair(top, mid, reference))
 
 
@@ -575,11 +605,7 @@ def test_singular_division_is_degenerate_in_both_backends():
     )
     h = parse_element(model, "x+y")
     top = parse_element(model, "x^2")
-    verdicts = []
-    for backend in (lambda c: c, float):
-        args = [model.from_coeffs(e.degree, [backend(c) for c in e.coeffs])
-                for e in (top, h, h)]
-        verdicts.append(is_hr_pair(model, *args))
+    verdicts = [is_hr_pair(model, top, h, h, exact=exact) for exact in (True, False)]
     exact, flt = verdicts
     for v in verdicts:
         assert v.outcome == "degenerate"
@@ -592,23 +618,27 @@ def test_singular_division_is_degenerate_in_both_backends():
 def test_rank_deficient_division_reports_a_kernel_witness():
     """Dividing by u[1] = i dz_1 dzbar_1 on C^3 kills every class without index 1."""
     model = torus_ring(3)
-    eta = model.from_form(PPForm.monomial(3, (0,), (0,), 1j))
-    gamma = model.from_form(PPForm.monomial(3, (1, 2), (1, 2), -1.0 + 0j))  # u[2,3]
+    eta = model.from_form(PPForm.monomial(3, (0,), (0,), GaussianRational(0, 1)))
+    gamma = model.from_form(PPForm.monomial(3, (1, 2), (1, 2), GaussianRational(-1)))  # u[2,3]
+    images = [(eta * model.basis_element(1, j)).coeffs for j in range(len(model.basis(1)))]
+    M = [list(row) for row in zip(*images)]
     with pytest.raises(SingularPairingError) as info:
         divide(model, gamma, eta)
+    v = [Fraction(x) for x in info.value.witness]
+    assert any(v) and all(sum(a * b for a, b in zip(row, v)) == 0 for row in M)
+    M = np.array(M, dtype=float)
+    with pytest.raises(SingularPairingError) as info:
+        _solve_division(M, np.array(gamma.coeffs, dtype=float), False, 1e-9)
     v = np.asarray(info.value.witness)
-    M = np.array([[float(c) for c in (eta * model.basis_element(1, j)).coeffs]
-                  for j in range(len(model.basis(1)))]).T
     assert np.linalg.norm(v) == pytest.approx(1.0)
     assert np.linalg.norm(M @ v) <= 1e-9 * np.linalg.norm(M)
 
 
 def test_dense_kernel_matches_torus_ring_at_dimension_five():
     reference = std_kahler(5, exact=False)
-    for trial in range(3):
-        top, mid = schur_trial(5, 3, Partition((3, 1)), 7503, trial)
-        assert_same_verdict(pointwise_hr_pair(top, mid, reference),
-                            ring_path_verdict(top, mid, reference))
+    top, mid = schur_trial(5, 3, Partition((3, 1)), 7503, 0)
+    assert_same_verdict(pointwise_hr_pair(top, mid, reference),
+                        exact_verdict(top, mid, reference), ORACLE_REL)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

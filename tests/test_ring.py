@@ -117,10 +117,25 @@ def test_torus_rejects_non_real_forms():
 
 def test_torus_float_forms_get_float_coordinates():
     model = torus_ring(2)
-    elem = model.from_form(std_kahler(2, exact=False))
-    assert not elem.is_exact()
+    coords = real_coordinates(std_kahler(2, exact=False))
+    assert all(isinstance(c, float) for c in coords)
     exact = model.label("omega_std")
-    assert max(abs(a - float(b)) for a, b in zip(elem.coeffs, exact.coeffs)) == 0
+    assert max(abs(a - float(b)) for a, b in zip(coords, exact.coeffs)) == 0
+    with pytest.raises(TypeError):
+        model.from_form(std_kahler(2, exact=False))
+
+
+def test_ring_elements_refuse_float_coefficients():
+    model = torus_ring(2)
+    for bad in (0.5, 1j):
+        with pytest.raises(TypeError):
+            model.from_coeffs(1, [Fraction(1), bad, Fraction(0), Fraction(0)])
+    omega = model.label("omega_std")
+    with pytest.raises(TypeError):
+        omega * 0.5
+    with pytest.raises(TypeError):
+        0.5 * omega
+    assert (omega * Fraction(1, 2)).coeffs == [Fraction(1, 2) * c for c in omega.coeffs]
 
 
 def test_torus_degree_one_pairing_matrix():

@@ -293,15 +293,20 @@ def test_invert_total_class_convolves_to_one():
     assert ss[0] == 1
 
 
+def universal_chern(e):
+    """c_k = e_k, the generic Chern vector of rank e."""
+    return ChernVector(e, [elementary(k, e) for k in range(e + 1)])
+
+
 def test_segre_of_universal_chern_is_complete_homogeneous():
     for e in (2, 3, 4):
-        seg = segre_from_chern(list(ChernVector.universal(e)), upto=e + 1)
+        seg = segre_from_chern(list(universal_chern(e)), upto=e + 1)
         for k in range(e + 2):
             assert seg[k] == complete_homogeneous(k, e)
 
 
 def test_segre_closed_forms():
-    seg = segre_from_chern(list(ChernVector.universal(3)), upto=3)
+    seg = segre_from_chern(list(universal_chern(3)), upto=3)
     e1, e2, e3 = (elementary(k, 3) for k in (1, 2, 3))
     assert seg[1] == e1
     assert seg[2] == e1 * e1 - e2
