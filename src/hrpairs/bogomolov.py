@@ -12,13 +12,22 @@ check integrates each term F0_ij ^ F0_ji ^ Omega_{d-2}; with every entry in
 the kernel of a ^ Omega_{d-1} and (Omega_{d-1}, Omega_{d-2}) a
 Hodge-Riemann pair, every term is nonnegative and vanishing total means
 projectively flat.
+
+Backends: exact curvature, Higgs fields and forms go through the sparse
+wedge, the ground truth.  Float data goes through a dense kernel instead:
+curvature becomes one r x r x d x d array, a Higgs field one r x r x d
+array, and constraint_project, trace_check, higgs_curvature_term and
+HiggsField.square_residual are a few einsums over them.  The public types
+keep their PPForm entries either way; the kernel converts at its boundary.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ConfigError, ConsistencyError, DegreeError
-from .exterior import PPForm, integrate_top, wedge
+from .exterior import DenseForm, PPForm, _merge_signs, integrate_top, wedge
 from .scalars import conj as _conj
 from .scalars import imag_part, real_part
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
@@ -227,6 +236,14 @@ def chern_forms(F):
     return c1, c2
 
 
+def _check_form(name, form, d, k):
+    """Raise DegreeError unless form is a (k,k)-form on C^d."""
+    if form.dim != d:
+        raise DegreeError(f"{name} lives on C^{form.dim}, the curvature on C^{d}")
+    if (form.p, form.q) != (k, k):
+        raise DegreeError(f"need a ({k},{k})-form {name} on C^{d}, got {form!r}")
+
+
 def _pairing_functional(omega_top):
     """Coefficients m[(j,k)] of a -> int(a ^ omega_top) on (1,1) monomials."""
     d = omega_top.dim
@@ -238,19 +255,89 @@ def _pairing_functional(omega_top):
     return m
 
 
+# -- dense float kernel ----------------------------------------------------
+#
+# Float curvature is one complex array A[i, j, a, b], the coefficient of
+# dz_a ^ dzbar_b in F_ij, and a float Higgs field is T[i, j, a], the
+# coefficient of dz_a in theta_ij.  The forms omega_top and omega_mid enter
+# through the tables below, built from the same merge signs as DenseForm.
+
+
+def _to_array(M):
+    """The entries of a CurvatureMatrix or HiggsField as one complex array.
+
+    The coefficient of dz_I ^ dzbar_J in entry (i, j) lands at [i, j, *I, *J].
+    """
+    f = M.entries[0][0]
+    A = np.zeros((M.size, M.size) + (M.dim,) * (f.p + f.q), dtype=complex)
+    for i, row in enumerate(M.entries):
+        for j, form in enumerate(row):
+            for (I, J), c in form.coeffs.items():
+                A[(i, j) + I + J] = complex(c)
+    return A
+
+
+def _from_array(A):
+    """The CurvatureMatrix with coefficients A[i, j, a, b]."""
+    d = A.shape[-1]
+    return CurvatureMatrix([
+        [PPForm._valid(d, 1, 1, {((a,), (b,)): c
+                                 for a, coeffs in enumerate(block)
+                                 for b, c in enumerate(coeffs)})
+         for block in row]
+        for row in A.tolist()
+    ], check=False)
+
+
+def _adjoint(A):
+    """Coefficients of F^adj, the matrix of conj(F_ji)."""
+    return -A.conj().transpose(1, 0, 3, 2)
+
+
+def _top_functional(omega_top):
+    """m[a, b] = int(dz_a ^ dzbar_b ^ omega_top)."""
+    d = omega_top.dim
+    S = _merge_signs(d, 1, d - 1)[0]
+    Z = DenseForm.from_form(omega_top).coeffs
+    return (-1) ** (d - 1) * 1j ** (-(d * d) % 4) * (S @ Z @ S.T)
+
+
+def _mid_gram(omega_mid):
+    """G[a, b, c, e] = int(dz_a ^ dzbar_b ^ dz_c ^ dzbar_e ^ omega_mid)."""
+    d = omega_mid.dim
+    S1 = _merge_signs(d, 1, 1)
+    S2 = _merge_signs(d, 2, d - 2)[0]
+    g = S2 @ DenseForm.from_form(omega_mid).coeffs @ S2.T
+    return -(1j ** (-(d * d) % 4)) * np.einsum("kac,lbe,kl->abce", S1, S1, g)
+
+
+def _square_gap(T):
+    """Largest coefficient of theta ^ theta for the Higgs array T."""
+    P = np.einsum("ika,kjb->ijab", T, T)
+    return float(np.abs(P - P.transpose(0, 1, 3, 2)).max())
+
+
 def constraint_project(F, omega_top):
     """Nearest admissible curvature: anti-selfadjoint, trace-free, and with
     every entry in the kernel of a -> a ^ omega_top.
 
     The kernel projection subtracts along the Riesz direction of the pairing
     functional, which is a real (1,1)-form, so the first two constraints
-    survive the third.
+    survive the third.  Exact input goes through wedge, anything else
+    through the dense float kernel.
     """
-    d = F.dim
-    if omega_top.dim != d or (omega_top.p, omega_top.q) != (d - 1, d - 1):
-        raise DegreeError(
-            f"need a ({d - 1},{d - 1})-form on C^{d}, got {omega_top!r}"
-        )
+    d, r = F.dim, F.size
+    _check_form("omega_top", omega_top, d, d - 1)
+    if not (F.is_exact() and omega_top.is_exact()):
+        A = _to_array(F)
+        A = 0.5 * (A - _adjoint(A))
+        diag = np.arange(r)
+        A[diag, diag] -= np.einsum("iiab->ab", A) / r
+        m = _top_functional(omega_top)
+        denom = np.vdot(m, m).real
+        if denom:
+            A -= np.einsum("ijab,ab->ij", A, m)[..., None, None] * (m.conj() / denom)
+        return _from_array(A)
     A = trace_free_part(anti_selfadjoint_part(F))
     m = _pairing_functional(omega_top)
     denom = sum(real_part(v) ** 2 + imag_part(v) ** 2 for v in m.values())
@@ -269,15 +356,6 @@ def constraint_project(F, omega_top):
     return A.map_entries(project)
 
 
-def _entry_values(F, omega_mid, allow_complex=True):
-    vals = [[None] * F.size for _ in range(F.size)]
-    for i in range(F.size):
-        for j in range(F.size):
-            prod = wedge(wedge(F.entries[i][j], F.entries[j][i]), omega_mid)
-            vals[i][j] = integrate_top(prod, allow_complex=allow_complex)
-    return vals
-
-
 def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9, check_constraints=True):
     """Per-term positivity of tr(F0^2) paired with omega_mid.
 
@@ -285,35 +363,49 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9, check_constraints=True)
     unless check_constraints=False): F0 anti-selfadjoint, trace-free, and
     F0_ij ^ omega_top = 0 entrywise.  Passing means every v_ij >= -tol*scale;
     a vanishing total flags the projectively-flat equality case.  The
-    discriminant normalization is delta = (r/4pi^2) * total.
+    discriminant normalization is delta = (r/4pi^2) * total.  Exact F0 and
+    omega_mid go through wedge, anything else through the dense float kernel.
     """
     d = F0.dim
     r = F0.size
-    if omega_mid.dim != d or (omega_mid.p, omega_mid.q) != (d - 2, d - 2):
-        raise DegreeError(
-            f"need a ({d - 2},{d - 2})-form on C^{d}, got {omega_mid!r}"
-        )
-    fscale = max(F0.max_abs(), 1.0)
+    _check_form("omega_top", omega_top, d, d - 1)
+    _check_form("omega_mid", omega_mid, d, d - 2)
+    exact = F0.is_exact() and omega_mid.is_exact()
+    if exact:
+        entries = F0.entries
+        curvature_max = F0.max_abs()
+        if check_constraints:
+            res = F0.anti_selfadjoint_residual()
+            tr_res = F0.trace().max_abs()
+            kernel = [[integrate_top(wedge(entries[i][j], omega_top), allow_complex=True)
+                       for j in range(r)] for i in range(r)]
+        raw = [[integrate_top(wedge(wedge(entries[i][j], entries[j][i]), omega_mid),
+                              allow_complex=True)
+                for j in range(r)] for i in range(r)]
+    else:
+        A = _to_array(F0)
+        curvature_max = float(np.abs(A).max())
+        if check_constraints:
+            res = float(np.abs(A + _adjoint(A)).max())
+            tr_res = float(np.abs(np.einsum("iiab->ab", A)).max())
+            kernel = np.einsum("ijab,ab->ij", A, _top_functional(omega_top)).tolist()
+        raw = np.einsum("ijab,jice,abce->ij", A, A, _mid_gram(omega_mid)).tolist()
+
+    fscale = max(curvature_max, 1.0)
     if check_constraints:
-        res = F0.anti_selfadjoint_residual()
         if res > zero_tol * fscale:
             raise ConfigError(f"curvature is not anti-selfadjoint: residual {res}")
-        tr_res = F0.trace().max_abs()
         if tr_res > zero_tol * fscale:
             raise ConfigError(f"curvature is not trace-free: residual {tr_res}")
         oscale = max(omega_top.max_abs(), 1.0)
         for i in range(r):
             for j in range(r):
-                v = integrate_top(
-                    wedge(F0.entries[i][j], omega_top), allow_complex=True
-                )
+                v = kernel[i][j]
                 if abs(complex(v)) > zero_tol * fscale * oscale:
                     raise ConfigError(
                         f"entry ({i},{j}) violates the kernel constraint: {v}"
                     )
 
-    raw = _entry_values(F0, omega_mid)
-    exact = F0.is_exact() and omega_mid.is_exact()
     terms = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(r):
@@ -351,7 +443,7 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9, check_constraints=True)
         "delta_value": r * float(total) / (4.0 * math.pi ** 2),
         "projectively_flat": flat,
         "scale": scale,
-        "curvature_max_abs": F0.max_abs(),
+        "curvature_max_abs": curvature_max,
         "backend": "exact" if exact else "float",
     }
     witness = {} if ok else {"negative_terms": jsonable(negatives)}
@@ -409,7 +501,12 @@ class HiggsField:
                     f"Higgs field fails theta ^ theta = 0: residual {res}"
                 )
 
+    def is_exact(self):
+        return all(f.is_exact() for row in self.entries for f in row)
+
     def square_residual(self):
+        if not self.is_exact():
+            return _square_gap(_to_array(self))
         worst = 0.0
         for i in range(self.size):
             for j in range(self.size):
@@ -431,6 +528,11 @@ def higgs_curvature_term(theta, tol=1e-9):
     scale = max(1.0, max(f.max_abs() for row in theta.entries for f in row)) ** 2
     if theta.square_residual() > tol * scale:
         raise ConsistencyError("Higgs field fails theta ^ theta = 0")
+    if not theta.is_exact():
+        T = _to_array(theta)
+        Tc = T.conj()
+        return _from_array(np.einsum("ika,jkb->ijab", T, Tc)
+                           - np.einsum("kja,kib->ijab", T, Tc))
     adj = [[theta.entries[j][i].conj() for j in range(r)] for i in range(r)]
     entries = []
     for i in range(r):

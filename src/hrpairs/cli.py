@@ -348,9 +348,9 @@ def cmd_trace_check(args):
                 top = form_from_dict(json.load(fh))
             with open(args.omega_mid) as fh:
                 mid = form_from_dict(json.load(fh))
+            F0 = bg.CurvatureMatrix(entries, check=False)
         except (OSError, KeyError, ValueError, TypeError, DegreeError, ConfigError) as exc:
             _die(f"cannot load curvature data: {exc}")
-        F0 = bg.CurvatureMatrix(entries, check=False)
     else:
         (top, mid), rng = _seeded_schur_pair(args.dim, args.seed)
         raw = bg.random_curvature(args.rank, args.dim, rng)

@@ -69,8 +69,9 @@ class PPForm:
     def _valid(cls, dim, p, q, coeffs):
         """A form whose keys are valid by construction: no key check, zeros dropped.
 
-        For the results of wedge, +, -, conj, scalar * and embed; coefficients
-        from outside the program go through PPForm(...), which checks keys.
+        For the results of wedge, +, -, conj, scalar * and the dense
+        kernels; coefficients from outside the program go through
+        PPForm(...), which checks keys.
         """
         form = cls.__new__(cls)
         form.dim, form.p, form.q = dim, p, q
@@ -398,13 +399,6 @@ def std_kahler(dim, exact=True):
     """omega_std = sum_j i dz_j dzbar_j."""
     i_unit = GaussianRational(0, 1) if exact else 1j
     return PPForm(dim, 1, 1, {((j,), (j,)): i_unit for j in range(dim)})
-
-
-def embed(form, new_dim):
-    """The same form regarded on a larger C^new_dim (pullback under projection)."""
-    if new_dim < form.dim:
-        raise DegreeError(f"cannot embed a C^{form.dim} form into C^{new_dim}")
-    return PPForm._valid(new_dim, form.p, form.q, form.coeffs)
 
 
 def positivity_dminus1(form, zero_tol=1e-9):

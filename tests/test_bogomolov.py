@@ -1,10 +1,15 @@
 """Sheaf-side checks: discriminants, the extension identity, curvature traces."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hrpairs import exterior
 
 from hrpairs.bogomolov import (
     CurvatureMatrix,
@@ -26,7 +31,7 @@ from hrpairs.bogomolov import (
     trace_of_square,
 )
 from hrpairs.errors import ConfigError, ConsistencyError, DegreeError
-from hrpairs.exterior import PPForm, std_kahler, wedge
+from hrpairs.exterior import PPForm, form_from_hermitian, std_kahler, wedge, wedge_all
 from hrpairs.hrcheck import random_kahler, schur_form_pair
 from hrpairs.ring import polynomial_ring, relation_ring, torus_ring
 from hrpairs.scalars import GaussianRational
@@ -298,6 +303,30 @@ def test_trace_check_on_projected_random_curvature():
         assert not verdict.details["projectively_flat"]
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_trace_check_rejects_misshapen_forms(exact):
+    """omega_top of the wrong bidegree and curvature on another C^d are
+    DegreeErrors naming the form, before any constraint is looked at."""
+    def diagonal(d):
+        one = GaussianRational(1) if exact else 1.0 + 0j
+        gamma = PPForm.monomial(d, (0,), (0,), one) - PPForm.monomial(d, (1,), (1,), one)
+        zero = PPForm.zero(d, 1, 1)
+        return CurvatureMatrix([[gamma, zero], [zero, -gamma]])
+
+    omega = std_kahler(3, exact=exact)
+    top, mid = wedge(omega, omega), omega
+    with pytest.raises(DegreeError, match="omega_top"):
+        trace_check(diagonal(3), mid, mid)
+    for check in (True, False):
+        with pytest.raises(DegreeError, match="omega_top"):
+            trace_check(diagonal(2), top, mid, check_constraints=check)
+    with pytest.raises(DegreeError, match="omega_mid"):
+        trace_check(diagonal(3), top, top)
+    with pytest.raises(DegreeError, match="omega_top"):
+        constraint_project(diagonal(2), top)
+    assert trace_check(diagonal(3), top, mid).passed
+
+
 def test_constraint_project_output_is_admissible():
     rng = np.random.default_rng(103)
     omega = std_kahler(3, exact=False)
@@ -401,3 +430,112 @@ def test_higgs_trace_check_stays_nonnegative():
     )
     verdict = trace_check(combined, top, mid)
     assert verdict.passed
+
+
+# -- dense float kernel against the exact wedge path -----------------------
+
+
+def exact_kahler(rng, d):
+    """Real (1,1)-form of H = A^* A + Id, A a Gaussian-integer matrix."""
+    A = [[GaussianRational(int(rng.integers(-2, 3)), int(rng.integers(-2, 3)))
+          for _ in range(d)] for _ in range(d)]
+    H = [[sum((A[k][i].conjugate() * A[k][j] for k in range(d)), GaussianRational(int(i == j)))
+          for j in range(d)] for i in range(d)]
+    return form_from_hermitian(H)
+
+
+def exact_higgs(rng, r, d):
+    """N (x) phi1 + N^2 (x) phi2 with Gaussian-integer N (strictly upper) and phi."""
+    def gauss():
+        return GaussianRational(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+
+    N = [[gauss() if j > i else GaussianRational(0) for j in range(r)] for i in range(r)]
+    N2 = [[sum((N[i][k] * N[k][j] for k in range(r)), GaussianRational(0)) for j in range(r)]
+          for i in range(r)]
+    phi1, phi2 = (PPForm(d, 1, 0, {((a,), ()): gauss() for a in range(d)}) for _ in range(2))
+    return HiggsField([[phi1 * N[i][j] + phi2 * N2[i][j] for j in range(r)] for i in range(r)])
+
+
+def float_copy(M):
+    return type(M)([[f * (1.0 + 0j) for f in row] for row in M.entries], check=False)
+
+
+def relative_gap(X, Y):
+    """Largest coefficient of X - Y over max(1, largest coefficient of X)."""
+    gap = max((X.entries[i][j] - Y.entries[i][j]).max_abs()
+              for i in range(X.size) for j in range(X.size))
+    return gap / max(1.0, X.max_abs())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.sampled_from([3, 4]), r=st.integers(2, 4), higgs=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dense_kernel_agrees_with_exact_wedge(d, r, higgs, seed):
+    """Gaussian-integer data through the exact wedge path and, as complex
+    copies, through the dense float kernel: the Higgs term, the projected
+    curvature and every term v_ij agree to 1e-9 relative."""
+    rng = np.random.default_rng(seed)
+    raw = CurvatureMatrix([[random_exact_11(rng, d) for _ in range(r)] for _ in range(r)],
+                          check=False)
+    omegas = [exact_kahler(rng, d) for _ in range(d - 1)]
+    top, mid = wedge_all(omegas), wedge_all(omegas[1:])
+    ftop, fmid = top * (1.0 + 0j), mid * (1.0 + 0j)
+    exact_F, float_F = raw, float_copy(raw)
+    if higgs:
+        theta = exact_higgs(rng, r, d)
+        term = higgs_curvature_term(theta)
+        fterm = higgs_curvature_term(float_copy(theta))
+        assert term.is_exact() and not fterm.is_exact()
+        assert relative_gap(term, fterm) <= 1e-9
+        exact_F, float_F = raw + term, float_F + fterm
+    F0 = constraint_project(exact_F, top)
+    fF0 = constraint_project(float_F, ftop)
+    assert F0.is_exact() and not fF0.is_exact()
+    assert relative_gap(F0, fF0) <= 1e-9
+    want, got = trace_check(F0, top, mid), trace_check(fF0, ftop, fmid)
+    assert (want.details["backend"], got.details["backend"]) == ("exact", "float")
+    assert want.outcome == got.outcome
+    scale = want.details["scale"]
+    for row, frow in zip(want.details["terms"], got.details["terms"]):
+        for v, fv in zip(row, frow):
+            assert abs(float(Fraction(v)) - fv) <= 1e-9 * scale
+
+
+@pytest.fixture
+def wedge_calls(monkeypatch):
+    """Count exterior.wedge calls, through every hrpairs module that binds it."""
+    calls = []
+    original = exterior.wedge
+
+    def counting(x, y):
+        calls.append((x.p, x.q, y.p, y.q))
+        return original(x, y)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hrpairs" and getattr(module, "wedge", None) is original:
+            monkeypatch.setattr(module, "wedge", counting)
+    return calls
+
+
+def curvature_trial(omegas, raw, theta):
+    """One curvature-sweep trial: Schur pair, Higgs term, projection, trace check."""
+    top, mid = schur_form_pair(Partition((2,)), omegas, 3)
+    return trace_check(constraint_project(raw + higgs_curvature_term(theta), top), top, mid)
+
+
+def test_float_curvature_trial_makes_no_sparse_wedge(wedge_calls):
+    rng = np.random.default_rng(29)
+    omegas = [random_kahler(3, rng) for _ in range(2)]
+    theta = random_higgs(3, 3, rng)
+    assert curvature_trial(omegas, random_curvature(3, 3, rng), theta).passed
+    assert wedge_calls == []
+
+
+def test_exact_curvature_trial_stays_on_wedge(wedge_calls):
+    rng = np.random.default_rng(31)
+    omegas = [exact_kahler(rng, 3) for _ in range(2)]
+    raw = CurvatureMatrix([[random_exact_11(rng, 3) for _ in range(3)] for _ in range(3)],
+                          check=False)
+    verdict = curvature_trial(omegas, raw, exact_higgs(rng, 3, 3))
+    assert verdict.details["backend"] == "exact" and verdict.passed
+    assert len(wedge_calls) > 0

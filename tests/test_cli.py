@@ -387,6 +387,13 @@ def trace_check_files(**edit):
     )
 
 
+def trace_check_curvature(edit):
+    """trace_check_files() with edit applied to the curvature's list of rows."""
+    files = trace_check_files()
+    edit(files["CURVATURE"]["entries"])
+    return files
+
+
 TRACE_CHECK_FILES = ["trace-check", "--curvature", "CURVATURE", "--omega-top", "TOP",
                      "--omega-mid", "MID"]
 
@@ -445,6 +452,12 @@ MALFORMED_INPUT = [
                  id="trace-check-index-out-of-range"),
     pytest.param(trace_check_files(re="abc"), TRACE_CHECK_FILES,
                  id="trace-check-bad-coefficient"),
+    pytest.param(trace_check_curvature(lambda rows: rows[0][1].update(p=2)),
+                 TRACE_CHECK_FILES, id="trace-check-entry-not-1-1"),
+    pytest.param(trace_check_curvature(lambda rows: rows[1].pop()),
+                 TRACE_CHECK_FILES, id="trace-check-ragged-matrix"),
+    pytest.param(trace_check_curvature(lambda rows: rows.clear()),
+                 TRACE_CHECK_FILES, id="trace-check-empty-matrix"),
 ]
 
 

@@ -11,7 +11,6 @@ from hrpairs.errors import ConsistencyError, DegreeError
 from hrpairs.exterior import (
     DenseForm,
     PPForm,
-    embed,
     form_from_dict,
     form_from_hermitian,
     form_from_json,
@@ -256,21 +255,15 @@ def test_positivity_check_flags_indefinite_form():
 # -- hat extension ---------------------------------------------------------
 
 
-def test_extend_hat_splits_powers():
-    """(omega + t theta)^2 = omega^2 + 2 t omega theta when theta^2 = 0."""
-    omega = std_kahler(2)
+def test_kahler_plus_square_zero_form_splits_powers():
+    """(omega + theta)^2 = omega^2 + 2 omega theta on C^3 when theta^2 = 0."""
+    omega = PPForm(3, 1, 1, {((j,), (j,)): GaussianRational(0, 1) for j in range(2)})
     theta = PPForm.monomial(3, (2,), (2,), GaussianRational(0, 1))  # i dz_3 dzbar_3
-    hat = embed(omega, 3) + theta
+    hat = omega + theta
     assert hat == std_kahler(3)
-    hat2 = wedge(hat, hat)
-    expect = wedge(embed(omega, 3), embed(omega, 3)) + wedge(embed(omega, 3), theta) * GaussianRational(2)
-    assert hat2 == expect
     assert wedge(theta, theta).is_zero()
-
-
-def test_embed_rejects_shrinking():
-    with pytest.raises(DegreeError):
-        embed(std_kahler(3), 2)
+    expect = wedge(omega, omega) + wedge(omega, theta) * GaussianRational(2)
+    assert wedge(hat, hat) == expect
 
 
 # -- serialization ---------------------------------------------------------
@@ -327,7 +320,7 @@ def test_public_constructors_check_keys(key):
 def test_internal_results_keep_valid_keys_and_drop_zeros():
     rng = np.random.default_rng(8)
     x, y = random_form(rng, 3, terms=4), random_form(rng, 3, terms=4)
-    for form in (wedge(x, y), x + x, x - x, -x, x.conj(), x * 0, x * 2, embed(x, 4)):
+    for form in (wedge(x, y), x + x, x - x, -x, x.conj(), x * 0, x * 2):
         for (I, J), c in form.coeffs.items():
             assert c != 0
             assert all(a < b for a, b in zip(I, I[1:])) and all(a < b for a, b in zip(J, J[1:]))
