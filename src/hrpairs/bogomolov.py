@@ -17,8 +17,10 @@ Backends: exact curvature, Higgs fields and forms go through the sparse
 wedge, the ground truth.  Float data goes through a dense kernel instead:
 curvature becomes one r x r x d x d array, a Higgs field one r x r x d
 array, and constraint_project, trace_check, higgs_curvature_term and
-HiggsField.square_residual are a few einsums over them.  The public types
-keep their PPForm entries either way; the kernel converts at its boundary.
+HiggsField.square_residual are a few einsums over them and over the
+intersection numbers of exterior._top_functional and exterior._mid_gram,
+which hrcheck.pointwise_hr_pair reads too.  The public types keep their
+PPForm entries either way; the kernel converts at its boundary.
 """
 
 import math
@@ -27,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError
-from .exterior import DenseForm, PPForm, _merge_signs, integrate_top, wedge
+from .exterior import PPForm, _mid_gram, _top_functional, integrate_top, wedge
 from .scalars import conj as _conj
 from .scalars import imag_part, real_part
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
@@ -259,8 +261,7 @@ def _pairing_functional(omega_top):
 #
 # Float curvature is one complex array A[i, j, a, b], the coefficient of
 # dz_a ^ dzbar_b in F_ij, and a float Higgs field is T[i, j, a], the
-# coefficient of dz_a in theta_ij.  The forms omega_top and omega_mid enter
-# through the tables below, built from the same merge signs as DenseForm.
+# coefficient of dz_a in theta_ij.
 
 
 def _to_array(M):
@@ -292,23 +293,6 @@ def _from_array(A):
 def _adjoint(A):
     """Coefficients of F^adj, the matrix of conj(F_ji)."""
     return -A.conj().transpose(1, 0, 3, 2)
-
-
-def _top_functional(omega_top):
-    """m[a, b] = int(dz_a ^ dzbar_b ^ omega_top)."""
-    d = omega_top.dim
-    S = _merge_signs(d, 1, d - 1)[0]
-    Z = DenseForm.from_form(omega_top).coeffs
-    return (-1) ** (d - 1) * 1j ** (-(d * d) % 4) * (S @ Z @ S.T)
-
-
-def _mid_gram(omega_mid):
-    """G[a, b, c, e] = int(dz_a ^ dzbar_b ^ dz_c ^ dzbar_e ^ omega_mid)."""
-    d = omega_mid.dim
-    S1 = _merge_signs(d, 1, 1)
-    S2 = _merge_signs(d, 2, d - 2)[0]
-    g = S2 @ DenseForm.from_form(omega_mid).coeffs @ S2.T
-    return -(1j ** (-(d * d) % 4)) * np.einsum("kac,lbe,kl->abce", S1, S1, g)
 
 
 def _square_gap(T):
@@ -526,10 +510,11 @@ def higgs_curvature_term(theta, tol=1e-9):
     r = theta.size
     d = theta.dim
     scale = max(1.0, max(f.max_abs() for row in theta.entries for f in row)) ** 2
-    if theta.square_residual() > tol * scale:
+    T = None if theta.is_exact() else _to_array(theta)
+    residual = theta.square_residual() if T is None else _square_gap(T)
+    if residual > tol * scale:
         raise ConsistencyError("Higgs field fails theta ^ theta = 0")
-    if not theta.is_exact():
-        T = _to_array(theta)
+    if T is not None:
         Tc = T.conj()
         return _from_array(np.einsum("ika,jkb->ijab", T, Tc)
                            - np.einsum("kja,kib->ijab", T, Tc))

@@ -352,6 +352,10 @@ def cmd_trace_check(args):
         except (OSError, KeyError, ValueError, TypeError, DegreeError, ConfigError) as exc:
             _die(f"cannot load curvature data: {exc}")
     else:
+        try:
+            hrcheck.check_sweep_dimension(args.dim)
+        except ConfigError as exc:
+            _die(str(exc))
         (top, mid), rng = _seeded_schur_pair(args.dim, args.seed)
         raw = bg.random_curvature(args.rank, args.dim, rng)
         if args.higgs:

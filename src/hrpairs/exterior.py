@@ -315,6 +315,25 @@ class DenseForm:
         return DenseForm(d, p + q, -V if (p * q) % 2 else V)
 
 
+def _top_functional(omega_top):
+    """m[a, b] = int(dz_a ^ dzbar_b ^ omega_top) for a (d-1,d-1)-form omega_top."""
+    d = omega_top.dim
+    S = _merge_signs(d, 1, d - 1)[0]
+    Z = DenseForm.from_form(omega_top).coeffs
+    return (-1) ** (d - 1) * 1j ** (-(d * d) % 4) * (S @ Z @ S.T)
+
+
+def _mid_gram(omega_mid):
+    """G[a, b, c, e] = int(dz_a ^ dzbar_b ^ dz_c ^ dzbar_e ^ omega_mid)."""
+    d = omega_mid.dim
+    S1 = _merge_signs(d, 1, 1).reshape(-1, d * d)
+    S2 = _merge_signs(d, 2, d - 2)[0]
+    g = S2 @ DenseForm.from_form(omega_mid).coeffs @ S2.T
+    # X[(a, c), (b, e)], moving dzbar_b past dz_c for the sign
+    X = -(1j ** (-(d * d) % 4)) * (S1.T @ g @ S1)
+    return X.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+
+
 def wedge_all(forms, dim=None, exact=True):
     acc = None
     for f in forms:

@@ -23,23 +23,23 @@ One core, _pair_verdict, decides every pair from coordinates: the Gram
 matrix, the multiplication matrix of eta_mid, eta_top, the functional
 int(b_i * eta_top) and h.  is_hr_pair feeds it from any ring model.  Ring
 products are always exact; is_hr_pair(exact=False) decides on float copies
-of the exact matrices.  pointwise_hr_pair feeds float forms from dense tables
-of the torus algebra, and schur_form_pair multiplies float forms as dense
-coefficient matrices, so a float trial builds no ring and makes no sparse
-wedge; exact forms still go through wedge and torus_ring(d), the
-ground-truth oracle.
+of the exact matrices.  Float forms live in one encoding, the DenseForm
+coefficient matrix: schur_form_pair multiplies in it and pointwise_hr_pair
+reads its intersection numbers from it, so a float trial builds no ring
+and makes no sparse wedge; exact forms still go through wedge and
+torus_ring(d), the ground-truth oracle.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingError
-from .exterior import DenseForm, PPForm, form_from_hermitian, hermitian_from_form, std_kahler
+from .exterior import DenseForm, PPForm, _mid_gram, _top_functional, std_kahler
+from .exterior import form_from_hermitian, hermitian_from_form
 from .linalg import (
     float_kernel_vector,
     float_signature,
@@ -49,7 +49,7 @@ from .linalg import (
     rational_nullspace,
     rational_solve,
 )
-from .ring import real_coordinates, real_product_table, torus_ring
+from .ring import MAX_SWEEP_DIMENSION, _real_basis_matrix, real_coordinates, torus_ring
 from .symfunc import Partition, derived, evaluate, schur
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
@@ -379,40 +379,14 @@ def _check_strictly_positive(omega, zero_tol):
         )
 
 
-@lru_cache(maxsize=None)
-def _dense_tables(d):
-    """Float tensors (T, D, P) of the torus algebra on C^d for pointwise_hr_pair.
-
-    In the real bases of pp_slots -- b_j of degree 1, c_k of degree d-2 and
-    c_o of degree d-1 -- D[o, j, k] is coordinate o of c_k * b_j, P[i, o] is
-    int(b_i * c_o) and T[i, j, k] = int(b_i * b_j * c_k) = sum_o P[i, o] D[o, j, k].
-    For eta_mid with coordinates m, T @ m is its Gram matrix and D @ m its
-    multiplication matrix; P @ t is the functional int(b_i * eta_top).
-    Entries are small integers, so the float tables are exact.
-    """
-    n1, n_mid, n_top = (comb(d, p) ** 2 for p in (1, d - 2, d - 1))
-    D = np.zeros((n_top, n1, n_mid))
-    for (j, k), entries in real_product_table(d, 1, d - 2).items():
-        for o, c in entries:
-            D[o, j, k] = float(c)
-    # the top degree has one basis class, u[1..d], and it integrates to 1
-    P = np.zeros((n1, n_top))
-    for (i, o), ((_, c),) in real_product_table(d, 1, d - 1).items():
-        P[i, o] = float(c)
-    T = np.einsum("io,ojk->ijk", P, D)
-    for table in (T, D, P):
-        table.flags.writeable = False
-    return T, D, P
-
-
 def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
     """Hodge-Riemann pair check for constant-coefficient forms.
 
     omega_top is a (d-1,d-1)-form, omega_mid a (d-2,d-2)-form and omega a
     strictly positive (1,1)-form.  Exact forms are checked inside the full
-    (p,p)-form model torus_ring(d); float forms contract their real
-    coordinates with the dense tables of _dense_tables(d).  Both end in the
-    same verdict core.
+    (p,p)-form model torus_ring(d); float forms pair the degree-1 real
+    basis B with exterior._mid_gram and exterior._top_functional.  Both end
+    in the same verdict core.
     """
     d = omega_top.dim
     if (omega_top.p, omega_top.q) != (d - 1, d - 1):
@@ -426,9 +400,13 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
     if all(f.is_exact() for f in forms):
         model = torus_ring(d)
         return is_hr_pair(model, *(model.from_form(f) for f in forms), zero_tol=zero_tol)
-    T, D, P = _dense_tables(d)
-    top, mid, h = (np.asarray(real_coordinates(f), dtype=float) for f in forms)
-    return _pair_verdict(T @ mid, D @ mid, top, P @ top, h, False, zero_tol)
+    B = _real_basis_matrix(d, 1)
+    Q = (B @ _mid_gram(omega_mid).reshape(d * d, d * d) @ B.T).real
+    functional = (B @ _top_functional(omega_top).ravel()).real
+    # Q = P M and functional = P top for P the pairing of degrees 1 and d-1,
+    # invertible on the torus (Poincare duality): M q = top iff Q q = functional
+    return _pair_verdict(Q, Q, functional, functional, real_coordinates(omega), False,
+                         zero_tol)
 
 
 def random_kahler(d, rng, delta=1e-3):
@@ -448,10 +426,10 @@ def _schur_polys(lam, e):
 def schur_form_pair(lam, omegas, dim):
     """(s_lam, derived s_lam) evaluated on (1,1)-forms; the candidate pair.
 
-    Both go through symfunc.evaluate: exact forms multiply by wedge, the
-    ground truth, float forms as DenseForm coefficient matrices.  The forms
-    must be real (1,1)-forms on C^dim, float ones to 1e-9 relative, and
-    |lam| must be dim - 1.
+    Both come from one symfunc.evaluate call: exact forms multiply by
+    wedge, the ground truth, float forms as DenseForm coefficient
+    matrices.  The forms must be real (1,1)-forms on C^dim, float ones to
+    1e-9 relative, and |lam| must be dim - 1.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if lam.weight != dim - 1:
@@ -464,10 +442,9 @@ def schur_form_pair(lam, omegas, dim):
             raise ConfigError(f"{w!r} is not a real form")
     polys = _schur_polys(lam, len(omegas))
     if exact:
-        one = PPForm.one(dim)
-        return tuple(evaluate(poly, omegas, one) for poly in polys)
-    one, values = DenseForm.one(dim), [DenseForm.from_form(w) for w in omegas]
-    return tuple(evaluate(poly, values, one).to_form() for poly in polys)
+        return evaluate(polys, omegas, PPForm.one(dim))
+    values = [DenseForm.from_form(w) for w in omegas]
+    return tuple(v.to_form() for v in evaluate(polys, values, DenseForm.one(dim)))
 
 
 @dataclass
@@ -499,6 +476,17 @@ class SearchReport:
         return json.dumps(self.to_dict(), **kw)
 
 
+def check_sweep_dimension(dim):
+    """Raise ConfigError unless a seeded float sweep can run on C^dim."""
+    if dim < 2:
+        raise ConfigError(f"dimension {dim} is below 2: a pair needs degrees d-1 and d-2 >= 0")
+    if dim > MAX_SWEEP_DIMENSION:
+        raise ConfigError(
+            f"dimension {dim} is above {MAX_SWEEP_DIMENSION}, "
+            "the largest float sweep dimension (ring.MAX_SWEEP_DIMENSION)"
+        )
+
+
 def sample_search(dim, num_vars, partition, trials=100, seed=0, zero_tol=1e-9,
                   delta=1e-3):
     """Randomized search for failures of the Schur-pair Hodge-Riemann check.
@@ -508,8 +496,7 @@ def sample_search(dim, num_vars, partition, trials=100, seed=0, zero_tol=1e-9,
     pointwise check against the standard Kahler form.  Trials derive their
     RNG from (seed, trial) so results are order-independent.
     """
-    if dim < 2:
-        raise ConfigError(f"dimension {dim} is below 2: a pair needs degrees d-1 and d-2 >= 0")
+    check_sweep_dimension(dim)
     if trials < 0:
         raise ConfigError(f"trials must be non-negative, got {trials}")
     lam = partition if isinstance(partition, Partition) else Partition.parse(str(partition))

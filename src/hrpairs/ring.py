@@ -28,8 +28,9 @@ Concrete factories:
 Ring elements have exact coordinates only, Fraction or GaussianRational: a
 float coefficient raises TypeError.  Every product in a ring model is an
 exact intersection number; float work happens on matrices built from them
-(is_hr_pair(exact=False)) or, for pointwise forms, in dense tables built from
-real_product_table, which use no ring model.
+(is_hr_pair(exact=False)) or, for pointwise forms, on DenseForm coefficient
+matrices, which use no ring model; _real_basis_matrix holds the real basis
+in that encoding.
 """
 
 import itertools
@@ -39,8 +40,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import PPForm, integrate_top, std_kahler, wedge_coeffs
+from .exterior import DenseForm, PPForm, integrate_top, std_kahler, wedge_coeffs
 from .linalg import rational_solve
 from .scalars import GaussianRational, conj, i_power, imag_part, is_exact, real_part
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
@@ -362,21 +365,14 @@ def _real_pp_basis(d, p):
     return out
 
 
-def _slot_pairs(coeffs, slots):
-    """Each stored (I, J) with a nonzero c[I, J] or c[J, I], once, with its slot."""
-    seen = set()
-    for (I, J) in coeffs:
-        key = (I, J) if (I, J) in slots else (J, I)
-        if key not in seen:
-            seen.add(key)
-            yield key, slots[key]
-
-
 def _decompose(coeffs, d, p):
     """Exact coordinates of a real (p,p)-form's coefficients in the real basis."""
     coords = [Fraction(0)] * comb(d, p) ** 2
     sign = -1 if (p * p) % 2 else 1
-    for (I, J), slot in _slot_pairs(coeffs, pp_slots(d, p)):
+    slots = pp_slots(d, p)
+    # each stored (I, J) with a nonzero c[I, J] or c[J, I], once
+    for I, J in {k if k in slots else k[::-1] for k in coeffs}:
+        slot = slots[(I, J)]
         cIJ = coeffs.get((I, J), GaussianRational(0))
         cJI = coeffs.get((J, I), GaussianRational(0))
         # reality: c[J,I] = (-1)^(p^2) conj(c[I,J]); reject anything else
@@ -395,32 +391,30 @@ def _decompose(coeffs, d, p):
     return coords
 
 
-def _decompose_float(coeffs, d, p):
-    """Float coordinates; slightly non-real input is symmetrized away."""
-    coords = [0.0] * comb(d, p) ** 2
-    scale = complex(1j) ** (-(p * p) % 4)
-    sign = -1.0 if (p * p) % 2 else 1.0
-    for (I, J), slot in _slot_pairs(coeffs, pp_slots(d, p)):
-        cIJ = complex(coeffs.get((I, J), 0))
-        cJI = complex(coeffs.get((J, I), 0))
-        z = 0.5 * (cIJ + sign * cJI.conjugate()) * scale
-        coords[slot[0]] = z.real
-        if len(slot) == 2:
-            coords[slot[1]] = z.imag
-    return coords
+@lru_cache(maxsize=None)
+def _real_basis_matrix(d, p):
+    """Read-only matrix whose row j is the j-th real basis form of degree p
+    (pp_slots order) as a flattened DenseForm coefficient matrix."""
+    B = np.array([DenseForm.from_form(f).coeffs.ravel() for _, f in _real_pp_basis(d, p)])
+    B.flags.writeable = False
+    return B
 
 
 def real_coordinates(form):
     """Coordinates of a real (p,p)-form in the real basis of pp_slots.
 
-    Exact forms give Fractions and must be real; float forms give floats,
-    with slightly non-real input symmetrized away.
+    Exact forms give Fractions and must be real.  Float forms give floats:
+    the basis is orthogonal under Re<.,.>, so the coordinates are the
+    projection Re(conj(B) z) / |b_j|^2 of the flattened coefficients z,
+    which takes the real part of slightly non-real input.
     """
     if form.p != form.q:
         raise DegreeError(f"expected a (p,p)-form, got {form!r}")
     if form.is_exact():
         return _decompose(form.coeffs, form.dim, form.p)
-    return _decompose_float(form.coeffs, form.dim, form.p)
+    B = _real_basis_matrix(form.dim, form.p)
+    z = DenseForm.from_form(form).coeffs.ravel()
+    return ((B.conj() @ z).real / (np.abs(B) ** 2).sum(axis=1)).tolist()
 
 
 def real_product_table(d, p, q):
@@ -837,6 +831,10 @@ def polynomial_ring(dimension, generators, name=None):
 # monomials, about 2 s).  The fixtures have dimension 3 and 10 monomials.
 MAX_SPEC_DIMENSION = 64
 MAX_SPEC_MONOMIALS = 250
+# Largest dimension of a seeded float sweep (sample_search, trace-check):
+# one trial with two forms took 1.2 s and 245 MB at d = 10, 7.4 s and
+# 807 MB at d = 11, and at d = 12 its DenseForm products overran 2 GB.
+MAX_SWEEP_DIMENSION = 11
 
 
 def _monomial_count(dimension, degrees, limit):

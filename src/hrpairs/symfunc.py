@@ -484,12 +484,15 @@ def evaluate(p, values, one):
 
     Elementary symmetric combinations are formed inside the target ring, so
     values can be (1,1)-forms, ring elements, or plain numbers.  one must be
-    the multiplicative unit of that ring.
+    the multiplicative unit of that ring.  p may also be a sequence of
+    polynomials; they share one set of e_k(values) and come back as a tuple.
     """
-    if len(values) != p.num_vars:
-        raise DegreeError(
-            f"polynomial in {p.num_vars} variables evaluated at {len(values)} values"
-        )
+    polys = (p,) if isinstance(p, SymPoly) else tuple(p)
+    for q in polys:
+        if len(values) != q.num_vars:
+            raise DegreeError(
+                f"polynomial in {q.num_vars} variables evaluated at {len(values)} values"
+            )
     # E[k] = e_k(values) by the one-variable-at-a-time recurrence
     E = [one]
     for v in values:
@@ -500,7 +503,8 @@ def evaluate(p, values, one):
                 term = E[k] + term
             nxt.append(term)
         E = nxt
-    return _substitute(p, E, one)
+    out = tuple(_substitute(q, E, one) for q in polys)
+    return out[0] if isinstance(p, SymPoly) else out
 
 
 def evaluate_at_chern(p, chern):

@@ -444,6 +444,10 @@ MALFORMED_INPUT = [
     pytest.param(None, ["sample-search", "--dim", "3", "--vars", "2", "--partition", "2",
                         "--trials", "-3"],
                  id="sample-search-negative-trials"),
+    pytest.param(None, ["sample-search", "--dim", "12", "--vars", "2", "--partition", "11",
+                        "--trials", "1"],
+                 id="sample-search-dim-above-cap"),
+    pytest.param(None, ["trace-check", "--dim", "12"], id="trace-check-dim-above-cap"),
     pytest.param({"dimension": 100000, "generators": [{"name": "x", "degree": 1},
                                                       {"name": "y", "degree": 1}]},
                  ["ring", "check", "SPEC"],

@@ -16,6 +16,8 @@ from hrpairs.errors import (
 )
 from hrpairs.exterior import (
     PPForm,
+    _mid_gram,
+    _top_functional,
     form_from_dict,
     form_from_hermitian,
     hermitian_from_form,
@@ -23,7 +25,6 @@ from hrpairs.exterior import (
     wedge,
 )
 from hrpairs.hrcheck import (
-    _dense_tables,
     _restricted_negdef,
     _solve_division,
     divide,
@@ -38,6 +39,7 @@ from hrpairs.hrcheck import (
     signature,
 )
 from hrpairs.ring import (
+    _real_basis_matrix,
     form_from_real_coordinates,
     parse_element,
     real_coordinates,
@@ -642,17 +644,18 @@ def test_dense_kernel_matches_torus_ring_at_dimension_five():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_dense_tables_are_contractions_of_the_torus_ring(d):
+def test_merge_sign_intersection_numbers_match_the_torus_ring(d):
     model = torus_ring(d)
-    T, D, P = _dense_tables(d)
-    n1, n_mid = len(model.basis(1)), len(model.basis(d - 2))
-    assert P.tolist() == [[float(x) for x in row] for row in model.pairing_matrix(1)]
-    for k in range(n_mid):
+    B = _real_basis_matrix(d, 1)
+    for k in range(len(model.basis(d - 2))):
         c = model.basis_element(d - 2, k)
-        assert T[:, :, k].tolist() == [[float(x) for x in row] for row in gram(model, c)]
-        for j in range(n1):
-            product = c * model.basis_element(1, j)
-            assert D[:, j, k].tolist() == [float(x) for x in product.coeffs]
+        Q = B @ _mid_gram(model.to_form(c)).reshape(d * d, d * d) @ B.T
+        assert Q.tolist() == [[complex(x) for x in row] for row in gram(model, c)]
+    P = model.pairing_matrix(1)
+    for o in range(len(model.basis(d - 1))):
+        top = model.to_form(model.basis_element(d - 1, o))
+        functional = B @ _top_functional(top).ravel()
+        assert functional.tolist() == [complex(row[o]) for row in P]
 
 
 # -- property tests ----------------------------------------------------------

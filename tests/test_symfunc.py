@@ -147,6 +147,17 @@ def test_elementary_and_complete_against_brute_force():
             assert evaluate(complete_homogeneous(k, n), xs, Fraction(1)) == want_h
 
 
+def test_evaluate_takes_several_polynomials():
+    rng = np.random.default_rng(6)
+    xs = random_points(rng, 3)
+    polys = [schur(Partition((2, 1)), 3), derived(schur(Partition((2, 1)), 3), 1),
+             elementary(3, 3)]
+    assert evaluate(polys, xs, Fraction(1)) == tuple(evaluate(p, xs, Fraction(1))
+                                                      for p in polys)
+    with pytest.raises(DegreeError):
+        evaluate([polys[0], elementary(1, 2)], xs, Fraction(1))
+
+
 def test_e_h_convolution_identity():
     """sum_i (-1)^i e_i h_(k-i) = 0 for all k >= 1."""
     n = 4
