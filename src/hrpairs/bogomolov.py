@@ -29,9 +29,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError
-from .exterior import PPForm, _mid_gram, _top_functional, integrate_top, wedge
+from .exterior import PPForm, _mid_gram, _top_functional, _top_pairing, integrate_top, wedge
 from .scalars import conj as _conj
-from .scalars import imag_part, real_part
+from .scalars import imag_part, is_exact, negligible, real_part
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
 
@@ -119,29 +119,55 @@ def extension_identity(F, G):
 # -- curvature matrices ----------------------------------------------------
 
 
-class CurvatureMatrix:
-    """r x r matrix of (1,1)-forms, F_ji = -conj(F_ij) when admissible."""
+class _FormMatrix:
+    """Square r x r matrix of (p,q)-forms on one C^d, the bidegree fixed per subclass."""
 
     __slots__ = ("size", "dim", "entries")
+    kind = bidegree = None
 
-    def __init__(self, entries, check=True, tol=0.0):
+    def __init__(self, entries):
         r = len(entries)
         if r == 0 or any(len(row) != r for row in entries):
-            raise ConfigError("curvature entries must form a square matrix")
+            raise ConfigError(f"{self.kind} entries must form a square matrix")
         d = entries[0][0].dim
+        p, q = self.bidegree
         for row in entries:
             for f in row:
-                if f.dim != d or (f.p, f.q) != (1, 1):
+                if f.dim != d or (f.p, f.q) != (p, q):
                     raise DegreeError(
-                        f"curvature entries must be (1,1)-forms on C^{d}, got {f!r}"
+                        f"{self.kind} entries must be ({p},{q})-forms on C^{d}, got {f!r}"
                     )
         self.size = r
         self.dim = d
         self.entries = [list(row) for row in entries]
+
+    def is_exact(self):
+        return all(f.is_exact() for row in self.entries for f in row)
+
+    def max_abs(self):
+        return max(f.max_abs() for row in self.entries for f in row)
+
+
+def _largest(forms):
+    """The largest coefficient of the forms in modulus, as a float; for exact
+    forms the coefficient itself, so that comparing it with zero stays exact."""
+    coeffs = [c for f in forms for c in f.coeffs.values()]
+    if all(is_exact(c) for c in coeffs):
+        return max(coeffs, key=lambda c: real_part(c) ** 2 + imag_part(c) ** 2, default=0)
+    return max(abs(complex(c)) for c in coeffs)
+
+
+class CurvatureMatrix(_FormMatrix):
+    """r x r matrix of (1,1)-forms, F_ji = -conj(F_ij) when admissible."""
+
+    __slots__ = ()
+    kind, bidegree = "curvature", (1, 1)
+
+    def __init__(self, entries, check=True):
+        super().__init__(entries)
         if check:
             res = self.anti_selfadjoint_residual()
-            scale = max(self.max_abs(), 1.0)
-            if res > tol * scale:
+            if not negligible(res, 0.0):
                 raise ConsistencyError(
                     f"matrix is not anti-selfadjoint: residual {res}"
                 )
@@ -151,19 +177,11 @@ class CurvatureMatrix:
         z = PPForm.zero(d, 1, 1)
         return cls([[z for _ in range(r)] for _ in range(r)], check=False)
 
-    def is_exact(self):
-        return all(f.is_exact() for row in self.entries for f in row)
-
-    def max_abs(self):
-        return max(f.max_abs() for row in self.entries for f in row)
-
     def anti_selfadjoint_residual(self):
-        worst = 0.0
-        for i in range(self.size):
-            for j in range(self.size):
-                diff = self.entries[j][i] + self.entries[i][j].conj()
-                worst = max(worst, diff.max_abs())
-        return worst
+        """The largest coefficient of F + F^adj (see _largest)."""
+        E = self.entries
+        return _largest(E[j][i] + E[i][j].conj()
+                        for i in range(self.size) for j in range(self.size))
 
     def trace(self):
         t = self.entries[0][0]
@@ -246,17 +264,6 @@ def _check_form(name, form, d, k):
         raise DegreeError(f"need a ({k},{k})-form {name} on C^{d}, got {form!r}")
 
 
-def _pairing_functional(omega_top):
-    """Coefficients m[(j,k)] of a -> int(a ^ omega_top) on (1,1) monomials."""
-    d = omega_top.dim
-    m = {}
-    for j in range(d):
-        for k in range(d):
-            mono = PPForm.monomial(d, (j,), (k,), 1)
-            m[(j, k)] = integrate_top(wedge(mono, omega_top), allow_complex=True)
-    return m
-
-
 # -- dense float kernel ----------------------------------------------------
 #
 # Float curvature is one complex array A[i, j, a, b], the coefficient of
@@ -323,12 +330,12 @@ def constraint_project(F, omega_top):
             A -= np.einsum("ijab,ab->ij", A, m)[..., None, None] * (m.conj() / denom)
         return _from_array(A)
     A = trace_free_part(anti_selfadjoint_part(F))
-    m = _pairing_functional(omega_top)
-    denom = sum(real_part(v) ** 2 + imag_part(v) ** 2 for v in m.values())
+    m = _top_pairing(omega_top, 1)
+    denom = sum(real_part(v) ** 2 + imag_part(v) ** 2 for row in m for v in row)
     if denom == 0:
         return A
     riesz = PPForm(d, 1, 1, {
-        ((j,), (k,)): _conj(v) for (j, k), v in m.items() if v != 0
+        ((j,), (k,)): _conj(v) for j, row in enumerate(m) for k, v in enumerate(row)
     })
 
     def project(alpha):
@@ -349,6 +356,8 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9, check_constraints=True)
     a vanishing total flags the projectively-flat equality case.  The
     discriminant normalization is delta = (r/4pi^2) * total.  Exact F0 and
     omega_mid go through wedge, anything else through the dense float kernel.
+    Each check is one scalars.negligible rule, so tol is zero_tol for float
+    values and 0 for exact ones: exact data must meet every constraint exactly.
     """
     d = F0.dim
     r = F0.size
@@ -360,7 +369,7 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9, check_constraints=True)
         curvature_max = F0.max_abs()
         if check_constraints:
             res = F0.anti_selfadjoint_residual()
-            tr_res = F0.trace().max_abs()
+            tr_res = _largest([F0.trace()])
             kernel = [[integrate_top(wedge(entries[i][j], omega_top), allow_complex=True)
                        for j in range(r)] for i in range(r)]
         raw = [[integrate_top(wedge(wedge(entries[i][j], entries[j][i]), omega_mid),
@@ -377,15 +386,15 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9, check_constraints=True)
 
     fscale = max(curvature_max, 1.0)
     if check_constraints:
-        if res > zero_tol * fscale:
+        if not negligible(res, zero_tol * fscale):
             raise ConfigError(f"curvature is not anti-selfadjoint: residual {res}")
-        if tr_res > zero_tol * fscale:
+        if not negligible(tr_res, zero_tol * fscale):
             raise ConfigError(f"curvature is not trace-free: residual {tr_res}")
         oscale = max(omega_top.max_abs(), 1.0)
         for i in range(r):
             for j in range(r):
                 v = kernel[i][j]
-                if abs(complex(v)) > zero_tol * fscale * oscale:
+                if not negligible(v, zero_tol * fscale * oscale):
                     raise ConfigError(
                         f"entry ({i},{j}) violates the kernel constraint: {v}"
                     )
@@ -394,38 +403,24 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9, check_constraints=True)
     for i in range(r):
         for j in range(r):
             v = raw[i][j]
-            im = imag_part(v)
-            if exact:
-                if im != 0:
-                    raise ConsistencyError(
-                        f"term ({i},{j}) is not real: {v}"
-                    )
-            elif abs(im) > zero_tol * max(1.0, abs(complex(v))):
+            if not negligible(imag_part(v), zero_tol * max(1.0, abs(complex(v)))):
                 raise ConsistencyError(f"term ({i},{j}) is not real: {v}")
             terms[i][j] = real_part(v)
 
     scale = max(1.0, max(abs(float(t)) for row in terms for t in row))
     total = sum(t for row in terms for t in row)
-    if exact:
-        negatives = [
-            (i, j, terms[i][j])
-            for i in range(r) for j in range(r) if terms[i][j] < 0
-        ]
-        flat = total == 0
-    else:
-        negatives = [
-            (i, j, terms[i][j])
-            for i in range(r) for j in range(r)
-            if terms[i][j] < -zero_tol * scale
-        ]
-        flat = abs(float(total)) <= zero_tol * scale
+    negatives = [
+        (i, j, terms[i][j])
+        for i in range(r) for j in range(r)
+        if terms[i][j] < 0 and not negligible(terms[i][j], zero_tol * scale)
+    ]
     ok = not negatives
     details = {
         "rank": r,
         "terms": jsonable(terms),
         "total": jsonable(total),
         "delta_value": r * float(total) / (4.0 * math.pi ** 2),
-        "projectively_flat": flat,
+        "projectively_flat": negligible(total, zero_tol * scale),
         "scale": scale,
         "curvature_max_abs": curvature_max,
         "backend": "exact" if exact else "float",
@@ -439,7 +434,7 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9, check_constraints=True)
     )
 
 
-def random_curvature(r, d, rng, scale=1.0):
+def random_curvature(r, d, rng):
     """Raw complex random matrix of (1,1)-forms (feed through constraint_project)."""
     entries = []
     for _ in range(r):
@@ -448,8 +443,7 @@ def random_curvature(r, d, rng, scale=1.0):
             coeffs = {}
             for j in range(d):
                 for k in range(d):
-                    c = rng.standard_normal() + 1j * rng.standard_normal()
-                    coeffs[((j,), (k,))] = scale * c
+                    coeffs[((j,), (k,))] = rng.standard_normal() + 1j * rng.standard_normal()
             row.append(PPForm(d, 1, 1, coeffs))
         entries.append(row)
     return CurvatureMatrix(entries, check=False)
@@ -458,61 +452,43 @@ def random_curvature(r, d, rng, scale=1.0):
 # -- Higgs fields ----------------------------------------------------------
 
 
-class HiggsField:
+class HiggsField(_FormMatrix):
     """r x r matrix of (1,0)-forms theta with theta ^ theta = 0."""
 
-    __slots__ = ("size", "dim", "entries")
+    __slots__ = ()
+    kind, bidegree = "Higgs", (1, 0)
 
     def __init__(self, entries, check=True, tol=0.0):
-        r = len(entries)
-        if r == 0 or any(len(row) != r for row in entries):
-            raise ConfigError("Higgs entries must form a square matrix")
-        d = entries[0][0].dim
-        for row in entries:
-            for f in row:
-                if f.dim != d or (f.p, f.q) != (1, 0):
-                    raise DegreeError(
-                        f"Higgs entries must be (1,0)-forms on C^{d}, got {f!r}"
-                    )
-        self.size = r
-        self.dim = d
-        self.entries = [list(row) for row in entries]
+        super().__init__(entries)
         if check:
             res = self.square_residual()
-            scale = max(1.0, max(f.max_abs() for row in entries for f in row)) ** 2
-            if res > tol * scale:
+            if not negligible(res, tol * max(1.0, self.max_abs()) ** 2):
                 raise ConsistencyError(
                     f"Higgs field fails theta ^ theta = 0: residual {res}"
                 )
 
-    def is_exact(self):
-        return all(f.is_exact() for row in self.entries for f in row)
-
     def square_residual(self):
+        """The largest coefficient of theta ^ theta (see _largest)."""
         if not self.is_exact():
             return _square_gap(_to_array(self))
-        worst = 0.0
-        for i in range(self.size):
-            for j in range(self.size):
-                acc = PPForm.zero(self.dim, 2, 0)
-                for k in range(self.size):
-                    acc = acc + wedge(self.entries[i][k], self.entries[k][j])
-                worst = max(worst, acc.max_abs())
-        return worst
+        E, r = self.entries, self.size
+        return _largest(sum((wedge(E[i][k], E[k][j]) for k in range(r)),
+                            PPForm.zero(self.dim, 2, 0))
+                        for i in range(r) for j in range(r))
 
 
-def higgs_curvature_term(theta, tol=1e-9):
+def higgs_curvature_term(theta):
     """[theta, theta^adj] = theta ^ theta^adj + theta^adj ^ theta.
 
     The result is an anti-selfadjoint matrix of (1,1)-forms, the extra
     curvature the Higgs field contributes on top of the Chern connection.
+    theta ^ theta must vanish to 1e-9 relative in floats, exactly otherwise.
     """
     r = theta.size
     d = theta.dim
-    scale = max(1.0, max(f.max_abs() for row in theta.entries for f in row)) ** 2
     T = None if theta.is_exact() else _to_array(theta)
     residual = theta.square_residual() if T is None else _square_gap(T)
-    if residual > tol * scale:
+    if not negligible(residual, 1e-9 * max(1.0, theta.max_abs()) ** 2):
         raise ConsistencyError("Higgs field fails theta ^ theta = 0")
     if T is not None:
         Tc = T.conj()
@@ -532,12 +508,12 @@ def higgs_curvature_term(theta, tol=1e-9):
     return CurvatureMatrix(entries, check=False)
 
 
-def random_higgs(r, d, rng, scale=1.0):
+def random_higgs(r, d, rng):
     """Nilpotent-tensor Higgs field N (x) phi1 + N^2 (x) phi2, N strictly upper."""
     N = [[0j] * r for _ in range(r)]
     for i in range(r):
         for j in range(i + 1, r):
-            N[i][j] = scale * (rng.standard_normal() + 1j * rng.standard_normal())
+            N[i][j] = rng.standard_normal() + 1j * rng.standard_normal()
     N2 = [
         [sum(N[i][k] * N[k][j] for k in range(r)) for j in range(r)]
         for i in range(r)

@@ -20,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConsistencyError, DegreeError
-from .linalg import float_signature, hermitian_rational_inertia
-from .scalars import GaussianRational, conj, i_power, imag_part, is_exact, real_part
+from .linalg import inertia
+from .scalars import GaussianRational, conj, i_power, imag_part, is_exact, negligible, real_part
 from .verdict import DEGENERATE, FAIL, PASS, Verdict
 
 _merge_cache = {}
@@ -163,33 +163,23 @@ class PPForm:
         )
 
     def is_real(self, tol=0.0):
-        """Is self == self.conj(), exactly or to tol relative to max(max_abs, 1)?"""
+        """Is self == self.conj(), to tol relative to max(max_abs, 1)?
+
+        Each gap is a scalars.negligible comparison: exact forms are real
+        only when every gap is exactly 0.
+        """
         if self.p != self.q:
             return False
         sign = (-1) ** (self.p * self.q)
         get = self.coeffs.get
-        gaps = [c - sign * conj(get((J, I), 0)) for (I, J), c in self.coeffs.items()]
-        if tol == 0.0:
-            return all(g == 0 for g in gaps)
-        worst = max((abs(complex(g)) for g in gaps), default=0.0)
-        return worst <= tol * max(self.max_abs(), 1.0)
+        bound = tol * max(self.max_abs(), 1.0)
+        return all(negligible(c - sign * conj(get((J, I), 0)), bound)
+                   for (I, J), c in self.coeffs.items())
 
     def max_abs(self):
         if not self.coeffs:
             return 0.0
         return max(abs(complex(c)) for c in self.coeffs.values())
-
-    def prune(self, tol):
-        """Drop coefficients below tol * max_abs (float noise cleanup)."""
-        scale = self.max_abs()
-        if scale == 0.0:
-            return self
-        return PPForm._valid(
-            self.dim,
-            self.p,
-            self.q,
-            {k: c for k, c in self.coeffs.items() if abs(complex(c)) > tol * scale},
-        )
 
     def __repr__(self):
         n = len(self.coeffs)
@@ -345,12 +335,12 @@ def wedge_all(forms, dim=None, exact=True):
     return acc
 
 
-def integrate_top(form, allow_complex=False, tol=1e-9):
+def integrate_top(form, allow_complex=False):
     """Integral of a (d,d)-form under int prod_j (i dz_j dzbar_j) = 1.
 
     Returns a Fraction in the exact backend, a float otherwise.  Unless
-    allow_complex is set, a nonzero imaginary part (beyond tol relative in
-    floats, exactly in rationals) raises ConsistencyError.
+    allow_complex is set, an imaginary part that is not negligible (beyond
+    1e-9 relative in floats, nonzero in rationals) raises ConsistencyError.
     """
     d = form.dim
     if form.p != d or form.q != d:
@@ -362,14 +352,10 @@ def integrate_top(form, allow_complex=False, tol=1e-9):
     value = c * i_power(-(d * d)) if is_exact(c) else complex(c) * (1j ** (-(d * d) % 4))
     if allow_complex:
         return value
-    re, im = real_part(value), imag_part(value)
-    if is_exact(value):
-        if im != 0:
-            raise ConsistencyError(f"integral of a supposedly real form is {value}")
-        return re
-    if abs(im) > tol * max(1.0, abs(complex(value))):
+    im = imag_part(value)
+    if not negligible(im, 1e-9 * max(1.0, abs(complex(value)))):
         raise ConsistencyError(f"integral has imaginary part {im}")
-    return re
+    return real_part(value)
 
 
 def form_from_hermitian(H, exact=None):
@@ -420,6 +406,18 @@ def std_kahler(dim, exact=True):
     return PPForm(dim, 1, 1, {((j,), (j,)): i_unit for j in range(dim)})
 
 
+def _top_pairing(omega_top, unit):
+    """P[j][k] = int(omega_top ^ unit dz_j ^ dzbar_k), by wedge.
+
+    Exact for exact omega_top and unit: the ground truth behind the dense
+    _top_functional, which is P with unit 1.
+    """
+    d = omega_top.dim
+    return [[integrate_top(wedge(omega_top, PPForm.monomial(d, (j,), (k,), unit)),
+                           allow_complex=True)
+             for k in range(d)] for j in range(d)]
+
+
 def positivity_dminus1(form, zero_tol=1e-9):
     """Strict positivity check for a (d-1,d-1)-form.
 
@@ -432,20 +430,9 @@ def positivity_dminus1(form, zero_tol=1e-9):
     if (form.p, form.q) != (d - 1, d - 1):
         raise DegreeError(f"expected a ({d - 1},{d - 1})-form on C^{d}")
     exact = form.is_exact()
-    i_unit = GaussianRational(0, 1) if exact else 1j
-    H = []
-    for j in range(d):
-        row = []
-        for k in range(d):
-            probe = PPForm.monomial(d, (j,), (k,), i_unit)
-            row.append(integrate_top(wedge(form, probe), allow_complex=True))
-        H.append(row)
+    H = _top_pairing(form, GaussianRational(0, 1) if exact else 1j)
     Hf = [[complex(x) for x in row] for row in H]
-    if exact:
-        sig = hermitian_rational_inertia(H)
-        _, eigs = float_signature(Hf, zero_tol)
-    else:
-        sig, eigs = float_signature(Hf, zero_tol)
+    sig, eigs = inertia(H if exact else Hf, zero_tol)
     pos, zero, neg = sig
     if zero > 0:
         outcome = DEGENERATE

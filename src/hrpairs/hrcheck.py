@@ -16,8 +16,11 @@ Whenever condition 2 holds and nothing is degenerate, the result is
 cross-checked against the equivalent characterization "Q_eta_mid negative
 definite on {a : int(a * eta_top) = 0} and Q_eta_mid(h, h) > 0".
 
-Verdicts carry inertia triples; in the exact backend those come from
-rational congruence with no tolerance, and eigenvalues are float evidence.
+Verdicts carry inertia triples from signature, which is linalg.inertia: in
+the exact backend they come from rational congruence with no tolerance, and
+eigenvalues are float evidence.  The exact restricted signature of the
+kernel characterization comes from the same congruence, on the bordered
+matrix of the Gram form and the functional.
 
 One core, _pair_verdict, decides every pair from coordinates: the Gram
 matrix, the multiplication matrix of eta_mid, eta_top, the functional
@@ -44,7 +47,7 @@ from .linalg import (
     float_kernel_vector,
     float_signature,
     float_solve,
-    hermitian_rational_inertia,
+    inertia as signature,
     rational_inertia,
     rational_nullspace,
     rational_solve,
@@ -52,21 +55,6 @@ from .linalg import (
 from .ring import MAX_SWEEP_DIMENSION, _real_basis_matrix, real_coordinates, torus_ring
 from .symfunc import Partition, derived, evaluate, schur
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
-
-
-def signature(Q, zero_tol=1e-9):
-    """Inertia (pos, zero, neg) of a symmetric matrix plus eigenvalue evidence.
-
-    Rational matrices are classified exactly (zero_tol ignored); float
-    matrices and arrays go through numpy with the relative zero threshold.
-    """
-    if len(Q) == 0:
-        return (0, 0, 0), []
-    if all(not isinstance(x, float) for row in Q for x in row):
-        sig = rational_inertia(Q)
-        _, eigs = float_signature([[float(x) for x in row] for row in Q])
-        return sig, eigs
-    return float_signature(np.asarray(Q, dtype=float), zero_tol)
 
 
 def _images(model, eta, degree=1):
@@ -124,11 +112,11 @@ def _quadratic_value(Q, v, exact):
     return float(v @ Q @ v)
 
 
-def _kernel_witness(Q, exact, zero_tol):
+def _kernel_witness(Q, exact):
     if exact:
         null = rational_nullspace(Q)
         return [str(x) for x in null[0]] if null else None
-    return float_kernel_vector(Q, zero_tol)
+    return float_kernel_vector(Q)
 
 
 def _hr_property(Q, exact, zero_tol, hval=None):
@@ -141,7 +129,7 @@ def _hr_property(Q, exact, zero_tol, hval=None):
     if zero > 0:
         return Verdict(
             DEGENERATE, sig, eigs,
-            witness={"kernel_vector": _kernel_witness(Q, exact, zero_tol)},
+            witness={"kernel_vector": _kernel_witness(Q, exact)},
             tolerances=tolerances, details=details,
         )
     lorentzian = pos == 1 and neg == n - 1
@@ -184,7 +172,7 @@ def _solve_division(M, b, exact, zero_tol):
                 witness=[str(v) for v in null[0]] if null else None,
             )
         return x
-    x = float_solve(M, b, zero_tol)
+    x = float_solve(M, b)
     if x is None:
         # a witness only when M is numerically rank-deficient, as in the exact branch
         M = np.asarray(M, dtype=float)
@@ -214,16 +202,14 @@ def divide(model, gamma, eta):
 
 
 def _restricted_negdef(Q, functional, zero_tol, exact):
-    """Signature of Q restricted to the hyperplane {functional = 0}."""
+    """Signature of Q restricted to the hyperplane {functional = 0}; functional != 0."""
     if exact:
-        B = rational_nullspace([functional])  # rows are basis vectors of the hyperplane
-        R = [[_bilinear_value(Q, u, v) for v in B] for u in B]
-        return rational_inertia(R) if R else (0, 0, 0)
-    if np.linalg.norm(functional) == 0.0:
-        B = np.eye(len(Q))
-    else:
-        _, _, vh = np.linalg.svd(functional[None, :])
-        B = vh[1:].T
+        # In([[Q, f], [f^T, 0]]) = In(Q on {f = 0}) + (1, 0, 1) (Haynsworth 1968)
+        border = [[*row, f] for row, f in zip(Q, functional)] + [[*functional, 0]]
+        pos, zero, neg = rational_inertia(border)
+        return pos - 1, zero, neg - 1
+    _, _, vh = np.linalg.svd(functional[None, :])
+    B = vh[1:].T
     sig, _ = float_signature(B.T @ Q @ B, zero_tol)
     return sig
 
@@ -367,12 +353,7 @@ def pos_cone_contains(model, beta, eta, h):
 
 
 def _check_strictly_positive(omega, zero_tol):
-    H = hermitian_from_form(omega)
-    if omega.is_exact():
-        sig = hermitian_rational_inertia(H)
-    else:
-        Hf = [[complex(x) for x in row] for row in H]
-        sig, _ = float_signature(Hf, zero_tol)
+    sig, _ = signature(hermitian_from_form(omega), zero_tol)
     if sig != (omega.dim, 0, 0):
         raise ConfigError(
             f"omega is not strictly positive: Hermitian inertia {sig}"
@@ -438,7 +419,7 @@ def schur_form_pair(lam, omegas, dim):
     for w in omegas:
         if (w.dim, w.p, w.q) != (dim, 1, 1):
             raise DegreeError(f"expected a (1,1)-form on C^{dim}, got {w!r}")
-        if not w.is_real(0.0 if exact else 1e-9):
+        if not w.is_real(1e-9):
             raise ConfigError(f"{w!r} is not a real form")
     polys = _schur_polys(lam, len(omegas))
     if exact:

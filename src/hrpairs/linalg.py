@@ -1,33 +1,36 @@
 """Small exact/float linear algebra kernel.
 
-Exact routines work on lists of lists of Fractions and use no tolerances at
-all; signatures come from congruence (Schur complements preserve inertia).
-Float routines delegate to numpy and take an explicit relative zero
-tolerance.
+Exact routines work on lists of lists of Fractions (GaussianRationals for
+Hermitian inertia) and use no tolerances at all; signatures come from
+congruence (Schur complements preserve inertia).  Float routines delegate to
+numpy; the signature takes an explicit relative zero tolerance.  inertia is
+the one entry point for signatures in both backends.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-
-def _copy_rational(M):
-    return [[Fraction(x) for x in row] for row in M]
+from .scalars import GaussianRational, conj, imag_part, real_part
 
 
 def rational_inertia(Q):
-    """Inertia (positive, zero, negative) of a symmetric rational matrix.
+    """Inertia (positive, zero, negative) of an exact symmetric or Hermitian matrix.
 
-    Repeatedly splits off 1x1 pivots by Schur complement; when every active
-    diagonal entry vanishes but some off-diagonal entry A[i][j] does not, the
-    congruence b_i -> b_i + b_j manufactures the pivot 2*A[i][j].
+    Entries are rationals or GaussianRationals.  Repeatedly splits off 1x1
+    pivots by Schur complement; when every active diagonal entry vanishes but
+    some off-diagonal entry a = A[i][j] does not, the congruence
+    b_i -> b_i + a b_j manufactures the pivot 2|a|^2.
     """
     n = len(Q)
-    A = _copy_rational(Q)
+    if any(imag_part(x) != 0 for row in Q for x in row):
+        A = [[GaussianRational(real_part(x), imag_part(x)) for x in row] for row in Q]
+    else:
+        A = [[Fraction(real_part(x)) for x in row] for row in Q]
     for i in range(n):
-        for j in range(n):
-            if A[i][j] != A[j][i]:
-                raise ValueError("matrix is not symmetric")
+        for j in range(i, n):
+            if A[i][j] != conj(A[j][i]):
+                raise ValueError("matrix is not symmetric or Hermitian")
     active = list(range(n))
     pos = neg = zero = 0
     while active:
@@ -45,25 +48,49 @@ def rational_inertia(Q):
                 zero += len(active)
                 break
             i, j = pair
+            c = A[i][j]
             for k in range(n):
-                A[i][k] = A[i][k] + A[j][k]
+                A[i][k] = A[i][k] + c * A[j][k]
+            c = conj(c)
             for k in range(n):
-                A[k][i] = A[k][i] + A[k][j]
+                A[k][i] = A[k][i] + A[k][j] * c
             piv = i
-        d = A[piv][piv]
+        d = real_part(A[piv][piv])
         if d > 0:
             pos += 1
         else:
             neg += 1
         active.remove(piv)
-        col = [A[k][piv] for k in range(n)]
+        row = A[piv]
         for i in active:
-            if col[i] == 0:
+            if A[i][piv] == 0:
                 continue
-            f = col[i] / d
+            f = A[i][piv] / d
             for j in active:
-                A[i][j] -= f * col[j]
+                A[i][j] -= f * row[j]
     return pos, zero, neg
+
+
+def inertia(M, zero_tol=1e-9):
+    """((pos, zero, neg), eigenvalues) of a real symmetric or Hermitian matrix.
+
+    The one inertia routine of both backends.  M is Hermitian when an entry
+    is complex or a GaussianRational.  Arrays, and lists with a float or
+    complex entry, go through float_signature with the relative zero_tol.
+    Exact input (rationals and GaussianRationals) is classified by
+    rational_inertia, with no tolerance; its float eigenvalues are evidence
+    only.
+    """
+    if isinstance(M, np.ndarray):
+        return float_signature(M, zero_tol)
+    if len(M) == 0:
+        return (0, 0, 0), []
+    cast = complex if any(isinstance(x, (complex, GaussianRational))
+                          for row in M for x in row) else float
+    if any(isinstance(x, (float, complex)) for row in M for x in row):
+        return float_signature(np.asarray(M, dtype=cast), zero_tol)
+    _, eigs = float_signature([[cast(x) for x in row] for row in M])
+    return rational_inertia(M), eigs
 
 
 def det(rows, one):
@@ -95,7 +122,7 @@ def det(rows, one):
 
 def rational_rref(M):
     """Row-reduce a rational matrix in place; returns (rref, pivot_columns)."""
-    A = _copy_rational(M)
+    A = [[Fraction(x) for x in row] for row in M]
     rows = len(A)
     cols = len(A[0]) if rows else 0
     pivots = []
@@ -152,33 +179,6 @@ def rational_solve(M, b):
     return x
 
 
-def hermitian_realification(H):
-    """Symmetric rational 2n x 2n matrix [[A, -B], [B, A]] for H = A + iB.
-
-    Each eigenvalue of the Hermitian H shows up twice, so inertia halves.
-    Entries of H are GaussianRational (or plain rationals).
-    """
-    from .scalars import imag_part, real_part
-
-    n = len(H)
-    R = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            a = Fraction(real_part(H[i][j]))
-            b = Fraction(imag_part(H[i][j]))
-            R[i][j] = a
-            R[n + i][n + j] = a
-            R[i][n + j] = -b
-            R[n + i][j] = b
-    return R
-
-
-def hermitian_rational_inertia(H):
-    p, z, n = rational_inertia(hermitian_realification(H))
-    assert p % 2 == 0 and z % 2 == 0 and n % 2 == 0
-    return p // 2, z // 2, n // 2
-
-
 def float_signature(Q, zero_tol=1e-9):
     """Eigenvalue-based inertia of a float symmetric/Hermitian matrix.
 
@@ -203,7 +203,7 @@ def float_signature(Q, zero_tol=1e-9):
     return (pos, zero, neg), [float(e) for e in eigs]
 
 
-def float_kernel_vector(Q, zero_tol=1e-9):
+def float_kernel_vector(Q):
     """Eigenvector of the smallest-magnitude eigenvalue, as a kernel witness."""
     A = np.asarray(Q, dtype=float)
     w, v = np.linalg.eigh(A)
@@ -211,7 +211,7 @@ def float_kernel_vector(Q, zero_tol=1e-9):
     return [float(x) for x in v[:, k]]
 
 
-def float_solve(M, b, zero_tol=1e-9):
+def float_solve(M, b):
     """Solve M x = b in floats; returns None when M is numerically singular."""
     A = np.asarray(M, dtype=float)
     rhs = np.asarray(b, dtype=float)

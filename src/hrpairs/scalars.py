@@ -122,6 +122,8 @@ def i_power(k):
 
 def is_exact(x):
     """True when x belongs to the exact backend (rational or Gaussian rational)."""
+    if isinstance(x, (float, complex)):  # isinstance against Fraction, an ABC, is slow
+        return False
     return isinstance(x, (int, Fraction, GaussianRational))
 
 
@@ -142,3 +144,16 @@ def imag_part(x):
     if isinstance(x, (int, float, Fraction)):
         return 0
     return x.imag
+
+
+def negligible(x, bound):
+    """Is |x| <= bound?  The one rule by which every check compares a value
+    with its tolerance.
+
+    bound is the float backend's tolerance times its scale; the exact
+    backend's tolerance is 0, so an exact x is negligible only when x == 0,
+    decided exactly and never after conversion to float.
+    """
+    if is_exact(x):
+        return x == 0
+    return abs(x) <= bound

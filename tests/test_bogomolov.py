@@ -222,7 +222,7 @@ def test_chern_forms_recover_the_discriminant_form():
     rng = np.random.default_rng(15)
     r, d = 2, 3
     F = CurvatureMatrix(
-        [[f.prune(0.0) * (1.0 + 0.0j) for f in row] for row in
+        [[f * (1.0 + 0.0j) for f in row] for row in
          random_exact_curvature(rng, r, d).entries],
         check=False,
     )
@@ -272,6 +272,40 @@ def test_trace_check_diagonal_sign_bookkeeping():
     assert verdict.details["terms"] == [[2, 0], [0, 2]]
     assert verdict.details["total"] == 4
     assert verdict.details["projectively_flat"] is False
+
+
+def small_violations(exact):
+    """Two curvatures on C^3 that each break one constraint by 10^-12 and no other.
+
+    kernel: diag(gamma, -gamma) with gamma = 10^-12 dz1 dzbar1, so that
+    int(gamma ^ omega_std^2) != 0.  anti-selfadjoint: off-diagonal entries
+    alpha = dz1 dzbar2 and -conj(alpha) + delta for
+    delta = 10^-12 (dz3 dzbar3 - dz1 dzbar1), so that F + F^adj = conj(delta).
+    """
+    one = GaussianRational(1) if exact else 1 + 0j
+    tiny = one * (Fraction(1, 10 ** 12) if exact else 1e-12)
+    d, zero = 3, PPForm.zero(3, 1, 1)
+    gamma = PPForm.monomial(d, (0,), (0,), tiny)
+    alpha = PPForm.monomial(d, (0,), (1,), one)
+    delta = PPForm.monomial(d, (2,), (2,), tiny) - PPForm.monomial(d, (0,), (0,), tiny)
+    return {
+        "kernel": CurvatureMatrix([[gamma, zero], [zero, -gamma]]),
+        "anti-selfadjoint": CurvatureMatrix([[zero, alpha], [delta - alpha.conj(), zero]],
+                                            check=False),
+    }
+
+
+@pytest.mark.parametrize("constraint", ["kernel", "anti-selfadjoint"])
+def test_exact_curvature_must_meet_every_constraint_exactly(constraint):
+    """An exact violation of size 10^-12 is no certificate, though floats forgive it."""
+    omega = std_kahler(3)
+    F0 = small_violations(exact=True)[constraint]
+    with pytest.raises(ConfigError, match=constraint):
+        trace_check(F0, wedge(omega, omega), omega)
+    omega = std_kahler(3, exact=False)
+    verdict = trace_check(small_violations(exact=False)[constraint], wedge(omega, omega), omega)
+    assert verdict.passed
+    assert verdict.details["backend"] == "float"
 
 
 def test_trace_check_rejects_unconstrained_input():

@@ -25,6 +25,7 @@ from hrpairs.exterior import (
     wedge,
 )
 from hrpairs.hrcheck import (
+    _bilinear_value,
     _restricted_negdef,
     _solve_division,
     divide,
@@ -47,6 +48,7 @@ from hrpairs.ring import (
     subring,
     torus_ring,
 )
+from hrpairs.linalg import inertia, rational_inertia, rational_nullspace
 from hrpairs.scalars import GaussianRational
 from hrpairs.symfunc import Partition, derived, evaluate, schur
 from hrpairs.verdict import jsonable
@@ -94,6 +96,50 @@ def test_signature_flags_rank_drops_exactly():
     assert signature(Q)[0] == (1, 1, 0)
     # the float backend needs the relative tolerance to see it
     assert signature([[1.0, 1.0], [1.0, 1.0]])[0] == (1, 1, 0)
+
+
+def eigenvalue_inertia(M):
+    """(pos, zero, neg) counted from numpy.linalg.eigvalsh, zero to 1e-9 relative."""
+    eigs = np.linalg.eigvalsh(np.asarray([[complex(x) for x in row] for row in M]))
+    tol = 1e-9 * max(1.0, float(np.abs(eigs).max()))
+    return (int((eigs > tol).sum()), int((abs(eigs) <= tol).sum()), int((eigs < -tol).sum()))
+
+
+def random_hermitian(rng, n, rank, hermitian):
+    """B D B^* with integer (Gaussian-integer when hermitian) B of n x rank, D = +-1."""
+    B = rng.integers(-3, 4, size=(n, rank)) + (1j * rng.integers(-3, 4, size=(n, rank))
+                                                if hermitian else 0)
+    D = np.diag(rng.choice([-1, 1], size=rank))
+    M = B @ D @ B.conj().T
+    if hermitian:
+        return [[GaussianRational(int(x.real), int(x.imag)) for x in row] for row in M]
+    return [[Fraction(int(x.real)) for x in row] for row in M]
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_inertia_matches_eigvalsh_in_both_backends(hermitian):
+    rng = np.random.default_rng(41 + hermitian)
+    for _ in range(30):
+        n = int(rng.integers(1, 7))
+        M = random_hermitian(rng, n, int(rng.integers(1, n + 1)), hermitian)
+        want = eigenvalue_inertia(M)
+        sig, eigs = inertia(M)
+        assert sig == want
+        assert eigs == pytest.approx(
+            np.linalg.eigvalsh(np.asarray([[complex(x) for x in r] for r in M])).tolist())
+        floats = [[complex(x) if hermitian else float(x) for x in row] for row in M]
+        assert inertia(floats)[0] == want
+        assert inertia(np.asarray(floats))[0] == want
+
+
+def test_inertia_pivots_on_an_off_diagonal_entry():
+    """Zero diagonals force the pairing congruence, also for an imaginary entry."""
+    i = GaussianRational(0, 1)
+    assert rational_inertia([[0, i], [-i, 0]]) == (1, 0, 1)
+    assert rational_inertia([[0, 2, 0], [2, 0, 0], [0, 0, 0]]) == (1, 1, 1)
+    assert inertia([[0, i], [-i, 0]])[0] == (1, 0, 1)
+    with pytest.raises(ValueError):
+        rational_inertia([[0, i], [i, 0]])
 
 
 def test_lorentzian_signature_of_kahler_gram():
@@ -717,3 +763,60 @@ def test_near_boundary_input_never_raises_consistency_error(case, seed, rank, ep
     top, mid = schur_form_pair(lam, omegas, d)
     verdict = pointwise_hr_pair(top, mid, std_kahler(d, exact=False))
     assert verdict.outcome in ("pass", "fail", "degenerate")
+
+
+# -- the exact restricted signature from the bordered matrix -----------------
+
+
+def nullspace_restriction(Q, functional):
+    """Inertia of Q on {functional = 0} from a nullspace basis and its Gram matrix."""
+    B = rational_nullspace([functional])
+    R = [[_bilinear_value(Q, u, v) for v in B] for u in B]
+    return rational_inertia(R) if R else (0, 0, 0)
+
+
+def pair_coordinates(model, top, mid):
+    """(Q, functional) of the pair (top, mid), as is_hr_pair hands them to its core."""
+    Q = gram(model, mid)
+    functional = [sum((p * t for p, t in zip(row, top.coeffs)), Fraction(0))
+                  for row in model.pairing_matrix(1)]
+    return Q, functional
+
+
+def exact_kahler(d, rng):
+    """i H for H = A^* A + Id, A with Gaussian-integer entries in [-2, 2]."""
+    A = [[GaussianRational(int(rng.integers(-2, 3)), int(rng.integers(-2, 3)))
+          for _ in range(d)] for _ in range(d)]
+    H = [[sum((A[k][i].conjugate() * A[k][j] for k in range(d)), GaussianRational(0))
+          + (1 if i == j else 0) for j in range(d)] for i in range(d)]
+    return form_from_hermitian(H)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 3), Fraction(7, 11)])
+def test_bordered_restriction_matches_the_nullspace_on_the_delv_pairs(eps):
+    model, _ = delv_model()
+    h = parse_element(model, "theta1+theta2")
+    mid = parse_element(model, "theta1*theta2") + eps * h * h
+    Q, functional = pair_coordinates(model, h ** 3, mid)
+    assert _restricted_negdef(Q, functional, None, True) == nullspace_restriction(Q, functional)
+
+
+@pytest.mark.parametrize("d, e, lam", [(3, 4, (2,)), (3, 4, (1, 1)), (4, 2, (3,)),
+                                       (4, 2, (2, 1)), (4, 3, (1, 1, 1))])
+def test_bordered_restriction_matches_the_nullspace_on_exact_schur_pairs(d, e, lam):
+    rng = np.random.default_rng([d, e, *lam])
+    top, mid = schur_form_pair(Partition(lam), [exact_kahler(d, rng) for _ in range(e)], d)
+    model = torus_ring(d)
+    Q, functional = pair_coordinates(model, model.from_form(top), model.from_form(mid))
+    want = nullspace_restriction(Q, functional)
+    assert want == (0, 0, d * d - 1)
+    assert _restricted_negdef(Q, functional, None, True) == want
+
+
+def test_bordered_restriction_counts_a_degenerate_direction():
+    Q = [[Fraction(x) for x in row] for row in [[1, 0, 0], [0, 0, 0], [0, 0, -1]]]
+    for functional in ([1, 0, 0], [1, 0, 1], [2, 0, 3]):
+        functional = [Fraction(x) for x in functional]
+        want = nullspace_restriction(Q, functional)
+        assert want[1] > 0
+        assert _restricted_negdef(Q, functional, None, True) == want
