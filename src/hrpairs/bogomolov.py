@@ -13,14 +13,16 @@ the kernel of a ^ Omega_{d-1} and (Omega_{d-1}, Omega_{d-2}) a
 Hodge-Riemann pair, every term is nonnegative and vanishing total means
 projectively flat.
 
-Backends: exact curvature, Higgs fields and forms go through the sparse
-wedge, the ground truth.  Float data goes through a dense kernel instead:
-curvature becomes one r x r x d x d array, a Higgs field one r x r x d
-array, and constraint_project, trace_check, higgs_curvature_term and
-HiggsField.square_residual are a few einsums over them and over the
-intersection numbers of exterior._top_functional and exterior._mid_gram,
-which hrcheck.pointwise_hr_pair reads too.  The public types keep their
-PPForm entries either way; the kernel converts at its boundary.
+Backends: one kernel serves both.  A curvature matrix is one r x r x d x d
+coefficient array and a Higgs field one r x r x d array, complex for float
+data and object (GaussianRational) for exact data.  constraint_project,
+trace_check, higgs_curvature_term and HiggsField.square_residual are a few
+einsums over them and over the intersection numbers of
+exterior._top_functional and exterior._mid_gram (exact for exact forms),
+which hrcheck.pointwise_hr_pair reads too; an exact operand meeting a float
+one is read in complex.  The PPForm entries are converted once, by the
+constructors, and .entries is a view built from the array.  trace_of_square
+and chern_forms stay on the sparse wedge, the Chern-Weil oracle.
 """
 
 import math
@@ -29,9 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError
-from .exterior import PPForm, _mid_gram, _top_functional, _top_pairing, integrate_top, wedge
-from .scalars import conj as _conj
-from .scalars import imag_part, is_exact, negligible, real_part
+from .exterior import PPForm, _mid_gram, _top_functional, _zeros, wedge
+from .scalars import GaussianRational, imag_part, magnitude, negligible, real_part, to_float
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
 
@@ -119,10 +120,33 @@ def extension_identity(F, G):
 # -- curvature matrices ----------------------------------------------------
 
 
-class _FormMatrix:
-    """Square r x r matrix of (p,q)-forms on one C^d, the bidegree fixed per subclass."""
+def _promote(*arrays):
+    """The coefficient arrays in one backend: exact when all are, else complex."""
+    if all(X.dtype == object for X in arrays):
+        return arrays
+    return tuple(X.astype(complex, copy=False) for X in arrays)
 
-    __slots__ = ("size", "dim", "entries")
+
+def _peak(X):
+    """The entry of X of largest modulus: for a float X that modulus, for an
+    exact X the entry itself, so that scalars.negligible decides it exactly.
+    The one array rule of the residual checks."""
+    if X.dtype == object:
+        return max(X.flat, key=lambda c: real_part(c) ** 2 + imag_part(c) ** 2)
+    return float(np.abs(X).max())
+
+
+class _FormMatrix:
+    """Square r x r matrix of (p,q)-forms on one C^d, the bidegree fixed per subclass.
+
+    Stored as one coefficient array, coeffs[i, j, *I, *J] the coefficient of
+    dz_I ^ dzbar_J in entry (i, j): A[i, j, a, b] for curvature, T[i, j, a]
+    for a Higgs field.  The array is complex for float data and object
+    (GaussianRational) when every entry is exact; the PPForm entries are
+    converted once, here.
+    """
+
+    __slots__ = ("coeffs",)
     kind = bidegree = None
 
     def __init__(self, entries):
@@ -137,24 +161,47 @@ class _FormMatrix:
                     raise DegreeError(
                         f"{self.kind} entries must be ({p},{q})-forms on C^{d}, got {f!r}"
                     )
-        self.size = r
-        self.dim = d
-        self.entries = [list(row) for row in entries]
+        exact = all(f.is_exact() for row in entries for f in row)
+        A = _zeros((r, r) + (d,) * (p + q), exact)
+        for i, row in enumerate(entries):
+            for j, f in enumerate(row):
+                for (I, J), c in f.coeffs.items():
+                    A[(i, j) + I + J] = (GaussianRational(real_part(c), imag_part(c))
+                                         if exact else complex(c))
+        self.coeffs = A
+
+    @classmethod
+    def _of(cls, A):
+        """The matrix with coefficient array A, unchecked."""
+        M = cls.__new__(cls)
+        M.coeffs = A
+        return M
+
+    @property
+    def size(self):
+        return self.coeffs.shape[0]
+
+    @property
+    def dim(self):
+        return self.coeffs.shape[2]
+
+    def _form(self, block):
+        """The PPForm whose coefficients are the array block, an entry's worth."""
+        p, q = self.bidegree
+        return PPForm._valid(self.dim, p, q, {
+            (ix[:p], ix[p:]): c for ix, c in zip(np.ndindex(block.shape), block.ravel().tolist())
+        })
+
+    @property
+    def entries(self):
+        """The entries as PPForms: a read-only view built from coeffs."""
+        return tuple(tuple(self._form(block) for block in row) for row in self.coeffs)
 
     def is_exact(self):
-        return all(f.is_exact() for row in self.entries for f in row)
+        return self.coeffs.dtype == object
 
     def max_abs(self):
-        return max(f.max_abs() for row in self.entries for f in row)
-
-
-def _largest(forms):
-    """The largest coefficient of the forms in modulus, as a float; for exact
-    forms the coefficient itself, so that comparing it with zero stays exact."""
-    coeffs = [c for f in forms for c in f.coeffs.values()]
-    if all(is_exact(c) for c in coeffs):
-        return max(coeffs, key=lambda c: real_part(c) ** 2 + imag_part(c) ** 2, default=0)
-    return max(abs(complex(c)) for c in coeffs)
+        return magnitude(_peak(self.coeffs))
 
 
 class CurvatureMatrix(_FormMatrix):
@@ -174,75 +221,47 @@ class CurvatureMatrix(_FormMatrix):
 
     @classmethod
     def zero(cls, r, d):
-        z = PPForm.zero(d, 1, 1)
-        return cls([[z for _ in range(r)] for _ in range(r)], check=False)
+        return cls._of(_zeros((r, r, d, d), True))
 
     def anti_selfadjoint_residual(self):
-        """The largest coefficient of F + F^adj (see _largest)."""
-        E = self.entries
-        return _largest(E[j][i] + E[i][j].conj()
-                        for i in range(self.size) for j in range(self.size))
+        """The largest coefficient of F + F^adj (see _peak)."""
+        return _peak(self.coeffs + _adjoint(self.coeffs))
 
     def trace(self):
-        t = self.entries[0][0]
-        for i in range(1, self.size):
-            t = t + self.entries[i][i]
-        return t
-
-    def adjoint(self):
-        return CurvatureMatrix(
-            [[self.entries[j][i].conj() for j in range(self.size)]
-             for i in range(self.size)],
-            check=False,
-        )
+        return self._form(np.einsum("iiab->ab", self.coeffs))
 
     def __add__(self, other):
-        if not isinstance(other, CurvatureMatrix) or other.size != self.size:
+        if not isinstance(other, CurvatureMatrix) or other.coeffs.shape != self.coeffs.shape:
             return NotImplemented
-        return CurvatureMatrix(
-            [[self.entries[i][j] + other.entries[i][j] for j in range(self.size)]
-             for i in range(self.size)],
-            check=False,
-        )
+        A, B = _promote(self.coeffs, other.coeffs)
+        return CurvatureMatrix._of(A + B)
 
-    def __sub__(self, other):
-        return self + (-1) * other
 
-    def __mul__(self, c):
-        return CurvatureMatrix(
-            [[f * c for f in row] for row in self.entries], check=False
-        )
-
-    __rmul__ = __mul__
-
-    def map_entries(self, fn):
-        return CurvatureMatrix(
-            [[fn(f) for f in row] for row in self.entries], check=False
-        )
+def _adjoint(A):
+    """Coefficients of F^adj, the matrix of conj(F_ji)."""
+    return -A.conj().transpose(1, 0, 3, 2)
 
 
 def anti_selfadjoint_part(F):
     """(F - F^adj)/2; fixed points are exactly the admissible matrices."""
-    half = Fraction(1, 2) if F.is_exact() else 0.5
-    return (F + (-1) * F.adjoint()) * half
+    return CurvatureMatrix._of((F.coeffs - _adjoint(F.coeffs)) / 2)
 
 
 def trace_free_part(F):
     """Remove (tr F / r) times the identity."""
-    r = F.size
-    scalar = F.trace() * (Fraction(1, r) if F.is_exact() else 1.0 / r)
-    out = [row[:] for row in F.entries]
-    for i in range(r):
-        out[i][i] = out[i][i] - scalar
-    return CurvatureMatrix(out, check=False)
+    A = F.coeffs.copy()
+    diag = np.arange(F.size)
+    A[diag, diag] -= np.einsum("iiab->ab", A) / F.size
+    return CurvatureMatrix._of(A)
 
 
 def trace_of_square(F):
     """tr(F ^ F) = sum_ij F_ij ^ F_ji as a (2,2)-form."""
+    E = F.entries
     total = PPForm.zero(F.dim, 2, 2)
     for i in range(F.size):
         for j in range(F.size):
-            total = total + wedge(F.entries[i][j], F.entries[j][i])
+            total = total + wedge(E[i][j], E[j][i])
     return total
 
 
@@ -264,150 +283,69 @@ def _check_form(name, form, d, k):
         raise DegreeError(f"need a ({k},{k})-form {name} on C^{d}, got {form!r}")
 
 
-# -- dense float kernel ----------------------------------------------------
-#
-# Float curvature is one complex array A[i, j, a, b], the coefficient of
-# dz_a ^ dzbar_b in F_ij, and a float Higgs field is T[i, j, a], the
-# coefficient of dz_a in theta_ij.
-
-
-def _to_array(M):
-    """The entries of a CurvatureMatrix or HiggsField as one complex array.
-
-    The coefficient of dz_I ^ dzbar_J in entry (i, j) lands at [i, j, *I, *J].
-    """
-    f = M.entries[0][0]
-    A = np.zeros((M.size, M.size) + (M.dim,) * (f.p + f.q), dtype=complex)
-    for i, row in enumerate(M.entries):
-        for j, form in enumerate(row):
-            for (I, J), c in form.coeffs.items():
-                A[(i, j) + I + J] = complex(c)
-    return A
-
-
-def _from_array(A):
-    """The CurvatureMatrix with coefficients A[i, j, a, b]."""
-    d = A.shape[-1]
-    return CurvatureMatrix([
-        [PPForm._valid(d, 1, 1, {((a,), (b,)): c
-                                 for a, coeffs in enumerate(block)
-                                 for b, c in enumerate(coeffs)})
-         for block in row]
-        for row in A.tolist()
-    ], check=False)
-
-
-def _adjoint(A):
-    """Coefficients of F^adj, the matrix of conj(F_ji)."""
-    return -A.conj().transpose(1, 0, 3, 2)
-
-
-def _square_gap(T):
-    """Largest coefficient of theta ^ theta for the Higgs array T."""
-    P = np.einsum("ika,kjb->ijab", T, T)
-    return float(np.abs(P - P.transpose(0, 1, 3, 2)).max())
-
-
 def constraint_project(F, omega_top):
     """Nearest admissible curvature: anti-selfadjoint, trace-free, and with
     every entry in the kernel of a -> a ^ omega_top.
 
     The kernel projection subtracts along the Riesz direction of the pairing
-    functional, which is a real (1,1)-form, so the first two constraints
-    survive the third.  Exact input goes through wedge, anything else
-    through the dense float kernel.
+    functional m = exterior._top_functional(omega_top), which is a real
+    (1,1)-form, so the first two constraints survive the third.  Exact when
+    F and omega_top are, complex otherwise.
     """
-    d, r = F.dim, F.size
-    _check_form("omega_top", omega_top, d, d - 1)
-    if not (F.is_exact() and omega_top.is_exact()):
-        A = _to_array(F)
-        A = 0.5 * (A - _adjoint(A))
-        diag = np.arange(r)
-        A[diag, diag] -= np.einsum("iiab->ab", A) / r
-        m = _top_functional(omega_top)
-        denom = np.vdot(m, m).real
-        if denom:
-            A -= np.einsum("ijab,ab->ij", A, m)[..., None, None] * (m.conj() / denom)
-        return _from_array(A)
-    A = trace_free_part(anti_selfadjoint_part(F))
-    m = _top_pairing(omega_top, 1)
-    denom = sum(real_part(v) ** 2 + imag_part(v) ** 2 for row in m for v in row)
-    if denom == 0:
-        return A
-    riesz = PPForm(d, 1, 1, {
-        ((j,), (k,)): _conj(v) for j, row in enumerate(m) for k, v in enumerate(row)
-    })
-
-    def project(alpha):
-        val = integrate_top(wedge(alpha, omega_top), allow_complex=True)
-        if val == 0:
-            return alpha
-        return alpha - riesz * (val / denom)
-
-    return A.map_entries(project)
+    _check_form("omega_top", omega_top, F.dim, F.dim - 1)
+    A, m = _promote(F.coeffs, _top_functional(omega_top))
+    A = trace_free_part(anti_selfadjoint_part(CurvatureMatrix._of(A))).coeffs
+    denom = np.vdot(m, m).real
+    if denom:
+        A -= np.einsum("ijab,ab->ij", A, m)[..., None, None] * (m.conj() / denom)
+    return CurvatureMatrix._of(A)
 
 
-def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9, check_constraints=True):
+def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9):
     """Per-term positivity of tr(F0^2) paired with omega_mid.
 
-    Terms are v_ij = int(F0_ij ^ F0_ji ^ omega_mid); preconditions (checked
-    unless check_constraints=False): F0 anti-selfadjoint, trace-free, and
-    F0_ij ^ omega_top = 0 entrywise.  Passing means every v_ij >= -tol*scale;
-    a vanishing total flags the projectively-flat equality case.  The
-    discriminant normalization is delta = (r/4pi^2) * total.  Exact F0 and
-    omega_mid go through wedge, anything else through the dense float kernel.
-    Each check is one scalars.negligible rule, so tol is zero_tol for float
-    values and 0 for exact ones: exact data must meet every constraint exactly.
+    Terms are v_ij = int(F0_ij ^ F0_ji ^ omega_mid); preconditions: F0
+    anti-selfadjoint, trace-free, and F0_ij ^ omega_top = 0 entrywise.
+    Passing means every v_ij >= -tol*scale; a vanishing total flags the
+    projectively-flat equality case.  The discriminant normalization is
+    delta = (r/4pi^2) * total.  F0 is read exactly when it and omega_mid
+    are exact, in complex otherwise.  Each check is one
+    scalars.negligible rule, so tol is zero_tol for float values and 0 for
+    exact ones: exact data must meet every constraint exactly.  Scales and
+    delta_value are float evidence, saturating to inf beyond float range.
     """
-    d = F0.dim
-    r = F0.size
+    d, r = F0.dim, F0.size
     _check_form("omega_top", omega_top, d, d - 1)
     _check_form("omega_mid", omega_mid, d, d - 2)
-    exact = F0.is_exact() and omega_mid.is_exact()
-    if exact:
-        entries = F0.entries
-        curvature_max = F0.max_abs()
-        if check_constraints:
-            res = F0.anti_selfadjoint_residual()
-            tr_res = _largest([F0.trace()])
-            kernel = [[integrate_top(wedge(entries[i][j], omega_top), allow_complex=True)
-                       for j in range(r)] for i in range(r)]
-        raw = [[integrate_top(wedge(wedge(entries[i][j], entries[j][i]), omega_mid),
-                              allow_complex=True)
-                for j in range(r)] for i in range(r)]
-    else:
-        A = _to_array(F0)
-        curvature_max = float(np.abs(A).max())
-        if check_constraints:
-            res = float(np.abs(A + _adjoint(A)).max())
-            tr_res = float(np.abs(np.einsum("iiab->ab", A)).max())
-            kernel = np.einsum("ijab,ab->ij", A, _top_functional(omega_top)).tolist()
-        raw = np.einsum("ijab,jice,abce->ij", A, A, _mid_gram(omega_mid)).tolist()
-
+    A, G = _promote(F0.coeffs, _mid_gram(omega_mid))
+    exact = A.dtype == object
+    curvature_max = magnitude(_peak(A))
     fscale = max(curvature_max, 1.0)
-    if check_constraints:
-        if not negligible(res, zero_tol * fscale):
-            raise ConfigError(f"curvature is not anti-selfadjoint: residual {res}")
-        if not negligible(tr_res, zero_tol * fscale):
-            raise ConfigError(f"curvature is not trace-free: residual {tr_res}")
-        oscale = max(omega_top.max_abs(), 1.0)
-        for i in range(r):
-            for j in range(r):
-                v = kernel[i][j]
-                if not negligible(v, zero_tol * fscale * oscale):
-                    raise ConfigError(
-                        f"entry ({i},{j}) violates the kernel constraint: {v}"
-                    )
-
-    terms = [[None] * r for _ in range(r)]
+    res = _peak(A + _adjoint(A))
+    if not negligible(res, zero_tol * fscale):
+        raise ConfigError(f"curvature is not anti-selfadjoint: residual {res}")
+    tr_res = _peak(np.einsum("iiab->ab", A))
+    if not negligible(tr_res, zero_tol * fscale):
+        raise ConfigError(f"curvature is not trace-free: residual {tr_res}")
+    oscale = max(omega_top.max_abs(), 1.0)
+    kernel = np.einsum("ijab,ab->ij", *_promote(A, _top_functional(omega_top))).tolist()
     for i in range(r):
         for j in range(r):
-            v = raw[i][j]
-            if not negligible(imag_part(v), zero_tol * max(1.0, abs(complex(v)))):
+            v = kernel[i][j]
+            if not negligible(v, zero_tol * fscale * oscale):
+                raise ConfigError(
+                    f"entry ({i},{j}) violates the kernel constraint: {v}"
+                )
+
+    raw = np.einsum("ijab,jice,abce->ij", A, A, G).tolist()
+    terms = [[None] * r for _ in range(r)]
+    for i, row in enumerate(raw):
+        for j, v in enumerate(row):
+            if not negligible(imag_part(v), zero_tol * max(1.0, magnitude(v))):
                 raise ConsistencyError(f"term ({i},{j}) is not real: {v}")
             terms[i][j] = real_part(v)
 
-    scale = max(1.0, max(abs(float(t)) for row in terms for t in row))
+    scale = max(1.0, max(magnitude(t) for row in terms for t in row))
     total = sum(t for row in terms for t in row)
     negatives = [
         (i, j, terms[i][j])
@@ -419,7 +357,7 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9, check_constraints=True)
         "rank": r,
         "terms": jsonable(terms),
         "total": jsonable(total),
-        "delta_value": r * float(total) / (4.0 * math.pi ** 2),
+        "delta_value": r * to_float(total) / (4.0 * math.pi ** 2),
         "projectively_flat": negligible(total, zero_tol * scale),
         "scale": scale,
         "curvature_max_abs": curvature_max,
@@ -436,17 +374,8 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9, check_constraints=True)
 
 def random_curvature(r, d, rng):
     """Raw complex random matrix of (1,1)-forms (feed through constraint_project)."""
-    entries = []
-    for _ in range(r):
-        row = []
-        for _ in range(r):
-            coeffs = {}
-            for j in range(d):
-                for k in range(d):
-                    coeffs[((j,), (k,))] = rng.standard_normal() + 1j * rng.standard_normal()
-            row.append(PPForm(d, 1, 1, coeffs))
-        entries.append(row)
-    return CurvatureMatrix(entries, check=False)
+    X = rng.standard_normal((r, r, d, d, 2))  # real and imaginary parts, in turn
+    return CurvatureMatrix._of(X[..., 0] + 1j * X[..., 1])
 
 
 # -- Higgs fields ----------------------------------------------------------
@@ -468,44 +397,26 @@ class HiggsField(_FormMatrix):
                 )
 
     def square_residual(self):
-        """The largest coefficient of theta ^ theta (see _largest)."""
-        if not self.is_exact():
-            return _square_gap(_to_array(self))
-        E, r = self.entries, self.size
-        return _largest(sum((wedge(E[i][k], E[k][j]) for k in range(r)),
-                            PPForm.zero(self.dim, 2, 0))
-                        for i in range(r) for j in range(r))
+        """The largest coefficient of theta ^ theta (see _peak)."""
+        T = self.coeffs
+        P = np.einsum("ika,kjb->ijab", T, T)
+        return _peak(P - P.transpose(0, 1, 3, 2))
 
 
 def higgs_curvature_term(theta):
     """[theta, theta^adj] = theta ^ theta^adj + theta^adj ^ theta.
 
     The result is an anti-selfadjoint matrix of (1,1)-forms, the extra
-    curvature the Higgs field contributes on top of the Chern connection.
-    theta ^ theta must vanish to 1e-9 relative in floats, exactly otherwise.
+    curvature the Higgs field contributes on top of the Chern connection,
+    exact for an exact theta.  theta ^ theta must vanish to 1e-9 relative in
+    floats, exactly otherwise.
     """
-    r = theta.size
-    d = theta.dim
-    T = None if theta.is_exact() else _to_array(theta)
-    residual = theta.square_residual() if T is None else _square_gap(T)
-    if not negligible(residual, 1e-9 * max(1.0, theta.max_abs()) ** 2):
+    if not negligible(theta.square_residual(), 1e-9 * max(1.0, theta.max_abs()) ** 2):
         raise ConsistencyError("Higgs field fails theta ^ theta = 0")
-    if T is not None:
-        Tc = T.conj()
-        return _from_array(np.einsum("ika,jkb->ijab", T, Tc)
-                           - np.einsum("kja,kib->ijab", T, Tc))
-    adj = [[theta.entries[j][i].conj() for j in range(r)] for i in range(r)]
-    entries = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            acc = PPForm.zero(d, 1, 1)
-            for k in range(r):
-                acc = acc + wedge(theta.entries[i][k], adj[k][j])
-                acc = acc + wedge(adj[i][k], theta.entries[k][j])
-            row.append(acc)
-        entries.append(row)
-    return CurvatureMatrix(entries, check=False)
+    T = theta.coeffs
+    Tc = T.conj()
+    return CurvatureMatrix._of(np.einsum("ika,jkb->ijab", T, Tc)
+                               - np.einsum("kja,kib->ijab", T, Tc))
 
 
 def random_higgs(r, d, rng):

@@ -14,6 +14,7 @@ Conventions, all verified by brute-force oracles in the test suite:
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,7 +22,9 @@ import numpy as np
 
 from .errors import ConsistencyError, DegreeError
 from .linalg import inertia
-from .scalars import GaussianRational, conj, i_power, imag_part, is_exact, negligible, real_part
+from .scalars import (
+    GaussianRational, conj, i_power, imag_part, is_exact, negligible, real_part, to_complex,
+)
 from .verdict import DEGENERATE, FAIL, PASS, Verdict
 
 _merge_cache = {}
@@ -177,9 +180,13 @@ class PPForm:
                    for (I, J), c in self.coeffs.items())
 
     def max_abs(self):
+        """Largest |coefficient| as a float, inf beyond float range."""
         if not self.coeffs:
             return 0.0
-        return max(abs(complex(c)) for c in self.coeffs.values())
+        try:
+            return max(abs(complex(c)) for c in self.coeffs.values())
+        except OverflowError:
+            return math.inf
 
     def __repr__(self):
         n = len(self.coeffs)
@@ -247,6 +254,34 @@ def _merge_signs(d, p, q):
     return S
 
 
+def _signs(d, p, q, exact):
+    """_merge_signs, as Python ints in an object array for exact products."""
+    S = _merge_signs(d, p, q)
+    return S.astype(int).astype(object) if exact else S
+
+
+def _zeros(shape, exact):
+    """A zero coefficient array: complex, or object holding GaussianRational(0)."""
+    if exact:
+        return np.full(shape, GaussianRational(0), dtype=object)
+    return np.zeros(shape, dtype=complex)
+
+
+def _coefficient_matrix(form, exact):
+    """Z[i, j], the coefficient of dz_I wedge dzbar_J for the i-th and j-th
+    subsets I and J; complex, or GaussianRational when exact."""
+    rows, cols = _subset_index(form.dim, form.p), _subset_index(form.dim, form.q)
+    Z = _zeros((len(rows), len(cols)), exact)
+    for (I, J), c in form.coeffs.items():
+        Z[rows[I], cols[J]] = GaussianRational(real_part(c), imag_part(c)) if exact else complex(c)
+    return Z
+
+
+def _volume_unit(d, exact):
+    """i^(-d^2): the integral of dz_1..d wedge dzbar_1..d."""
+    return i_power(-(d * d)) if exact else 1j ** (-(d * d) % 4)
+
+
 class DenseForm:
     """Float (p,p)-form on C^d as its dense coefficient matrix.
 
@@ -273,11 +308,7 @@ class DenseForm:
     def from_form(cls, form):
         if form.p != form.q:
             raise DegreeError(f"expected a (p,p)-form, got {form!r}")
-        index = _subset_index(form.dim, form.p)
-        Z = np.zeros((len(index), len(index)), dtype=complex)
-        for (I, J), c in form.coeffs.items():
-            Z[index[I], index[J]] = complex(c)
-        return cls(form.dim, form.p, Z)
+        return cls(form.dim, form.p, _coefficient_matrix(form, False))
 
     def to_form(self):
         subsets = list(_subset_index(self.dim, self.p))
@@ -306,21 +337,25 @@ class DenseForm:
 
 
 def _top_functional(omega_top):
-    """m[a, b] = int(dz_a ^ dzbar_b ^ omega_top) for a (d-1,d-1)-form omega_top."""
-    d = omega_top.dim
-    S = _merge_signs(d, 1, d - 1)[0]
-    Z = DenseForm.from_form(omega_top).coeffs
-    return (-1) ** (d - 1) * 1j ** (-(d * d) % 4) * (S @ Z @ S.T)
+    """m[a, b] = int(dz_a ^ dzbar_b ^ omega_top) for a (d-1,d-1)-form omega_top.
+
+    Exact (an object array of GaussianRationals) for exact omega_top,
+    complex otherwise; so is _mid_gram.
+    """
+    d, exact = omega_top.dim, omega_top.is_exact()
+    S = _signs(d, 1, d - 1, exact)[0]
+    Z = _coefficient_matrix(omega_top, exact)
+    return (-1) ** (d - 1) * _volume_unit(d, exact) * (S @ Z @ S.T)
 
 
 def _mid_gram(omega_mid):
     """G[a, b, c, e] = int(dz_a ^ dzbar_b ^ dz_c ^ dzbar_e ^ omega_mid)."""
-    d = omega_mid.dim
-    S1 = _merge_signs(d, 1, 1).reshape(-1, d * d)
-    S2 = _merge_signs(d, 2, d - 2)[0]
-    g = S2 @ DenseForm.from_form(omega_mid).coeffs @ S2.T
+    d, exact = omega_mid.dim, omega_mid.is_exact()
+    S1 = _signs(d, 1, 1, exact).reshape(-1, d * d)
+    S2 = _signs(d, 2, d - 2, exact)[0]
+    g = S2 @ _coefficient_matrix(omega_mid, exact) @ S2.T
     # X[(a, c), (b, e)], moving dzbar_b past dz_c for the sign
-    X = -(1j ** (-(d * d) % 4)) * (S1.T @ g @ S1)
+    X = -_volume_unit(d, exact) * (S1.T @ g @ S1)
     return X.reshape(d, d, d, d).transpose(0, 2, 1, 3)
 
 
@@ -349,7 +384,8 @@ def integrate_top(form, allow_complex=False):
     c = form.coeffs.get((full, full), None)
     if c is None:
         return Fraction(0) if form.is_exact() else 0.0
-    value = c * i_power(-(d * d)) if is_exact(c) else complex(c) * (1j ** (-(d * d) % 4))
+    exact = is_exact(c)
+    value = (c if exact else complex(c)) * _volume_unit(d, exact)
     if allow_complex:
         return value
     im = imag_part(value)
@@ -406,33 +442,20 @@ def std_kahler(dim, exact=True):
     return PPForm(dim, 1, 1, {((j,), (j,)): i_unit for j in range(dim)})
 
 
-def _top_pairing(omega_top, unit):
-    """P[j][k] = int(omega_top ^ unit dz_j ^ dzbar_k), by wedge.
-
-    Exact for exact omega_top and unit: the ground truth behind the dense
-    _top_functional, which is P with unit 1.
-    """
-    d = omega_top.dim
-    return [[integrate_top(wedge(omega_top, PPForm.monomial(d, (j,), (k,), unit)),
-                           allow_complex=True)
-             for k in range(d)] for j in range(d)]
-
-
 def positivity_dminus1(form, zero_tol=1e-9):
     """Strict positivity check for a (d-1,d-1)-form.
 
-    Pairs the form against i dz_j dzbar_k to get a Hermitian matrix; the form
-    is strictly positive iff that matrix is positive definite.  In the exact
-    backend the inertia is computed rationally and the eigenvalues are float
-    evidence only.
+    Pairs the form against i dz_j dzbar_k to get a Hermitian matrix, i times
+    _top_functional; the form is strictly positive iff that matrix is
+    positive definite.  In the exact backend the inertia is computed
+    rationally and the eigenvalues are float evidence only.
     """
     d = form.dim
     if (form.p, form.q) != (d - 1, d - 1):
         raise DegreeError(f"expected a ({d - 1},{d - 1})-form on C^{d}")
     exact = form.is_exact()
-    H = _top_pairing(form, GaussianRational(0, 1) if exact else 1j)
-    Hf = [[complex(x) for x in row] for row in H]
-    sig, eigs = inertia(H if exact else Hf, zero_tol)
+    H = ((GaussianRational(0, 1) if exact else 1j) * _top_functional(form)).tolist()
+    sig, eigs = inertia(H, zero_tol)
     pos, zero, neg = sig
     if zero > 0:
         outcome = DEGENERATE
@@ -444,7 +467,8 @@ def positivity_dminus1(form, zero_tol=1e-9):
         outcome=outcome,
         signature=sig,
         eigenvalues=eigs,
-        witness={} if outcome == PASS else {"pairing_matrix": Hf},
+        witness={} if outcome == PASS else {"pairing_matrix": [[to_complex(x) for x in row]
+                                                               for row in H]},
         tolerances={} if exact else {"zero_tol": zero_tol},
         details={"backend": "exact" if exact else "float"},
     )

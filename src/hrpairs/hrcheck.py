@@ -366,8 +366,9 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
     omega_top is a (d-1,d-1)-form, omega_mid a (d-2,d-2)-form and omega a
     strictly positive (1,1)-form.  Exact forms are checked inside the full
     (p,p)-form model torus_ring(d); float forms pair the degree-1 real
-    basis B with exterior._mid_gram and exterior._top_functional.  Both end
-    in the same verdict core.
+    basis B with exterior._mid_gram and exterior._top_functional, in
+    complex also for an exact form among float ones.  Both end in the same
+    verdict core.
     """
     d = omega_top.dim
     if (omega_top.p, omega_top.q) != (d - 1, d - 1):
@@ -382,8 +383,9 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
         model = torus_ring(d)
         return is_hr_pair(model, *(model.from_form(f) for f in forms), zero_tol=zero_tol)
     B = _real_basis_matrix(d, 1)
-    Q = (B @ _mid_gram(omega_mid).reshape(d * d, d * d) @ B.T).real
-    functional = (B @ _top_functional(omega_top).ravel()).real
+    G = _mid_gram(omega_mid).astype(complex, copy=False)
+    Q = (B @ G.reshape(d * d, d * d) @ B.T).real
+    functional = (B @ _top_functional(omega_top).astype(complex, copy=False).ravel()).real
     # Q = P M and functional = P top for P the pairing of degrees 1 and d-1,
     # invertible on the torus (Poincare duality): M q = top iff Q q = functional
     return _pair_verdict(Q, Q, functional, functional, real_coordinates(omega), False,

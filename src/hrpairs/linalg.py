@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import GaussianRational, conj, imag_part, real_part
+from .scalars import GaussianRational, conj, imag_part, real_part, to_complex, to_float
 
 
 def rational_inertia(Q):
@@ -79,17 +79,18 @@ def inertia(M, zero_tol=1e-9):
     complex entry, go through float_signature with the relative zero_tol.
     Exact input (rationals and GaussianRationals) is classified by
     rational_inertia, with no tolerance; its float eigenvalues are evidence
-    only.
+    only, of a copy whose entries saturate to +-inf beyond float range (the
+    eigenvalues of such a copy are NaN).
     """
     if isinstance(M, np.ndarray):
         return float_signature(M, zero_tol)
     if len(M) == 0:
         return (0, 0, 0), []
-    cast = complex if any(isinstance(x, (complex, GaussianRational))
-                          for row in M for x in row) else float
+    hermitian = any(isinstance(x, (complex, GaussianRational)) for row in M for x in row)
     if any(isinstance(x, (float, complex)) for row in M for x in row):
-        return float_signature(np.asarray(M, dtype=cast), zero_tol)
-    _, eigs = float_signature([[cast(x) for x in row] for row in M])
+        return float_signature(np.asarray(M, dtype=complex if hermitian else float), zero_tol)
+    _, eigs = float_signature([[to_complex(x) if hermitian else to_float(x) for x in row]
+                               for row in M])
     return rational_inertia(M), eigs
 
 

@@ -7,6 +7,7 @@ Mixing a GaussianRational with a float or complex demotes the result to
 ``complex``.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -144,6 +145,31 @@ def imag_part(x):
     if isinstance(x, (int, float, Fraction)):
         return 0
     return x.imag
+
+
+def to_float(x):
+    """float(x) for a real x, saturating to +-inf beyond float range.
+
+    For float evidence and scales drawn from exact values only; no exact
+    decision goes through it.
+    """
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def to_complex(x):
+    """complex(x), each part saturating like to_float."""
+    return complex(to_float(real_part(x)), to_float(imag_part(x)))
+
+
+def magnitude(x):
+    """|x| as a float, saturating to inf beyond float range (see to_float)."""
+    try:
+        return abs(to_complex(x))
+    except OverflowError:
+        return math.inf
 
 
 def negligible(x, bound):

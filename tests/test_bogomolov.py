@@ -31,11 +31,20 @@ from hrpairs.bogomolov import (
     trace_of_square,
 )
 from hrpairs.errors import ConfigError, ConsistencyError, DegreeError
-from hrpairs.exterior import PPForm, form_from_hermitian, std_kahler, wedge, wedge_all
+from hrpairs.exterior import (
+    PPForm,
+    _top_functional,
+    form_from_hermitian,
+    integrate_top,
+    std_kahler,
+    wedge,
+    wedge_all,
+)
 from hrpairs.hrcheck import random_kahler, schur_form_pair
 from hrpairs.ring import polynomial_ring, relation_ring, torus_ring
 from hrpairs.scalars import GaussianRational
 from hrpairs.symfunc import Partition
+from hrpairs.verdict import jsonable
 
 
 def fulger_lehmann():
@@ -308,6 +317,27 @@ def test_exact_curvature_must_meet_every_constraint_exactly(constraint):
     assert verdict.details["backend"] == "float"
 
 
+def test_exact_trace_check_beyond_float_range():
+    """diag(beta, -beta), beta = c (dz1 dzbar1 - dz2 dzbar2) on C^3: the exact
+    verdict at c = 10^400 is the one at c = 1, with terms 10^800 times as
+    large; the float evidence saturates to inf."""
+    def diagonal(c):
+        d, zero = 3, PPForm.zero(3, 1, 1)
+        beta = (PPForm.monomial(d, (0,), (0,), GaussianRational(c))
+                - PPForm.monomial(d, (1,), (1,), GaussianRational(c)))
+        return CurvatureMatrix([[beta, zero], [zero, -beta]])
+
+    omega = std_kahler(3)
+    small = trace_check(diagonal(1), wedge(omega, omega), omega)
+    big = trace_check(diagonal(10 ** 400), wedge(omega, omega), omega)
+    assert small.outcome == big.outcome == "pass"
+    assert small.details["terms"] == [[2, 0], [0, 2]]
+    assert big.details["terms"] == [[2 * 10 ** 800, 0], [0, 2 * 10 ** 800]]
+    assert big.details["backend"] == "exact" and not big.details["projectively_flat"]
+    for key in ("scale", "curvature_max_abs", "delta_value"):
+        assert big.details[key] == math.inf
+
+
 def test_trace_check_rejects_unconstrained_input():
     rng = np.random.default_rng(77)
     omega = std_kahler(3, exact=False)
@@ -351,9 +381,8 @@ def test_trace_check_rejects_misshapen_forms(exact):
     top, mid = wedge(omega, omega), omega
     with pytest.raises(DegreeError, match="omega_top"):
         trace_check(diagonal(3), mid, mid)
-    for check in (True, False):
-        with pytest.raises(DegreeError, match="omega_top"):
-            trace_check(diagonal(2), top, mid, check_constraints=check)
+    with pytest.raises(DegreeError, match="omega_top"):
+        trace_check(diagonal(2), top, mid)
     with pytest.raises(DegreeError, match="omega_mid"):
         trace_check(diagonal(3), top, top)
     with pytest.raises(DegreeError, match="omega_top"):
@@ -370,14 +399,7 @@ def test_constraint_project_output_is_admissible():
         scale = max(F0.max_abs(), 1.0)
         assert F0.anti_selfadjoint_residual() <= 1e-12 * scale
         assert F0.trace().max_abs() <= 1e-12 * scale
-        from hrpairs.exterior import integrate_top
-
-        worst = max(
-            abs(complex(integrate_top(wedge(F0.entries[i][j], top),
-                                      allow_complex=True)))
-            for i in range(r)
-            for j in range(r)
-        )
+        worst = max(abs(complex(v)) for row in wedge_integrals(F0, top) for v in row)
         assert worst <= 1e-12 * scale * max(top.max_abs(), 1.0)
 
 
@@ -501,13 +523,34 @@ def relative_gap(X, Y):
     return gap / max(1.0, X.max_abs())
 
 
+def wedge_higgs_term(theta):
+    """Entries sum_k theta_ik ^ theta^adj_kj + theta^adj_ik ^ theta_kj, by wedge."""
+    E, r = theta.entries, theta.size
+    adj = [[E[j][i].conj() for j in range(r)] for i in range(r)]
+    return [[sum((wedge(E[i][k], adj[k][j]) + wedge(adj[i][k], E[k][j]) for k in range(r)),
+                 PPForm.zero(theta.dim, 1, 1))
+             for j in range(r)] for i in range(r)]
+
+
+def wedge_integrals(F, omega):
+    """int(F_ij ^ omega) for a (d-1,d-1)-form omega, or int(F_ij ^ F_ji ^ omega)
+    for a (d-2,d-2)-form omega, by wedge."""
+    E, r = F.entries, F.size
+    if omega.p == F.dim - 1:
+        return [[integrate_top(wedge(E[i][j], omega), allow_complex=True) for j in range(r)]
+                for i in range(r)]
+    return [[integrate_top(wedge(wedge(E[i][j], E[j][i]), omega), allow_complex=True)
+             for j in range(r)] for i in range(r)]
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(d=st.sampled_from([3, 4]), r=st.integers(2, 4), higgs=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_dense_kernel_agrees_with_exact_wedge(d, r, higgs, seed):
-    """Gaussian-integer data through the exact wedge path and, as complex
-    copies, through the dense float kernel: the Higgs term, the projected
-    curvature and every term v_ij agree to 1e-9 relative."""
+    """Gaussian-integer data through the exact kernel equals a wedge reference
+    exactly: the Higgs term, the kernel values int(F_ij ^ omega_top) (0 once
+    projected) and every term v_ij.  Its complex copy through the float
+    kernel agrees with the exact results to 1e-9 relative."""
     rng = np.random.default_rng(seed)
     raw = CurvatureMatrix([[random_exact_11(rng, d) for _ in range(r)] for _ in range(r)],
                           check=False)
@@ -520,14 +563,22 @@ def test_dense_kernel_agrees_with_exact_wedge(d, r, higgs, seed):
         term = higgs_curvature_term(theta)
         fterm = higgs_curvature_term(float_copy(theta))
         assert term.is_exact() and not fterm.is_exact()
+        assert [list(row) for row in term.entries] == wedge_higgs_term(theta)
         assert relative_gap(term, fterm) <= 1e-9
         exact_F, float_F = raw + term, float_F + fterm
+    kernel = np.einsum("ijab,ab->ij", exact_F.coeffs, _top_functional(top))
+    assert kernel.tolist() == wedge_integrals(exact_F, top)
     F0 = constraint_project(exact_F, top)
     fF0 = constraint_project(float_F, ftop)
     assert F0.is_exact() and not fF0.is_exact()
+    assert F0.anti_selfadjoint_residual() == 0 and F0.trace().is_zero()
+    assert wedge_integrals(F0, top) == [[0] * r for _ in range(r)]
     assert relative_gap(F0, fF0) <= 1e-9
     want, got = trace_check(F0, top, mid), trace_check(fF0, ftop, fmid)
     assert (want.details["backend"], got.details["backend"]) == ("exact", "float")
+    terms = wedge_integrals(F0, mid)
+    assert all(v.imag == 0 for row in terms for v in row)
+    assert want.details["terms"] == jsonable([[v.real for v in row] for row in terms])
     assert want.outcome == got.outcome
     scale = want.details["scale"]
     for row, frow in zip(want.details["terms"], got.details["terms"]):
@@ -551,25 +602,28 @@ def wedge_calls(monkeypatch):
     return calls
 
 
-def curvature_trial(omegas, raw, theta):
-    """One curvature-sweep trial: Schur pair, Higgs term, projection, trace check."""
-    top, mid = schur_form_pair(Partition((2,)), omegas, 3)
+def curvature_trial(top, mid, raw, theta):
+    """One curvature-sweep trial after the Schur pair: Higgs term, projection, trace check."""
     return trace_check(constraint_project(raw + higgs_curvature_term(theta), top), top, mid)
 
 
 def test_float_curvature_trial_makes_no_sparse_wedge(wedge_calls):
     rng = np.random.default_rng(29)
-    omegas = [random_kahler(3, rng) for _ in range(2)]
+    top, mid = schur_form_pair(Partition((2,)), [random_kahler(3, rng) for _ in range(2)], 3)
     theta = random_higgs(3, 3, rng)
-    assert curvature_trial(omegas, random_curvature(3, 3, rng), theta).passed
+    assert curvature_trial(top, mid, random_curvature(3, 3, rng), theta).passed
     assert wedge_calls == []
 
 
-def test_exact_curvature_trial_stays_on_wedge(wedge_calls):
+def test_exact_curvature_trial_makes_no_sparse_wedge(wedge_calls):
+    """Exact Schur pairs multiply by wedge; the exact curvature kernel does not."""
     rng = np.random.default_rng(31)
-    omegas = [exact_kahler(rng, 3) for _ in range(2)]
+    top, mid = schur_form_pair(Partition((2,)), [exact_kahler(rng, 3) for _ in range(2)], 3)
     raw = CurvatureMatrix([[random_exact_11(rng, 3) for _ in range(3)] for _ in range(3)],
                           check=False)
-    verdict = curvature_trial(omegas, raw, exact_higgs(rng, 3, 3))
-    assert verdict.details["backend"] == "exact" and verdict.passed
+    theta = exact_higgs(rng, 3, 3)
     assert len(wedge_calls) > 0
+    wedge_calls.clear()
+    verdict = curvature_trial(top, mid, raw, theta)
+    assert verdict.details["backend"] == "exact" and verdict.passed
+    assert wedge_calls == []

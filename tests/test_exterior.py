@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hrpairs import exterior
 from hrpairs.errors import ConsistencyError, DegreeError
 from hrpairs.exterior import (
     DenseForm,
@@ -244,12 +245,43 @@ def test_positivity_check_on_kahler_powers():
 
 
 def test_positivity_check_flags_indefinite_form():
-    H = [[Fraction(1), 0], [0, Fraction(-1)]]
-    form = form_from_hermitian(H)  # (1,1) on C^2, d-1 = 1
-    verdict = positivity_dminus1(form)
-    assert verdict.outcome == "fail"
-    assert verdict.signature == (1, 0, 1)
-    assert "pairing_matrix" in verdict.witness
+    for scale in (1, 10 ** 400):  # the float witness saturates beyond float range
+        H = [[Fraction(scale), 0], [0, Fraction(-1)]]
+        form = form_from_hermitian(H)  # (1,1) on C^2, d-1 = 1
+        verdict = positivity_dminus1(form)
+        assert verdict.outcome == "fail"
+        assert verdict.signature == (1, 0, 1)
+        assert "pairing_matrix" in verdict.witness
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_positivity_reads_the_wedge_pairing(monkeypatch, d, exact):
+    """The matrix positivity_dminus1 classifies is int(form ^ i dz_j ^ dzbar_k),
+    entry for entry, for random real (d-1,d-1)-forms."""
+    seen = []
+    original = exterior.inertia
+
+    def recording(M, zero_tol):
+        seen.append(M)
+        return original(M, zero_tol)
+
+    monkeypatch.setattr(exterior, "inertia", recording)
+    rng = np.random.default_rng(d)
+    unit = GaussianRational(0, 1) if exact else 1j
+    subsets = list(itertools.combinations(range(d), d - 1))
+    for _ in range(3):
+        raw = PPForm(d, d - 1, d - 1, {
+            (I, J): (GaussianRational(int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
+                     if exact else complex(rng.standard_normal(), rng.standard_normal()))
+            for I in subsets for J in subsets
+        })
+        form = raw + raw.conj()
+        positivity_dminus1(form)
+        want = [[integrate_top(wedge(form, PPForm.monomial(d, (j,), (k,), unit)),
+                               allow_complex=True)
+                 for k in range(d)] for j in range(d)]
+        assert seen.pop() == want
 
 
 # -- hat extension ---------------------------------------------------------

@@ -91,6 +91,13 @@ def test_signature_exact_and_float_agree():
         assert len(eigs) == n
 
 
+def test_signature_of_an_exact_matrix_beyond_float_range():
+    """The inertia stays exact; only the float eigenvalue evidence is lost."""
+    sig, eigs = signature([[Fraction(10 ** 400), 0], [0, Fraction(-1)]])
+    assert sig == (1, 0, 1)
+    assert len(eigs) == 2
+
+
 def test_signature_flags_rank_drops_exactly():
     Q = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
     assert signature(Q)[0] == (1, 1, 0)
