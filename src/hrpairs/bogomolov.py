@@ -21,8 +21,11 @@ einsums over them and over the intersection numbers of
 exterior._top_functional and exterior._mid_gram (exact for exact forms),
 which hrcheck.pointwise_hr_pair reads too; an exact operand meeting a float
 one is read in complex.  The PPForm entries are converted once, by the
-constructors, and .entries is a view built from the array.  trace_of_square
-and chern_forms stay on the sparse wedge, the Chern-Weil oracle.
+constructors, and .entries is a view built from the array.  With the
+Schur pairs of hrcheck.schur_form_pair, DenseForm products in both
+backends, a curvature trial makes no sparse wedge, exact or float.
+trace_of_square and chern_forms stay on the sparse wedge, the Chern-Weil
+oracle.
 """
 
 import math

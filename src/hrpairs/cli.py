@@ -33,6 +33,13 @@ def _die(msg):
     raise SystemExit(2)
 
 
+def _rank(text):
+    """argparse type of the rank options: a positive integer."""
+    if text.isdecimal() and int(text) > 0:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"rank must be a positive integer, got {text!r}")
+
+
 def _fraction(text):
     try:
         return Fraction(text)
@@ -528,7 +535,7 @@ def build_parser():
     p.set_defaults(fn=cmd_derived)
 
     p = sub.add_parser("twist", help="Chern classes of the twist A<t*h>")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--t", required=True)
     _add_common(p, tolerance=False)
     p.set_defaults(fn=cmd_twist)
@@ -577,7 +584,7 @@ def build_parser():
 
     p = sub.add_parser("slope", help="slope of sheaf class data")
     p.add_argument("--ring", required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--c1", required=True)
     p.add_argument("--c2", default="0")
     p.add_argument("--eta", required=True)
@@ -586,7 +593,7 @@ def build_parser():
 
     p = sub.add_parser("discriminant", help="discriminant class 2r c2 - (r-1) c1^2")
     p.add_argument("--ring", required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--c1", required=True)
     p.add_argument("--c2", default="0")
     _add_common(p, tolerance=False)
@@ -594,7 +601,7 @@ def build_parser():
 
     p = sub.add_parser("bogomolov", help="integral of the discriminant against eta")
     p.add_argument("--ring", required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--c1", required=True)
     p.add_argument("--c2", default="0")
     p.add_argument("--eta", required=True)
@@ -604,10 +611,10 @@ def build_parser():
     p = sub.add_parser("extension-identity",
                        help="slope-discriminant identity for an extension")
     p.add_argument("--ring", required=True)
-    p.add_argument("--rank-f", type=int, required=True)
+    p.add_argument("--rank-f", type=_rank, required=True)
     p.add_argument("--c1-f", required=True)
     p.add_argument("--c2-f", default="0")
-    p.add_argument("--rank-g", type=int, required=True)
+    p.add_argument("--rank-g", type=_rank, required=True)
     p.add_argument("--c1-g", required=True)
     p.add_argument("--c2-g", default="0")
     _add_common(p, tolerance=False)
@@ -615,7 +622,7 @@ def build_parser():
 
     p = sub.add_parser("trace-check", help="curvature trace positivity report")
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=_rank, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--higgs", action="store_true",
                    help="add a random nilpotent Higgs contribution")

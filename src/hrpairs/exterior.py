@@ -2,7 +2,9 @@
 
 A form is stored sparsely as coefficients c[I, J] of dz_I wedge dzbar_J with
 I, J strictly increasing index tuples (0-based).  Coefficients are Python
-complex (float backend) or GaussianRational (exact backend).
+complex (float backend) or GaussianRational (exact backend).  DenseForm
+holds a (p,p)-form as its dense coefficient matrix in either backend, for
+long products; its dtype (complex or object) is the backend.
 
 Conventions, all verified by brute-force oracles in the test suite:
 
@@ -254,10 +256,14 @@ def _merge_signs(d, p, q):
     return S
 
 
+@lru_cache(maxsize=None)
 def _signs(d, p, q, exact):
-    """_merge_signs, as Python ints in an object array for exact products."""
+    """_merge_signs, as Python ints in a read-only object array for exact products."""
     S = _merge_signs(d, p, q)
-    return S.astype(int).astype(object) if exact else S
+    if exact:
+        S = S.astype(int).astype(object)
+        S.flags.writeable = False
+    return S
 
 
 def _zeros(shape, exact):
@@ -283,12 +289,14 @@ def _volume_unit(d, exact):
 
 
 class DenseForm:
-    """Float (p,p)-form on C^d as its dense coefficient matrix.
+    """(p,p)-form on C^d as its dense coefficient matrix, in either backend.
 
     coeffs[i, j] is the coefficient of dz_I wedge dzbar_J for the i-th and
-    j-th p-subsets I, J in combinations order.  A value type for long float
-    products such as symfunc.evaluate.  With S = _merge_signs(d, p, q), the
-    wedge of Z (degree p) and W (degree q) is
+    j-th p-subsets I, J in combinations order: complex for float forms,
+    object (GaussianRational) for exact ones, so the dtype is the backend;
+    both factors of a product are in one backend.
+    A value type for long products such as symfunc.evaluate.  With
+    S = _merge_signs(d, p, q), the wedge of Z (degree p) and W (degree q) is
     V[k, l] = (-1)^(pq) sum S[k, a, b] S[l, c, e] Z[a, c] W[b, e],
     the sign rule of wedge_coeffs applied to every pair of terms at once.
     Past degree d there are no subsets, so the matrix is empty: the zero
@@ -301,20 +309,17 @@ class DenseForm:
         self.dim, self.p, self.coeffs = dim, p, coeffs
 
     @classmethod
-    def one(cls, dim):
-        return cls(dim, 0, np.ones((1, 1), dtype=complex))
-
-    @classmethod
     def from_form(cls, form):
+        """The dense copy of a (p,p)-form, exact when every coefficient is."""
         if form.p != form.q:
             raise DegreeError(f"expected a (p,p)-form, got {form!r}")
-        return cls(form.dim, form.p, _coefficient_matrix(form, False))
+        return cls(form.dim, form.p, _coefficient_matrix(form, form.is_exact()))
 
     def to_form(self):
+        """The sparse form: complex coefficients, or GaussianRational ones when exact."""
         subsets = list(_subset_index(self.dim, self.p))
         Z = self.coeffs
-        coeffs = {(subsets[i], subsets[j]): complex(Z[i, j])
-                  for i, j in zip(*np.nonzero(Z))}
+        coeffs = {(subsets[i], subsets[j]): Z.item(i, j) for i, j in zip(*np.nonzero(Z))}
         return PPForm._valid(self.dim, self.p, self.p, coeffs)
 
     def __add__(self, other):
@@ -326,10 +331,11 @@ class DenseForm:
         return DenseForm(self.dim, self.p, self.coeffs + other.coeffs)
 
     def __mul__(self, other):
+        exact = self.coeffs.dtype == object
         if not isinstance(other, DenseForm):
-            return DenseForm(self.dim, self.p, self.coeffs * complex(other))
+            return DenseForm(self.dim, self.p, self.coeffs * (other if exact else complex(other)))
         d, p, q = self.dim, self.p, other.p
-        S = _merge_signs(d, p, q)
+        S = _signs(d, p, q, exact)
         X = np.tensordot(S, self.coeffs, axes=(1, 0))  # X[k, b, c]: sum over a
         X = np.tensordot(X, other.coeffs, axes=(1, 0))  # X[k, c, e]: sum over b
         V = np.tensordot(X, S, axes=((1, 2), (1, 2)))  # V[k, l]: sum over c, e

@@ -26,14 +26,16 @@ One core, _pair_verdict, decides every pair from coordinates: the Gram
 matrix, the multiplication matrix of eta_mid, eta_top, the functional
 int(b_i * eta_top) and h.  is_hr_pair feeds it from any ring model.  Ring
 products are always exact; is_hr_pair(exact=False) decides on float copies
-of the exact matrices.  Float forms live in one encoding, the DenseForm
-coefficient matrix: schur_form_pair multiplies in it and pointwise_hr_pair
-reads its intersection numbers from it, so a float trial builds no ring
-and makes no sparse wedge; exact forms still go through wedge and
-torus_ring(d), the ground-truth oracle.
+of the exact matrices.  Forms of both backends live in one encoding, the
+DenseForm coefficient matrix (complex, or object holding GaussianRationals):
+schur_form_pair multiplies in it and pointwise_hr_pair reads its
+intersection numbers from it, so no trial builds a ring or makes a sparse
+wedge.  torus_ring(d), the same numbers by wedge, is the test suite's exact
+oracle for both.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -41,8 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingError
-from .exterior import DenseForm, PPForm, _mid_gram, _top_functional, std_kahler
-from .exterior import form_from_hermitian, hermitian_from_form
+from .exterior import DenseForm, _coefficient_matrix, _mid_gram, _top_functional, _zeros
+from .exterior import form_from_hermitian, hermitian_from_form, std_kahler
 from .linalg import (
     float_kernel_vector,
     float_signature,
@@ -52,7 +54,8 @@ from .linalg import (
     rational_nullspace,
     rational_solve,
 )
-from .ring import MAX_SWEEP_DIMENSION, _real_basis_matrix, real_coordinates, torus_ring
+from .ring import MAX_SWEEP_DIMENSION, _real_basis_matrix, real_coordinates
+from .scalars import real_part, to_float
 from .symfunc import Partition, derived, evaluate, schur
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
@@ -141,8 +144,10 @@ def _hr_property(Q, exact, zero_tol, hval=None):
         ok = lorentzian
         witness = {}
         if ok and n > 0:
-            w, v = np.linalg.eigh(np.asarray([[float(x) for x in r] for r in Q]))
-            witness["certifying_direction"] = [float(x) for x in v[:, -1]]
+            # the top eigenvector of the saturated float copy; NaN if that is not finite
+            A = np.asarray([[to_float(x) for x in r] for r in Q])
+            v = np.linalg.eigh(A)[1][:, -1] if np.isfinite(A).all() else [math.nan] * n
+            witness["certifying_direction"] = [float(x) for x in v]
     return Verdict(
         PASS if ok else FAIL, sig, eigs,
         witness=witness, tolerances=tolerances, details=details,
@@ -360,15 +365,28 @@ def _check_strictly_positive(omega, zero_tol):
         )
 
 
+def _real_values(X, form):
+    """Re X, for X pairings of form with real classes: a float array, or
+    nested lists of Fractions for exact X.
+
+    Float values are symmetrized by taking Re.  An exact form must be
+    exactly real: real_coordinates raises, naming the indices where it is
+    not, before any imaginary part could be dropped.
+    """
+    if X.dtype != object:
+        return X.real
+    real_coordinates(form)
+    return np.frompyfunc(real_part, 1, 1)(X).tolist()
+
+
 def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
     """Hodge-Riemann pair check for constant-coefficient forms.
 
     omega_top is a (d-1,d-1)-form, omega_mid a (d-2,d-2)-form and omega a
-    strictly positive (1,1)-form.  Exact forms are checked inside the full
-    (p,p)-form model torus_ring(d); float forms pair the degree-1 real
-    basis B with exterior._mid_gram and exterior._top_functional, in
-    complex also for an exact form among float ones.  Both end in the same
-    verdict core.
+    strictly positive (1,1)-form.  The degree-1 real basis B is paired
+    with exterior._mid_gram and exterior._top_functional, exactly when all
+    three forms are exact and in complex otherwise, and the verdict core
+    decides on the result; no ring model is built.
     """
     d = omega_top.dim
     if (omega_top.p, omega_top.q) != (d - 1, d - 1):
@@ -378,17 +396,16 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
     if omega.dim != d:
         raise DegreeError(f"expected a (1,1)-form on C^{d}, got {omega!r}")
     _check_strictly_positive(omega, zero_tol)
-    forms = (omega_top, omega_mid, omega)
-    if all(f.is_exact() for f in forms):
-        model = torus_ring(d)
-        return is_hr_pair(model, *(model.from_form(f) for f in forms), zero_tol=zero_tol)
-    B = _real_basis_matrix(d, 1)
-    G = _mid_gram(omega_mid).astype(complex, copy=False)
-    Q = (B @ G.reshape(d * d, d * d) @ B.T).real
-    functional = (B @ _top_functional(omega_top).astype(complex, copy=False).ravel()).real
+    exact = all(f.is_exact() for f in (omega_top, omega_mid, omega))
+    dtype = object if exact else complex
+    B = _real_basis_matrix(d, 1, exact)
+    m = _top_functional(omega_top).astype(dtype, copy=False)
+    functional = _real_values(B @ m.ravel(), omega_top)
+    G = _mid_gram(omega_mid).astype(dtype, copy=False)
+    Q = _real_values(B @ G.reshape(d * d, d * d) @ B.T, omega_mid)
     # Q = P M and functional = P top for P the pairing of degrees 1 and d-1,
     # invertible on the torus (Poincare duality): M q = top iff Q q = functional
-    return _pair_verdict(Q, Q, functional, functional, real_coordinates(omega), False,
+    return _pair_verdict(Q, Q, functional, functional, real_coordinates(omega), exact,
                          zero_tol)
 
 
@@ -409,10 +426,10 @@ def _schur_polys(lam, e):
 def schur_form_pair(lam, omegas, dim):
     """(s_lam, derived s_lam) evaluated on (1,1)-forms; the candidate pair.
 
-    Both come from one symfunc.evaluate call: exact forms multiply by
-    wedge, the ground truth, float forms as DenseForm coefficient
-    matrices.  The forms must be real (1,1)-forms on C^dim, float ones to
-    1e-9 relative, and |lam| must be dim - 1.
+    Both come from one symfunc.evaluate call over DenseForm coefficient
+    matrices, exact (GaussianRational) when every form is exact and
+    complex otherwise.  The forms must be real (1,1)-forms on C^dim, float
+    ones to 1e-9 relative, and |lam| must be dim - 1.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if lam.weight != dim - 1:
@@ -423,11 +440,10 @@ def schur_form_pair(lam, omegas, dim):
             raise DegreeError(f"expected a (1,1)-form on C^{dim}, got {w!r}")
         if not w.is_real(1e-9):
             raise ConfigError(f"{w!r} is not a real form")
+    values = [DenseForm(dim, 1, _coefficient_matrix(w, exact)) for w in omegas]
+    one = DenseForm(dim, 0, _zeros((1, 1), exact) + 1)
     polys = _schur_polys(lam, len(omegas))
-    if exact:
-        return evaluate(polys, omegas, PPForm.one(dim))
-    values = [DenseForm.from_form(w) for w in omegas]
-    return tuple(v.to_form() for v in evaluate(polys, values, DenseForm.one(dim)))
+    return tuple(v.to_form() for v in evaluate(polys, values, one))
 
 
 @dataclass

@@ -7,6 +7,7 @@ numpy; the signature takes an explicit relative zero tolerance.  inertia is
 the one entry point for signatures in both backends.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -79,8 +80,8 @@ def inertia(M, zero_tol=1e-9):
     complex entry, go through float_signature with the relative zero_tol.
     Exact input (rationals and GaussianRationals) is classified by
     rational_inertia, with no tolerance; its float eigenvalues are evidence
-    only, of a copy whose entries saturate to +-inf beyond float range (the
-    eigenvalues of such a copy are NaN).
+    only, of a copy whose entries saturate to +-inf beyond float range (NaN
+    when the copy is not finite).
     """
     if isinstance(M, np.ndarray):
         return float_signature(M, zero_tol)
@@ -89,8 +90,8 @@ def inertia(M, zero_tol=1e-9):
     hermitian = any(isinstance(x, (complex, GaussianRational)) for row in M for x in row)
     if any(isinstance(x, (float, complex)) for row in M for x in row):
         return float_signature(np.asarray(M, dtype=complex if hermitian else float), zero_tol)
-    _, eigs = float_signature([[to_complex(x) if hermitian else to_float(x) for x in row]
-                               for row in M])
+    A = np.asarray([[to_complex(x) if hermitian else to_float(x) for x in row] for row in M])
+    eigs = float_signature(A)[1] if np.isfinite(A).all() else [math.nan] * len(M)
     return rational_inertia(M), eigs
 
 

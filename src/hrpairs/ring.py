@@ -28,9 +28,11 @@ Concrete factories:
 Ring elements have exact coordinates only, Fraction or GaussianRational: a
 float coefficient raises TypeError.  Every product in a ring model is an
 exact intersection number; float work happens on matrices built from them
-(is_hr_pair(exact=False)) or, for pointwise forms, on DenseForm coefficient
-matrices, which use no ring model; _real_basis_matrix holds the real basis
-in that encoding.
+(is_hr_pair(exact=False)).  Pointwise forms of both backends are checked on
+DenseForm coefficient matrices, which use no ring model;
+_real_basis_matrix holds the real basis in that encoding.  torus_ring(d)
+serves the worked examples and is the test suite's exact oracle for those
+pointwise checks.
 """
 
 import itertools
@@ -43,7 +45,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import DenseForm, PPForm, integrate_top, std_kahler, wedge_coeffs
+from .exterior import PPForm, _coefficient_matrix, integrate_top, std_kahler, wedge_coeffs
 from .linalg import rational_solve
 from .scalars import GaussianRational, conj, i_power, imag_part, is_exact, real_part
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
@@ -392,10 +394,11 @@ def _decompose(coeffs, d, p):
 
 
 @lru_cache(maxsize=None)
-def _real_basis_matrix(d, p):
+def _real_basis_matrix(d, p, exact):
     """Read-only matrix whose row j is the j-th real basis form of degree p
-    (pp_slots order) as a flattened DenseForm coefficient matrix."""
-    B = np.array([DenseForm.from_form(f).coeffs.ravel() for _, f in _real_pp_basis(d, p)])
+    (pp_slots order) as a flattened DenseForm coefficient matrix, complex or
+    exact (GaussianRational)."""
+    B = np.array([_coefficient_matrix(f, exact).ravel() for _, f in _real_pp_basis(d, p)])
     B.flags.writeable = False
     return B
 
@@ -412,8 +415,8 @@ def real_coordinates(form):
         raise DegreeError(f"expected a (p,p)-form, got {form!r}")
     if form.is_exact():
         return _decompose(form.coeffs, form.dim, form.p)
-    B = _real_basis_matrix(form.dim, form.p)
-    z = DenseForm.from_form(form).coeffs.ravel()
+    B = _real_basis_matrix(form.dim, form.p, False)
+    z = _coefficient_matrix(form, False).ravel()
     return ((B.conj() @ z).real / (np.abs(B) ** 2).sum(axis=1)).tolist()
 
 

@@ -1,4 +1,4 @@
-"""Exact complex scalars: Gaussian rationals a + b*i with Fraction parts.
+"""Exact complex scalars: Gaussian rationals (a + b*i)/n over Python ints.
 
 The float backend uses Python ``complex`` directly.  GaussianRational
 implements the same small protocol (+, -, *, /, ``conjugate``, ``.real``,
@@ -11,35 +11,60 @@ import math
 from fractions import Fraction
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _reduced(a, b, n):
+    """(a + b*i)/n for n > 0, divided by gcd(a, b, n): the one normal form."""
+    x = object.__new__(GaussianRational)
+    g = math.gcd(a, b, n)
+    if g == 1:
+        x._a, x._b, x._n = a, b, n
+    else:
+        x._a, x._b, x._n = a // g, b // g, n // g
+    return x
 
 
 class GaussianRational:
-    __slots__ = ("re", "im")
+    """The exact complex number (a + b*i)/n, stored as Python ints a, b, n.
+
+    Every value has one normal form, n > 0 and gcd(a, b, n) = 1, so equal
+    values have equal fields; each result costs one gcd.  The parts
+    .re/.real and .im/.imag are Fractions.
+    """
+
+    __slots__ = ("_a", "_b", "_n")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._n = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        # re and im in lowest terms: (re*n, im*n, n) for n = lcm(p, q) share no factor
+        n = math.lcm(p, q)
+        self._a, self._b, self._n = re.numerator * (n // p), im.numerator * (n // q), n
 
     @property
-    def real(self):
-        return self.re
+    def re(self):
+        return Fraction(self._a, self._n)
 
     @property
-    def imag(self):
-        return self.im
+    def im(self):
+        return Fraction(self._b, self._n)
+
+    real, imag = re, im
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._n)
 
     def __add__(self, other):
+        a, b, n = self._a, self._b, self._n
         if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
+            m = other._n
+            if m == n:
+                return _reduced(a + other._a, b + other._b, n)
+            return _reduced(a * m + other._a * n, b * m + other._b * n, n * m)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
+            q = other.denominator
+            return _reduced(a * q + other.numerator * n, b * q, n * q)
         if isinstance(other, (float, complex)):
             return complex(self) + other
         return NotImplemented
@@ -47,7 +72,7 @@ class GaussianRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._n)
 
     def __sub__(self, other):
         return self + (-other)
@@ -56,13 +81,13 @@ class GaussianRational:
         return (-self) + other
 
     def __mul__(self, other):
+        a, b, n = self._a, self._b, self._n
         if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            c, e = other._a, other._b
+            return _reduced(a * c - b * e, a * e + b * c, n * other._n)
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
+            p = other.numerator
+            return _reduced(a * p, b * p, n * other.denominator)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -70,44 +95,54 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re / other, self.im / other)
         if isinstance(other, GaussianRational):
-            n = other.re * other.re + other.im * other.im
-            if n == 0:
+            c, e, m = other._a, other._b, other._n
+            norm = c * c + e * e
+            if norm == 0:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            return self * other.conjugate() / n
+            a, b = self._a * m, self._b * m
+            return _reduced(a * c + b * e, b * c - a * e, self._n * norm)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            if p == 0:
+                raise ZeroDivisionError("division by zero")
+            if p < 0:
+                p, q = -p, -q
+            return _reduced(self._a * q, self._b * q, self._n * p)
         if isinstance(other, (float, complex)):
             return complex(self) / other
         return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._n == other._n
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return (self._b == 0 and self._n == other.denominator
+                    and self._a == other.numerator)
         if isinstance(other, (float, complex)):
             return complex(self) == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b == 0:
+            return hash(Fraction(self._a, self._n))
+        return hash((self._a, self._b, self._n))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, as float(Fraction) does
+        return complex(self._a / self._n, self._b / self._n)
 
     def __repr__(self):
-        if self.im == 0:
-            return f"{self.re}"
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {abs(self.im)}*i"
+        re, im = self.re, self.im
+        if im == 0:
+            return f"{re}"
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re} {sign} {abs(im)}*i"
 
 
 #: the imaginary unit of the exact backend

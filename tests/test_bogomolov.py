@@ -616,14 +616,14 @@ def test_float_curvature_trial_makes_no_sparse_wedge(wedge_calls):
 
 
 def test_exact_curvature_trial_makes_no_sparse_wedge(wedge_calls):
-    """Exact Schur pairs multiply by wedge; the exact curvature kernel does not."""
+    """Neither the exact Schur pair nor the exact curvature kernel multiplies by wedge."""
     rng = np.random.default_rng(31)
     top, mid = schur_form_pair(Partition((2,)), [exact_kahler(rng, 3) for _ in range(2)], 3)
+    assert top.is_exact() and mid.is_exact()
     raw = CurvatureMatrix([[random_exact_11(rng, 3) for _ in range(3)] for _ in range(3)],
                           check=False)
     theta = exact_higgs(rng, 3, 3)
-    assert len(wedge_calls) > 0
-    wedge_calls.clear()
+    assert wedge_calls == []
     verdict = curvature_trial(top, mid, raw, theta)
     assert verdict.details["backend"] == "exact" and verdict.passed
     assert wedge_calls == []

@@ -448,6 +448,9 @@ MALFORMED_INPUT = [
                         "--trials", "1"],
                  id="sample-search-dim-above-cap"),
     pytest.param(None, ["trace-check", "--dim", "12"], id="trace-check-dim-above-cap"),
+    pytest.param(None, ["trace-check", "--rank", "0"], id="trace-check-rank-zero"),
+    pytest.param(None, ["trace-check", "--rank", "-1"], id="trace-check-negative-rank"),
+    pytest.param(None, ["twist", "--rank", "0", "--t", "1"], id="twist-rank-zero"),
     pytest.param({"dimension": 100000, "generators": [{"name": "x", "degree": 1},
                                                       {"name": "y", "degree": 1}]},
                  ["ring", "check", "SPEC"],

@@ -398,9 +398,10 @@ def test_dense_form_round_trip_sum_and_scalar_multiple():
     assert DenseForm.from_form(y).to_form() == y
     assert (DenseForm.from_form(x) + DenseForm.from_form(y)).to_form() == x + y
     assert (DenseForm.from_form(x) * Fraction(1, 2)).to_form() == x * 0.5
-    assert (DenseForm.one(4) * 3).to_form() == PPForm.one(4, exact=False) * 3
+    one = PPForm.one(4, exact=False)
+    assert (DenseForm.from_form(one) * 3).to_form() == one * 3
     assert DenseForm.from_form(PPForm.zero(4, 1, 1)).to_form().is_zero()
     with pytest.raises(DegreeError):
         DenseForm.from_form(PPForm.zero(4, 1, 2))
     with pytest.raises(DegreeError):
-        DenseForm.from_form(x) + DenseForm.one(4)
+        DenseForm.from_form(x) + DenseForm.from_form(one)

@@ -1,6 +1,8 @@
 """Hodge-Riemann property / pair verdicts on the worked models."""
 
 import json
+import math
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -9,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hrpairs import exterior, hrcheck, ring
 from hrpairs.errors import (
     ConfigError,
+    ConsistencyError,
     DegreeError,
     SingularPairingError,
 )
@@ -466,9 +470,10 @@ def rationalize(form):
 
 
 def exact_verdict(top, mid, omega):
-    """The pointwise check of rationalized inputs, decided exactly in torus_ring(d)."""
-    return pointwise_hr_pair(*(f if f.is_exact() else rationalize(f)
-                               for f in (top, mid, omega)))
+    """The pair check of rationalized inputs in torus_ring(d), the exact oracle."""
+    model = torus_ring(top.dim)
+    forms = (f if f.is_exact() else rationalize(f) for f in (top, mid, omega))
+    return is_hr_pair(model, *map(model.from_form, forms))
 
 
 def as_floats(values):
@@ -628,8 +633,10 @@ def test_dense_kernel_matches_torus_ring_on_the_delv_limit(eps, sign, outcome):
     dense = pointwise_hr_pair(*pair(float_forms, eps, sign, False))
     assert dense.outcome == outcome
     # the oracle takes eps and sign as the rationals they are written as
-    exact = pointwise_hr_pair(*pair(exact_forms, Fraction(str(eps)), Fraction(str(sign)), True))
-    assert_same_verdict(dense, exact)
+    exact_pair = pair(exact_forms, Fraction(str(eps)), Fraction(str(sign)), True)
+    oracle = exact_verdict(*exact_pair)
+    assert_same_verdict(dense, oracle)
+    assert pointwise_hr_pair(*exact_pair).to_dict() == oracle.to_dict()
 
 
 def test_dense_kernel_symmetrizes_a_slightly_non_real_middle_form():
@@ -699,7 +706,7 @@ def test_dense_kernel_matches_torus_ring_at_dimension_five():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_merge_sign_intersection_numbers_match_the_torus_ring(d):
     model = torus_ring(d)
-    B = _real_basis_matrix(d, 1)
+    B = _real_basis_matrix(d, 1, False)
     for k in range(len(model.basis(d - 2))):
         c = model.basis_element(d - 2, k)
         Q = B @ _mid_gram(model.to_form(c)).reshape(d * d, d * d) @ B.T
@@ -827,3 +834,79 @@ def test_bordered_restriction_counts_a_degenerate_direction():
         want = nullspace_restriction(Q, functional)
         assert want[1] > 0
         assert _restricted_negdef(Q, functional, None, True) == want
+
+
+# -- the exact pointwise check against the torus-ring oracle -----------------
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=st.sampled_from(SCHUR_CASES), seed=SEEDS, negate=st.booleans(),
+       standard=st.booleans())
+def test_exact_pointwise_verdict_is_the_torus_ring_oracle(case, seed, negate, standard):
+    """Gaussian-integer Schur pairs, the middle form negated or not, against the
+    standard Kahler form or another one."""
+    d, lam = case
+    rng = np.random.default_rng(seed)
+    top, mid = schur_form_pair(lam, [exact_kahler(d, rng) for _ in range(len(lam) + 1)], d)
+    if negate:
+        mid = mid * -1
+    omega = std_kahler(d) if standard else exact_kahler(d, rng)
+    assert pointwise_hr_pair(top, mid, omega).to_dict() == exact_verdict(top, mid, omega).to_dict()
+
+
+@pytest.mark.parametrize("part, skew", [
+    ("top", PPForm.monomial(3, (0, 1), (0, 2), GaussianRational(0, 1))),
+    ("mid", PPForm.monomial(3, (0,), (1,), GaussianRational(1))),
+    ("mid", std_kahler(3) * GaussianRational(0, 1)),  # i times a real form
+])
+def test_exact_pointwise_check_rejects_a_non_real_form(part, skew):
+    rng = np.random.default_rng(17)
+    pair = dict(zip(("top", "mid"), schur_form_pair(
+        Partition((2,)), [exact_kahler(3, rng) for _ in range(2)], 3)))
+    pair[part] = pair[part] + skew
+    with pytest.raises(ConsistencyError, match="form is not real at indices"):
+        pointwise_hr_pair(pair["top"], pair["mid"], std_kahler(3))
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Count exterior.wedge and ring.torus_ring calls, through every hrpairs
+    module that binds them."""
+    calls = []
+    for original in (exterior.wedge, ring.torus_ring):
+        def counting(*args, original=original):
+            calls.append(original.__name__)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hrpairs" and getattr(
+                    module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counting)
+    return calls
+
+
+def test_exact_schur_trial_builds_no_ring_and_makes_no_wedge(oracle_calls):
+    assert not hasattr(hrcheck, "torus_ring")
+    rng = np.random.default_rng(23)
+    for d, lam in ((3, (2,)), (4, (2, 1))):
+        top, mid = schur_form_pair(Partition(lam), [exact_kahler(d, rng) for _ in range(2)], d)
+        verdict = pointwise_hr_pair(top, mid, std_kahler(d))
+        assert verdict.passed and verdict.tolerances == {}
+    assert oracle_calls == []
+
+
+def test_exact_verdicts_beyond_float_range():
+    """Intersection numbers past float range: the decisions stay exact and the
+    float evidence (eigenvalues, certifying direction) is NaN."""
+    model = torus_ring(3)
+    omega = model.from_form(std_kahler(3))
+    big = 10 ** 400
+    pair = is_hr_pair(model, big * (omega * omega), big * omega, omega)
+    prop = has_hr_property(model, big * omega)
+    form = std_kahler(3)
+    pointwise = pointwise_hr_pair(wedge(form, form) * big, form * big, form)
+    for verdict in (pair, prop, pointwise):
+        assert (verdict.outcome, tuple(verdict.signature)) == ("pass", (1, 0, 8))
+        assert all(math.isnan(e) for e in verdict.eigenvalues)
+    assert all(math.isnan(x) for x in prop.witness["certifying_direction"])
+    assert pointwise.details == pair.details
