@@ -17,10 +17,10 @@ cross-checked against the equivalent characterization "Q_eta_mid negative
 definite on {a : int(a * eta_top) = 0} and Q_eta_mid(h, h) > 0".
 
 Verdicts carry inertia triples from signature, which is linalg.inertia: in
-the exact backend they come from rational congruence with no tolerance, and
-eigenvalues are float evidence.  The exact restricted signature of the
-kernel characterization comes from the same congruence, on the bordered
-matrix of the Gram form and the functional.
+the exact backend they come from fraction-free integer elimination with no
+tolerance, and eigenvalues are float evidence.  The exact restricted
+signature of the kernel characterization comes from the same routine, on
+the bordered matrix of the Gram form and the functional.
 
 One core, _pair_verdict, decides every pair from coordinates: the Gram
 matrix, the multiplication matrix of eta_mid, eta_top, the functional

@@ -1,10 +1,12 @@
 """Small exact/float linear algebra kernel.
 
-Exact routines work on lists of lists of Fractions (GaussianRationals for
-Hermitian inertia) and use no tolerances at all; signatures come from
-congruence (Schur complements preserve inertia).  Float routines delegate to
-numpy; the signature takes an explicit relative zero tolerance.  inertia is
-the one entry point for signatures in both backends.
+Exact routines take lists of rows of rationals (GaussianRationals for
+Hermitian inertia) and use no tolerances at all.  They eliminate in Python
+ints: each row is multiplied by the lcm of its own denominators, and
+fraction-free (Bareiss) elimination divides every update exactly by the
+previous pivot; Fractions appear again only in the results.  Float routines
+delegate to numpy; the signature takes an explicit relative zero tolerance.
+inertia is the one entry point for signatures in both backends.
 """
 
 import math
@@ -12,63 +14,99 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import GaussianRational, conj, imag_part, real_part, to_complex, to_float
+from .scalars import GaussianRational, imag_part, real_part, to_complex, to_float
+
+
+def _shape(M):
+    """(rows, cols) of a matrix given as a list of rows; ValueError if rows differ in length."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    if any(len(row) != cols for row in M):
+        raise ValueError(f"ragged matrix: row lengths {[len(row) for row in M]}")
+    return rows, cols
+
+
+def _square(M):
+    """The size n of an n x n matrix given as a list of rows; ValueError otherwise."""
+    rows, cols = _shape(M)
+    if rows != cols:
+        raise ValueError(f"matrix is {rows}x{cols}, not square")
+    return rows
+
+
+def _cleared(row):
+    """A row of rationals times the lcm of its own denominators, as Python ints."""
+    row = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
+    # a list, not a generator: a tuple built from a generator stays in
+    # CPython 3.11's free lists until a full collection, 1 MB of peak RSS
+    den = math.lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _symmetric_inertia(A):
+    """(pos, zero, neg) of a real symmetric S, given integer rows A[i] = c_i S[i], c_i > 0.
+
+    Fraction-free (Bareiss) elimination with diagonal pivots.  After each
+    step the active block is D diag(c) S', with S' the Schur complement of S
+    and D the last pivot, a principal minor of diag(c) S.  Positive row
+    scalings keep the sign of every principal minor, so each pivot of S has
+    the sign of D_k / D_(k-1).  When the active diagonal is all 0 but A[i][j]
+    is not, elimination restarts from the block |D| diag(c) S' and the
+    congruence b_i -> b_i + t b_j, t a positive multiple of S'_ij: on these
+    rows it adds A[i][j] times row j to row i and A[j][i] times column j to
+    column i, and makes the pivot 2 A[i][j] A[j][i] > 0.
+    """
+    pos = zero = neg = 0
+    prev = 1
+    while A:
+        k = next((k for k, row in enumerate(A) if row[k]), None)
+        if k is None:
+            pair = next(((i, j) for i, row in enumerate(A)
+                         for j in range(i + 1, len(A)) if row[j]), None)
+            if pair is None:
+                zero += len(A)
+                break
+            if prev < 0:
+                A = [[-x for x in row] for row in A]
+            prev = 1
+            i, j = pair
+            t, u = A[i][j], A[j][i]
+            A[i] = [x + t * y for x, y in zip(A[i], A[j])]
+            for row in A:
+                row[i] += row[j] * u
+            k = i
+        top = A.pop(k)
+        p = top.pop(k)
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for idx, row in enumerate(A):
+            a = row.pop(k)
+            A[idx] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return pos, zero, neg
 
 
 def rational_inertia(Q):
     """Inertia (positive, zero, negative) of an exact symmetric or Hermitian matrix.
 
-    Entries are rationals or GaussianRationals.  Repeatedly splits off 1x1
-    pivots by Schur complement; when every active diagonal entry vanishes but
-    some off-diagonal entry a = A[i][j] does not, the congruence
-    b_i -> b_i + a b_j manufactures the pivot 2|a|^2.
+    Entries are rationals or GaussianRationals.  A Hermitian H = R + iJ is
+    decided through the real symmetric [[R, -J], [J, R]], whose eigenvalues
+    are those of H, each twice.  Each row is cleared by its own denominators
+    and eliminated in integers (_symmetric_inertia).
     """
-    n = len(Q)
-    if any(imag_part(x) != 0 for row in Q for x in row):
-        A = [[GaussianRational(real_part(x), imag_part(x)) for x in row] for row in Q]
-    else:
-        A = [[Fraction(real_part(x)) for x in row] for row in Q]
-    for i in range(n):
-        for j in range(i, n):
-            if A[i][j] != conj(A[j][i]):
-                raise ValueError("matrix is not symmetric or Hermitian")
-    active = list(range(n))
-    pos = neg = zero = 0
-    while active:
-        piv = next((k for k in active if A[k][k] != 0), None)
-        if piv is None:
-            pair = None
-            for a, i in enumerate(active):
-                for j in active[a + 1:]:
-                    if A[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                zero += len(active)
-                break
-            i, j = pair
-            c = A[i][j]
-            for k in range(n):
-                A[i][k] = A[i][k] + c * A[j][k]
-            c = conj(c)
-            for k in range(n):
-                A[k][i] = A[k][i] + A[k][j] * c
-            piv = i
-        d = real_part(A[piv][piv])
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        active.remove(piv)
-        row = A[piv]
-        for i in active:
-            if A[i][piv] == 0:
-                continue
-            f = A[i][piv] / d
-            for j in active:
-                A[i][j] -= f * row[j]
+    _square(Q)
+    hermitian = any(imag_part(x) for row in Q for x in row)
+    S = [[real_part(x) for x in row] for row in Q]
+    if hermitian:
+        J = [[imag_part(x) for x in row] for row in Q]
+        S = [r + [-x for x in j] for r, j in zip(S, J)] + [j + r for r, j in zip(S, J)]
+    if any(S[i][j] != S[j][i] for i in range(len(S)) for j in range(i)):
+        raise ValueError("matrix is not symmetric or Hermitian")
+    pos, zero, neg = _symmetric_inertia([_cleared(row) for row in S])
+    if hermitian:
+        return pos // 2, zero // 2, neg // 2
     return pos, zero, neg
 
 
@@ -84,8 +122,10 @@ def inertia(M, zero_tol=1e-9):
     when the copy is not finite).
     """
     if isinstance(M, np.ndarray):
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError(f"matrix of shape {M.shape} is not square")
         return float_signature(M, zero_tol)
-    if len(M) == 0:
+    if _square(M) == 0:
         return (0, 0, 0), []
     hermitian = any(isinstance(x, (complex, GaussianRational)) for row in M for x in row)
     if any(isinstance(x, (float, complex)) for row in M for x in row):
@@ -122,29 +162,49 @@ def det(rows, one):
     return minor(tuple(range(n)))
 
 
-def rational_rref(M):
-    """Row-reduce a rational matrix in place; returns (rref, pivot_columns)."""
-    A = [[Fraction(x) for x in row] for row in M]
+def _eliminate(A, cols, jordan):
+    """Fraction-free (Bareiss) row reduction of the integer rows A, in place.
+
+    Pivots are the first nonzero entries of columns < cols, top to bottom,
+    with row swaps.  Each update row_i <- (p row_i - a_i row_r) / prev, with p
+    the new pivot and prev the one before, divides exactly (Sylvester's
+    identity): every entry stays a minor of the input.  Without jordan only
+    the rows below a pivot are reduced (an echelon form); with jordan the
+    rows above too, and A ends as its last pivot times the reduced row
+    echelon form.  Returns (pivot columns, last pivot).
+    """
     rows = len(A)
-    cols = len(A[0]) if rows else 0
     pivots = []
-    r = 0
+    prev = 1
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c] != 0), None)
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if A[i][c]), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        d = A[r][c]
-        A[r] = [x / d for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        top = A[r]
+        p = top[c]
+        for i in range(0 if jordan else r + 1, rows):
+            if i != r:
+                a = A[i][c]
+                A[i] = [(p * x - a * y) // prev for x, y in zip(A[i], top)]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return A, pivots
+        prev = p
+    return pivots, prev
+
+
+def rational_rref(M):
+    """Reduced row echelon form of a rational matrix: (rows of Fractions, pivot columns).
+
+    Each row is cleared by its own denominators, which changes no reduced
+    row echelon form, and reduced in integers (_eliminate).
+    """
+    _, cols = _shape(M)
+    A = [_cleared(row) for row in M]
+    pivots, last = _eliminate(A, cols, jordan=True)
+    return [[Fraction(x, last) for x in row] for row in A], pivots
 
 
 def rational_nullspace(M):
@@ -165,20 +225,26 @@ def rational_nullspace(M):
 
 
 def rational_solve(M, b):
-    """Solve M x = b exactly; returns None when no solution exists."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    aug = [[Fraction(x) for x in M[i]] + [Fraction(b[i])] for i in range(rows)]
-    A, pivots = rational_rref(aug)
-    for row in A:
-        if all(x == 0 for x in row[:cols]) and row[cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        if pc == cols:
-            return None
-        x[pc] = A[r][cols]
-    return x
+    """Solve M x = b exactly; returns None when no solution exists.
+
+    Of many solutions, the one whose non-pivot unknowns are 0, as read off
+    the RREF.  Rows of [M | b] are cleared one by one and brought to echelon
+    form (_eliminate); back substitution then runs on X = last * x, with
+    last the last pivot, which is an integer vector by Cramer's rule.
+    """
+    rows, cols = _shape(M)
+    if len(b) != rows:
+        raise ValueError(f"right-hand side has {len(b)} entries for a {rows}x{cols} matrix")
+    A = [_cleared([*row, rhs]) for row, rhs in zip(M, b)]
+    pivots, last = _eliminate(A, cols + 1, jordan=False)
+    if pivots and pivots[-1] == cols:
+        return None
+    X = [0] * cols
+    for r in reversed(range(len(pivots))):
+        row = A[r]
+        rest = sum(row[c] * X[c] for c in pivots[r + 1:])
+        X[pivots[r]] = (last * row[cols] - rest) // row[pivots[r]]
+    return [Fraction(x, last) for x in X]
 
 
 def float_signature(Q, zero_tol=1e-9):

@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from hrpairs import hrcheck, ring
+from hrpairs import hrcheck, linalg, ring
 from hrpairs.exterior import std_kahler
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -39,3 +39,26 @@ def test_spans_record_an_exact_multiply_and_a_from_form_then_restore():
     assert table["ring.multiply_exact.pairs_visited"] == len(omega.coeffs) ** 2
     assert (ring.RingModel.__dict__["_multiply"], ring.TorusModel.__dict__["from_form"],
             hrcheck.gram) == originals
+
+
+def test_spans_count_the_exact_linear_algebra_of_a_pair_verdict_then_restore():
+    spans = load_spans()
+    model = ring.torus_ring(3)
+    omega = model.from_form(std_kahler(3))
+    originals = (linalg.rational_inertia, linalg.rational_solve, hrcheck.rational_inertia,
+                 hrcheck.rational_solve, ring.rational_solve)
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        tracer.begin_op(0)
+        verdict = hrcheck.is_hr_pair(model, omega * omega, omega, omega)
+        tracer.end_op()
+    finally:
+        restore()
+    assert (verdict.outcome, tuple(verdict.signature)) == ("pass", (1, 0, 8))
+    table = tracer.layer_table(1)
+    assert table["linalg.rational_inertia.calls"] == 2  # Q, then the bordered matrix
+    assert table["linalg.rational_solve.calls"] == 1
+    assert table["linalg.rational_inertia.n_max"] == 10
+    assert (linalg.rational_inertia, linalg.rational_solve, hrcheck.rational_inertia,
+            hrcheck.rational_solve, ring.rational_solve) == originals
