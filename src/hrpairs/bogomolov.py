@@ -23,9 +23,8 @@ which hrcheck.pointwise_hr_pair reads too; an exact operand meeting a float
 one is read in complex.  The PPForm entries are converted once, by the
 constructors, and .entries is a view built from the array.  With the
 Schur pairs of hrcheck.schur_form_pair, DenseForm products in both
-backends, a curvature trial makes no sparse wedge, exact or float.
-trace_of_square and chern_forms stay on the sparse wedge, the Chern-Weil
-oracle.
+backends, a curvature trial makes no sparse wedge, exact or float; the
+test suite keeps the sparse Chern-Weil forms as its oracle.
 """
 
 import math
@@ -34,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError
-from .exterior import PPForm, _mid_gram, _top_functional, _zeros, wedge
+from .exterior import PPForm, _mid_gram, _top_functional, _zeros
 from .scalars import GaussianRational, imag_part, magnitude, negligible, real_part, to_float
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
@@ -256,26 +255,6 @@ def trace_free_part(F):
     diag = np.arange(F.size)
     A[diag, diag] -= np.einsum("iiab->ab", A) / F.size
     return CurvatureMatrix._of(A)
-
-
-def trace_of_square(F):
-    """tr(F ^ F) = sum_ij F_ij ^ F_ji as a (2,2)-form."""
-    E = F.entries
-    total = PPForm.zero(F.dim, 2, 2)
-    for i in range(F.size):
-        for j in range(F.size):
-            total = total + wedge(E[i][j], E[j][i])
-    return total
-
-
-def chern_forms(F):
-    """(c1-form, c2-form) of a curvature matrix, floats, with the 2pi factors."""
-    t1 = F.trace()
-    t1sq = wedge(t1, t1)
-    t2 = trace_of_square(F)
-    c1 = t1 * complex(0.0, 1.0 / (2.0 * math.pi))
-    c2 = (t2 - t1sq) * (1.0 / (8.0 * math.pi ** 2))
-    return c1, c2
 
 
 def _check_form(name, form, d, k):

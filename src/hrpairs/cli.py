@@ -33,11 +33,24 @@ def _die(msg):
     raise SystemExit(2)
 
 
-def _rank(text):
-    """argparse type of the rank options: a positive integer."""
-    if text.isdecimal() and int(text) > 0:
-        return int(text)
-    raise argparse.ArgumentTypeError(f"rank must be a positive integer, got {text!r}")
+def _checked(convert, what, ok=lambda value: True):
+    """An argparse type: convert(text), refused unless it converts and ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ValueError, ConfigError):
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+_rank = _checked(int, "a positive integer", lambda n: n > 0)
+_count = _checked(int, "a non-negative integer", lambda n: n >= 0)  # --vars, --order, --upto
+_partition = _checked(Partition.parse, "a partition such as 2,1")
+_tolerance = _checked(float, "a finite non-negative number",
+                      lambda x: math.isfinite(x) and x >= 0)
 
 
 def _fraction(text):
@@ -136,7 +149,7 @@ def _fixture(name):
 
 
 def cmd_schur(args):
-    lam = Partition.parse(args.partition)
+    lam = args.partition
     p = schur(lam, args.vars)
     if args.json:
         print(json.dumps({"partition": str(lam), "vars": args.vars, "schur": str(p)}))
@@ -146,7 +159,7 @@ def cmd_schur(args):
 
 
 def cmd_derived(args):
-    lam = Partition.parse(args.partition)
+    lam = args.partition
     p = derived(schur(lam, args.vars), args.order)
     if args.json:
         print(json.dumps({
@@ -226,7 +239,7 @@ def cmd_gram(args):
     model = _load_ring(args.ring)
     Q = hrcheck.gram(model, _element(model, args.eta, model.dimension - 2))
     if args.backend == "float":
-        Q = [[float(x) for x in row] for row in Q]
+        Q = hrcheck.float_copy(Q, "Gram matrix").tolist()
     if args.json:
         print(json.dumps({"eta": args.eta, "gram": jsonable(Q)}, indent=2))
     else:
@@ -359,10 +372,7 @@ def cmd_trace_check(args):
         except (OSError, KeyError, ValueError, TypeError, DegreeError, ConfigError) as exc:
             _die(f"cannot load curvature data: {exc}")
     else:
-        try:
-            hrcheck.check_sweep_dimension(args.dim)
-        except ConfigError as exc:
-            _die(str(exc))
+        hrcheck.check_sweep_dimension(args.dim)
         (top, mid), rng = _seeded_schur_pair(args.dim, args.seed)
         raw = bg.random_curvature(args.rank, args.dim, rng)
         if args.higgs:
@@ -377,13 +387,10 @@ def cmd_trace_check(args):
 
 
 def cmd_sample_search(args):
-    try:
-        report = hrcheck.sample_search(
-            args.dim, args.vars, args.partition,
-            trials=args.trials, seed=args.seed, zero_tol=args.tolerance,
-        )
-    except ConfigError as exc:
-        _die(str(exc))
+    report = hrcheck.sample_search(
+        args.dim, args.vars, args.partition,
+        trials=args.trials, seed=args.seed, zero_tol=args.tolerance,
+    )
     if args.json:
         print(report.to_json(indent=2))
     else:
@@ -506,7 +513,7 @@ def cmd_demo_nonhr(args):
 def _add_common(p, tolerance=True, backend=False):
     p.add_argument("--json", action="store_true", help="machine-readable output")
     if tolerance:
-        p.add_argument("--tolerance", type=float, default=1e-9,
+        p.add_argument("--tolerance", type=_tolerance, default=1e-9,
                        help="relative zero tolerance for float signatures")
     if backend:
         p.add_argument("--backend", choices=("exact", "float"), default="exact",
@@ -522,15 +529,15 @@ def build_parser():
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("schur", help="Schur polynomial in the e-basis")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--vars", type=int, required=True)
+    p.add_argument("--partition", type=_partition, required=True)
+    p.add_argument("--vars", type=_count, required=True)
     _add_common(p, tolerance=False)
     p.set_defaults(fn=cmd_schur)
 
     p = sub.add_parser("derived", help="derived polynomial of a Schur class")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--order", type=int, default=1)
+    p.add_argument("--partition", type=_partition, required=True)
+    p.add_argument("--vars", type=_count, required=True)
+    p.add_argument("--order", type=_count, default=1)
     _add_common(p, tolerance=False)
     p.set_defaults(fn=cmd_derived)
 
@@ -542,7 +549,7 @@ def build_parser():
 
     p = sub.add_parser("segre", help="Segre classes from rational Chern classes")
     p.add_argument("--chern", required=True, help="comma-separated c_1,...,c_e")
-    p.add_argument("--upto", type=int)
+    p.add_argument("--upto", type=_count)
     _add_common(p, tolerance=False)
     p.set_defaults(fn=cmd_segre)
 
@@ -634,8 +641,8 @@ def build_parser():
 
     p = sub.add_parser("sample-search", help="randomized Schur-pair search")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--partition", required=True)
+    p.add_argument("--vars", type=_count, required=True)
+    p.add_argument("--partition", type=_partition, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
@@ -662,6 +669,8 @@ def main(argv=None):
         fn = args.fn
     try:
         return fn(args)
+    except ConfigError as exc:  # a value the program cannot use
+        _die(str(exc))
     except HRPairsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

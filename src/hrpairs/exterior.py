@@ -202,20 +202,10 @@ def wedge(x, y):
     p, q = x.p + y.p, x.q + y.q
     if p > x.dim or q > x.dim:
         return PPForm.zero(x.dim, min(p, x.dim), min(q, x.dim))
-    return PPForm._valid(x.dim, p, q, wedge_coeffs(x.coeffs, y.coeffs, x.q, y.p))
-
-
-def wedge_coeffs(xc, yc, xq, yp):
-    """Coefficient dict of the wedge of coefficient dicts xc and yc.
-
-    xq is the antiholomorphic degree of the left factor and yp the
-    holomorphic degree of the right one (they fix the sign of moving dzbar_J1
-    past dz_I2); no dimension or bidegree checks.
-    """
-    cross = (-1) ** (xq * yp)
+    cross = (-1) ** (x.q * y.p)  # moving dzbar_J1 past dz_I2
     coeffs = {}
-    for (I1, J1), c1 in xc.items():
-        for (I2, J2), c2 in yc.items():
+    for (I1, J1), c1 in x.coeffs.items():
+        for (I2, J2), c2 in y.coeffs.items():
             si, I = _merge(I1, I2)
             if si == 0:
                 continue
@@ -229,7 +219,7 @@ def wedge_coeffs(xc, yc, xq, yp):
                 coeffs.pop(k, None)
             else:
                 coeffs[k] = s
-    return coeffs
+    return PPForm._valid(x.dim, p, q, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -298,7 +288,7 @@ class DenseForm:
     A value type for long products such as symfunc.evaluate.  With
     S = _merge_signs(d, p, q), the wedge of Z (degree p) and W (degree q) is
     V[k, l] = (-1)^(pq) sum S[k, a, b] S[l, c, e] Z[a, c] W[b, e],
-    the sign rule of wedge_coeffs applied to every pair of terms at once.
+    the sign rule of wedge applied to every pair of terms at once.
     Past degree d there are no subsets, so the matrix is empty: the zero
     form.
     """

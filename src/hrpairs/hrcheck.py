@@ -30,8 +30,9 @@ of the exact matrices.  Forms of both backends live in one encoding, the
 DenseForm coefficient matrix (complex, or object holding GaussianRationals):
 schur_form_pair multiplies in it and pointwise_hr_pair reads its
 intersection numbers from it, so no trial builds a ring or makes a sparse
-wedge.  torus_ring(d), the same numbers by wedge, is the test suite's exact
-oracle for both.
+wedge.  torus_ring(d), the same numbers as exact ring products, is the test
+suite's oracle for both, and the test suite checks its product tables
+against the sparse wedge.
 """
 
 import json
@@ -54,7 +55,7 @@ from .linalg import (
     rational_nullspace,
     rational_solve,
 )
-from .ring import MAX_SWEEP_DIMENSION, _real_basis_matrix, real_coordinates
+from .ring import MAX_SWEEP_DIMENSION, _check_real, _real_basis_matrix, real_coordinates
 from .scalars import real_part, to_float
 from .symfunc import Partition, derived, evaluate, schur
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
@@ -219,6 +220,18 @@ def _restricted_negdef(Q, functional, zero_tol, exact):
     return sig
 
 
+def float_copy(values, name):
+    """values (exact numbers, nested lists) as a float array; ConfigError
+    naming the first entry beyond float range."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        index = next(i for i, x in np.ndenumerate(np.asarray(values, dtype=object))
+                     if math.isinf(to_float(x)))
+        raise ConfigError(f"{name} entry {list(index)} does not fit in a float; "
+                          "decide with the exact backend") from None
+
+
 def _pair_verdict(Q, M, top, functional, h, exact, zero_tol):
     """The Hodge-Riemann pair verdict from coordinates; every pair check ends here.
 
@@ -226,16 +239,15 @@ def _pair_verdict(Q, M, top, functional, h, exact, zero_tol):
     multiplication by eta_mid from degree 1 to degree d-1, top the
     coordinates of eta_top, functional[i] = int(b_i * eta_top) and h the
     coordinates of h.  Exact input is lists of rationals; otherwise each is
-    taken as a float array.
+    taken as a float array (float_copy: ConfigError beyond float range).
 
     Any zero inertia along the way yields outcome "degenerate" (never a hard
     pass/fail); otherwise the kernel characterization is recomputed and a
     disagreement raises ConsistencyError.
     """
     if not exact:
-        Q, M, top, functional, h = (
-            np.asarray(a, dtype=float) for a in (Q, M, top, functional, h)
-        )
+        names = ("Gram matrix", "multiplication matrix", "eta_top", "functional", "h")
+        Q, M, top, functional, h = map(float_copy, (Q, M, top, functional, h), names)
     tolerances = {} if exact else {"zero_tol": zero_tol}
     hval = _quadratic_value(Q, h, exact)
     prop = _hr_property(Q, exact, zero_tol, hval)
@@ -314,8 +326,8 @@ def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9, exact=True):
 
     The Gram matrix, the multiplication matrix, eta_top and the functional
     are built from exact ring products.  With exact=False the decision runs
-    on float copies of them with the relative zero_tol; see _pair_verdict
-    for the verdict rules.
+    on float copies of them with the relative zero_tol, and an entry beyond
+    float range raises ConfigError; see _pair_verdict for the verdict rules.
     """
     d = model.dimension
     if eta_top.degree != d - 1 or eta_mid.degree != d - 2:
@@ -370,12 +382,12 @@ def _real_values(X, form):
     nested lists of Fractions for exact X.
 
     Float values are symmetrized by taking Re.  An exact form must be
-    exactly real: real_coordinates raises, naming the indices where it is
+    exactly real: ring._check_real raises, naming the indices where it is
     not, before any imaginary part could be dropped.
     """
     if X.dtype != object:
         return X.real
-    real_coordinates(form)
+    _check_real(form)
     return np.frompyfunc(real_part, 1, 1)(X).tolist()
 
 

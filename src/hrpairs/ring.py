@@ -8,13 +8,15 @@ RingModel.check_axioms() proves commutativity and associativity on basis
 elements exhaustively.  It runs where a ring enters from outside the program,
 in ring_from_spec (JSON specs, the CLI's --ring).  The torus, subring,
 projective-bundle and X x P^1 models are built from products that are
-associative by construction (wedge, ambient products, rewrite normal forms);
-the test suite checks their axioms instead of every process start.
+associative by construction (the exterior product, ambient products, rewrite
+normal forms); the test suite checks their axioms instead of every process
+start.
 
 Concrete factories:
 
   * torus_ring(d)        -- real (p,p)-classes on C^d mod lattice, bases of
-                            C(d,p)^2 explicit forms, products by wedge;
+                            C(d,p)^2 forms from one integer Hermitian basis,
+                            products by the DenseForm sign rule;
   * subring(model, gens) -- the graded subring generated by degree-1 classes;
   * relation_ring(...)   -- monomial bases cut out by rewrite rules, e.g.
                             P(O+O+O(-1)) over P^1 via f^2 -> 0, xi^3 -> -xi^2*f;
@@ -29,10 +31,14 @@ Ring elements have exact coordinates only, Fraction or GaussianRational: a
 float coefficient raises TypeError.  Every product in a ring model is an
 exact intersection number; float work happens on matrices built from them
 (is_hr_pair(exact=False)).  Pointwise forms of both backends are checked on
-DenseForm coefficient matrices, which use no ring model;
-_real_basis_matrix holds the real basis in that encoding.  torus_ring(d)
-serves the worked examples and is the test suite's exact oracle for those
-pointwise checks.
+DenseForm coefficient matrices, which use no ring model.
+
+The real basis of (p,p)-forms is written down once, as the integer arrays of
+_hermitian_basis; its labels, the DenseForm encoding _real_basis_matrix,
+real_coordinates, form_from_real_coordinates and the torus product tables
+(real_product_table, with the _merge_signs tables of the dense kernels) are
+all read from it.  torus_ring(d) serves the worked examples and is the test
+suite's exact oracle for the pointwise checks.
 """
 
 import itertools
@@ -45,7 +51,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import PPForm, _coefficient_matrix, integrate_top, std_kahler, wedge_coeffs
+from .exterior import DenseForm, _coefficient_matrix, _merge_signs, _subset_index, std_kahler
 from .linalg import rational_solve
 from .scalars import GaussianRational, conj, i_power, imag_part, is_exact, real_part
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
@@ -341,141 +347,145 @@ def pp_slots(d, p):
     return slots
 
 
-def _real_pp_basis(d, p):
-    """Labelled real basis of constant (p,p)-forms on C^d, in pp_slots order."""
-    if p == 0:
-        return [("1", PPForm.one(d))]
-    ip = i_power(p * p)
-    ip1 = i_power(p * p + 1)
+@lru_cache(maxsize=None)
+def _hermitian_basis(d, p):
+    """Read-only int64 arrays (X, Y), each of shape (m^2, m, m) for m = C(d, p).
 
-    def tag(S):
-        return ",".join(str(i + 1) for i in S)
-
-    out = []
+    The j-th real basis form of degree p, in pp_slots order, has coefficient
+    matrix i^(p^2) (X[j] + i Y[j]), and X[j] + i Y[j] is Hermitian: 1 at
+    (I, I) for u[I]; 1 at (I, J) and (J, I) for x[I|J]; i at (I, J) and -i
+    at (J, I) for y[I|J].
+    """
+    index, m = _subset_index(d, p), comb(d, p)
+    X = np.zeros((m * m, m, m), dtype=np.int64)
+    Y = np.zeros_like(X)
     for (I, J), slot in pp_slots(d, p).items():
-        if len(slot) == 1:
-            out.append((f"u[{tag(I)}]", PPForm.monomial(d, I, I, ip)))
-        else:
-            out.append(
-                (f"x[{tag(I)}|{tag(J)}]",
-                 PPForm(d, p, p, {(I, J): ip, (J, I): ip}))
-            )
-            out.append(
-                (f"y[{tag(I)}|{tag(J)}]",
-                 PPForm(d, p, p, {(I, J): ip1, (J, I): -ip1}))
-            )
-    return out
+        a, b = index[I], index[J]
+        X[slot[0], a, b] = X[slot[0], b, a] = 1
+        if len(slot) == 2:
+            Y[slot[1], a, b], Y[slot[1], b, a] = 1, -1
+    X.flags.writeable = Y.flags.writeable = False
+    return X, Y
 
 
-def _decompose(coeffs, d, p):
-    """Exact coordinates of a real (p,p)-form's coefficients in the real basis."""
-    coords = [Fraction(0)] * comb(d, p) ** 2
-    sign = -1 if (p * p) % 2 else 1
-    slots = pp_slots(d, p)
-    # each stored (I, J) with a nonzero c[I, J] or c[J, I], once
-    for I, J in {k if k in slots else k[::-1] for k in coeffs}:
-        slot = slots[(I, J)]
-        cIJ = coeffs.get((I, J), GaussianRational(0))
-        cJI = coeffs.get((J, I), GaussianRational(0))
-        # reality: c[J,I] = (-1)^(p^2) conj(c[I,J]); reject anything else
-        if sign * conj(cJI) != cIJ:
-            raise ConsistencyError(
-                f"form is not real at indices {(I, J)}: {cIJ} vs {cJI}"
-            )
-        z = cIJ * i_power(-(p * p))
-        if len(slot) == 1:
-            if imag_part(z) != 0:
-                raise ConsistencyError(f"diagonal coefficient {z} not real")
-            coords[slot[0]] = Fraction(real_part(z))
-        else:
-            coords[slot[0]] = Fraction(real_part(z))
-            coords[slot[1]] = Fraction(imag_part(z))
-    return coords
+@lru_cache(maxsize=None)
+def _slot_positions(d, p):
+    """(rows, cols, imag): coordinate k of a Hermitian H in the basis of
+    _hermitian_basis is Im H[rows[k], cols[k]] where imag[k], else Re."""
+    X, Y = _hermitian_basis(d, p)
+    _, rows, cols = np.nonzero(np.triu(X | Y))
+    return rows, cols, Y.any(axis=(1, 2))
+
+
+def _real_labels(d, p):
+    """Labels u[I], x[I|J], y[I|J] (1-based) of the real basis of degree p in
+    pp_slots order; "1" in degree 0."""
+    if p == 0:
+        return ["1"]
+    tag = [",".join(str(i + 1) for i in S) for S in _subset_index(d, p)]
+    return [f"u[{tag[a]}]" if a == b else f"{'xy'[im]}[{tag[a]}|{tag[b]}]"
+            for a, b, im in zip(*(v.tolist() for v in _slot_positions(d, p)))]
 
 
 @lru_cache(maxsize=None)
 def _real_basis_matrix(d, p, exact):
-    """Read-only matrix whose row j is the j-th real basis form of degree p
-    (pp_slots order) as a flattened DenseForm coefficient matrix, complex or
-    exact (GaussianRational)."""
-    B = np.array([_coefficient_matrix(f, exact).ravel() for _, f in _real_pp_basis(d, p)])
+    """Read-only matrix whose row j is i^(p^2) (X[j] + i Y[j]) of
+    _hermitian_basis flattened: the j-th real basis form of degree p as a
+    DenseForm coefficient matrix, complex or exact (GaussianRational)."""
+    X, Y = (a.reshape(len(a), -1) for a in _hermitian_basis(d, p))
+    re, im = (-Y, X) if p % 2 else (X, Y)  # i^(p^2) is i for odd p, 1 for even p
+    B = np.frompyfunc(GaussianRational, 2, 1)(re, im) if exact else re + 1j * im
     B.flags.writeable = False
     return B
+
+
+def _check_real(form):
+    """Raise ConsistencyError, naming the indices, unless the exact (p,p)-form
+    is exactly real: c[J, I] = (-1)^(p^2) conj(c[I, J]) for every (I, J)."""
+    sign = -1 if form.p % 2 else 1
+    get = form.coeffs.get
+    for (I, J), c in form.coeffs.items():
+        mirror = get((J, I), 0)
+        if sign * conj(mirror) != c:
+            raise ConsistencyError(f"form is not real at indices {(I, J)}: {c} vs {mirror}")
 
 
 def real_coordinates(form):
     """Coordinates of a real (p,p)-form in the real basis of pp_slots.
 
-    Exact forms give Fractions and must be real.  Float forms give floats:
-    the basis is orthogonal under Re<.,.>, so the coordinates are the
-    projection Re(conj(B) z) / |b_j|^2 of the flattened coefficients z,
-    which takes the real part of slightly non-real input.
+    They are read from the Hermitian part of H = i^(-p^2) Z, Z the
+    coefficient matrix: u[I] = H[I, I], x[I|J] = Re H[I, J] and
+    y[I|J] = Im H[I, J].  Exact forms must be exactly real and give
+    Fractions; float forms give floats, and the Hermitian part takes the
+    real part of slightly non-real input.
     """
     if form.p != form.q:
         raise DegreeError(f"expected a (p,p)-form, got {form!r}")
-    if form.is_exact():
-        return _decompose(form.coeffs, form.dim, form.p)
-    B = _real_basis_matrix(form.dim, form.p, False)
-    z = _coefficient_matrix(form, False).ravel()
-    return ((B.conj() @ z).real / (np.abs(B) ** 2).sum(axis=1)).tolist()
+    d, p, exact = form.dim, form.p, form.is_exact()
+    if exact:
+        _check_real(form)
+    unit = i_power(-p * p)
+    H = _coefficient_matrix(form, exact) * (unit if exact else complex(unit))
+    H = (H + H.conj().T) / 2
+    rows, cols, imag = _slot_positions(d, p)
+    return [imag_part(z) if im else real_part(z)
+            for z, im in zip(H[rows, cols].tolist(), imag.tolist())]
 
 
 def real_product_table(d, p, q):
     """Products of the real bases of degrees p and q on C^d, p + q <= d.
 
     {(i, j): ((k, c), ...)} lists the nonzero exact coordinates c of
-    b_i * b_j in degree p + q, multiplied by the wedge rule.
+    b_i * b_j in degree p + q.  For the Hermitian matrices H_i, H_j of
+    _hermitian_basis and S = _merge_signs(d, p, q), the DenseForm product
+    rule gives b_i * b_j = i^((p+q)^2) S (H_i (x) H_j) S^T, since
+    i^(p^2) i^(q^2) (-1)^(pq) = i^((p+q)^2); the coordinates are read at the
+    slots of that Hermitian matrix, all pairs in one integer einsum.
     """
-    right = [f for _, f in _real_pp_basis(d, q)]
+    S = _merge_signs(d, p, q).astype(np.int64)
+    A, B = np.stack(_hermitian_basis(d, p)), np.stack(_hermitian_basis(d, q))
+    # T[s, t, i, j] = S (A[s, i] (x) B[t, j]) S^T over real and imaginary parts s, t
+    T = np.einsum("kab,lce,siac,tjbe->stijkl", S, S, A, B, optimize=True)
+    re, im = T[0, 0] - T[1, 1], T[0, 1] + T[1, 0]
+    rows, cols, imag = _slot_positions(d, p + q)
+    C = np.where(imag, im[..., rows, cols], re[..., rows, cols])
     table = {}
-    for i, (_, fi) in enumerate(_real_pp_basis(d, p)):
-        for j, fj in enumerate(right):
-            coords = _decompose(wedge_coeffs(fi.coeffs, fj.coeffs, p, q), d, p + q)
-            entries = tuple((k, c) for k, c in enumerate(coords) if c != 0)
-            if entries:
-                table[(i, j)] = entries
-    return table
+    nonzero = np.nonzero(C)
+    for i, j, k, c in zip(*(a.tolist() for a in nonzero), C[nonzero].tolist()):
+        table.setdefault((i, j), []).append((k, Fraction(c)))
+    return {key: tuple(entries) for key, entries in table.items()}
 
 
 def form_from_real_coordinates(d, p, coords):
     """The real (p,p)-form on C^d with coordinates coords in the basis of pp_slots.
 
-    Inverse of real_coordinates: exact coordinates give GaussianRational
-    coefficients, float ones complex coefficients.
+    Inverse of real_coordinates: coords times _real_basis_matrix, so exact
+    coordinates give GaussianRational coefficients and float ones complex
+    coefficients.
     """
     coords = list(coords)
-    if len(coords) != comb(d, p) ** 2:
+    m = comb(d, p)
+    if len(coords) != m * m:
         raise DegreeError(
-            f"{len(coords)} coordinates for real ({p},{p})-forms on C^{d}, "
-            f"need {comb(d, p) ** 2}"
+            f"{len(coords)} coordinates for real ({p},{p})-forms on C^{d}, need {m * m}"
         )
     exact = all(is_exact(c) for c in coords)
-    scalar = GaussianRational if exact else complex
-    unit = i_power(p * p) if exact else 1j ** (p * p % 4)
-    coeffs = {}
-    for (I, J), slot in pp_slots(d, p).items():
-        if len(slot) == 1:
-            coeffs[(I, I)] = unit * scalar(coords[slot[0]])
-        else:
-            x, y = coords[slot[0]], coords[slot[1]]
-            coeffs[(I, J)] = unit * scalar(x, y)
-            coeffs[(J, I)] = unit * scalar(x, -y)
-    return PPForm._valid(d, p, p, coeffs)
+    Z = np.array(coords, dtype=object if exact else float) @ _real_basis_matrix(d, p, exact)
+    return DenseForm(d, p, Z.reshape(m, m)).to_form()
 
 
 class TorusModel(RingModel):
-    """Full algebra of real constant (p,p)-forms, products by wedge."""
+    """Full algebra of real constant (p,p)-forms, products by real_product_table."""
 
     def __init__(self, d):
-        basis_forms = [_real_pp_basis(d, p) for p in range(d + 1)]
-        bases = [[lab for lab, _ in bf] for bf in basis_forms]
+        bases = [_real_labels(d, p) for p in range(d + 1)]
         mult = {
             (p, q): real_product_table(d, p, q)
             for p in range(d + 1)
             for q in range(d + 1 - p)
         }
-        integration = [integrate_top(f) for _, f in basis_forms[d]]
-        super().__init__(d, bases, mult, integration, name=f"torus(C^{d})")
+        # the one top basis form, i^(d^2) dz_1..d dzbar_1..d, has integral 1
+        super().__init__(d, bases, mult, [Fraction(1)], name=f"torus(C^{d})")
         self.labels["omega_std"] = self.from_form(std_kahler(d, exact=True))
 
     def from_form(self, form):
@@ -494,8 +504,8 @@ class TorusModel(RingModel):
 def torus_ring(d):
     """Cached torus model for C^d.
 
-    Products are wedges of explicit forms, associative by construction, so
-    the ring axioms are not re-proved here; the test suite runs
+    Products are exterior products of forms, associative by construction,
+    so the ring axioms are not re-proved here; the test suite runs
     check_axioms() on d <= 4.
     """
     return TorusModel(d)
@@ -712,6 +722,20 @@ class RelationModel(RingModel):
         def divides(a, b):
             return all(x <= y for x, y in zip(a, b))
 
+        def rewrite(expo, lhs, rhs):
+            """expo with its factor lhs replaced by rhs, reduced in full."""
+            rest = tuple(e - l for e, l in zip(expo, lhs))
+            out = {}
+            for c, rm in rhs:
+                sub = reduce_full(tuple(r + m for r, m in zip(rest, rm)))
+                for m2, c2 in sub.items():
+                    s = out.get(m2, Fraction(0)) + c * c2
+                    if s:
+                        out[m2] = s
+                    else:
+                        out.pop(m2, None)
+            return out
+
         def reduce_full(expo):
             state = memo.get(expo)
             if state == "busy":
@@ -722,20 +746,7 @@ class RelationModel(RingModel):
                 return state
             memo[expo] = "busy"
             hit = next((r for r in rules if divides(r[0], expo)), None)
-            if hit is None:
-                out = {expo: Fraction(1)}
-            else:
-                lhs, rhs = hit
-                rest = tuple(e - l for e, l in zip(expo, lhs))
-                out = {}
-                for c, rm in rhs:
-                    sub = reduce_full(tuple(r + m for r, m in zip(rest, rm)))
-                    for m2, c2 in sub.items():
-                        s = out.get(m2, Fraction(0)) + c * c2
-                        if s:
-                            out[m2] = s
-                        else:
-                            out.pop(m2, None)
+            out = {expo: Fraction(1)} if hit is None else rewrite(expo, *hit)
             memo[expo] = out
             return out
 
@@ -750,21 +761,7 @@ class RelationModel(RingModel):
             bases.append([_monomial_label(names, m) for m in irred])
             # local confluence: every one-step reduction must agree
             for m in monos:
-                outcomes = []
-                for lhs, rhs in rules:
-                    if not divides(lhs, m):
-                        continue
-                    rest = tuple(e - l for e, l in zip(m, lhs))
-                    combo = {}
-                    for c, rm in rhs:
-                        sub = reduce_full(tuple(r + x for r, x in zip(rest, rm)))
-                        for m2, c2 in sub.items():
-                            s = combo.get(m2, Fraction(0)) + c * c2
-                            if s:
-                                combo[m2] = s
-                            else:
-                                combo.pop(m2, None)
-                    outcomes.append(combo)
+                outcomes = [rewrite(m, lhs, rhs) for lhs, rhs in rules if divides(lhs, m)]
                 if outcomes and any(o != outcomes[0] for o in outcomes[1:]):
                     raise ConstructionError(
                         "inconsistent relations: monomial reduces two ways",

@@ -17,7 +17,6 @@ from hrpairs.bogomolov import (
     SheafClassData,
     anti_selfadjoint_part,
     bogomolov_value,
-    chern_forms,
     constraint_project,
     discriminant,
     extension_class,
@@ -28,7 +27,6 @@ from hrpairs.bogomolov import (
     slope,
     trace_check,
     trace_free_part,
-    trace_of_square,
 )
 from hrpairs.errors import ConfigError, ConsistencyError, DegreeError
 from hrpairs.exterior import (
@@ -213,6 +211,24 @@ def random_exact_curvature(rng, r, d):
     raw = [[random_exact_11(rng, d) for _ in range(r)] for _ in range(r)]
     A = CurvatureMatrix(raw, check=False)
     return anti_selfadjoint_part(A)
+
+
+def trace_of_square(F):
+    """tr(F ^ F) = sum_ij F_ij ^ F_ji as a (2,2)-form, by the sparse wedge."""
+    E = F.entries
+    total = PPForm.zero(F.dim, 2, 2)
+    for i in range(F.size):
+        for j in range(F.size):
+            total = total + wedge(E[i][j], E[j][i])
+    return total
+
+
+def chern_forms(F):
+    """(c1-form, c2-form) of a curvature matrix, floats, with the 2pi factors."""
+    t1 = F.trace()
+    c1 = t1 * complex(0.0, 1.0 / (2.0 * math.pi))
+    c2 = (trace_of_square(F) - wedge(t1, t1)) * (1.0 / (8.0 * math.pi ** 2))
+    return c1, c2
 
 
 def test_polarization_bridge_identity_exact():

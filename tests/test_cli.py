@@ -87,8 +87,31 @@ def test_segre_verb(capsys):
 
 def test_bad_partition_is_reported_not_raised(capsys):
     code, _, err = run(capsys, "schur", "--partition", "2,x", "--vars", "3")
-    assert code == 1
+    assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["schur", "--partition", "2", "--vars", "-1"],
+    ["derived", "--partition", "2", "--vars", "-3"],
+    ["derived", "--partition", "2", "--vars", "3", "--order", "-1"],
+    ["segre", "--chern", "1,1", "--upto", "-1"],
+    ["sample-search", "--dim", "3", "--vars", "-2", "--partition", "2"],
+    ["schur", "--partition", "a", "--vars", "2"],
+    ["derived", "--partition", "1,2", "--vars", "3"],
+    ["sample-search", "--dim", "3", "--vars", "2", "--partition", "2,x"],
+    ["signature", "--matrix", "[[1,2],[2,1]]", "--tolerance", "nan"],
+    ["signature", "--matrix", "[[1,2],[2,1]]", "--tolerance", "inf"],
+    ["trace-check", "--tolerance", "-1"],
+    ["sample-search", "--dim", "3", "--vars", "2", "--partition", "2",
+     "--tolerance", "-inf"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_unusable_option_values_exit_two_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
 
 
 # -- ring verbs ------------------------------------------------------------
@@ -233,6 +256,26 @@ def test_hr_pair_backends_on_the_fixture(capsys, backend):
     assert all(type(x) is kind for x in values)
     assert report["details"]["hr_property"]["details"]["backend"] == backend
     assert report["tolerances"] == ({} if backend == "exact" else {"zero_tol": 1e-9})
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--ring", "SPEC", "--eta", "xi+2*f"],
+    FL_HR_PAIR[:2] + ["SPEC"] + FL_HR_PAIR[3:],
+], ids=["gram", "hr-pair"])
+def test_float_backend_refuses_a_ring_beyond_float_range(capsys, tmp_path, argv):
+    spec = fl_spec_with(lambda s: s["integration"].update(value="1e400"))
+    paths = write_inputs(tmp_path, spec)
+    argv = [paths.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv, "--backend", "float")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: Gram matrix entry [0, 0] does not fit in a float; "
+        "decide with the exact backend"
+    ]
+    code, out, _ = run(capsys, *argv, "--backend", "exact")
+    assert code == 0
+    assert out
 
 
 # -- sheaf verbs -----------------------------------------------------------

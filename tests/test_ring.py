@@ -1,5 +1,6 @@
 """Finite intersection-ring models: torus, subring, relation, bundle."""
 
+import itertools
 import json
 import math
 import time
@@ -26,6 +27,7 @@ from hrpairs.ring import (
     product_with_p1,
     proj_bundle_ring,
     real_coordinates,
+    real_product_table,
     relation_ring,
     ring_from_spec,
     subring,
@@ -57,8 +59,6 @@ def test_torus_volume_of_standard_kahler():
 
 def random_real_form(rng, d, p):
     """Random exact real (p,p)-form built straight from the reality condition."""
-    import itertools
-
     subsets = list(itertools.combinations(range(d), p))
     coeffs = {}
     sign = (-1) ** (p * p)
@@ -97,6 +97,67 @@ def test_form_from_real_coordinates_inverts_real_coordinates(d):
             assert real_coordinates(g) == coords
     with pytest.raises(DegreeError):
         form_from_real_coordinates(3, 1, [0.0] * 8)
+
+
+def basis_forms_from_definition(d, p):
+    """The real basis of degree p, written from its definition in pp_slots
+    order: u[I] = i^(p^2) dz_I dzbar_I for each p-subset I, then for each pair
+    I < J x[I|J] = i^(p^2) (dz_I dzbar_J + dz_J dzbar_I) and
+    y[I|J] = i^(p^2) i (dz_I dzbar_J - dz_J dzbar_I)."""
+    unit, i = i_power(p * p), i_power(1)
+    subsets = list(itertools.combinations(range(d), p))
+    forms = [PPForm(d, p, p, {(I, I): unit}) for I in subsets]
+    for a, I in enumerate(subsets):
+        for J in subsets[a + 1:]:
+            forms.append(PPForm(d, p, p, {(I, J): unit, (J, I): unit}))
+            forms.append(PPForm(d, p, p, {(I, J): unit * i, (J, I): -unit * i}))
+    return forms
+
+
+def decompose(form):
+    """Coordinates of an exact real (p,p)-form in basis_forms_from_definition,
+    read coefficient by coefficient: z = i^(-p^2) c[I, J] gives u = z for
+    I = J and x = Re z, y = Im z for I < J."""
+    d, p = form.dim, form.p
+    unit, sign = i_power(-p * p), (-1) ** (p * p)
+
+    def coeff(I, J):
+        return form.coeffs.get((I, J), GaussianRational(0))
+
+    subsets = list(itertools.combinations(range(d), p))
+    coords = []
+    for I in subsets:
+        z = unit * coeff(I, I)
+        assert z.imag == 0
+        coords.append(z.real)
+    for a, I in enumerate(subsets):
+        for J in subsets[a + 1:]:
+            assert coeff(J, I) == sign * gauss_conj(coeff(I, J))
+            z = unit * coeff(I, J)
+            coords += [z.real, z.imag]
+    return coords
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_product_tables_are_the_sparse_wedge_of_the_basis_forms(d):
+    bases = [basis_forms_from_definition(d, p) for p in range(d + 1)]
+    for p, basis in enumerate(bases):
+        for j, form in enumerate(basis):
+            assert real_coordinates(form) == [int(k == j) for k in range(len(basis))]
+    for p in range(d + 1):
+        for q in range(d + 1 - p):
+            table = real_product_table(d, p, q)
+            assert set(table) <= {(i, j) for i in range(len(bases[p]))
+                                  for j in range(len(bases[q]))}
+            for i, fi in enumerate(bases[p]):
+                for j, fj in enumerate(bases[q]):
+                    entries = table.get((i, j), ())
+                    assert all(type(c) is Fraction and c != 0 for _, c in entries)
+                    assert [k for k, _ in entries] == sorted({k for k, _ in entries})
+                    row = [Fraction(0)] * len(bases[p + q])
+                    for k, c in entries:
+                        row[k] = c
+                    assert row == decompose(wedge(fi, fj)), (p, q, i, j)
 
 
 def test_torus_multiplication_is_wedge():
