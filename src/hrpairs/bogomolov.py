@@ -15,16 +15,16 @@ projectively flat.
 
 Backends: one kernel serves both.  A curvature matrix is one r x r x d x d
 coefficient array and a Higgs field one r x r x d array, complex for float
-data and object (GaussianRational) for exact data.  constraint_project,
-trace_check, higgs_curvature_term and HiggsField.square_residual are a few
-einsums over them and over the intersection numbers of
-exterior._top_functional and exterior._mid_gram (exact for exact forms),
-which hrcheck.pointwise_hr_pair reads too; an exact operand meeting a float
-one is read in complex.  The PPForm entries are converted once, by the
-constructors, and .entries is a view built from the array.  With the
-Schur pairs of hrcheck.schur_form_pair, DenseForm products in both
-backends, a curvature trial makes no sparse wedge, exact or float; the
-test suite keeps the sparse Chern-Weil forms as its oracle.
+data and an exterior.ExactArray (integer numerators over one denominator)
+for exact data.  constraint_project, trace_check, higgs_curvature_term and
+HiggsField.square_residual are a few einsums over them and over the
+intersection numbers of exterior._top_functional and exterior._mid_gram
+(exact for exact forms), which hrcheck.pointwise_hr_pair reads too; an
+exact operand meeting a float one is read in complex.  The PPForm entries
+are converted once, by the constructors, and .entries is a view built from
+the array.  With the Schur pairs of hrcheck.schur_form_pair, DenseForm
+products in both backends, a curvature trial makes no sparse wedge, exact
+or float; the test suite keeps the sparse Chern-Weil forms as its oracle.
 """
 
 import math
@@ -33,8 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError
-from .exterior import PPForm, _mid_gram, _top_functional, _zeros
-from .scalars import GaussianRational, imag_part, magnitude, negligible, real_part, to_float
+from .exterior import ExactArray, PPForm, _array, _mid_gram, _promote, _top_functional
+from .scalars import imag_part, magnitude, negligible, real_part, to_float
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
 
@@ -122,19 +122,12 @@ def extension_identity(F, G):
 # -- curvature matrices ----------------------------------------------------
 
 
-def _promote(*arrays):
-    """The coefficient arrays in one backend: exact when all are, else complex."""
-    if all(X.dtype == object for X in arrays):
-        return arrays
-    return tuple(X.astype(complex, copy=False) for X in arrays)
-
-
 def _peak(X):
     """The entry of X of largest modulus: for a float X that modulus, for an
     exact X the entry itself, so that scalars.negligible decides it exactly.
     The one array rule of the residual checks."""
-    if X.dtype == object:
-        return max(X.flat, key=lambda c: real_part(c) ** 2 + imag_part(c) ** 2)
+    if isinstance(X, ExactArray):
+        return X.item(np.argmax((X.re * X.re + X.im * X.im).ravel()))
     return float(np.abs(X).max())
 
 
@@ -143,9 +136,9 @@ class _FormMatrix:
 
     Stored as one coefficient array, coeffs[i, j, *I, *J] the coefficient of
     dz_I ^ dzbar_J in entry (i, j): A[i, j, a, b] for curvature, T[i, j, a]
-    for a Higgs field.  The array is complex for float data and object
-    (GaussianRational) when every entry is exact; the PPForm entries are
-    converted once, here.
+    for a Higgs field.  The array is complex for float data and an
+    ExactArray when every entry is exact; the PPForm entries are converted
+    once, here.
     """
 
     __slots__ = ("coeffs",)
@@ -164,13 +157,10 @@ class _FormMatrix:
                         f"{self.kind} entries must be ({p},{q})-forms on C^{d}, got {f!r}"
                     )
         exact = all(f.is_exact() for row in entries for f in row)
-        A = _zeros((r, r) + (d,) * (p + q), exact)
-        for i, row in enumerate(entries):
-            for j, f in enumerate(row):
-                for (I, J), c in f.coeffs.items():
-                    A[(i, j) + I + J] = (GaussianRational(real_part(c), imag_part(c))
-                                         if exact else complex(c))
-        self.coeffs = A
+        self.coeffs = _array((r, r) + (d,) * (p + q), (
+            ((i, j) + I + J, c)
+            for i, row in enumerate(entries) for j, f in enumerate(row)
+            for (I, J), c in f.coeffs.items()), exact)
 
     @classmethod
     def _of(cls, A):
@@ -200,7 +190,7 @@ class _FormMatrix:
         return tuple(tuple(self._form(block) for block in row) for row in self.coeffs)
 
     def is_exact(self):
-        return self.coeffs.dtype == object
+        return isinstance(self.coeffs, ExactArray)
 
     def max_abs(self):
         return magnitude(_peak(self.coeffs))
@@ -223,7 +213,7 @@ class CurvatureMatrix(_FormMatrix):
 
     @classmethod
     def zero(cls, r, d):
-        return cls._of(_zeros((r, r, d, d), True))
+        return cls._of(_array((r, r, d, d), (), True))
 
     def anti_selfadjoint_residual(self):
         """The largest coefficient of F + F^adj (see _peak)."""
@@ -300,7 +290,7 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9):
     _check_form("omega_top", omega_top, d, d - 1)
     _check_form("omega_mid", omega_mid, d, d - 2)
     A, G = _promote(F0.coeffs, _mid_gram(omega_mid))
-    exact = A.dtype == object
+    exact = isinstance(A, ExactArray)
     curvature_max = magnitude(_peak(A))
     fscale = max(curvature_max, 1.0)
     res = _peak(A + _adjoint(A))

@@ -4,7 +4,11 @@ A form is stored sparsely as coefficients c[I, J] of dz_I wedge dzbar_J with
 I, J strictly increasing index tuples (0-based).  Coefficients are Python
 complex (float backend) or GaussianRational (exact backend).  DenseForm
 holds a (p,p)-form as its dense coefficient matrix in either backend, for
-long products; its dtype (complex or object) is the backend.
+long products: a complex ndarray, or an ExactArray, integer numerators
+with one common denominator, whose products run on Python ints.  The dense
+kernels (DenseForm, _top_functional, _mid_gram, the real basis of ring and
+the curvature arrays of bogomolov) are one text for both array types;
+GaussianRationals appear only where they hand values out.
 
 Conventions, all verified by brute-force oracles in the test suite:
 
@@ -17,6 +21,7 @@ Conventions, all verified by brute-force oracles in the test suite:
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,7 +30,8 @@ import numpy as np
 from .errors import ConsistencyError, DegreeError
 from .linalg import inertia
 from .scalars import (
-    GaussianRational, conj, i_power, imag_part, is_exact, negligible, real_part, to_complex,
+    GaussianRational, conj, from_parts, i_power, imag_part, is_exact, negligible, parts,
+    real_part, to_complex,
 )
 from .verdict import DEGENERATE, FAIL, PASS, Verdict
 
@@ -230,13 +236,14 @@ def _subset_index(d, p):
 
 @lru_cache(maxsize=None)
 def _merge_signs(d, p, q):
-    """Read-only S with dz_I wedge dz_J = S[k, i, j] dz_K, K the k-th (p+q)-subset.
+    """Read-only int8 S with dz_I wedge dz_J = S[k, i, j] dz_K, K the k-th (p+q)-subset.
 
     I and J are the i-th p-subset and the j-th q-subset of range(d); S is 0
-    where they meet.
+    where they meet.  Integer, so that exact products stay exact; a float
+    product casts it to complex, as it would a float table.
     """
     out, left, right = (_subset_index(d, k) for k in (p + q, p, q))
-    S = np.zeros((len(out), len(left), len(right)))
+    S = np.zeros((len(out), len(left), len(right)), dtype=np.int8)
     for I, i in left.items():
         for J, j in right.items():
             sign, K = _merge(I, J)
@@ -246,31 +253,263 @@ def _merge_signs(d, p, q):
     return S
 
 
-@lru_cache(maxsize=None)
-def _signs(d, p, q, exact):
-    """_merge_signs, as Python ints in a read-only object array for exact products."""
-    S = _merge_signs(d, p, q)
-    if exact:
-        S = S.astype(int).astype(object)
-        S.flags.writeable = False
-    return S
+class ExactArray:
+    """The exact array (re + i*im)/den of the exact backend: re and im are
+    numpy object arrays of Python ints of one shape, den a Python int > 0,
+    so entries never overflow.
+
+    It does what the dense kernels ask of a complex ndarray, with numpy's
+    meaning: indexing and assignment, iteration, reshape, ravel,
+    transpose/.T, conj, copy, + and -, * by an array (entrywise) or by an
+    exact scalar, / by an exact scalar, @, np.tensordot, np.einsum and
+    np.vdot.  A product is bilinear over the integers, so it runs on the
+    parts, skipping an imaginary part that is zero; an integer ndarray
+    factor (a _merge_signs table) is exact, and a float or complex one
+    demotes the product to complex, as it would a GaussianRational.
+    einsum is numpy's on the parts, in the order numpy picks: exact sums
+    do not depend on it.  Values leave as GaussianRationals (item, tolist,
+    np.vdot), as Fractions of the real parts (fractions) or as complex
+    (astype).  An assignment that changes den replaces the parts, so views
+    taken before it no longer follow the array.
+    """
+
+    __slots__ = ("re", "im", "den")
+    __array_ufunc__ = None  # ndarray operators defer to the reflected ones here
+
+    def __init__(self, re, im, den=1):
+        self.re, self.im = np.asarray(re, dtype=object), np.asarray(im, dtype=object)
+        self.den = den
+
+    @classmethod
+    def _reduced(cls, re, im, den):
+        """The array with den and the entries divided by their common factor."""
+        if den != 1:
+            g = math.gcd(den, *np.ravel(re).tolist(), *np.ravel(im).tolist())
+            if g != 1:
+                re, im, den = re // g, im // g, den // g
+        return cls(re, im, den)
+
+    @classmethod
+    def from_items(cls, shape, items):
+        """The array of the given shape with entries from (index, value)
+        pairs, exact values, and 0 elsewhere."""
+        items = [(ix, parts(c)) for ix, c in items]
+        den = math.lcm(*[n for _, (_, _, n) in items])
+        re, im = np.zeros(shape, dtype=object), np.zeros(shape, dtype=object)
+        for ix, (a, b, n) in items:
+            re[ix], im[ix] = a * (den // n), b * (den // n)
+        return cls(re, im, den)
+
+    # -- shape and indexing ------------------------------------------------
+
+    shape = property(lambda self: self.re.shape)
+    T = property(lambda self: self.transpose())
+
+    def __len__(self):
+        return len(self.re)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, key):
+        re = self.re[key]
+        if not isinstance(re, np.ndarray):
+            return from_parts(re, self.im[key], self.den)
+        return ExactArray(re, self.im[key], self.den)
+
+    def __setitem__(self, key, value):
+        den = math.lcm(self.den, value.den)
+        if den != self.den:
+            k = den // self.den
+            self.re, self.im, self.den = self.re * k, self.im * k, den
+        k = den // value.den
+        self.re[key], self.im[key] = value.re * k, value.im * k
+
+    def _map(self, name, *args, **kwargs):
+        """The same numpy method applied to both parts."""
+        return ExactArray(getattr(self.re, name)(*args, **kwargs),
+                          getattr(self.im, name)(*args, **kwargs), self.den)
+
+    def reshape(self, *shape):
+        return self._map("reshape", *shape)
+
+    def transpose(self, *axes):
+        return self._map("transpose", *axes)
+
+    def ravel(self):
+        return self._map("ravel")
+
+    def copy(self):
+        return self._map("copy")
+
+    def conj(self):
+        return ExactArray(self.re.copy(), -self.im, self.den)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _over(self, den):
+        """The parts over den, a multiple of self.den."""
+        k = den // self.den
+        return (self.re, self.im) if k == 1 else (self.re * k, self.im * k)
+
+    def _combine(self, op, other):
+        """op (+ or -) entrywise, over the lcm of the denominators."""
+        if not isinstance(other, ExactArray):
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        (a, b), (c, e) = self._over(den), other._over(den)
+        return ExactArray._reduced(op(a, c), op(b, e), den)
+
+    def __add__(self, other):
+        return self._combine(operator.add, other)
+
+    def __sub__(self, other):
+        return self._combine(operator.sub, other)
+
+    def __neg__(self):
+        return ExactArray(-self.re, -self.im, self.den)
+
+    def __mul__(self, other):
+        if isinstance(other, (ExactArray, np.ndarray)):
+            return _bilinear(operator.mul, self, other)
+        if not is_exact(other):
+            return NotImplemented
+        a, b, n = parts(other)
+        re, im = self.re, self.im
+        if b == 0:
+            re, im = re * a, im * a
+        elif a == 0:
+            re, im = im * -b, re * b
+        else:
+            re, im = re * a - im * b, re * b + im * a
+        return ExactArray._reduced(re, im, self.den * n)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not is_exact(other):
+            return NotImplemented
+        return self * (from_parts(1, 0, 1) / other)
+
+    def __matmul__(self, other):
+        return _bilinear(np.matmul, self, other)
+
+    def __rmatmul__(self, other):
+        return _bilinear(np.matmul, other, self)
+
+    def __array_function__(self, func, types, args, kwargs):
+        handler = _ARRAY_FUNCTIONS.get(func)
+        return NotImplemented if handler is None else handler(*args, **kwargs)
+
+    # -- values out --------------------------------------------------------
+
+    def nonzero(self):
+        return ((self.re != 0) | (self.im != 0)).nonzero()
+
+    def item(self, *index):
+        return from_parts(self.re.item(*index), self.im.item(*index), self.den)
+
+    def tolist(self):
+        """The entries as nested lists of GaussianRationals."""
+        out = np.empty(self.shape, dtype=object)
+        return np.frompyfunc(from_parts, 3, 1)(self.re, self.im, self.den, out=out).tolist()
+
+    def fractions(self):
+        """The real parts of the entries as nested lists of Fractions."""
+        out = np.empty(self.shape, dtype=object)
+        return np.frompyfunc(Fraction, 2, 1)(self.re, self.den, out=out).tolist()
+
+    def astype(self, dtype, copy=True):
+        """The complex ndarray of the entries, each part correctly rounded
+        (OverflowError beyond float range); dtype must be complex."""
+        if np.dtype(dtype) != np.complex128:
+            raise TypeError(f"an exact array converts to complex only, not {dtype}")
+        out = np.empty(self.shape, dtype=complex)
+        out.real, out.imag = self.re / self.den, self.im / self.den
+        return out
+
+    def __repr__(self):
+        return f"ExactArray(shape={self.shape}, den={self.den})"
 
 
-def _zeros(shape, exact):
-    """A zero coefficient array: complex, or object holding GaussianRational(0)."""
+def _parts(x):
+    """(re, im, den) of an exact operand; im is None when it is zero."""
+    if isinstance(x, ExactArray):
+        return x.re, (x.im if x.im.any() else None), x.den
+    x = np.asarray(x)
+    if x.dtype.kind not in "biu":
+        raise TypeError(f"an exact array meets a {x.dtype} array")
+    return x, None, 1
+
+
+def _bilinear(f, x, y):
+    """f(x, y) for a map f that is bilinear over the integers, from the
+    parts: (a + ib)(c + ie) = (ac - be) + i(ae + bc)."""
+    if any(isinstance(z, np.ndarray) and z.dtype.kind in "fc" for z in (x, y)):
+        return f(*(z.astype(complex) if isinstance(z, ExactArray) else z for z in (x, y)))
+    a, b, m = _parts(x)
+    c, e, n = _parts(y)
+    re = f(a, c)
+    im = None if e is None else f(a, e)
+    if b is not None:
+        im = f(b, c) if im is None else im + f(b, c)
+        if e is not None:
+            re = re - f(b, e)
+    if im is None:
+        im = np.zeros(np.shape(re), dtype=object)
+    return ExactArray._reduced(re, im, m * n)
+
+
+def _tensordot(a, b, axes=2):
+    return _bilinear(lambda x, y: np.tensordot(x, y, axes), a, b)
+
+
+def _vdot(a, b):
+    return (a.conj().ravel() @ b.ravel()).item()
+
+
+def _einsum(subscripts, *operands):
+    """np.einsum of exact operands: the sum, over taking the real or the
+    imaginary part of each operand, of i^(imaginary parts taken) times the
+    einsum of those integer parts, numpy choosing the contraction path."""
+    parts = [_parts(x) for x in operands]
+    by_power = [0, 0, 0, 0]  # the terms by their power of i
+    for choice in itertools.product((0, 1), repeat=len(parts)):
+        arrays = [p[c] for p, c in zip(parts, choice)]
+        if all(a is not None for a in arrays):
+            by_power[sum(choice) % 4] += np.einsum(subscripts, *arrays, optimize=True)
+    re = by_power[0] - by_power[2]  # an array: the real parts are never skipped
+    im = by_power[1] - by_power[3] + np.zeros_like(re)
+    return ExactArray._reduced(re, im, math.prod(p[2] for p in parts))
+
+
+_ARRAY_FUNCTIONS = {np.tensordot: _tensordot, np.einsum: _einsum, np.vdot: _vdot}
+
+
+def _promote(*arrays):
+    """The coefficient arrays in one backend: exact when all are, else complex."""
+    if all(isinstance(X, ExactArray) for X in arrays):
+        return arrays
+    return tuple(X.astype(complex, copy=False) for X in arrays)
+
+
+def _array(shape, items, exact):
+    """The coefficient array with entries from (index, value) pairs and 0
+    elsewhere: an ExactArray, or complex."""
     if exact:
-        return np.full(shape, GaussianRational(0), dtype=object)
-    return np.zeros(shape, dtype=complex)
+        return ExactArray.from_items(shape, items)
+    A = np.zeros(shape, dtype=complex)
+    for ix, c in items:
+        A[ix] = complex(c)
+    return A
 
 
 def _coefficient_matrix(form, exact):
     """Z[i, j], the coefficient of dz_I wedge dzbar_J for the i-th and j-th
-    subsets I and J; complex, or GaussianRational when exact."""
+    subsets I and J; an ExactArray, or complex."""
     rows, cols = _subset_index(form.dim, form.p), _subset_index(form.dim, form.q)
-    Z = _zeros((len(rows), len(cols)), exact)
-    for (I, J), c in form.coeffs.items():
-        Z[rows[I], cols[J]] = GaussianRational(real_part(c), imag_part(c)) if exact else complex(c)
-    return Z
+    return _array((len(rows), len(cols)),
+                  (((rows[I], cols[J]), c) for (I, J), c in form.coeffs.items()), exact)
 
 
 def _volume_unit(d, exact):
@@ -282,8 +521,8 @@ class DenseForm:
     """(p,p)-form on C^d as its dense coefficient matrix, in either backend.
 
     coeffs[i, j] is the coefficient of dz_I wedge dzbar_J for the i-th and
-    j-th p-subsets I, J in combinations order: complex for float forms,
-    object (GaussianRational) for exact ones, so the dtype is the backend;
+    j-th p-subsets I, J in combinations order: a complex ndarray for float
+    forms, an ExactArray for exact ones, so the array type is the backend;
     both factors of a product are in one backend.
     A value type for long products such as symfunc.evaluate.  With
     S = _merge_signs(d, p, q), the wedge of Z (degree p) and W (degree q) is
@@ -309,7 +548,7 @@ class DenseForm:
         """The sparse form: complex coefficients, or GaussianRational ones when exact."""
         subsets = list(_subset_index(self.dim, self.p))
         Z = self.coeffs
-        coeffs = {(subsets[i], subsets[j]): Z.item(i, j) for i, j in zip(*np.nonzero(Z))}
+        coeffs = {(subsets[i], subsets[j]): Z.item(i, j) for i, j in zip(*Z.nonzero())}
         return PPForm._valid(self.dim, self.p, self.p, coeffs)
 
     def __add__(self, other):
@@ -321,11 +560,11 @@ class DenseForm:
         return DenseForm(self.dim, self.p, self.coeffs + other.coeffs)
 
     def __mul__(self, other):
-        exact = self.coeffs.dtype == object
         if not isinstance(other, DenseForm):
-            return DenseForm(self.dim, self.p, self.coeffs * (other if exact else complex(other)))
+            c = other if isinstance(self.coeffs, ExactArray) else complex(other)
+            return DenseForm(self.dim, self.p, self.coeffs * c)
         d, p, q = self.dim, self.p, other.p
-        S = _signs(d, p, q, exact)
+        S = _merge_signs(d, p, q)
         X = np.tensordot(S, self.coeffs, axes=(1, 0))  # X[k, b, c]: sum over a
         X = np.tensordot(X, other.coeffs, axes=(1, 0))  # X[k, c, e]: sum over b
         V = np.tensordot(X, S, axes=((1, 2), (1, 2)))  # V[k, l]: sum over c, e
@@ -335,11 +574,10 @@ class DenseForm:
 def _top_functional(omega_top):
     """m[a, b] = int(dz_a ^ dzbar_b ^ omega_top) for a (d-1,d-1)-form omega_top.
 
-    Exact (an object array of GaussianRationals) for exact omega_top,
-    complex otherwise; so is _mid_gram.
+    An ExactArray for exact omega_top, complex otherwise; so is _mid_gram.
     """
     d, exact = omega_top.dim, omega_top.is_exact()
-    S = _signs(d, 1, d - 1, exact)[0]
+    S = _merge_signs(d, 1, d - 1)[0]
     Z = _coefficient_matrix(omega_top, exact)
     return (-1) ** (d - 1) * _volume_unit(d, exact) * (S @ Z @ S.T)
 
@@ -347,8 +585,8 @@ def _top_functional(omega_top):
 def _mid_gram(omega_mid):
     """G[a, b, c, e] = int(dz_a ^ dzbar_b ^ dz_c ^ dzbar_e ^ omega_mid)."""
     d, exact = omega_mid.dim, omega_mid.is_exact()
-    S1 = _signs(d, 1, 1, exact).reshape(-1, d * d)
-    S2 = _signs(d, 2, d - 2, exact)[0]
+    S1 = _merge_signs(d, 1, 1).reshape(-1, d * d)
+    S2 = _merge_signs(d, 2, d - 2)[0]
     g = S2 @ _coefficient_matrix(omega_mid, exact) @ S2.T
     # X[(a, c), (b, e)], moving dzbar_b past dz_c for the sign
     X = -_volume_unit(d, exact) * (S1.T @ g @ S1)

@@ -27,7 +27,7 @@ matrix, the multiplication matrix of eta_mid, eta_top, the functional
 int(b_i * eta_top) and h.  is_hr_pair feeds it from any ring model.  Ring
 products are always exact; is_hr_pair(exact=False) decides on float copies
 of the exact matrices.  Forms of both backends live in one encoding, the
-DenseForm coefficient matrix (complex, or object holding GaussianRationals):
+DenseForm coefficient matrix (complex, or an exterior.ExactArray of ints):
 schur_form_pair multiplies in it and pointwise_hr_pair reads its
 intersection numbers from it, so no trial builds a ring or makes a sparse
 wedge.  torus_ring(d), the same numbers as exact ring products, is the test
@@ -44,8 +44,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingError
-from .exterior import DenseForm, _coefficient_matrix, _mid_gram, _top_functional, _zeros
-from .exterior import form_from_hermitian, hermitian_from_form, std_kahler
+from .exterior import DenseForm, ExactArray, _array, _coefficient_matrix, _mid_gram, _promote
+from .exterior import _top_functional, form_from_hermitian, hermitian_from_form, std_kahler
 from .linalg import (
     float_kernel_vector,
     float_signature,
@@ -56,7 +56,7 @@ from .linalg import (
     rational_solve,
 )
 from .ring import MAX_SWEEP_DIMENSION, _check_real, _real_basis_matrix, real_coordinates
-from .scalars import real_part, to_float
+from .scalars import to_float
 from .symfunc import Partition, derived, evaluate, schur
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
@@ -381,14 +381,17 @@ def _real_values(X, form):
     """Re X, for X pairings of form with real classes: a float array, or
     nested lists of Fractions for exact X.
 
-    Float values are symmetrized by taking Re.  An exact form must be
-    exactly real: ring._check_real raises, naming the indices where it is
-    not, before any imaginary part could be dropped.
+    Float values are symmetrized by taking Re.  Exact pairings with every
+    real class are real exactly when the form is (Poincare duality), so an
+    exact X must have imaginary part 0; if not, ring._check_real raises,
+    naming the indices where the form is not real.
     """
-    if X.dtype != object:
+    if not isinstance(X, ExactArray):
         return X.real
-    _check_real(form)
-    return np.frompyfunc(real_part, 1, 1)(X).tolist()
+    if X.im.any():
+        _check_real(form)
+        raise ConsistencyError("pairings with real classes are not real")
+    return X.fractions()
 
 
 def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
@@ -409,11 +412,9 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
         raise DegreeError(f"expected a (1,1)-form on C^{d}, got {omega!r}")
     _check_strictly_positive(omega, zero_tol)
     exact = all(f.is_exact() for f in (omega_top, omega_mid, omega))
-    dtype = object if exact else complex
-    B = _real_basis_matrix(d, 1, exact)
-    m = _top_functional(omega_top).astype(dtype, copy=False)
+    B, m, G = _promote(_real_basis_matrix(d, 1, exact), _top_functional(omega_top),
+                       _mid_gram(omega_mid))
     functional = _real_values(B @ m.ravel(), omega_top)
-    G = _mid_gram(omega_mid).astype(dtype, copy=False)
     Q = _real_values(B @ G.reshape(d * d, d * d) @ B.T, omega_mid)
     # Q = P M and functional = P top for P the pairing of degrees 1 and d-1,
     # invertible on the torus (Poincare duality): M q = top iff Q q = functional
@@ -439,8 +440,8 @@ def schur_form_pair(lam, omegas, dim):
     """(s_lam, derived s_lam) evaluated on (1,1)-forms; the candidate pair.
 
     Both come from one symfunc.evaluate call over DenseForm coefficient
-    matrices, exact (GaussianRational) when every form is exact and
-    complex otherwise.  The forms must be real (1,1)-forms on C^dim, float
+    matrices, exact (ExactArray) when every form is exact and complex
+    otherwise.  The forms must be real (1,1)-forms on C^dim, float
     ones to 1e-9 relative, and |lam| must be dim - 1.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
@@ -453,7 +454,7 @@ def schur_form_pair(lam, omegas, dim):
         if not w.is_real(1e-9):
             raise ConfigError(f"{w!r} is not a real form")
     values = [DenseForm(dim, 1, _coefficient_matrix(w, exact)) for w in omegas]
-    one = DenseForm(dim, 0, _zeros((1, 1), exact) + 1)
+    one = DenseForm(dim, 0, _array((1, 1), [((0, 0), 1)], exact))
     polys = _schur_polys(lam, len(omegas))
     return tuple(v.to_form() for v in evaluate(polys, values, one))
 

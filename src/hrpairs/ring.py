@@ -51,9 +51,11 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import DenseForm, _coefficient_matrix, _merge_signs, _subset_index, std_kahler
+from .exterior import (
+    DenseForm, ExactArray, _array, _coefficient_matrix, _merge_signs, _subset_index, std_kahler,
+)
 from .linalg import rational_solve
-from .scalars import GaussianRational, conj, i_power, imag_part, is_exact, real_part
+from .scalars import GaussianRational, i_power, is_exact
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
 
 
@@ -389,25 +391,39 @@ def _real_labels(d, p):
 
 @lru_cache(maxsize=None)
 def _real_basis_matrix(d, p, exact):
-    """Read-only matrix whose row j is i^(p^2) (X[j] + i Y[j]) of
-    _hermitian_basis flattened: the j-th real basis form of degree p as a
-    DenseForm coefficient matrix, complex or exact (GaussianRational)."""
+    """Matrix whose row j is i^(p^2) (X[j] + i Y[j]) of _hermitian_basis
+    flattened: the j-th real basis form of degree p as a DenseForm
+    coefficient matrix, complex or an ExactArray, read-only."""
     X, Y = (a.reshape(len(a), -1) for a in _hermitian_basis(d, p))
     re, im = (-Y, X) if p % 2 else (X, Y)  # i^(p^2) is i for odd p, 1 for even p
-    B = np.frompyfunc(GaussianRational, 2, 1)(re, im) if exact else re + 1j * im
-    B.flags.writeable = False
+    if not exact:
+        B = re + 1j * im
+        B.flags.writeable = False
+        return B
+    B = ExactArray(re.astype(object), im.astype(object))
+    B.re.flags.writeable = B.im.flags.writeable = False
     return B
 
 
+def _hermitian_of(form, exact):
+    """H = i^(-p^2) Z for the coefficient matrix Z of a (p,p)-form: Hermitian
+    exactly when the form is real."""
+    unit = i_power(-form.p * form.p)
+    return _coefficient_matrix(form, exact) * (unit if exact else complex(unit))
+
+
 def _check_real(form):
-    """Raise ConsistencyError, naming the indices, unless the exact (p,p)-form
-    is exactly real: c[J, I] = (-1)^(p^2) conj(c[I, J]) for every (I, J)."""
-    sign = -1 if form.p % 2 else 1
-    get = form.coeffs.get
-    for (I, J), c in form.coeffs.items():
-        mirror = get((J, I), 0)
-        if sign * conj(mirror) != c:
-            raise ConsistencyError(f"form is not real at indices {(I, J)}: {c} vs {mirror}")
+    """H = _hermitian_of(form) for an exact (p,p)-form; ConsistencyError,
+    naming the indices, unless the form is exactly real:
+    c[J, I] = (-1)^(p^2) conj(c[I, J]) for every (I, J), i.e. H Hermitian."""
+    H = _hermitian_of(form, True)
+    rows, cols = ((H.re != H.re.T) | (H.im != -H.im.T)).nonzero()
+    if len(rows):
+        subsets = list(_subset_index(form.dim, form.p))
+        I, J = subsets[rows[0]], subsets[cols[0]]
+        c, mirror = form.coeffs.get((I, J), 0), form.coeffs.get((J, I), 0)
+        raise ConsistencyError(f"form is not real at indices {(I, J)}: {c} vs {mirror}")
+    return H
 
 
 def real_coordinates(form):
@@ -415,21 +431,34 @@ def real_coordinates(form):
 
     They are read from the Hermitian part of H = i^(-p^2) Z, Z the
     coefficient matrix: u[I] = H[I, I], x[I|J] = Re H[I, J] and
-    y[I|J] = Im H[I, J].  Exact forms must be exactly real and give
-    Fractions; float forms give floats, and the Hermitian part takes the
-    real part of slightly non-real input.
+    y[I|J] = Im H[I, J].  Exact forms must be exactly real, so that H is
+    its own Hermitian part, and give Fractions read from the integer parts
+    of H; float forms give floats, and the Hermitian part takes the real
+    part of slightly non-real input.
     """
     if form.p != form.q:
         raise DegreeError(f"expected a (p,p)-form, got {form!r}")
     d, p, exact = form.dim, form.p, form.is_exact()
-    if exact:
-        _check_real(form)
-    unit = i_power(-p * p)
-    H = _coefficient_matrix(form, exact) * (unit if exact else complex(unit))
-    H = (H + H.conj().T) / 2
     rows, cols, imag = _slot_positions(d, p)
-    return [imag_part(z) if im else real_part(z)
-            for z, im in zip(H[rows, cols].tolist(), imag.tolist())]
+    if exact:
+        H = _check_real(form)
+        return [Fraction(v, H.den)
+                for v in np.where(imag, H.im[rows, cols], H.re[rows, cols]).tolist()]
+    H = _hermitian_of(form, False)
+    z = ((H + H.conj().T) / 2)[rows, cols]
+    return np.where(imag, z.imag, z.real).tolist()
+
+
+@lru_cache(maxsize=None)
+def _hermitian_entries(d, p):
+    """(rows, cols, re, im), int arrays of shape (m^2, 2) for m = C(d, p):
+    the j-th Hermitian matrix of _hermitian_basis is the sum of its two
+    entries re + i im at (rows[j, t], cols[j, t]), the second 0 for u[I]."""
+    rows, cols, imag = _slot_positions(d, p)
+    re, im = (~imag).astype(np.int64), imag.astype(np.int64)
+    off = rows != cols
+    return (np.stack([rows, cols], axis=1), np.stack([cols, rows], axis=1),
+            np.stack([re, re * off], axis=1), np.stack([im, -im], axis=1))
 
 
 def real_product_table(d, p, q):
@@ -438,22 +467,42 @@ def real_product_table(d, p, q):
     {(i, j): ((k, c), ...)} lists the nonzero exact coordinates c of
     b_i * b_j in degree p + q.  For the Hermitian matrices H_i, H_j of
     _hermitian_basis and S = _merge_signs(d, p, q), the DenseForm product
-    rule gives b_i * b_j = i^((p+q)^2) S (H_i (x) H_j) S^T, since
-    i^(p^2) i^(q^2) (-1)^(pq) = i^((p+q)^2); the coordinates are read at the
-    slots of that Hermitian matrix, all pairs in one integer einsum.
+    rule gives b_i * b_j = i^((p+q)^2) V with V = S (H_i (x) H_j) S^T, since
+    i^(p^2) i^(q^2) (-1)^(pq) = i^((p+q)^2).  Each of H_i and H_j has at
+    most two entries, and an entry pair (a, c), (b, e) puts
+    S[k, a, b] S[l, c, e] times their product at V[k, l] alone, k and l
+    the merges of I_a, J_b and of I_c, J_e; the coordinates are read at the
+    slots of the Hermitian V, its upper triangle.  All pairs are gathered at
+    once for a chunk of the left basis, the chunks sized so that no block
+    holds more than about 2^14 entries.
     """
-    S = _merge_signs(d, p, q).astype(np.int64)
-    A, B = np.stack(_hermitian_basis(d, p)), np.stack(_hermitian_basis(d, q))
-    # T[s, t, i, j] = S (A[s, i] (x) B[t, j]) S^T over real and imaginary parts s, t
-    T = np.einsum("kab,lce,siac,tjbe->stijkl", S, S, A, B, optimize=True)
-    re, im = T[0, 0] - T[1, 1], T[0, 1] + T[1, 0]
+    S = _merge_signs(d, p, q)
+    sign, merged = S.sum(axis=0, dtype=np.int64), np.abs(S).argmax(axis=0)
     rows, cols, imag = _slot_positions(d, p + q)
-    C = np.where(imag, im[..., rows, cols], re[..., rows, cols])
+    m = comb(d, p + q)
+    slot = np.zeros((2, m, m), dtype=np.intp)
+    slot[imag.astype(int), rows, cols] = np.arange(len(rows))
+    left = _hermitian_entries(d, p)
+    rb, cb, gre, gim = (x[None, :, None, :] for x in _hermitian_entries(d, q))
+    n_q = rb.shape[1]
+    step = max(1, 2 ** 14 // (n_q * max(len(rows), 4)))  # 4 entry pairs per product
     table = {}
-    nonzero = np.nonzero(C)
-    for i, j, k, c in zip(*(a.tolist() for a in nonzero), C[nonzero].tolist()):
-        table.setdefault((i, j), []).append((k, Fraction(c)))
-    return {key: tuple(entries) for key, entries in table.items()}
+    for start in range(0, len(left[0]), step):
+        ra, ca, hre, him = (x[start:start + step, None, :, None] for x in left)
+        k, l = merged[ra, rb], merged[ca, cb]
+        w = sign[ra, rb] * sign[ca, cb]
+        i, j = np.arange(len(ra))[:, None, None, None], np.arange(n_q)[None, :, None, None]
+        C = np.zeros((len(ra), n_q, len(rows)), dtype=np.int64)
+        np.add.at(C, (i, j, slot[0][k, l]), w * (hre * gre - him * gim) * (k <= l))
+        np.add.at(C, (i, j, slot[1][k, l]), w * (hre * gim + him * gre) * (k < l))
+        nonzero = np.nonzero(C)
+        values = C[nonzero].tolist()
+        fraction = {c: Fraction(c) for c in set(values)}  # a few small ints, shared
+        for row, col, slot_k, c in zip(*(a.tolist() for a in nonzero), values):
+            table.setdefault((start + row, col), []).append((slot_k, fraction[c]))
+    for key, entries in table.items():
+        table[key] = tuple(entries)
+    return table
 
 
 def form_from_real_coordinates(d, p, coords):
@@ -470,7 +519,8 @@ def form_from_real_coordinates(d, p, coords):
             f"{len(coords)} coordinates for real ({p},{p})-forms on C^{d}, need {m * m}"
         )
     exact = all(is_exact(c) for c in coords)
-    Z = np.array(coords, dtype=object if exact else float) @ _real_basis_matrix(d, p, exact)
+    v = _array((m * m,), enumerate(coords), True) if exact else np.array(coords, dtype=float)
+    Z = v @ _real_basis_matrix(d, p, exact)
     return DenseForm(d, p, Z.reshape(m, m)).to_form()
 
 

@@ -11,8 +11,9 @@ import math
 from fractions import Fraction
 
 
-def _reduced(a, b, n):
-    """(a + b*i)/n for n > 0, divided by gcd(a, b, n): the one normal form."""
+def from_parts(a, b, n):
+    """The GaussianRational (a + b*i)/n for ints a, b and n > 0, divided by
+    gcd(a, b, n): the one normal form."""
     x = object.__new__(GaussianRational)
     g = math.gcd(a, b, n)
     if g == 1:
@@ -53,18 +54,18 @@ class GaussianRational:
     real, imag = re, im
 
     def conjugate(self):
-        return _reduced(self._a, -self._b, self._n)
+        return from_parts(self._a, -self._b, self._n)
 
     def __add__(self, other):
         a, b, n = self._a, self._b, self._n
         if isinstance(other, GaussianRational):
             m = other._n
             if m == n:
-                return _reduced(a + other._a, b + other._b, n)
-            return _reduced(a * m + other._a * n, b * m + other._b * n, n * m)
+                return from_parts(a + other._a, b + other._b, n)
+            return from_parts(a * m + other._a * n, b * m + other._b * n, n * m)
         if isinstance(other, (int, Fraction)):
             q = other.denominator
-            return _reduced(a * q + other.numerator * n, b * q, n * q)
+            return from_parts(a * q + other.numerator * n, b * q, n * q)
         if isinstance(other, (float, complex)):
             return complex(self) + other
         return NotImplemented
@@ -72,7 +73,7 @@ class GaussianRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return _reduced(-self._a, -self._b, self._n)
+        return from_parts(-self._a, -self._b, self._n)
 
     def __sub__(self, other):
         return self + (-other)
@@ -84,10 +85,10 @@ class GaussianRational:
         a, b, n = self._a, self._b, self._n
         if isinstance(other, GaussianRational):
             c, e = other._a, other._b
-            return _reduced(a * c - b * e, a * e + b * c, n * other._n)
+            return from_parts(a * c - b * e, a * e + b * c, n * other._n)
         if isinstance(other, (int, Fraction)):
             p = other.numerator
-            return _reduced(a * p, b * p, n * other.denominator)
+            return from_parts(a * p, b * p, n * other.denominator)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -101,14 +102,14 @@ class GaussianRational:
             if norm == 0:
                 raise ZeroDivisionError("division by zero Gaussian rational")
             a, b = self._a * m, self._b * m
-            return _reduced(a * c + b * e, b * c - a * e, self._n * norm)
+            return from_parts(a * c + b * e, b * c - a * e, self._n * norm)
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
             if p == 0:
                 raise ZeroDivisionError("division by zero")
             if p < 0:
                 p, q = -p, -q
-            return _reduced(self._a * q, self._b * q, self._n * p)
+            return from_parts(self._a * q, self._b * q, self._n * p)
         if isinstance(other, (float, complex)):
             return complex(self) / other
         return NotImplemented
@@ -149,6 +150,14 @@ class GaussianRational:
 I = GaussianRational(0, 1)
 
 _I_POWERS = (GaussianRational(1), I, GaussianRational(-1), GaussianRational(0, -1))
+
+
+def parts(x):
+    """Ints (a, b, n) with x = (a + b*i)/n, n > 0 and gcd(a, b, n) = 1, for an
+    exact x: int, Fraction or GaussianRational; inverse of from_parts."""
+    if isinstance(x, GaussianRational):
+        return x._a, x._b, x._n
+    return x.numerator, 0, x.denominator
 
 
 def i_power(k):

@@ -507,24 +507,33 @@ def test_higgs_trace_check_stays_nonnegative():
 # -- dense float kernel against the exact wedge path -----------------------
 
 
-def exact_kahler(rng, d):
-    """Real (1,1)-form of H = A^* A + Id, A a Gaussian-integer matrix."""
-    A = [[GaussianRational(int(rng.integers(-2, 3)), int(rng.integers(-2, 3)))
+#: a scale whose parts have denominators 3 and 7
+SCALE = GaussianRational(Fraction(1, 3), Fraction(2, 7))
+
+
+def exact_kahler(rng, d, denominators=(1, 1)):
+    """Real (1,1)-form of H = A^* A + Id, A a Gaussian-integer matrix with the
+    real and imaginary parts of its entries divided by the two denominators."""
+    p, q = denominators
+    A = [[GaussianRational(Fraction(int(rng.integers(-2, 3)), p),
+                           Fraction(int(rng.integers(-2, 3)), q))
           for _ in range(d)] for _ in range(d)]
     H = [[sum((A[k][i].conjugate() * A[k][j] for k in range(d)), GaussianRational(int(i == j)))
           for j in range(d)] for i in range(d)]
     return form_from_hermitian(H)
 
 
-def exact_higgs(rng, r, d):
-    """N (x) phi1 + N^2 (x) phi2 with Gaussian-integer N (strictly upper) and phi."""
+def exact_higgs(rng, r, d, scale=1):
+    """N (x) phi1 + N^2 (x) phi2 with Gaussian-integer N (strictly upper) and
+    phi, the phi scaled by scale."""
     def gauss():
         return GaussianRational(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
 
     N = [[gauss() if j > i else GaussianRational(0) for j in range(r)] for i in range(r)]
     N2 = [[sum((N[i][k] * N[k][j] for k in range(r)), GaussianRational(0)) for j in range(r)]
           for i in range(r)]
-    phi1, phi2 = (PPForm(d, 1, 0, {((a,), ()): gauss() for a in range(d)}) for _ in range(2))
+    phi1, phi2 = (PPForm(d, 1, 0, {((a,), ()): gauss() * scale for a in range(d)})
+                  for _ in range(2))
     return HiggsField([[phi1 * N[i][j] + phi2 * N2[i][j] for j in range(r)] for i in range(r)])
 
 
@@ -561,21 +570,23 @@ def wedge_integrals(F, omega):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(d=st.sampled_from([3, 4]), r=st.integers(2, 4), higgs=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_dense_kernel_agrees_with_exact_wedge(d, r, higgs, seed):
-    """Gaussian-integer data through the exact kernel equals a wedge reference
-    exactly: the Higgs term, the kernel values int(F_ij ^ omega_top) (0 once
-    projected) and every term v_ij.  Its complex copy through the float
-    kernel agrees with the exact results to 1e-9 relative."""
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1, SCALE]))
+def test_dense_kernel_agrees_with_exact_wedge(d, r, higgs, seed, scale):
+    """Gaussian-integer data, or data whose parts have denominators 3 and 7,
+    through the exact kernel equals a wedge reference exactly: the Higgs
+    term, the kernel values int(F_ij ^ omega_top) (0 once projected) and
+    every term v_ij.  Its complex copy through the float kernel agrees with
+    the exact results to 1e-9 relative."""
     rng = np.random.default_rng(seed)
-    raw = CurvatureMatrix([[random_exact_11(rng, d) for _ in range(r)] for _ in range(r)],
-                          check=False)
-    omegas = [exact_kahler(rng, d) for _ in range(d - 1)]
+    raw = CurvatureMatrix([[random_exact_11(rng, d) * scale for _ in range(r)]
+                           for _ in range(r)], check=False)
+    denominators = (1, 1) if scale == 1 else (3, 7)
+    omegas = [exact_kahler(rng, d, denominators) for _ in range(d - 1)]
     top, mid = wedge_all(omegas), wedge_all(omegas[1:])
     ftop, fmid = top * (1.0 + 0j), mid * (1.0 + 0j)
     exact_F, float_F = raw, float_copy(raw)
     if higgs:
-        theta = exact_higgs(rng, r, d)
+        theta = exact_higgs(rng, r, d, scale)
         term = higgs_curvature_term(theta)
         fterm = higgs_curvature_term(float_copy(theta))
         assert term.is_exact() and not fterm.is_exact()

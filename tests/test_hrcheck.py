@@ -797,9 +797,12 @@ def pair_coordinates(model, top, mid):
     return Q, functional
 
 
-def exact_kahler(d, rng):
-    """i H for H = A^* A + Id, A with Gaussian-integer entries in [-2, 2]."""
-    A = [[GaussianRational(int(rng.integers(-2, 3)), int(rng.integers(-2, 3)))
+def exact_kahler(d, rng, denominators=(1, 1)):
+    """i H for H = A^* A + Id, A with entries (a + b i) for integers a, b in
+    [-2, 2], their real and imaginary parts divided by the two denominators."""
+    p, q = denominators
+    A = [[GaussianRational(Fraction(int(rng.integers(-2, 3)), p),
+                           Fraction(int(rng.integers(-2, 3)), q))
           for _ in range(d)] for _ in range(d)]
     H = [[sum((A[k][i].conjugate() * A[k][j] for k in range(d)), GaussianRational(0))
           + (1 if i == j else 0) for j in range(d)] for i in range(d)]
@@ -841,16 +844,19 @@ def test_bordered_restriction_counts_a_degenerate_direction():
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(case=st.sampled_from(SCHUR_CASES), seed=SEEDS, negate=st.booleans(),
-       standard=st.booleans())
-def test_exact_pointwise_verdict_is_the_torus_ring_oracle(case, seed, negate, standard):
-    """Gaussian-integer Schur pairs, the middle form negated or not, against the
+       standard=st.booleans(), denominators=st.sampled_from([(1, 1), (3, 7)]))
+def test_exact_pointwise_verdict_is_the_torus_ring_oracle(case, seed, negate, standard,
+                                                          denominators):
+    """Schur pairs of Gaussian-integer forms, or of forms with denominators 3
+    and 7 in their parts, the middle form negated or not, against the
     standard Kahler form or another one."""
     d, lam = case
     rng = np.random.default_rng(seed)
-    top, mid = schur_form_pair(lam, [exact_kahler(d, rng) for _ in range(len(lam) + 1)], d)
+    omegas = [exact_kahler(d, rng, denominators) for _ in range(len(lam) + 1)]
+    top, mid = schur_form_pair(lam, omegas, d)
     if negate:
         mid = mid * -1
-    omega = std_kahler(d) if standard else exact_kahler(d, rng)
+    omega = std_kahler(d) if standard else exact_kahler(d, rng, denominators)
     assert pointwise_hr_pair(top, mid, omega).to_dict() == exact_verdict(top, mid, omega).to_dict()
 
 
