@@ -15,7 +15,7 @@ projectively flat.
 
 Backends: one kernel serves both.  A curvature matrix is one r x r x d x d
 coefficient array and a Higgs field one r x r x d array, complex for float
-data and an exterior.ExactArray (integer numerators over one denominator)
+data and a scalars.ExactArray (integer numerators over one denominator)
 for exact data.  constraint_project, trace_check, higgs_curvature_term and
 HiggsField.square_residual are a few einsums over them and over the
 intersection numbers of exterior._top_functional and exterior._mid_gram
@@ -33,8 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError
-from .exterior import ExactArray, PPForm, _array, _mid_gram, _promote, _top_functional
-from .scalars import imag_part, magnitude, negligible, real_part, to_float
+from .exterior import PPForm, _array, _mid_gram, _promote, _top_functional
+from .scalars import ExactArray, imag_part, magnitude, negligible, real_part, to_float
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
 

@@ -4,7 +4,7 @@ A form is stored sparsely as coefficients c[I, J] of dz_I wedge dzbar_J with
 I, J strictly increasing index tuples (0-based).  Coefficients are Python
 complex (float backend) or GaussianRational (exact backend).  DenseForm
 holds a (p,p)-form as its dense coefficient matrix in either backend, for
-long products: a complex ndarray, or an ExactArray, integer numerators
+long products: a complex ndarray, or a scalars.ExactArray, integer numerators
 with one common denominator, whose products run on Python ints.  The dense
 kernels (DenseForm, _top_functional, _mid_gram, the real basis of ring and
 the curvature arrays of bogomolov) are one text for both array types;
@@ -21,7 +21,6 @@ Conventions, all verified by brute-force oracles in the test suite:
 import itertools
 import json
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,8 +29,8 @@ import numpy as np
 from .errors import ConsistencyError, DegreeError
 from .linalg import inertia
 from .scalars import (
-    GaussianRational, conj, from_parts, i_power, imag_part, is_exact, negligible, parts,
-    real_part, to_complex,
+    ExactArray, GaussianRational, conj, i_power, imag_part, is_exact, negligible, real_part,
+    to_complex,
 )
 from .verdict import DEGENERATE, FAIL, PASS, Verdict
 
@@ -253,239 +252,6 @@ def _merge_signs(d, p, q):
     return S
 
 
-class ExactArray:
-    """The exact array (re + i*im)/den of the exact backend: re and im are
-    numpy object arrays of Python ints of one shape, den a Python int > 0,
-    so entries never overflow.
-
-    It does what the dense kernels ask of a complex ndarray, with numpy's
-    meaning: indexing and assignment, iteration, reshape, ravel,
-    transpose/.T, conj, copy, + and -, * by an array (entrywise) or by an
-    exact scalar, / by an exact scalar, @, np.tensordot, np.einsum and
-    np.vdot.  A product is bilinear over the integers, so it runs on the
-    parts, skipping an imaginary part that is zero; an integer ndarray
-    factor (a _merge_signs table) is exact, and a float or complex one
-    demotes the product to complex, as it would a GaussianRational.
-    einsum is numpy's on the parts, in the order numpy picks: exact sums
-    do not depend on it.  Values leave as GaussianRationals (item, tolist,
-    np.vdot), as Fractions of the real parts (fractions) or as complex
-    (astype).  An assignment that changes den replaces the parts, so views
-    taken before it no longer follow the array.
-    """
-
-    __slots__ = ("re", "im", "den")
-    __array_ufunc__ = None  # ndarray operators defer to the reflected ones here
-
-    def __init__(self, re, im, den=1):
-        self.re, self.im = np.asarray(re, dtype=object), np.asarray(im, dtype=object)
-        self.den = den
-
-    @classmethod
-    def _reduced(cls, re, im, den):
-        """The array with den and the entries divided by their common factor."""
-        if den != 1:
-            g = math.gcd(den, *np.ravel(re).tolist(), *np.ravel(im).tolist())
-            if g != 1:
-                re, im, den = re // g, im // g, den // g
-        return cls(re, im, den)
-
-    @classmethod
-    def from_items(cls, shape, items):
-        """The array of the given shape with entries from (index, value)
-        pairs, exact values, and 0 elsewhere."""
-        items = [(ix, parts(c)) for ix, c in items]
-        den = math.lcm(*[n for _, (_, _, n) in items])
-        re, im = np.zeros(shape, dtype=object), np.zeros(shape, dtype=object)
-        for ix, (a, b, n) in items:
-            re[ix], im[ix] = a * (den // n), b * (den // n)
-        return cls(re, im, den)
-
-    # -- shape and indexing ------------------------------------------------
-
-    shape = property(lambda self: self.re.shape)
-    T = property(lambda self: self.transpose())
-
-    def __len__(self):
-        return len(self.re)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, key):
-        re = self.re[key]
-        if not isinstance(re, np.ndarray):
-            return from_parts(re, self.im[key], self.den)
-        return ExactArray(re, self.im[key], self.den)
-
-    def __setitem__(self, key, value):
-        den = math.lcm(self.den, value.den)
-        if den != self.den:
-            k = den // self.den
-            self.re, self.im, self.den = self.re * k, self.im * k, den
-        k = den // value.den
-        self.re[key], self.im[key] = value.re * k, value.im * k
-
-    def _map(self, name, *args, **kwargs):
-        """The same numpy method applied to both parts."""
-        return ExactArray(getattr(self.re, name)(*args, **kwargs),
-                          getattr(self.im, name)(*args, **kwargs), self.den)
-
-    def reshape(self, *shape):
-        return self._map("reshape", *shape)
-
-    def transpose(self, *axes):
-        return self._map("transpose", *axes)
-
-    def ravel(self):
-        return self._map("ravel")
-
-    def copy(self):
-        return self._map("copy")
-
-    def conj(self):
-        return ExactArray(self.re.copy(), -self.im, self.den)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _over(self, den):
-        """The parts over den, a multiple of self.den."""
-        k = den // self.den
-        return (self.re, self.im) if k == 1 else (self.re * k, self.im * k)
-
-    def _combine(self, op, other):
-        """op (+ or -) entrywise, over the lcm of the denominators."""
-        if not isinstance(other, ExactArray):
-            return NotImplemented
-        den = math.lcm(self.den, other.den)
-        (a, b), (c, e) = self._over(den), other._over(den)
-        return ExactArray._reduced(op(a, c), op(b, e), den)
-
-    def __add__(self, other):
-        return self._combine(operator.add, other)
-
-    def __sub__(self, other):
-        return self._combine(operator.sub, other)
-
-    def __neg__(self):
-        return ExactArray(-self.re, -self.im, self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, (ExactArray, np.ndarray)):
-            return _bilinear(operator.mul, self, other)
-        if not is_exact(other):
-            return NotImplemented
-        a, b, n = parts(other)
-        re, im = self.re, self.im
-        if b == 0:
-            re, im = re * a, im * a
-        elif a == 0:
-            re, im = im * -b, re * b
-        else:
-            re, im = re * a - im * b, re * b + im * a
-        return ExactArray._reduced(re, im, self.den * n)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not is_exact(other):
-            return NotImplemented
-        return self * (from_parts(1, 0, 1) / other)
-
-    def __matmul__(self, other):
-        return _bilinear(np.matmul, self, other)
-
-    def __rmatmul__(self, other):
-        return _bilinear(np.matmul, other, self)
-
-    def __array_function__(self, func, types, args, kwargs):
-        handler = _ARRAY_FUNCTIONS.get(func)
-        return NotImplemented if handler is None else handler(*args, **kwargs)
-
-    # -- values out --------------------------------------------------------
-
-    def nonzero(self):
-        return ((self.re != 0) | (self.im != 0)).nonzero()
-
-    def item(self, *index):
-        return from_parts(self.re.item(*index), self.im.item(*index), self.den)
-
-    def tolist(self):
-        """The entries as nested lists of GaussianRationals."""
-        out = np.empty(self.shape, dtype=object)
-        return np.frompyfunc(from_parts, 3, 1)(self.re, self.im, self.den, out=out).tolist()
-
-    def fractions(self):
-        """The real parts of the entries as nested lists of Fractions."""
-        out = np.empty(self.shape, dtype=object)
-        return np.frompyfunc(Fraction, 2, 1)(self.re, self.den, out=out).tolist()
-
-    def astype(self, dtype, copy=True):
-        """The complex ndarray of the entries, each part correctly rounded
-        (OverflowError beyond float range); dtype must be complex."""
-        if np.dtype(dtype) != np.complex128:
-            raise TypeError(f"an exact array converts to complex only, not {dtype}")
-        out = np.empty(self.shape, dtype=complex)
-        out.real, out.imag = self.re / self.den, self.im / self.den
-        return out
-
-    def __repr__(self):
-        return f"ExactArray(shape={self.shape}, den={self.den})"
-
-
-def _parts(x):
-    """(re, im, den) of an exact operand; im is None when it is zero."""
-    if isinstance(x, ExactArray):
-        return x.re, (x.im if x.im.any() else None), x.den
-    x = np.asarray(x)
-    if x.dtype.kind not in "biu":
-        raise TypeError(f"an exact array meets a {x.dtype} array")
-    return x, None, 1
-
-
-def _bilinear(f, x, y):
-    """f(x, y) for a map f that is bilinear over the integers, from the
-    parts: (a + ib)(c + ie) = (ac - be) + i(ae + bc)."""
-    if any(isinstance(z, np.ndarray) and z.dtype.kind in "fc" for z in (x, y)):
-        return f(*(z.astype(complex) if isinstance(z, ExactArray) else z for z in (x, y)))
-    a, b, m = _parts(x)
-    c, e, n = _parts(y)
-    re = f(a, c)
-    im = None if e is None else f(a, e)
-    if b is not None:
-        im = f(b, c) if im is None else im + f(b, c)
-        if e is not None:
-            re = re - f(b, e)
-    if im is None:
-        im = np.zeros(np.shape(re), dtype=object)
-    return ExactArray._reduced(re, im, m * n)
-
-
-def _tensordot(a, b, axes=2):
-    return _bilinear(lambda x, y: np.tensordot(x, y, axes), a, b)
-
-
-def _vdot(a, b):
-    return (a.conj().ravel() @ b.ravel()).item()
-
-
-def _einsum(subscripts, *operands):
-    """np.einsum of exact operands: the sum, over taking the real or the
-    imaginary part of each operand, of i^(imaginary parts taken) times the
-    einsum of those integer parts, numpy choosing the contraction path."""
-    parts = [_parts(x) for x in operands]
-    by_power = [0, 0, 0, 0]  # the terms by their power of i
-    for choice in itertools.product((0, 1), repeat=len(parts)):
-        arrays = [p[c] for p, c in zip(parts, choice)]
-        if all(a is not None for a in arrays):
-            by_power[sum(choice) % 4] += np.einsum(subscripts, *arrays, optimize=True)
-    re = by_power[0] - by_power[2]  # an array: the real parts are never skipped
-    im = by_power[1] - by_power[3] + np.zeros_like(re)
-    return ExactArray._reduced(re, im, math.prod(p[2] for p in parts))
-
-
-_ARRAY_FUNCTIONS = {np.tensordot: _tensordot, np.einsum: _einsum, np.vdot: _vdot}
-
-
 def _promote(*arrays):
     """The coefficient arrays in one backend: exact when all are, else complex."""
     if all(isinstance(X, ExactArray) for X in arrays):
@@ -496,12 +262,10 @@ def _promote(*arrays):
 def _array(shape, items, exact):
     """The coefficient array with entries from (index, value) pairs and 0
     elsewhere: an ExactArray, or complex."""
-    if exact:
-        return ExactArray.from_items(shape, items)
-    A = np.zeros(shape, dtype=complex)
+    A = np.zeros(shape, dtype=object if exact else complex)
     for ix, c in items:
-        A[ix] = complex(c)
-    return A
+        A[ix] = c if exact else complex(c)
+    return ExactArray.of(A) if exact else A
 
 
 def _coefficient_matrix(form, exact):
@@ -688,7 +452,7 @@ def positivity_dminus1(form, zero_tol=1e-9):
     if (form.p, form.q) != (d - 1, d - 1):
         raise DegreeError(f"expected a ({d - 1},{d - 1})-form on C^{d}")
     exact = form.is_exact()
-    H = ((GaussianRational(0, 1) if exact else 1j) * _top_functional(form)).tolist()
+    H = (GaussianRational(0, 1) if exact else 1j) * _top_functional(form)
     sig, eigs = inertia(H, zero_tol)
     pos, zero, neg = sig
     if zero > 0:

@@ -20,19 +20,23 @@ Verdicts carry inertia triples from signature, which is linalg.inertia: in
 the exact backend they come from fraction-free integer elimination with no
 tolerance, and eigenvalues are float evidence.  The exact restricted
 signature of the kernel characterization comes from the same routine, on
-the bordered matrix of the Gram form and the functional.
+the bordered matrix of the Gram form and the functional, built from their
+integer numerators.
 
 One core, _pair_verdict, decides every pair from coordinates: the Gram
 matrix, the multiplication matrix of eta_mid, eta_top, the functional
-int(b_i * eta_top) and h.  is_hr_pair feeds it from any ring model.  Ring
-products are always exact; is_hr_pair(exact=False) decides on float copies
-of the exact matrices.  Forms of both backends live in one encoding, the
-DenseForm coefficient matrix (complex, or an exterior.ExactArray of ints):
+int(b_i * eta_top) and h.  The array type is the backend: scalars.ExactArray
+in the exact one, float ndarrays in the other, with @ for every pairing and
+no flag.  is_hr_pair feeds it from any ring model: ring products are always
+exact, and its Fraction lists are converted once, to ExactArrays, or with
+exact=False to float copies.  Forms of both backends live in one encoding,
+the DenseForm coefficient matrix (complex, or an ExactArray of ints):
 schur_form_pair multiplies in it and pointwise_hr_pair reads its
-intersection numbers from it, so no trial builds a ring or makes a sparse
-wedge.  torus_ring(d), the same numbers as exact ring products, is the test
-suite's oracle for both, and the test suite checks its product tables
-against the sparse wedge.
+intersection numbers from it and hands them to the core as they are, so no
+trial builds a ring, makes a sparse wedge or builds a Fraction list.
+torus_ring(d), the same numbers as exact ring products, is the test suite's
+oracle for both, and the test suite checks its product tables against the
+sparse wedge.
 """
 
 import json
@@ -44,9 +48,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingError
-from .exterior import DenseForm, ExactArray, _array, _coefficient_matrix, _mid_gram, _promote
+from .exterior import DenseForm, _array, _coefficient_matrix, _mid_gram, _promote
 from .exterior import _top_functional, form_from_hermitian, hermitian_from_form, std_kahler
 from .linalg import (
+    _matrix,
     float_kernel_vector,
     float_signature,
     float_solve,
@@ -56,75 +61,51 @@ from .linalg import (
     rational_solve,
 )
 from .ring import MAX_SWEEP_DIMENSION, _check_real, _real_basis_matrix, real_coordinates
-from .scalars import to_float
+from .scalars import ExactArray, to_float
 from .symfunc import Partition, derived, evaluate, schur
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
 
 def _images(model, eta, degree=1):
-    """Coordinates of eta * b_j for each degree-`degree` basis class b_j."""
-    return [(eta * model.basis_element(degree, j)).coeffs
-            for j in range(len(model.basis(degree)))]
-
-
-def _gram_of_images(model, images, degree=1):
-    """Q[i][j] = int(b_i * images[j]) through the model's cached pairing matrix.
-
-    Only the upper triangle is computed; the lower one is its mirror.
-    """
-    P = model.pairing_matrix(degree)
-    n = len(images)
-    Q = [[None] * n for _ in range(n)]
-    for i in range(n):
-        row = [(o, p) for o, p in enumerate(P[i]) if p != 0]
-        for j in range(i, n):
-            Q[i][j] = Q[j][i] = sum((p * images[j][o] for o, p in row), Fraction(0))
-    return Q
+    """The ExactArray M whose column j holds the coordinates of eta * b_j,
+    b_j the j-th basis class of degree `degree`."""
+    return _matrix([(eta * model.basis_element(degree, j)).coeffs
+                    for j in range(len(model.basis(degree)))]).T
 
 
 def gram(model, eta, degree=1):
-    """Gram matrix int(b_i * eta * b_j) over the degree-1 basis (symmetric)."""
+    """Gram matrix int(b_i * eta * b_j) over the degree-1 basis (symmetric),
+    as lists of Fractions: P M for the model's cached pairing matrix P."""
     d = model.dimension
     if eta.degree + 2 * degree != d:
         raise DegreeError(
             f"eta has degree {eta.degree}; need {d - 2 * degree} to pair degree-{degree} classes"
         )
-    return _gram_of_images(model, _images(model, eta, degree), degree)
+    return _real(_matrix(model.pairing_matrix(degree)) @ _images(model, eta, degree))
 
 
-def _bilinear_value(Q, u, v):
-    """u^T Q v on rational lists, skipping zero coordinates."""
-    total = Fraction(0)
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b != 0:
-                total += a * Q[i][j] * b
-    return total
+def _real(x):
+    """A real result of @ in plain numbers: Fractions for an ExactArray,
+    floats for an ndarray; one number for a 0-d result, else lists."""
+    if isinstance(x, ExactArray):
+        return np.frompyfunc(Fraction, 2, 1)(x.re, x.den, out=np.empty(x.shape, object)).tolist()
+    return x.tolist()
 
 
-def _dot(u, v, exact):
-    return sum((a * b for a, b in zip(u, v)), Fraction(0)) if exact else float(u @ v)
-
-
-def _quadratic_value(Q, v, exact):
-    """v^T Q v: exactly on rational lists, in floats when Q is an array."""
-    if exact:
-        return _bilinear_value(Q, v, v)
-    v = np.asarray(v, dtype=float)
-    return float(v @ Q @ v)
-
-
-def _kernel_witness(Q, exact):
-    if exact:
+def _kernel_witness(Q):
+    if isinstance(Q, ExactArray):
         null = rational_nullspace(Q)
         return [str(x) for x in null[0]] if null else None
     return float_kernel_vector(Q)
 
 
-def _hr_property(Q, exact, zero_tol, hval=None):
-    """has_hr_property's verdict from the Gram matrix and, if given, Q(h, h)."""
+def _hr_property(Q, zero_tol, hval=None):
+    """has_hr_property's verdict from the Gram matrix and, if given, Q(h, h).
+
+    Q is an ExactArray, decided exactly, or a float array, decided with the
+    relative zero_tol.
+    """
+    exact = isinstance(Q, ExactArray)
     sig, eigs = signature(Q, zero_tol)
     pos, zero, neg = sig
     n = len(Q)
@@ -133,7 +114,7 @@ def _hr_property(Q, exact, zero_tol, hval=None):
     if zero > 0:
         return Verdict(
             DEGENERATE, sig, eigs,
-            witness={"kernel_vector": _kernel_witness(Q, exact)},
+            witness={"kernel_vector": _kernel_witness(Q)},
             tolerances=tolerances, details=details,
         )
     lorentzian = pos == 1 and neg == n - 1
@@ -146,7 +127,7 @@ def _hr_property(Q, exact, zero_tol, hval=None):
         witness = {}
         if ok and n > 0:
             # the top eigenvector of the saturated float copy; NaN if that is not finite
-            A = np.asarray([[to_float(x) for x in r] for r in Q])
+            A = Q.saturated() if exact else Q
             v = np.linalg.eigh(A)[1][:, -1] if np.isfinite(A).all() else [math.nan] * n
             witness["certifying_direction"] = [float(x) for x in v]
     return Verdict(
@@ -162,33 +143,32 @@ def has_hr_property(model, eta, h=None):
     certifying positive direction (the top float eigenvector) is reported as
     witness.
     """
-    Q = gram(model, eta)
-    hval = None if h is None else _bilinear_value(Q, h.coeffs, h.coeffs)
-    return _hr_property(Q, True, None, hval)
+    Q = _matrix(gram(model, eta))
+    if h is None:
+        return _hr_property(Q, None)
+    v = ExactArray.of(h.coeffs)
+    return _hr_property(Q, None, _real(v @ Q @ v))
 
 
-def _solve_division(M, b, exact, zero_tol):
-    """x with M x = b; SingularPairingError with a kernel witness if there is none."""
-    if exact:
+def _solve_division(M, b, zero_tol=None):
+    """x with M x = b, an array of M's backend; SingularPairingError with a
+    kernel witness if there is none."""
+    if isinstance(M, ExactArray):
         x = rational_solve(M, b)
         if x is None:
-            null = rational_nullspace(M)
-            raise SingularPairingError(
-                "multiplication by eta is singular on degree-1 classes",
-                witness=[str(v) for v in null[0]] if null else None,
-            )
-        return x
+            raise SingularPairingError("multiplication by eta is singular on degree-1 classes",
+                                       witness=_kernel_witness(M))
+        return ExactArray.of(x)
     x = float_solve(M, b)
     if x is None:
         # a witness only when M is numerically rank-deficient, as in the exact branch
-        M = np.asarray(M, dtype=float)
         _, s, vh = np.linalg.svd(M)
         deficient = M.shape[0] < M.shape[1] or s[-1] <= zero_tol * s[0]
         raise SingularPairingError(
             "multiplication by eta is numerically singular on degree-1 classes",
             witness=[float(v) for v in vh[-1]] if deficient else None,
         )
-    return x
+    return np.asarray(x)
 
 
 def divide(model, gamma, eta):
@@ -203,16 +183,18 @@ def divide(model, gamma, eta):
             f"division expects quotient degree 1, got {qdeg} "
             f"(gamma degree {gamma.degree}, eta degree {eta.degree})"
         )
-    M = [list(row) for row in zip(*_images(model, eta))]
-    return model.from_coeffs(1, _solve_division(M, gamma.coeffs, True, None))
+    return model.from_coeffs(1, _real(_solve_division(_images(model, eta), gamma.coeffs)))
 
 
-def _restricted_negdef(Q, functional, zero_tol, exact):
+def _restricted_negdef(Q, functional, zero_tol):
     """Signature of Q restricted to the hyperplane {functional = 0}; functional != 0."""
-    if exact:
-        # In([[Q, f], [f^T, 0]]) = In(Q on {f = 0}) + (1, 0, 1) (Haynsworth 1968)
-        border = [[*row, f] for row, f in zip(Q, functional)] + [[*functional, 0]]
-        pos, zero, neg = rational_inertia(border)
+    if isinstance(Q, ExactArray):
+        # In([[Q, f], [f^T, 0]]) = In(Q on {f = 0}) + (1, 0, 1) (Haynsworth 1968).  Built
+        # from the numerators: q [[Q, f], [f^T, 0]] is congruent by diag(I, r/q) to it,
+        # for q and r the denominators of Q and f
+        f = functional.re[:, None]
+        border = np.block([[Q.re, f], [f.T, np.zeros((1, 1), dtype=object)]])
+        pos, zero, neg = rational_inertia(ExactArray(border, np.zeros_like(border)))
         return pos - 1, zero, neg - 1
     _, _, vh = np.linalg.svd(functional[None, :])
     B = vh[1:].T
@@ -232,26 +214,24 @@ def float_copy(values, name):
                           "decide with the exact backend") from None
 
 
-def _pair_verdict(Q, M, top, functional, h, exact, zero_tol):
+def _pair_verdict(Q, M, top, functional, h, zero_tol):
     """The Hodge-Riemann pair verdict from coordinates; every pair check ends here.
 
     Q is the Gram matrix of eta_mid on degree-1 classes, M the matrix of
     multiplication by eta_mid from degree 1 to degree d-1, top the
     coordinates of eta_top, functional[i] = int(b_i * eta_top) and h the
-    coordinates of h.  Exact input is lists of rationals; otherwise each is
-    taken as a float array (float_copy: ConfigError beyond float range).
+    coordinates of h.  The array type is the backend: all are real
+    ExactArrays, decided exactly, or all float arrays, decided with the
+    relative zero_tol.  The values of the verdict are read with _real.
 
     Any zero inertia along the way yields outcome "degenerate" (never a hard
     pass/fail); otherwise the kernel characterization is recomputed and a
     disagreement raises ConsistencyError.
     """
-    if not exact:
-        names = ("Gram matrix", "multiplication matrix", "eta_top", "functional", "h")
-        Q, M, top, functional, h = map(float_copy, (Q, M, top, functional, h), names)
-    tolerances = {} if exact else {"zero_tol": zero_tol}
-    hval = _quadratic_value(Q, h, exact)
-    prop = _hr_property(Q, exact, zero_tol, hval)
-    c2val = _dot(h, functional, exact)
+    tolerances = {} if isinstance(Q, ExactArray) else {"zero_tol": zero_tol}
+    hval = _real(h @ Q @ h)
+    prop = _hr_property(Q, zero_tol, hval)
+    c2val = _real(h @ functional)
     details = {
         "hr_property": prop.to_dict(),
         "pairing_with_h": jsonable(c2val),
@@ -263,7 +243,7 @@ def _pair_verdict(Q, M, top, functional, h, exact, zero_tol):
         )
 
     try:
-        quotient = _solve_division(M, top, exact, zero_tol)
+        quotient = _solve_division(M, top, zero_tol)
     except SingularPairingError as exc:
         # Gram nondegenerate but the division failed: numerically borderline
         return Verdict(
@@ -271,17 +251,14 @@ def _pair_verdict(Q, M, top, functional, h, exact, zero_tol):
             witness={"division": str(exc), "kernel_vector": exc.witness},
             tolerances=tolerances, details=details,
         )
-    if exact:  # Q @ quotient = P @ M @ quotient = P @ top = functional: no quadratic form
-        c3val = _dot(quotient, functional, exact)
-    else:
-        c3val = _quadratic_value(Q, quotient, exact)
-    details["quotient"] = jsonable(quotient)
+    c3val = _real(quotient @ Q @ quotient)
+    details["quotient"] = jsonable(_real(quotient))
     details["quotient_square_value"] = jsonable(c3val)
 
     passed = prop.passed and c2val > 0 and c3val > 0
 
     if c2val > 0:
-        rsig = _restricted_negdef(Q, functional, zero_tol, exact)
+        rsig = _restricted_negdef(Q, functional, zero_tol)
         kernel_pass = rsig == (0, 0, len(Q) - 1) and hval > 0
         details["kernel_characterization"] = {
             "restricted_signature": rsig,
@@ -324,10 +301,11 @@ def _pair_verdict(Q, M, top, functional, h, exact, zero_tol):
 def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9, exact=True):
     """Check the three Hodge-Riemann pair conditions for (eta_top, eta_mid).
 
-    The Gram matrix, the multiplication matrix, eta_top and the functional
-    are built from exact ring products.  With exact=False the decision runs
-    on float copies of them with the relative zero_tol, and an entry beyond
-    float range raises ConfigError; see _pair_verdict for the verdict rules.
+    The Gram matrix Q = P M, the multiplication matrix M, eta_top and the
+    functional P eta_top, for P the pairing matrix, are exact ring products,
+    as ExactArrays.  With exact=False the decision runs on float copies of
+    them with the relative zero_tol, and an entry beyond float range raises
+    ConfigError; see _pair_verdict for the verdict rules.
     """
     d = model.dimension
     if eta_top.degree != d - 1 or eta_mid.degree != d - 2:
@@ -337,16 +315,14 @@ def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9, exact=True):
         )
     if h.degree != 1:
         raise DegreeError(f"h must have degree 1, got {h.degree}")
-    images = _images(model, eta_mid)
-    Q = _gram_of_images(model, images)
-    functional = [
-        sum((p * t for p, t in zip(row, eta_top.coeffs) if p != 0), Fraction(0))
-        for row in model.pairing_matrix(1)
-    ]
-    return _pair_verdict(
-        Q, [list(row) for row in zip(*images)], eta_top.coeffs, functional,
-        h.coeffs, exact, zero_tol,
-    )
+    P, M = _matrix(model.pairing_matrix(1)), _images(model, eta_mid)
+    top = ExactArray.of(eta_top.coeffs)
+    values = (P @ M, M, top, P @ top, ExactArray.of(h.coeffs))
+    if exact:
+        return _pair_verdict(*values, zero_tol)
+    names = ("Gram matrix", "multiplication matrix", "eta_top", "functional", "h")
+    return _pair_verdict(*(float_copy(_real(v), name) for v, name in zip(values, names)),
+                         zero_tol)
 
 
 def pos_cone_contains(model, beta, eta, h):
@@ -378,8 +354,8 @@ def _check_strictly_positive(omega, zero_tol):
 
 
 def _real_values(X, form):
-    """Re X, for X pairings of form with real classes: a float array, or
-    nested lists of Fractions for exact X.
+    """Re X, for X pairings of form with real classes: a float array, or X
+    itself when exact.
 
     Float values are symmetrized by taking Re.  Exact pairings with every
     real class are real exactly when the form is (Poincare duality), so an
@@ -391,7 +367,7 @@ def _real_values(X, form):
     if X.im.any():
         _check_real(form)
         raise ConsistencyError("pairings with real classes are not real")
-    return X.fractions()
+    return X
 
 
 def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
@@ -416,10 +392,11 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
                        _mid_gram(omega_mid))
     functional = _real_values(B @ m.ravel(), omega_top)
     Q = _real_values(B @ G.reshape(d * d, d * d) @ B.T, omega_mid)
+    h = real_coordinates(omega)
+    h = ExactArray.of(h) if exact else float_copy(h, "h")
     # Q = P M and functional = P top for P the pairing of degrees 1 and d-1,
     # invertible on the torus (Poincare duality): M q = top iff Q q = functional
-    return _pair_verdict(Q, Q, functional, functional, real_coordinates(omega), exact,
-                         zero_tol)
+    return _pair_verdict(Q, Q, functional, functional, h, zero_tol)
 
 
 def random_kahler(d, rng, delta=1e-3):

@@ -1,9 +1,9 @@
 """Small exact/float linear algebra kernel.
 
-Exact routines take lists of rows of rationals (GaussianRationals for
-Hermitian inertia) and use no tolerances at all.  They eliminate in Python
-ints: each row is multiplied by the lcm of its own denominators, and
-fraction-free (Bareiss) elimination divides every update exactly by the
+Exact routines take an ExactArray, or lists of rows of exact numbers, which
+they convert once, and use no tolerances at all.  They eliminate in Python
+ints, on the integer parts: each row is divided by the gcd of its entries,
+and fraction-free (Bareiss) elimination divides every update exactly by the
 previous pivot; Fractions appear again only in the results.  Float routines
 delegate to numpy; the signature takes an explicit relative zero tolerance.
 inertia is the one entry point for signatures in both backends.
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import GaussianRational, imag_part, real_part, to_complex, to_float
+from .scalars import ExactArray, is_exact
 
 
 def _shape(M):
@@ -26,21 +26,34 @@ def _shape(M):
     return rows, cols
 
 
-def _square(M):
-    """The size n of an n x n matrix given as a list of rows; ValueError otherwise."""
-    rows, cols = _shape(M)
-    if rows != cols:
-        raise ValueError(f"matrix is {rows}x{cols}, not square")
-    return rows
+def _matrix(M):
+    """M as an array, converted once: a list of rows of exact numbers
+    becomes an ExactArray, any other list of rows a float ndarray (complex
+    when an entry is complex); arrays pass through."""
+    if isinstance(M, (np.ndarray, ExactArray)):
+        return M
+    A = np.asarray(M, dtype=object).reshape(_shape(M))
+    if all(map(is_exact, A.flat)):
+        return ExactArray.of(A)
+    try:
+        return A.astype(float)
+    except TypeError:
+        return A.astype(complex)
 
 
-def _cleared(row):
-    """A row of rationals times the lcm of its own denominators, as Python ints."""
-    row = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
-    # a list, not a generator: a tuple built from a generator stays in
-    # CPython 3.11's free lists until a full collection, 1 MB of peak RSS
-    den = math.lcm(*[x.denominator for x in row])
-    return [x.numerator * (den // x.denominator) for x in row]
+def _exact(M, real=True):
+    """M as an ExactArray (lists converted once), real unless real=False;
+    ValueError for float entries or a nonzero imaginary part."""
+    A = _matrix(M)
+    if not isinstance(A, ExactArray) or (real and A.im.any()):
+        raise ValueError("an exact routine takes " + ("rationals" if real else "exact numbers"))
+    return A
+
+
+def _primitive_rows(A):
+    """The rows of an object array of ints as lists, each divided by the gcd
+    of its entries: a positive row scaling, never larger than the input."""
+    return [[x // g for x in row] if (g := math.gcd(*row)) > 1 else row for row in A.tolist()]
 
 
 def _symmetric_inertia(A):
@@ -91,48 +104,43 @@ def _symmetric_inertia(A):
 def rational_inertia(Q):
     """Inertia (positive, zero, negative) of an exact symmetric or Hermitian matrix.
 
-    Entries are rationals or GaussianRationals.  A Hermitian H = R + iJ is
-    decided through the real symmetric [[R, -J], [J, R]], whose eigenvalues
-    are those of H, each twice.  Each row is cleared by its own denominators
-    and eliminated in integers (_symmetric_inertia).
+    Q is an ExactArray or a list of rows of rationals or GaussianRationals.
+    A Hermitian H = R + iJ, J != 0, is decided through the real symmetric
+    [[R, -J], [J, R]], whose eigenvalues are those of H, each twice.  The
+    rows of the integer parts are divided by their gcds and eliminated in
+    integers (_symmetric_inertia).
     """
-    _square(Q)
-    hermitian = any(imag_part(x) for row in Q for x in row)
-    S = [[real_part(x) for x in row] for row in Q]
-    if hermitian:
-        J = [[imag_part(x) for x in row] for row in Q]
-        S = [r + [-x for x in j] for r, j in zip(S, J)] + [j + r for r, j in zip(S, J)]
-    if any(S[i][j] != S[j][i] for i in range(len(S)) for j in range(i)):
+    Q = _exact(Q, real=False)
+    rows, cols = Q.shape
+    if rows != cols:
+        raise ValueError(f"matrix is {rows}x{cols}, not square")
+    R, J = Q.re, Q.im
+    if not ((R == R.T).all() and (J == -J.T).all()):
         raise ValueError("matrix is not symmetric or Hermitian")
-    pos, zero, neg = _symmetric_inertia([_cleared(row) for row in S])
-    if hermitian:
-        return pos // 2, zero // 2, neg // 2
-    return pos, zero, neg
+    if not J.any():
+        return _symmetric_inertia(_primitive_rows(R))
+    pos, zero, neg = _symmetric_inertia(_primitive_rows(np.block([[R, -J], [J, R]])))
+    return pos // 2, zero // 2, neg // 2
 
 
 def inertia(M, zero_tol=1e-9):
     """((pos, zero, neg), eigenvalues) of a real symmetric or Hermitian matrix.
 
-    The one inertia routine of both backends.  M is Hermitian when an entry
-    is complex or a GaussianRational.  Arrays, and lists with a float or
-    complex entry, go through float_signature with the relative zero_tol.
-    Exact input (rationals and GaussianRationals) is classified by
-    rational_inertia, with no tolerance; its float eigenvalues are evidence
-    only, of a copy whose entries saturate to +-inf beyond float range (NaN
-    when the copy is not finite).
+    The one inertia routine of both backends.  M is an ndarray, an
+    ExactArray or a list of rows, converted once (_matrix); it is Hermitian
+    when it is complex.  Float arrays go through float_signature with the
+    relative zero_tol.  Exact input is classified by rational_inertia, with
+    no tolerance; its float eigenvalues are evidence only, of the saturated
+    copy (ExactArray.saturated; NaN when that copy is not finite).
     """
+    M = _matrix(M)
     if isinstance(M, np.ndarray):
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"matrix of shape {M.shape} is not square")
         return float_signature(M, zero_tol)
-    if _square(M) == 0:
-        return (0, 0, 0), []
-    hermitian = any(isinstance(x, (complex, GaussianRational)) for row in M for x in row)
-    if any(isinstance(x, (float, complex)) for row in M for x in row):
-        return float_signature(np.asarray(M, dtype=complex if hermitian else float), zero_tol)
-    A = np.asarray([[to_complex(x) if hermitian else to_float(x) for x in row] for row in M])
-    eigs = float_signature(A)[1] if np.isfinite(A).all() else [math.nan] * len(M)
-    return rational_inertia(M), eigs
+    sig = rational_inertia(M)
+    A = M.saturated()
+    return sig, float_signature(A)[1] if np.isfinite(A).all() else [math.nan] * len(A)
 
 
 def det(rows, one):
@@ -198,24 +206,22 @@ def _eliminate(A, cols, jordan):
 def rational_rref(M):
     """Reduced row echelon form of a rational matrix: (rows of Fractions, pivot columns).
 
-    Each row is cleared by its own denominators, which changes no reduced
-    row echelon form, and reduced in integers (_eliminate).
+    M is an ExactArray or a list of rows.  Each row of the integer parts is
+    divided by its gcd, which changes no reduced row echelon form, and
+    reduced in integers (_eliminate).
     """
-    _, cols = _shape(M)
-    A = [_cleared(row) for row in M]
-    pivots, last = _eliminate(A, cols, jordan=True)
+    M = _exact(M)
+    A = _primitive_rows(M.re)
+    pivots, last = _eliminate(A, M.shape[1], jordan=True)
     return [[Fraction(x, last) for x in row] for row in A], pivots
 
 
 def rational_nullspace(M):
     """Basis of the right nullspace of a rational matrix."""
-    if not M:
-        return []
-    cols = len(M[0])
     A, pivots = rational_rref(M)
-    free = [c for c in range(cols) if c not in pivots]
+    cols = len(A[0]) if A else 0
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -227,15 +233,20 @@ def rational_nullspace(M):
 def rational_solve(M, b):
     """Solve M x = b exactly; returns None when no solution exists.
 
-    Of many solutions, the one whose non-pivot unknowns are 0, as read off
-    the RREF.  Rows of [M | b] are cleared one by one and brought to echelon
-    form (_eliminate); back substitution then runs on X = last * x, with
-    last the last pivot, which is an integer vector by Cramer's rule.
+    M and b are ExactArrays or lists.  Of many solutions, the one whose
+    non-pivot unknowns are 0, as read off the RREF.  The rows of the integer
+    parts of [M | b] over one denominator, each divided by its gcd, are
+    brought to echelon form (_eliminate); back substitution then runs on
+    X = last * x, with last the last pivot, which is an integer vector by
+    Cramer's rule.
     """
-    rows, cols = _shape(M)
-    if len(b) != rows:
-        raise ValueError(f"right-hand side has {len(b)} entries for a {rows}x{cols} matrix")
-    A = [_cleared([*row, rhs]) for row, rhs in zip(M, b)]
+    M = _exact(M)
+    rows, cols = M.shape
+    B = _exact(b[:, None] if isinstance(b, ExactArray) else [[x] for x in b])
+    if len(B) != rows:
+        raise ValueError(f"right-hand side has {len(B)} entries for a {rows}x{cols} matrix")
+    den = math.lcm(M.den, B.den)
+    A = _primitive_rows(np.hstack([M.re * (den // M.den), B.re * (den // B.den)]))
     pivots, last = _eliminate(A, cols + 1, jordan=False)
     if pivots and pivots[-1] == cols:
         return None

@@ -51,11 +51,9 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import (
-    DenseForm, ExactArray, _array, _coefficient_matrix, _merge_signs, _subset_index, std_kahler,
-)
+from .exterior import DenseForm, _coefficient_matrix, _merge_signs, _subset_index, std_kahler
 from .linalg import rational_solve
-from .scalars import GaussianRational, i_power, is_exact
+from .scalars import ExactArray, GaussianRational, i_power, is_exact
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
 
 
@@ -519,7 +517,7 @@ def form_from_real_coordinates(d, p, coords):
             f"{len(coords)} coordinates for real ({p},{p})-forms on C^{d}, need {m * m}"
         )
     exact = all(is_exact(c) for c in coords)
-    v = _array((m * m,), enumerate(coords), True) if exact else np.array(coords, dtype=float)
+    v = ExactArray.of(coords) if exact else np.array(coords, dtype=float)
     Z = v @ _real_basis_matrix(d, p, exact)
     return DenseForm(d, p, Z.reshape(m, m)).to_form()
 

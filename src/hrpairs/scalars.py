@@ -1,14 +1,20 @@
-"""Exact complex scalars: Gaussian rationals (a + b*i)/n over Python ints.
+"""Exact numbers: Gaussian rationals (a + b*i)/n over Python ints, and arrays of them.
 
 The float backend uses Python ``complex`` directly.  GaussianRational
 implements the same small protocol (+, -, *, /, ``conjugate``, ``.real``,
 ``.imag``) so the form and matrix code never has to branch on the backend.
 Mixing a GaussianRational with a float or complex demotes the result to
-``complex``.
+``complex``.  ExactArray is the exact counterpart of a complex ndarray:
+integer numerators over one denominator, which the dense kernels, the
+verdict core and the exact linear algebra all run on.
 """
 
+import itertools
 import math
+import operator
 from fractions import Fraction
+
+import numpy as np
 
 
 def from_parts(a, b, n):
@@ -227,3 +233,244 @@ def negligible(x, bound):
     if is_exact(x):
         return x == 0
     return abs(x) <= bound
+
+
+class ExactArray:
+    """The exact array (re + i*im)/den of the exact backend: re and im are
+    numpy object arrays of Python ints of one shape, den a Python int > 0,
+    so entries never overflow.
+
+    It does what the dense kernels ask of a complex ndarray, with numpy's
+    meaning: indexing and assignment, iteration, reshape, ravel,
+    transpose/.T, conj, copy, + and -, * by an array (entrywise) or by an
+    exact scalar, / by an exact scalar, @, np.tensordot, np.einsum and
+    np.vdot.  A product is bilinear over the integers, so it runs on the
+    parts, skipping an imaginary part that is zero; an integer ndarray
+    factor (a _merge_signs table) is exact, and a float or complex one
+    demotes the product to complex, as it would a GaussianRational.
+    einsum is numpy's on the parts, in the order numpy picks: exact sums
+    do not depend on it.  Values enter from nested lists of exact numbers
+    (of) and leave as GaussianRationals (item, tolist, np.vdot), as complex
+    (astype) or as float evidence that saturates beyond float range
+    (saturated); the exact linear algebra reads the integer parts.  An
+    assignment that changes den replaces the parts, so views taken before it
+    no longer follow the array.
+    """
+
+    __slots__ = ("re", "im", "den")
+    __array_ufunc__ = None  # ndarray operators defer to the reflected ones here
+
+    def __init__(self, re, im, den=1):
+        self.re, self.im = np.asarray(re, dtype=object), np.asarray(im, dtype=object)
+        self.den = den
+
+    @classmethod
+    def _reduced(cls, re, im, den):
+        """The array with den and the entries divided by their common factor."""
+        if den != 1:
+            g = math.gcd(den, *np.ravel(re).tolist(), *np.ravel(im).tolist())
+            if g != 1:
+                re, im, den = re // g, im // g, den // g
+        return cls(re, im, den)
+
+    @classmethod
+    def of(cls, values):
+        """The array of exact numbers given as nested lists or an object
+        array, over the lcm of their denominators."""
+        a, b, n = np.frompyfunc(parts, 1, 3)(np.asarray(values, dtype=object))
+        den = math.lcm(*np.ravel(n).tolist())
+        scale = den // n
+        return cls(a * scale, b * scale, den)
+
+    # -- shape and indexing ------------------------------------------------
+
+    shape = property(lambda self: self.re.shape)
+    T = property(lambda self: self.transpose())
+
+    def __len__(self):
+        return len(self.re)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, key):
+        re = self.re[key]
+        if not isinstance(re, np.ndarray):
+            return from_parts(re, self.im[key], self.den)
+        return ExactArray(re, self.im[key], self.den)
+
+    def __setitem__(self, key, value):
+        den = math.lcm(self.den, value.den)
+        if den != self.den:
+            k = den // self.den
+            self.re, self.im, self.den = self.re * k, self.im * k, den
+        k = den // value.den
+        self.re[key], self.im[key] = value.re * k, value.im * k
+
+    def _map(self, name, *args, **kwargs):
+        """The same numpy method applied to both parts."""
+        return ExactArray(getattr(self.re, name)(*args, **kwargs),
+                          getattr(self.im, name)(*args, **kwargs), self.den)
+
+    def reshape(self, *shape):
+        return self._map("reshape", *shape)
+
+    def transpose(self, *axes):
+        return self._map("transpose", *axes)
+
+    def ravel(self):
+        return self._map("ravel")
+
+    def copy(self):
+        return self._map("copy")
+
+    def conj(self):
+        return ExactArray(self.re.copy(), -self.im, self.den)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _over(self, den):
+        """The parts over den, a multiple of self.den."""
+        k = den // self.den
+        return (self.re, self.im) if k == 1 else (self.re * k, self.im * k)
+
+    def _combine(self, op, other):
+        """op (+ or -) entrywise, over the lcm of the denominators."""
+        if not isinstance(other, ExactArray):
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        (a, b), (c, e) = self._over(den), other._over(den)
+        return ExactArray._reduced(op(a, c), op(b, e), den)
+
+    def __add__(self, other):
+        return self._combine(operator.add, other)
+
+    def __sub__(self, other):
+        return self._combine(operator.sub, other)
+
+    def __neg__(self):
+        return ExactArray(-self.re, -self.im, self.den)
+
+    def __mul__(self, other):
+        if isinstance(other, (ExactArray, np.ndarray)):
+            return _bilinear(operator.mul, self, other)
+        if not is_exact(other):
+            return NotImplemented
+        a, b, n = parts(other)
+        re, im = self.re, self.im
+        if b == 0:
+            re, im = re * a, im * a
+        elif a == 0:
+            re, im = im * -b, re * b
+        else:
+            re, im = re * a - im * b, re * b + im * a
+        return ExactArray._reduced(re, im, self.den * n)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not is_exact(other):
+            return NotImplemented
+        return self * (from_parts(1, 0, 1) / other)
+
+    def __matmul__(self, other):
+        return _bilinear(np.matmul, self, other)
+
+    def __rmatmul__(self, other):
+        return _bilinear(np.matmul, other, self)
+
+    def __array_function__(self, func, types, args, kwargs):
+        handler = _ARRAY_FUNCTIONS.get(func)
+        return NotImplemented if handler is None else handler(*args, **kwargs)
+
+    # -- values out --------------------------------------------------------
+
+    def nonzero(self):
+        return ((self.re != 0) | (self.im != 0)).nonzero()
+
+    def item(self, *index):
+        return from_parts(self.re.item(*index), self.im.item(*index), self.den)
+
+    def tolist(self):
+        """The entries as nested lists of GaussianRationals."""
+        out = np.empty(self.shape, dtype=object)
+        return np.frompyfunc(from_parts, 3, 1)(self.re, self.im, self.den, out=out).tolist()
+
+    def astype(self, dtype, copy=True):
+        """The complex ndarray of the entries, each part correctly rounded
+        (OverflowError beyond float range); dtype must be complex."""
+        if np.dtype(dtype) != np.complex128:
+            raise TypeError(f"an exact array converts to complex only, not {dtype}")
+        out = np.empty(self.shape, dtype=complex)
+        out.real, out.imag = self.re / self.den, self.im / self.den
+        return out
+
+    def saturated(self):
+        """The float ndarray of the entries, complex when an imaginary part
+        is not 0, each part correctly rounded and saturating to +-inf beyond
+        float range like to_float: float evidence, never a decision."""
+        try:
+            re, im = self.re / self.den, self.im / self.den
+        except OverflowError:  # entry by entry, saturating
+            ratio = np.frompyfunc(lambda a: to_float(Fraction(a, self.den)), 1, 1)
+            re, im = ratio(self.re), ratio(self.im)
+        if not self.im.any():
+            return np.asarray(re, dtype=float)
+        return np.asarray(np.frompyfunc(complex, 2, 1)(re, im), dtype=complex)
+
+    def __repr__(self):
+        return f"ExactArray(shape={self.shape}, den={self.den})"
+
+
+def _array_parts(x):
+    """(re, im, den) of an exact operand; im is None when it is zero."""
+    if isinstance(x, ExactArray):
+        return x.re, (x.im if x.im.any() else None), x.den
+    x = np.asarray(x)
+    if x.dtype.kind not in "biu":
+        raise TypeError(f"an exact array meets a {x.dtype} array")
+    return x, None, 1
+
+
+def _bilinear(f, x, y):
+    """f(x, y) for a map f that is bilinear over the integers, from the
+    parts: (a + ib)(c + ie) = (ac - be) + i(ae + bc)."""
+    if any(isinstance(z, np.ndarray) and z.dtype.kind in "fc" for z in (x, y)):
+        return f(*(z.astype(complex) if isinstance(z, ExactArray) else z for z in (x, y)))
+    a, b, m = _array_parts(x)
+    c, e, n = _array_parts(y)
+    re = f(a, c)
+    im = None if e is None else f(a, e)
+    if b is not None:
+        im = f(b, c) if im is None else im + f(b, c)
+        if e is not None:
+            re = re - f(b, e)
+    if im is None:
+        im = np.zeros(np.shape(re), dtype=object)
+    return ExactArray._reduced(re, im, m * n)
+
+
+def _tensordot(a, b, axes=2):
+    return _bilinear(lambda x, y: np.tensordot(x, y, axes), a, b)
+
+
+def _vdot(a, b):
+    return (a.conj().ravel() @ b.ravel()).item()
+
+
+def _einsum(subscripts, *operands):
+    """np.einsum of exact operands: the sum, over taking the real or the
+    imaginary part of each operand, of i^(imaginary parts taken) times the
+    einsum of those integer parts, numpy choosing the contraction path."""
+    split = [_array_parts(x) for x in operands]
+    by_power = [0, 0, 0, 0]  # the terms by their power of i
+    for choice in itertools.product((0, 1), repeat=len(split)):
+        arrays = [p[c] for p, c in zip(split, choice)]
+        if all(a is not None for a in arrays):
+            by_power[sum(choice) % 4] += np.einsum(subscripts, *arrays, optimize=True)
+    re = by_power[0] - by_power[2]  # an array: the real parts are never skipped
+    im = by_power[1] - by_power[3] + np.zeros_like(re)
+    return ExactArray._reduced(re, im, math.prod(p[2] for p in split))
+
+
+_ARRAY_FUNCTIONS = {np.tensordot: _tensordot, np.einsum: _einsum, np.vdot: _vdot}

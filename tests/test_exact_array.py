@@ -1,4 +1,4 @@
-"""exterior.ExactArray against an oracle: numpy object arrays of GaussianRationals.
+"""scalars.ExactArray against an oracle: numpy object arrays of GaussianRationals.
 
 Every operation the dense kernels use is run on both, on entries over
 unequal and non-unit denominators, on empty shapes (as past degree d) and on
@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrpairs.exterior import ExactArray
-from hrpairs.scalars import from_parts
+from hrpairs.scalars import ExactArray, from_parts, to_complex
 
 DENOMINATORS = [1, 2, 3, 7, 21, 10 ** 40]
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -36,7 +35,8 @@ def gaussian_array(rng, shape, huge=False):
     values = [from_parts(part(), part(), den) for _ in range(math.prod(shape))]
     oracle = np.empty(len(values), dtype=object)
     oracle[:] = values
-    return ExactArray.from_items(shape, zip(np.ndindex(*shape), values)), oracle.reshape(shape)
+    oracle = oracle.reshape(shape)
+    return ExactArray.of(oracle), oracle
 
 
 def sign_table(rng, shape):
@@ -97,7 +97,9 @@ def test_entrywise_and_shape_operations_match_the_oracle(seed, shape, huge):
         k = int(rng.integers(x.size))
         assert X.item(k) == x.item(k)
         assert X[np.unravel_index(k, x.shape)] == x[np.unravel_index(k, x.shape)]
-    assert X.fractions() == entrywise(lambda z: z.real, x).tolist()
+    same(ExactArray.of(x), x)
+    saturated = entrywise(to_complex, x).astype(complex)  # +-inf beyond float range
+    assert np.array_equal(X.saturated(), saturated if X.im.any() else saturated.real)
     try:
         want = entrywise(complex, x).astype(complex)
     except OverflowError:  # the one conversion that may raise it, as complex() does

@@ -281,7 +281,7 @@ def test_positivity_reads_the_wedge_pairing(monkeypatch, d, exact):
         want = [[integrate_top(wedge(form, PPForm.monomial(d, (j,), (k,), unit)),
                                allow_complex=True)
                  for k in range(d)] for j in range(d)]
-        assert seen.pop() == want
+        assert seen.pop().tolist() == want
 
 
 # -- hat extension ---------------------------------------------------------

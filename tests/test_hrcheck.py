@@ -29,7 +29,6 @@ from hrpairs.exterior import (
     wedge,
 )
 from hrpairs.hrcheck import (
-    _bilinear_value,
     _restricted_negdef,
     _solve_division,
     divide,
@@ -53,7 +52,7 @@ from hrpairs.ring import (
     torus_ring,
 )
 from hrpairs.linalg import inertia, rational_inertia, rational_nullspace
-from hrpairs.scalars import GaussianRational
+from hrpairs.scalars import ExactArray, GaussianRational
 from hrpairs.symfunc import Partition, derived, evaluate, schur
 from hrpairs.verdict import jsonable
 
@@ -76,10 +75,9 @@ def delv_model():
                                         (3, -1, 0, 2), (-5, 1, 1, 0)])
 def test_float_restriction_to_a_hyperplane_matches_the_exact_one(functional):
     rows = [[2, 1, 0, 0], [1, -1, 1, 0], [0, 1, -3, 1], [0, 0, 1, -1]]
-    exact = _restricted_negdef([[Fraction(x) for x in r] for r in rows],
-                               [Fraction(x) for x in functional], 1e-9, True)
+    exact = _restricted_negdef(ExactArray.of(rows), ExactArray.of(list(functional)), 1e-9)
     flt = _restricted_negdef(np.array(rows, dtype=float), np.array(functional, dtype=float),
-                             1e-9, False)
+                             1e-9)
     assert flt == exact and sum(flt) == 3
 
 
@@ -96,10 +94,23 @@ def test_signature_exact_and_float_agree():
 
 
 def test_signature_of_an_exact_matrix_beyond_float_range():
-    """The inertia stays exact; only the float eigenvalue evidence is lost."""
-    sig, eigs = signature([[Fraction(10 ** 400), 0], [0, Fraction(-1)]])
+    """The inertia stays exact; only the float eigenvalue evidence is lost,
+    for a list of rows and an ExactArray alike."""
+    rows = [[Fraction(10 ** 400), 0], [0, Fraction(-1)]]
+    sig, eigs = signature(rows)
     assert sig == (1, 0, 1)
     assert len(eigs) == 2
+    X = ExactArray.of(rows)
+    assert X.saturated().tolist() == [[math.inf, 0.0], [0.0, -1.0]]
+    exact_sig, exact_eigs = signature(X)
+    assert exact_sig == sig
+    assert np.array_equal(exact_eigs, eigs, equal_nan=True)
+    # a finite copy keeps its evidence; over a denominator beyond float range too
+    rows = [[Fraction(3, 10 ** 400), Fraction(1, 7)], [Fraction(1, 7), Fraction(-1)]]
+    X = ExactArray.of(rows)
+    assert X.den > 10 ** 400 and np.isfinite(X.saturated()).all()
+    assert signature(X) == signature(rows)
+    assert not any(math.isnan(e) for e in signature(X)[1])
 
 
 def test_signature_flags_rank_drops_exactly():
@@ -168,6 +179,15 @@ def test_gram_checks_degrees():
         gram(model, model.one())  # needs degree d - 2 = 1
     with pytest.raises(DegreeError):
         gram(model, model.label("omega_std") ** 2)
+
+
+def test_gram_of_a_ring_without_degree_one_classes_is_empty():
+    model = ring.ring_from_spec({
+        "name": "even", "dimension": 4, "generators": [{"name": "a", "degree": 2}],
+        "integration": {"monomial": "a^2", "value": 1},
+    })
+    Q = gram(model, parse_element(model, "a"))
+    assert Q == [] and signature(Q) == ((0, 0, 0), [])
 
 
 # -- the delv example ------------------------------------------------------
@@ -690,7 +710,7 @@ def test_rank_deficient_division_reports_a_kernel_witness():
     assert any(v) and all(sum(a * b for a, b in zip(row, v)) == 0 for row in M)
     M = np.array(M, dtype=float)
     with pytest.raises(SingularPairingError) as info:
-        _solve_division(M, np.array(gamma.coeffs, dtype=float), False, 1e-9)
+        _solve_division(M, np.array(gamma.coeffs, dtype=float), 1e-9)
     v = np.asarray(info.value.witness)
     assert np.linalg.norm(v) == pytest.approx(1.0)
     assert np.linalg.norm(M @ v) <= 1e-9 * np.linalg.norm(M)
@@ -785,7 +805,8 @@ def test_near_boundary_input_never_raises_consistency_error(case, seed, rank, ep
 def nullspace_restriction(Q, functional):
     """Inertia of Q on {functional = 0} from a nullspace basis and its Gram matrix."""
     B = rational_nullspace([functional])
-    R = [[_bilinear_value(Q, u, v) for v in B] for u in B]
+    R = [[sum((a * Q[i][j] * b for i, a in enumerate(u) for j, b in enumerate(v)), Fraction(0))
+          for v in B] for u in B]
     return rational_inertia(R) if R else (0, 0, 0)
 
 
@@ -815,7 +836,7 @@ def test_bordered_restriction_matches_the_nullspace_on_the_delv_pairs(eps):
     h = parse_element(model, "theta1+theta2")
     mid = parse_element(model, "theta1*theta2") + eps * h * h
     Q, functional = pair_coordinates(model, h ** 3, mid)
-    assert _restricted_negdef(Q, functional, None, True) == nullspace_restriction(Q, functional)
+    assert _restricted_negdef(ExactArray.of(Q), ExactArray.of(functional), None) == nullspace_restriction(Q, functional)
 
 
 @pytest.mark.parametrize("d, e, lam", [(3, 4, (2,)), (3, 4, (1, 1)), (4, 2, (3,)),
@@ -827,7 +848,7 @@ def test_bordered_restriction_matches_the_nullspace_on_exact_schur_pairs(d, e, l
     Q, functional = pair_coordinates(model, model.from_form(top), model.from_form(mid))
     want = nullspace_restriction(Q, functional)
     assert want == (0, 0, d * d - 1)
-    assert _restricted_negdef(Q, functional, None, True) == want
+    assert _restricted_negdef(ExactArray.of(Q), ExactArray.of(functional), None) == want
 
 
 def test_bordered_restriction_counts_a_degenerate_direction():
@@ -836,7 +857,7 @@ def test_bordered_restriction_counts_a_degenerate_direction():
         functional = [Fraction(x) for x in functional]
         want = nullspace_restriction(Q, functional)
         assert want[1] > 0
-        assert _restricted_negdef(Q, functional, None, True) == want
+        assert _restricted_negdef(ExactArray.of(Q), ExactArray.of(functional), None) == want
 
 
 # -- the exact pointwise check against the torus-ring oracle -----------------

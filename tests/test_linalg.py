@@ -1,4 +1,8 @@
-"""The integer (fraction-free) exact routines against the Fraction reference."""
+"""The integer (fraction-free) exact routines against the Fraction reference.
+
+Every property feeds the routines each input form they accept: lists of
+rows of exact numbers, and ExactArrays, whose rows share one denominator.
+"""
 
 from fractions import Fraction
 
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_linalg as reference
-from hrpairs.hrcheck import signature
+from hrpairs.hrcheck import _restricted_negdef, signature
 from hrpairs.linalg import (
     inertia,
     rational_inertia,
@@ -16,7 +20,7 @@ from hrpairs.linalg import (
     rational_rref,
     rational_solve,
 )
-from hrpairs.scalars import GaussianRational
+from hrpairs.scalars import ExactArray, GaussianRational
 
 ZERO = Fraction(0)
 
@@ -81,31 +85,57 @@ def all_fractions(rows):
     return all(type(x) is Fraction for row in rows for x in row)
 
 
+def input_forms(M):
+    """M as a list of rows and as an ExactArray of the same shape."""
+    rows = len(M)
+    shape = (rows, len(M[0]) if rows else 0)
+    return M, ExactArray.of(np.asarray(M, dtype=object).reshape(shape))
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(Q=hermitian_matrices(hermitian=False))
 def test_symmetric_inertia_matches_the_fraction_routine(Q):
-    assert rational_inertia(Q) == reference.rational_inertia(Q)
+    want = reference.rational_inertia(Q)
+    assert [rational_inertia(A) for A in input_forms(Q)] == [want, want]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(H=hermitian_matrices(hermitian=True))
 def test_hermitian_inertia_matches_the_fraction_routine(H):
-    assert rational_inertia(H) == reference.rational_inertia(H)
+    want = reference.rational_inertia(H)
+    assert [rational_inertia(A) for A in input_forms(H)] == [want, want]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(system=linear_systems())
 def test_rref_solve_and_nullspace_match_the_fraction_routines(system):
     M, b = system
-    rref, pivots = rational_rref(M)
-    assert (rref, pivots) == reference.rational_rref(M) and all_fractions(rref)
-    null = rational_nullspace(M)
-    assert null == reference.rational_nullspace(M) and all_fractions(null)
-    x = rational_solve(M, b)
-    assert x == reference.rational_solve(M, b)
-    if x is not None:
-        assert all_fractions([x])
-        assert [sum((a * v for a, v in zip(row, x)), ZERO) for row in M] == b
+    want_rref = reference.rational_rref(M)
+    want_null = reference.rational_nullspace(M)
+    want_x = reference.rational_solve(M, b)
+    for A, rhs in zip(input_forms(M), (b, ExactArray.of(b))):
+        rref, pivots = rational_rref(A)
+        assert (rref, pivots) == want_rref and all_fractions(rref)
+        null = rational_nullspace(A)
+        assert null == want_null and all_fractions(null)
+        x = rational_solve(A, rhs)
+        assert x == want_x
+        if x is not None:
+            assert all_fractions([x])
+            assert [sum((a * v for a, v in zip(row, x)), ZERO) for row in M] == b
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(Q=hermitian_matrices(hermitian=False), data=st.data(),
+       scale=st.sampled_from([Fraction(1, 3), Fraction(-5, 7), Fraction(10 ** 40, 11)]))
+def test_bordered_inertia_from_the_numerators_matches_the_fraction_routine(Q, data, scale):
+    """_restricted_negdef builds [[Q, f], [f^T, 0]] from the integer parts of
+    Q and of f, over different denominators; its inertia is the oracle's of
+    the bordered Fraction matrix."""
+    f = [scale * x for x in data.draw(st.lists(SPARSE, min_size=len(Q), max_size=len(Q)))]
+    border = [[*row, x] for row, x in zip(Q, f)] + [[*f, ZERO]]
+    pos, zero, neg = _restricted_negdef(input_forms(Q)[1], ExactArray.of(f), None)
+    assert (pos + 1, zero, neg + 1) == reference.rational_inertia(border)
 
 
 def test_inertia_restarts_with_the_sign_of_the_last_pivot():
