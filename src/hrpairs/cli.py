@@ -312,7 +312,7 @@ def cmd_discriminant(args):
     E = _sheaf_data(model, args.rank, args.c1, args.c2)
     delta = bg.discriminant(E)
     if args.json:
-        print(json.dumps({"discriminant": jsonable(delta.coeffs)}))
+        print(json.dumps({"discriminant": jsonable(delta.coeffs.fractions())}))
     else:
         print(f"Delta = {delta}")
     return 0
@@ -338,8 +338,8 @@ def cmd_extension_identity(args):
     ok = residual.is_zero()
     if args.json:
         print(json.dumps({
-            "residual": jsonable(residual.coeffs),
-            "xi": jsonable(parts["xi"].coeffs),
+            "residual": jsonable(residual.coeffs.fractions()),
+            "xi": jsonable(parts["xi"].coeffs.fractions()),
             "holds": ok,
         }))
     else:

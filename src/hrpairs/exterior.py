@@ -321,7 +321,10 @@ class DenseForm:
                 f"cannot add ({self.dim};{self.p},{self.p}) and "
                 f"({other.dim};{other.p},{other.p}) forms"
             )
-        return DenseForm(self.dim, self.p, self.coeffs + other.coeffs)
+        A, B = self.coeffs, other.coeffs
+        if isinstance(A, ExactArray) is not isinstance(B, ExactArray):
+            A, B = _promote(A, B)  # a zero form with no coefficients reads as exact
+        return DenseForm(self.dim, self.p, A + B)
 
     def __mul__(self, other):
         if not isinstance(other, DenseForm):

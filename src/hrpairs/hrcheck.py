@@ -27,13 +27,15 @@ One core, _pair_verdict, decides every pair from coordinates: the Gram
 matrix, the multiplication matrix of eta_mid, eta_top, the functional
 int(b_i * eta_top) and h.  The array type is the backend: scalars.ExactArray
 in the exact one, float ndarrays in the other, with @ for every pairing and
-no flag.  is_hr_pair feeds it from any ring model: ring products are always
-exact, and its Fraction lists are converted once, to ExactArrays, or with
-exact=False to float copies.  Forms of both backends live in one encoding,
-the DenseForm coefficient matrix (complex, or an ExactArray of ints):
-schur_form_pair multiplies in it and pointwise_hr_pair reads its
-intersection numbers from it and hands them to the core as they are, so no
-trial builds a ring, makes a sparse wedge or builds a Fraction list.
+no flag.  is_hr_pair feeds it from any ring model: the pairing matrix P
+and the multiplication matrix M of eta_mid are each one contraction of a
+product table, ExactArrays like the coordinates of ring elements, so the
+exact backend takes them as they are and exact=False takes float copies of
+them.  Forms of both backends live in one encoding, the DenseForm
+coefficient matrix (complex, or an ExactArray of ints): schur_form_pair
+multiplies in it and pointwise_hr_pair reads its intersection numbers from
+it and hands them to the core as they are, so no trial builds a ring, makes
+a sparse wedge or builds a Fraction list.
 torus_ring(d), the same numbers as exact ring products, is the test suite's
 oracle for both, and the test suite checks its product tables against the
 sparse wedge.
@@ -42,7 +44,6 @@ sparse wedge.
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -51,7 +52,6 @@ from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingE
 from .exterior import DenseForm, _array, _coefficient_matrix, _mid_gram, _promote
 from .exterior import _top_functional, form_from_hermitian, hermitian_from_form, std_kahler
 from .linalg import (
-    _matrix,
     float_kernel_vector,
     float_signature,
     float_solve,
@@ -66,30 +66,28 @@ from .symfunc import Partition, derived, evaluate, schur
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
 
-def _images(model, eta, degree=1):
-    """The ExactArray M whose column j holds the coordinates of eta * b_j,
-    b_j the j-th basis class of degree `degree`."""
-    return _matrix([(eta * model.basis_element(degree, j)).coeffs
-                    for j in range(len(model.basis(degree)))]).T
-
-
-def gram(model, eta, degree=1):
-    """Gram matrix int(b_i * eta * b_j) over the degree-1 basis (symmetric),
-    as lists of Fractions: P M for the model's cached pairing matrix P."""
+def _gram(model, eta, degree=1):
+    """The ExactArray P M of int(b_i * eta * b_j) over the basis of the
+    given degree, for the model's cached pairing matrix P and the
+    multiplication matrix M of eta."""
     d = model.dimension
     if eta.degree + 2 * degree != d:
         raise DegreeError(
             f"eta has degree {eta.degree}; need {d - 2 * degree} to pair degree-{degree} classes"
         )
-    return _real(_matrix(model.pairing_matrix(degree)) @ _images(model, eta, degree))
+    return model.pairing_matrix(degree) @ model.multiplication_matrix(eta, degree)
+
+
+def gram(model, eta, degree=1):
+    """Gram matrix int(b_i * eta * b_j) over the degree-1 basis (symmetric),
+    as lists of Fractions."""
+    return _real(_gram(model, eta, degree))
 
 
 def _real(x):
     """A real result of @ in plain numbers: Fractions for an ExactArray,
     floats for an ndarray; one number for a 0-d result, else lists."""
-    if isinstance(x, ExactArray):
-        return np.frompyfunc(Fraction, 2, 1)(x.re, x.den, out=np.empty(x.shape, object)).tolist()
-    return x.tolist()
+    return x.fractions() if isinstance(x, ExactArray) else x.tolist()
 
 
 def _kernel_witness(Q):
@@ -143,11 +141,10 @@ def has_hr_property(model, eta, h=None):
     certifying positive direction (the top float eigenvector) is reported as
     witness.
     """
-    Q = _matrix(gram(model, eta))
+    Q = _gram(model, eta)
     if h is None:
         return _hr_property(Q, None)
-    v = ExactArray.of(h.coeffs)
-    return _hr_property(Q, None, _real(v @ Q @ v))
+    return _hr_property(Q, None, _real(h.coeffs @ Q @ h.coeffs))
 
 
 def _solve_division(M, b, zero_tol=None):
@@ -183,7 +180,7 @@ def divide(model, gamma, eta):
             f"division expects quotient degree 1, got {qdeg} "
             f"(gamma degree {gamma.degree}, eta degree {eta.degree})"
         )
-    return model.from_coeffs(1, _real(_solve_division(_images(model, eta), gamma.coeffs)))
+    return model.from_coeffs(1, _solve_division(model.multiplication_matrix(eta), gamma.coeffs))
 
 
 def _restricted_negdef(Q, functional, zero_tol):
@@ -315,9 +312,8 @@ def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9, exact=True):
         )
     if h.degree != 1:
         raise DegreeError(f"h must have degree 1, got {h.degree}")
-    P, M = _matrix(model.pairing_matrix(1)), _images(model, eta_mid)
-    top = ExactArray.of(eta_top.coeffs)
-    values = (P @ M, M, top, P @ top, ExactArray.of(h.coeffs))
+    P, M = model.pairing_matrix(1), model.multiplication_matrix(eta_mid)
+    values = (P @ M, M, eta_top.coeffs, P @ eta_top.coeffs, h.coeffs)
     if exact:
         return _pair_verdict(*values, zero_tol)
     names = ("Gram matrix", "multiplication matrix", "eta_top", "functional", "h")

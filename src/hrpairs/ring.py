@@ -1,16 +1,22 @@
 """Finite graded intersection-ring models.
 
 A RingModel carries, for each degree 0..d, a finite basis of labelled
-classes, sparse rational multiplication tensors between the graded pieces,
-and (optionally) an integration functional on the top degree.
+classes, the multiplication table of each pair of degrees (p, q), and
+(optionally) an integration functional on the top degree.  Every table is
+one sparse integer structure tensor (Table): index arrays (k, i, j) and
+integer numerators over one denominator.  Element coordinates are a real
+scalars.ExactArray (a float or non-real coefficient raises TypeError), so a
+product is a gather, one product and a scatter-sum on integer parts, and a
+multiplication matrix or a pairing matrix is one contraction of a table.
+Values that leave a ring (integrate, __str__, hrcheck.gram) are Fractions.
 
-RingModel.check_axioms() proves commutativity and associativity on basis
-elements exhaustively.  It runs where a ring enters from outside the program,
-in ring_from_spec (JSON specs, the CLI's --ring).  The torus, subring,
-projective-bundle and X x P^1 models are built from products that are
-associative by construction (the exterior product, ambient products, rewrite
-normal forms); the test suite checks their axioms instead of every process
-start.
+RingModel.check_axioms() checks commutativity and associativity as two
+identities of the tables, for all basis classes at once.  It runs where a
+ring enters from outside the program, in ring_from_spec (JSON specs, the
+CLI's --ring).  The torus, subring, projective-bundle and X x P^1 models are
+built from products that are associative by construction (the exterior
+product, ambient products, rewrite normal forms); the test suite checks
+their axioms instead of every process start.
 
 Concrete factories:
 
@@ -27,11 +33,9 @@ Concrete factories:
   * product_with_p1(..)  -- X x P^1 as the rank-2 trivial bundle case,
                             tau^2 = 0 and int(x * tau) = int(x).
 
-Ring elements have exact coordinates only, Fraction or GaussianRational: a
-float coefficient raises TypeError.  Every product in a ring model is an
-exact intersection number; float work happens on matrices built from them
-(is_hr_pair(exact=False)).  Pointwise forms of both backends are checked on
-DenseForm coefficient matrices, which use no ring model.
+Float work happens on matrices built from the exact products
+(is_hr_pair(exact=False)); pointwise forms are checked on DenseForm
+coefficient matrices, which use no ring model.
 
 The real basis of (p,p)-forms is written down once, as the integer arrays of
 _hermitian_basis; its labels, the DenseForm encoding _real_basis_matrix,
@@ -45,46 +49,65 @@ import itertools
 import json
 import re
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from functools import lru_cache, reduce
+from math import comb, lcm
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
 from .exterior import DenseForm, _coefficient_matrix, _merge_signs, _subset_index, std_kahler
-from .linalg import rational_solve
+from .linalg import rational_rref
 from .scalars import ExactArray, GaussianRational, i_power, is_exact
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
 
 
 def _refuse(c):
-    raise TypeError(
-        f"ring coefficients are Fraction or GaussianRational, got {type(c).__name__} {c!r}"
-    )
+    raise TypeError(f"ring coefficients are rational, got {type(c).__name__} {c!r}")
 
 
-_EXACT = (Fraction, GaussianRational)
+def _real_array(re, den):
+    """The real ExactArray re / den, reduced."""
+    return ExactArray._reduced(re, np.zeros(re.shape, dtype=object), den)
+
+
+def _rational_vector(coeffs):
+    """coeffs, a real ExactArray or exact rationals, as a real ExactArray;
+    TypeError for a float or a non-real entry."""
+    if not isinstance(coeffs, ExactArray):
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction, GaussianRational)):
+                _refuse(c)
+        coeffs = ExactArray.of(coeffs)
+    if coeffs.im.any():
+        _refuse(coeffs.item(coeffs.im.nonzero()[0][0]))
+    return coeffs
 
 
 class RingElement:
+    """A class of one degree; coeffs is a real ExactArray of its coordinates."""
+
     __slots__ = ("model", "degree", "coeffs")
 
     def __init__(self, model, degree, coeffs):
-        self.model = model
-        self.degree = degree
+        self.model, self.degree, self.coeffs = model, degree, _rational_vector(coeffs)
         n = len(model.basis(degree))
-        coeffs = list(coeffs)
-        if len(coeffs) != n:
+        if self.coeffs.shape != (n,):
             raise DegreeError(
-                f"degree-{degree} element needs {n} coordinates, got {len(coeffs)}"
+                f"degree-{degree} element needs {n} coordinates, got {len(self.coeffs)}"
             )
-        self.coeffs = [
-            c if isinstance(c, _EXACT) else Fraction(c) if isinstance(c, int) else _refuse(c)
-            for c in coeffs
-        ]
+
+    @classmethod
+    def _of(cls, model, degree, coeffs):
+        """The element with the real ExactArray coeffs of the right length, unchecked."""
+        x = object.__new__(cls)
+        x.model, x.degree, x.coeffs = model, degree, coeffs
+        return x
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self.coeffs.re.any()
 
     def is_exact(self):
         """Always true: __init__ admits exact coefficients only."""
@@ -107,14 +130,10 @@ class RingElement:
             raise DegreeError(
                 f"adding degree {self.degree} and degree {other.degree} classes"
             )
-        return RingElement(
-            self.model,
-            self.degree,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-        )
+        return RingElement._of(self.model, self.degree, self.coeffs + other.coeffs)
 
     def __neg__(self):
-        return RingElement(self.model, self.degree, [-c for c in self.coeffs])
+        return RingElement._of(self.model, self.degree, -self.coeffs)
 
     def __sub__(self, other):
         return self + (-other)
@@ -123,10 +142,10 @@ class RingElement:
         if isinstance(other, RingElement):
             self._check_model(other)
             return self.model._multiply(self, other)
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return RingElement(
-                self.model, self.degree, [c * other for c in self.coeffs]
-            )
+        if isinstance(other, (int, Fraction)):
+            return RingElement._of(self.model, self.degree, self.coeffs * other)
+        if isinstance(other, GaussianRational):  # TypeError unless real
+            return RingElement(self.model, self.degree, self.coeffs * other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -152,17 +171,16 @@ class RingElement:
         return self.model.integrate(self)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RingElement)
-            and self.model is other.model
-            and self.degree == other.degree
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        if not (isinstance(other, RingElement) and self.model is other.model
+                and self.degree == other.degree):
+            return False
+        a, b = self.coeffs, other.coeffs
+        return bool((a.re * b.den == b.re * a.den).all())
 
     def __str__(self):
         labels = self.model.basis(self.degree)
         chunks = []
-        for c, lab in zip(self.coeffs, labels):
+        for c, lab in zip(self.coeffs.fractions(), labels):
             if c == 0:
                 continue
             if c == 1:
@@ -177,8 +195,61 @@ class RingElement:
         return f"<deg {self.degree}: {self}>"
 
 
+class Table(NamedTuple):
+    """The structure tensor of a product of degrees p and q, sparse:
+    b_i * b_j = sum_t num[t] / den * b_k[t] over the entries t with
+    (i[t], j[t]) = (i, j).  k, i and j are intp arrays, num an object array
+    of Python ints and den a Python int > 0; no index triple repeats."""
+
+    k: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    num: np.ndarray
+    den: int
+
+    @classmethod
+    def of(cls, entries):
+        """The table of (k, i, j, c) entries, c exact rationals; entries at
+        one index triple are summed and zero ones dropped."""
+        acc = {}
+        for k, i, j, c in entries:
+            key = k, i, j
+            acc[key] = acc[key] + c if key in acc else c
+        acc = {key: c for key, c in acc.items() if c}
+        den = lcm(*(c.denominator for c in acc.values()))
+        num = [c.numerator * (den // c.denominator) for c in acc.values()]
+        k, i, j = np.array(list(acc), dtype=np.intp).reshape(-1, 3).T
+        return cls(k, i, j, np.array(num, dtype=object), den)
+
+
+_EMPTY = Table.of(())
+
+
+def _join(left, right):
+    """Index arrays (a, b) of all the pairs with left[a] == right[b]."""
+    order = np.argsort(right, kind="stable")
+    lo, hi = (np.searchsorted(right[order], left, side) for side in ("left", "right"))
+    count = hi - lo
+    a = np.repeat(np.arange(len(left)), count)
+    b = order[np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)]
+    return a, b
+
+
+def _nonzero_sums(keys, values):
+    """The distinct keys (ints >= 0) whose values sum to a nonzero total, in
+    increasing order."""
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))  # where each run of equal keys starts
+    return keys[first][np.add.reduceat(values, first) != 0] if len(keys) else keys
+
+
 class RingModel:
-    """Graded commutative ring with finite rational bases per degree."""
+    """Graded commutative ring with finite rational bases per degree.
+
+    mult maps (p, q) to the Table of the products of degrees p and q; a
+    missing table multiplies to 0.
+    """
 
     def __init__(self, dimension, bases, mult, integration=None, labels=None,
                  name="ring"):
@@ -192,9 +263,7 @@ class RingModel:
         if len(self._bases[0]) != 1:
             raise ConstructionError("degree 0 must be one-dimensional")
         self._mult = mult
-        self.integration = (
-            None if integration is None else [Fraction(v) for v in integration]
-        )
+        self.integration = None if integration is None else _rational_vector(integration)
         if self.integration is not None and len(self.integration) != len(self._bases[dimension]):
             raise ConstructionError("integration vector does not match the top basis")
         self.labels = {}
@@ -210,14 +279,14 @@ class RingModel:
         return []
 
     def zero(self, degree):
-        return RingElement(self, degree, [Fraction(0)] * len(self.basis(degree)))
+        return RingElement(self, degree, [0] * len(self.basis(degree)))
 
     def one(self):
-        return RingElement(self, 0, [Fraction(1)])
+        return RingElement(self, 0, [1])
 
     def basis_element(self, degree, index):
-        coeffs = [Fraction(0)] * len(self.basis(degree))
-        coeffs[index] = Fraction(1)
+        coeffs = [0] * len(self.basis(degree))
+        coeffs[index] = 1
         return RingElement(self, degree, coeffs)
 
     def from_coeffs(self, degree, coeffs):
@@ -233,91 +302,110 @@ class RingModel:
 
     def _multiply(self, x, y):
         deg = x.degree + y.degree
-        if deg > self.dimension:
-            return RingElement(self, deg, [])
-        table = self._mult.get((x.degree, y.degree), {})
-        out = [Fraction(0)] * len(self.basis(deg))
-        for i, a in enumerate(x.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(y.coeffs):
-                if b == 0:
-                    continue
-                entries = table.get((i, j))
-                if not entries:
-                    continue
-                ab = a * b
-                for k, c in entries:
-                    out[k] += ab * c
-        return RingElement(self, deg, out)
+        t = self._mult.get((x.degree, y.degree), _EMPTY)
+        a, b = x.coeffs, y.coeffs
+        out = np.zeros(len(self.basis(deg)), dtype=object)
+        np.add.at(out, t.k, a.re[t.i] * b.re[t.j] * t.num)
+        return RingElement._of(self, deg, _real_array(out, a.den * b.den * t.den))
 
-    def integrate(self, elem):
+    def _contract(self, p, q, v, axis):
+        """The table of degrees (p, q) contracted with the vector v (an
+        ExactArray) along its index k (axis 0) or i (axis 1): the matrix over
+        the two other indices, in their order."""
+        t = self._mult.get((p, q), _EMPTY)
+        index, shape = [t.k, t.i, t.j], [len(self.basis(s)) for s in (p + q, p, q)]
+        along = index.pop(axis)
+        shape.pop(axis)
+        out = np.zeros(shape, dtype=object)
+        np.add.at(out, tuple(index), v.re[along] * t.num)
+        return _real_array(out, v.den * t.den)
+
+    def multiplication_matrix(self, eta, degree=1):
+        """The ExactArray M whose column j holds the coordinates of eta * b_j,
+        b_j the j-th basis class of the given degree."""
+        if eta.model is not self:
+            raise DegreeError("elements live in different ring models")
+        return self._contract(eta.degree, degree, eta.coeffs, 1)
+
+    def _integral(self):
         if self.integration is None:
             raise ConfigError(f"model {self.name!r} has no integration functional")
+        return self.integration
+
+    def integrate(self, elem):
+        v = self._integral()
         if elem.degree != self.dimension:
             raise DegreeError(
                 f"can only integrate degree-{self.dimension} classes, got degree {elem.degree}"
             )
-        return sum((c * v for c, v in zip(elem.coeffs, self.integration)),
-                   start=Fraction(0))
+        return Fraction(int(np.dot(elem.coeffs.re, v.re)), elem.coeffs.den * v.den)
 
     def pairing_matrix(self, p):
-        """Matrix of int(b_i * b_j) over bases of degrees p and d - p."""
-        key = p
-        if key not in self._pairings:
-            q = self.dimension - p
-            rows = []
-            for i in range(len(self.basis(p))):
-                bi = self.basis_element(p, i)
-                rows.append(
-                    [self.integrate(bi * self.basis_element(q, j))
-                     for j in range(len(self.basis(q)))]
-                )
-            self._pairings[key] = rows
-        return self._pairings[key]
+        """The ExactArray of int(b_i * b_j) over bases of degrees p and d - p."""
+        if p not in self._pairings:
+            self._pairings[p] = self._contract(p, self.dimension - p, self._integral(), 0)
+        return self._pairings[p]
 
     # -- ring axioms --------------------------------------------------------
 
     def check_axioms(self):
         """Raise ConstructionError unless basis products commute and associate.
 
-        Exhaustive over basis triples, so cubic in the basis size; the
-        error's witness names the offending degrees and basis classes.
+        Both are identities of the tables, checked for all basis classes at
+        once in one global basis (degrees 0..d in turn): T_pq[k, i, j] =
+        T_qp[k, j, i] where T_pq has an entry, and for degrees
+        1 <= p <= q <= r the two contractions (b_i b_j) b_k and b_i (b_j b_k)
+        agree.  The witness is the first nonzero entry of the difference:
+        in the order of the tables, then of (i, j), for commutativity; by
+        degrees (p, q, r), then (i, j, k), for associativity.
         """
-        for (p, q), table in self._mult.items():
-            for (i, j) in table:
-                bi, bj = self.basis_element(p, i), self.basis_element(q, j)
-                if bi * bj != bj * bi:
-                    raise ConstructionError(
-                        f"multiplication not commutative on degrees ({p},{q})",
-                        witness={"p": p, "q": q, "i": i, "j": j},
-                    )
-        d = self.dimension
-        for p in range(1, d + 1):
-            for q in range(p, d + 1 - p):
-                for r in range(q, d + 1 - p - q):
-                    np_, nq, nr = (len(self.basis(s)) for s in (p, q, r))
-                    for i in range(np_):
-                        bi = self.basis_element(p, i)
-                        for j in range(nq):
-                            bj = self.basis_element(q, j)
-                            ij = bi * bj
-                            for k in range(nr):
-                                bk = self.basis_element(r, k)
-                                left = ij * bk
-                                right = bi * (bj * bk)
-                                if left != right:
-                                    raise ConstructionError(
-                                        "multiplication not associative",
-                                        witness={
-                                            "degrees": (p, q, r),
-                                            "basis": (
-                                                self.basis(p)[i],
-                                                self.basis(q)[j],
-                                                self.basis(r)[k],
-                                            ),
-                                        },
-                                    )
+        if not self._mult:
+            return
+        sizes = [len(b) for b in self._bases]
+        offset = [0, *itertools.accumulate(sizes)]
+        degree = np.repeat(np.arange(len(sizes)), sizes)
+        n = offset[-1]
+        den = lcm(*(t.den for t in self._mult.values()))
+        K, I, J, V = (np.concatenate(x) for x in zip(*(
+            (offset[p + q] + t.k, offset[p] + t.i, offset[q] + t.j, t.num * (den // t.den))
+            for (p, q), t in self._mult.items())))
+
+        keys = _nonzero_sums(np.concatenate([(I * n + J) * n + K, (J * n + I) * n + K]),
+                             np.concatenate([V, -V])) // n
+        i, j = np.divmod(keys[np.isin(keys, I * n + J)], n)
+        if len(i):
+            rank = {pq: r for r, pq in enumerate(self._mult)}
+            first = min(zip(i.tolist(), j.tolist()),
+                        key=lambda ij: (rank[degree[ij[0]], degree[ij[1]]], ij))
+            p, q = (int(degree[s]) for s in first)
+            raise ConstructionError(
+                f"multiplication not commutative on degrees ({p},{q})",
+                witness={"p": p, "q": q, "i": first[0] - offset[p], "j": first[1] - offset[q]},
+            )
+
+        ordered = np.flatnonzero((degree[I] >= 1) & (degree[I] <= degree[J]))
+        a, b = _join(K[ordered], I)  # (b_i b_j) b_k: T[m, i, j] T[l, m, k]
+        a = ordered[a]
+        left = I[a], J[a], J[b], K[b], V[a] * V[b]
+        a, b = _join(K[ordered], J)  # b_i (b_j b_k): T[m, j, k] T[l, i, m]
+        a = ordered[a]
+        right = I[b], I[a], J[a], K[b], -(V[a] * V[b])
+        i, j, k, l, v = (np.concatenate(x) for x in zip(left, right))
+        keep = (degree[i] >= 1) & (degree[i] <= degree[j]) & (degree[j] <= degree[k])
+        keys = _nonzero_sums((((i * n + j) * n + k) * n + l)[keep], v[keep]) // n
+        if len(keys):
+            i, j, k = keys // (n * n), keys // n % n, keys % n
+            first = np.lexsort((k, j, i, degree[k], degree[j], degree[i]))[0]
+            triple = [int(s[first]) for s in (i, j, k)]
+            degrees = tuple(int(degree[s]) for s in triple)
+            raise ConstructionError(
+                "multiplication not associative",
+                witness={
+                    "degrees": degrees,
+                    "basis": tuple(self._bases[p][s - offset[p]]
+                                   for p, s in zip(degrees, triple)),
+                },
+            )
 
     def __repr__(self):
         dims = [len(b) for b in self._bases]
@@ -460,12 +548,12 @@ def _hermitian_entries(d, p):
 
 
 def real_product_table(d, p, q):
-    """Products of the real bases of degrees p and q on C^d, p + q <= d.
+    """The Table of the products of the real bases of degrees p and q on
+    C^d, p + q <= d, over den 1.
 
-    {(i, j): ((k, c), ...)} lists the nonzero exact coordinates c of
-    b_i * b_j in degree p + q.  For the Hermitian matrices H_i, H_j of
-    _hermitian_basis and S = _merge_signs(d, p, q), the DenseForm product
-    rule gives b_i * b_j = i^((p+q)^2) V with V = S (H_i (x) H_j) S^T, since
+    For the Hermitian matrices H_i, H_j of _hermitian_basis and
+    S = _merge_signs(d, p, q), the DenseForm product rule gives
+    b_i * b_j = i^((p+q)^2) V with V = S (H_i (x) H_j) S^T, since
     i^(p^2) i^(q^2) (-1)^(pq) = i^((p+q)^2).  Each of H_i and H_j has at
     most two entries, and an entry pair (a, c), (b, e) puts
     S[k, a, b] S[l, c, e] times their product at V[k, l] alone, k and l
@@ -484,7 +572,7 @@ def real_product_table(d, p, q):
     rb, cb, gre, gim = (x[None, :, None, :] for x in _hermitian_entries(d, q))
     n_q = rb.shape[1]
     step = max(1, 2 ** 14 // (n_q * max(len(rows), 4)))  # 4 entry pairs per product
-    table = {}
+    chunks = []
     for start in range(0, len(left[0]), step):
         ra, ca, hre, him = (x[start:start + step, None, :, None] for x in left)
         k, l = merged[ra, rb], merged[ca, cb]
@@ -493,14 +581,10 @@ def real_product_table(d, p, q):
         C = np.zeros((len(ra), n_q, len(rows)), dtype=np.int64)
         np.add.at(C, (i, j, slot[0][k, l]), w * (hre * gre - him * gim) * (k <= l))
         np.add.at(C, (i, j, slot[1][k, l]), w * (hre * gim + him * gre) * (k < l))
-        nonzero = np.nonzero(C)
-        values = C[nonzero].tolist()
-        fraction = {c: Fraction(c) for c in set(values)}  # a few small ints, shared
-        for row, col, slot_k, c in zip(*(a.tolist() for a in nonzero), values):
-            table.setdefault((start + row, col), []).append((slot_k, fraction[c]))
-    for key, entries in table.items():
-        table[key] = tuple(entries)
-    return table
+        i, j, k = np.nonzero(C)
+        chunks.append((k, start + i, j, C[i, j, k]))
+    k, i, j, num = (np.concatenate(x) for x in zip(*chunks))
+    return Table(k, i, j, num.astype(object), 1)
 
 
 def form_from_real_coordinates(d, p, coords):
@@ -533,7 +617,7 @@ class TorusModel(RingModel):
             for q in range(d + 1 - p)
         }
         # the one top basis form, i^(d^2) dz_1..d dzbar_1..d, has integral 1
-        super().__init__(d, bases, mult, [Fraction(1)], name=f"torus(C^{d})")
+        super().__init__(d, bases, mult, [1], name=f"torus(C^{d})")
         self.labels["omega_std"] = self.from_form(std_kahler(d, exact=True))
 
     def from_form(self, form):
@@ -588,62 +672,29 @@ class SubringModel(RingModel):
         gens = [generators[n] for n in names]
         g = len(gens)
 
-        bases = [["1"]]
-        lifts = [[ambient.one()]]
-        expansions = [{(0,) * g: [Fraction(1)]}]
-        basis_expos = [[(0,) * g]]
-        for p in range(1, d + 1):
-            monos = [
-                tuple(e)
-                for e in _exponents_of_degree(g, [1] * g, p)
-            ]
-            chosen = []
-            chosen_vecs = []
-            expans = {}
-            for expo in monos:
-                elem = ambient.one()
-                for gi, m in enumerate(expo):
-                    for _ in range(m):
-                        elem = elem * gens[gi]
-                vec = elem.coeffs
-                if chosen_vecs:
-                    M = [[chosen_vecs[c][r] for c in range(len(chosen_vecs))]
-                         for r in range(len(vec))]
-                    sol = rational_solve(M, vec)
-                else:
-                    sol = None if any(v != 0 for v in vec) else []
-                if sol is None:
-                    coords = [Fraction(0)] * (len(chosen) + 1)
-                    coords[len(chosen)] = Fraction(1)
-                    for other in expans.values():
-                        other.append(Fraction(0))
-                    chosen.append((expo, elem))
-                    chosen_vecs.append(vec)
-                    expans[expo] = coords
-                else:
-                    expans[expo] = list(sol)
-            bases.append([_monomial_label(names, e) for e, _ in chosen])
-            lifts.append([el for _, el in chosen])
-            basis_expos.append([e for e, _ in chosen])
-            expansions.append(expans)
+        # the monomials of degree p span the piece: the pivot columns of the RREF of
+        # their ambient coordinates are a basis, and the RREF columns the expansions
+        bases, lifts, expansions, basis_expos = [], [], [], []
+        for p in range(d + 1):
+            monos = _exponents_of_degree(g, [1] * g, p)
+            elems = [reduce(mul, map(pow, gens, expo), ambient.one()) for expo in monos]
+            vectors = np.array([e.coeffs.fractions() for e in elems], dtype=object)
+            R, pivots = rational_rref(vectors.T.tolist())
+            bases.append([_monomial_label(names, monos[c]) for c in pivots])
+            lifts.append([elems[c] for c in pivots])
+            basis_expos.append([monos[c] for c in pivots])
+            expansions.append({m: [row[c] for row in R[:len(pivots)]]
+                               for c, m in enumerate(monos)})
 
         mult = {}
         for p in range(d + 1):
             for q in range(d + 1 - p):
-                table = {}
+                entries = []
                 for i, ei in enumerate(basis_expos[p]):
                     for j, ej in enumerate(basis_expos[q]):
-                        total = tuple(a + b for a, b in zip(ei, ej))
-                        coords = expansions[p + q].get(total)
-                        if coords is None:
-                            raise ConstructionError(
-                                "generators do not close into finite bases",
-                                witness={"monomial": total, "degree": p + q},
-                            )
-                        entries = tuple((k, c) for k, c in enumerate(coords) if c != 0)
-                        if entries:
-                            table[(i, j)] = entries
-                mult[(p, q)] = table
+                        coords = expansions[p + q][tuple(a + b for a, b in zip(ei, ej))]
+                        entries += [(k, i, j, c) for k, c in enumerate(coords)]
+                mult[(p, q)] = Table.of(entries)
 
         integration = None
         if ambient.integration is not None:
@@ -661,7 +712,7 @@ class SubringModel(RingModel):
     def lift(self, elem):
         """The same class as an element of the ambient model."""
         acc = self.ambient.zero(elem.degree)
-        for c, amb in zip(elem.coeffs, self._lifts[elem.degree]):
+        for c, amb in zip(elem.coeffs.fractions(), self._lifts[elem.degree]):
             if c != 0:
                 acc = acc + amb * c
         return acc
@@ -762,7 +813,6 @@ class RelationModel(RingModel):
                         witness={"lhs": lhs, "rhs_monomial": rm},
                     )
             rules.append((tuple(lhs), [(Fraction(c), tuple(rm)) for c, rm in rhs]))
-        self._rules = rules
 
         # full reduction with memoization; cycle => non-terminating rewrite
         memo = {}
@@ -798,8 +848,6 @@ class RelationModel(RingModel):
             memo[expo] = out
             return out
 
-        self._reduce = reduce_full
-
         bases = []
         basis_expos = []
         for p in range(dimension + 1):
@@ -815,7 +863,6 @@ class RelationModel(RingModel):
                         "inconsistent relations: monomial reduces two ways",
                         witness={"monomial": _monomial_label(names, m)},
                     )
-        self._basis_expos = basis_expos
         index = [
             {m: k for k, m in enumerate(expos)} for expos in basis_expos
         ]
@@ -823,16 +870,12 @@ class RelationModel(RingModel):
         mult = {}
         for p in range(dimension + 1):
             for q in range(dimension + 1 - p):
-                table = {}
+                entries = []
                 for i, mi in enumerate(basis_expos[p]):
                     for j, mj in enumerate(basis_expos[q]):
                         combo = reduce_full(tuple(a + b for a, b in zip(mi, mj)))
-                        entries = tuple(
-                            (index[p + q][m], c) for m, c in combo.items()
-                        )
-                        if entries:
-                            table[(i, j)] = entries
-                mult[(p, q)] = table
+                        entries += [(index[p + q][m], i, j, c) for m, c in combo.items()]
+                mult[(p, q)] = Table.of(entries)
 
         ivec = None
         if integration is not None:
@@ -847,13 +890,10 @@ class RelationModel(RingModel):
                 ivec[index[dimension][next(iter(combo))]] = Fraction(value)
 
         super().__init__(dimension, bases, mult, ivec, name=name)
-        for gi, gname in enumerate(names):
-            expo = tuple(1 if i == gi else 0 for i in range(len(names)))
-            combo = reduce_full(expo)
-            coeffs = [Fraction(0)] * len(basis_expos[degrees[gi]])
-            for m, c in combo.items():
-                coeffs[index[degrees[gi]][m]] = c
-            self.labels[gname] = self.from_coeffs(degrees[gi], coeffs)
+        for gi, (gname, gdeg) in enumerate(zip(names, degrees)):
+            combo = reduce_full(tuple(int(i == gi) for i in range(len(names))))
+            self.labels[gname] = self.from_coeffs(
+                gdeg, [combo.get(m, 0) for m in basis_expos[gdeg]])
         if labels:
             for lname, expr in labels.items():
                 self.labels[lname] = parse_element(self, expr)
@@ -874,9 +914,10 @@ def polynomial_ring(dimension, generators, name=None):
 
 # Largest ring spec that ring_from_spec builds: its dimension and its
 # monomials of degree 0..dimension.  Construction and check_axioms grow
-# polynomially in both; at the limits they take a few seconds (one generator
-# in dimension 64 about 0.4 s, two degree-1 generators in dimension 20, 231
-# monomials, about 2 s).  The fixtures have dimension 3 and 10 monomials.
+# polynomially in both; at the limits they take under 0.1 s (one generator
+# in dimension 64 about 0.04 s, two degree-1 generators in dimension 20, 231
+# monomials, about 0.08 s; Python 3.11, numpy 2.4, one core of a shared
+# 2-core machine).  The fixtures have dimension 3 and 10 monomials.
 MAX_SPEC_DIMENSION = 64
 MAX_SPEC_MONOMIALS = 250
 # Largest dimension of a seeded float sweep (sample_search, trace-check):
@@ -1060,96 +1101,56 @@ class ProjBundleModel(RingModel):
         self.base = base
         self.rank = e
 
-        # xi^m in normal form: list over i < e of base elements of degree m - i
-        top_power = max(2 * (e - 1), e - 1)
-        xipow = []
-        for m in range(top_power + 1):
-            if m < e:
-                xipow.append([
-                    (base.one() if i == m else base.zero(m - i)) if i <= m else None
-                    for i in range(e)
-                ])
-                continue
-            prev = xipow[m - 1]
-            cur = [base.zero(m - i) if m - i <= d else None for i in range(e)]
-            overflow = prev[e - 1]  # coefficient of xi^(e-1), degree m-e
-            for i in range(1, e):
-                if prev[i - 1] is not None and cur[i] is not None:
-                    cur[i] = cur[i] + prev[i - 1]
-            if overflow is not None and not overflow.is_zero():
-                # xi^e = c_1 xi^(e-1) - c_2 xi^(e-2) + ... +- c_e
-                for k in range(1, e + 1):
-                    tgt = e - k
-                    if cur[tgt] is None:
-                        continue
-                    term = chern[k] * overflow
-                    cur[tgt] = cur[tgt] + term * ((-1) ** (k + 1))
-            xipow.append(cur)
-        self._xipow = xipow
+        # xi^m = sum_(i<e) xi^i x_i in normal form, x_i of base degree m - i (empty
+        # out of range), for m <= 2(e - 1): xi times xi^(m-1), with
+        # xi^e = c_1 xi^(e-1) - c_2 xi^(e-2) + ... +- c_e
+        xipow = [[base.one() if i == m else base.zero(m - i) for i in range(e)] for m in range(e)]
+        for m in range(e, 2 * e - 1):
+            prev = xipow[-1]
+            xipow.append([(prev[i - 1] if i else base.zero(m))
+                          + chern[e - i] * prev[e - 1] * (-1) ** (e - i + 1) for i in range(e)])
 
-        bases = []
-        index = []  # degree -> (i, base_index) -> slot
-        layout = []  # degree -> list of (i, base_index)
+        # degree n: the blocks xi^i * (base degree n - i) for i < e, in turn
+        bases, blocks, powers = [], [], []
         for n in range(D + 1):
-            labs = []
-            idx = {}
-            lay = []
-            for i in range(min(e - 1, n) + 1):
-                bdeg = n - i
-                if bdeg > d:
+            labs, starts = [], []
+            for i in range(e):
+                starts.append(len(labs) if 0 <= n - i <= d else None)
+                if starts[-1] is None:
                     continue
-                for bk, blab in enumerate(base.basis(bdeg)):
-                    idx[(i, bk)] = len(labs)
-                    lay.append((i, bk))
-                    prefix = "" if i == 0 else (
-                        f"{xi_name}*" if i == 1 else f"{xi_name}^{i}*"
-                    )
-                    labs.append(
-                        (prefix[:-1] if blab == "1" and prefix else prefix + blab)
-                        or "1"
-                    )
+                xi = _monomial_label([xi_name], (i,))
+                labs += [blab if i == 0 else xi if blab == "1" else f"{xi}*{blab}"
+                         for blab in base.basis(n - i)]
             bases.append(labs)
-            index.append(idx)
-            layout.append(lay)
-        self._layout = layout
-        self._index = index
+            blocks.append(starts)
+            powers.append(np.repeat(np.arange(e), [len(base.basis(n - i)) for i in range(e)]))
+        self._powers = powers  # degree -> the power of xi of each slot
 
+        # (xi^i b_x)(xi^j b_y) = sum_m xi^m red_m (b_x b_y) for xi^(i+j) = sum_m xi^m red_m:
+        # the base table of (b_x b_y), then multiplication by red_m
         mult = {}
         for p in range(D + 1):
             for q in range(D + 1 - p):
-                table = {}
-                for si, (i, bi) in enumerate(layout[p]):
-                    xi_b = base.basis_element(p - i, bi)
-                    for sj, (j, bj) in enumerate(layout[q]):
-                        prod = xi_b * base.basis_element(q - j, bj)
-                        if prod.is_zero():
+                entries = []
+                for (i, si), (j, sj) in itertools.product(enumerate(blocks[p]),
+                                                          enumerate(blocks[q])):
+                    T = base._mult.get((p - i, q - j))
+                    if si is None or sj is None or T is None:
+                        continue
+                    for m, red in enumerate(xipow[i + j]):
+                        sk = blocks[p + q][m]
+                        if sk is None or red.is_zero():
                             continue
-                        acc = {}
-                        for m, red in enumerate(self._xipow[i + j]):
-                            if red is None or red.is_zero():
-                                continue
-                            piece = red * prod
-                            if piece.is_zero():
-                                continue
-                            for bk, c in enumerate(piece.coeffs):
-                                if c == 0:
-                                    continue
-                                slot = index[p + q].get((m, bk))
-                                if slot is None:
-                                    continue
-                                acc[slot] = acc.get(slot, Fraction(0)) + c
-                        entries = tuple((k, c) for k, c in acc.items() if c != 0)
-                        if entries:
-                            table[(si, sj)] = entries
-                mult[(p, q)] = table
+                        R = base.multiplication_matrix(red, p - i + q - j)
+                        V, den = R.re[:, T.k] * T.num, R.den * T.den
+                        entries += [(sk + l, si + T.i[t], sj + T.j[t], Fraction(V[l, t], den))
+                                    for l, t in zip(*np.nonzero(V))]
+                mult[(p, q)] = Table.of(entries)
 
         integration = None
         if base.integration is not None:
-            integration = []
-            for (i, bk) in layout[D]:
-                integration.append(
-                    base.integration[bk] if i == e - 1 else Fraction(0)
-                )
+            integration = ExactArray(*np.zeros((2, len(bases[D])), dtype=object))
+            integration[powers[D] == e - 1] = base.integration
 
         super().__init__(
             D, bases, mult, integration,
@@ -1160,35 +1161,32 @@ class ProjBundleModel(RingModel):
             # immediately, so xi only exists as the pullback of c_1.
             self.xi = self.pullback(chern[1])
         else:
-            xi_coeffs = [Fraction(0)] * len(bases[1])
-            xi_coeffs[index[1][(1, 0)]] = Fraction(1)
-            self.xi = self.from_coeffs(1, xi_coeffs)
+            self.xi = self.basis_element(1, blocks[1][1])
         self.labels[xi_name] = self.xi
         for lname, lval in base.labels.items():
             if lname not in self.labels:
                 self.labels[lname] = self.pullback(lval)
 
+    def _slots_of_power(self, degree, i):
+        """The mask of the slots of xi^i in a degree (none past the top)."""
+        return self._powers[degree] == i if degree <= self.dimension else []
+
+    def _component(self, elem, i):
+        """The xi^i component of elem, a base class of degree elem.degree - i."""
+        return self.base.from_coeffs(elem.degree - i,
+                                     elem.coeffs[self._slots_of_power(elem.degree, i)])
+
     def pullback(self, x):
         """Base class as a bundle class (the xi^0 component)."""
-        out = self.zero(x.degree)
-        coeffs = list(out.coeffs)
-        for bk, c in enumerate(x.coeffs):
-            slot = self._index[x.degree].get((0, bk))
-            if slot is None:
-                raise DegreeError("pullback degree out of range")
-            coeffs[slot] = c
+        coeffs = ExactArray(*np.zeros((2, len(self.basis(x.degree))), dtype=object))
+        coeffs[self._slots_of_power(x.degree, 0)] = x.coeffs
         return self.from_coeffs(x.degree, coeffs)
 
     def pushforward(self, elem):
         """Fiber integration: the xi^(e-1)-coefficient, degree drops by e-1."""
-        tgt = elem.degree - (self.rank - 1)
-        if tgt < 0:
+        if elem.degree < self.rank - 1:
             return self.base.zero(0)
-        out = [Fraction(0)] * len(self.base.basis(tgt))
-        for slot, (i, bk) in enumerate(self._layout[elem.degree]):
-            if i == self.rank - 1 and elem.coeffs[slot] != 0:
-                out[bk] = out[bk] + elem.coeffs[slot]
-        return self.base.from_coeffs(tgt, out)
+        return self._component(elem, self.rank - 1)
 
 
 def proj_bundle_ring(base, chern, rank, xi_name="xi", name=None):
@@ -1208,21 +1206,8 @@ class ProductWithP1Model(ProjBundleModel):
 
     def split(self, elem):
         """Decompose as x + tau*y; returns the pair of base elements (x, y)."""
-        deg = elem.degree
-        x = [Fraction(0)] * len(self.base.basis(deg))
-        y = [Fraction(0)] * len(self.base.basis(deg - 1)) if deg >= 1 else []
-        for slot, (i, bk) in enumerate(self._layout[deg]):
-            c = elem.coeffs[slot]
-            if c == 0:
-                continue
-            if i == 0:
-                x[bk] = x[bk] + c
-            else:
-                y[bk] = y[bk] + c
-        return (
-            self.base.from_coeffs(deg, x),
-            self.base.from_coeffs(deg - 1, y) if deg >= 1 else self.base.zero(0),
-        )
+        return (self._component(elem, 0),
+                self._component(elem, 1) if elem.degree >= 1 else self.base.zero(0))
 
 
 def product_with_p1(base, name=None):

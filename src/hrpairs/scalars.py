@@ -250,9 +250,10 @@ class ExactArray:
     demotes the product to complex, as it would a GaussianRational.
     einsum is numpy's on the parts, in the order numpy picks: exact sums
     do not depend on it.  Values enter from nested lists of exact numbers
-    (of) and leave as GaussianRationals (item, tolist, np.vdot), as complex
-    (astype) or as float evidence that saturates beyond float range
-    (saturated); the exact linear algebra reads the integer parts.  An
+    (of) and leave as GaussianRationals (item, tolist, np.vdot), as the
+    Fractions of their real parts (fractions), as complex (astype) or as
+    float evidence that saturates beyond float range (saturated); the exact
+    linear algebra and the ring kernels read the integer parts.  An
     assignment that changes den replaces the parts, so views taken before it
     no longer follow the array.
     """
@@ -395,6 +396,12 @@ class ExactArray:
         """The entries as nested lists of GaussianRationals."""
         out = np.empty(self.shape, dtype=object)
         return np.frompyfunc(from_parts, 3, 1)(self.re, self.im, self.den, out=out).tolist()
+
+    def fractions(self):
+        """The real parts of the entries as nested lists of Fractions (one
+        Fraction for a 0-d array)."""
+        out = np.empty(self.shape, dtype=object)
+        return np.frompyfunc(Fraction, 2, 1)(self.re, self.den, out=out).tolist()
 
     def astype(self, dtype, copy=True):
         """The complex ndarray of the entries, each part correctly rounded

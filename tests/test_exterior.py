@@ -405,3 +405,12 @@ def test_dense_form_round_trip_sum_and_scalar_multiple():
         DenseForm.from_form(PPForm.zero(4, 1, 2))
     with pytest.raises(DegreeError):
         DenseForm.from_form(x) + DenseForm.from_form(one)
+
+
+def test_dense_sum_of_an_empty_form_and_a_float_form_is_complex():
+    # a form with no coefficients converts to an exact array; the sum reads it in complex
+    zero = DenseForm.from_form(PPForm.zero(3, 1, 1))
+    omega = DenseForm.from_form(std_kahler(3, exact=False))
+    for total in (zero + omega, omega + zero):
+        assert total.coeffs.dtype == complex
+        assert total.to_form() == std_kahler(3, exact=False)

@@ -318,7 +318,7 @@ def test_pair_values_are_their_defining_integrals():
     for m, top, mid, hv in cases:
         q = divide(m, top, mid)
         want = {
-            "quotient": q.coeffs,
+            "quotient": q.coeffs.fractions(),
             "pairing_with_h": (hv * top).integrate(),
             "quotient_square_value": (mid * q * q).integrate(),
         }
@@ -407,11 +407,11 @@ def test_cauchy_schwarz_for_passing_pairs():
     for model, top, mid, hh in checked:
         assert is_hr_pair(model, top, mid, hh).passed
         Q = gram(model, mid)
-        beta = divide(model, top, mid)
+        beta = divide(model, top, mid).coeffs.fractions()
         n = len(Q)
-        bb = sum(Q[i][j] * beta.coeffs[i] * beta.coeffs[j] for i in range(n) for j in range(n))
+        bb = sum(Q[i][j] * beta[i] * beta[j] for i in range(n) for j in range(n))
         for k in range(n):
-            ab = sum(Q[k][j] * beta.coeffs[j] for j in range(n))
+            ab = sum(Q[k][j] * beta[j] for j in range(n))
             aa = Q[k][k]
             assert ab * ab >= aa * bb
 
@@ -702,7 +702,8 @@ def test_rank_deficient_division_reports_a_kernel_witness():
     model = torus_ring(3)
     eta = model.from_form(PPForm.monomial(3, (0,), (0,), GaussianRational(0, 1)))
     gamma = model.from_form(PPForm.monomial(3, (1, 2), (1, 2), GaussianRational(-1)))  # u[2,3]
-    images = [(eta * model.basis_element(1, j)).coeffs for j in range(len(model.basis(1)))]
+    images = [(eta * model.basis_element(1, j)).coeffs.fractions()
+              for j in range(len(model.basis(1)))]
     M = [list(row) for row in zip(*images)]
     with pytest.raises(SingularPairingError) as info:
         divide(model, gamma, eta)
@@ -710,7 +711,7 @@ def test_rank_deficient_division_reports_a_kernel_witness():
     assert any(v) and all(sum(a * b for a, b in zip(row, v)) == 0 for row in M)
     M = np.array(M, dtype=float)
     with pytest.raises(SingularPairingError) as info:
-        _solve_division(M, np.array(gamma.coeffs, dtype=float), 1e-9)
+        _solve_division(M, np.array(gamma.coeffs.fractions(), dtype=float), 1e-9)
     v = np.asarray(info.value.witness)
     assert np.linalg.norm(v) == pytest.approx(1.0)
     assert np.linalg.norm(M @ v) <= 1e-9 * np.linalg.norm(M)

@@ -19,8 +19,10 @@ from hrpairs.errors import (
 from hrpairs.exterior import PPForm, form_from_dict, std_kahler, wedge
 from hrpairs.ring import (
     MAX_SPEC_DIMENSION,
+    MAX_SPEC_MONOMIALS,
     RingModel,
     RingTPoly,
+    Table,
     form_from_real_coordinates,
     parse_element,
     polynomial_ring,
@@ -147,16 +149,17 @@ def test_product_tables_are_the_sparse_wedge_of_the_basis_forms(d):
     for p in range(d + 1):
         for q in range(d + 1 - p):
             table = real_product_table(d, p, q)
-            assert set(table) <= {(i, j) for i in range(len(bases[p]))
-                                  for j in range(len(bases[q]))}
+            assert table.den == 1 and all(type(c) is int and c != 0 for c in table.num)
+            triples = list(zip(table.k.tolist(), table.i.tolist(), table.j.tolist()))
+            assert len(set(triples)) == len(triples)
+            rows = {}
+            for (k, i, j), c in zip(triples, table.num):
+                rows.setdefault((i, j), [Fraction(0)] * len(bases[p + q]))[k] = Fraction(c)
+            assert set(rows) <= {(i, j) for i in range(len(bases[p]))
+                                 for j in range(len(bases[q]))}
             for i, fi in enumerate(bases[p]):
                 for j, fj in enumerate(bases[q]):
-                    entries = table.get((i, j), ())
-                    assert all(type(c) is Fraction and c != 0 for _, c in entries)
-                    assert [k for k, _ in entries] == sorted({k for k, _ in entries})
-                    row = [Fraction(0)] * len(bases[p + q])
-                    for k, c in entries:
-                        row[k] = c
+                    row = rows.get((i, j), [Fraction(0)] * len(bases[p + q]))
                     assert row == decompose(wedge(fi, fj)), (p, q, i, j)
 
 
@@ -181,26 +184,29 @@ def test_torus_float_forms_get_float_coordinates():
     coords = real_coordinates(std_kahler(2, exact=False))
     assert all(isinstance(c, float) for c in coords)
     exact = model.label("omega_std")
-    assert max(abs(a - float(b)) for a, b in zip(coords, exact.coeffs)) == 0
+    assert max(abs(a - float(b)) for a, b in zip(coords, exact.coeffs.fractions())) == 0
     with pytest.raises(TypeError):
         model.from_form(std_kahler(2, exact=False))
 
 
 def test_ring_elements_refuse_float_coefficients():
     model = torus_ring(2)
-    for bad in (0.5, 1j):
+    for bad in (0.5, 1j, GaussianRational(1, 1)):
         with pytest.raises(TypeError):
             model.from_coeffs(1, [Fraction(1), bad, Fraction(0), Fraction(0)])
     omega = model.label("omega_std")
-    with pytest.raises(TypeError):
-        omega * 0.5
-    with pytest.raises(TypeError):
-        0.5 * omega
-    assert (omega * Fraction(1, 2)).coeffs == [Fraction(1, 2) * c for c in omega.coeffs]
+    for bad in (0.5, GaussianRational(0, 1)):
+        with pytest.raises(TypeError):
+            omega * bad
+        with pytest.raises(TypeError):
+            bad * omega
+    half = [Fraction(1, 2) * c for c in omega.coeffs.fractions()]
+    assert (omega * Fraction(1, 2)).coeffs.fractions() == half
+    assert (omega * GaussianRational(Fraction(1, 2))).coeffs.fractions() == half
 
 
 def test_torus_degree_one_pairing_matrix():
-    got = torus_ring(2).pairing_matrix(1)
+    got = torus_ring(2).pairing_matrix(1).fractions()
     assert got == [
         [0, 1, 0, 0],
         [1, 0, 0, 0],
@@ -276,6 +282,22 @@ def test_fulger_lehmann_intersection_numbers():
     assert (xi ** 3).integrate() == -1
     assert (xi * f * f).is_zero()
     assert ((xi + f) ** 3).integrate() == 2
+
+
+def test_fractional_rewrite_coefficients_reach_products_and_pairings():
+    # y^2 = xy/3 - 2x^2/5 and x^3 = 0, int x^2 y = 7/2: tables over a denominator of 15
+    model = relation_ring(3, [("x", 1), ("y", 1)],
+                          [((0, 2), [(Fraction(1, 3), (1, 1)), (Fraction(-2, 5), (2, 0))]),
+                           ((3, 0), [])],
+                          integration=[((2, 1), Fraction(7, 2))])
+    x, y = model.label("x"), model.label("y")
+    assert model.basis(2) == ["x^2", "x*y"] and str(y * y) == "-2/5*x^2 + 1/3*x*y"
+    assert (x * y * y).integrate() == Fraction(7, 6)
+    assert model.pairing_matrix(1).fractions() == [[0, Fraction(7, 2)],
+                                                   [Fraction(7, 2), Fraction(7, 6)]]
+    assert model.multiplication_matrix(y).fractions() == [[0, Fraction(-2, 5)],
+                                                          [1, Fraction(1, 3)]]
+    model.check_axioms()
 
 
 def test_fixture_spec_matches_handmade_ring():
@@ -412,6 +434,10 @@ def test_ring_from_spec_refuses_specs_above_the_size_limit():
     assert time.perf_counter() - started < 1.0
     assert len(ring_from_spec(spec(3, [1, 1])).basis(3)) == 4
     assert len(ring_from_spec(spec(MAX_SPEC_DIMENSION, [])).basis(1)) == 0
+    # the largest two-generator spec under the limit builds and passes the axiom check
+    largest = ring_from_spec(spec(20, [1, 1]))
+    assert sum(len(largest.basis(p)) for p in range(21)) == 231 <= MAX_SPEC_MONOMIALS
+    largest.check_axioms()
 
 
 # -- ring axioms -----------------------------------------------------------
@@ -456,14 +482,14 @@ def hand_built_ring(bases, products):
     """
     where = {lab: (p, i) for p, labs in enumerate(bases) for i, lab in enumerate(labs)}
     d = len(bases) - 1
-    mult = {(p, q): {} for p in range(d + 1) for q in range(d + 1 - p)}
+    entries = {(p, q): {} for p in range(d + 1) for q in range(d + 1 - p)}  # (k, i, j) -> 1
     for p, i in where.values():
-        mult[(0, p)][(0, i)] = ((i, 1),)
-        mult[(p, 0)][(i, 0)] = ((i, 1),)
+        entries[(0, p)][(i, 0, i)] = entries[(p, 0)][(i, i, 0)] = 1
     for (a, b), c in products.items():
         (p, i), (q, j), (_, k) = where[a], where[b], where[c]
-        mult[(p, q)][(i, j)] = ((k, 1),)
-    return RingModel(d, bases, mult)
+        entries[(p, q)][(k, i, j)] = 1
+    return RingModel(d, bases, {pq: Table.of((*key, c) for key, c in table.items())
+                                for pq, table in entries.items()})
 
 
 def test_check_axioms_rejects_non_commutative_table():
@@ -472,6 +498,11 @@ def test_check_axioms_rejects_non_commutative_table():
     with pytest.raises(ConstructionError, match="not commutative") as info:
         model.check_axioms()
     assert info.value.witness == {"p": 1, "q": 1, "i": 0, "j": 1}
+    # T_21 has the entry b*a = t and T_12 none: the difference shows where T_21 has it
+    model = hand_built_ring([["1"], ["a"], ["b"], ["t"]], {("b", "a"): "t"})
+    with pytest.raises(ConstructionError, match=r"not commutative on degrees \(2,1\)") as info:
+        model.check_axioms()
+    assert info.value.witness == {"p": 2, "q": 1, "i": 0, "j": 0}
 
 
 def test_check_axioms_rejects_non_associative_table():
@@ -483,6 +514,88 @@ def test_check_axioms_rejects_non_associative_table():
     with pytest.raises(ConstructionError, match="not associative") as info:
         model.check_axioms()
     assert info.value.witness == {"degrees": (1, 1, 1), "basis": ("a", "a", "b")}
+    # a^n spans degree n and s * s = 0: (a a) a = a (a a) = t, but (a a) s = 0 while
+    # a (a s) = a t = u, so only the degrees (1, 1, 2) fail
+    model = hand_built_ring(
+        [["1"], ["a"], ["s"], ["t"], ["u"]],
+        {("a", "a"): "s", ("a", "s"): "t", ("s", "a"): "t", ("a", "t"): "u", ("t", "a"): "u"},
+    )
+    with pytest.raises(ConstructionError, match="not associative") as info:
+        model.check_axioms()
+    assert info.value.witness == {"degrees": (1, 1, 2), "basis": ("a", "a", "s")}
+    # (b c) c = w c = t but b (c c) = b s = 0, and a (c w) = a t = u but (a c) w = 0:
+    # the witness is ordered by degrees first, so (1, 1, 1) comes before a's (1, 1, 2)
+    model = hand_built_ring(
+        [["1"], ["a", "b", "c"], ["s", "w"], ["t"], ["u"]],
+        {("c", "c"): "s", ("b", "c"): "w", ("c", "b"): "w", ("w", "c"): "t", ("c", "w"): "t",
+         ("a", "t"): "u", ("t", "a"): "u"},
+    )
+    with pytest.raises(ConstructionError, match="not associative") as info:
+        model.check_axioms()
+    assert info.value.witness == {"degrees": (1, 1, 1), "basis": ("b", "c", "c")}
+
+
+def loop_axiom_failure(model):
+    """(message, witness) of the first failing basis product, found by loops
+    over the entries of each table and over all basis triples, or None."""
+    for (p, q), table in model._mult.items():
+        for i, j in sorted(set(zip(table.i.tolist(), table.j.tolist()))):
+            bi, bj = model.basis_element(p, i), model.basis_element(q, j)
+            if bi * bj != bj * bi:
+                return (f"multiplication not commutative on degrees ({p},{q})",
+                        {"p": p, "q": q, "i": i, "j": j})
+    d = model.dimension
+    for p in range(1, d + 1):
+        for q in range(p, d + 1 - p):
+            for r in range(q, d + 1 - p - q):
+                for i, j, k in itertools.product(*(range(len(model.basis(s))) for s in (p, q, r))):
+                    x, y, z = (model.basis_element(s, t) for s, t in ((p, i), (q, j), (r, k)))
+                    if (x * y) * z != x * (y * z):
+                        labels = (model.basis(p)[i], model.basis(q)[j], model.basis(r)[k])
+                        return ("multiplication not associative",
+                                {"degrees": (p, q, r), "basis": labels})
+    return None
+
+
+def random_table_ring(rng):
+    """The tables of a truncated polynomial ring on one to three generators of
+    degree 1 or 2, changed at up to three random products: at both (i, j)
+    and (j, i), which keeps them commutative, or at one of them."""
+    gens = [(f"g{n}", int(rng.integers(1, 3))) for n in range(int(rng.integers(1, 4)))]
+    model = polynomial_ring(int(rng.integers(2, 5)), gens)
+    products = {}  # (p, q, i, j) -> {k: c}
+    for (p, q), t in model._mult.items():
+        for k, i, j, c in zip(t.k.tolist(), t.i.tolist(), t.j.tolist(), t.num):
+            products.setdefault((p, q, i, j), {})[k] = Fraction(c, t.den)
+    keys = sorted(key for key in products if key[0] and key[1])
+    for _ in range(int(rng.integers(0, 4)) if keys else 0):
+        p, q, i, j = keys[int(rng.integers(len(keys)))]
+        k = int(rng.integers(len(model.basis(p + q))))
+        row = dict(products[p, q, i, j])
+        row[k] = row.get(k, 0) + int(rng.choice([-1, 1]))
+        products[p, q, i, j] = row
+        if rng.random() < 0.8:
+            products[q, p, j, i] = row
+    tables = {pq: Table.of((k, i, j, c) for (s, t, i, j), row in products.items()
+                           if (s, t) == pq for k, c in row.items()) for pq in model._mult}
+    return RingModel(model.dimension, [model.basis(p) for p in range(model.dimension + 1)],
+                     tables)
+
+
+def test_check_axioms_agrees_with_loops_over_basis_products():
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for _ in range(200):
+        model = random_table_ring(rng)
+        want = loop_axiom_failure(model)
+        try:
+            model.check_axioms()
+            got = None
+        except ConstructionError as exc:
+            got = (str(exc), exc.witness)
+        assert got == want
+        outcomes.add(want and want[0].split(" on ")[0])
+    assert outcomes == {None, "multiplication not commutative", "multiplication not associative"}
 
 
 def test_ring_from_spec_runs_the_axiom_check(monkeypatch):
