@@ -18,13 +18,15 @@ coefficient array and a Higgs field one r x r x d array, complex for float
 data and a scalars.ExactArray (integer numerators over one denominator)
 for exact data.  constraint_project, trace_check, higgs_curvature_term and
 HiggsField.square_residual are a few einsums over them and over the
-intersection numbers of exterior._top_functional and exterior._mid_gram
-(exact for exact forms), which hrcheck.pointwise_hr_pair reads too; an
-exact operand meeting a float one is read in complex.  The PPForm entries
-are converted once, by the constructors, and .entries is a view built from
-the array.  With the Schur pairs of hrcheck.schur_form_pair, DenseForm
-products in both backends, a curvature trial makes no sparse wedge, exact
-or float; the test suite keeps the sparse Chern-Weil forms as its oracle.
+intersection numbers m = exterior._top_functional(omega_top) and
+G = exterior._mid_gram(omega_mid) (exact for exact forms), which
+hrcheck.pointwise_hr_pair reads too; an exact operand meeting a float one is
+read in complex.  _project and _trace_verdict take (G, m) themselves, so a
+seeded trial (the CLI's trace-check) reads them from hrcheck.schur_tensors
+with no form at all.  The PPForm entries are converted once, by the
+constructors, and .entries is a view built from the array.  A curvature
+trial makes no sparse wedge, exact or float; the test suite keeps the sparse
+Chern-Weil forms as its oracle.
 """
 
 import math
@@ -261,11 +263,16 @@ def constraint_project(F, omega_top):
 
     The kernel projection subtracts along the Riesz direction of the pairing
     functional m = exterior._top_functional(omega_top), which is a real
-    (1,1)-form, so the first two constraints survive the third.  Exact when
-    F and omega_top are, complex otherwise.
+    (1,1)-form, so the first two constraints survive the third (_project).
+    Exact when F and omega_top are, complex otherwise.
     """
     _check_form("omega_top", omega_top, F.dim, F.dim - 1)
-    A, m = _promote(F.coeffs, _top_functional(omega_top))
+    return _project(F, _top_functional(omega_top))
+
+
+def _project(F, m):
+    """constraint_project from the functional m of omega_top."""
+    A, m = _promote(F.coeffs, m)
     A = trace_free_part(anti_selfadjoint_part(CurvatureMatrix._of(A))).coeffs
     denom = np.vdot(m, m).real
     if denom:
@@ -285,11 +292,18 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9):
     scalars.negligible rule, so tol is zero_tol for float values and 0 for
     exact ones: exact data must meet every constraint exactly.  Scales and
     delta_value are float evidence, saturating to inf beyond float range.
+    The verdict is _trace_verdict's, on the intersection numbers of the forms.
     """
-    d, r = F0.dim, F0.size
+    d = F0.dim
     _check_form("omega_top", omega_top, d, d - 1)
     _check_form("omega_mid", omega_mid, d, d - 2)
-    A, G = _promote(F0.coeffs, _mid_gram(omega_mid))
+    return _trace_verdict(F0, _mid_gram(omega_mid), _top_functional(omega_top), zero_tol)
+
+
+def _trace_verdict(F0, G, m, zero_tol):
+    """trace_check from G = _mid_gram(omega_mid) and m = _top_functional(omega_top)."""
+    r = F0.size
+    A, G = _promote(F0.coeffs, G)
     exact = isinstance(A, ExactArray)
     curvature_max = magnitude(_peak(A))
     fscale = max(curvature_max, 1.0)
@@ -299,8 +313,8 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9):
     tr_res = _peak(np.einsum("iiab->ab", A))
     if not negligible(tr_res, zero_tol * fscale):
         raise ConfigError(f"curvature is not trace-free: residual {tr_res}")
-    oscale = max(omega_top.max_abs(), 1.0)
-    kernel = np.einsum("ijab,ab->ij", *_promote(A, _top_functional(omega_top))).tolist()
+    oscale = max(magnitude(_peak(m)), 1.0)  # max |coefficient| of omega_top
+    kernel = np.einsum("ijab,ab->ij", *_promote(A, m)).tolist()
     for i in range(r):
         for j in range(r):
             v = kernel[i][j]

@@ -349,13 +349,6 @@ def cmd_extension_identity(args):
     return 0 if ok else 1
 
 
-def _seeded_schur_pair(dim, seed, trial=0):
-    rng = np.random.default_rng([seed, trial])
-    omegas = [hrcheck.random_kahler(dim, rng) for _ in range(2)]
-    lam = Partition((dim - 1,))
-    return hrcheck.schur_form_pair(lam, omegas, dim), rng
-
-
 def cmd_trace_check(args):
     if args.curvature is not None:
         if not (args.omega_top and args.omega_mid):
@@ -372,14 +365,18 @@ def cmd_trace_check(args):
         except (OSError, KeyError, ValueError, TypeError, DegreeError, ConfigError) as exc:
             _die(f"cannot load curvature data: {exc}")
     else:
+        # the Schur pair of two seeded Kahler forms, as its intersection numbers
         hrcheck.check_sweep_dimension(args.dim)
-        (top, mid), rng = _seeded_schur_pair(args.dim, args.seed)
+        rng = np.random.default_rng([args.seed, 0])
+        H = np.stack([hrcheck.random_hermitian(args.dim, rng) for _ in range(2)])
+        G, m = hrcheck.schur_tensors(Partition((args.dim - 1,)), H)
         raw = bg.random_curvature(args.rank, args.dim, rng)
         if args.higgs:
             raw = raw + bg.higgs_curvature_term(bg.random_higgs(args.rank, args.dim, rng))
-        F0 = bg.constraint_project(raw, top)
+        F0 = bg._project(raw, m)
     try:
-        v = bg.trace_check(F0, top, mid, zero_tol=args.tolerance)
+        v = (bg.trace_check(F0, top, mid, zero_tol=args.tolerance) if args.curvature
+             else bg._trace_verdict(F0, G, m, args.tolerance))
     except (ConfigError, DegreeError) as exc:
         _die(str(exc))
     extra = None if args.curvature else {"seed": args.seed, "higgs": args.higgs}

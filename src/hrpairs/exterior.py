@@ -2,13 +2,14 @@
 
 A form is stored sparsely as coefficients c[I, J] of dz_I wedge dzbar_J with
 I, J strictly increasing index tuples (0-based).  Coefficients are Python
-complex (float backend) or GaussianRational (exact backend).  DenseForm
-holds a (p,p)-form as its dense coefficient matrix in either backend, for
-long products: a complex ndarray, or a scalars.ExactArray, integer numerators
-with one common denominator, whose products run on Python ints.  The dense
-kernels (DenseForm, _top_functional, _mid_gram, the real basis of ring and
-the curvature arrays of bogomolov) are one text for both array types;
-GaussianRationals appear only where they hand values out.
+complex (float backend) or GaussianRational (exact backend).  The dense
+kernels read a (p,p)-form as its coefficient matrix in either backend: a
+complex ndarray, or a scalars.ExactArray, integer numerators with one common
+denominator.  _top_functional and _mid_gram turn it into the intersection
+numbers that the pointwise checks read, and _top_form and _mid_form turn
+those back into forms; they, the real basis of ring and the curvature arrays
+of bogomolov are one text for both array types, and GaussianRationals appear
+only where they hand values out.
 
 Conventions, all verified by brute-force oracles in the test suite:
 
@@ -263,8 +264,10 @@ def _array(shape, items, exact):
     """The coefficient array with entries from (index, value) pairs and 0
     elsewhere: an ExactArray, or complex."""
     A = np.zeros(shape, dtype=object if exact else complex)
-    for ix, c in items:
-        A[ix] = c if exact else complex(c)
+    items = list(items)
+    if items:
+        index, values = zip(*items)
+        A[tuple(np.array(index).T)] = values if exact else [complex(c) for c in values]
     return ExactArray.of(A) if exact else A
 
 
@@ -281,83 +284,74 @@ def _volume_unit(d, exact):
     return i_power(-(d * d)) if exact else 1j ** (-(d * d) % 4)
 
 
-class DenseForm:
-    """(p,p)-form on C^d as its dense coefficient matrix, in either backend.
-
-    coeffs[i, j] is the coefficient of dz_I wedge dzbar_J for the i-th and
-    j-th p-subsets I, J in combinations order: a complex ndarray for float
-    forms, an ExactArray for exact ones, so the array type is the backend;
-    both factors of a product are in one backend.
-    A value type for long products such as symfunc.evaluate.  With
-    S = _merge_signs(d, p, q), the wedge of Z (degree p) and W (degree q) is
-    V[k, l] = (-1)^(pq) sum S[k, a, b] S[l, c, e] Z[a, c] W[b, e],
-    the sign rule of wedge applied to every pair of terms at once.
-    Past degree d there are no subsets, so the matrix is empty: the zero
-    form.
-    """
-
-    __slots__ = ("dim", "p", "coeffs")
-
-    def __init__(self, dim, p, coeffs):
-        self.dim, self.p, self.coeffs = dim, p, coeffs
-
-    @classmethod
-    def from_form(cls, form):
-        """The dense copy of a (p,p)-form, exact when every coefficient is."""
-        if form.p != form.q:
-            raise DegreeError(f"expected a (p,p)-form, got {form!r}")
-        return cls(form.dim, form.p, _coefficient_matrix(form, form.is_exact()))
-
-    def to_form(self):
-        """The sparse form: complex coefficients, or GaussianRational ones when exact."""
-        subsets = list(_subset_index(self.dim, self.p))
-        Z = self.coeffs
-        coeffs = {(subsets[i], subsets[j]): Z.item(i, j) for i, j in zip(*Z.nonzero())}
-        return PPForm._valid(self.dim, self.p, self.p, coeffs)
-
-    def __add__(self, other):
-        if (self.dim, self.p) != (other.dim, other.p):
-            raise DegreeError(
-                f"cannot add ({self.dim};{self.p},{self.p}) and "
-                f"({other.dim};{other.p},{other.p}) forms"
-            )
-        A, B = self.coeffs, other.coeffs
-        if isinstance(A, ExactArray) is not isinstance(B, ExactArray):
-            A, B = _promote(A, B)  # a zero form with no coefficients reads as exact
-        return DenseForm(self.dim, self.p, A + B)
-
-    def __mul__(self, other):
-        if not isinstance(other, DenseForm):
-            c = other if isinstance(self.coeffs, ExactArray) else complex(other)
-            return DenseForm(self.dim, self.p, self.coeffs * c)
-        d, p, q = self.dim, self.p, other.p
-        S = _merge_signs(d, p, q)
-        X = np.tensordot(S, self.coeffs, axes=(1, 0))  # X[k, b, c]: sum over a
-        X = np.tensordot(X, other.coeffs, axes=(1, 0))  # X[k, c, e]: sum over b
-        V = np.tensordot(X, S, axes=((1, 2), (1, 2)))  # V[k, l]: sum over c, e
-        return DenseForm(d, p + q, -V if (p * q) % 2 else V)
+@lru_cache(maxsize=None)
+def _complements(d, k):
+    """(Q, tau, R), read-only int arrays: for the k-tuples A of range(d),
+    dz_A wedge dz_C = tau[A] dz_1..d with C the complement of A, the Q[A]-th
+    (d-k)-subset, and tau 0 where A repeats an index; R[q] is the increasing
+    A with Q[A] = q."""
+    Q, tau = np.zeros((d,) * k, dtype=np.intp), np.zeros((d,) * k, dtype=np.int8)
+    R = np.zeros((math.comb(d, k), k), dtype=np.intp)
+    index = _subset_index(d, d - k)
+    for A in itertools.permutations(range(d), k):
+        rest = tuple(i for i in range(d) if i not in A)
+        word = A + rest
+        inversions = sum(1 for i in range(d) for j in range(i + 1, d) if word[i] > word[j])
+        Q[A], tau[A] = index[rest], (-1) ** inversions
+        if list(A) == sorted(A):
+            R[index[rest]] = A
+    for X in (Q, tau, R):
+        X.flags.writeable = False
+    return Q, tau, R
 
 
 def _top_functional(omega_top):
     """m[a, b] = int(dz_a ^ dzbar_b ^ omega_top) for a (d-1,d-1)-form omega_top.
 
     An ExactArray for exact omega_top, complex otherwise; so is _mid_gram.
+    Moving dzbar_b past the d-1 dz's of a coefficient gives (-1)^(d-1).
     """
     d, exact = omega_top.dim, omega_top.is_exact()
-    S = _merge_signs(d, 1, d - 1)[0]
-    Z = _coefficient_matrix(omega_top, exact)
-    return (-1) ** (d - 1) * _volume_unit(d, exact) * (S @ Z @ S.T)
+    Q, tau, _ = _complements(d, 1)
+    Z = _coefficient_matrix(omega_top, exact)[Q[:, None], Q]
+    return (-1) ** (d - 1) * _volume_unit(d, exact) * (Z * np.outer(tau, tau))
 
 
 def _mid_gram(omega_mid):
-    """G[a, b, c, e] = int(dz_a ^ dzbar_b ^ dz_c ^ dzbar_e ^ omega_mid)."""
+    """G[a, b, c, e] = int(dz_a ^ dzbar_b ^ dz_c ^ dzbar_e ^ omega_mid); moving
+    dzbar_b past dz_c gives the sign -1."""
     d, exact = omega_mid.dim, omega_mid.is_exact()
-    S1 = _merge_signs(d, 1, 1).reshape(-1, d * d)
-    S2 = _merge_signs(d, 2, d - 2)[0]
-    g = S2 @ _coefficient_matrix(omega_mid, exact) @ S2.T
-    # X[(a, c), (b, e)], moving dzbar_b past dz_c for the sign
-    X = -_volume_unit(d, exact) * (S1.T @ g @ S1)
-    return X.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    Q, tau, _ = _complements(d, 2)
+    Z = _coefficient_matrix(omega_mid, exact)[Q[:, None, :, None], Q[None, :, None, :]]
+    return -_volume_unit(d, exact) * (Z * (tau[:, None, :, None] * tau[None, :, None, :]))
+
+
+def _form_of(Z, d, p):
+    """The (p,p)-form on C^d with coefficient matrix Z, the inverse of
+    _coefficient_matrix: complex coefficients, or GaussianRationals when Z
+    is an ExactArray."""
+    subsets = list(_subset_index(d, p))
+    return PPForm._valid(d, p, p, {(subsets[i], subsets[j]): Z.item(i, j)
+                                   for i, j in zip(*Z.nonzero())})
+
+
+def _top_form(m):
+    """The (d-1,d-1)-form whose _top_functional is m, read at the rows R."""
+    d = len(m)
+    _, tau, R = _complements(d, 1)
+    a = R[:, 0]
+    unit = (-1) ** (d - 1) * _volume_unit(d, isinstance(m, ExactArray)).conjugate()
+    return _form_of(unit * (m[a[:, None], a] * np.outer(tau[a], tau[a])), d, d - 1)
+
+
+def _mid_form(G):
+    """The (d-2,d-2)-form whose _mid_gram is G, read at the pairs R."""
+    d = len(G)
+    _, tau, R = _complements(d, 2)
+    a, c = R.T
+    unit = -_volume_unit(d, isinstance(G, ExactArray)).conjugate()
+    sign = tau[a, c]
+    return _form_of(unit * (G[a[:, None], a, c[:, None], c] * np.outer(sign, sign)), d, d - 2)
 
 
 def wedge_all(forms, dim=None, exact=True):

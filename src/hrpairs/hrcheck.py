@@ -31,26 +31,31 @@ no flag.  is_hr_pair feeds it from any ring model: the pairing matrix P
 and the multiplication matrix M of eta_mid are each one contraction of a
 product table, ExactArrays like the coordinates of ring elements, so the
 exact backend takes them as they are and exact=False takes float copies of
-them.  Forms of both backends live in one encoding, the DenseForm
-coefficient matrix (complex, or an ExactArray of ints): schur_form_pair
-multiplies in it and pointwise_hr_pair reads its intersection numbers from
-it and hands them to the core as they are, so no trial builds a ring, makes
-a sparse wedge or builds a Fraction list.
-torus_ring(d), the same numbers as exact ring products, is the test suite's
-oracle for both, and the test suite checks its product tables against the
-sparse wedge.
+them.  pointwise_hr_pair feeds it from forms: their intersection numbers
+G = exterior._mid_gram(eta_mid) and m = exterior._top_functional(eta_top),
+complex or ExactArrays, go to _pointwise_verdict as they are, so no trial
+builds a ring, makes a sparse wedge or builds a Fraction list.
+
+Schur pairs multiply no forms: schur_tensors reads (G, m) of (s_lam,
+s'_lam) straight from det(sum t_i H_i) of the Hermitian matrices of the
+forms, and schur_form_pair turns them back into forms.  sample_search hands
+(G, m) to _pointwise_verdict itself.  torus_ring(d), the same numbers as
+exact ring products, is the test suite's oracle for the pointwise checks,
+and dense products of forms (tests/dense_forms.py) for the Schur pairs.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingError
-from .exterior import DenseForm, _array, _coefficient_matrix, _mid_gram, _promote
-from .exterior import _top_functional, form_from_hermitian, hermitian_from_form, std_kahler
+from .exterior import _array, _mid_form, _mid_gram, _promote, _top_form, _top_functional
+from .exterior import form_from_hermitian, hermitian_from_form, std_kahler
 from .linalg import (
     float_kernel_vector,
     float_signature,
@@ -61,8 +66,8 @@ from .linalg import (
     rational_solve,
 )
 from .ring import MAX_SWEEP_DIMENSION, _check_real, _real_basis_matrix, real_coordinates
-from .scalars import ExactArray, to_float
-from .symfunc import Partition, derived, evaluate, schur
+from .scalars import ExactArray, GaussianRational, to_float
+from .symfunc import Partition, schur, to_monomials
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
 
@@ -356,24 +361,42 @@ def _real_values(X, form):
     Float values are symmetrized by taking Re.  Exact pairings with every
     real class are real exactly when the form is (Poincare duality), so an
     exact X must have imaginary part 0; if not, ring._check_real raises,
-    naming the indices where the form is not real.
+    naming the indices where the form, when given, is not real.
     """
     if not isinstance(X, ExactArray):
         return X.real
     if X.im.any():
-        _check_real(form)
+        if form is not None:
+            _check_real(form)
         raise ConsistencyError("pairings with real classes are not real")
     return X
+
+
+def _pointwise_verdict(G, m, h, zero_tol, forms=(None, None)):
+    """pointwise_hr_pair's verdict from G = _mid_gram(eta_mid), m =
+    _top_functional(eta_top) and the coordinates h of omega, exact when h is
+    an ExactArray; forms = (eta_top, eta_mid) name a non-real exact form.
+
+    The degree-1 real basis B pairs to Q = B G B^T and functional = B m.
+    Q = P M and functional = P top for P the pairing of degrees 1 and d-1,
+    invertible on the torus (Poincare duality): M q = top iff Q q =
+    functional, so the core decides on (Q, Q, functional, functional).
+    """
+    d = len(m)
+    B, m, G = _promote(_real_basis_matrix(d, 1, isinstance(h, ExactArray)), m, G)
+    functional = _real_values(B @ m.ravel(), forms[0])
+    Q = _real_values(B @ G.reshape(d * d, d * d) @ B.T, forms[1])
+    return _pair_verdict(Q, Q, functional, functional, h, zero_tol)
 
 
 def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
     """Hodge-Riemann pair check for constant-coefficient forms.
 
     omega_top is a (d-1,d-1)-form, omega_mid a (d-2,d-2)-form and omega a
-    strictly positive (1,1)-form.  The degree-1 real basis B is paired
-    with exterior._mid_gram and exterior._top_functional, exactly when all
-    three forms are exact and in complex otherwise, and the verdict core
-    decides on the result; no ring model is built.
+    strictly positive (1,1)-form.  Their intersection numbers come from
+    exterior._mid_gram and exterior._top_functional, exactly when all three
+    forms are exact and in complex otherwise, and _pointwise_verdict
+    decides; no ring model is built.
     """
     d = omega_top.dim
     if (omega_top.p, omega_top.q) != (d - 1, d - 1):
@@ -384,52 +407,290 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
         raise DegreeError(f"expected a (1,1)-form on C^{d}, got {omega!r}")
     _check_strictly_positive(omega, zero_tol)
     exact = all(f.is_exact() for f in (omega_top, omega_mid, omega))
-    B, m, G = _promote(_real_basis_matrix(d, 1, exact), _top_functional(omega_top),
-                       _mid_gram(omega_mid))
-    functional = _real_values(B @ m.ravel(), omega_top)
-    Q = _real_values(B @ G.reshape(d * d, d * d) @ B.T, omega_mid)
     h = real_coordinates(omega)
     h = ExactArray.of(h) if exact else float_copy(h, "h")
-    # Q = P M and functional = P top for P the pairing of degrees 1 and d-1,
-    # invertible on the torus (Poincare duality): M q = top iff Q q = functional
-    return _pair_verdict(Q, Q, functional, functional, h, zero_tol)
+    return _pointwise_verdict(_mid_gram(omega_mid), _top_functional(omega_top), h, zero_tol,
+                              (omega_top, omega_mid))
+
+
+def random_hermitian(d, rng, delta=1e-3):
+    """Random positive definite A^* A + delta * Id, A complex Gaussian."""
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return A.conj().T @ A + delta * np.eye(d)
 
 
 def random_kahler(d, rng, delta=1e-3):
-    """Random strictly positive (1,1)-form: A^* A + delta * Id, A complex Gaussian."""
-    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    H = A.conj().T @ A + delta * np.eye(d)
-    return form_from_hermitian([[complex(x) for x in row] for row in H], exact=False)
+    """Random strictly positive (1,1)-form i H for H = random_hermitian(d, rng, delta)."""
+    return form_from_hermitian(random_hermitian(d, rng, delta), exact=False)
+
+
+# -- Schur pairs from the determinant --------------------------------------
+
+
+def _schur_targets(lam, e):
+    """({mu: c_mu mu!} over the monomials c_mu x^mu of s_lam in e variables,
+    the same for s'_lam = sum_i d/dx_i s_lam, the order-one coefficient of
+    s_lam(x + t) (symfunc.derived), read off those of s_lam."""
+    top = {mu: c * math.prod(map(math.factorial, mu))
+           for mu, c in to_monomials(schur(lam, e)).items()}
+    mid = {}
+    for mu, c in top.items():
+        for i in range(e):
+            if mu[i]:
+                nu = mu[:i] + (mu[i] - 1,) + mu[i + 1:]
+                mid[nu] = mid.get(nu, 0) + c
+    return top, mid
+
+
+def _compositions(n, e):
+    """The exponent tuples of e entries >= 0 summing to n."""
+    for bars in itertools.combinations(range(n + e - 1), e - 1):
+        cuts = (-1, *bars, n + e - 1)
+        yield tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
+
+
+def _lattice_rule(A, d):
+    """(M, g) with the exponents A (rows, entries below d) distinct in A g
+    mod M: M grows from len(A) by about 3 % a step, and g = (1, a, a^2, ...)
+    mod M for the first a < 256 that works; the tensor grid (d^k, powers of
+    d) for k = A.shape[1] always does, and ends the search."""
+    k = A.shape[1]
+    M = len(A)
+    while M < d ** k:
+        G = np.ones((k, min(M, 256) - 1), dtype=np.int64)
+        for j in range(1, k):
+            G[j] = G[j - 1] * np.arange(1, G.shape[1] + 1) % M
+        hit = np.zeros((M, G.shape[1]), dtype=bool)
+        hit[A @ G % M, np.arange(G.shape[1])] = True
+        good = hit.sum(axis=0) == len(A)
+        if good.any():
+            return M, G[:, good.argmax()]
+        M += 1 + M // 32
+    return d ** k, d ** np.arange(k)
+
+
+def _unit(x):
+    """exp(i x)."""
+    return complex(math.cos(x), math.sin(x))
 
 
 @lru_cache(maxsize=None)
-def _schur_polys(lam, e):
-    """(s_lam, s'_lam) in e variables, in the e-basis; they depend on (lam, e) only."""
-    p = schur(lam, e)
-    return p, derived(p, 1)
+def _float_grid(lam, e):
+    """(T, w_top, w_mid): points t_k, the rows of T, and the complex weights
+    of s_lam and of s'_lam.
+
+    With t_1 = 1 the monomials of both are zeta^nu, nu in A, the exponents
+    of e - 1 entries with |nu| < d = |lam| + 1.  The points are a rank-1
+    lattice rule, t_k = (1, r_j w^(k g_j))_j for w = exp(2 pi i / M), k < M,
+    each zeta_j turned by r_j = exp(i pi j / (e d)) so that no X(t_k) is a
+    real combination of the H_i.  The nu in A being distinct in nu . g mod M
+    (_lattice_rule), their characters are orthogonal on the points, and the
+    weights are one inverse DFT of the targets.
+    """
+    d = lam.weight + 1
+    A = [mu[1:] for mu in _compositions(d - 1, e)]
+    A = np.array(A, dtype=np.int64).reshape(len(A), e - 1)
+    M, g = _lattice_rule(A, d)
+    k = np.arange(M)
+    roots = np.array([_unit(2 * math.pi * j / M) for j in range(M)])
+    turn = np.arange(1, e)
+    T = roots[np.outer(k, g) % M] * [_unit(math.pi * j / (e * d)) for j in turn]
+    # w_k = sum_nu c_nu conj(t_k^nu) / M, the exponents reduced mod M
+    phase = roots[-np.outer(k, A @ g) % M] * [_unit(-math.pi * x / (e * d)) for x in A @ turn] / M
+    column = {nu: i for i, nu in enumerate(map(tuple, A.tolist()))}
+    weights = []
+    for targets in _schur_targets(lam, e):
+        c = np.zeros(len(A))
+        for mu, value in targets.items():
+            c[column[mu[1:]]] = value
+        weights.append(phase @ c)
+    return (np.concatenate([np.ones((M, 1)), T], axis=1), *weights)
+
+
+@lru_cache(maxsize=None)
+def _lattice(lam, e):
+    """(points, w_top, w_mid): integer points t_k, the rows of an object
+    array, and the Fraction weights of s_lam and of s'_lam, each 0 on the
+    other's points.  The points of degree n are the nu >= 0 with |nu| = n,
+    unisolvent for the forms of degree n (the one point (1, 0, ..., 0) when
+    n = 0), and the weights one exact Vandermonde solve."""
+    d = lam.weight + 1
+    parts = []
+    for target, n in zip(_schur_targets(lam, e), (d - 1, d - 2)):
+        monomials = list(_compositions(n, e))
+        nodes = monomials if n else [(1,) + (0,) * (e - 1)]
+        vandermonde = [[math.prod(t ** x for t, x in zip(node, mu)) for node in nodes]
+                       for mu in monomials]
+        parts.append((nodes, rational_solve(vandermonde, [target.get(mu, 0) for mu in monomials])))
+    (top, w_top), (mid, w_mid) = parts
+    return (np.array(top + mid, dtype=object), np.array(w_top + [0] * len(mid), dtype=object),
+            np.array([0] * len(top) + w_mid, dtype=object))
+
+
+def _float_schur_tensors(lam, H):
+    """(G, m) on the points of _float_grid, in chunks of about 2^16 entries.
+
+    A point whose X is singular or has Frobenius condition number above
+    1e6 is read from its SVD X = U diag(S) W instead: adj X = phi W^*
+    diag(c_pp) U^* and det X Y (x) Y - ... = phi sum c_pq (...) for phi =
+    det U det W and c_pq the product of the S_j, j != p, q; no division.
+    """
+    e, d = H.shape[:2]
+    T, w_top, w_mid = _float_grid(lam, e)
+    m, T1 = np.zeros(d * d, dtype=complex), np.zeros((d * d, d * d), dtype=complex)
+    step = max(1, 2 ** 16 // (d * d))
+    for start in range(0, len(T), step):
+        X = np.tensordot(T[start:start + step], H, axes=1)
+        wt, wm = w_top[start:start + step], w_mid[start:start + step]
+        try:
+            Y = np.linalg.inv(X)
+        except np.linalg.LinAlgError:  # a singular X in the chunk
+            Y = np.full_like(X, np.nan)
+        ok = np.linalg.norm(X, axis=(1, 2)) * np.linalg.norm(Y, axis=(1, 2)) <= 1e6
+        det = np.linalg.det(X[ok])
+        V = (det[:, None, None] * Y[ok]).transpose(0, 2, 1).reshape(-1, d * d)
+        m += wt[ok] @ V
+        T1 += (V.T * (wm[ok] / det)) @ V
+        if not ok.all():
+            U, S, W = np.linalg.svd(X[~ok])
+            phi = np.linalg.det(U) * np.linalg.det(W)
+            R = np.einsum("kap,kpb->kpab", U.conj(), W.conj()).reshape(len(S), d, d * d)
+            j = np.arange(d)  # c's diagonal cancels from G
+            c = np.prod(np.where((j != j[:, None, None]) & (j != j[:, None]),
+                                 S[:, None, None, :], 1.0), axis=3)
+            m += np.einsum("k,kp,kpx->x", wt[~ok] * phi, np.diagonal(c, 0, 1, 2), R)
+            T1 += R.reshape(-1, d * d).T @ ((c * (wm[~ok] * phi)[:, None, None]) @ R).reshape(
+                -1, d * d)
+    T1 = T1.reshape(d, d, d, d)
+    return T1.transpose(2, 1, 0, 3) - T1, -1j * m.reshape(d, d)
+
+
+def _bareiss(R, J):
+    """(adj, det, ok) of the Gaussian-integer Hermitian K = R + iJ, stacked
+    (N, d, d) object arrays, by fraction-free Gauss-Jordan elimination of
+    [K | I] for all N at once with diagonal pivots: it leaves det K I and
+    adj K.  Every pivot is a leading principal minor, real for a Hermitian
+    K and positive for a positive definite one, and every update divides
+    exactly by the previous pivot.  Step k touches columns k+1..d+k only:
+    those to its left are done, and identity column j > k is still the
+    previous pivot times e_j.  ok is False where a pivot is 0.
+    """
+    N, d, _ = R.shape
+    R = np.concatenate([R, np.zeros((N, d, d), dtype=object)], axis=2)
+    J = np.concatenate([J, np.zeros((N, d, d), dtype=object)], axis=2)
+    prev, ok = np.ones((N, 1, 1), dtype=object), np.ones(N, dtype=bool)
+    for k in range(d):
+        R[:, k, d + k] = prev.ravel()
+        p = R[:, k:k + 1, k:k + 1]
+        ok &= (p != 0).ravel()
+        p = np.where(ok[:, None, None], p, 1)
+        cols = slice(k + 1, d + k + 1)
+        a, b, r, j = R[:, :, k:k + 1], J[:, :, k:k + 1], R[:, k:k + 1, cols], J[:, k:k + 1, cols]
+        R_ = (p * R[:, :, cols] - a * r + b * j) // prev
+        J_ = (p * J[:, :, cols] - a * j - b * r) // prev
+        R_[:, k], J_[:, k] = r[:, 0], j[:, 0]
+        R[:, :, cols], J[:, :, cols], prev = R_, J_, p
+    return ExactArray(R[:, :, d:], J[:, :, d:]), prev.ravel(), ok
+
+
+def _exact_schur_tensors(lam, H):
+    """(G, m) at the points of _lattice.  H = (re + i im)/den, so for
+    K(t) = sum t_i re_i + i im_i, X = K/den, det X Y = adj K / den^(d-1) and
+    det X (Y (x) Y - ...) = (adj K (x) adj K - ...)/(det K den^(d-2)).
+
+    A point whose elimination meets a zero pivot (X(t) not positive
+    definite) is replaced by the d shifts K(t) + s I for s above the largest
+    absolute row sum, weighted by the Lagrange weights that extrapolate a
+    polynomial of degree < d in s to s = 0.
+    """
+    e, d = H.shape[:2]
+    points, w_top, w_mid = _lattice(lam, e)
+    R, J = np.tensordot(points, H.re, axes=1), np.tensordot(points, H.im, axes=1)
+    adj, det, ok = _bareiss(R, J)
+    if not ok.all():
+        s0 = max((np.abs(R[~ok]) + np.abs(J[~ok])).sum(axis=2).ravel().tolist())
+        shifts = range(s0 + 1, s0 + d + 1)
+        lagrange = [math.prod(Fraction(t, t - s) for t in shifts if t != s) for s in shifts]
+        shifted = R[~ok][:, None] + np.multiply.outer(shifts, np.eye(d, dtype=int)).astype(object)
+        adj2, det2, _ = _bareiss(shifted.reshape(-1, d, d),
+                                 np.repeat(J[~ok], d, axis=0))
+        adj = ExactArray(*(np.concatenate([x[ok], y]) for x, y in ((adj.re, adj2.re),
+                                                                    (adj.im, adj2.im))))
+        det = np.concatenate([det[ok], det2])
+        w_top, w_mid = (np.concatenate([w[ok], np.outer(w[~ok], lagrange).ravel()])
+                        for w in (w_top, w_mid))
+    V = adj.transpose(0, 2, 1).reshape(-1, d * d)
+    top, mid = np.flatnonzero(w_top), np.flatnonzero(w_mid)
+    m = ExactArray.of(w_top[top]) @ V[top] * GaussianRational(0, -1) / H.den ** (d - 1)
+    T1 = ((V[mid].T * ExactArray.of(w_mid[mid] / det[mid])) @ V[mid]).reshape(d, d, d, d)
+    return (T1.transpose(2, 1, 0, 3) - T1) / H.den ** (d - 2), m.reshape(d, d)
+
+
+def schur_tensors(lam, H):
+    """(G, m) = (_mid_gram(eta_mid), _top_functional(eta_top)) for the
+    Schur pair (eta_top, eta_mid) = (s_lam, s'_lam) of the (1,1)-forms
+    omega_i = i sum H[i, j, k] dz_j dzbar_k, with no product of forms.
+
+    H stacks e Hermitian d x d matrices, an ExactArray (decided exactly)
+    or complex, and |lam| = d - 1.  int omega_i1 ^ ... ^ omega_id is d!
+    times the mixed discriminant of the H_i (Alexandrov 1938; Bapat 1989),
+    so for X(t) = sum t_i H_i, Y = X^-1 and weights w_k at points t_k with
+    sum_k w_k t_k^mu = c_mu mu! for the monomials c_mu x^mu of s_lam (of
+    s'_lam for G), Jacobi's derivatives of det X polarize to
+
+      m[a, b]       = -i sum_k w_k det X(t_k) Y_k[b, a],
+      G[a, b, c, e] = -sum_k w_k det X(t_k) (Y_k[b, a] Y_k[e, c] - Y_k[b, c] Y_k[e, a]).
+
+    With the rows V_k = vec(adj X(t_k)^T), G is V^T diag(w / det) V minus
+    the same with a and c swapped.  The points are _float_grid's or
+    _lattice's; s_lam = 0 when lam has more than e rows, and so are G and m.
+    """
+    e, d = H.shape[0], H.shape[1]
+    if lam.weight != d - 1:
+        raise DegreeError(f"partition {lam} has weight {lam.weight}; need dim - 1 = {d - 1}")
+    exact = isinstance(H, ExactArray)
+    if len(lam) > e:
+        return _array((d,) * 4, (), exact), _array((d, d), (), exact)
+    return (_exact_schur_tensors if exact else _float_schur_tensors)(lam, H)
+
+
+def _hermitians(omegas, dim):
+    """The stacked H_i of the (1,1)-forms omega_i = i sum H_i[j, k] dz_j
+    dzbar_k on C^dim: an ExactArray when every form is exact, else complex.
+
+    ConfigError unless each form is real, i.e. H_i is Hermitian: exactly,
+    or in floats to 1e-9 relative to max(max |H_i|, 1), the rule of
+    PPForm.is_real(1e-9).
+    """
+    for w in omegas:
+        if (w.dim, w.p, w.q) != (dim, 1, 1):
+            raise DegreeError(f"expected a (1,1)-form on C^{dim}, got {w!r}")
+    exact = all(w.is_exact() for w in omegas)
+    Z = _array((len(omegas), dim, dim), (((i, *I, *J), c) for i, w in enumerate(omegas)
+                                         for (I, J), c in w.coeffs.items()), exact)
+    H = Z * (GaussianRational(0, -1) if exact else -1j)
+    gap = H - H.conj().transpose(0, 2, 1)
+    if exact:
+        unreal = ((gap.re != 0) | (gap.im != 0)).any(axis=(1, 2))
+    else:
+        unreal = np.abs(gap).max(axis=(1, 2)) > 1e-9 * np.maximum(np.abs(H).max(axis=(1, 2)), 1)
+    if unreal.any():
+        raise ConfigError(f"{omegas[np.flatnonzero(unreal)[0]]!r} is not a real form")
+    return H
 
 
 def schur_form_pair(lam, omegas, dim):
     """(s_lam, derived s_lam) evaluated on (1,1)-forms; the candidate pair.
 
-    Both come from one symfunc.evaluate call over DenseForm coefficient
-    matrices, exact (ExactArray) when every form is exact and complex
-    otherwise.  The forms must be real (1,1)-forms on C^dim, float
-    ones to 1e-9 relative, and |lam| must be dim - 1.
+    Read back, through exterior._top_form and _mid_form, from the
+    intersection tensors of schur_tensors: exact (GaussianRational
+    coefficients) when every form is exact and complex otherwise.  The
+    forms must be real (1,1)-forms on C^dim, float ones to 1e-9 relative,
+    and |lam| must be dim - 1.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
-    if lam.weight != dim - 1:
-        raise DegreeError(f"partition {lam} has weight {lam.weight}; need dim - 1 = {dim - 1}")
-    exact = all(w.is_exact() for w in omegas)
-    for w in omegas:
-        if (w.dim, w.p, w.q) != (dim, 1, 1):
-            raise DegreeError(f"expected a (1,1)-form on C^{dim}, got {w!r}")
-        if not w.is_real(1e-9):
-            raise ConfigError(f"{w!r} is not a real form")
-    values = [DenseForm(dim, 1, _coefficient_matrix(w, exact)) for w in omegas]
-    one = DenseForm(dim, 0, _array((1, 1), [((0, 0), 1)], exact))
-    polys = _schur_polys(lam, len(omegas))
-    return tuple(v.to_form() for v in evaluate(polys, values, one))
+    G, m = schur_tensors(lam, _hermitians(omegas, dim))
+    return _top_form(m), _mid_form(G)
 
 
 @dataclass
@@ -476,9 +737,11 @@ def sample_search(dim, num_vars, partition, trials=100, seed=0, zero_tol=1e-9,
                   delta=1e-3):
     """Randomized search for failures of the Schur-pair Hodge-Riemann check.
 
-    Each trial draws num_vars random Kahler forms on C^dim, builds the pair
-    (s_lam, s'_lam) for the given partition of dim - 1, and runs the
-    pointwise check against the standard Kahler form.  Trials derive their
+    Each trial draws num_vars random Kahler forms i H_i on C^dim
+    (random_hermitian), reads the intersection tensors of the pair
+    (s_lam, s'_lam) for the given partition of dim - 1 from schur_tensors,
+    and decides the pointwise check against the standard Kahler form, as
+    pointwise_hr_pair would on the forms of schur_form_pair.  Trials derive their
     RNG from (seed, trial) so results are order-independent.
     """
     check_sweep_dimension(dim)
@@ -497,12 +760,11 @@ def sample_search(dim, num_vars, partition, trials=100, seed=0, zero_tol=1e-9,
         "dim": dim, "num_vars": num_vars, "partition": str(lam),
         "trials": trials, "seed": seed, "zero_tol": zero_tol, "delta": delta,
     })
-    reference = std_kahler(dim, exact=False)
+    h = float_copy(real_coordinates(std_kahler(dim, exact=False)), "h")
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        omegas = [random_kahler(dim, rng, delta) for _ in range(num_vars)]
-        top, mid = schur_form_pair(lam, omegas, dim)
-        verdict = pointwise_hr_pair(top, mid, reference, zero_tol)
+        H = np.stack([random_hermitian(dim, rng, delta) for _ in range(num_vars)])
+        verdict = _pointwise_verdict(*schur_tensors(lam, H), h, zero_tol)
         report.trials += 1
         eigs = verdict.eigenvalues or []
         if eigs:

@@ -22,7 +22,7 @@ Concrete factories:
 
   * torus_ring(d)        -- real (p,p)-classes on C^d mod lattice, bases of
                             C(d,p)^2 forms from one integer Hermitian basis,
-                            products by the DenseForm sign rule;
+                            products by the sign rule of _merge_signs;
   * subring(model, gens) -- the graded subring generated by degree-1 classes;
   * relation_ring(...)   -- monomial bases cut out by rewrite rules, e.g.
                             P(O+O+O(-1)) over P^1 via f^2 -> 0, xi^3 -> -xi^2*f;
@@ -34,11 +34,11 @@ Concrete factories:
                             tau^2 = 0 and int(x * tau) = int(x).
 
 Float work happens on matrices built from the exact products
-(is_hr_pair(exact=False)); pointwise forms are checked on DenseForm
+(is_hr_pair(exact=False)); pointwise forms are checked on their
 coefficient matrices, which use no ring model.
 
 The real basis of (p,p)-forms is written down once, as the integer arrays of
-_hermitian_basis; its labels, the DenseForm encoding _real_basis_matrix,
+_hermitian_basis; its labels, the coefficient matrices _real_basis_matrix,
 real_coordinates, form_from_real_coordinates and the torus product tables
 (real_product_table, with the _merge_signs tables of the dense kernels) are
 all read from it.  torus_ring(d) serves the worked examples and is the test
@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import DenseForm, _coefficient_matrix, _merge_signs, _subset_index, std_kahler
+from .exterior import _coefficient_matrix, _form_of, _merge_signs, _subset_index, std_kahler
 from .linalg import rational_rref
 from .scalars import ExactArray, GaussianRational, i_power, is_exact
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
@@ -478,7 +478,7 @@ def _real_labels(d, p):
 @lru_cache(maxsize=None)
 def _real_basis_matrix(d, p, exact):
     """Matrix whose row j is i^(p^2) (X[j] + i Y[j]) of _hermitian_basis
-    flattened: the j-th real basis form of degree p as a DenseForm
+    flattened: the j-th real basis form of degree p as a
     coefficient matrix, complex or an ExactArray, read-only."""
     X, Y = (a.reshape(len(a), -1) for a in _hermitian_basis(d, p))
     re, im = (-Y, X) if p % 2 else (X, Y)  # i^(p^2) is i for odd p, 1 for even p
@@ -552,7 +552,8 @@ def real_product_table(d, p, q):
     C^d, p + q <= d, over den 1.
 
     For the Hermitian matrices H_i, H_j of _hermitian_basis and
-    S = _merge_signs(d, p, q), the DenseForm product rule gives
+    S = _merge_signs(d, p, q), the wedge of coefficient matrices Z and W
+    of degrees p and q is (-1)^(pq) S (Z (x) W) S^T, which gives
     b_i * b_j = i^((p+q)^2) V with V = S (H_i (x) H_j) S^T, since
     i^(p^2) i^(q^2) (-1)^(pq) = i^((p+q)^2).  Each of H_i and H_j has at
     most two entries, and an entry pair (a, c), (b, e) puts
@@ -603,7 +604,7 @@ def form_from_real_coordinates(d, p, coords):
     exact = all(is_exact(c) for c in coords)
     v = ExactArray.of(coords) if exact else np.array(coords, dtype=float)
     Z = v @ _real_basis_matrix(d, p, exact)
-    return DenseForm(d, p, Z.reshape(m, m)).to_form()
+    return _form_of(Z.reshape(m, m), d, p)
 
 
 class TorusModel(RingModel):
@@ -920,10 +921,15 @@ def polynomial_ring(dimension, generators, name=None):
 # 2-core machine).  The fixtures have dimension 3 and 10 monomials.
 MAX_SPEC_DIMENSION = 64
 MAX_SPEC_MONOMIALS = 250
-# Largest dimension of a seeded float sweep (sample_search, trace-check):
-# one trial with two forms took 1.2 s and 245 MB at d = 10, 7.4 s and
-# 807 MB at d = 11, and at d = 12 its DenseForm products overran 2 GB.
-MAX_SWEEP_DIMENSION = 11
+# Largest dimension of a seeded float sweep (sample_search, trace-check).
+# The Schur pairs come from det(sum t_i H_i) (hrcheck.schur_tensors): one
+# trial with three forms takes 0.03 s and 42 MB at d = 11 and 0.08 s at
+# d = 14, and stays under 1 s up to d = 28 (cold, caches built; 0.8 s and
+# 102 MB).  Precision sets the cap first: the float tensors lose digits
+# like e^d (two point sets agree to 2e-11 relative at d = 14 for 2 to 5
+# forms, to 1.5e-10 at d = 16 and 4e-6 at d = 28 for three), so d = 14
+# keeps ten digits for every sweep.  Python 3.11, numpy 2.4, one core.
+MAX_SWEEP_DIMENSION = 14
 
 
 def _monomial_count(dimension, degrees, limit):

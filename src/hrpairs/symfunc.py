@@ -483,7 +483,8 @@ def evaluate(p, values, one):
     """Evaluate p at the degree-one values x_i = values[i].
 
     Elementary symmetric combinations are formed inside the target ring, so
-    values can be (1,1)-forms, ring elements, or plain numbers.  one must be
+    values can be ring elements, plain numbers or forms (hrcheck reads the
+    Schur pairs of forms from a determinant instead).  one must be
     the multiplicative unit of that ring.  p may also be a sequence of
     polynomials; they share one set of e_k(values) and come back as a tuple.
     """
@@ -532,35 +533,31 @@ def _substitute(p, E, one):
 def to_monomials(p):
     """Expansion in the x-monomial basis: exponent tuple -> coefficient.
 
-    Exponentially sized; meant for small cross-checks, not production use.
+    A polynomial of weight n in e variables has at most C(n + e - 1, e - 1)
+    monomials, the size of the result; hrcheck reads the weights of its
+    Schur-pair kernel from it.  Each e-monomial e_1^m_1 ... e_e^m_e of p is
+    expanded in integers, as the expansion of the monomial with one factor
+    e_k fewer (memoized, so that monomials share their prefixes) times e_k,
+    and scaled by its coefficient once.
     """
     e = p.num_vars
-    basis = {}
-    for k in range(e + 1):
-        d = {}
-        for S in itertools.combinations(range(e), k):
-            mono = tuple(1 if i in S else 0 for i in range(e))
-            d[mono] = Fraction(1)
-        basis[k] = d
+    subsets = [[tuple(int(i in S) for i in range(e)) for S in itertools.combinations(range(e), k)]
+               for k in range(e + 1)]
+    memo = {(0,) * e: {(0,) * e: 1}}
 
-    def mul(d1, d2):
-        out = {}
-        for m1, c1 in d1.items():
-            for m2, c2 in d2.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return {m: c for m, c in out.items() if c}
+    def expand(mono):
+        if mono not in memo:
+            k = max(i for i, m in enumerate(mono) if m)
+            out = {}
+            for m1, c in expand(mono[:k] + (mono[k] - 1,) + mono[k + 1:]).items():
+                for m2 in subsets[k + 1]:
+                    m = tuple(a + b for a, b in zip(m1, m2))
+                    out[m] = out.get(m, 0) + c
+            memo[mono] = out
+        return memo[mono]
 
     total = {}
     for mono, c in p.terms.items():
-        term = {(0,) * e: c}
-        for k, m in enumerate(mono):
-            for _ in range(m):
-                term = mul(term, basis[k + 1])
-        for m, cc in term.items():
-            s = total.get(m, Fraction(0)) + cc
-            if s:
-                total[m] = s
-            else:
-                total.pop(m, None)
-    return total
+        for m, n in expand(mono).items():
+            total[m] = total.get(m, 0) + c * n
+    return {m: Fraction(c) for m, c in total.items() if c}

@@ -487,10 +487,10 @@ MALFORMED_INPUT = [
     pytest.param(None, ["sample-search", "--dim", "3", "--vars", "2", "--partition", "2",
                         "--trials", "-3"],
                  id="sample-search-negative-trials"),
-    pytest.param(None, ["sample-search", "--dim", "12", "--vars", "2", "--partition", "11",
+    pytest.param(None, ["sample-search", "--dim", "15", "--vars", "2", "--partition", "14",
                         "--trials", "1"],
                  id="sample-search-dim-above-cap"),
-    pytest.param(None, ["trace-check", "--dim", "12"], id="trace-check-dim-above-cap"),
+    pytest.param(None, ["trace-check", "--dim", "15"], id="trace-check-dim-above-cap"),
     pytest.param(None, ["trace-check", "--rank", "0"], id="trace-check-rank-zero"),
     pytest.param(None, ["trace-check", "--rank", "-1"], id="trace-check-negative-rank"),
     pytest.param(None, ["twist", "--rank", "0", "--t", "1"], id="twist-rank-zero"),

@@ -10,7 +10,6 @@ import pytest
 from hrpairs import exterior
 from hrpairs.errors import ConsistencyError, DegreeError
 from hrpairs.exterior import (
-    DenseForm,
     PPForm,
     form_from_dict,
     form_from_hermitian,
@@ -25,6 +24,8 @@ from hrpairs.exterior import (
     wedge_all,
 )
 from hrpairs.scalars import GaussianRational, conj as gauss_conj, i_power
+
+from dense_forms import DenseForm
 
 
 # -- brute-force oracle on wedge words -------------------------------------

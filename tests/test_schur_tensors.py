@@ -1,0 +1,249 @@
+"""The Schur-pair kernel hrcheck.schur_tensors against the DenseForm oracle.
+
+schur_tensors reads (G, m) = (_mid_gram(eta_mid), _top_functional(eta_top))
+of the Schur pair from det(sum t_i H_i) at weighted points; dense_forms
+multiplies the forms out with symfunc.evaluate.  Exact results must be equal
+entry for entry, float ones close to 1e-12 relative.
+"""
+
+import math
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hrpairs import hrcheck
+from hrpairs.errors import ConfigError
+from hrpairs.exterior import (
+    PPForm, _mid_gram, _top_functional, form_from_hermitian, std_kahler,
+)
+from hrpairs.hrcheck import (
+    _float_grid, _hermitians, _lattice, pointwise_hr_pair, random_hermitian,
+    random_kahler, sample_search, schur_form_pair, schur_tensors,
+)
+from hrpairs.scalars import ExactArray, GaussianRational
+from hrpairs.symfunc import Partition, derived, schur, to_monomials
+
+from dense_forms import dense_schur_pair
+
+
+def partitions(n, largest=None):
+    if n == 0:
+        return [()]
+    out = []
+    for first in range(min(n, largest or n), 0, -1):
+        out.extend((first,) + rest for rest in partitions(n - first, first))
+    return out
+
+
+# the (dim, vars, partition) configs of acceptance check 07
+ACCEPTANCE_CONFIGS = [(d, e, Partition(lam)) for d in (2, 3, 4) for e in range(d - 1, 6)
+                      for lam in partitions(d - 1) if len(lam) <= e]
+
+
+def oracle_tensors(lam, omegas, d):
+    """(G, m) of the Schur pair multiplied out over DenseForms."""
+    top, mid = dense_schur_pair(lam, omegas, d)
+    return _mid_gram(mid), _top_functional(top)
+
+
+def exact_hermitian(rng, d, denominators=(1, 1), shift=1):
+    """A^* A + shift * Id, A with Gaussian-integer entries in [-2, 2] whose real
+    and imaginary parts are divided by the two denominators; not positive
+    definite for shift <= 0 in general."""
+    p, q = denominators
+    A = [[GaussianRational(Fraction(int(rng.integers(-2, 3)), p),
+                           Fraction(int(rng.integers(-2, 3)), q))
+          for _ in range(d)] for _ in range(d)]
+    return [[sum((A[k][i].conjugate() * A[k][j] for k in range(d)), GaussianRational(0))
+             + (shift if i == j else 0) for j in range(d)] for i in range(d)]
+
+
+def assert_equal_exact(X, Y):
+    assert isinstance(X, ExactArray) and isinstance(Y, ExactArray)
+    assert X.shape == Y.shape and X.den == Y.den
+    assert (X.re == Y.re).all() and (X.im == Y.im).all()
+
+
+def relative_gap(X, Y):
+    return np.abs(X - Y).max() / np.abs(Y).max()
+
+
+def monomial_targets(p):
+    return {mu: c * math.prod(map(math.factorial, mu)) for mu, c in to_monomials(p).items()}
+
+
+@pytest.mark.parametrize("d, e, lam", ACCEPTANCE_CONFIGS)
+def test_weights_reproduce_the_monomial_targets(d, e, lam):
+    """sum_k w_k t_k^mu = c_mu mu! for every monomial of degree n of s_lam and
+    of s'_lam = symfunc.derived(s_lam): exactly on the integer lattice, to
+    1e-12 on the float grid."""
+    T, *float_weights = _float_grid(lam, e)
+    points, *exact_weights = _lattice(lam, e)
+    polys = (schur(lam, e), derived(schur(lam, e), 1))
+    for p, n, wf, wx in zip(polys, (d - 1, d - 2), float_weights, exact_weights):
+        targets = monomial_targets(p)
+        scale = max(abs(c) for c in targets.values())
+        for mu in (mu for mu in np.ndindex(*(n + 1,) * e) if sum(mu) == n):
+            want = targets.get(mu, 0)
+            powers = [math.prod(int(t) ** x for t, x in zip(point, mu)) for point in points]
+            assert sum(w * v for w, v in zip(wx, powers)) == want, (p, mu)
+            got = wf @ np.prod(T ** np.array(mu), axis=1)
+            assert abs(got - want) <= 1e-12 * scale, (p, mu, got, want)
+
+
+def test_degree_zero_derived_polynomial_has_one_point():
+    """At d = 2, s'_lam is a constant: one exact point, and the float weights
+    sum to it."""
+    for e in (1, 2, 3):
+        lam = Partition((1,))
+        points, w_top, w_mid = _lattice(lam, e)
+        mid_points = [tuple(p) for p, w in zip(points, w_mid) if w]
+        assert mid_points == [(1,) + (0,) * (e - 1)]
+        assert [w for w in w_mid if w] == [e]  # s'_1 = e in e variables
+        T, _, wf = _float_grid(lam, e)
+        assert abs(wf.sum() - e) <= 1e-12
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_more_rows_than_forms_gives_zero_forms(exact):
+    """s_lam = 0 when lam has more rows than there are forms: zero tensors
+    and zero forms of the pair's bidegrees, in both backends."""
+    rng = np.random.default_rng(3)
+    for d, e, lam in [(3, 1, (1, 1)), (4, 2, (1, 1, 1)), (4, 0, (3,))]:
+        omegas = ([form_from_hermitian(exact_hermitian(rng, d)) for _ in range(e)] if exact
+                  else [random_kahler(d, rng) for _ in range(e)])
+        G, m = schur_tensors(Partition(lam), _hermitians(omegas, d))
+        assert isinstance(G, ExactArray) is (exact or e == 0)
+        assert G.shape == (d,) * 4 and m.shape == (d, d)
+        assert not np.any(G.saturated() if isinstance(G, ExactArray) else G)
+        top, mid = schur_form_pair(Partition(lam), omegas, d)
+        assert top.is_zero() and mid.is_zero()
+        assert (top.p, mid.p) == (d - 1, d - 2)
+        if e:
+            assert dense_schur_pair(Partition(lam), omegas, d)[0].is_zero()
+
+
+def test_exact_tensors_equal_the_dense_oracle():
+    """At least 200 seeded exact trials, d = 3-5: Gaussian-integer forms,
+    forms with denominators, and indefinite or singular ones, whose lattice
+    points need the shifted elimination."""
+    trials = 0
+    for d, count in ((3, 110), (4, 70), (5, 24)):
+        rng = np.random.default_rng(9000 + d)
+        for trial in range(count):
+            lam = Partition(partitions(d - 1)[trial % len(partitions(d - 1))])
+            e = len(lam) + trial % 2
+            denominators = ((1, 1), (3, 1), (2, 5))[trial % 3]
+            shift = (1, 0, -2)[trial % 3] if trial % 5 else 1
+            omegas = [form_from_hermitian(exact_hermitian(rng, d, denominators, shift))
+                      for _ in range(e)]
+            G, m = schur_tensors(lam, _hermitians(omegas, d))
+            G0, m0 = oracle_tensors(lam, omegas, d)
+            assert_equal_exact(G, G0)
+            assert_equal_exact(m, m0)
+            trials += 1
+    assert trials >= 200
+
+
+def test_exact_schur_form_pair_is_the_oracle_pair():
+    rng = np.random.default_rng(41)
+    for d, e, lam in [(2, 1, (1,)), (3, 3, (2,)), (4, 3, (2, 1)), (3, 2, (1, 1))]:
+        omegas = [form_from_hermitian(exact_hermitian(rng, d, (1, 3))) for _ in range(e)]
+        assert schur_form_pair(Partition(lam), omegas, d) == \
+            dense_schur_pair(Partition(lam), omegas, d)
+
+
+def float_trials():
+    for d, e, lam in ACCEPTANCE_CONFIGS:
+        yield d, e, lam, 2
+    for d in (5, 6, 7, 8):
+        for lam in [(d - 1,), (d - 2, 1), (2,) * ((d - 1) // 2) + (1,) * ((d - 1) % 2)]:
+            yield d, max(2, len(lam)), Partition(lam), 1
+
+
+def test_float_tensors_agree_with_the_dense_oracle():
+    """The 22 acceptance configs and d = 5-8 trials, to 1e-12 relative."""
+    for d, e, lam, count in float_trials():
+        for trial in range(count):
+            rng = np.random.default_rng([8000 + d, e, trial])
+            omegas = [random_kahler(d, rng) for _ in range(e)]
+            G, m = schur_tensors(lam, _hermitians(omegas, d))
+            G0, m0 = oracle_tensors(lam, omegas, d)
+            assert relative_gap(G, G0) <= 1e-12, (d, e, lam)
+            assert relative_gap(m, m0) <= 1e-12, (d, e, lam)
+
+
+@pytest.mark.parametrize("ranks", [(1, 1), (2, 1), (3, 1, 1)])
+def test_float_tensors_of_singular_forms_agree_with_the_dense_oracle(ranks):
+    """Forms of low rank on C^4 make every X(t) singular, of rank at most
+    sum(ranks): those points are read from the SVD."""
+    rng = np.random.default_rng(77 + len(ranks))
+    d = 4
+    for lam in [Partition(p) for p in partitions(d - 1) if len(p) <= len(ranks)]:
+        omegas = []
+        for rank in ranks:
+            A = rng.standard_normal((rank, d)) + 1j * rng.standard_normal((rank, d))
+            omegas.append(form_from_hermitian(A.conj().T @ A, exact=False))
+        G, m = schur_tensors(lam, _hermitians(omegas, d))
+        G0, m0 = oracle_tensors(lam, omegas, d)
+        assert np.abs(G - G0).max() <= 1e-12 * max(np.abs(G0).max(), 1)
+        assert np.abs(m - m0).max() <= 1e-12 * max(np.abs(m0).max(), 1)
+
+
+def oracle_search(dim, num_vars, lam, trials, seed):
+    """sample_search's loop with the Schur pairs of the DenseForm oracle."""
+    report = hrcheck.SearchReport(config={})
+    reference = std_kahler(dim, exact=False)
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        omegas = [random_kahler(dim, rng) for _ in range(num_vars)]
+        verdict = pointwise_hr_pair(*dense_schur_pair(lam, omegas, dim), reference)
+        report.trials += 1
+        eigs = verdict.eigenvalues
+        margin = min(abs(x) for x in eigs) / max(abs(x) for x in eigs)
+        report.min_margin = margin if report.min_margin is None else min(report.min_margin,
+                                                                          margin)
+        if verdict.passed:
+            report.passes += 1
+        else:
+            report.degenerates += verdict.outcome == "degenerate"
+            report.failures.append({"trial": trial, "rng_key": [seed, trial],
+                                    "verdict": verdict.to_dict()})
+    return report
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sample_search_reports_match_the_dense_oracle(seed):
+    for d, e, lam in ACCEPTANCE_CONFIGS:
+        got = sample_search(d, e, str(lam), trials=12, seed=seed)
+        want = oracle_search(d, e, lam, 12, seed)
+        assert (got.trials, got.passes, got.degenerates) == \
+            (want.trials, want.passes, want.degenerates)
+        assert [(f["trial"], f["rng_key"], f["verdict"]["outcome"], f["verdict"]["signature"])
+                for f in got.failures] == \
+            [(f["trial"], f["rng_key"], f["verdict"]["outcome"], f["verdict"]["signature"])
+             for f in want.failures]
+        assert abs(got.min_margin - want.min_margin) <= 1e-9 * want.min_margin
+
+
+def test_sample_search_draws_the_forms_of_random_kahler():
+    rng, again = np.random.default_rng([5, 1]), np.random.default_rng([5, 1])
+    H = random_hermitian(4, rng)
+    assert (_hermitians([random_kahler(4, again)], 4)[0] == H).all()
+
+
+@pytest.mark.parametrize("exact, gap", [(True, 1), (False, 0.5), (False, 1e-6)])
+def test_schur_form_pair_refuses_a_non_real_form(exact, gap):
+    """One Hermitian check on the stacked H_i, with PPForm.is_real's message:
+    exact forms must be real exactly, float ones to 1e-9 relative."""
+    if exact:
+        good = std_kahler(3)
+        bad = good + PPForm.monomial(3, (0,), (1,), GaussianRational(gap))
+    else:
+        good = std_kahler(3, exact=False)
+        bad = form_from_hermitian([[1, gap, 0], [0, 1, 0], [0, 0, 1]], exact=False)
+    with pytest.raises(ConfigError, match=f"^{re.escape(repr(bad))} is not a real form$"):
+        schur_form_pair(Partition((2,)), [good, bad], 3)
+    assert not bad.is_real(1e-9)
