@@ -23,10 +23,10 @@ G = exterior._mid_gram(omega_mid) (exact for exact forms), which
 hrcheck.pointwise_hr_pair reads too; an exact operand meeting a float one is
 read in complex.  _project and _trace_verdict take (G, m) themselves, so a
 seeded trial (the CLI's trace-check) reads them from hrcheck.schur_tensors
-with no form at all.  The PPForm entries are converted once, by the
-constructors, and .entries is a view built from the array.  A curvature
-trial makes no sparse wedge, exact or float; the test suite keeps the sparse
-Chern-Weil forms as its oracle.
+with no form at all.  The constructors stack the coefficient matrices of
+the PPForm entries, and .entries wraps blocks of the array as PPForms; a
+curvature trial makes no wedge, exact or float, and the test suite keeps
+the Chern-Weil wedges of forms as its oracle.
 """
 
 import math
@@ -35,9 +35,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError
-from .exterior import PPForm, _array, _mid_gram, _promote, _top_functional
+from .exterior import PPForm, _mid_gram, _peak, _promote, _top_functional, _zeros
 from .scalars import ExactArray, imag_part, magnitude, negligible, real_part, to_float
-from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
+from .verdict import FAIL, PASS, Verdict, jsonable
 
 
 class SheafClassData:
@@ -124,23 +124,14 @@ def extension_identity(F, G):
 # -- curvature matrices ----------------------------------------------------
 
 
-def _peak(X):
-    """The entry of X of largest modulus: for a float X that modulus, for an
-    exact X the entry itself, so that scalars.negligible decides it exactly.
-    The one array rule of the residual checks."""
-    if isinstance(X, ExactArray):
-        return X.item(np.argmax((X.re * X.re + X.im * X.im).ravel()))
-    return float(np.abs(X).max())
-
-
 class _FormMatrix:
     """Square r x r matrix of (p,q)-forms on one C^d, the bidegree fixed per subclass.
 
     Stored as one coefficient array, coeffs[i, j, *I, *J] the coefficient of
     dz_I ^ dzbar_J in entry (i, j): A[i, j, a, b] for curvature, T[i, j, a]
-    for a Higgs field.  The array is complex for float data and an
-    ExactArray when every entry is exact; the PPForm entries are converted
-    once, here.
+    for a Higgs field: the stacked coefficient matrices of the PPForm
+    entries, complex for float data and an ExactArray when every entry is
+    exact.
     """
 
     __slots__ = ("coeffs",)
@@ -158,11 +149,8 @@ class _FormMatrix:
                     raise DegreeError(
                         f"{self.kind} entries must be ({p},{q})-forms on C^{d}, got {f!r}"
                     )
-        exact = all(f.is_exact() for row in entries for f in row)
-        self.coeffs = _array((r, r) + (d,) * (p + q), (
-            ((i, j) + I + J, c)
-            for i, row in enumerate(entries) for j, f in enumerate(row)
-            for (I, J), c in f.coeffs.items()), exact)
+        blocks = np.stack(_promote(*(f.Z for row in entries for f in row)))
+        self.coeffs = blocks.reshape((r, r) + (d,) * (p + q))
 
     @classmethod
     def _of(cls, A):
@@ -182,9 +170,8 @@ class _FormMatrix:
     def _form(self, block):
         """The PPForm whose coefficients are the array block, an entry's worth."""
         p, q = self.bidegree
-        return PPForm._valid(self.dim, p, q, {
-            (ix[:p], ix[p:]): c for ix, c in zip(np.ndindex(block.shape), block.ravel().tolist())
-        })
+        d = self.dim
+        return PPForm._of(d, p, q, block.reshape(math.comb(d, p), math.comb(d, q)))
 
     @property
     def entries(self):
@@ -215,7 +202,7 @@ class CurvatureMatrix(_FormMatrix):
 
     @classmethod
     def zero(cls, r, d):
-        return cls._of(_array((r, r, d, d), (), True))
+        return cls._of(_zeros((r, r, d, d), True))
 
     def anti_selfadjoint_residual(self):
         """The largest coefficient of F + F^adj (see _peak)."""

@@ -47,7 +47,7 @@ def _checked(convert, what, ok=lambda value: True):
 
 
 _rank = _checked(int, "a positive integer", lambda n: n > 0)
-_count = _checked(int, "a non-negative integer", lambda n: n >= 0)  # --vars, --order, --upto
+_count = _checked(int, "a non-negative integer", lambda n: n >= 0)  # --vars, --seed, --order, ...
 _partition = _checked(Partition.parse, "a partition such as 2,1")
 _tolerance = _checked(float, "a finite non-negative number",
                       lambda x: math.isfinite(x) and x >= 0)
@@ -160,7 +160,10 @@ def cmd_schur(args):
 
 def cmd_derived(args):
     lam = args.partition
-    p = derived(schur(lam, args.vars), args.order)
+    try:
+        p = derived(schur(lam, args.vars), args.order)
+    except DegreeError as exc:  # an order past the weight
+        _die(str(exc))
     if args.json:
         print(json.dumps({
             "partition": str(lam), "vars": args.vars,
@@ -627,7 +630,7 @@ def build_parser():
     p = sub.add_parser("trace-check", help="curvature trace positivity report")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--rank", type=_rank, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--higgs", action="store_true",
                    help="add a random nilpotent Higgs contribution")
     p.add_argument("--curvature", help="JSON file with an 'entries' form matrix")
@@ -641,7 +644,7 @@ def build_parser():
     p.add_argument("--vars", type=_count, required=True)
     p.add_argument("--partition", type=_partition, required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     _add_common(p)
     p.set_defaults(fn=cmd_sample_search)
 

@@ -1,15 +1,25 @@
 """Constant-coefficient (p,q)-forms on C^d with two scalar backends.
 
-A form is stored sparsely as coefficients c[I, J] of dz_I wedge dzbar_J with
-I, J strictly increasing index tuples (0-based).  Coefficients are Python
-complex (float backend) or GaussianRational (exact backend).  The dense
-kernels read a (p,p)-form as its coefficient matrix in either backend: a
-complex ndarray, or a scalars.ExactArray, integer numerators with one common
-denominator.  _top_functional and _mid_gram turn it into the intersection
-numbers that the pointwise checks read, and _top_form and _mid_form turn
-those back into forms; they, the real basis of ring and the curvature arrays
-of bogomolov are one text for both array types, and GaussianRationals appear
-only where they hand values out.
+A form is its coefficient matrix Z: Z[i, j] is the coefficient of
+dz_I wedge dzbar_J for the i-th p-subset I and the j-th q-subset J of
+range(d), 0-based, in combinations order.  Z is a complex ndarray for a
+float form and a scalars.ExactArray, integer numerators over one common
+denominator, for an exact one: the array type is the backend, and an exact
+operand meeting a float one is read in complex.  Dense storage holds
+C(d,p) C(d,q) entries whatever the number of terms; the largest forms the
+program makes are the (d-1,d-1) and (d-2,d-2) forms of a pair, C(d,2)^2
+entries at most, and the keyed constructor refuses more than
+MAX_FORM_ENTRIES.  Past degree d there are no subsets, so the matrix is
+empty: the zero form.
+
+wedge is one product of coefficient matrices over the sign tables
+_merge_signs; sums, scalar multiples, conjugation and the realness rule
+_unreal are array arithmetic.  _top_functional and _mid_gram turn a form
+into the intersection numbers that the pointwise checks read, and _top_form
+and _mid_form turn those back into forms.  All of it, the real basis of
+ring and the curvature arrays of bogomolov are one text for both array
+types; GaussianRationals appear only where values are handed out (.coeffs,
+serialization).
 
 Conventions, all verified by brute-force oracles in the test suite:
 
@@ -28,46 +38,100 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConsistencyError, DegreeError
-from .linalg import inertia
+from .linalg import _matrix, inertia
 from .scalars import (
-    ExactArray, GaussianRational, conj, i_power, imag_part, is_exact, negligible, real_part,
-    to_complex,
+    ExactArray, GaussianRational, i_power, imag_part, is_exact, magnitude, negligible,
+    real_part, to_complex,
 )
 from .verdict import DEGENERATE, FAIL, PASS, Verdict
 
-_merge_cache = {}
+# the keyed constructor refuses forms of more coefficients (a (10,10)-form on
+# C^20 has 3.4e10); a pair on C^14 has 8281 at most
+MAX_FORM_ENTRIES = 2 ** 20
 
 
-def _merge(A, B):
-    """Concatenate-and-sort sign for dz_A wedge dz_B; None when indices repeat."""
-    key = (A, B)
-    hit = _merge_cache.get(key)
-    if hit is not None:
-        return hit
-    if set(A) & set(B):
-        _merge_cache[key] = (0, None)
-        return (0, None)
-    inversions = sum(1 for a in A for b in B if a > b)
-    out = ((-1) ** inversions, tuple(sorted(A + B)))
-    _merge_cache[key] = out
+@lru_cache(maxsize=None)
+def _subset_index(d, p):
+    """{I: position} of the p-subsets I of range(d), in combinations order."""
+    return {I: i for i, I in enumerate(itertools.combinations(range(d), p))}
+
+
+def _zeros(shape, exact):
+    """The zero coefficient array: an ExactArray, or complex."""
+    if exact:
+        return ExactArray(np.zeros(shape, dtype=object), np.zeros(shape, dtype=object))
+    return np.zeros(shape, dtype=complex)
+
+
+def _promote(*arrays):
+    """The coefficient arrays in one backend: exact when all are, else complex."""
+    if all(isinstance(X, ExactArray) for X in arrays):
+        return arrays
+    return tuple(X.astype(complex, copy=False) for X in arrays)
+
+
+def _scaled(Z, c):
+    """Z * c for a complex array Z and a scalar c, each part rounded as
+    Python rounds complex * complex: numpy's complex product may fuse a
+    multiply and an add, and a form's coefficients must not depend on it."""
+    c = complex(c)
+    out = np.empty(Z.shape, dtype=complex)
+    out.real = Z.real * c.real - Z.imag * c.imag
+    out.imag = Z.real * c.imag + Z.imag * c.real
     return out
 
 
-class PPForm:
-    """Sparse constant-coefficient (p,q)-form on C^d."""
+def _peak(X):
+    """The entry of X of largest modulus: for a float X that modulus, for an
+    exact X the entry itself, so that scalars.negligible decides it exactly;
+    0 for an empty X.  The one array rule of the residual checks."""
+    if isinstance(X, ExactArray):
+        return X.item(np.argmax((X.re * X.re + X.im * X.im).ravel())) if X.re.size else 0
+    return float(np.abs(X).max(initial=0.0))
 
-    __slots__ = ("dim", "p", "q", "coeffs")
+
+def _unreal(Z, p, tol=0.0):
+    """Where the coefficient matrix Z of a (p,p)-form, or a stack of them on
+    the last two axes, breaks the reality condition
+    Z[i, j] = (-1)^(p^2) conj(Z[j, i]): a bool mask, true at the nonzero
+    gaps of an exact Z and at the gaps beyond tol * max(max |Z|, 1), per
+    matrix, of a float one.  The one realness rule; p = 0 reads a Hermitian
+    matrix."""
+    n = len(Z.shape)
+    mirror = Z.conj().transpose(*range(n - 2), n - 1, n - 2)
+    gap = Z + mirror if p % 2 else Z - mirror
+    if isinstance(gap, ExactArray):
+        return (gap.re != 0) | (gap.im != 0)
+    return ~(np.abs(gap) <= tol * np.abs(Z).max(axis=(-2, -1), keepdims=True, initial=1.0))
+
+
+class PPForm:
+    """Constant-coefficient (p,q)-form on C^d, stored as its coefficient
+    matrix Z (see the module docstring)."""
+
+    __slots__ = ("dim", "p", "q", "Z")
 
     def __init__(self, dim, p, q, coeffs=None):
-        self.dim = int(dim)
-        self.p = int(p)
-        self.q = int(q)
-        self.coeffs = {}
-        if coeffs:
-            for (I, J), c in coeffs.items():
-                self._check_key(I, J)
-                if c != 0:
-                    self.coeffs[(tuple(I), tuple(J))] = c
+        """The form sum c dz_I wedge dzbar_J over {(I, J): c}, the keys
+        strictly increasing index tuples of lengths p and q in range(dim):
+        exact when every c is (int, Fraction or GaussianRational), complex
+        otherwise."""
+        self.dim, self.p, self.q = d, p, q = int(dim), int(p), int(q)
+        if p < 0 or q < 0:
+            raise DegreeError(f"bidegree ({p},{q}) is negative")
+        size = math.comb(d, p) * math.comb(d, q)
+        if size > MAX_FORM_ENTRIES:
+            raise DegreeError(f"a ({p},{q})-form on C^{d} has {size} coefficients, "
+                              f"above {MAX_FORM_ENTRIES}")
+        rows, cols = _subset_index(d, p), _subset_index(d, q)
+        coeffs = coeffs or {}
+        for I, J in coeffs:
+            self._check_key(I, J)
+        exact = all(map(is_exact, coeffs.values()))
+        Z = np.zeros((len(rows), len(cols)), dtype=object if exact else complex)
+        for (I, J), c in coeffs.items():
+            Z[rows[tuple(I)], cols[tuple(J)]] = c if exact else complex(c)
+        self.Z = ExactArray.of(Z) if exact else Z
 
     def _check_key(self, I, J):
         for S, n in ((I, self.p), (J, self.q)):
@@ -77,16 +141,11 @@ class PPForm:
                 raise DegreeError(f"index tuple {S} out of range for dimension {self.dim}")
 
     @classmethod
-    def _valid(cls, dim, p, q, coeffs):
-        """A form whose keys are valid by construction: no key check, zeros dropped.
-
-        For the results of wedge, +, -, conj, scalar * and the dense
-        kernels; coefficients from outside the program go through
-        PPForm(...), which checks keys.
-        """
+    def _of(cls, dim, p, q, Z):
+        """The form with coefficient matrix Z, unchecked: for the results of
+        the program's own arithmetic."""
         form = cls.__new__(cls)
-        form.dim, form.p, form.q = dim, p, q
-        form.coeffs = {k: c for k, c in coeffs.items() if c != 0}
+        form.dim, form.p, form.q, form.Z = dim, p, q, Z
         return form
 
     # -- constructors ------------------------------------------------------
@@ -104,11 +163,19 @@ class PPForm:
     def monomial(cls, dim, I, J, coeff):
         return cls(dim, len(I), len(J), {(tuple(I), tuple(J)): coeff})
 
+    @property
+    def coeffs(self):
+        """{(I, J): c} of the nonzero coefficients, built from Z on each
+        read: complex, or GaussianRational when exact."""
+        rows, cols = list(_subset_index(self.dim, self.p)), list(_subset_index(self.dim, self.q))
+        Z = self.Z
+        return {(rows[i], cols[j]): Z.item(i, j) for i, j in zip(*Z.nonzero())}
+
     def is_zero(self):
-        return not self.coeffs
+        return not len(self.Z.nonzero()[0])
 
     def is_exact(self):
-        return all(is_exact(c) for c in self.coeffs.values())
+        return isinstance(self.Z, ExactArray)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -129,27 +196,23 @@ class PPForm:
             if other.is_zero() and self.dim == other.dim:
                 return self
         self._like(other)
-        coeffs = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = coeffs.get(k, 0) + c
-            if s == 0:
-                coeffs.pop(k, None)
-            else:
-                coeffs[k] = s
-        return PPForm._valid(self.dim, self.p, self.q, coeffs)
+        A, B = _promote(self.Z, other.Z)
+        return PPForm._of(self.dim, self.p, self.q, A + B)
 
     def __neg__(self):
-        return PPForm._valid(self.dim, self.p, self.q, {k: -c for k, c in self.coeffs.items()})
+        return PPForm._of(self.dim, self.p, self.q, -self.Z)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        """Wedge product with a form; with a scalar, exact only when both are."""
         if isinstance(other, PPForm):
             return wedge(self, other)
-        return PPForm._valid(
-            self.dim, self.p, self.q, {k: c * other for k, c in self.coeffs.items()}
-        )
+        Z = self.Z
+        if isinstance(Z, ExactArray) and is_exact(other):
+            return PPForm._of(self.dim, self.p, self.q, Z * other)
+        return PPForm._of(self.dim, self.p, self.q, _scaled(Z.astype(complex, copy=False), other))
 
     def __rmul__(self, other):
         if isinstance(other, PPForm):
@@ -157,81 +220,52 @@ class PPForm:
         return self * other
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PPForm)
-            and (self.dim, self.p, self.q) == (other.dim, other.p, other.q)
-            and self.coeffs == other.coeffs
-        )
+        if not (isinstance(other, PPForm)
+                and (self.dim, self.p, self.q) == (other.dim, other.p, other.q)):
+            return False
+        A, B = _promote(self.Z, other.Z)
+        if isinstance(A, ExactArray):
+            return not len((A - B).nonzero()[0])
+        return bool(np.array_equal(A, B))
 
     def conj(self):
         """Complex conjugate, a (q,p)-form."""
-        sign = (-1) ** (self.p * self.q)
-        return PPForm._valid(
-            self.dim,
-            self.q,
-            self.p,
-            {(J, I): sign * conj(c) for (I, J), c in self.coeffs.items()},
-        )
+        Z = self.Z.conj().T
+        return PPForm._of(self.dim, self.q, self.p, -Z if self.p * self.q % 2 else Z)
 
     def is_real(self, tol=0.0):
-        """Is self == self.conj(), to tol relative to max(max_abs, 1)?
-
-        Each gap is a scalars.negligible comparison: exact forms are real
-        only when every gap is exactly 0.
-        """
-        if self.p != self.q:
-            return False
-        sign = (-1) ** (self.p * self.q)
-        get = self.coeffs.get
-        bound = tol * max(self.max_abs(), 1.0)
-        return all(negligible(c - sign * conj(get((J, I), 0)), bound)
-                   for (I, J), c in self.coeffs.items())
+        """Is self == self.conj(), to tol relative to max(max_abs, 1)?  Exact
+        forms are real only when every gap is exactly 0 (_unreal)."""
+        return self.p == self.q and not _unreal(self.Z, self.p, tol).any()
 
     def max_abs(self):
         """Largest |coefficient| as a float, inf beyond float range."""
-        if not self.coeffs:
-            return 0.0
-        try:
-            return max(abs(complex(c)) for c in self.coeffs.values())
-        except OverflowError:
-            return math.inf
+        return magnitude(_peak(self.Z))
 
     def __repr__(self):
-        n = len(self.coeffs)
+        n = len(self.Z.nonzero()[0])
         return f"PPForm(dim={self.dim}, bidegree=({self.p},{self.q}), {n} terms)"
 
 
 def wedge(x, y):
-    """Wedge product; silently zero when the bidegree overflows the dimension."""
+    """Wedge product; silently zero when the bidegree overflows the dimension.
+
+    With S = _merge_signs(d, p1, p2) and T = _merge_signs(d, q1, q2), the
+    coefficient matrices Z of x and W of y multiply to
+    V[k, l] = (-1)^(q1 p2) sum S[k, a, b] T[l, c, e] Z[a, c] W[b, e],
+    moving dzbar_J1 past dz_I2 for every pair of terms at once; an exact
+    factor meeting a float one is read in complex.
+    """
     if x.dim != y.dim:
         raise DegreeError(f"forms live on C^{x.dim} and C^{y.dim}")
-    p, q = x.p + y.p, x.q + y.q
-    if p > x.dim or q > x.dim:
-        return PPForm.zero(x.dim, min(p, x.dim), min(q, x.dim))
-    cross = (-1) ** (x.q * y.p)  # moving dzbar_J1 past dz_I2
-    coeffs = {}
-    for (I1, J1), c1 in x.coeffs.items():
-        for (I2, J2), c2 in y.coeffs.items():
-            si, I = _merge(I1, I2)
-            if si == 0:
-                continue
-            sj, J = _merge(J1, J2)
-            if sj == 0:
-                continue
-            c = c1 * c2 * (cross * si * sj)
-            k = (I, J)
-            s = coeffs.get(k, 0) + c
-            if s == 0:
-                coeffs.pop(k, None)
-            else:
-                coeffs[k] = s
-    return PPForm._valid(x.dim, p, q, coeffs)
-
-
-@lru_cache(maxsize=None)
-def _subset_index(d, p):
-    """{I: position} of the p-subsets I of range(d), in combinations order."""
-    return {I: i for i, I in enumerate(itertools.combinations(range(d), p))}
+    d, p, q = x.dim, x.p + y.p, x.q + y.q
+    if p > d or q > d:
+        return PPForm.zero(d, min(p, d), min(q, d))
+    Z, W = _promote(x.Z, y.Z)
+    V = np.tensordot(_merge_signs(d, x.p, y.p), Z, axes=(1, 0))  # V[k, b, c]: sum over a
+    V = np.tensordot(V, W, axes=(1, 0))  # V[k, c, e]: sum over b
+    V = np.tensordot(V, _merge_signs(d, x.q, y.q), axes=((1, 2), (1, 2)))  # V[k, l]
+    return PPForm._of(d, p, q, -V if x.q * y.p % 2 else V)
 
 
 @lru_cache(maxsize=None)
@@ -239,44 +273,20 @@ def _merge_signs(d, p, q):
     """Read-only int8 S with dz_I wedge dz_J = S[k, i, j] dz_K, K the k-th (p+q)-subset.
 
     I and J are the i-th p-subset and the j-th q-subset of range(d); S is 0
-    where they meet.  Integer, so that exact products stay exact; a float
-    product casts it to complex, as it would a float table.
+    where they meet, and otherwise the sign of the sort of I + J, (-1) to
+    the number of pairs a in I, b in J with a > b.  Integer, so that exact
+    products stay exact; a float product casts it to complex, as it would a
+    float table.
     """
     out, left, right = (_subset_index(d, k) for k in (p + q, p, q))
     S = np.zeros((len(out), len(left), len(right)), dtype=np.int8)
     for I, i in left.items():
         for J, j in right.items():
-            sign, K = _merge(I, J)
-            if sign:
-                S[out[K], i, j] = sign
+            if not set(I) & set(J):
+                inversions = sum(1 for a in I for b in J if a > b)
+                S[out[tuple(sorted(I + J))], i, j] = (-1) ** inversions
     S.flags.writeable = False
     return S
-
-
-def _promote(*arrays):
-    """The coefficient arrays in one backend: exact when all are, else complex."""
-    if all(isinstance(X, ExactArray) for X in arrays):
-        return arrays
-    return tuple(X.astype(complex, copy=False) for X in arrays)
-
-
-def _array(shape, items, exact):
-    """The coefficient array with entries from (index, value) pairs and 0
-    elsewhere: an ExactArray, or complex."""
-    A = np.zeros(shape, dtype=object if exact else complex)
-    items = list(items)
-    if items:
-        index, values = zip(*items)
-        A[tuple(np.array(index).T)] = values if exact else [complex(c) for c in values]
-    return ExactArray.of(A) if exact else A
-
-
-def _coefficient_matrix(form, exact):
-    """Z[i, j], the coefficient of dz_I wedge dzbar_J for the i-th and j-th
-    subsets I and J; an ExactArray, or complex."""
-    rows, cols = _subset_index(form.dim, form.p), _subset_index(form.dim, form.q)
-    return _array((len(rows), len(cols)),
-                  (((rows[I], cols[J]), c) for (I, J), c in form.coeffs.items()), exact)
 
 
 def _volume_unit(d, exact):
@@ -313,7 +323,7 @@ def _top_functional(omega_top):
     """
     d, exact = omega_top.dim, omega_top.is_exact()
     Q, tau, _ = _complements(d, 1)
-    Z = _coefficient_matrix(omega_top, exact)[Q[:, None], Q]
+    Z = omega_top.Z[Q[:, None], Q]
     return (-1) ** (d - 1) * _volume_unit(d, exact) * (Z * np.outer(tau, tau))
 
 
@@ -322,17 +332,8 @@ def _mid_gram(omega_mid):
     dzbar_b past dz_c gives the sign -1."""
     d, exact = omega_mid.dim, omega_mid.is_exact()
     Q, tau, _ = _complements(d, 2)
-    Z = _coefficient_matrix(omega_mid, exact)[Q[:, None, :, None], Q[None, :, None, :]]
+    Z = omega_mid.Z[Q[:, None, :, None], Q[None, :, None, :]]
     return -_volume_unit(d, exact) * (Z * (tau[:, None, :, None] * tau[None, :, None, :]))
-
-
-def _form_of(Z, d, p):
-    """The (p,p)-form on C^d with coefficient matrix Z, the inverse of
-    _coefficient_matrix: complex coefficients, or GaussianRationals when Z
-    is an ExactArray."""
-    subsets = list(_subset_index(d, p))
-    return PPForm._valid(d, p, p, {(subsets[i], subsets[j]): Z.item(i, j)
-                                   for i, j in zip(*Z.nonzero())})
 
 
 def _top_form(m):
@@ -341,7 +342,7 @@ def _top_form(m):
     _, tau, R = _complements(d, 1)
     a = R[:, 0]
     unit = (-1) ** (d - 1) * _volume_unit(d, isinstance(m, ExactArray)).conjugate()
-    return _form_of(unit * (m[a[:, None], a] * np.outer(tau[a], tau[a])), d, d - 1)
+    return PPForm._of(d, d - 1, d - 1, unit * (m[a[:, None], a] * np.outer(tau[a], tau[a])))
 
 
 def _mid_form(G):
@@ -351,7 +352,8 @@ def _mid_form(G):
     a, c = R.T
     unit = -_volume_unit(d, isinstance(G, ExactArray)).conjugate()
     sign = tau[a, c]
-    return _form_of(unit * (G[a[:, None], a, c[:, None], c] * np.outer(sign, sign)), d, d - 2)
+    return PPForm._of(d, d - 2, d - 2,
+                      unit * (G[a[:, None], a, c[:, None], c] * np.outer(sign, sign)))
 
 
 def wedge_all(forms, dim=None, exact=True):
@@ -375,12 +377,7 @@ def integrate_top(form, allow_complex=False):
     d = form.dim
     if form.p != d or form.q != d:
         raise DegreeError(f"integrating a ({form.p},{form.q})-form on C^{d}")
-    full = tuple(range(d))
-    c = form.coeffs.get((full, full), None)
-    if c is None:
-        return Fraction(0) if form.is_exact() else 0.0
-    exact = is_exact(c)
-    value = (c if exact else complex(c)) * _volume_unit(d, exact)
+    value = form.Z.item(0, 0) * _volume_unit(d, form.is_exact())
     if allow_complex:
         return value
     im = imag_part(value)
@@ -392,43 +389,31 @@ def integrate_top(form, allow_complex=False):
 def form_from_hermitian(H, exact=None):
     """(1,1)-form i * sum H[j][k] dz_j dzbar_k from a Hermitian matrix.
 
-    H is any matrix-like (nested sequences or numpy array); Hermitian symmetry
-    is checked exactly for exact entries and not at all otherwise (callers
-    symmetrize float input themselves if needed).
+    H is any matrix-like (nested sequences, a numpy array or an ExactArray);
+    the form is exact when every entry is, unless exact=False asks for
+    complex.  Hermitian symmetry is checked exactly for exact entries and
+    not at all otherwise (callers symmetrize float input themselves if
+    needed).
     """
-    rows = [list(r) for r in H]
-    d = len(rows)
-    if exact is None:
-        exact = all(is_exact(x) for r in rows for x in r)
-    i_unit = GaussianRational(0, 1) if exact else 1j
-    coeffs = {}
-    for j in range(d):
-        for k in range(d):
-            c = rows[j][k]
-            if exact:
-                if conj(rows[k][j]) != c:
-                    raise ConsistencyError(f"matrix is not Hermitian at ({j},{k})")
-                if not isinstance(c, GaussianRational):
-                    c = GaussianRational(c)
-            else:
-                c = complex(c)
-            if c != 0:
-                coeffs[((j,), (k,))] = i_unit * c
-    return PPForm(d, 1, 1, coeffs)
+    H = _matrix(H)
+    if isinstance(H, ExactArray) and exact is not False:
+        rows, cols = _unreal(H, 0).nonzero()
+        if len(rows):
+            raise ConsistencyError(f"matrix is not Hermitian at ({rows[0]},{cols[0]})")
+        return PPForm._of(len(H), 1, 1, H * GaussianRational(0, 1))
+    if exact:
+        raise TypeError("an exact form needs exact entries")
+    return PPForm._of(len(H), 1, 1, _scaled(H.astype(complex, copy=False), 1j))
 
 
 def hermitian_from_form(form):
-    """Matrix H with form = i * sum H[j][k] dz_j dzbar_k; inverse of form_from_hermitian."""
+    """H with form = i * sum H[j, k] dz_j dzbar_k, an ExactArray or complex;
+    inverse of form_from_hermitian."""
     if (form.p, form.q) != (1, 1):
         raise DegreeError("expected a (1,1)-form")
-    d = form.dim
-    exact = form.is_exact()
-    zero = GaussianRational(0) if exact else complex(0)
-    H = [[zero for _ in range(d)] for _ in range(d)]
-    mi = GaussianRational(0, -1) if exact else -1j
-    for (I, J), c in form.coeffs.items():
-        H[I[0]][J[0]] = mi * c if exact else complex(c) * mi
-    return H
+    if form.is_exact():
+        return form.Z * GaussianRational(0, -1)
+    return _scaled(form.Z, -1j)
 
 
 def std_kahler(dim, exact=True):

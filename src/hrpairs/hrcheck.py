@@ -34,14 +34,16 @@ exact backend takes them as they are and exact=False takes float copies of
 them.  pointwise_hr_pair feeds it from forms: their intersection numbers
 G = exterior._mid_gram(eta_mid) and m = exterior._top_functional(eta_top),
 complex or ExactArrays, go to _pointwise_verdict as they are, so no trial
-builds a ring, makes a sparse wedge or builds a Fraction list.
+builds a ring, makes a wedge or builds a Fraction list.
 
 Schur pairs multiply no forms: schur_tensors reads (G, m) of (s_lam,
-s'_lam) straight from det(sum t_i H_i) of the Hermitian matrices of the
-forms, and schur_form_pair turns them back into forms.  sample_search hands
-(G, m) to _pointwise_verdict itself.  torus_ring(d), the same numbers as
-exact ring products, is the test suite's oracle for the pointwise checks,
-and dense products of forms (tests/dense_forms.py) for the Schur pairs.
+s'_lam) straight from det(sum t_i H_i), H_i the stacked coefficient
+matrices of the forms times -i, and schur_form_pair wraps the coefficient
+matrices read back from (G, m) as forms; no step converts between a form
+and an array.  sample_search hands (G, m) to _pointwise_verdict itself.
+torus_ring(d), the same numbers as exact ring products, is the test
+suite's oracle for the pointwise checks, and wedge products of forms
+(tests/dense_forms.py) for the Schur pairs.
 """
 
 import itertools
@@ -54,8 +56,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingError
-from .exterior import _array, _mid_form, _mid_gram, _promote, _top_form, _top_functional
-from .exterior import form_from_hermitian, hermitian_from_form, std_kahler
+from .exterior import _mid_form, _mid_gram, _promote, _top_form, _top_functional, _unreal
+from .exterior import _zeros, form_from_hermitian, hermitian_from_form, std_kahler
 from .linalg import (
     float_kernel_vector,
     float_signature,
@@ -650,7 +652,7 @@ def schur_tensors(lam, H):
         raise DegreeError(f"partition {lam} has weight {lam.weight}; need dim - 1 = {d - 1}")
     exact = isinstance(H, ExactArray)
     if len(lam) > e:
-        return _array((d,) * 4, (), exact), _array((d, d), (), exact)
+        return _zeros((d,) * 4, exact), _zeros((d, d), exact)
     return (_exact_schur_tensors if exact else _float_schur_tensors)(lam, H)
 
 
@@ -658,33 +660,28 @@ def _hermitians(omegas, dim):
     """The stacked H_i of the (1,1)-forms omega_i = i sum H_i[j, k] dz_j
     dzbar_k on C^dim: an ExactArray when every form is exact, else complex.
 
-    ConfigError unless each form is real, i.e. H_i is Hermitian: exactly,
-    or in floats to 1e-9 relative to max(max |H_i|, 1), the rule of
-    PPForm.is_real(1e-9).
+    ConfigError unless each form is real, i.e. H_i is Hermitian: the rule
+    of PPForm.is_real(1e-9), exterior._unreal on the stacked coefficient
+    matrices.
     """
     for w in omegas:
         if (w.dim, w.p, w.q) != (dim, 1, 1):
             raise DegreeError(f"expected a (1,1)-form on C^{dim}, got {w!r}")
-    exact = all(w.is_exact() for w in omegas)
-    Z = _array((len(omegas), dim, dim), (((i, *I, *J), c) for i, w in enumerate(omegas)
-                                         for (I, J), c in w.coeffs.items()), exact)
-    H = Z * (GaussianRational(0, -1) if exact else -1j)
-    gap = H - H.conj().transpose(0, 2, 1)
-    if exact:
-        unreal = ((gap.re != 0) | (gap.im != 0)).any(axis=(1, 2))
-    else:
-        unreal = np.abs(gap).max(axis=(1, 2)) > 1e-9 * np.maximum(np.abs(H).max(axis=(1, 2)), 1)
+    if not omegas:
+        return _zeros((0, dim, dim), True)
+    Z = np.stack(_promote(*(w.Z for w in omegas)))
+    unreal = _unreal(Z, 1, 1e-9).any(axis=(1, 2))
     if unreal.any():
         raise ConfigError(f"{omegas[np.flatnonzero(unreal)[0]]!r} is not a real form")
-    return H
+    return Z * (GaussianRational(0, -1) if isinstance(Z, ExactArray) else -1j)
 
 
 def schur_form_pair(lam, omegas, dim):
     """(s_lam, derived s_lam) evaluated on (1,1)-forms; the candidate pair.
 
     Read back, through exterior._top_form and _mid_form, from the
-    intersection tensors of schur_tensors: exact (GaussianRational
-    coefficients) when every form is exact and complex otherwise.  The
+    intersection tensors of schur_tensors: exact (ExactArray coefficient
+    matrices) when every form is exact and complex otherwise.  The
     forms must be real (1,1)-forms on C^dim, float ones to 1e-9 relative,
     and |lam| must be dim - 1.
     """
@@ -747,6 +744,8 @@ def sample_search(dim, num_vars, partition, trials=100, seed=0, zero_tol=1e-9,
     check_sweep_dimension(dim)
     if trials < 0:
         raise ConfigError(f"trials must be non-negative, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     lam = partition if isinstance(partition, Partition) else Partition.parse(str(partition))
     if lam.weight != dim - 1:
         raise ConfigError(

@@ -27,10 +27,10 @@ def _shape(M):
 
 
 def _matrix(M):
-    """M as an array, converted once: a list of rows of exact numbers
-    becomes an ExactArray, any other list of rows a float ndarray (complex
-    when an entry is complex); arrays pass through."""
-    if isinstance(M, (np.ndarray, ExactArray)):
+    """M as an array, converted once: a list of rows (or an object array) of
+    exact numbers becomes an ExactArray, any other a float ndarray (complex
+    when an entry is complex); other arrays pass through."""
+    if isinstance(M, ExactArray) or (isinstance(M, np.ndarray) and M.dtype != object):
         return M
     A = np.asarray(M, dtype=object).reshape(_shape(M))
     if all(map(is_exact, A.flat)):

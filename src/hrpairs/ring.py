@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import _coefficient_matrix, _form_of, _merge_signs, _subset_index, std_kahler
+from .exterior import PPForm, _merge_signs, _subset_index, _unreal, std_kahler
 from .linalg import rational_rref
 from .scalars import ExactArray, GaussianRational, i_power, is_exact
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
@@ -491,25 +491,25 @@ def _real_basis_matrix(d, p, exact):
     return B
 
 
-def _hermitian_of(form, exact):
+def _hermitian_of(form):
     """H = i^(-p^2) Z for the coefficient matrix Z of a (p,p)-form: Hermitian
     exactly when the form is real."""
     unit = i_power(-form.p * form.p)
-    return _coefficient_matrix(form, exact) * (unit if exact else complex(unit))
+    return form.Z * (unit if form.is_exact() else complex(unit))
 
 
 def _check_real(form):
     """H = _hermitian_of(form) for an exact (p,p)-form; ConsistencyError,
-    naming the indices, unless the form is exactly real:
-    c[J, I] = (-1)^(p^2) conj(c[I, J]) for every (I, J), i.e. H Hermitian."""
-    H = _hermitian_of(form, True)
-    rows, cols = ((H.re != H.re.T) | (H.im != -H.im.T)).nonzero()
+    naming the first indices where exterior._unreal finds a gap, unless the
+    form is exactly real: c[J, I] = (-1)^(p^2) conj(c[I, J]) for every
+    (I, J), i.e. H Hermitian."""
+    rows, cols = _unreal(form.Z, form.p).nonzero()
     if len(rows):
         subsets = list(_subset_index(form.dim, form.p))
-        I, J = subsets[rows[0]], subsets[cols[0]]
-        c, mirror = form.coeffs.get((I, J), 0), form.coeffs.get((J, I), 0)
-        raise ConsistencyError(f"form is not real at indices {(I, J)}: {c} vs {mirror}")
-    return H
+        i, j = rows[0], cols[0]
+        raise ConsistencyError(f"form is not real at indices {(subsets[i], subsets[j])}: "
+                               f"{form.Z.item(i, j)} vs {form.Z.item(j, i)}")
+    return _hermitian_of(form)
 
 
 def real_coordinates(form):
@@ -530,7 +530,7 @@ def real_coordinates(form):
         H = _check_real(form)
         return [Fraction(v, H.den)
                 for v in np.where(imag, H.im[rows, cols], H.re[rows, cols]).tolist()]
-    H = _hermitian_of(form, False)
+    H = _hermitian_of(form)
     z = ((H + H.conj().T) / 2)[rows, cols]
     return np.where(imag, z.imag, z.real).tolist()
 
@@ -591,9 +591,9 @@ def real_product_table(d, p, q):
 def form_from_real_coordinates(d, p, coords):
     """The real (p,p)-form on C^d with coordinates coords in the basis of pp_slots.
 
-    Inverse of real_coordinates: coords times _real_basis_matrix, so exact
-    coordinates give GaussianRational coefficients and float ones complex
-    coefficients.
+    Inverse of real_coordinates: its coefficient matrix is coords times
+    _real_basis_matrix, an ExactArray for exact coordinates and complex for
+    float ones.
     """
     coords = list(coords)
     m = comb(d, p)
@@ -604,7 +604,7 @@ def form_from_real_coordinates(d, p, coords):
     exact = all(is_exact(c) for c in coords)
     v = ExactArray.of(coords) if exact else np.array(coords, dtype=float)
     Z = v @ _real_basis_matrix(d, p, exact)
-    return _form_of(Z.reshape(m, m), d, p)
+    return PPForm._of(d, p, p, Z.reshape(m, m))
 
 
 class TorusModel(RingModel):

@@ -243,11 +243,12 @@ class ExactArray:
     It does what the dense kernels ask of a complex ndarray, with numpy's
     meaning: indexing and assignment, iteration, reshape, ravel,
     transpose/.T, conj, copy, + and -, * by an array (entrywise) or by an
-    exact scalar, / by an exact scalar, @, np.tensordot, np.einsum and
-    np.vdot.  A product is bilinear over the integers, so it runs on the
-    parts, skipping an imaginary part that is zero; an integer ndarray
-    factor (a _merge_signs table) is exact, and a float or complex one
-    demotes the product to complex, as it would a GaussianRational.
+    exact scalar, / by an exact scalar, @, np.tensordot, np.einsum, np.vdot
+    and np.stack of exact arrays.  A product is bilinear over the integers,
+    so it runs on the parts, skipping an imaginary part that is zero; an
+    integer ndarray factor (a _merge_signs table) is exact, and a float or
+    complex one demotes the product to complex, as it would a
+    GaussianRational.
     einsum is numpy's on the parts, in the order numpy picks: exact sums
     do not depend on it.  Values enter from nested lists of exact numbers
     (of) and leave as GaussianRationals (item, tolist, np.vdot), as the
@@ -461,6 +462,13 @@ def _tensordot(a, b, axes=2):
     return _bilinear(lambda x, y: np.tensordot(x, y, axes), a, b)
 
 
+def _stack(arrays, axis=0):
+    """np.stack of exact arrays, over the lcm of their denominators."""
+    den = math.lcm(*(a.den for a in arrays))
+    re, im = zip(*(a._over(den) for a in arrays))
+    return ExactArray(np.stack(re, axis), np.stack(im, axis), den)
+
+
 def _vdot(a, b):
     return (a.conj().ravel() @ b.ravel()).item()
 
@@ -480,4 +488,5 @@ def _einsum(subscripts, *operands):
     return ExactArray._reduced(re, im, math.prod(p[2] for p in split))
 
 
-_ARRAY_FUNCTIONS = {np.tensordot: _tensordot, np.einsum: _einsum, np.vdot: _vdot}
+_ARRAY_FUNCTIONS = {np.tensordot: _tensordot, np.einsum: _einsum, np.vdot: _vdot,
+                    np.stack: _stack}

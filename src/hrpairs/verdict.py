@@ -11,8 +11,13 @@ FAIL = "fail"
 DEGENERATE = "degenerate"
 
 
+_PLAIN = (int, float, str, bool, type(None))
+
+
 def jsonable(x):
     """Recursively convert Fractions / Gaussian rationals / tuples for json.dumps."""
+    if type(x) in _PLAIN:  # returned as they are, before the slow ABC check for Fraction
+        return x
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else x.numerator
     if isinstance(x, GaussianRational):

@@ -214,7 +214,7 @@ def random_exact_curvature(rng, r, d):
 
 
 def trace_of_square(F):
-    """tr(F ^ F) = sum_ij F_ij ^ F_ji as a (2,2)-form, by the sparse wedge."""
+    """tr(F ^ F) = sum_ij F_ij ^ F_ji as a (2,2)-form, by wedge."""
     E = F.entries
     total = PPForm.zero(F.dim, 2, 2)
     for i in range(F.size):

@@ -105,6 +105,9 @@ def test_bad_partition_is_reported_not_raised(capsys):
     ["trace-check", "--tolerance", "-1"],
     ["sample-search", "--dim", "3", "--vars", "2", "--partition", "2",
      "--tolerance", "-inf"],
+    ["sample-search", "--dim", "3", "--vars", "2", "--partition", "2", "--seed", "-1"],
+    ["trace-check", "--dim", "3", "--seed", "-5"],
+    ["derived", "--partition", "2", "--vars", "2", "--order", "5"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_unusable_option_values_exit_two_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -508,6 +511,8 @@ MALFORMED_INPUT = [
                  TRACE_CHECK_FILES, id="trace-check-ragged-matrix"),
     pytest.param(trace_check_curvature(lambda rows: rows.clear()),
                  TRACE_CHECK_FILES, id="trace-check-empty-matrix"),
+    pytest.param(InputFiles(trace_check_files(), TOP={"dim": 40, "p": 20, "q": 20, "terms": []}),
+                 TRACE_CHECK_FILES, id="trace-check-form-too-large-to-store"),
 ]
 
 

@@ -80,6 +80,7 @@ def test_entrywise_and_shape_operations_match_the_oracle(seed, shape, huge):
     same(X.reshape(-1), x.reshape(-1))
     axes = rng.permutation(len(shape)).tolist()
     same(X.transpose(*axes), x.transpose(*axes))
+    same(np.stack([X, Y, X]), np.stack([x, y, x]))  # over the lcm of the denominators
     if len(shape) >= 2:
         same(X[..., None, :1], x[..., None, :1])
     if shape:
@@ -153,7 +154,7 @@ def test_einsum_of_the_kernels_matches_the_oracle(seed, spec, r, d, huge):
 @given(seed=SEEDS, dims=st.tuples(*[st.integers(0, 3)] * 4), huge=st.booleans())
 def test_products_match_the_oracle(seed, dims, huge):
     """@, np.tensordot and np.vdot, exact with exact and with an int8 sign
-    table on either side, as DenseForm, _top_functional and _mid_gram use them."""
+    table on either side, as wedge, _top_functional and _mid_gram use them."""
     rng = np.random.default_rng(seed)
     k, m, n, p = dims
     (X, x), (Y, y) = gaussian_array(rng, (m, n), huge), gaussian_array(rng, (n, p), huge)

@@ -1,7 +1,7 @@
 """Sign conventions of PPForm checked against brute-force wedge words."""
 
 import itertools
-import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,9 +23,7 @@ from hrpairs.exterior import (
     wedge,
     wedge_all,
 )
-from hrpairs.scalars import GaussianRational, conj as gauss_conj, i_power
-
-from dense_forms import DenseForm
+from hrpairs.scalars import ExactArray, GaussianRational, conj as gauss_conj, i_power
 
 
 # -- brute-force oracle on wedge words -------------------------------------
@@ -155,6 +153,13 @@ def random_form(rng, d, exact=True, terms=3):
     return PPForm(d, p, q, coeffs)
 
 
+def assert_words_close(got, want):
+    """Two {word: coefficient} dicts equal to 1e-12 relative to the largest."""
+    scale = max([abs(complex(c)) for c in want.values()] + [1.0])
+    for word in got.keys() | want.keys():
+        assert abs(complex(got.get(word, 0)) - complex(want.get(word, 0))) <= 1e-12 * scale, word
+
+
 def test_wedge_matches_brute_force_on_random_forms():
     rng = np.random.default_rng(7)
     for _ in range(60):
@@ -163,7 +168,23 @@ def test_wedge_matches_brute_force_on_random_forms():
         y = random_form(rng, d)
         got = wedge(x, y)
         want = brute_wedge(as_words(x), as_words(y))
-        assert as_words(got) == want
+        assert got.is_exact() and as_words(got) == want
+
+
+@pytest.mark.parametrize("backends", [(False, False), (True, False), (False, True)],
+                         ids=["floatxfloat", "exactxfloat", "floatxexact"])
+def test_float_and_mixed_wedges_match_brute_force(backends):
+    """Float and mixed products are complex arrays that agree with the brute
+    force to 1e-12; past the top degree they are PPForm.zero."""
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        d = int(rng.integers(1, 5))
+        x = random_form(rng, d, exact=backends[0])
+        y = random_form(rng, d, exact=backends[1])
+        got = wedge(x, y)
+        clipped = x.p + y.p > d or x.q + y.q > d
+        assert got.is_zero() if clipped else got.Z.dtype == complex
+        assert_words_close(as_words(got), brute_wedge(as_words(x), as_words(y)))
 
 
 def test_wedge_graded_commutativity():
@@ -201,8 +222,6 @@ def test_volume_form_integrates_to_one(d):
 def test_std_kahler_total_volume_is_factorial(d):
     omega = std_kahler(d)
     power = wedge_all([omega] * d, dim=d)
-    import math
-
     assert integrate_top(power) == math.factorial(d)
 
 
@@ -223,7 +242,11 @@ def test_form_from_hermitian_round_trip_exact():
     H = [[Fraction(2), GaussianRational(1, 1)], [GaussianRational(1, -1), Fraction(5)]]
     form = form_from_hermitian(H)
     assert form.is_real()
+    assert form_from_hermitian(np.array(H, dtype=object)) == form
+    as_float = form_from_hermitian(H, exact=False)
+    assert as_float == form and not as_float.is_exact()
     back = hermitian_from_form(form)
+    assert isinstance(back, ExactArray)
     assert back[0][0] == 2 and back[1][1] == 5
     assert back[0][1] == GaussianRational(1, 1)
     assert back[1][0] == GaussianRational(1, -1)
@@ -374,44 +397,70 @@ def dense_random_form(rng, d, p):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_dense_form_product_is_wedge(d):
+    """The product of two float forms with every coefficient nonzero is the
+    brute-force wedge, for all bidegrees on C^d; past the top degree it is
+    the zero form, its bidegree clipped."""
     rng = np.random.default_rng(40 + d)
     for p in range(d + 1):
         for q in range(d + 1):
             x, y = dense_random_form(rng, d, p), dense_random_form(rng, d, q)
-            got = DenseForm.from_form(x) * DenseForm.from_form(y)
-            assert got.p == p + q
+            got = x * y
             if p + q > d:
-                assert got.coeffs.size == 0  # past the top degree: the zero form
+                assert got.is_zero() and (got.p, got.q) == (d, d)
+                assert PPForm.zero(d, p + q, p + q).Z.shape == (0, 0)  # no subsets
                 continue
-            want = wedge(x, y)
-            form = got.to_form()
-            assert (form.dim, form.p, form.q) == (d, p + q, p + q)
-            assert form.coeffs.keys() == want.coeffs.keys()
-            scale = max(want.max_abs(), 1.0)
-            assert all(abs(form.coeffs[k] - c) <= 1e-12 * scale for k, c in want.coeffs.items())
+            assert (got.dim, got.p, got.q) == (d, p + q, p + q)
+            assert got.Z.shape == (math.comb(d, p + q),) * 2
+            assert_words_close(as_words(got), brute_wedge(as_words(x), as_words(y)))
 
 
 def test_dense_form_round_trip_sum_and_scalar_multiple():
     rng = np.random.default_rng(45)
     x = dense_random_form(rng, 4, 2)
     y = PPForm(4, 2, 2, {((0, 1), (2, 3)): 1 + 2j, ((1, 3), (0, 1)): -0.5j})  # sparse
-    assert DenseForm.from_form(x).to_form() == x
-    assert DenseForm.from_form(y).to_form() == y
-    assert (DenseForm.from_form(x) + DenseForm.from_form(y)).to_form() == x + y
-    assert (DenseForm.from_form(x) * Fraction(1, 2)).to_form() == x * 0.5
+    assert PPForm(4, 2, 2, x.coeffs) == x and PPForm(4, 2, 2, y.coeffs) == y
+    total = (x + y).coeffs
+    assert total.keys() == x.coeffs.keys()
+    assert all(c == x.coeffs[k] + y.coeffs.get(k, 0) for k, c in total.items())
+    for half in (x * Fraction(1, 2), x * GaussianRational(Fraction(1, 2)), Fraction(1, 2) * x):
+        assert half.Z.dtype == complex  # a float form times an exact scalar stays complex
+        assert half == x * 0.5
+    assert (x * 1j).coeffs == {k: c * 1j for k, c in x.coeffs.items()}
     one = PPForm.one(4, exact=False)
-    assert (DenseForm.from_form(one) * 3).to_form() == one * 3
-    assert DenseForm.from_form(PPForm.zero(4, 1, 1)).to_form().is_zero()
+    assert (one * 3).coeffs == {((), ()): 3 + 0j}
+    assert (x - x).is_zero() and PPForm.zero(4, 1, 1).is_zero()
     with pytest.raises(DegreeError):
-        DenseForm.from_form(PPForm.zero(4, 1, 2))
-    with pytest.raises(DegreeError):
-        DenseForm.from_form(x) + DenseForm.from_form(one)
+        x + one
+
+
+def test_exact_forms_meeting_float_ones_are_complex():
+    """Exact + float, exact ^ float and an exact form times a complex
+    scalar are complex arrays; exact ones stay ExactArrays."""
+    omega, flt = std_kahler(3), std_kahler(3, exact=False)
+    for form in (omega + flt, flt + omega, wedge(omega, flt), wedge(flt, omega),
+                 omega * 0.5j, 0.5j * omega, omega * 2.0):
+        assert not form.is_exact() and form.Z.dtype == complex
+    assert omega + flt == flt * 2 and wedge(omega, flt) == wedge(flt, flt)
+    for form in (omega + omega, wedge(omega, omega), omega * Fraction(1, 3), omega * 2):
+        assert isinstance(form.Z, ExactArray)
 
 
 def test_dense_sum_of_an_empty_form_and_a_float_form_is_complex():
-    # a form with no coefficients converts to an exact array; the sum reads it in complex
-    zero = DenseForm.from_form(PPForm.zero(3, 1, 1))
-    omega = DenseForm.from_form(std_kahler(3, exact=False))
+    # a form with no coefficients is exact zeros; the sum reads it in complex
+    zero = PPForm.zero(3, 1, 1)
+    omega = std_kahler(3, exact=False)
+    assert zero.is_exact()
     for total in (zero + omega, omega + zero):
-        assert total.coeffs.dtype == complex
-        assert total.to_form() == std_kahler(3, exact=False)
+        assert total.Z.dtype == complex
+        assert total == omega
+
+
+def test_a_form_too_large_to_store_is_refused():
+    """The keyed constructor refuses a form of more than MAX_FORM_ENTRIES
+    coefficients before it allocates them."""
+    with pytest.raises(DegreeError, match="coefficients, above"):
+        PPForm(30, 15, 15)
+    with pytest.raises(DegreeError):
+        form_from_dict({"dim": 20, "p": 10, "q": 10, "terms": []})
+    with pytest.raises(DegreeError):
+        PPForm(3, -1, 0)

@@ -471,6 +471,8 @@ def test_sample_search_validates_partition_weight():
         sample_search(3, 3, Partition((3,)), trials=1, seed=0)  # weight != d-1
     with pytest.raises(ConfigError):
         sample_search(4, 1, Partition((2, 1)), trials=1, seed=0)  # too few forms
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        sample_search(3, 2, Partition((2,)), trials=1, seed=-1)
 
 
 def test_sample_search_report_serializes():
@@ -566,7 +568,7 @@ def test_dense_kernel_matches_torus_ring_on_acceptance_trials():
 
 
 def wedge_schur_pair(lam, omegas, d):
-    """The Schur pair by symfunc.evaluate over sparse wedges, the reference."""
+    """The Schur pair by symfunc.evaluate over wedge products, the reference."""
     p = schur(lam, len(omegas))
     one = PPForm.one(d, exact=False)
     return evaluate(p, omegas, one), evaluate(derived(p, 1), omegas, one)

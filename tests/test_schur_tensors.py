@@ -1,4 +1,4 @@
-"""The Schur-pair kernel hrcheck.schur_tensors against the DenseForm oracle.
+"""The Schur-pair kernel hrcheck.schur_tensors against the wedge oracle.
 
 schur_tensors reads (G, m) = (_mid_gram(eta_mid), _top_functional(eta_top))
 of the Schur pair from det(sum t_i H_i) at weighted points; dense_forms
@@ -43,7 +43,7 @@ ACCEPTANCE_CONFIGS = [(d, e, Partition(lam)) for d in (2, 3, 4) for e in range(d
 
 
 def oracle_tensors(lam, omegas, d):
-    """(G, m) of the Schur pair multiplied out over DenseForms."""
+    """(G, m) of the Schur pair multiplied out by wedge products."""
     top, mid = dense_schur_pair(lam, omegas, d)
     return _mid_gram(mid), _top_functional(top)
 
@@ -193,7 +193,7 @@ def test_float_tensors_of_singular_forms_agree_with_the_dense_oracle(ranks):
 
 
 def oracle_search(dim, num_vars, lam, trials, seed):
-    """sample_search's loop with the Schur pairs of the DenseForm oracle."""
+    """sample_search's loop with the Schur pairs of the wedge oracle."""
     report = hrcheck.SearchReport(config={})
     reference = std_kahler(dim, exact=False)
     for trial in range(trials):
