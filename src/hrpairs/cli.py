@@ -17,6 +17,8 @@ from . import hrcheck
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError, HRPairsError
 from .exterior import form_from_dict, wedge
 from .ring import (
+    MAX_SEGRE_DEGREE,
+    MAX_TWIST_RANK,
     load_ring_spec,
     parse_element,
     polynomial_ring,
@@ -176,6 +178,8 @@ def cmd_derived(args):
 
 def cmd_twist(args):
     e = args.rank
+    if e > MAX_TWIST_RANK:
+        raise ConfigError(f"rank {e} is above {MAX_TWIST_RANK} (ring.MAX_TWIST_RANK)")
     t = _fraction(args.t)
     gens = [(f"c{k}", k) for k in range(1, e + 1)] + [("h", 1)]
     base = polynomial_ring(e, gens, name="universal")
@@ -195,9 +199,14 @@ def cmd_twist(args):
 def cmd_segre(args):
     classes = [Fraction(1)] + [_fraction(x) for x in args.chern.split(",")]
     upto = args.upto if args.upto is not None else len(classes) - 1
-    segre = segre_from_chern(classes, upto=upto)
+    if upto > MAX_SEGRE_DEGREE:
+        raise ConfigError(f"degree {upto} is above {MAX_SEGRE_DEGREE} (ring.MAX_SEGRE_DEGREE)")
+    try:
+        segre = [str(s) for s in segre_from_chern(classes, upto=upto)]
+    except ValueError as exc:  # Python's limit on the digits of a printed int
+        raise ConfigError(f"a Segre class is too long to print: {exc}") from None
     if args.json:
-        print(json.dumps({"segre": [str(s) for s in segre]}))
+        print(json.dumps({"segre": segre}))
     else:
         for k, s in enumerate(segre):
             print(f"s_{k} = {s}")
@@ -369,7 +378,7 @@ def cmd_trace_check(args):
             _die(f"cannot load curvature data: {exc}")
     else:
         # the Schur pair of two seeded Kahler forms, as its intersection numbers
-        hrcheck.check_sweep_dimension(args.dim)
+        hrcheck.check_sweep(args.dim, 2)
         rng = np.random.default_rng([args.seed, 0])
         H = np.stack([hrcheck.random_hermitian(args.dim, rng) for _ in range(2)])
         G, m = hrcheck.schur_tensors(Partition((args.dim - 1,)), H)
@@ -563,7 +572,7 @@ def build_parser():
     p = sub.add_parser("gram", help="Gram matrix of a degree-(d-2) class")
     p.add_argument("--ring", required=True)
     p.add_argument("--eta", required=True)
-    _add_common(p, backend=True)
+    _add_common(p, tolerance=False, backend=True)
     p.set_defaults(fn=cmd_gram)
 
     p = sub.add_parser("signature", help="inertia of a symmetric matrix")

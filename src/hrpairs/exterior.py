@@ -13,13 +13,13 @@ MAX_FORM_ENTRIES.  Past degree d there are no subsets, so the matrix is
 empty: the zero form.
 
 wedge is one product of coefficient matrices over the sign tables
-_merge_signs; sums, scalar multiples, conjugation and the realness rule
-_unreal are array arithmetic.  _top_functional and _mid_gram turn a form
-into the intersection numbers that the pointwise checks read, and _top_form
-and _mid_form turn those back into forms.  All of it, the real basis of
-ring and the curvature arrays of bogomolov are one text for both array
-types; GaussianRationals appear only where values are handed out (.coeffs,
-serialization).
+_merge_signs; sums, scalar multiples, conjugation and the rules _unreal
+(realness) and _hermitian are array arithmetic.  _top_functional and
+_mid_gram turn a form into the intersection numbers that the pointwise
+checks read, and _top_form and _mid_form turn those back into forms.  All of
+it, the real basis of ring and the curvature arrays of bogomolov are one
+text for both array types; GaussianRationals appear only where values are
+handed out (.coeffs, serialization).
 
 Conventions, all verified by brute-force oracles in the test suite:
 
@@ -79,6 +79,16 @@ def _scaled(Z, c):
     out.real = Z.real * c.real - Z.imag * c.imag
     out.imag = Z.real * c.imag + Z.imag * c.real
     return out
+
+
+def _hermitian(Z, p):
+    """H = i^(-p^2) Z for the coefficient matrix Z of a (p,p)-form, or a stack
+    of them on the last two axes, Hermitian exactly when the form is real:
+    Z for even p, -i Z for odd p, whose parts are products by 0 and -1, so
+    that no product rounds (see _scaled).  The one Hermitian rule."""
+    if p % 2 == 0:
+        return Z
+    return Z * (GaussianRational(0, -1) if isinstance(Z, ExactArray) else -1j)
 
 
 def _peak(X):
@@ -411,9 +421,7 @@ def hermitian_from_form(form):
     inverse of form_from_hermitian."""
     if (form.p, form.q) != (1, 1):
         raise DegreeError("expected a (1,1)-form")
-    if form.is_exact():
-        return form.Z * GaussianRational(0, -1)
-    return _scaled(form.Z, -1j)
+    return _hermitian(form.Z, 1)
 
 
 def std_kahler(dim, exact=True):

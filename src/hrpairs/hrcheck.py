@@ -56,8 +56,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingError
-from .exterior import _mid_form, _mid_gram, _promote, _top_form, _top_functional, _unreal
-from .exterior import _zeros, form_from_hermitian, hermitian_from_form, std_kahler
+from .exterior import _hermitian, _mid_form, _mid_gram, _promote, _top_form, _top_functional
+from .exterior import _unreal, _zeros, form_from_hermitian, hermitian_from_form, std_kahler
 from .linalg import (
     float_kernel_vector,
     float_signature,
@@ -67,7 +67,8 @@ from .linalg import (
     rational_nullspace,
     rational_solve,
 )
-from .ring import MAX_SWEEP_DIMENSION, _check_real, _real_basis_matrix, real_coordinates
+from .ring import MAX_SWEEP_DIMENSION, MAX_SWEEP_EXPONENTS, MAX_SWEEP_POINTS
+from .ring import _check_real, _real_basis_matrix, real_coordinates
 from .scalars import ExactArray, GaussianRational, to_float
 from .symfunc import Partition, schur, to_monomials
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
@@ -348,46 +349,23 @@ def pos_cone_contains(model, beta, eta, h):
 # -- pointwise (form-level) checks ----------------------------------------
 
 
-def _check_strictly_positive(omega, zero_tol):
-    sig, _ = signature(hermitian_from_form(omega), zero_tol)
-    if sig != (omega.dim, 0, 0):
-        raise ConfigError(
-            f"omega is not strictly positive: Hermitian inertia {sig}"
-        )
-
-
-def _real_values(X, form):
-    """Re X, for X pairings of form with real classes: a float array, or X
-    itself when exact.
-
-    Float values are symmetrized by taking Re.  Exact pairings with every
-    real class are real exactly when the form is (Poincare duality), so an
-    exact X must have imaginary part 0; if not, ring._check_real raises,
-    naming the indices where the form, when given, is not real.
-    """
-    if not isinstance(X, ExactArray):
-        return X.real
-    if X.im.any():
-        if form is not None:
-            _check_real(form)
-        raise ConsistencyError("pairings with real classes are not real")
-    return X
-
-
-def _pointwise_verdict(G, m, h, zero_tol, forms=(None, None)):
+def _pointwise_verdict(G, m, h, zero_tol):
     """pointwise_hr_pair's verdict from G = _mid_gram(eta_mid), m =
     _top_functional(eta_top) and the coordinates h of omega, exact when h is
-    an ExactArray; forms = (eta_top, eta_mid) name a non-real exact form.
+    an ExactArray.
 
-    The degree-1 real basis B pairs to Q = B G B^T and functional = B m.
+    The degree-1 real basis B pairs to Q = B G B^T and functional = B m,
+    real for real forms; float values are symmetrized by taking Re.
     Q = P M and functional = P top for P the pairing of degrees 1 and d-1,
     invertible on the torus (Poincare duality): M q = top iff Q q =
     functional, so the core decides on (Q, Q, functional, functional).
     """
     d = len(m)
-    B, m, G = _promote(_real_basis_matrix(d, 1, isinstance(h, ExactArray)), m, G)
-    functional = _real_values(B @ m.ravel(), forms[0])
-    Q = _real_values(B @ G.reshape(d * d, d * d) @ B.T, forms[1])
+    exact = isinstance(h, ExactArray)
+    B, m, G = _promote(_real_basis_matrix(d, 1, exact), m, G)
+    functional, Q = B @ m.ravel(), B @ G.reshape(d * d, d * d) @ B.T
+    if not exact:
+        functional, Q = functional.real, Q.real
     return _pair_verdict(Q, Q, functional, functional, h, zero_tol)
 
 
@@ -398,7 +376,9 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
     strictly positive (1,1)-form.  Their intersection numbers come from
     exterior._mid_gram and exterior._top_functional, exactly when all three
     forms are exact and in complex otherwise, and _pointwise_verdict
-    decides; no ring model is built.
+    decides; no ring model is built.  In the exact backend omega_top and
+    omega_mid must be exactly real: ring._check_real names the indices where
+    they are not.
     """
     d = omega_top.dim
     if (omega_top.p, omega_top.q) != (d - 1, d - 1):
@@ -407,23 +387,30 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
         raise DegreeError(f"expected a ({d - 2},{d - 2})-form on C^{d}, got {omega_mid!r}")
     if omega.dim != d:
         raise DegreeError(f"expected a (1,1)-form on C^{d}, got {omega!r}")
-    _check_strictly_positive(omega, zero_tol)
-    exact = all(f.is_exact() for f in (omega_top, omega_mid, omega))
+    sig, _ = signature(hermitian_from_form(omega), zero_tol)
+    if sig != (d, 0, 0):
+        raise ConfigError(f"omega is not strictly positive: Hermitian inertia {sig}")
     h = real_coordinates(omega)
-    h = ExactArray.of(h) if exact else float_copy(h, "h")
-    return _pointwise_verdict(_mid_gram(omega_mid), _top_functional(omega_top), h, zero_tol,
-                              (omega_top, omega_mid))
+    if isinstance(h, ExactArray) and omega_top.is_exact() and omega_mid.is_exact():
+        for form in (omega_top, omega_mid):
+            _check_real(form)
+    elif isinstance(h, ExactArray):
+        h = float_copy(_real(h), "h")
+    return _pointwise_verdict(_mid_gram(omega_mid), _top_functional(omega_top), h, zero_tol)
 
 
-def random_hermitian(d, rng, delta=1e-3):
-    """Random positive definite A^* A + delta * Id, A complex Gaussian."""
+DELTA = 1e-3  # the shift that keeps a random Hermitian matrix nonsingular
+
+
+def random_hermitian(d, rng):
+    """Random positive definite A^* A + DELTA * Id, A complex Gaussian."""
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return A.conj().T @ A + delta * np.eye(d)
+    return A.conj().T @ A + DELTA * np.eye(d)
 
 
-def random_kahler(d, rng, delta=1e-3):
-    """Random strictly positive (1,1)-form i H for H = random_hermitian(d, rng, delta)."""
-    return form_from_hermitian(random_hermitian(d, rng, delta), exact=False)
+def random_kahler(d, rng):
+    """Random strictly positive (1,1)-form i H for H = random_hermitian(d, rng)."""
+    return form_from_hermitian(random_hermitian(d, rng), exact=False)
 
 
 # -- Schur pairs from the determinant --------------------------------------
@@ -493,6 +480,9 @@ def _float_grid(lam, e):
     A = [mu[1:] for mu in _compositions(d - 1, e)]
     A = np.array(A, dtype=np.int64).reshape(len(A), e - 1)
     M, g = _lattice_rule(A, d)
+    if M > MAX_SWEEP_POINTS:
+        raise ConfigError(f"the float Schur pairs of {e} forms on C^{d} need {M} points, above "
+                          f"{MAX_SWEEP_POINTS} (ring.MAX_SWEEP_POINTS)")
     k = np.arange(M)
     roots = np.array([_unit(2 * math.pi * j / M) for j in range(M)])
     turn = np.arange(1, e)
@@ -673,7 +663,7 @@ def _hermitians(omegas, dim):
     unreal = _unreal(Z, 1, 1e-9).any(axis=(1, 2))
     if unreal.any():
         raise ConfigError(f"{omegas[np.flatnonzero(unreal)[0]]!r} is not a real form")
-    return Z * (GaussianRational(0, -1) if isinstance(Z, ExactArray) else -1j)
+    return _hermitian(Z, 1)
 
 
 def schur_form_pair(lam, omegas, dim):
@@ -719,8 +709,11 @@ class SearchReport:
         return json.dumps(self.to_dict(), **kw)
 
 
-def check_sweep_dimension(dim):
-    """Raise ConfigError unless a seeded float sweep can run on C^dim."""
+def check_sweep(dim, num_vars):
+    """Raise ConfigError unless a seeded float sweep of num_vars >= 1 forms
+    can run on C^dim: 2 <= dim <= ring.MAX_SWEEP_DIMENSION, and the exponent
+    table of its Schur pairs, C(dim + num_vars - 2, num_vars - 1) rows of
+    num_vars - 1 entries, within ring.MAX_SWEEP_EXPONENTS."""
     if dim < 2:
         raise ConfigError(f"dimension {dim} is below 2: a pair needs degrees d-1 and d-2 >= 0")
     if dim > MAX_SWEEP_DIMENSION:
@@ -728,10 +721,13 @@ def check_sweep_dimension(dim):
             f"dimension {dim} is above {MAX_SWEEP_DIMENSION}, "
             "the largest float sweep dimension (ring.MAX_SWEEP_DIMENSION)"
         )
+    size = math.comb(dim + num_vars - 2, num_vars - 1) * (num_vars - 1)
+    if size > MAX_SWEEP_EXPONENTS:
+        raise ConfigError(f"{num_vars} forms on C^{dim} make {size} exponent entries, "
+                          f"above {MAX_SWEEP_EXPONENTS} (ring.MAX_SWEEP_EXPONENTS)")
 
 
-def sample_search(dim, num_vars, partition, trials=100, seed=0, zero_tol=1e-9,
-                  delta=1e-3):
+def sample_search(dim, num_vars, partition, trials=100, seed=0, zero_tol=1e-9):
     """Randomized search for failures of the Schur-pair Hodge-Riemann check.
 
     Each trial draws num_vars random Kahler forms i H_i on C^dim
@@ -741,7 +737,6 @@ def sample_search(dim, num_vars, partition, trials=100, seed=0, zero_tol=1e-9,
     pointwise_hr_pair would on the forms of schur_form_pair.  Trials derive their
     RNG from (seed, trial) so results are order-independent.
     """
-    check_sweep_dimension(dim)
     if trials < 0:
         raise ConfigError(f"trials must be non-negative, got {trials}")
     if seed < 0:
@@ -755,14 +750,15 @@ def sample_search(dim, num_vars, partition, trials=100, seed=0, zero_tol=1e-9,
         raise ConfigError(
             f"{num_vars} variables cannot carry a partition with {len(lam)} rows"
         )
+    check_sweep(dim, num_vars)
     report = SearchReport(config={
         "dim": dim, "num_vars": num_vars, "partition": str(lam),
-        "trials": trials, "seed": seed, "zero_tol": zero_tol, "delta": delta,
+        "trials": trials, "seed": seed, "zero_tol": zero_tol, "delta": DELTA,
     })
-    h = float_copy(real_coordinates(std_kahler(dim, exact=False)), "h")
+    h = real_coordinates(std_kahler(dim, exact=False))
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        H = np.stack([random_hermitian(dim, rng, delta) for _ in range(num_vars)])
+        H = np.stack([random_hermitian(dim, rng) for _ in range(num_vars)])
         verdict = _pointwise_verdict(*schur_tensors(lam, H), h, zero_tol)
         report.trials += 1
         eigs = verdict.eigenvalues or []

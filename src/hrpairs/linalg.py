@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ConfigError
 from .scalars import ExactArray, is_exact
 
 
@@ -131,7 +132,7 @@ def inertia(M, zero_tol=1e-9):
     when it is complex.  Float arrays go through float_signature with the
     relative zero_tol.  Exact input is classified by rational_inertia, with
     no tolerance; its float eigenvalues are evidence only, of the saturated
-    copy (ExactArray.saturated; NaN when that copy is not finite).
+    copy (ExactArray.saturated; NaN when it is not finite), never raising.
     """
     M = _matrix(M)
     if isinstance(M, np.ndarray):
@@ -140,7 +141,7 @@ def inertia(M, zero_tol=1e-9):
         return float_signature(M, zero_tol)
     sig = rational_inertia(M)
     A = M.saturated()
-    return sig, float_signature(A)[1] if np.isfinite(A).all() else [math.nan] * len(A)
+    return sig, np.linalg.eigvalsh(A).tolist() if np.isfinite(A).all() else [math.nan] * len(A)
 
 
 def det(rows, one):
@@ -262,13 +263,16 @@ def float_signature(Q, zero_tol=1e-9):
     """Eigenvalue-based inertia of a float symmetric/Hermitian matrix.
 
     An eigenvalue counts as zero when |l| <= zero_tol * max|l|.  Returns
-    ((pos, zero, neg), eigenvalues sorted ascending).
+    ((pos, zero, neg), eigenvalues sorted ascending); ConfigError for an
+    eigenvalue that is not finite, as a scale of inf counts all as zero.
     """
     A = np.asarray(Q)
     if A.size == 0:
         return (0, 0, 0), []
     eigs = np.linalg.eigvalsh(A)
-    scale = max(abs(float(e)) for e in eigs)
+    scale = float(np.abs(eigs).max())
+    if not math.isfinite(scale):
+        raise ConfigError("an eigenvalue is beyond float range; decide with the exact backend")
     if scale == 0.0:
         return (0, len(eigs), 0), [0.0] * len(eigs)
     pos = zero = neg = 0

@@ -21,7 +21,7 @@ their axioms instead of every process start.
 Concrete factories:
 
   * torus_ring(d)        -- real (p,p)-classes on C^d mod lattice, bases of
-                            C(d,p)^2 forms from one integer Hermitian basis,
+                            C(d,p)^2 forms from one slot table,
                             products by the sign rule of _merge_signs;
   * subring(model, gens) -- the graded subring generated by degree-1 classes;
   * relation_ring(...)   -- monomial bases cut out by rewrite rules, e.g.
@@ -37,12 +37,12 @@ Float work happens on matrices built from the exact products
 (is_hr_pair(exact=False)); pointwise forms are checked on their
 coefficient matrices, which use no ring model.
 
-The real basis of (p,p)-forms is written down once, as the integer arrays of
-_hermitian_basis; its labels, the coefficient matrices _real_basis_matrix,
-real_coordinates, form_from_real_coordinates and the torus product tables
-(real_product_table, with the _merge_signs tables of the dense kernels) are
-all read from it.  torus_ring(d) serves the worked examples and is the test
-suite's exact oracle for the pointwise checks.
+The real basis of (p,p)-forms is written down once, as the slot table
+_slot_positions; its labels, the coefficient matrices _real_basis_matrix,
+real_coordinates (arrays), form_from_real_coordinates and the torus
+product tables (real_product_table, with the _merge_signs tables of the
+dense kernels) are all read from it.  torus_ring(d) serves the worked
+examples and is the test suite's exact oracle for the pointwise checks.
 """
 
 import itertools
@@ -57,9 +57,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import PPForm, _merge_signs, _subset_index, _unreal, std_kahler
+from .exterior import PPForm, _hermitian, _merge_signs, _subset_index, _unreal, std_kahler
 from .linalg import rational_rref
-from .scalars import ExactArray, GaussianRational, i_power, is_exact
+from .scalars import ExactArray, GaussianRational, is_exact
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
 
 
@@ -416,58 +416,30 @@ class RingModel:
 
 
 @lru_cache(maxsize=None)
-def pp_slots(d, p):
-    """Layout of the real basis of constant (p,p)-forms on C^d.
+def _slot_positions(d, p):
+    """(rows, cols, imag), read-only: the real basis of constant (p,p)-forms
+    on C^d, written down once.
 
     The basis is u[I] for each p-subset I, then x[I|J] and y[I|J] for each
-    pair I < J of p-subsets, in itertools.combinations order.  Maps (I, I)
-    to (u slot,) and (I, J) to (x slot, y slot); a real form with
-    coefficients i^(p^2) * Z[I, J] (Z Hermitian) has u = Z[I, I],
-    x = Re Z[I, J] and y = Im Z[I, J].
+    pair I < J of p-subsets, in combinations order; basis form k has
+    coefficient matrix i^(p^2) H_k with H_k Hermitian, and coordinate k of
+    a real form i^(p^2) H is Im H[rows[k], cols[k]] where imag[k] and
+    Re H[rows[k], cols[k]] otherwise: u[I] = H[I, I], x[I|J] = Re H[I, J]
+    and y[I|J] = Im H[I, J].
     """
-    subsets = list(itertools.combinations(range(d), p))
-    slots = {(I, I): (k,) for k, I in enumerate(subsets)}
-    pos = len(subsets)
-    for a, I in enumerate(subsets):
-        for J in subsets[a + 1:]:
-            slots[(I, J)] = (pos, pos + 1)
-            pos += 2
-    return slots
-
-
-@lru_cache(maxsize=None)
-def _hermitian_basis(d, p):
-    """Read-only int64 arrays (X, Y), each of shape (m^2, m, m) for m = C(d, p).
-
-    The j-th real basis form of degree p, in pp_slots order, has coefficient
-    matrix i^(p^2) (X[j] + i Y[j]), and X[j] + i Y[j] is Hermitian: 1 at
-    (I, I) for u[I]; 1 at (I, J) and (J, I) for x[I|J]; i at (I, J) and -i
-    at (J, I) for y[I|J].
-    """
-    index, m = _subset_index(d, p), comb(d, p)
-    X = np.zeros((m * m, m, m), dtype=np.int64)
-    Y = np.zeros_like(X)
-    for (I, J), slot in pp_slots(d, p).items():
-        a, b = index[I], index[J]
-        X[slot[0], a, b] = X[slot[0], b, a] = 1
-        if len(slot) == 2:
-            Y[slot[1], a, b], Y[slot[1], b, a] = 1, -1
-    X.flags.writeable = Y.flags.writeable = False
-    return X, Y
-
-
-@lru_cache(maxsize=None)
-def _slot_positions(d, p):
-    """(rows, cols, imag): coordinate k of a Hermitian H in the basis of
-    _hermitian_basis is Im H[rows[k], cols[k]] where imag[k], else Re."""
-    X, Y = _hermitian_basis(d, p)
-    _, rows, cols = np.nonzero(np.triu(X | Y))
-    return rows, cols, Y.any(axis=(1, 2))
+    m = comb(d, p)
+    a, b = np.triu_indices(m, 1)
+    rows = np.concatenate([np.arange(m), np.repeat(a, 2)])
+    cols = np.concatenate([np.arange(m), np.repeat(b, 2)])
+    imag = np.concatenate([np.zeros(m, dtype=bool), np.tile([False, True], len(a))])
+    for v in (rows, cols, imag):
+        v.flags.writeable = False
+    return rows, cols, imag
 
 
 def _real_labels(d, p):
     """Labels u[I], x[I|J], y[I|J] (1-based) of the real basis of degree p in
-    pp_slots order; "1" in degree 0."""
+    _slot_positions order; "1" in degree 0."""
     if p == 0:
         return ["1"]
     tag = [",".join(str(i + 1) for i in S) for S in _subset_index(d, p)]
@@ -476,69 +448,9 @@ def _real_labels(d, p):
 
 
 @lru_cache(maxsize=None)
-def _real_basis_matrix(d, p, exact):
-    """Matrix whose row j is i^(p^2) (X[j] + i Y[j]) of _hermitian_basis
-    flattened: the j-th real basis form of degree p as a
-    coefficient matrix, complex or an ExactArray, read-only."""
-    X, Y = (a.reshape(len(a), -1) for a in _hermitian_basis(d, p))
-    re, im = (-Y, X) if p % 2 else (X, Y)  # i^(p^2) is i for odd p, 1 for even p
-    if not exact:
-        B = re + 1j * im
-        B.flags.writeable = False
-        return B
-    B = ExactArray(re.astype(object), im.astype(object))
-    B.re.flags.writeable = B.im.flags.writeable = False
-    return B
-
-
-def _hermitian_of(form):
-    """H = i^(-p^2) Z for the coefficient matrix Z of a (p,p)-form: Hermitian
-    exactly when the form is real."""
-    unit = i_power(-form.p * form.p)
-    return form.Z * (unit if form.is_exact() else complex(unit))
-
-
-def _check_real(form):
-    """H = _hermitian_of(form) for an exact (p,p)-form; ConsistencyError,
-    naming the first indices where exterior._unreal finds a gap, unless the
-    form is exactly real: c[J, I] = (-1)^(p^2) conj(c[I, J]) for every
-    (I, J), i.e. H Hermitian."""
-    rows, cols = _unreal(form.Z, form.p).nonzero()
-    if len(rows):
-        subsets = list(_subset_index(form.dim, form.p))
-        i, j = rows[0], cols[0]
-        raise ConsistencyError(f"form is not real at indices {(subsets[i], subsets[j])}: "
-                               f"{form.Z.item(i, j)} vs {form.Z.item(j, i)}")
-    return _hermitian_of(form)
-
-
-def real_coordinates(form):
-    """Coordinates of a real (p,p)-form in the real basis of pp_slots.
-
-    They are read from the Hermitian part of H = i^(-p^2) Z, Z the
-    coefficient matrix: u[I] = H[I, I], x[I|J] = Re H[I, J] and
-    y[I|J] = Im H[I, J].  Exact forms must be exactly real, so that H is
-    its own Hermitian part, and give Fractions read from the integer parts
-    of H; float forms give floats, and the Hermitian part takes the real
-    part of slightly non-real input.
-    """
-    if form.p != form.q:
-        raise DegreeError(f"expected a (p,p)-form, got {form!r}")
-    d, p, exact = form.dim, form.p, form.is_exact()
-    rows, cols, imag = _slot_positions(d, p)
-    if exact:
-        H = _check_real(form)
-        return [Fraction(v, H.den)
-                for v in np.where(imag, H.im[rows, cols], H.re[rows, cols]).tolist()]
-    H = _hermitian_of(form)
-    z = ((H + H.conj().T) / 2)[rows, cols]
-    return np.where(imag, z.imag, z.real).tolist()
-
-
-@lru_cache(maxsize=None)
 def _hermitian_entries(d, p):
     """(rows, cols, re, im), int arrays of shape (m^2, 2) for m = C(d, p):
-    the j-th Hermitian matrix of _hermitian_basis is the sum of its two
+    the Hermitian matrix H_j of the j-th real basis form is the sum of its two
     entries re + i im at (rows[j, t], cols[j, t]), the second 0 for u[I]."""
     rows, cols, imag = _slot_positions(d, p)
     re, im = (~imag).astype(np.int64), imag.astype(np.int64)
@@ -547,11 +459,65 @@ def _hermitian_entries(d, p):
             np.stack([re, re * off], axis=1), np.stack([im, -im], axis=1))
 
 
+@lru_cache(maxsize=None)
+def _real_basis_matrix(d, p, exact):
+    """Matrix whose row k is the coefficient matrix i^(p^2) H_k of the k-th
+    real basis form of degree p (_slot_positions), flattened: complex or an
+    ExactArray, read-only."""
+    rows, cols, re, im = _hermitian_entries(d, p)
+    m = comb(d, p)
+    X, Y = (np.zeros((len(rows), m * m), dtype=np.int64) for _ in range(2))
+    at = (np.arange(len(rows))[:, None], rows * m + cols)
+    np.add.at(X, at, re)
+    np.add.at(Y, at, im)
+    re, im = (-Y, X) if p % 2 else (X, Y)  # i^(p^2) is i for odd p, 1 for even p
+    B = ExactArray(re.astype(object), im.astype(object)) if exact else re + 1j * im
+    for part in (B.re, B.im) if exact else (B,):
+        part.flags.writeable = False
+    return B
+
+
+def _check_real(form):
+    """H = exterior._hermitian(Z, p) for the coefficient matrix Z of an exact
+    (p,p)-form; ConsistencyError, naming the first indices where
+    exterior._unreal finds a gap, unless the form is exactly real:
+    c[J, I] = (-1)^(p^2) conj(c[I, J]) for every (I, J), i.e. H Hermitian."""
+    rows, cols = _unreal(form.Z, form.p).nonzero()
+    if len(rows):
+        subsets = list(_subset_index(form.dim, form.p))
+        i, j = rows[0], cols[0]
+        raise ConsistencyError(f"form is not real at indices {(subsets[i], subsets[j])}: "
+                               f"{form.Z.item(i, j)} vs {form.Z.item(j, i)}")
+    return _hermitian(form.Z, form.p)
+
+
+def real_coordinates(form):
+    """Coordinates of a real (p,p)-form in the real basis of _slot_positions,
+    an array of the form's backend.
+
+    They are read from the Hermitian part of H = exterior._hermitian(Z, p),
+    Z the coefficient matrix: u[I] = H[I, I], x[I|J] = Re H[I, J] and
+    y[I|J] = Im H[I, J].  Exact forms must be exactly real, so that H is
+    its own Hermitian part, and give a real ExactArray read from the integer
+    parts of H; float forms give a float ndarray, and the Hermitian part
+    takes the real part of slightly non-real input.
+    """
+    if form.p != form.q:
+        raise DegreeError(f"expected a (p,p)-form, got {form!r}")
+    rows, cols, imag = _slot_positions(form.dim, form.p)
+    if form.is_exact():
+        H = _check_real(form)
+        return _real_array(np.where(imag, H.im[rows, cols], H.re[rows, cols]), H.den)
+    H = _hermitian(form.Z, form.p)
+    z = ((H + H.conj().T) / 2)[rows, cols]
+    return np.where(imag, z.imag, z.real)
+
+
 def real_product_table(d, p, q):
     """The Table of the products of the real bases of degrees p and q on
     C^d, p + q <= d, over den 1.
 
-    For the Hermitian matrices H_i, H_j of _hermitian_basis and
+    For the Hermitian matrices H_i, H_j of the basis forms and
     S = _merge_signs(d, p, q), the wedge of coefficient matrices Z and W
     of degrees p and q is (-1)^(pq) S (Z (x) W) S^T, which gives
     b_i * b_j = i^((p+q)^2) V with V = S (H_i (x) H_j) S^T, since
@@ -589,21 +555,20 @@ def real_product_table(d, p, q):
 
 
 def form_from_real_coordinates(d, p, coords):
-    """The real (p,p)-form on C^d with coordinates coords in the basis of pp_slots.
-
-    Inverse of real_coordinates: its coefficient matrix is coords times
-    _real_basis_matrix, an ExactArray for exact coordinates and complex for
-    float ones.
-    """
-    coords = list(coords)
+    """The real (p,p)-form on C^d with coordinates coords in the basis of
+    _slot_positions, inverse of real_coordinates: coords times
+    _real_basis_matrix.  coords is a real ExactArray (an exact form), a float
+    ndarray (a complex one) or a list, exact when every entry is."""
+    if not isinstance(coords, (ExactArray, np.ndarray)):
+        coords = list(coords)
+        coords = (ExactArray.of(coords) if all(map(is_exact, coords))
+                  else np.array(coords, dtype=float))
     m = comb(d, p)
-    if len(coords) != m * m:
+    if coords.shape != (m * m,):
         raise DegreeError(
             f"{len(coords)} coordinates for real ({p},{p})-forms on C^{d}, need {m * m}"
         )
-    exact = all(is_exact(c) for c in coords)
-    v = ExactArray.of(coords) if exact else np.array(coords, dtype=float)
-    Z = v @ _real_basis_matrix(d, p, exact)
+    Z = coords @ _real_basis_matrix(d, p, isinstance(coords, ExactArray))
     return PPForm._of(d, p, p, Z.reshape(m, m))
 
 
@@ -930,6 +895,18 @@ MAX_SPEC_MONOMIALS = 250
 # forms, to 1.5e-10 at d = 16 and 4e-6 at d = 28 for three), so d = 14
 # keeps ten digits for every sweep.  Python 3.11, numpy 2.4, one core.
 MAX_SWEEP_DIMENSION = 14
+# Largest float Schur grid (hrcheck._float_grid) of e forms on C^d: an
+# exponent table of C(d+e-2, e-1) rows of e-1 entries, checked before any
+# work, and M points, checked after the lattice search, of a dense
+# M x C(d+e-2, e-1) complex phase matrix.  At d = 14 a trial took 0.07 s and
+# 45 MB with 3 forms, 3-5 s and 1.0 GB with 5 (9 520 entries, M = 13 835);
+# 6 (M = 121 045) were killed for memory, 7 (M = 878 667) asked for 178 GiB.
+MAX_SWEEP_EXPONENTS = 10_000
+MAX_SWEEP_POINTS = 2 ** 14
+# Largest twist rank (rank + 1 ring generators): 1.0 s at 16, 4.2 s at 20.
+MAX_TWIST_RANK = 16
+# Largest segre degree: 0.3 s at 1 000, 10 s and 30 MB of output at 20 000.
+MAX_SEGRE_DEGREE = 1_000
 
 
 def _monomial_count(dimension, degrees, limit):

@@ -538,11 +538,12 @@ def to_monomials(p):
     Schur-pair kernel from it.  Each e-monomial e_1^m_1 ... e_e^m_e of p is
     expanded in integers, as the expansion of the monomial with one factor
     e_k fewer (memoized, so that monomials share their prefixes) times e_k,
-    and scaled by its coefficient once.
+    and scaled by its coefficient once; only the e_k that p uses are listed.
     """
     e = p.num_vars
+    top = max((k + 1 for mono in p.terms for k, m in enumerate(mono) if m), default=0)
     subsets = [[tuple(int(i in S) for i in range(e)) for S in itertools.combinations(range(e), k)]
-               for k in range(e + 1)]
+               for k in range(top + 1)]
     memo = {(0,) * e: {(0,) * e: 1}}
 
     def expand(mono):

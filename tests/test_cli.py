@@ -108,6 +108,14 @@ def test_bad_partition_is_reported_not_raised(capsys):
     ["sample-search", "--dim", "3", "--vars", "2", "--partition", "2", "--seed", "-1"],
     ["trace-check", "--dim", "3", "--seed", "-5"],
     ["derived", "--partition", "2", "--vars", "2", "--order", "5"],
+    ["signature", "--matrix", "[[1e308, 1e308], [1e308, 1e308]]"],
+    ["sample-search", "--dim", "14", "--partition", "13", "--vars", "6"],
+    ["sample-search", "--dim", "14", "--partition", "13", "--vars", "7"],
+    ["sample-search", "--dim", "2", "--partition", "1", "--vars", "1000000000"],
+    ["twist", "--t", "1", "--rank", "30"],
+    ["segre", "--chern", "1,1", "--upto", "100000000"],
+    ["segre", "--upto", "400", "--chern", "1234567891/987654321,7777777777/3"],
+    ["gram", "--ring", "ring.json", "--eta", "xi", "--tolerance", "5"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_unusable_option_values_exit_two_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)

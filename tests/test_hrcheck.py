@@ -580,7 +580,7 @@ def assert_same_schur_pair(omegas, lam, d, reference):
     sparse = wedge_schur_pair(lam, omegas, d)
     for a, b, degree in zip(dense, sparse, (d - 1, d - 2)):
         assert (a.dim, a.p, a.q) == (b.dim, b.p, b.q) == (d, degree, degree)
-        assert close(real_coordinates(a), real_coordinates(b), rel=1e-12)
+        assert close(real_coordinates(a).tolist(), real_coordinates(b).tolist(), rel=1e-12)
     v, w = (pointwise_hr_pair(*pair, reference) for pair in (dense, sparse))
     assert (v.outcome, tuple(v.signature)) == (w.outcome, tuple(w.signature))
 

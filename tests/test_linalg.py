@@ -4,6 +4,7 @@ Every property feeds the routines each input form they accept: lists of
 rows of exact numbers, and ExactArrays, whose rows share one denominator.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_linalg as reference
+from hrpairs.errors import ConfigError
 from hrpairs.hrcheck import _restricted_negdef, signature
 from hrpairs.linalg import (
+    float_signature,
     inertia,
     rational_inertia,
     rational_nullspace,
@@ -148,6 +151,16 @@ def test_inertia_restarts_with_the_sign_of_the_last_pivot():
     coupled = [[-1, 1, 0, 0], [1, -1, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
     for M in (half, coupled):
         assert rational_inertia(M) == reference.rational_inertia(M)
+
+
+def test_float_signature_refuses_an_eigenvalue_beyond_float_range():
+    """Inf as the scale would count every eigenvalue as zero; the exact
+    inertia keeps its saturated float evidence and decides."""
+    with pytest.raises(ConfigError, match="exact backend"):
+        float_signature(np.full((2, 2), 1e308))
+    assert float_signature(np.full((2, 2), 1e307))[0] == (1, 1, 0)
+    sig, eigs = inertia([[Fraction(10 ** 308)] * 2] * 2)
+    assert sig == (1, 1, 0) and eigs[-1] == math.inf
 
 
 def test_exact_routines_name_the_shape_of_a_malformed_matrix():

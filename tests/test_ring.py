@@ -23,6 +23,8 @@ from hrpairs.ring import (
     RingModel,
     RingTPoly,
     Table,
+    _real_basis_matrix,
+    _real_labels,
     form_from_real_coordinates,
     parse_element,
     polynomial_ring,
@@ -35,7 +37,7 @@ from hrpairs.ring import (
     subring,
     torus_ring,
 )
-from hrpairs.scalars import GaussianRational, conj as gauss_conj, i_power
+from hrpairs.scalars import ExactArray, GaussianRational, conj as gauss_conj, i_power
 
 
 def fixture(name):
@@ -85,25 +87,41 @@ def test_torus_form_round_trip():
             assert model.to_form(model.from_form(f)) == f
 
 
+def to_complex_form(form):
+    return PPForm(form.dim, form.p, form.q, {k: complex(c) for k, c in form.coeffs.items()})
+
+
+def values(coords):
+    """Coordinates as a list: Fractions of a real ExactArray, floats of an ndarray."""
+    if isinstance(coords, ExactArray):
+        return coords.fractions()
+    assert isinstance(coords, np.ndarray) and coords.dtype == float
+    return coords.tolist()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_form_from_real_coordinates_inverts_real_coordinates(d):
     rng = np.random.default_rng(20 + d)
     for p in range(d + 1):
         exact = random_real_form(rng, d, p)
-        flt = PPForm(d, p, p, {k: complex(c) for k, c in exact.coeffs.items()})
-        for f in (exact, flt):
+        for f in (exact, to_complex_form(exact)):
             coords = real_coordinates(f)
+            assert isinstance(coords, ExactArray) == f.is_exact()
             g = form_from_real_coordinates(d, p, coords)
             assert g == f
             assert g.is_exact() == f.is_exact()
-            assert real_coordinates(g) == coords
+            assert values(real_coordinates(g)) == values(coords)
+            from_list = form_from_real_coordinates(d, p, values(coords))
+            assert from_list == g and from_list.is_exact() == g.is_exact()
     with pytest.raises(DegreeError):
         form_from_real_coordinates(3, 1, [0.0] * 8)
+    with pytest.raises(DegreeError):
+        form_from_real_coordinates(3, 1, np.zeros(8))
 
 
 def basis_forms_from_definition(d, p):
-    """The real basis of degree p, written from its definition in pp_slots
-    order: u[I] = i^(p^2) dz_I dzbar_I for each p-subset I, then for each pair
+    """The real basis of degree p, written from its definition in the order
+    of the slot table: u[I] = i^(p^2) dz_I dzbar_I for each p-subset I, then for each pair
     I < J x[I|J] = i^(p^2) (dz_I dzbar_J + dz_J dzbar_I) and
     y[I|J] = i^(p^2) i (dz_I dzbar_J - dz_J dzbar_I)."""
     unit, i = i_power(p * p), i_power(1)
@@ -145,7 +163,7 @@ def test_product_tables_are_the_sparse_wedge_of_the_basis_forms(d):
     bases = [basis_forms_from_definition(d, p) for p in range(d + 1)]
     for p, basis in enumerate(bases):
         for j, form in enumerate(basis):
-            assert real_coordinates(form) == [int(k == j) for k in range(len(basis))]
+            assert values(real_coordinates(form)) == [int(k == j) for k in range(len(basis))]
     for p in range(d + 1):
         for q in range(d + 1 - p):
             table = real_product_table(d, p, q)
@@ -161,6 +179,32 @@ def test_product_tables_are_the_sparse_wedge_of_the_basis_forms(d):
                 for j, fj in enumerate(bases[q]):
                     row = rows.get((i, j), [Fraction(0)] * len(bases[p + q]))
                     assert row == decompose(wedge(fi, fj)), (p, q, i, j)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_slot_table_writes_the_real_basis_of_its_definition(d):
+    """For every p and both backends: the rows of _real_basis_matrix are the
+    flattened coefficient matrices of basis_forms_from_definition, the labels
+    name them, and real_coordinates reads each basis form as its unit vector."""
+    for p in range(d + 1):
+        forms = basis_forms_from_definition(d, p)
+        tags = [",".join(str(i + 1) for i in S) for S in itertools.combinations(range(d), p)]
+        labels = [f"u[{S}]" for S in tags] + [f"{t}[{S}|{T}]" for a, S in enumerate(tags)
+                                              for T in tags[a + 1:] for t in "xy"]
+        assert _real_labels(d, p) == (["1"] if p == 0 else labels)
+        for exact in (True, False):
+            basis = forms if exact else [to_complex_form(f) for f in forms]
+            B = _real_basis_matrix(d, p, exact)
+            want = np.stack([f.Z.ravel() for f in basis])
+            assert B.shape == want.shape == (len(basis), len(basis))
+            if exact:
+                assert not len((B - want).nonzero()[0])
+            else:
+                assert np.array_equal(B, want)
+            for j, form in enumerate(basis):
+                coords = real_coordinates(form)
+                assert isinstance(coords, ExactArray) == exact
+                assert values(coords) == [int(k == j) for k in range(len(basis))]
 
 
 def test_torus_multiplication_is_wedge():
@@ -181,10 +225,9 @@ def test_torus_rejects_non_real_forms():
 
 def test_torus_float_forms_get_float_coordinates():
     model = torus_ring(2)
-    coords = real_coordinates(std_kahler(2, exact=False))
-    assert all(isinstance(c, float) for c in coords)
+    coords = values(real_coordinates(std_kahler(2, exact=False)))
     exact = model.label("omega_std")
-    assert max(abs(a - float(b)) for a, b in zip(coords, exact.coeffs.fractions())) == 0
+    assert coords == [float(b) for b in exact.coeffs.fractions()]
     with pytest.raises(TypeError):
         model.from_form(std_kahler(2, exact=False))
 

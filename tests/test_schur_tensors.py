@@ -228,6 +228,23 @@ def test_sample_search_reports_match_the_dense_oracle(seed):
         assert abs(got.min_margin - want.min_margin) <= 1e-9 * want.min_margin
 
 
+def test_sweep_size_caps_refuse_before_any_work(monkeypatch):
+    """The exponent table is capped before the forms are drawn, the points
+    after the lattice search; every acceptance config and d = 14 with five
+    forms stay accepted."""
+    for d, e, _ in ACCEPTANCE_CONFIGS:
+        hrcheck.check_sweep(d, e)
+    hrcheck.check_sweep(14, 5)
+    for d, e in ((14, 6), (14, 7), (4, 40), (2, 10 ** 9)):
+        with pytest.raises(ConfigError, match="MAX_SWEEP_EXPONENTS"):
+            hrcheck.check_sweep(d, e)
+        with pytest.raises(ConfigError, match="MAX_SWEEP_EXPONENTS"):
+            sample_search(d, e, str(d - 1), trials=1)
+    monkeypatch.setattr(hrcheck, "MAX_SWEEP_POINTS", 8)
+    with pytest.raises(ConfigError, match="MAX_SWEEP_POINTS"):
+        _float_grid.__wrapped__(Partition((3,)), 3)
+
+
 def test_sample_search_draws_the_forms_of_random_kahler():
     rng, again = np.random.default_rng([5, 1]), np.random.default_rng([5, 1])
     H = random_hermitian(4, rng)

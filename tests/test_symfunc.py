@@ -169,6 +169,15 @@ def test_e_h_convolution_identity():
         assert acc.is_zero()
 
 
+def test_to_monomials_of_low_weight_in_many_variables():
+    """s_2 = e1^2 - e2 in 40 variables is the sum of the 820 monomials of
+    degree 2; only the 0/1 monomials of e_1 and e_2 are listed, not 2^40."""
+    expansion = to_monomials(schur(Partition((2,)), 40))
+    assert len(expansion) == 40 + 780
+    assert set(expansion.values()) == {1}
+    assert all(sum(mono) == 2 for mono in expansion)
+
+
 def test_to_monomials_agrees_with_evaluate():
     rng = np.random.default_rng(17)
     for parts in [(2,), (2, 1), (3, 1)]:
