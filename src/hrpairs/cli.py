@@ -17,7 +17,10 @@ from . import hrcheck
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError, HRPairsError
 from .exterior import form_from_dict, wedge
 from .ring import (
+    MAX_SCHUR_ORDER,
+    MAX_SCHUR_WEIGHT,
     MAX_SEGRE_DEGREE,
+    MAX_TRACE_RANK,
     MAX_TWIST_RANK,
     load_ring_spec,
     parse_element,
@@ -150,8 +153,20 @@ def _fixture(name):
 # -- symfunc verbs ---------------------------------------------------------
 
 
+def _check_partition(lam):
+    """ConfigError for a partition above ring.MAX_SCHUR_ORDER columns (the
+    order of its dual Jacobi-Trudi determinant) or ring.MAX_SCHUR_WEIGHT boxes."""
+    if lam.parts and lam.parts[0] > MAX_SCHUR_ORDER:
+        raise ConfigError(f"partition {lam} makes a dual Jacobi-Trudi determinant of order "
+                          f"{lam.parts[0]}, above {MAX_SCHUR_ORDER} (ring.MAX_SCHUR_ORDER)")
+    if lam.weight > MAX_SCHUR_WEIGHT:
+        raise ConfigError(f"partition {lam} has weight {lam.weight}, above {MAX_SCHUR_WEIGHT} "
+                          "(ring.MAX_SCHUR_WEIGHT)")
+
+
 def cmd_schur(args):
     lam = args.partition
+    _check_partition(lam)
     p = schur(lam, args.vars)
     if args.json:
         print(json.dumps({"partition": str(lam), "vars": args.vars, "schur": str(p)}))
@@ -162,6 +177,7 @@ def cmd_schur(args):
 
 def cmd_derived(args):
     lam = args.partition
+    _check_partition(lam)
     try:
         p = derived(schur(lam, args.vars), args.order)
     except DegreeError as exc:  # an order past the weight
@@ -378,6 +394,8 @@ def cmd_trace_check(args):
             _die(f"cannot load curvature data: {exc}")
     else:
         # the Schur pair of two seeded Kahler forms, as its intersection numbers
+        if args.rank > MAX_TRACE_RANK:
+            raise ConfigError(f"rank {args.rank} is above {MAX_TRACE_RANK} (ring.MAX_TRACE_RANK)")
         hrcheck.check_sweep(args.dim, 2)
         rng = np.random.default_rng([args.seed, 0])
         H = np.stack([hrcheck.random_hermitian(args.dim, rng) for _ in range(2)])

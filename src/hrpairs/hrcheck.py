@@ -18,7 +18,11 @@ definite on {a : int(a * eta_top) = 0} and Q_eta_mid(h, h) > 0".
 
 Verdicts carry inertia triples from signature, which is linalg.inertia: in
 the exact backend they come from fraction-free integer elimination with no
-tolerance, and eigenvalues are float evidence.  The exact restricted
+tolerance, and eigenvalues are float evidence.  A pair verdict's exact
+quotient comes from the same elimination of the Gram form that gives its
+inertia (linalg.rational_inertia with a right-hand side), checked by one
+product against the multiplication matrix; linalg.rational_solve remains
+for divide and the Vandermonde weights of _lattice.  The exact restricted
 signature of the kernel characterization comes from the same routine, on
 the bordered matrix of the Gram form and the functional, built from their
 integer numerators.
@@ -59,6 +63,7 @@ from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingE
 from .exterior import _hermitian, _mid_form, _mid_gram, _promote, _top_form, _top_functional
 from .exterior import _unreal, _zeros, form_from_hermitian, hermitian_from_form, std_kahler
 from .linalg import (
+    eigenvalue_evidence,
     float_kernel_vector,
     float_signature,
     float_solve,
@@ -105,14 +110,15 @@ def _kernel_witness(Q):
     return float_kernel_vector(Q)
 
 
-def _hr_property(Q, zero_tol, hval=None):
+def _hr_property(Q, zero_tol, hval=None, sig=None):
     """has_hr_property's verdict from the Gram matrix and, if given, Q(h, h).
 
     Q is an ExactArray, decided exactly, or a float array, decided with the
-    relative zero_tol.
+    relative zero_tol.  sig is Q's exact inertia when the caller already
+    has it (_pair_verdict); the eigenvalues are float evidence either way.
     """
     exact = isinstance(Q, ExactArray)
-    sig, eigs = signature(Q, zero_tol)
+    sig, eigs = signature(Q, zero_tol) if sig is None else (sig, eigenvalue_evidence(Q))
     pos, zero, neg = sig
     n = len(Q)
     tolerances = {} if exact else {"zero_tol": zero_tol}
@@ -155,15 +161,23 @@ def has_hr_property(model, eta, h=None):
     return _hr_property(Q, None, _real(h.coeffs @ Q @ h.coeffs))
 
 
-def _solve_division(M, b, zero_tol=None):
+def _solve_division(M, b, zero_tol=None, q=None):
     """x with M x = b, an array of M's backend; SingularPairingError with a
-    kernel witness if there is none."""
+    kernel witness if there is none.
+
+    q, given in the exact backend, is the only candidate: Q^-1 f for a
+    nonsingular Q = P M and f = P b (_pair_verdict), so M is injective and
+    one product M q == b decides in place of a solve.
+    """
     if isinstance(M, ExactArray):
-        x = rational_solve(M, b)
-        if x is None:
-            raise SingularPairingError("multiplication by eta is singular on degree-1 classes",
-                                       witness=_kernel_witness(M))
-        return ExactArray.of(x)
+        x = rational_solve(M, b) if q is None else q
+        if x is not None:
+            x = ExactArray.of(x)
+            # M x == b on the integer parts, all real
+            if q is None or ((M.re @ x.re) * b.den == b.re * (M.den * x.den)).all():
+                return x
+        raise SingularPairingError("multiplication by eta is singular on degree-1 classes",
+                                   witness=_kernel_witness(M))
     x = float_solve(M, b)
     if x is None:
         # a witness only when M is numerically rank-deficient, as in the exact branch
@@ -228,14 +242,20 @@ def _pair_verdict(Q, M, top, functional, h, zero_tol):
     coordinates of h.  The array type is the backend: all are real
     ExactArrays, decided exactly, or all float arrays, decided with the
     relative zero_tol.  The values of the verdict are read with _real.
+    Callers pass Q = P M and functional = P top for the pairing P of
+    degrees 1 and d-1.  In the exact backend one elimination gives In(Q)
+    and q = Q^-1 functional (linalg.rational_inertia with a right-hand
+    side), and M q == top decides the division.
 
     Any zero inertia along the way yields outcome "degenerate" (never a hard
     pass/fail); otherwise the kernel characterization is recomputed and a
     disagreement raises ConsistencyError.
     """
-    tolerances = {} if isinstance(Q, ExactArray) else {"zero_tol": zero_tol}
+    exact = isinstance(Q, ExactArray)
+    tolerances = {} if exact else {"zero_tol": zero_tol}
     hval = _real(h @ Q @ h)
-    prop = _hr_property(Q, zero_tol, hval)
+    sig, q = rational_inertia(Q, functional) if exact else (None, None)
+    prop = _hr_property(Q, zero_tol, hval, sig)
     c2val = _real(h @ functional)
     details = {
         "hr_property": prop.to_dict(),
@@ -248,7 +268,7 @@ def _pair_verdict(Q, M, top, functional, h, zero_tol):
         )
 
     try:
-        quotient = _solve_division(M, top, zero_tol)
+        quotient = _solve_division(M, top, zero_tol, q)
     except SingularPairingError as exc:
         # Gram nondegenerate but the division failed: numerically borderline
         return Verdict(

@@ -57,8 +57,9 @@ def _primitive_rows(A):
     return [[x // g for x in row] if (g := math.gcd(*row)) > 1 else row for row in A.tolist()]
 
 
-def _symmetric_inertia(A):
-    """(pos, zero, neg) of a real symmetric S, given integer rows A[i] = c_i S[i], c_i > 0.
+def _symmetric_inertia(A, solve=False):
+    """((pos, zero, neg), solution) of a real symmetric S, given integer rows
+    A[i] = c_i S[i], c_i > 0, each followed by c_i f_i when solve.
 
     Fraction-free (Bareiss) elimination with diagonal pivots.  After each
     step the active block is D diag(c) S', with S' the Schur complement of S
@@ -69,9 +70,20 @@ def _symmetric_inertia(A):
     congruence b_i -> b_i + t b_j, t a positive multiple of S'_ij: on these
     rows it adds A[i][j] times row j to row i and A[j][i] times column j to
     column i, and makes the pivot 2 A[i][j] A[j][i] > 0.
+
+    With solve, f rides along as the last entry of each row and the pivot
+    rows are kept.  Every step is a row operation but a restart's column
+    operation, the substitution x_j = y_j + A[j][i] y_i: it is applied to
+    the kept rows too and undone, last first, after back substitution,
+    which runs in ints on X = den x over a running common denominator den.
+    The solution is (X, den) for the x with S x = f; None without solve or
+    when S is singular.
     """
     pos = zero = neg = 0
     prev = 1
+    n = len(A)
+    unknowns = list(range(n))  # the unknown of each active column
+    kept, moves = [], []  # (unknown, pivot, pivot row, its unknowns); (j, u, i)
     while A:
         k = next((k for k, row in enumerate(A) if row[k]), None)
         if k is None:
@@ -88,9 +100,15 @@ def _symmetric_inertia(A):
             A[i] = [x + t * y for x, y in zip(A[i], A[j])]
             for row in A:
                 row[i] += row[j] * u
+            if solve:
+                a, b = unknowns[i], unknowns[j]
+                for _, _, row, names in kept:
+                    row[names.index(a)] += row[names.index(b)] * u
+                moves.append((b, u, a))
             k = i
         top = A.pop(k)
         p = top.pop(k)
+        unknown = unknowns.pop(k)
         if (p > 0) == (prev > 0):
             pos += 1
         else:
@@ -98,11 +116,47 @@ def _symmetric_inertia(A):
         for idx, row in enumerate(A):
             a = row.pop(k)
             A[idx] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        if solve:
+            kept.append((unknown, p, top, tuple(unknowns)))
         prev = p
-    return pos, zero, neg
+    if not solve or zero:
+        return (pos, zero, neg), None
+    X, den = [0] * n, 1
+    for unknown, p, row, names in reversed(kept):
+        num = den * row[-1] - sum(a * X[c] for c, a in zip(names, row))
+        s = abs(p) // math.gcd(num, p)
+        if s > 1:
+            X = [x * s for x in X]
+            den *= s
+            num *= s
+        X[unknown] = num // p
+    for j, u, i in reversed(moves):
+        X[j] += u * X[i]
+    return (pos, zero, neg), (X, den)
 
 
-def rational_inertia(Q):
+def _column(b, shape):
+    """The right-hand side b (ExactArray or list) of a matrix of the given
+    shape as an exact column; ValueError for a wrong length."""
+    B = _exact(b[:, None] if isinstance(b, ExactArray) else [[x] for x in b])
+    rows, cols = shape
+    if len(B) != rows:
+        raise ValueError(f"right-hand side has {len(B)} entries for a {rows}x{cols} matrix")
+    return B
+
+
+def _with_rhs(R, F):
+    """(rows, t): the rows of _primitive_rows(R), each followed by t F_i / g_i
+    for g_i the gcd it was divided by and t the least positive int that
+    makes every such entry an int."""
+    A = R.tolist()
+    gs = [math.gcd(*row) or 1 for row in A]
+    t = math.lcm(*(g // math.gcd(g, y) for g, y in zip(gs, F)))
+    return [(row if g == 1 else [x // g for x in row]) + [y * t // g]
+            for row, g, y in zip(A, gs, F)], t
+
+
+def rational_inertia(Q, rhs=None):
     """Inertia (positive, zero, negative) of an exact symmetric or Hermitian matrix.
 
     Q is an ExactArray or a list of rows of rationals or GaussianRationals.
@@ -110,6 +164,14 @@ def rational_inertia(Q):
     [[R, -J], [J, R]], whose eigenvalues are those of H, each twice.  The
     rows of the integer parts are divided by their gcds and eliminated in
     integers (_symmetric_inertia).
+
+    Given a right-hand side rhs (ExactArray or list of rationals), Q must be
+    real, and the result is (inertia, x), x the Fractions of Q^-1 rhs or
+    None when Q is singular, from the same elimination: the rows of Q as
+    above carry t F_i / g_i (_with_rhs), for F = r rhs and R = q Q the
+    integer parts, g_i the gcd of R_i and t the least positive int that
+    makes these ints.  So Q's rows are those of the inertia alone, whatever
+    rhs's denominator, and the elimination solves R y = t F, x = q y / (t r).
     """
     Q = _exact(Q, real=False)
     rows, cols = Q.shape
@@ -118,9 +180,20 @@ def rational_inertia(Q):
     R, J = Q.re, Q.im
     if not ((R == R.T).all() and (J == -J.T).all()):
         raise ValueError("matrix is not symmetric or Hermitian")
+    if rhs is not None:
+        if J.any():
+            raise ValueError("a right-hand side needs a real symmetric matrix")
+        F = _column(rhs, Q.shape)
+        A, t = _with_rhs(R, F.re.ravel().tolist())
+        sig, solution = _symmetric_inertia(A, solve=True)
+        if solution is None:
+            return sig, None
+        X, den = solution
+        den *= t * F.den
+        return sig, [Fraction(x * Q.den, den) for x in X]
     if not J.any():
-        return _symmetric_inertia(_primitive_rows(R))
-    pos, zero, neg = _symmetric_inertia(_primitive_rows(np.block([[R, -J], [J, R]])))
+        return _symmetric_inertia(_primitive_rows(R))[0]
+    pos, zero, neg = _symmetric_inertia(_primitive_rows(np.block([[R, -J], [J, R]])))[0]
     return pos // 2, zero // 2, neg // 2
 
 
@@ -139,9 +212,15 @@ def inertia(M, zero_tol=1e-9):
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"matrix of shape {M.shape} is not square")
         return float_signature(M, zero_tol)
-    sig = rational_inertia(M)
+    return rational_inertia(M), eigenvalue_evidence(M)
+
+
+def eigenvalue_evidence(M):
+    """The eigenvalues of the saturated float copy of an exact symmetric or
+    Hermitian M (ExactArray.saturated), NaN when it is not finite: evidence
+    only, never raising."""
     A = M.saturated()
-    return sig, np.linalg.eigvalsh(A).tolist() if np.isfinite(A).all() else [math.nan] * len(A)
+    return np.linalg.eigvalsh(A).tolist() if np.isfinite(A).all() else [math.nan] * len(A)
 
 
 def det(rows, one):
@@ -242,10 +321,8 @@ def rational_solve(M, b):
     Cramer's rule.
     """
     M = _exact(M)
-    rows, cols = M.shape
-    B = _exact(b[:, None] if isinstance(b, ExactArray) else [[x] for x in b])
-    if len(B) != rows:
-        raise ValueError(f"right-hand side has {len(B)} entries for a {rows}x{cols} matrix")
+    cols = M.shape[1]
+    B = _column(b, M.shape)
     den = math.lcm(M.den, B.den)
     A = _primitive_rows(np.hstack([M.re * (den // M.den), B.re * (den // B.den)]))
     pivots, last = _eliminate(A, cols + 1, jordan=False)

@@ -905,6 +905,18 @@ MAX_SWEEP_EXPONENTS = 10_000
 MAX_SWEEP_POINTS = 2 ** 14
 # Largest twist rank (rank + 1 ring generators): 1.0 s at 16, 4.2 s at 20.
 MAX_TWIST_RANK = 16
+# Largest seeded trace-check rank: the random curvature and Higgs arrays grow
+# as rank^2 d^2.  With --higgs at d = 14 (MAX_SWEEP_DIMENSION) rank 32 takes
+# 0.7 s and 53 MB, rank 64 2.1 s and 92 MB, rank 128 13.6 s and 270 MB.
+MAX_TRACE_RANK = 32
+# Largest partition of the schur and derived verbs: its first part lam_1 is
+# the order of the dual Jacobi-Trudi determinant (a cofactor expansion over
+# column subsets, exponential in it), and its weight sets the size of the
+# polynomials.  schur (n) in n variables took 0.7 s at n = 12, 1.6 s at 14
+# and 18.5 s at 18; derived (12, 4) in 16 variables, the slowest shape
+# measured within both caps, 1.9 s, and derived (12, 12) in 24 variables 38 s.
+MAX_SCHUR_ORDER = 12
+MAX_SCHUR_WEIGHT = 16
 # Largest segre degree: 0.3 s at 1 000, 10 s and 30 MB of output at 20 000.
 MAX_SEGRE_DEGREE = 1_000
 

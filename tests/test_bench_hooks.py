@@ -57,8 +57,10 @@ def test_spans_count_the_exact_linear_algebra_of_a_pair_verdict_then_restore():
         restore()
     assert (verdict.outcome, tuple(verdict.signature)) == ("pass", (1, 0, 8))
     table = tracer.layer_table(1)
-    assert table["linalg.rational_inertia.calls"] == 2  # Q, then the bordered matrix
-    assert table["linalg.rational_solve.calls"] == 1
+    # Q with the functional as right-hand side, then the bordered matrix; the
+    # quotient comes from the first elimination, so nothing calls rational_solve
+    assert table["linalg.rational_inertia.calls"] == 2
+    assert table["linalg.rational_solve.calls"] == 0
     assert table["linalg.rational_inertia.n_max"] == 10
     assert (linalg.rational_inertia, linalg.rational_solve, hrcheck.rational_inertia,
             hrcheck.rational_solve) == originals

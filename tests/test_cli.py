@@ -113,6 +113,11 @@ def test_bad_partition_is_reported_not_raised(capsys):
     ["sample-search", "--dim", "14", "--partition", "13", "--vars", "7"],
     ["sample-search", "--dim", "2", "--partition", "1", "--vars", "1000000000"],
     ["twist", "--t", "1", "--rank", "30"],
+    ["trace-check", "--dim", "3", "--rank", "1000000"],
+    ["trace-check", "--dim", "3", "--higgs", "--rank", "33"],
+    ["schur", "--partition", "40", "--vars", "40"],
+    ["derived", "--partition", "13", "--vars", "13"],
+    ["derived", "--partition", "12,12", "--vars", "24"],
     ["segre", "--chern", "1,1", "--upto", "100000000"],
     ["segre", "--upto", "400", "--chern", "1234567891/987654321,7777777777/3"],
     ["gram", "--ring", "ring.json", "--eta", "xi", "--tolerance", "5"],

@@ -29,6 +29,7 @@ from hrpairs.exterior import (
     wedge,
 )
 from hrpairs.hrcheck import (
+    _pair_verdict,
     _restricted_negdef,
     _solve_division,
     divide,
@@ -697,6 +698,24 @@ def test_singular_division_is_degenerate_in_both_backends():
         assert "division" in v.witness
         assert v.witness["kernel_vector"] is None  # M is injective: no kernel to show
     assert exact.details.keys() == flt.details.keys()
+
+
+def test_exact_division_check_refuses_a_top_outside_the_image():
+    """Q = P M nonsingular, M 3x2 and injective, top outside im M: the one
+    elimination of Q gives q = Q^-1 functional = (1, 1), but M q = (1, 1, 2)
+    is not top, and the verdict is the one of solving M x = top."""
+    P = ExactArray.of([[2, 1, 0], [1, 0, 0]])
+    M = ExactArray.of([[1, 0], [0, 1], [1, 1]])
+    top = ExactArray.of([1, 1, 0])
+    Q, functional = P @ M, P @ top
+    assert rational_inertia(Q, functional) == ((1, 0, 1), [1, 1])
+    verdict = _pair_verdict(Q, M, top, functional, ExactArray.of([1, 0]), None)
+    with pytest.raises(SingularPairingError) as info:
+        _solve_division(M, top)  # rational_solve(M, top), no candidate
+    assert info.value.witness is None  # rational_nullspace(M) is empty
+    assert (verdict.outcome, tuple(verdict.signature)) == ("degenerate", (1, 0, 1))
+    assert verdict.witness == {"division": str(info.value), "kernel_vector": None}
+    assert verdict.details["hr_property"]["outcome"] == "pass"
 
 
 def test_rank_deficient_division_reports_a_kernel_witness():

@@ -4,8 +4,10 @@ Every property feeds the routines each input form they accept: lists of
 rows of exact numbers, and ExactArrays, whose rows share one denominator.
 """
 
+import json
 import math
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import fraction_linalg as reference
 from hrpairs.errors import ConfigError
+from hrpairs.exterior import form_from_dict, wedge
 from hrpairs.hrcheck import _restricted_negdef, signature
 from hrpairs.linalg import (
     float_signature,
@@ -23,6 +26,7 @@ from hrpairs.linalg import (
     rational_rref,
     rational_solve,
 )
+from hrpairs.ring import torus_ring
 from hrpairs.scalars import ExactArray, GaussianRational
 
 ZERO = Fraction(0)
@@ -84,6 +88,28 @@ def linear_systems(draw):
     return M, b
 
 
+@st.composite
+def restarting_matrices(draw):
+    """S = [[D, C], [C^T, H + C^T D^-1 C]], D diagonal, C sparse and H
+    hollow: after D's k pivots the active block is H, whose diagonal is all
+    0, so elimination restarts with k kept pivot rows that reach H's
+    columns through C.  H is dense, or [[0, a], [a, 0]] blocks, one restart
+    each."""
+    k, m = draw(st.integers(0, 3)), draw(st.integers(1, 5))
+    D = [draw(SCALARS.filter(bool)) for _ in range(k)]
+    C = [[draw(SPARSE) for _ in range(m)] for _ in range(k)]
+    H = [[ZERO] * m for _ in range(m)]
+    blocks = draw(st.booleans())
+    for i in range(m):
+        for j in range(i + 1, m):
+            if not blocks or (i % 2 == 0 and j == i + 1):
+                H[i][j] = H[j][i] = draw(SPARSE)
+    corner = [[H[i][j] + sum((C[r][i] * C[r][j] / D[r] for r in range(k)), ZERO)
+               for j in range(m)] for i in range(m)]
+    top = [[D[i] if i == j else ZERO for j in range(k)] + C[i] for i in range(k)]
+    return top + [[C[r][i] for r in range(k)] + corner[i] for i in range(m)]
+
+
 def all_fractions(rows):
     return all(type(x) is Fraction for row in rows for x in row)
 
@@ -126,6 +152,66 @@ def test_rref_solve_and_nullspace_match_the_fraction_routines(system):
         if x is not None:
             assert all_fractions([x])
             assert [sum((a * v for a, v in zip(row, x)), ZERO) for row in M] == b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(Q=st.one_of(hermitian_matrices(hermitian=False), restarting_matrices()), data=st.data())
+def test_inertia_with_a_right_hand_side_matches_the_fraction_routines(Q, data):
+    """One elimination gives the oracle's inertia and, when Q is
+    nonsingular, its solution of Q x = f; a singular Q reports no solution,
+    even where Q x = f has one."""
+    f = data.draw(st.lists(SPARSE, min_size=len(Q), max_size=len(Q)))
+    want = reference.rational_inertia(Q)
+    x = reference.rational_solve(Q, f) if want[1] == 0 else None
+    for A, rhs in zip(input_forms(Q), (f, ExactArray.of(f))):
+        got, y = rational_inertia(A, rhs)
+        assert got == want and y == x
+        assert y is None or all_fractions([y])
+
+
+def delv_gram(eps):
+    """Q and the functional of the DELV pair (h^3, eta + eps h^2) on torus_ring(4)."""
+    data = json.loads(resources.files("hrpairs").joinpath("fixtures/delv.json").read_text())
+    forms = {k: form_from_dict(v) for k, v in data["forms"].items()}
+    model = torus_ring(4)
+    h = model.from_form(forms["theta1"] + forms["theta2"])
+    eta = model.from_form(wedge(forms["theta1"], forms["theta2"]))
+    P = model.pairing_matrix(1)
+    return P @ model.multiplication_matrix(eta + eps * h * h), P @ (h ** 3).coeffs
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 3), Fraction(29, 2)])
+def test_inertia_with_a_right_hand_side_on_the_delv_gram_matrix(eps):
+    """The DELV Q has zeros on its diagonal, and its elimination restarts
+    after eight (eps = 0, singular) or twelve kept pivots."""
+    Q, f = delv_gram(eps)
+    assert not Q.re.diagonal().all()
+    rows, fs = Q.fractions(), f.fractions()
+    want = reference.rational_inertia(rows)
+    sig, x = rational_inertia(Q, f)
+    assert sig == want == rational_inertia(Q)
+    assert x == (reference.rational_solve(rows, fs) if eps else None)
+    assert (sig[1] == 0) == bool(eps)
+
+
+@pytest.mark.parametrize("Q", [
+    [[0, 0, 1, -2], [0, 0, 1, 0], [1, 1, 0, 0], [-2, 0, 0, 0]],
+    [[0, 0, 2, -1], [0, 0, 1, 0], [2, 1, 0, -1], [-1, 0, -1, 0]],
+])
+def test_two_restarts_are_undone_last_first(Q):
+    """The second restart pivots on the unknown j of the first one's
+    substitution x_j += u y_i: undone first to last, the substitutions
+    give a wrong x."""
+    f = [1, 2, 3, 4]
+    assert rational_inertia(Q, f) == (reference.rational_inertia(Q),
+                                      reference.rational_solve(Q, f))
+
+
+def test_a_right_hand_side_needs_a_real_symmetric_matrix():
+    with pytest.raises(ValueError, match="real symmetric"):
+        rational_inertia([[1, GaussianRational(0, 1)], [GaussianRational(0, -1), 1]], [1, 2])
+    with pytest.raises(ValueError, match="3 entries for a 2x2 matrix"):
+        rational_inertia([[1, 0], [0, 1]], [1, 2, 3])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
