@@ -17,15 +17,20 @@ cross-checked against the equivalent characterization "Q_eta_mid negative
 definite on {a : int(a * eta_top) = 0} and Q_eta_mid(h, h) > 0".
 
 Verdicts carry inertia triples from signature, which is linalg.inertia: in
-the exact backend they come from fraction-free integer elimination with no
-tolerance, and eigenvalues are float evidence.  A pair verdict's exact
+the exact backend they are exact, with no tolerance (fraction-free integer
+elimination, or a verified float certificate where it decides), and
+eigenvalues are float evidence.  A pair verdict's exact
 quotient comes from the same elimination of the Gram form that gives its
 inertia (linalg.rational_inertia with a right-hand side), checked by one
 product against the multiplication matrix; linalg.rational_solve remains
 for divide and the Vandermonde weights of _lattice.  The exact restricted
-signature of the kernel characterization comes from the same routine, on
-the bordered matrix of the Gram form and the functional, built from their
-integer numerators.
+signature of the kernel characterization is the inertia of the bordered
+matrix of the Gram form and the functional, built from their integer
+numerators, by linalg.rational_inertia without a right-hand side: from
+linalg.CERTIFY_FROM rows up a verified float certificate decides it, and a
+second integer elimination runs only where the certificate abstains.  It
+is never derived from the elimination that gave In(Q), so the cross-check
+stays independent.
 
 One core, _pair_verdict, decides every pair from coordinates: the Gram
 matrix, the multiplication matrix of eta_mid, eta_top, the functional
@@ -38,7 +43,8 @@ exact backend takes them as they are and exact=False takes float copies of
 them.  pointwise_hr_pair feeds it from forms: their intersection numbers
 G = exterior._mid_gram(eta_mid) and m = exterior._top_functional(eta_top),
 complex or ExactArrays, go to _pointwise_verdict as they are, so no trial
-builds a ring, makes a wedge or builds a Fraction list.
+builds a ring, makes a wedge or builds a Fraction list; the Gram matrix
+and the functional are signed gathers of G and m (_degree_one_pairing).
 
 Schur pairs multiply no forms: schur_tensors reads (G, m) of (s_lam,
 s'_lam) straight from det(sum t_i H_i), H_i the stacked coefficient
@@ -73,7 +79,7 @@ from .linalg import (
     rational_solve,
 )
 from .ring import MAX_SWEEP_DIMENSION, MAX_SWEEP_EXPONENTS, MAX_SWEEP_POINTS
-from .ring import _check_real, _real_basis_matrix, real_coordinates
+from .ring import _check_real, _hermitian_entries, _real_array, real_coordinates
 from .scalars import ExactArray, GaussianRational, to_float
 from .symfunc import Partition, schur, to_monomials
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
@@ -369,23 +375,87 @@ def pos_cone_contains(model, beta, eta, h):
 # -- pointwise (form-level) checks ----------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _gather_tables(d, exact):
+    """(q_index, q_sign, f_index, f_sign), the signed gathers of
+    _degree_one_pairing: Q[k, l] = (g[0] + g[1]) + (g[2] + g[3]) for
+    g[s] = q_sign[s, k, l] X[q_index[s, k, l]], and functional[k] = the same
+    two-term sum of f_sign[s, k] Y[f_index[s, k]], for X and Y the real and
+    imaginary parts of G (d^2 x d^2) and of m (d x d) interleaved
+    (_interleaved).
+
+    Row k of B, the coefficient matrix i H_k of the k-th real basis form of
+    degree 1, has at most two entries b_t = i (re + i im), +-1 or +-i, at
+    the positions of ring._hermitian_entries, so an entry of Q has at most
+    four terms and one of the functional two, each +-Re or +-Im of one entry
+    of G or m: Re(b c g) is Re g times Re(b c), or Im g times -Im(b c), for
+    units b and c.  The terms s = (u, t) of Q[k, l], b_t of row k and c_u of
+    row l, are grouped as (B G) B^T groups them, and entry (k, l), k < l,
+    reads the terms of (l, k): a float Q is exactly symmetric and its lower
+    triangle, which eigvalsh reads, is that of the product.  G is symmetric
+    (2-forms commute).  Read-only; the signs, 0 for a missing entry, are
+    Python ints for the exact backend and floats for the other.
+    """
+    rows, cols, re, im = (t.T for t in _hermitian_entries(d, 1))  # [t, k]: entry t of row k
+    pos = rows * d + cols
+    x, y = -im, re  # Re b, Im b
+
+    def pairs(a, c):  # [u, t, k, l] = a[t, k] c[u, l]
+        return a[None, :, :, None] * c[:, None, None, :]
+
+    real, imag = pairs(x, x) - pairs(y, y), pairs(x, y) + pairs(y, x)  # Re(b c), Im(b c)
+    n = d * d
+    q_index = (2 * (pos[None, :, :, None] * n + pos[:, None, None, :])
+               + (real == 0)).reshape(4, n, n)
+    q_sign = (real - imag).reshape(4, n, n)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    q_index, q_sign = (np.where(upper, t.transpose(0, 2, 1), t) for t in (q_index, q_sign))
+    sign = object if exact else float
+    tables = (q_index, q_sign.astype(sign), 2 * pos + (y != 0), (x - y).astype(sign))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _interleaved(X):
+    """The real and imaginary parts of the entries of X, interleaved in one
+    flat array: the integer parts of an ExactArray, or a float view of a
+    complex ndarray."""
+    if isinstance(X, ExactArray):
+        return np.stack([X.re, X.im], axis=-1).ravel()
+    return np.ascontiguousarray(X).view(float).ravel()
+
+
+def _degree_one_pairing(G, m, exact):
+    """(Q, functional) = (Re(B G B^T), Re(B m)) for the degree-1 real basis
+    B, G = _mid_gram(eta_mid) and m = _top_functional(eta_top): signed
+    gathers (_gather_tables), O(d^4), of the integer parts of exact G and m,
+    giving real ExactArrays, or of the float parts of complex ones."""
+    if not exact:
+        G, m = (X.astype(complex, copy=False) for X in (G, m))
+    q_index, q_sign, f_index, f_sign = _gather_tables(len(m), exact)
+    g = q_sign * _interleaved(G)[q_index]
+    Q = (g[0] + g[1]) + (g[2] + g[3])
+    f = f_sign * _interleaved(m)[f_index]
+    functional = f[0] + f[1]
+    if exact:
+        return _real_array(Q, G.den), _real_array(functional, m.den)
+    return Q, functional
+
+
 def _pointwise_verdict(G, m, h, zero_tol):
     """pointwise_hr_pair's verdict from G = _mid_gram(eta_mid), m =
     _top_functional(eta_top) and the coordinates h of omega, exact when h is
     an ExactArray.
 
-    The degree-1 real basis B pairs to Q = B G B^T and functional = B m,
-    real for real forms; float values are symmetrized by taking Re.
-    Q = P M and functional = P top for P the pairing of degrees 1 and d-1,
-    invertible on the torus (Poincare duality): M q = top iff Q q =
-    functional, so the core decides on (Q, Q, functional, functional).
+    The degree-1 real basis B pairs to Q = Re(B G B^T) and functional =
+    Re(B m), real for real forms and read by signed gathers
+    (_degree_one_pairing), with no product.  Q = P M and functional = P top
+    for P the pairing of degrees 1 and d-1, invertible on the torus
+    (Poincare duality): M q = top iff Q q = functional, so the core decides
+    on (Q, Q, functional, functional).
     """
-    d = len(m)
-    exact = isinstance(h, ExactArray)
-    B, m, G = _promote(_real_basis_matrix(d, 1, exact), m, G)
-    functional, Q = B @ m.ravel(), B @ G.reshape(d * d, d * d) @ B.T
-    if not exact:
-        functional, Q = functional.real, Q.real
+    Q, functional = _degree_one_pairing(G, m, isinstance(h, ExactArray))
     return _pair_verdict(Q, Q, functional, functional, h, zero_tol)
 
 

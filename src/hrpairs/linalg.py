@@ -4,9 +4,13 @@ Exact routines take an ExactArray, or lists of rows of exact numbers, which
 they convert once, and use no tolerances at all.  They eliminate in Python
 ints, on the integer parts: each row is divided by the gcd of its entries,
 and fraction-free (Bareiss) elimination divides every update exactly by the
-previous pivot; Fractions appear again only in the results.  Float routines
-delegate to numpy; the signature takes an explicit relative zero tolerance.
-inertia is the one entry point for signatures in both backends.
+previous pivot; Fractions appear again only in the results.  An exact
+inertia without a right-hand side of CERTIFY_FROM rows or more is first
+tried by a float certificate, Gershgorin discs of a congruence with
+rigorous rounding bounds (_certified_inertia), which decides or abstains;
+the elimination runs where it abstains.  Float routines delegate to numpy;
+the signature takes an explicit relative zero tolerance.  inertia is the
+one entry point for signatures in both backends.
 """
 
 import math
@@ -135,6 +139,106 @@ def _symmetric_inertia(A, solve=False):
     return (pos, zero, neg), (X, den)
 
 
+# rational_inertia tries _certified_inertia first from this many rows up.  On
+# random symmetric integer matrices (medians of 7, with 4-, 15- and 40-bit
+# entries; Python 3.11, numpy 2.4, OpenBLAS, 2 cores) the certificate took
+# 46-101 us at n = 7, 49-50 at 8, 51-54 at 9 and 54-94 at 10, against 33-52,
+# 37-67, 50-95 and 84-137 us for the Bareiss elimination: it wins at every
+# entry size from n = 10, and on the bordered 17 x 17 matrices of the DELV
+# and d = 4 Schur pairs takes 78 us against 338.
+CERTIFY_FROM = 10
+_U = 2.0 ** -53  # the unit roundoff of a double
+_TINY = np.finfo(float).tiny  # the least positive normal double
+
+
+def _certified_inertia(R, den=1):
+    """The inertia (pos, 0, neg) of the real symmetric S = R / den, for R an
+    n x n object array of Python ints and an int den > 0, certified in
+    floats; None (abstain) when the float test cannot decide it.
+
+    Sylvester's law of inertia, Gershgorin discs and the rounding bounds of
+    Higham (Accuracy and Stability of Numerical Algorithms, 2002, 3.5), in
+    the pattern of Rump (Verification methods, Acta Numerica, 2010):
+
+    1. Sf = fl(S), each entry correctly rounded from the ints; abstain on
+       an entry beyond float range (OverflowError), on a nonzero entry that
+       underflows (|Sf_ij| below the least normal double) and on one below
+       2^(e-450), for 2^(e-1) <= max |Sf| < 2^e (a spread no float test
+       resolves).  Sf is then scaled by 2^-e, exactly, to |Sf| < 1; a
+       positive scaling keeps the inertia, and |S - Sf| <= u |Sf|
+       entrywise, u = 2^-53, for the scaled S.
+    2. V from eigh(Sf), with entries below 2^-200 set to 0.  V need not be
+       accurate: it is only a congruence, checked nonsingular below.
+    3. Nonzero entries of Sf are at least 2^-450, so multiples of 2^-502,
+       and those of V at least 2^-200, multiples of 2^-252.  So every
+       product and sum formed below, fused or not, is 0 or at least 2^-1006
+       in magnitude: the entries of fl(Sf V) are multiples of 2^-754, those
+       of C and fl(V^T V) of 2^-1006, and the bound terms are sums of
+       nonnegative products of nonzero entries, at least 2^-850, times
+       constants above 2^-52.  Nothing underflows, and |Sf| < 1, |V| <= 2
+       keep everything far below overflow, so every operation rounds as
+       fl(a op b) = (a op b)(1 + d), |d| <= u, and a dot product of length
+       n in any order has |fl(x.y) - x.y| <= g_n |x|.|y|, for
+       g_k = k u / (1 - k u).
+    4. C = fl(V^T fl(Sf V)).  With T = fl(Sf V), |T - Sf V| <= g_n |Sf||V|,
+       |C - V^T T| <= g_n |V|^T |T| and |T| <= (1 + g_n)|Sf||V|, and
+       |V^T (S - Sf) V| <= u M for M = |V|^T |Sf| |V|, so
+       |C - V^T S V| <= (u + 2 g_n + g_n^2) M <= g_(2n+1) M (Lemma 3.3).
+       Likewise W = fl(V^T V) has |W - V^T V| <= g_n |V|^T |V|.
+    5. Gershgorin: if |C_ii| > sum_(j != i) |C_ij| + g_(2n+1) sum_j M_ij for
+       every i, each disc of the symmetric V^T S V excludes 0 on the side of
+       sign C_ii; discs on one side form components that hold as many
+       eigenvalues as discs, so In(V^T S V) is read off the signs of
+       diag C.  The same test on W, with g_n, shows V^T V, and so V,
+       nonsingular, and In(S) = In(V^T S V).
+    6. The test's own rounding.  The row sums b = M 1 = |V|^T (|Sf| r) and
+       |V|^T |V| 1 = |V|^T r, r = |V| 1, are products of nonnegative terms:
+       computed, each is at least (1 - g_n)^3 times the exact one, and the
+       computed sum a_i of the |C_ij|, j != i, at least (1 - g_n) times
+       its own.  The test is computed as |C_ii| > rho (a_i + tau b_i),
+       three more roundings, so its right side is at least
+       (1 - u)^3 rho (a_i + tau b_i) with a_i, b_i the computed sums.  For
+       tau = (2n + 2) u, rho = 1 + 2 (n + 4) u and n < 2^20 (any matrix
+       held in memory), (1 - u)^3 rho >= 1 / (1 - g_n) and
+       (1 - u)^3 tau >= g_(2n+1) / (1 - g_n)^3, so the computed test
+       implies the exact one of 5; the test on W, whose bound is smaller,
+       uses the same tau and rho.
+
+    The test is a strict > on floats, so a NaN or an infinity, which
+    step 3 excludes anyway, would fail it and abstain; no step warns.  An
+    exactly singular S always abstains: no disc of a matrix congruent to
+    it excludes 0.
+    """
+    n = len(R)
+    try:
+        S = (R / den if den != 1 else R).astype(float)
+    except OverflowError:
+        return None
+    A = np.abs(S)
+    e = math.frexp(A.max(initial=0.0))[1]
+    if A[R != 0].min(initial=math.inf) < max(_TINY, math.ldexp(1.0, e - 450)):
+        return None
+    S = np.ldexp(S, -e)
+    try:
+        V = np.linalg.eigh(S)[1]
+    except np.linalg.LinAlgError:
+        return None
+    V[np.abs(V) < 2.0 ** -200] = 0.0
+    absV = np.abs(V)
+    r = absV.sum(axis=1)
+    rows = absV.T @ np.stack([r, np.abs(S) @ r], axis=1)  # row sums of |V|^T|V| and of M
+    tau, rho = (2 * n + 2) * _U, 1 + 2 * (n + 4) * _U
+    C = V.T @ (S @ V)
+    for X, b in ((V.T @ V, rows[:, 0]), (C, rows[:, 1])):
+        off = np.abs(X)
+        centre = off.diagonal().copy()
+        np.fill_diagonal(off, 0.0)
+        if not (centre > rho * (off.sum(axis=1) + tau * b)).all():
+            return None
+    pos = int((C.diagonal() > 0).sum())
+    return pos, 0, n - pos
+
+
 def _column(b, shape):
     """The right-hand side b (ExactArray or list) of a matrix of the given
     shape as an exact column; ValueError for a wrong length."""
@@ -163,7 +267,10 @@ def rational_inertia(Q, rhs=None):
     A Hermitian H = R + iJ, J != 0, is decided through the real symmetric
     [[R, -J], [J, R]], whose eigenvalues are those of H, each twice.  The
     rows of the integer parts are divided by their gcds and eliminated in
-    integers (_symmetric_inertia).
+    integers (_symmetric_inertia); when the matrix eliminated (the real
+    double of a Hermitian one) has CERTIFY_FROM rows or more, the float
+    certificate _certified_inertia is tried first, and the elimination
+    runs only where it abstains.
 
     Given a right-hand side rhs (ExactArray or list of rationals), Q must be
     real, and the result is (inertia, x), x the Fractions of Q^-1 rhs or
@@ -191,10 +298,11 @@ def rational_inertia(Q, rhs=None):
         X, den = solution
         den *= t * F.den
         return sig, [Fraction(x * Q.den, den) for x in X]
-    if not J.any():
-        return _symmetric_inertia(_primitive_rows(R))[0]
-    pos, zero, neg = _symmetric_inertia(_primitive_rows(np.block([[R, -J], [J, R]])))[0]
-    return pos // 2, zero // 2, neg // 2
+    S = np.block([[R, -J], [J, R]]) if J.any() else R
+    sig = _certified_inertia(S, Q.den) if len(S) >= CERTIFY_FROM else None
+    if sig is None:
+        sig = _symmetric_inertia(_primitive_rows(S))[0]
+    return sig if S is R else tuple(x // 2 for x in sig)
 
 
 def inertia(M, zero_tol=1e-9):

@@ -29,6 +29,8 @@ from hrpairs.exterior import (
     wedge,
 )
 from hrpairs.hrcheck import (
+    _degree_one_pairing,
+    _hermitians,
     _pair_verdict,
     _restricted_negdef,
     _solve_division,
@@ -41,6 +43,7 @@ from hrpairs.hrcheck import (
     random_kahler,
     sample_search,
     schur_form_pair,
+    schur_tensors,
     signature,
 )
 from hrpairs.ring import (
@@ -758,6 +761,52 @@ def test_merge_sign_intersection_numbers_match_the_torus_ring(d):
         top = model.to_form(model.basis_element(d - 1, o))
         functional = B @ _top_functional(top).ravel()
         assert functional.tolist() == [complex(row[o]) for row in P]
+
+
+def product_pairing(G, m, exact):
+    """Re(B G B^T) and Re(B m) by products with the real basis matrix B: the
+    reference of the signed gathers of _degree_one_pairing."""
+    d = len(m)
+    B = _real_basis_matrix(d, 1, exact)
+    Q, functional = B @ G.reshape(d * d, d * d) @ B.T, B @ m.ravel()
+    return (Q, functional) if exact else (Q.real, functional.real)
+
+
+def degree_one_inputs(d, rng, exact):
+    """(G, m) of the Schur pair of two Kahler forms, and of two random real
+    torus forms of degrees d-2 and d-1: rational or Gaussian coordinates."""
+    if exact:
+        H = _hermitians([exact_kahler(d, rng) for _ in range(2)], d)
+
+        def coords(p):
+            return ExactArray.of([Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
+                                  for _ in range(math.comb(d, p) ** 2)])
+    else:
+        H = np.stack([hrcheck.random_hermitian(d, rng) for _ in range(2)])
+
+        def coords(p):
+            return rng.standard_normal(math.comb(d, p) ** 2)
+    mid, top = (form_from_real_coordinates(d, p, coords(p)) for p in (d - 2, d - 1))
+    return [schur_tensors(Partition((d - 1,)), H), (_mid_gram(mid), _top_functional(top))]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_gathered_degree_one_pairing_is_the_product(d):
+    """Exactly equal in the exact backend; in floats within 4 ulp of the
+    largest entry, and exactly symmetric where the product is not."""
+    rng = np.random.default_rng(d)
+    for G, m in degree_one_inputs(d, rng, exact=True):
+        Q, functional = _degree_one_pairing(G, m, True)
+        want_Q, want_f = product_pairing(G, m, True)
+        assert not want_Q.im.any() and not want_f.im.any()
+        assert (Q.fractions(), functional.fractions()) == (want_Q.fractions(), want_f.fractions())
+    ulp = np.finfo(float).eps
+    for G, m in degree_one_inputs(d, rng, exact=False):
+        Q, functional = _degree_one_pairing(G, m, False)
+        want_Q, want_f = product_pairing(G, m, False)
+        assert (Q == Q.T).all()
+        assert np.abs(Q - want_Q).max() <= 4 * ulp * np.abs(want_Q).max()
+        assert np.abs(functional - want_f).max() <= 4 * ulp * np.abs(want_f).max()
 
 
 # -- property tests ----------------------------------------------------------

@@ -19,6 +19,8 @@ from hrpairs.errors import ConfigError
 from hrpairs.exterior import form_from_dict, wedge
 from hrpairs.hrcheck import _restricted_negdef, signature
 from hrpairs.linalg import (
+    CERTIFY_FROM,
+    _certified_inertia,
     float_signature,
     inertia,
     rational_inertia,
@@ -31,14 +33,17 @@ from hrpairs.scalars import ExactArray, GaussianRational
 
 ZERO = Fraction(0)
 
-# exact scalars of every scale the program meets
-SCALARS = st.one_of(
+# exact scalars of every scale the program meets that a float can hold
+FINITE = [
     st.integers(-3, 3).map(Fraction),
     st.fractions(-4, 4, max_denominator=9),
     # many distinct denominators of up to 8 digits, as rationalized float input
     st.floats(-50, 50).map(lambda x: Fraction(x).limit_denominator(10 ** 8)),
     # dyadic: the exact binary value of a float
     st.floats(-1e6, 1e6).map(Fraction),
+]
+SCALARS = st.one_of(
+    *FINITE,
     # beyond float range
     st.builds(lambda k, q: Fraction(k * 10 ** 400, q), st.integers(-3, 3), st.integers(1, 9)),
 )
@@ -225,6 +230,125 @@ def test_bordered_inertia_from_the_numerators_matches_the_fraction_routine(Q, da
     border = [[*row, x] for row, x in zip(Q, f)] + [[*f, ZERO]]
     pos, zero, neg = _restricted_negdef(input_forms(Q)[1], ExactArray.of(f), None)
     assert (pos + 1, zero, neg + 1) == reference.rational_inertia(border)
+
+
+# -- the float certificate ---------------------------------------------------
+
+SMALL = st.integers(-5, 5).map(Fraction)
+SIGNS = st.sampled_from([-1, 1])
+FACTORS = st.one_of(SMALL, *FINITE)
+FLOATABLE = st.one_of(st.just(ZERO), *FINITE)
+KINDS = st.sampled_from(["singular", "singular", "singular", "near singular", "spread",
+                         "beyond float range", "underflowing", "dense"])
+SIZES = st.integers(1, 20)
+SINGULAR_SIZES = st.one_of(st.just(2), SIZES)
+EXPONENTS = st.integers(-12, 12)
+# kinds of matrix the certificate must abstain on, whatever it finds
+MUST_ABSTAIN = {"singular", "beyond float range", "underflowing"}
+
+
+def congruent_diagonal(draw, n, r, entries=SMALL):
+    """B diag(+-1) B^T for B an n x r matrix of the given entries: rank r or less."""
+    B = [[draw(entries) for _ in range(r)] for _ in range(n)]
+    signs = [draw(SIGNS) for _ in range(r)]
+    return [[sum((B[i][k] * s * B[j][k] for k, s in enumerate(signs)), ZERO)
+             for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def certificate_matrices(draw):
+    """(S, kind), S symmetric n x n, 1 <= n <= 20: exactly singular ones
+    (rank below n, most often n - 1), near-singular ones (those plus
+    +-10^-k on the diagonal, k in 10..20), entries spread over
+    10^-12..10^12, one pair of entries beyond float range or one that
+    underflows, and dense ones of scalars a float can hold, or 0.  Singular
+    matrices are drawn most often, half of them 2 x 2: there a rounding
+    error in the one null direction of V^T S V outweighs the one other entry
+    of its row about once in six draws, so they catch a certificate whose
+    radii leave out the rounding bound."""
+    kind = draw(KINDS)
+    n = draw(SINGULAR_SIZES if kind == "singular" else SIZES)
+    if kind in ("singular", "near singular"):
+        r = draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))
+        S = congruent_diagonal(draw, n, r, FACTORS if n <= 4 else SMALL)
+        if kind == "near singular":
+            for i in range(n):
+                S[i][i] += draw(SIGNS) * Fraction(1, 10 ** draw(st.integers(10, 20)))
+        return S, kind
+    S = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = draw(FLOATABLE if kind == "dense" else SMALL)
+            if kind == "spread":
+                x *= Fraction(10) ** draw(EXPONENTS)
+            S[i][j] = S[j][i] = x
+    if kind in ("beyond float range", "underflowing"):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        S[i][j] = S[j][i] = draw(SIGNS) * Fraction(10) ** (400 if kind[0] == "b" else -400)
+    return S, kind
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=st.one_of(certificate_matrices(),
+                      hermitian_matrices(hermitian=False).map(lambda S: (S, "symmetric")),
+                      restarting_matrices().map(lambda S: (S, "restarting"))))
+def test_certificate_never_disagrees_with_the_fraction_routine(case):
+    """_certified_inertia, called directly at every size so that the
+    CERTIFY_FROM gate hides nothing, abstains or gives the oracle's inertia;
+    it abstains on every singular matrix and on entries a float cannot
+    hold."""
+    S, kind = case
+    A = input_forms(S)[1]
+    got = _certified_inertia(A.re, A.den)
+    if kind in MUST_ABSTAIN:
+        assert got is None
+    elif got is not None:
+        assert got == reference.rational_inertia(S)
+
+
+def test_certificate_decides_well_conditioned_matrices():
+    """The property above would hold for a routine that always abstained: on
+    random small-integer matrices of every size the certificate decides."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 21):
+        A = rng.integers(-9, 10, size=(n, n))
+        S = (A + A.T).astype(object)
+        assert _certified_inertia(S) == reference.rational_inertia(S.tolist())
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10 ** 9), Fraction(1, 10 ** 12)])
+def test_certificate_decides_the_delv_family(eps):
+    """Six eigenvalues of the DELV Gram matrix are of the order of eps; the
+    certificate still decides them, as float eigenvalues with a tolerance
+    do not."""
+    Q, _ = delv_gram(eps)
+    assert _certified_inertia(Q.re, Q.den) == (1, 0, 15) == rational_inertia(Q)
+
+
+def test_certificate_abstains_at_the_delv_limit():
+    Q, _ = delv_gram(Fraction(0))
+    assert _certified_inertia(Q.re, Q.den) is None
+    assert rational_inertia(Q) == (1, 6, 9) == reference.rational_inertia(Q.fractions())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), hermitian=st.booleans())
+def test_inertia_falls_back_to_elimination_where_the_certificate_abstains(data, hermitian):
+    """Singular matrices at and above CERTIFY_FROM rows (Hermitian ones of
+    half as many, whose real double has that many): the certificate
+    abstains and the elimination decides."""
+    n = data.draw(st.integers(CERTIFY_FROM, CERTIFY_FROM + 4))
+    if hermitian:
+        n = (n + 1) // 2
+        B = [[data.draw(st.builds(GaussianRational, SMALL, SMALL)) for _ in range(n - 1)]
+             for _ in range(n)]
+        S = [[sum((B[i][k] * B[j][k].conjugate() for k in range(n - 1)), ZERO)
+              for j in range(n)] for i in range(n)]
+    else:
+        S = congruent_diagonal(data.draw, n, n - 1)
+    want = reference.rational_inertia(S)
+    assert want[1] > 0
+    assert [rational_inertia(A) for A in input_forms(S)] == [want, want]
 
 
 def test_inertia_restarts_with_the_sign_of_the_last_pivot():
