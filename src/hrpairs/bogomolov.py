@@ -20,8 +20,9 @@ for exact data.  constraint_project, trace_check, higgs_curvature_term and
 HiggsField.square_residual are a few einsums over them and over the
 intersection numbers m = exterior._top_functional(omega_top) and
 G = exterior._mid_gram(omega_mid) (exact for exact forms), which
-hrcheck.pointwise_hr_pair reads too; an exact operand meeting a float one is
-read in complex.  _project and _trace_verdict take (G, m) themselves, so a
+hrcheck.pointwise_hr_pair reads too, from the same memo of each form; an
+exact operand meeting a float one is read in complex.  _project and
+_trace_verdict take (G, m) themselves, so a
 seeded trial (the CLI's trace-check) reads them from hrcheck.schur_tensors
 with no form at all.  The constructors stack the coefficient matrices of
 the PPForm entries, and .entries wraps blocks of the array as PPForms; a
@@ -35,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError
-from .exterior import PPForm, _mid_gram, _peak, _promote, _top_functional, _zeros
+from .exterior import PPForm, _frozen, _mid_gram, _peak, _promote, _top_functional, _zeros
 from .scalars import ExactArray, imag_part, magnitude, negligible, real_part, to_float
 from .verdict import FAIL, PASS, Verdict, jsonable
 
@@ -131,7 +132,8 @@ class _FormMatrix:
     dz_I ^ dzbar_J in entry (i, j): A[i, j, a, b] for curvature, T[i, j, a]
     for a Higgs field: the stacked coefficient matrices of the PPForm
     entries, complex for float data and an ExactArray when every entry is
-    exact.
+    exact.  Read-only, like the coefficients of a form: .entries wraps its
+    blocks as forms, whose memos must not go stale.
     """
 
     __slots__ = ("coeffs",)
@@ -150,13 +152,13 @@ class _FormMatrix:
                         f"{self.kind} entries must be ({p},{q})-forms on C^{d}, got {f!r}"
                     )
         blocks = np.stack(_promote(*(f.Z for row in entries for f in row)))
-        self.coeffs = blocks.reshape((r, r) + (d,) * (p + q))
+        self.coeffs = _frozen(blocks.reshape((r, r) + (d,) * (p + q)))
 
     @classmethod
     def _of(cls, A):
-        """The matrix with coefficient array A, unchecked."""
+        """The matrix with coefficient array A, unchecked and made read-only."""
         M = cls.__new__(cls)
-        M.coeffs = A
+        M.coeffs = _frozen(A)
         return M
 
     @property
@@ -263,7 +265,7 @@ def _project(F, m):
     A = trace_free_part(anti_selfadjoint_part(CurvatureMatrix._of(A))).coeffs
     denom = np.vdot(m, m).real
     if denom:
-        A -= np.einsum("ijab,ab->ij", A, m)[..., None, None] * (m.conj() / denom)
+        A = A - np.einsum("ijab,ab->ij", A, m)[..., None, None] * (m.conj() / denom)
     return CurvatureMatrix._of(A)
 
 

@@ -10,16 +10,19 @@ C(d,p) C(d,q) entries whatever the number of terms; the largest forms the
 program makes are the (d-1,d-1) and (d-2,d-2) forms of a pair, C(d,2)^2
 entries at most, and the keyed constructor refuses more than
 MAX_FORM_ENTRIES.  Past degree d there are no subsets, so the matrix is
-empty: the zero form.
+empty: the zero form.  A form is a value: Z is read-only from the moment the
+form is made, and what is derived from it is kept in the form's memo
+(_memoized), so a check that reads a form again computes nothing twice.
 
 wedge is one product of coefficient matrices over the sign tables
 _merge_signs; sums, scalar multiples, conjugation and the rules _unreal
 (realness) and _hermitian are array arithmetic.  _top_functional and
 _mid_gram turn a form into the intersection numbers that the pointwise
-checks read, and _top_form and _mid_form turn those back into forms.  All of
-it, the real basis of ring and the curvature arrays of bogomolov are one
-text for both array types; GaussianRationals appear only where values are
-handed out (.coeffs, serialization).
+checks read, and _top_form and _mid_form turn those back into forms whose
+memos hold them; all four are signed gathers through tables cached per
+dimension (_gathers).  All of it, the real basis of ring and the curvature
+arrays of bogomolov are one text for both array types; GaussianRationals
+appear only where values are handed out (.coeffs, serialization).
 
 Conventions, all verified by brute-force oracles in the test suite:
 
@@ -33,7 +36,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -115,11 +118,47 @@ def _unreal(Z, p, tol=0.0):
     return ~(np.abs(gap) <= tol * np.abs(Z).max(axis=(-2, -1), keepdims=True, initial=1.0))
 
 
+def _frozen(X):
+    """X, made read-only when it is an array (an ndarray or both parts of an
+    ExactArray)."""
+    if isinstance(X, (np.ndarray, ExactArray)):
+        X.setflags(write=False)
+    return X
+
+
+def _memoized(rule):
+    """rule(form, *args) read through the form's memo: computed on the first
+    read for each args and frozen, since every later read shares it.  A
+    form's coefficients are read-only, so no entry goes stale.  The reader's
+    seed(form, value, *args) stores a value known when the form is made."""
+
+    @wraps(rule)
+    def read(form, *args):
+        memo, key = form._memo, (read, args)
+        if key not in memo:
+            memo[key] = _frozen(rule(form, *args))
+        return memo[key]
+
+    def seed(form, value, *args):
+        form._memo[read, args] = _frozen(value)
+
+    read.seed = seed
+    return read
+
+
 class PPForm:
     """Constant-coefficient (p,q)-form on C^d, stored as its coefficient
-    matrix Z (see the module docstring)."""
+    matrix Z (see the module docstring).
 
-    __slots__ = ("dim", "p", "q", "Z")
+    A form is a value: Z is read-only from the moment the form is made, both
+    parts of an ExactArray included, and _memo holds what is derived from Z
+    (_memoized: the intersection numbers _top_functional and _mid_gram,
+    ring.real_coordinates and hrcheck._kahler_inertia), each computed at
+    most once per form; the forms of _top_form and _mid_form carry theirs
+    from the start.
+    """
+
+    __slots__ = ("dim", "p", "q", "Z", "_memo")
 
     def __init__(self, dim, p, q, coeffs=None):
         """The form sum c dz_I wedge dzbar_J over {(I, J): c}, the keys
@@ -141,7 +180,8 @@ class PPForm:
         Z = np.zeros((len(rows), len(cols)), dtype=object if exact else complex)
         for (I, J), c in coeffs.items():
             Z[rows[tuple(I)], cols[tuple(J)]] = c if exact else complex(c)
-        self.Z = ExactArray.of(Z) if exact else Z
+        self.Z = _frozen(ExactArray.of(Z) if exact else Z)
+        self._memo = {}
 
     def _check_key(self, I, J):
         for S, n in ((I, self.p), (J, self.q)):
@@ -152,10 +192,10 @@ class PPForm:
 
     @classmethod
     def _of(cls, dim, p, q, Z):
-        """The form with coefficient matrix Z, unchecked: for the results of
-        the program's own arithmetic."""
+        """The form with coefficient matrix Z, unchecked and made read-only:
+        for the results of the program's own arithmetic."""
         form = cls.__new__(cls)
-        form.dim, form.p, form.q, form.Z = dim, p, q, Z
+        form.dim, form.p, form.q, form.Z, form._memo = dim, p, q, _frozen(Z), {}
         return form
 
     # -- constructors ------------------------------------------------------
@@ -325,45 +365,74 @@ def _complements(d, k):
     return Q, tau, R
 
 
+@lru_cache(maxsize=None)
+def _gathers(d, k, exact):
+    """(index, factor, back_index, back_factor), read-only, for k = 1 or 2.
+
+    The intersection tensor T of a (d-k,d-k)-form with coefficient matrix Z,
+    T[a1, b1, ..., ak, bk] = int(dz_a1 ^ dzbar_b1 ^ ... ^ dz_ak ^ dzbar_bk ^
+    form), is factor * Z.ravel()[index]: with (Q, tau) = _complements(d, k),
+    index = Q[A] C(d, k) + Q[B] and factor = u tau[A] tau[B] for the volume
+    unit u = _volume_unit(d) times the sign of moving the dzbar_b past the
+    dz_a, (-1)^(d-1) for k = 1 and -1 for k = 2.  Conversely Z =
+    back_factor * T.ravel()[back_index], read at the increasing A and B
+    (the rows R), with conj(u) = 1/u.  The factors are complex, or
+    ExactArrays of Gaussian integers for the exact backend.
+    """
+    Q, tau, R = _complements(d, k)
+    n = math.comb(d, k)
+    u = _volume_unit(d, False) * ((-1) ** (d - 1) if k == 1 else -1)
+
+    def times(unit, signs):  # unit * signs in the backend's array type
+        re, im = int(unit.real) * signs, int(unit.imag) * signs
+        return ExactArray(re.astype(object), im.astype(object)) if exact else re + 1j * im
+
+    # T's axes interleave A and B: A on the even axes, B on the odd ones
+    rows, cols = (d, 1) * k, (1, d) * k
+    index = Q.reshape(rows) * n + Q.reshape(cols)
+    at = R @ d ** np.arange(2 * k - 2, -1, -2)  # R[i]'s flat offset on B's axes, d times it on A's
+    sign = tau[tuple(R.T)]
+    return tuple(map(_frozen, (index, times(u, tau.reshape(rows) * tau.reshape(cols)),
+                               at[:, None] * d + at, times(u.conjugate(), np.outer(sign, sign)))))
+
+
+@_memoized
 def _top_functional(omega_top):
     """m[a, b] = int(dz_a ^ dzbar_b ^ omega_top) for a (d-1,d-1)-form omega_top.
 
     An ExactArray for exact omega_top, complex otherwise; so is _mid_gram.
     Moving dzbar_b past the d-1 dz's of a coefficient gives (-1)^(d-1).
     """
-    d, exact = omega_top.dim, omega_top.is_exact()
-    Q, tau, _ = _complements(d, 1)
-    Z = omega_top.Z[Q[:, None], Q]
-    return (-1) ** (d - 1) * _volume_unit(d, exact) * (Z * np.outer(tau, tau))
+    index, factor, _, _ = _gathers(omega_top.dim, 1, omega_top.is_exact())
+    return factor * omega_top.Z.ravel()[index]
 
 
+@_memoized
 def _mid_gram(omega_mid):
     """G[a, b, c, e] = int(dz_a ^ dzbar_b ^ dz_c ^ dzbar_e ^ omega_mid); moving
     dzbar_b past dz_c gives the sign -1."""
-    d, exact = omega_mid.dim, omega_mid.is_exact()
-    Q, tau, _ = _complements(d, 2)
-    Z = omega_mid.Z[Q[:, None, :, None], Q[None, :, None, :]]
-    return -_volume_unit(d, exact) * (Z * (tau[:, None, :, None] * tau[None, :, None, :]))
+    index, factor, _, _ = _gathers(omega_mid.dim, 2, omega_mid.is_exact())
+    return factor * omega_mid.Z.ravel()[index]
 
 
 def _top_form(m):
-    """The (d-1,d-1)-form whose _top_functional is m, read at the rows R."""
+    """The (d-1,d-1)-form whose _top_functional is m, read at the rows R;
+    m is its memo's _top_functional."""
     d = len(m)
-    _, tau, R = _complements(d, 1)
-    a = R[:, 0]
-    unit = (-1) ** (d - 1) * _volume_unit(d, isinstance(m, ExactArray)).conjugate()
-    return PPForm._of(d, d - 1, d - 1, unit * (m[a[:, None], a] * np.outer(tau[a], tau[a])))
+    _, _, index, factor = _gathers(d, 1, isinstance(m, ExactArray))
+    form = PPForm._of(d, d - 1, d - 1, factor * m.ravel()[index])
+    _top_functional.seed(form, m)
+    return form
 
 
 def _mid_form(G):
-    """The (d-2,d-2)-form whose _mid_gram is G, read at the pairs R."""
+    """The (d-2,d-2)-form whose _mid_gram is G, read at the pairs R; G is its
+    memo's _mid_gram."""
     d = len(G)
-    _, tau, R = _complements(d, 2)
-    a, c = R.T
-    unit = -_volume_unit(d, isinstance(G, ExactArray)).conjugate()
-    sign = tau[a, c]
-    return PPForm._of(d, d - 2, d - 2,
-                      unit * (G[a[:, None], a, c[:, None], c] * np.outer(sign, sign)))
+    _, _, index, factor = _gathers(d, 2, isinstance(G, ExactArray))
+    form = PPForm._of(d, d - 2, d - 2, factor * G.ravel()[index])
+    _mid_gram.seed(form, G)
+    return form
 
 
 def wedge_all(forms, dim=None, exact=True):

@@ -49,8 +49,10 @@ and the functional are signed gathers of G and m (_degree_one_pairing).
 Schur pairs multiply no forms: schur_tensors reads (G, m) of (s_lam,
 s'_lam) straight from det(sum t_i H_i), H_i the stacked coefficient
 matrices of the forms times -i, and schur_form_pair wraps the coefficient
-matrices read back from (G, m) as forms; no step converts between a form
-and an array.  sample_search hands (G, m) to _pointwise_verdict itself.
+matrices read back from (G, m) as forms whose memos hold (G, m), so
+pointwise_hr_pair, constraint_project and trace_check read the kernel's own
+tensors and never gather them back from the coefficients.  sample_search
+hands (G, m) to _pointwise_verdict itself.
 torus_ring(d), the same numbers as exact ring products, is the test
 suite's oracle for the pointwise checks, and wedge products of forms
 (tests/dense_forms.py) for the Schur pairs.
@@ -66,8 +68,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingError
-from .exterior import _hermitian, _mid_form, _mid_gram, _promote, _top_form, _top_functional
-from .exterior import _unreal, _zeros, form_from_hermitian, hermitian_from_form, std_kahler
+from .exterior import _hermitian, _memoized, _mid_form, _mid_gram, _promote, _top_form
+from .exterior import _top_functional, _unreal, _zeros, form_from_hermitian, hermitian_from_form
+from .exterior import std_kahler
 from .linalg import (
     eigenvalue_evidence,
     float_kernel_vector,
@@ -459,6 +462,13 @@ def _pointwise_verdict(G, m, h, zero_tol):
     return _pair_verdict(Q, Q, functional, functional, h, zero_tol)
 
 
+@_memoized
+def _kahler_inertia(omega, zero_tol):
+    """The inertia of the Hermitian matrix of the (1,1)-form omega, kept in
+    its memo: a reference form that decides many pairs is checked once."""
+    return signature(hermitian_from_form(omega), zero_tol)[0]
+
+
 def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
     """Hodge-Riemann pair check for constant-coefficient forms.
 
@@ -466,9 +476,12 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
     strictly positive (1,1)-form.  Their intersection numbers come from
     exterior._mid_gram and exterior._top_functional, exactly when all three
     forms are exact and in complex otherwise, and _pointwise_verdict
-    decides; no ring model is built.  In the exact backend omega_top and
-    omega_mid must be exactly real: ring._check_real names the indices where
-    they are not.
+    decides; no ring model is built.  The intersection numbers, the inertia
+    of omega and its coordinates are read through the memos of the forms
+    (exterior._memoized), so a form checked again is not read again, and the
+    forms of schur_form_pair carry (G, m) from the start.  In the exact
+    backend omega_top and omega_mid must be exactly real: ring._check_real
+    names the indices where they are not.
     """
     d = omega_top.dim
     if (omega_top.p, omega_top.q) != (d - 1, d - 1):
@@ -477,7 +490,7 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
         raise DegreeError(f"expected a ({d - 2},{d - 2})-form on C^{d}, got {omega_mid!r}")
     if omega.dim != d:
         raise DegreeError(f"expected a (1,1)-form on C^{d}, got {omega!r}")
-    sig, _ = signature(hermitian_from_form(omega), zero_tol)
+    sig = _kahler_inertia(omega, zero_tol)
     if sig != (d, 0, 0):
         raise ConfigError(f"omega is not strictly positive: Hermitian inertia {sig}")
     h = real_coordinates(omega)
@@ -493,9 +506,13 @@ DELTA = 1e-3  # the shift that keeps a random Hermitian matrix nonsingular
 
 
 def random_hermitian(d, rng):
-    """Random positive definite A^* A + DELTA * Id, A complex Gaussian."""
+    """Random positive definite A^* A + DELTA * Id, A complex Gaussian, made
+    exactly Hermitian: the product A^* A rounds its two triangles apart, so
+    it is averaged with its conjugate transpose, which moves each entry by
+    about 1 ulp of the largest at most."""
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return A.conj().T @ A + DELTA * np.eye(d)
+    H = A.conj().T @ A
+    return (H + H.conj().T) / 2 + DELTA * np.eye(d)
 
 
 def random_kahler(d, rng):
@@ -760,8 +777,9 @@ def schur_form_pair(lam, omegas, dim):
     """(s_lam, derived s_lam) evaluated on (1,1)-forms; the candidate pair.
 
     Read back, through exterior._top_form and _mid_form, from the
-    intersection tensors of schur_tensors: exact (ExactArray coefficient
-    matrices) when every form is exact and complex otherwise.  The
+    intersection tensors (G, m) of schur_tensors, which the forms' memos
+    keep: exact (ExactArray coefficient matrices) when every form is exact
+    and complex otherwise.  The
     forms must be real (1,1)-forms on C^dim, float ones to 1e-9 relative,
     and |lam| must be dim - 1.
     """

@@ -57,7 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import PPForm, _hermitian, _merge_signs, _subset_index, _unreal, std_kahler
+from .exterior import PPForm, _hermitian, _memoized, _merge_signs, _subset_index, _unreal
+from .exterior import std_kahler
 from .linalg import rational_rref
 from .scalars import ExactArray, GaussianRational, is_exact
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
@@ -491,9 +492,10 @@ def _check_real(form):
     return _hermitian(form.Z, form.p)
 
 
+@_memoized
 def real_coordinates(form):
     """Coordinates of a real (p,p)-form in the real basis of _slot_positions,
-    an array of the form's backend.
+    an array of the form's backend, read-only and kept in the form's memo.
 
     They are read from the Hermitian part of H = exterior._hermitian(Z, p),
     Z the coefficient matrix: u[I] = H[I, I], x[I|J] = Re H[I, J] and

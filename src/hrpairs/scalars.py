@@ -256,7 +256,8 @@ class ExactArray:
     float evidence that saturates beyond float range (saturated); the exact
     linear algebra and the ring kernels read the integer parts.  An
     assignment that changes den replaces the parts, so views taken before it
-    no longer follow the array.
+    no longer follow the array; setflags(write=False) makes both parts
+    read-only, as the coefficients of a form are.
     """
 
     __slots__ = ("re", "im", "den")
@@ -302,12 +303,20 @@ class ExactArray:
         return ExactArray(re, self.im[key], self.den)
 
     def __setitem__(self, key, value):
+        if not (self.re.flags.writeable and self.im.flags.writeable):
+            raise ValueError("assignment destination is read-only")
         den = math.lcm(self.den, value.den)
         if den != self.den:
             k = den // self.den
             self.re, self.im, self.den = self.re * k, self.im * k, den
         k = den // value.den
         self.re[key], self.im[key] = value.re * k, value.im * k
+
+    def setflags(self, write):
+        """ndarray.setflags(write=...) on both parts: a read-only array
+        refuses assignment, also one that would change den."""
+        self.re.setflags(write=write)
+        self.im.setflags(write=write)
 
     def _map(self, name, *args, **kwargs):
         """The same numpy method applied to both parts."""

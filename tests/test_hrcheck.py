@@ -809,6 +809,18 @@ def test_gathered_degree_one_pairing_is_the_product(d):
         assert np.abs(functional - want_f).max() <= 4 * ulp * np.abs(want_f).max()
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_random_hermitian_is_exactly_hermitian(d):
+    """Entry for entry, though A^* A as BLAS rounds it often is not, so that
+    its Fraction copy is Hermitian for rational_inertia too."""
+    for seed in range(10):
+        H = hrcheck.random_hermitian(d, np.random.default_rng([seed, d]))
+        assert (H == H.conj().T).all()
+        rational = [[GaussianRational(Fraction(z.real), Fraction(z.imag)) for z in row]
+                    for row in H]
+        assert rational_inertia(rational) == (d, 0, 0)
+
+
 # -- property tests ----------------------------------------------------------
 
 SCHUR_CASES = [(d, Partition(lam)) for d in (2, 3, 4) for lam in partitions(d - 1)]
