@@ -19,13 +19,13 @@ definite on {a : int(a * eta_top) = 0} and Q_eta_mid(h, h) > 0".
 Verdicts carry inertia triples from signature, which is linalg.inertia: in
 the exact backend they are exact, with no tolerance (fraction-free integer
 elimination, or a verified float certificate where it decides), and
-eigenvalues are float evidence.  A pair verdict's exact
-quotient comes from the same elimination of the Gram form that gives its
-inertia (linalg.rational_inertia with a right-hand side), checked by one
+eigenvalues are float evidence.  A pair verdict's exact quotient comes from
+the same elimination of the Gram form that gives its inertia
+(linalg.rational_inertia with a right-hand side), checked by one integer
 product against the multiplication matrix; linalg.rational_solve remains
 for divide and the Vandermonde weights of _lattice.  The exact restricted
 signature of the kernel characterization is the inertia of the bordered
-matrix of the Gram form and the functional, built from their integer
+matrix of the Gram form and the functional, filled in from their integer
 numerators, by linalg.rational_inertia without a right-hand side: from
 linalg.CERTIFY_FROM rows up a verified float certificate decides it, and a
 second integer elimination runs only where the certificate abstains.  It
@@ -61,9 +61,10 @@ suite's oracle for the pointwise checks, and wedge products of forms
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -112,6 +113,16 @@ def _real(x):
     return x.fractions() if isinstance(x, ExactArray) else x.tolist()
 
 
+def _value(*arrays):
+    """x @ y or x @ A @ y of a pair verdict as a plain number: a Fraction of
+    the integer parts of ExactArrays, whose imaginary parts are 0 there, or
+    a float."""
+    if isinstance(arrays[0], ExactArray):
+        num = reduce(operator.matmul, (a.re for a in arrays))
+        return Fraction(int(num), math.prod(a.den for a in arrays))
+    return reduce(operator.matmul, arrays).tolist()
+
+
 def _kernel_witness(Q):
     if isinstance(Q, ExactArray):
         null = rational_nullspace(Q)
@@ -133,11 +144,8 @@ def _hr_property(Q, zero_tol, hval=None, sig=None):
     tolerances = {} if exact else {"zero_tol": zero_tol}
     details = {"backend": "exact" if exact else "float"}
     if zero > 0:
-        return Verdict(
-            DEGENERATE, sig, eigs,
-            witness={"kernel_vector": _kernel_witness(Q)},
-            tolerances=tolerances, details=details,
-        )
+        return Verdict(DEGENERATE, sig, eigs, witness={"kernel_vector": _kernel_witness(Q)},
+                       tolerances=tolerances, details=details)
     lorentzian = pos == 1 and neg == n - 1
     if hval is not None:
         details["h_pairing"] = jsonable(hval)
@@ -151,10 +159,8 @@ def _hr_property(Q, zero_tol, hval=None, sig=None):
             A = Q.saturated() if exact else Q
             v = np.linalg.eigh(A)[1][:, -1] if np.isfinite(A).all() else [math.nan] * n
             witness["certifying_direction"] = [float(x) for x in v]
-    return Verdict(
-        PASS if ok else FAIL, sig, eigs,
-        witness=witness, tolerances=tolerances, details=details,
-    )
+    return Verdict(PASS if ok else FAIL, sig, eigs, witness=witness, tolerances=tolerances,
+                   details=details)
 
 
 def has_hr_property(model, eta, h=None):
@@ -167,7 +173,7 @@ def has_hr_property(model, eta, h=None):
     Q = _gram(model, eta)
     if h is None:
         return _hr_property(Q, None)
-    return _hr_property(Q, None, _real(h.coeffs @ Q @ h.coeffs))
+    return _hr_property(Q, None, _value(h.coeffs, Q, h.coeffs))
 
 
 def _solve_division(M, b, zero_tol=None, q=None):
@@ -220,8 +226,9 @@ def _restricted_negdef(Q, functional, zero_tol):
         # In([[Q, f], [f^T, 0]]) = In(Q on {f = 0}) + (1, 0, 1) (Haynsworth 1968).  Built
         # from the numerators: q [[Q, f], [f^T, 0]] is congruent by diag(I, r/q) to it,
         # for q and r the denominators of Q and f
-        f = functional.re[:, None]
-        border = np.block([[Q.re, f], [f.T, np.zeros((1, 1), dtype=object)]])
+        n = len(Q)
+        border = np.zeros((n + 1, n + 1), dtype=object)
+        border[:n, :n], border[:n, n], border[n, :n] = Q.re, functional.re, functional.re
         pos, zero, neg = rational_inertia(ExactArray(border, np.zeros_like(border)))
         return pos - 1, zero, neg - 1
     _, _, vh = np.linalg.svd(functional[None, :])
@@ -250,11 +257,14 @@ def _pair_verdict(Q, M, top, functional, h, zero_tol):
     coordinates of eta_top, functional[i] = int(b_i * eta_top) and h the
     coordinates of h.  The array type is the backend: all are real
     ExactArrays, decided exactly, or all float arrays, decided with the
-    relative zero_tol.  The values of the verdict are read with _real.
-    Callers pass Q = P M and functional = P top for the pairing P of
-    degrees 1 and d-1.  In the exact backend one elimination gives In(Q)
-    and q = Q^-1 functional (linalg.rational_inertia with a right-hand
-    side), and M q == top decides the division.
+    relative zero_tol.  Callers pass Q = P M and functional = P top for
+    the pairing P of degrees 1 and d-1.  In the exact backend one
+    elimination gives In(Q) and the Fractions of q = Q^-1 functional
+    (linalg.rational_inertia with a right-hand side), which the record
+    reports as they are; q is made an ExactArray once, M q == top on its
+    integer parts decides the division, and then Q q = functional, so
+    q Q q = q . functional.  The values Q(h, h), h . functional and that
+    one are single Fractions of integer products (_value).
 
     Any zero inertia along the way yields outcome "degenerate" (never a hard
     pass/fail); otherwise the kernel characterization is recomputed and a
@@ -262,74 +272,40 @@ def _pair_verdict(Q, M, top, functional, h, zero_tol):
     """
     exact = isinstance(Q, ExactArray)
     tolerances = {} if exact else {"zero_tol": zero_tol}
-    hval = _real(h @ Q @ h)
+    hval = _value(h, Q, h)
     sig, q = rational_inertia(Q, functional) if exact else (None, None)
     prop = _hr_property(Q, zero_tol, hval, sig)
-    c2val = _real(h @ functional)
-    details = {
-        "hr_property": prop.to_dict(),
-        "pairing_with_h": jsonable(c2val),
-    }
+    c2val = _value(h, functional)
+    details = {"hr_property": prop.to_dict(), "pairing_with_h": jsonable(c2val)}
+    verdict = partial(Verdict, signature=prop.signature, eigenvalues=prop.eigenvalues,
+                      tolerances=tolerances, details=details)
     if prop.outcome == DEGENERATE:
-        return Verdict(
-            DEGENERATE, prop.signature, prop.eigenvalues,
-            witness=prop.witness, tolerances=tolerances, details=details,
-        )
-
+        return verdict(DEGENERATE, witness=prop.witness)
     try:
         quotient = _solve_division(M, top, zero_tol, q)
     except SingularPairingError as exc:
         # Gram nondegenerate but the division failed: numerically borderline
-        return Verdict(
-            DEGENERATE, prop.signature, prop.eigenvalues,
-            witness={"division": str(exc), "kernel_vector": exc.witness},
-            tolerances=tolerances, details=details,
-        )
-    c3val = _real(quotient @ Q @ quotient)
-    details["quotient"] = jsonable(_real(quotient))
+        return verdict(DEGENERATE, witness={"division": str(exc), "kernel_vector": exc.witness})
+    c3val = _value(quotient, functional) if exact else _value(quotient, Q, quotient)
+    details["quotient"] = jsonable(q if exact else _real(quotient))
     details["quotient_square_value"] = jsonable(c3val)
-
-    passed = prop.passed and c2val > 0 and c3val > 0
-
+    checks = {"hr_property": prop.passed, "pairing_with_h_positive": c2val > 0,
+              "quotient_square_positive": c3val > 0}
+    passed = all(checks.values())
     if c2val > 0:
         rsig = _restricted_negdef(Q, functional, zero_tol)
         kernel_pass = rsig == (0, 0, len(Q) - 1) and hval > 0
         details["kernel_characterization"] = {
-            "restricted_signature": rsig,
-            "h_pairing": jsonable(hval),
-            "pass": kernel_pass,
+            "restricted_signature": rsig, "h_pairing": jsonable(hval), "pass": kernel_pass,
         }
         if rsig[1] > 0:
-            return Verdict(
-                DEGENERATE, prop.signature, prop.eigenvalues,
-                witness={"restricted_signature": rsig},
-                tolerances=tolerances, details=details,
-            )
+            return verdict(DEGENERATE, witness={"restricted_signature": rsig})
         if kernel_pass != passed:
-            raise ConsistencyError(
-                "three-condition check and kernel characterization disagree: "
-                f"{passed} vs {kernel_pass}"
-            )
-
-    witness = {}
-    if not passed:
-        witness["failed_conditions"] = [
-            name
-            for name, ok in [
-                ("hr_property", prop.passed),
-                ("pairing_with_h_positive", c2val > 0),
-                ("quotient_square_positive", c3val > 0),
-            ]
-            if not ok
-        ]
-    return Verdict(
-        PASS if passed else FAIL,
-        prop.signature,
-        prop.eigenvalues,
-        witness=witness,
-        tolerances=tolerances,
-        details=details,
-    )
+            raise ConsistencyError("three-condition check and kernel characterization "
+                                   f"disagree: {passed} vs {kernel_pass}")
+    failed = [name for name, ok in checks.items() if not ok]
+    return verdict(FAIL if failed else PASS,
+                   witness={"failed_conditions": failed} if failed else {})
 
 
 def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9, exact=True):
@@ -692,15 +668,43 @@ def _bareiss(R, J):
     return ExactArray(R[:, :, d:], J[:, :, d:]), prev.ravel(), ok
 
 
+@lru_cache(maxsize=None)
+def _minor_tables(d):
+    """(factors, index), read-only: for the pairs p = (a, c), a < c, and
+    r = (b, e), b < e, factors[:, p, r] are the flat positions in a d x d A
+    of A[b, c], A[e, a], A[b, a] and A[e, c], and G = X[index] for X the
+    S[p, r] of _exact_schur_tensors, then -S[p, r], then 0 (a = c or b = e)."""
+    first, second = np.triu_indices(d, 1)
+    P = len(first)
+    a, c, b, e = first[:, None], second[:, None], first, second
+    factors = np.stack([b * d + c, e * d + a, b * d + a, e * d + c])
+    pair = np.zeros((d, d), dtype=np.intp)
+    pair[first, second] = pair[second, first] = np.arange(P)
+    sign = np.sign(np.arange(d) - np.arange(d)[:, None])  # [x, y]: +1 for x < y
+    s = sign[:, None, :, None] * sign[None, :, None, :]
+    flat = pair[:, None, :, None] * P + pair[None, :, None, :]
+    index = np.where(s == 0, 2 * P * P, flat + P * P * (s < 0))
+    for t in (factors, index):
+        t.flags.writeable = False
+    return factors, index
+
+
 def _exact_schur_tensors(lam, H):
     """(G, m) at the points of _lattice.  H = (re + i im)/den, so for
     K(t) = sum t_i re_i + i im_i, X = K/den, det X Y = adj K / den^(d-1) and
     det X (Y (x) Y - ...) = (adj K (x) adj K - ...)/(det K den^(d-2)).
 
+    By Jacobi's complementary-minor theorem the 2 x 2 minors of adj K are
+    det K times (d-2)-minors of K, so S = adj K[b, c] adj K[e, a] -
+    adj K[b, a] adj K[e, c], on the C(d,2)^2 entries a < c, b < e that
+    determine G (_minor_tables), divides by det K exactly at each point.
+    G sums these with the integer numerators of the weights over their one
+    denominator W, over W den^(d-2): no lcm of determinants.
+
     A point whose elimination meets a zero pivot (X(t) not positive
     definite) is replaced by the d shifts K(t) + s I for s above the largest
     absolute row sum, weighted by the Lagrange weights that extrapolate a
-    polynomial of degree < d in s to s = 0.
+    polynomial of degree < d in s to s = 0; they enter W like the others.
     """
     e, d = H.shape[:2]
     points, w_top, w_mid = _lattice(lam, e)
@@ -721,8 +725,16 @@ def _exact_schur_tensors(lam, H):
     V = adj.transpose(0, 2, 1).reshape(-1, d * d)
     top, mid = np.flatnonzero(w_top), np.flatnonzero(w_mid)
     m = ExactArray.of(w_top[top]) @ V[top] * GaussianRational(0, -1) / H.den ** (d - 1)
-    T1 = ((V[mid].T * ExactArray.of(w_mid[mid] / det[mid])) @ V[mid]).reshape(d, d, d, d)
-    return (T1.transpose(2, 1, 0, 3) - T1) / H.den ** (d - 2), m.reshape(d, d)
+    factors, index = _minor_tables(d)
+    x, y = (part.reshape(len(det), -1)[mid].T[factors] for part in (adj.re, adj.im))
+    # S / det K at every point: Re and Im of f0 f1 - f2 f3, f = x + i y the four factors
+    D = np.stack([x[0] * x[1] - y[0] * y[1] - x[2] * x[3] + y[2] * y[3],
+                  x[0] * y[1] + y[0] * x[1] - x[2] * y[3] - y[2] * x[3]]) // det[mid]
+    W = math.lcm(*(w.denominator for w in w_mid[mid]))
+    w = np.array([w.numerator * (W // w.denominator) for w in w_mid[mid]], dtype=object)
+    S = (D.reshape(-1, len(mid)) @ w).reshape(2, -1)
+    G = np.concatenate([S, -S, np.zeros((2, 1), dtype=object)], axis=1)[:, index]
+    return ExactArray._reduced(G[0], G[1], W * H.den ** (d - 2)), m.reshape(d, d)
 
 
 def schur_tensors(lam, H):
@@ -740,9 +752,12 @@ def schur_tensors(lam, H):
       m[a, b]       = -i sum_k w_k det X(t_k) Y_k[b, a],
       G[a, b, c, e] = -sum_k w_k det X(t_k) (Y_k[b, a] Y_k[e, c] - Y_k[b, c] Y_k[e, a]).
 
-    With the rows V_k = vec(adj X(t_k)^T), G is V^T diag(w / det) V minus
-    the same with a and c swapped.  The points are _float_grid's or
-    _lattice's; s_lam = 0 when lam has more than e rows, and so are G and m.
+    So G[a, b, c, e] sums w_k times a 2 x 2 minor of adj X(t_k) over
+    det X(t_k): the float kernel forms V^T diag(w / det) V, V_k =
+    vec(adj X(t_k)^T), minus the same with a and c swapped; the exact one
+    divides each minor exactly (Jacobi, _exact_schur_tensors).  The points
+    are _float_grid's or _lattice's; s_lam = 0 when lam has more than e
+    rows, and so are G and m.
     """
     e, d = H.shape[0], H.shape[1]
     if lam.weight != d - 1:

@@ -8,9 +8,12 @@ previous pivot; Fractions appear again only in the results.  An exact
 inertia without a right-hand side of CERTIFY_FROM rows or more is first
 tried by a float certificate, Gershgorin discs of a congruence with
 rigorous rounding bounds (_certified_inertia), which decides or abstains;
-the elimination runs where it abstains.  Float routines delegate to numpy;
-the signature takes an explicit relative zero tolerance.  inertia is the
-one entry point for signatures in both backends.
+the elimination runs where it abstains.  rational_inertia is the validated
+entry point: square, and symmetric (Hermitian when the imaginary part is
+not 0); with a right-hand side it builds the solution's Fractions once,
+from the integer solution over its one denominator.  Float routines
+delegate to numpy; the signature takes an explicit relative zero
+tolerance.  inertia is the one entry point for signatures in both backends.
 """
 
 import math
@@ -285,10 +288,11 @@ def rational_inertia(Q, rhs=None):
     if rows != cols:
         raise ValueError(f"matrix is {rows}x{cols}, not square")
     R, J = Q.re, Q.im
-    if not ((R == R.T).all() and (J == -J.T).all()):
+    hermitian = J.any()
+    if not ((R == R.T).all() and (not hermitian or (J == -J.T).all())):
         raise ValueError("matrix is not symmetric or Hermitian")
     if rhs is not None:
-        if J.any():
+        if hermitian:
             raise ValueError("a right-hand side needs a real symmetric matrix")
         F = _column(rhs, Q.shape)
         A, t = _with_rhs(R, F.re.ravel().tolist())
@@ -298,7 +302,7 @@ def rational_inertia(Q, rhs=None):
         X, den = solution
         den *= t * F.den
         return sig, [Fraction(x * Q.den, den) for x in X]
-    S = np.block([[R, -J], [J, R]]) if J.any() else R
+    S = np.block([[R, -J], [J, R]]) if hermitian else R
     sig = _certified_inertia(S, Q.den) if len(S) >= CERTIFY_FROM else None
     if sig is None:
         sig = _symmetric_inertia(_primitive_rows(S))[0]

@@ -11,7 +11,7 @@ FAIL = "fail"
 DEGENERATE = "degenerate"
 
 
-_PLAIN = (int, float, str, bool, type(None))
+_PLAIN = frozenset((int, float, str, bool, type(None)))
 
 
 def jsonable(x):
@@ -26,8 +26,8 @@ def jsonable(x):
         return {"re": x.real, "im": x.imag}
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
+    if isinstance(x, (list, tuple)):  # a list of plain values is copied in one step
+        return list(x) if _PLAIN.issuperset(map(type, x)) else [jsonable(v) for v in x]
     if hasattr(x, "tolist"):  # numpy scalars and arrays
         return jsonable(x.tolist())
     return x

@@ -11,13 +11,13 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_linalg as reference
 from hrpairs.errors import ConfigError
 from hrpairs.exterior import form_from_dict, wedge
-from hrpairs.hrcheck import _restricted_negdef, signature
+from hrpairs.hrcheck import _pair_verdict, _restricted_negdef, signature
 from hrpairs.linalg import (
     CERTIFY_FROM,
     _certified_inertia,
@@ -30,6 +30,7 @@ from hrpairs.linalg import (
 )
 from hrpairs.ring import torus_ring
 from hrpairs.scalars import ExactArray, GaussianRational
+from hrpairs.verdict import jsonable
 
 ZERO = Fraction(0)
 
@@ -230,6 +231,73 @@ def test_bordered_inertia_from_the_numerators_matches_the_fraction_routine(Q, da
     border = [[*row, x] for row, x in zip(Q, f)] + [[*f, ZERO]]
     pos, zero, neg = _restricted_negdef(input_forms(Q)[1], ExactArray.of(f), None)
     assert (pos + 1, zero, neg + 1) == reference.rational_inertia(border)
+
+
+# -- the exact pair verdict --------------------------------------------------
+
+
+def dot(x, y):
+    return sum((a * b for a, b in zip(x, y)), ZERO)
+
+
+def reference_pair_values(Q, f, h):
+    """The exact values of a pair verdict on the Gram matrix Q, the
+    functional f and h, from the Fraction routines alone."""
+    values = {"inertia": reference.rational_inertia(Q), "pairing_with_h": dot(h, f),
+              "h_pairing": dot(h, [dot(row, h) for row in Q])}
+    if values["inertia"][1] == 0:
+        q = values["quotient"] = reference.rational_solve(Q, f)
+        values["quotient_square_value"] = dot(q, [dot(row, q) for row in Q])
+    pos, zero, neg = reference.rational_inertia([[*row, x] for row, x in zip(Q, f)] + [[*f, ZERO]])
+    values["restricted_signature"] = (pos - 1, zero, neg - 1)
+    return values
+
+
+@st.composite
+def congruent_diagonals(draw):
+    """B diag(+-1) B^T, B n x n with small entries: mostly nonsingular."""
+    n = draw(st.integers(1, 6))
+    return congruent_diagonal(draw, n, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(Q=st.one_of(hermitian_matrices(hermitian=False), congruent_diagonals()), data=st.data())
+def test_exact_pair_verdict_matches_the_fraction_reference(Q, data):
+    """_pair_verdict on (Q, M, top, f, h) with M = Q over one more row r and
+    top = f over t, so that P M = Q and P top = f for P = [I | 0]: its exact
+    values are the reference's, and the division fails, degenerate with its
+    witness, exactly when r . q != t for the quotient q = Q^-1 f."""
+    n = len(Q)
+    assume(n > 0)
+    f, h, r = (data.draw(st.lists(SPARSE, min_size=n, max_size=n)) for _ in range(3))
+    want = reference_pair_values(Q, f, h)
+    q = want.get("quotient")
+    t = dot(r, q) if q is not None and data.draw(st.booleans()) else data.draw(SPARSE)
+    exact = [ExactArray.of(np.asarray(x, dtype=object)) for x in (Q, Q + [r], f + [t], f, h)]
+    verdict = _pair_verdict(*exact, None)
+    got = verdict.details
+    assert tuple(verdict.signature) == want["inertia"]
+    assert got["pairing_with_h"] == jsonable(want["pairing_with_h"])
+    if q is None:
+        assert verdict.outcome == "degenerate" and "quotient" not in got
+        return
+    assert got["hr_property"]["details"]["h_pairing"] == jsonable(want["h_pairing"])
+    if dot(r, q) != t:
+        assert verdict.outcome == "degenerate"
+        assert verdict.witness == {"division": "multiplication by eta is singular on "
+                                   "degree-1 classes", "kernel_vector": None}
+        return
+    assert got["quotient"] == jsonable(q)
+    assert got["quotient_square_value"] == jsonable(want["quotient_square_value"])
+    if want["pairing_with_h"] > 0:
+        rsig = got["kernel_characterization"]["restricted_signature"]
+        assert rsig == want["restricted_signature"]
+
+
+def test_exact_pair_verdict_refuses_a_non_symmetric_gram_matrix():
+    Q, f = ExactArray.of([[1, 2], [3, 1]]), ExactArray.of([1, 0])
+    with pytest.raises(ValueError, match="not symmetric"):
+        _pair_verdict(Q, Q, f, f, f, None)
 
 
 # -- the float certificate ---------------------------------------------------

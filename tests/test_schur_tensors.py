@@ -19,7 +19,7 @@ from hrpairs.exterior import (
     PPForm, _mid_gram, _top_functional, form_from_hermitian, std_kahler,
 )
 from hrpairs.hrcheck import (
-    _float_grid, _hermitians, _lattice, pointwise_hr_pair, random_hermitian,
+    _bareiss, _float_grid, _hermitians, _lattice, pointwise_hr_pair, random_hermitian,
     random_kahler, sample_search, schur_form_pair, schur_tensors,
 )
 from hrpairs.scalars import ExactArray, GaussianRational
@@ -58,6 +58,12 @@ def exact_hermitian(rng, d, denominators=(1, 1), shift=1):
           for _ in range(d)] for _ in range(d)]
     return [[sum((A[k][i].conjugate() * A[k][j] for k in range(d)), GaussianRational(0))
              + (shift if i == j else 0) for j in range(d)] for i in range(d)]
+
+
+def without_first_row(H):
+    """H with its first row and column zeroed: as the first of the forms, it
+    gives the lattice points (n, 0, ..., 0) a zero first pivot."""
+    return [[0 if 0 in (i, j) else x for j, x in enumerate(row)] for i, row in enumerate(H)]
 
 
 def assert_equal_exact(X, Y):
@@ -127,8 +133,9 @@ def test_more_rows_than_forms_gives_zero_forms(exact):
 
 def test_exact_tensors_equal_the_dense_oracle():
     """At least 200 seeded exact trials, d = 3-5: Gaussian-integer forms,
-    forms with denominators, and indefinite or singular ones, whose lattice
-    points need the shifted elimination."""
+    forms with denominators, indefinite ones (shift -2) and singular ones
+    (shift 0, the first form without its first row and column), whose
+    lattice points need the shifted elimination."""
     trials = 0
     for d, count in ((3, 110), (4, 70), (5, 24)):
         rng = np.random.default_rng(9000 + d)
@@ -137,14 +144,78 @@ def test_exact_tensors_equal_the_dense_oracle():
             e = len(lam) + trial % 2
             denominators = ((1, 1), (3, 1), (2, 5))[trial % 3]
             shift = (1, 0, -2)[trial % 3] if trial % 5 else 1
-            omegas = [form_from_hermitian(exact_hermitian(rng, d, denominators, shift))
-                      for _ in range(e)]
+            Hs = [exact_hermitian(rng, d, denominators, shift) for _ in range(e)]
+            if shift == 0:
+                Hs[0] = without_first_row(Hs[0])
+            omegas = [form_from_hermitian(x) for x in Hs]
             G, m = schur_tensors(lam, _hermitians(omegas, d))
             G0, m0 = oracle_tensors(lam, omegas, d)
             assert_equal_exact(G, G0)
             assert_equal_exact(m, m0)
             trials += 1
     assert trials >= 200
+
+
+def lcm_oracle(lam, H):
+    """(G, shifted) by the formulation the exact kernel had before the
+    complementary minors: with the rows V_k = vec(adj K_k^T), G is
+    V^T diag(w / det) V minus the same with a and c swapped, over den^(d-2),
+    one object product over the lcm of every point's determinant.  The
+    points with a zero pivot are replaced by their shifts, as in
+    _exact_schur_tensors; shifted says whether any was."""
+    e, d = H.shape[:2]
+    points, _, w_mid = _lattice(lam, e)
+    R, J = np.tensordot(points, H.re, axes=1), np.tensordot(points, H.im, axes=1)
+    adj, det, ok = _bareiss(R, J)
+    if not ok.all():
+        s0 = max((np.abs(R[~ok]) + np.abs(J[~ok])).sum(axis=2).ravel().tolist())
+        shifts = range(s0 + 1, s0 + d + 1)
+        lagrange = [math.prod(Fraction(t, t - s) for t in shifts if t != s) for s in shifts]
+        shifted = R[~ok][:, None] + np.multiply.outer(shifts, np.eye(d, dtype=int)).astype(object)
+        adj2, det2, _ = _bareiss(shifted.reshape(-1, d, d), np.repeat(J[~ok], d, axis=0))
+        adj = ExactArray(*(np.concatenate([x[ok], y]) for x, y in ((adj.re, adj2.re),
+                                                                    (adj.im, adj2.im))))
+        det = np.concatenate([det[ok], det2])
+        w_mid = np.concatenate([w_mid[ok], np.outer(w_mid[~ok], lagrange).ravel()])
+    V = adj.transpose(0, 2, 1).reshape(-1, d * d)
+    mid = np.flatnonzero(w_mid)
+    T1 = ((V[mid].T * ExactArray.of(w_mid[mid] / det[mid])) @ V[mid]).reshape(d, d, d, d)
+    return (T1.transpose(2, 1, 0, 3) - T1) / H.den ** (d - 2), not ok.all()
+
+
+def rationalized_draw(d, e, seed):
+    """e draws of random_hermitian(d), each entry as its exact binary value."""
+    rng = np.random.default_rng(seed)
+    return ExactArray.of([[[GaussianRational(Fraction(z.real), Fraction(z.imag)) for z in row]
+                           for row in random_hermitian(d, rng)] for _ in range(e)])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("e", [2, 3])
+def test_exact_kernel_equals_the_lcm_oracle(d, e):
+    """G by complementary minors is the lcm formulation's, denominator
+    included, for every partition of d - 1 with at most e rows, on forms
+    with denominators, indefinite ones (shift -2, negative pivots), and
+    singular ones (without_first_row), whose lattice points are shifted."""
+    rng = np.random.default_rng([d, e])
+    shifted = []
+    for lam in (Partition(p) for p in partitions(d - 1) if len(p) <= e):
+        for shift in (1, -2, 0):
+            Hs = [exact_hermitian(rng, d, (1, 3), shift) for _ in range(e)]
+            if shift == 0:
+                Hs[0] = without_first_row(Hs[0])
+            H = _hermitians([form_from_hermitian(x) for x in Hs], d)
+            G, want = schur_tensors(lam, H)[0], lcm_oracle(lam, H)
+            assert_equal_exact(G, want[0])
+            shifted.append(want[1])
+    assert all(shifted[2::3])
+
+
+def test_exact_kernel_equals_the_lcm_oracle_on_a_rationalized_draw():
+    """At (8, (6,1), 2), on float draws rationalized exactly: each
+    determinant has about d * 52 bits."""
+    lam, H = Partition((6, 1)), rationalized_draw(8, 2, 8)
+    assert_equal_exact(schur_tensors(lam, H)[0], lcm_oracle(lam, H)[0])
 
 
 def test_exact_schur_form_pair_is_the_oracle_pair():
