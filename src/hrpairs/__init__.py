@@ -72,7 +72,6 @@ from .symfunc import (
     invert_total_class,
     schur,
     segre_from_chern,
-    shift,
     twist_chern,
 )
 from .verdict import Verdict

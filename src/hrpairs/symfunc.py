@@ -9,8 +9,9 @@ The shift of p is p(x_1 + t, ..., x_e + t) collected by powers of t,
 
     p(x + t) = sum_i t^i p^(i),
 
-computed from e_k(x + t) = sum_j C(e-j, k-j) e_j t^(k-j).  The order-one
-coefficient p^(1) is the derived polynomial p'.
+and p^(1) is the derived polynomial p'.  By Taylor's theorem p(x + t) = exp(tD) p
+for the derivation D = sum_i d/dx_i, and D e_k = (e - k + 1) e_(k-1): each term
+x_T of e_(k-1) comes from the e - k + 1 terms x_(T+i), i not in T, of e_k.
 """
 
 import itertools
@@ -277,10 +278,9 @@ def schur(lam, num_vars):
 class RingTPoly:
     """Polynomial in one formal variable t with coefficients in any ring.
 
-    Coefficients only need +, * and scalar multiples: SymPoly coefficients
-    carry the shift p(x + t), and ring-element coefficients compare
-    pushforwards of (xi + t h)^N with twisted Segre classes as exact
-    polynomials in t.
+    Coefficients only need +, * and scalar multiples; ring-element
+    coefficients compare pushforwards of (xi + t h)^N with twisted Segre
+    classes as exact polynomials in t.
     """
 
     __slots__ = ("coeffs", "zero")
@@ -358,39 +358,24 @@ def _looks_zero(x):
     return x == 0
 
 
-def _shift_elementary(k, num_vars):
-    # e_k(x + t) = sum_m C(e-k+m, m) e_(k-m) t^m
-    return RingTPoly(
-        [comb(num_vars - k + m, m) * elementary(k - m, num_vars) for m in range(k + 1)],
-        SymPoly.zero(num_vars),
-    )
-
-
-def shift(p):
-    """p(x_1 + t, ..., x_e + t) as a RingTPoly in t with SymPoly coefficients."""
-    e = p.num_vars
-    zero = SymPoly.zero(e)
-    shifted_gens = {}
-    out = RingTPoly([], zero)
-    for mono, c in p.terms.items():
-        term = RingTPoly([SymPoly.constant(e, c)], zero)
-        for k, m in enumerate(mono):
-            if m == 0:
-                continue
-            g = shifted_gens.get(k)
-            if g is None:
-                g = shifted_gens[k] = _shift_elementary(k + 1, e)
-            for _ in range(m):
-                term = term * g
-        out = out + term
-    return out
-
-
 def derived(p, order=1):
-    """Coefficient p^(order) of t^order in the shift of p."""
+    """Coefficient p^(order) of t^order in p(x + t), as D^order p / order!.
+
+    D is a derivation and D e_k = (e - k + 1) e_(k-1) (module docstring), so each
+    order is one pass over the e-monomials: D^j p / j! = D(D^(j-1) p / (j-1)!) / j.
+    """
     if order < 0 or (not p.is_zero() and order > p.weight):
         raise DegreeError(f"derived order {order} out of range for weight {p.weight}")
-    return shift(p)[order]
+    e, terms = p.num_vars, p.terms
+    for j in range(1, order + 1):
+        out = {}
+        for mono, c in terms.items():
+            for k in range(e):  # D e_(k+1) = (e - k) e_k, e_0 = 1
+                if mono[k]:
+                    lower = tuple(m - (i == k) + (i == k - 1) for i, m in enumerate(mono))
+                    out[lower] = out.get(lower, 0) + c * mono[k] * (e - k)
+        terms = {mono: c / j for mono, c in out.items()}
+    return SymPoly(e, terms)
 
 
 class ChernVector:

@@ -118,6 +118,8 @@ def test_bad_partition_is_reported_not_raised(capsys):
     ["schur", "--partition", "40", "--vars", "40"],
     ["derived", "--partition", "13", "--vars", "13"],
     ["derived", "--partition", "12,12", "--vars", "24"],
+    ["schur", "--partition", "12,4", "--vars", "100000"],
+    ["derived", "--partition", "12,4", "--vars", "1001"],
     ["segre", "--chern", "1,1", "--upto", "100000000"],
     ["segre", "--upto", "400", "--chern", "1234567891/987654321,7777777777/3"],
     ["gram", "--ring", "ring.json", "--eta", "xi", "--tolerance", "5"],

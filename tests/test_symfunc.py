@@ -2,15 +2,19 @@
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrpairs.errors import ConfigError, DegreeError
 from hrpairs.ring import polynomial_ring
 from hrpairs.symfunc import (
     ChernVector,
     Partition,
+    RingTPoly,
     SymPoly,
     complete_homogeneous,
     derived,
@@ -20,7 +24,6 @@ from hrpairs.symfunc import (
     invert_total_class,
     schur,
     segre_from_chern,
-    shift,
     to_monomials,
     twist_chern,
 )
@@ -195,6 +198,36 @@ def test_to_monomials_agrees_with_evaluate():
 # -- shift / derived -------------------------------------------------------
 
 
+def shift_elementary(k, num_vars):
+    # e_k(x + t) = sum_m C(e-k+m, m) e_(k-m) t^m
+    return RingTPoly(
+        [comb(num_vars - k + m, m) * elementary(k - m, num_vars) for m in range(k + 1)],
+        SymPoly.zero(num_vars),
+    )
+
+
+def shift(p):
+    """p(x_1 + t, ..., x_e + t) as a RingTPoly in t with SymPoly coefficients,
+    by substituting the shifted e_k into every e-monomial: the oracle that
+    derived (D^k p / k!) is checked against."""
+    e = p.num_vars
+    zero = SymPoly.zero(e)
+    shifted_gens = {}
+    out = RingTPoly([], zero)
+    for mono, c in p.terms.items():
+        term = RingTPoly([SymPoly.constant(e, c)], zero)
+        for k, m in enumerate(mono):
+            if m == 0:
+                continue
+            g = shifted_gens.get(k)
+            if g is None:
+                g = shifted_gens[k] = shift_elementary(k + 1, e)
+            for _ in range(m):
+                term = term * g
+        out = out + term
+    return out
+
+
 def random_sympoly(rng, n, terms=3, max_weight=4):
     out = SymPoly.zero(n)
     for _ in range(terms):
@@ -235,6 +268,26 @@ def test_shift_is_a_ring_homomorphism():
         p, q = random_sympoly(rng, n), random_sympoly(rng, n)
         assert shift(p * q) == shift(p) * shift(q)
         assert shift(p + q) == shift(p) + shift(q)
+
+
+@st.composite
+def schur_classes(draw):
+    """(lam, e) with e <= 6 variables and |lam| <= 8 boxes, at most e rows."""
+    e = draw(st.integers(1, 6))
+    parts = sorted(draw(st.lists(st.integers(1, 8), max_size=e)), reverse=True)
+    while sum(parts) > 8:
+        parts.pop(0)
+    return Partition(parts), e
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(schur_classes())
+def test_derived_is_the_shift_coefficient_at_every_order(case):
+    lam, e = case
+    p = schur(lam, e)
+    shifted = shift(p)
+    for k in range(lam.weight + 1):
+        assert derived(p, k) == shifted[k]
 
 
 def test_derived_order_zero_is_identity():
