@@ -19,15 +19,15 @@ data and a scalars.ExactArray (integer numerators over one denominator)
 for exact data.  constraint_project, trace_check, higgs_curvature_term and
 HiggsField.square_residual are a few einsums over them and over the
 intersection numbers m = exterior._top_functional(omega_top) and
-G = exterior._mid_gram(omega_mid) (exact for exact forms), which
-hrcheck.pointwise_hr_pair reads too, from the same memo of each form; an
-exact operand meeting a float one is read in complex.  _project and
-_trace_verdict take (G, m) themselves, so a
+G = exterior._mid_gram(omega_mid), read from the memo of each form (an
+exact operand meeting a float one is read in complex); omega_top and
+omega_mid must be real forms.  trace_check decides every check on whole
+arrays, with one text for both backends, and names an entry only when a
+check fails.  _project and _trace_verdict take (G, m) themselves, so a
 seeded trial (the CLI's trace-check) reads them from hrcheck.schur_tensors
-with no form at all.  The constructors stack the coefficient matrices of
-the PPForm entries, and .entries wraps blocks of the array as PPForms; a
-curvature trial makes no wedge, exact or float, and the test suite keeps
-the Chern-Weil wedges of forms as its oracle.
+with no form at all.  A curvature trial makes no wedge, exact or float;
+the test suite keeps the Chern-Weil wedges of forms and the per-entry
+verdict as its oracles.
 """
 
 import math
@@ -36,8 +36,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError
-from .exterior import PPForm, _frozen, _mid_gram, _peak, _promote, _top_functional, _zeros
-from .scalars import ExactArray, imag_part, magnitude, negligible, real_part, to_float
+from .exterior import PPForm, _frozen, _mid_gram, _peak, _promote, _top_functional, _unreal_at
+from .exterior import _zeros
+from .scalars import ExactArray, magnitude, negligible, to_float
 from .verdict import FAIL, PASS, Verdict, jsonable
 
 
@@ -232,18 +233,26 @@ def anti_selfadjoint_part(F):
 
 def trace_free_part(F):
     """Remove (tr F / r) times the identity."""
-    A = F.coeffs.copy()
-    diag = np.arange(F.size)
-    A[diag, diag] -= np.einsum("iiab->ab", A) / F.size
-    return CurvatureMatrix._of(A)
+    return CurvatureMatrix._of(_trace_free(F.coeffs.copy()))
+
+
+def _trace_free(A):
+    """Remove (tr A / r) times the identity from the writable array A, in place."""
+    diag = np.arange(len(A))
+    A[diag, diag] -= np.einsum("iiab->ab", A) / len(A)
+    return A
 
 
 def _check_form(name, form, d, k):
-    """Raise DegreeError unless form is a (k,k)-form on C^d."""
+    """DegreeError unless form is a (k,k)-form on C^d, ConfigError naming
+    the indices unless it is real (exterior._unreal_at, read through its memo)."""
     if form.dim != d:
         raise DegreeError(f"{name} lives on C^{form.dim}, the curvature on C^{d}")
     if (form.p, form.q) != (k, k):
         raise DegreeError(f"need a ({k},{k})-form {name} on C^{d}, got {form!r}")
+    at = _unreal_at(form)
+    if at is not None:
+        raise ConfigError(f"{name} is not a real form: it fails the reality condition at {at}")
 
 
 def constraint_project(F, omega_top):
@@ -262,7 +271,7 @@ def constraint_project(F, omega_top):
 def _project(F, m):
     """constraint_project from the functional m of omega_top."""
     A, m = _promote(F.coeffs, m)
-    A = trace_free_part(anti_selfadjoint_part(CurvatureMatrix._of(A))).coeffs
+    A = _trace_free((A - _adjoint(A)) / 2)
     denom = np.vdot(m, m).real
     if denom:
         A = A - np.einsum("ijab,ab->ij", A, m)[..., None, None] * (m.conj() / denom)
@@ -273,15 +282,16 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9):
     """Per-term positivity of tr(F0^2) paired with omega_mid.
 
     Terms are v_ij = int(F0_ij ^ F0_ji ^ omega_mid); preconditions: F0
-    anti-selfadjoint, trace-free, and F0_ij ^ omega_top = 0 entrywise.
-    Passing means every v_ij >= -tol*scale; a vanishing total flags the
-    projectively-flat equality case.  The discriminant normalization is
-    delta = (r/4pi^2) * total.  F0 is read exactly when it and omega_mid
-    are exact, in complex otherwise.  Each check is one
-    scalars.negligible rule, so tol is zero_tol for float values and 0 for
-    exact ones: exact data must meet every constraint exactly.  Scales and
-    delta_value are float evidence, saturating to inf beyond float range.
-    The verdict is _trace_verdict's, on the intersection numbers of the forms.
+    anti-selfadjoint, trace-free, F0_ij ^ omega_top = 0 entrywise, and
+    omega_top, omega_mid real (_check_form).  Passing means every v_ij >=
+    -tol*scale; a vanishing total flags the projectively-flat equality case.
+    The discriminant normalization is delta = (r/4pi^2) * total.  F0 is read
+    exactly when it and omega_mid are exact, in complex otherwise.  Each
+    check is the scalars.negligible rule on a whole array, so tol is
+    zero_tol for float values and 0 for exact ones: exact data must meet
+    every constraint exactly.  Scales and delta_value are float evidence,
+    saturating to inf beyond float range.  The verdict is _trace_verdict's,
+    on the intersection numbers of the forms.
     """
     d = F0.dim
     _check_form("omega_top", omega_top, d, d - 1)
@@ -290,7 +300,11 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9):
 
 
 def _trace_verdict(F0, G, m, zero_tol):
-    """trace_check from G = _mid_gram(omega_mid) and m = _top_functional(omega_top)."""
+    """trace_check from G = _mid_gram(omega_mid) and m = _top_functional(omega_top),
+    on whole arrays: the kernel constraint by _peak, the reality of the terms by
+    one mask (Im v != 0 exactly, |Im v| > zero_tol * max(1, |v|) in floats), the
+    rest from the real parts (Fractions when exact, at tolerance 0); an entry
+    is named only on failure."""
     r = F0.size
     A, G = _promote(F0.coeffs, G)
     exact = isinstance(A, ExactArray)
@@ -303,31 +317,28 @@ def _trace_verdict(F0, G, m, zero_tol):
     if not negligible(tr_res, zero_tol * fscale):
         raise ConfigError(f"curvature is not trace-free: residual {tr_res}")
     oscale = max(magnitude(_peak(m)), 1.0)  # max |coefficient| of omega_top
-    kernel = np.einsum("ijab,ab->ij", *_promote(A, m)).tolist()
-    for i in range(r):
-        for j in range(r):
-            v = kernel[i][j]
-            if not negligible(v, zero_tol * fscale * oscale):
-                raise ConfigError(
-                    f"entry ({i},{j}) violates the kernel constraint: {v}"
-                )
+    kernel = np.einsum("ijab,ab->ij", *_promote(A, m))
+    bound = zero_tol * fscale * oscale
+    if not negligible(_peak(kernel), bound):
+        beyond = kernel if isinstance(kernel, ExactArray) else ~(np.abs(kernel) <= bound)
+        i, j = (k[0] for k in beyond.nonzero())
+        raise ConfigError(f"entry ({i},{j}) violates the kernel constraint: {kernel.item(i, j)}")
 
-    raw = np.einsum("ijab,jice,abce->ij", A, A, G).tolist()
-    terms = [[None] * r for _ in range(r)]
-    for i, row in enumerate(raw):
-        for j, v in enumerate(row):
-            if not negligible(imag_part(v), zero_tol * max(1.0, magnitude(v))):
-                raise ConsistencyError(f"term ({i},{j}) is not real: {v}")
-            terms[i][j] = real_part(v)
+    raw = np.einsum("ijab,jice,abce->ij", A, A, G)
+    if exact:  # the real parts as Fractions; a term is real when its imaginary part is 0
+        re, unreal = np.frompyfunc(Fraction, 2, 1)(raw.re, raw.den), raw.im != 0
+    else:
+        re, unreal = raw.real, ~(np.abs(raw.imag) <= zero_tol * np.fmax(1.0, np.abs(raw)))
+    if unreal.any():
+        i, j = np.argwhere(unreal)[0].tolist()
+        raise ConsistencyError(f"term ({i},{j}) is not real: {raw.item(i, j)}")
 
-    scale = max(1.0, max(magnitude(t) for row in terms for t in row))
-    total = sum(t for row in terms for t in row)
-    negatives = [
-        (i, j, terms[i][j])
-        for i in range(r) for j in range(r)
-        if terms[i][j] < 0 and not negligible(terms[i][j], zero_tol * scale)
-    ]
-    ok = not negatives
+    terms = re.tolist()
+    size = np.abs(re)
+    scale = max(1.0, to_float(size.max()))
+    total = sum(re.ravel().tolist())
+    negative = (re < 0) & ~(size <= (0 if exact else zero_tol * scale))
+    ok = not negative.any()
     details = {
         "rank": r,
         "terms": jsonable(terms),
@@ -338,7 +349,8 @@ def _trace_verdict(F0, G, m, zero_tol):
         "curvature_max_abs": curvature_max,
         "backend": "exact" if exact else "float",
     }
-    witness = {} if ok else {"negative_terms": jsonable(negatives)}
+    witness = {} if ok else {"negative_terms": jsonable(
+        [(i, j, terms[i][j]) for i, j in np.argwhere(negative).tolist()])}
     return Verdict(
         PASS if ok else FAIL,
         witness=witness,

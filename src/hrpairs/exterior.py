@@ -146,6 +146,15 @@ def _memoized(rule):
     return read
 
 
+@_memoized
+def _unreal_at(form):
+    """The first (I, J) where the (p,p)-form fails the rule _unreal, to 1e-9
+    relative in floats, or None; the forms of _top_form and _mid_form are real."""
+    rows, cols = _unreal(form.Z, form.p, 1e-9).nonzero()
+    subsets = list(_subset_index(form.dim, form.p))
+    return (subsets[rows[0]], subsets[cols[0]]) if len(rows) else None
+
+
 class PPForm:
     """Constant-coefficient (p,q)-form on C^d, stored as its coefficient
     matrix Z (see the module docstring).
@@ -153,9 +162,9 @@ class PPForm:
     A form is a value: Z is read-only from the moment the form is made, both
     parts of an ExactArray included, and _memo holds what is derived from Z
     (_memoized: the intersection numbers _top_functional and _mid_gram,
-    ring.real_coordinates and hrcheck._kahler_inertia), each computed at
-    most once per form; the forms of _top_form and _mid_form carry theirs
-    from the start.
+    the realness check _unreal_at, ring.real_coordinates and
+    hrcheck._kahler_inertia), each computed at most once per form; the
+    forms of _top_form and _mid_form carry theirs from the start.
     """
 
     __slots__ = ("dim", "p", "q", "Z", "_memo")
@@ -417,21 +426,23 @@ def _mid_gram(omega_mid):
 
 def _top_form(m):
     """The (d-1,d-1)-form whose _top_functional is m, read at the rows R;
-    m is its memo's _top_functional."""
+    m, of a real form (as hrcheck.schur_tensors' is), is its memo's _top_functional."""
     d = len(m)
     _, _, index, factor = _gathers(d, 1, isinstance(m, ExactArray))
     form = PPForm._of(d, d - 1, d - 1, factor * m.ravel()[index])
     _top_functional.seed(form, m)
+    _unreal_at.seed(form, None)
     return form
 
 
 def _mid_form(G):
-    """The (d-2,d-2)-form whose _mid_gram is G, read at the pairs R; G is its
-    memo's _mid_gram."""
+    """The (d-2,d-2)-form whose _mid_gram is G, read at the pairs R; G, of a
+    real form, is its memo's _mid_gram."""
     d = len(G)
     _, _, index, factor = _gathers(d, 2, isinstance(G, ExactArray))
     form = PPForm._of(d, d - 2, d - 2, factor * G.ravel()[index])
     _mid_gram.seed(form, G)
+    _unreal_at.seed(form, None)
     return form
 
 

@@ -612,21 +612,25 @@ def _float_schur_tensors(lam, H):
     """
     e, d = H.shape[:2]
     T, w_top, w_mid = _float_grid(lam, e)
+    H = H.reshape(e, d * d)  # X(t) = sum t_i H_i for a chunk of points is one matmul
     m, T1 = np.zeros(d * d, dtype=complex), np.zeros((d * d, d * d), dtype=complex)
     step = max(1, 2 ** 16 // (d * d))
     for start in range(0, len(T), step):
-        X = np.tensordot(T[start:start + step], H, axes=1)
+        X = (T[start:start + step] @ H).reshape(-1, d, d)
         wt, wm = w_top[start:start + step], w_mid[start:start + step]
         try:
             Y = np.linalg.inv(X)
         except np.linalg.LinAlgError:  # a singular X in the chunk
             Y = np.full_like(X, np.nan)
-        ok = np.linalg.norm(X, axis=(1, 2)) * np.linalg.norm(Y, axis=(1, 2)) <= 1e6
-        det = np.linalg.det(X[ok])
-        V = (det[:, None, None] * Y[ok]).transpose(0, 2, 1).reshape(-1, d * d)
-        m += wt[ok] @ V
-        T1 += (V.T * (wm[ok] / det)) @ V
-        if not ok.all():
+        x, y = (np.square(Z.reshape(len(Z), -1).view(float)) for Z in (X, Y))
+        ok = np.einsum("ki,kj->k", x, y) <= 1e12  # |X|_F^2 |Y|_F^2, one reduction
+        well = ok.all()
+        good = slice(None) if well else ok  # views, not copies, when every point is good
+        det = np.linalg.det(X[good])
+        V = (det[:, None, None] * Y[good]).transpose(0, 2, 1).reshape(-1, d * d)
+        m += wt[good] @ V
+        T1 += (V.T * (wm[good] / det)) @ V
+        if not well:
             U, S, W = np.linalg.svd(X[~ok])
             phi = np.linalg.det(U) * np.linalg.det(W)
             R = np.einsum("kap,kpb->kpab", U.conj(), W.conj()).reshape(len(S), d, d * d)

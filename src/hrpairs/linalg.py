@@ -464,15 +464,10 @@ def float_signature(Q, zero_tol=1e-9):
         raise ConfigError("an eigenvalue is beyond float range; decide with the exact backend")
     if scale == 0.0:
         return (0, len(eigs), 0), [0.0] * len(eigs)
-    pos = zero = neg = 0
-    for e in eigs:
-        if abs(float(e)) <= zero_tol * scale:
-            zero += 1
-        elif e > 0:
-            pos += 1
-        else:
-            neg += 1
-    return (pos, zero, neg), [float(e) for e in eigs]
+    zeros = np.abs(eigs) <= zero_tol * scale
+    zero = int(np.count_nonzero(zeros))
+    pos = int(np.count_nonzero(~zeros & (eigs > 0)))
+    return (pos, zero, len(eigs) - zero - pos), eigs.tolist()
 
 
 def float_kernel_vector(Q):

@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import PPForm, _hermitian, _memoized, _merge_signs, _subset_index, _unreal
+from .exterior import PPForm, _hermitian, _memoized, _merge_signs, _subset_index, _unreal_at
 from .exterior import std_kahler
 from .linalg import rational_rref
 from .scalars import ExactArray, GaussianRational, is_exact
@@ -481,13 +481,12 @@ def _real_basis_matrix(d, p, exact):
 def _check_real(form):
     """H = exterior._hermitian(Z, p) for the coefficient matrix Z of an exact
     (p,p)-form; ConsistencyError, naming the first indices where
-    exterior._unreal finds a gap, unless the form is exactly real:
+    exterior._unreal_at finds a gap, unless the form is exactly real:
     c[J, I] = (-1)^(p^2) conj(c[I, J]) for every (I, J), i.e. H Hermitian."""
-    rows, cols = _unreal(form.Z, form.p).nonzero()
-    if len(rows):
-        subsets = list(_subset_index(form.dim, form.p))
-        i, j = rows[0], cols[0]
-        raise ConsistencyError(f"form is not real at indices {(subsets[i], subsets[j])}: "
+    at = _unreal_at(form)
+    if at is not None:
+        i, j = (_subset_index(form.dim, form.p)[S] for S in at)
+        raise ConsistencyError(f"form is not real at indices {at}: "
                                f"{form.Z.item(i, j)} vs {form.Z.item(j, i)}")
     return _hermitian(form.Z, form.p)
 

@@ -15,6 +15,9 @@ from hrpairs.bogomolov import (
     CurvatureMatrix,
     HiggsField,
     SheafClassData,
+    _adjoint,
+    _project,
+    _trace_verdict,
     anti_selfadjoint_part,
     bogomolov_value,
     constraint_project,
@@ -31,6 +34,9 @@ from hrpairs.bogomolov import (
 from hrpairs.errors import ConfigError, ConsistencyError, DegreeError
 from hrpairs.exterior import (
     PPForm,
+    _mid_gram,
+    _peak,
+    _promote,
     _top_functional,
     form_from_hermitian,
     integrate_top,
@@ -40,9 +46,11 @@ from hrpairs.exterior import (
 )
 from hrpairs.hrcheck import random_kahler, schur_form_pair
 from hrpairs.ring import polynomial_ring, relation_ring, torus_ring
-from hrpairs.scalars import GaussianRational
+from hrpairs.scalars import (
+    ExactArray, GaussianRational, imag_part, magnitude, negligible, real_part, to_float,
+)
 from hrpairs.symfunc import Partition
-from hrpairs.verdict import jsonable
+from hrpairs.verdict import FAIL, PASS, Verdict, jsonable
 
 
 def fulger_lehmann():
@@ -654,3 +662,191 @@ def test_exact_curvature_trial_makes_no_sparse_wedge(wedge_calls):
     verdict = curvature_trial(top, mid, raw, theta)
     assert verdict.details["backend"] == "exact" and verdict.passed
     assert wedge_calls == []
+
+
+# -- the array verdict against the per-entry oracle ------------------------
+
+
+def trace_verdict_by_entry(F0, G, m, zero_tol):
+    """The oracle of bogomolov._trace_verdict: the same checks, one entry at a
+    time in Python, through scalars.negligible per value."""
+    r = F0.size
+    A, G = _promote(F0.coeffs, G)
+    exact = isinstance(A, ExactArray)
+    curvature_max = magnitude(_peak(A))
+    fscale = max(curvature_max, 1.0)
+    res = _peak(A + _adjoint(A))
+    if not negligible(res, zero_tol * fscale):
+        raise ConfigError(f"curvature is not anti-selfadjoint: residual {res}")
+    tr_res = _peak(np.einsum("iiab->ab", A))
+    if not negligible(tr_res, zero_tol * fscale):
+        raise ConfigError(f"curvature is not trace-free: residual {tr_res}")
+    oscale = max(magnitude(_peak(m)), 1.0)
+    kernel = np.einsum("ijab,ab->ij", *_promote(A, m)).tolist()
+    for i in range(r):
+        for j in range(r):
+            v = kernel[i][j]
+            if not negligible(v, zero_tol * fscale * oscale):
+                raise ConfigError(f"entry ({i},{j}) violates the kernel constraint: {v}")
+
+    raw = np.einsum("ijab,jice,abce->ij", A, A, G).tolist()
+    terms = [[None] * r for _ in range(r)]
+    for i, row in enumerate(raw):
+        for j, v in enumerate(row):
+            if not negligible(imag_part(v), zero_tol * max(1.0, magnitude(v))):
+                raise ConsistencyError(f"term ({i},{j}) is not real: {v}")
+            terms[i][j] = real_part(v)
+
+    scale = max(1.0, max(magnitude(t) for row in terms for t in row))
+    total = sum(t for row in terms for t in row)
+    negatives = [
+        (i, j, terms[i][j])
+        for i in range(r) for j in range(r)
+        if terms[i][j] < 0 and not negligible(terms[i][j], zero_tol * scale)
+    ]
+    ok = not negatives
+    details = {
+        "rank": r,
+        "terms": jsonable(terms),
+        "total": jsonable(total),
+        "delta_value": r * to_float(total) / (4.0 * math.pi ** 2),
+        "projectively_flat": negligible(total, zero_tol * scale),
+        "scale": scale,
+        "curvature_max_abs": curvature_max,
+        "backend": "exact" if exact else "float",
+    }
+    witness = {} if ok else {"negative_terms": jsonable(negatives)}
+    return Verdict(
+        PASS if ok else FAIL,
+        witness=witness,
+        tolerances={} if exact else {"zero_tol": zero_tol},
+        details=details,
+    )
+
+
+def bump(shape, entries, den, exact):
+    """The coefficient array with entries {index: (re, im)} over den, exact
+    or complex."""
+    re, im = np.zeros(shape, dtype=object), np.zeros(shape, dtype=object)
+    for index, (a, b) in entries.items():
+        re[index] += a
+        im[index] += b
+    X = ExactArray(re, im, den)
+    return X if exact else X.astype(complex)
+
+
+def spread(F, K):
+    """D F D for D = diag(K^(r-1), ..., K, 1): still anti-selfadjoint and in
+    the kernel, with terms of many scales, some below the tolerance."""
+    r = F.size
+    w = np.array([[K ** (2 * r - 2 - i - j) for j in range(r)] for i in range(r)],
+                 dtype=object)[:, :, None, None]
+    return CurvatureMatrix._of(F.coeffs * (ExactArray(w, np.zeros_like(w)) if F.is_exact()
+                                           else w.astype(complex)))
+
+
+def perturbed(kind, F0, G, den, rng):
+    """(F0, G) broken as kind says, by 1/den at places drawn from rng: an
+    imaginary diagonal coefficient (not anti-selfadjoint), a real multiple
+    of the identity (not trace-free), b and -b on the diagonal for b = Id
+    (off the kernel, r >= 2), an imaginary coefficient in omega_mid (a term
+    that is not real), or -omega_mid, which is not Hodge-Riemann (negative
+    terms)."""
+    r, d = F0.size, F0.dim
+    exact = F0.is_exact()
+    i, j = rng.choice(r, size=min(r, 2), replace=False).tolist() + [0] * (2 - min(r, 2))
+    a = int(rng.integers(d))
+    if kind == "adjoint":
+        entries = {(i, i, a, a): (0, 1)}
+    elif kind == "trace":
+        entries = {(k, k, a, a): (1, 0) for k in range(r)}
+    elif kind == "kernel" and r >= 2:
+        entries = {**{(i, i, b, b): (1, 0) for b in range(d)},
+                   **{(j, j, b, b): (-1, 0) for b in range(d)}}
+    elif kind == "unreal":
+        index = tuple(rng.integers(d, size=4).tolist())
+        return F0, G + bump(G.shape, {index: (0, 1)}, den, exact)
+    elif kind == "negative":
+        return F0, -G
+    else:
+        return F0, G
+    return CurvatureMatrix._of(F0.coeffs + bump(F0.coeffs.shape, entries, den, exact)), G
+
+
+def verdict_or_error(decide, *args):
+    """decide(*args).to_dict(), or the class and message of its exception."""
+    try:
+        return decide(*args).to_dict()
+    except (ConfigError, ConsistencyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=st.integers(2, 5), r=st.integers(1, 5), exact=st.booleans(), higgs=st.booleans(),
+       kind=st.sampled_from(["none", "adjoint", "trace", "kernel", "unreal", "negative"]),
+       den=st.sampled_from([2, 10 ** 13]), K=st.sampled_from([1, 1000]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_array_trace_verdict_matches_the_per_entry_oracle(d, r, exact, higgs, kind, den, K,
+                                                          seed):
+    """On projected random curvature of a Schur pair, with and without a Higgs
+    term, its entries spread over many scales or not, as it is and broken in
+    each way the verdict checks (by 1/2, or by 1e-13, which floats forgive):
+    the same to_dict(), or the same exception class and message."""
+    rng = np.random.default_rng(seed)
+    omegas = [exact_kahler(rng, d) if exact else random_kahler(d, rng) for _ in range(2)]
+    top, mid = schur_form_pair(Partition((d - 1,)), omegas, d)
+    G, m = _mid_gram(mid), _top_functional(top)
+    if exact:
+        raw = CurvatureMatrix([[random_exact_11(rng, d) for _ in range(r)] for _ in range(r)],
+                              check=False)
+        theta = exact_higgs(rng, r, d) if higgs else None
+    else:
+        raw = random_curvature(r, d, rng)
+        theta = random_higgs(r, d, rng) if higgs else None
+    if theta is not None:
+        raw = raw + higgs_curvature_term(theta)
+    F0, G = perturbed(kind, _project(spread(raw, K), m), G, den, rng)
+    want = verdict_or_error(trace_verdict_by_entry, F0, G, m, 1e-9)
+    assert verdict_or_error(_trace_verdict, F0, G, m, 1e-9) == want
+
+
+# -- omega must be real ----------------------------------------------------
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_a_form_that_is_not_real_is_a_config_error(exact):
+    """omega_mid or omega_top with one coefficient off the reality condition:
+    trace_check and constraint_project name the indices in a ConfigError,
+    to 1e-9 relative in floats and exactly otherwise."""
+    d = 3
+    one = GaussianRational(1) if exact else 1.0
+    off = PPForm(d, 1, 1, {((0,), (1,)): one})
+    omega = std_kahler(d, exact=exact)
+    top, mid = wedge(omega, omega), omega
+    F0 = constraint_project(random_exact_curvature(np.random.default_rng(3), 2, d), top)
+    if not exact:
+        F0 = float_copy(F0)
+    assert trace_check(F0, top, mid).passed
+    with pytest.raises(ConfigError, match=r"omega_mid is not a real form.*\(\(0,\), \(1,\)\)"):
+        trace_check(F0, top, mid + off)
+    bad_top = top + PPForm(d, 2, 2, {((0, 1), (0, 2)): one})
+    with pytest.raises(ConfigError, match=r"omega_top is not a real form.*\(\(0, 1\), \(0, 2\)\)"):
+        trace_check(F0, bad_top, mid)
+    with pytest.raises(ConfigError, match="omega_top is not a real form"):
+        constraint_project(F0, bad_top)
+    if not exact:  # within 1e-9 relative, a float form is real
+        assert trace_check(F0, top, mid + off * 1e-12).passed
+
+
+def test_a_non_real_omega_mid_is_refused_before_its_terms():
+    """Against random curvature, a float omega_mid with one coefficient off
+    makes terms that are not real (a ConsistencyError of the per-entry
+    oracle); trace_check refuses omega_mid itself first."""
+    rng = np.random.default_rng(41)
+    top, mid = schur_form_pair(Partition((2,)), [random_kahler(3, rng) for _ in range(2)], 3)
+    F0 = constraint_project(random_curvature(2, 3, rng), top)
+    bad = mid + PPForm(3, 1, 1, {((0,), (1,)): 1.0})
+    with pytest.raises(ConsistencyError, match="is not real"):
+        trace_verdict_by_entry(F0, _mid_gram(bad), _top_functional(top), 1e-9)
+    with pytest.raises(ConfigError, match="omega_mid is not a real form"):
+        trace_check(F0, top, bad)

@@ -13,7 +13,8 @@ import pytest
 
 import hrpairs
 from hrpairs.cli import main
-from hrpairs.exterior import form_to_dict, std_kahler, wedge
+from hrpairs.exterior import PPForm, form_to_dict, std_kahler, wedge
+from hrpairs.scalars import GaussianRational
 
 
 def run(capsys, *argv):
@@ -528,6 +529,12 @@ MALFORMED_INPUT = [
                  TRACE_CHECK_FILES, id="trace-check-empty-matrix"),
     pytest.param(InputFiles(trace_check_files(), TOP={"dim": 40, "p": 20, "q": 20, "terms": []}),
                  TRACE_CHECK_FILES, id="trace-check-form-too-large-to-store"),
+    pytest.param(InputFiles(trace_check_files(), MID=form_to_dict(
+        std_kahler(3, exact=False) + PPForm(3, 1, 1, {((0,), (1,)): 1.0}))),
+                 TRACE_CHECK_FILES, id="trace-check-float-omega-not-real"),
+    pytest.param(InputFiles(trace_check_files(), MID=form_to_dict(
+        std_kahler(3) + PPForm(3, 1, 1, {((0,), (1,)): GaussianRational(1)}))),
+                 TRACE_CHECK_FILES, id="trace-check-exact-omega-not-real"),
 ]
 
 

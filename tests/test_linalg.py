@@ -441,6 +441,38 @@ def test_float_signature_refuses_an_eigenvalue_beyond_float_range():
     assert sig == (1, 1, 0) and eigs[-1] == math.inf
 
 
+def float_signature_by_eigenvalue(Q, zero_tol=1e-9):
+    """The oracle of float_signature: the eigenvalues counted one at a time."""
+    eigs = np.linalg.eigvalsh(np.asarray(Q))
+    scale = float(np.abs(eigs).max())
+    if scale == 0.0:
+        return (0, len(eigs), 0), [0.0] * len(eigs)
+    pos = zero = neg = 0
+    for e in eigs:
+        if abs(float(e)) <= zero_tol * scale:
+            zero += 1
+        elif e > 0:
+            pos += 1
+        else:
+            neg += 1
+    return (pos, zero, neg), [float(e) for e in eigs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), rank=st.integers(0, 9),
+       complex_=st.booleans(), zero_tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.5]))
+def test_float_signature_counts_as_the_per_eigenvalue_loop(seed, n, rank, complex_, zero_tol):
+    """Low-rank real and Hermitian matrices, some eigenvalues near the
+    threshold: the same triple and the same eigenvalue list."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, min(rank, n)))
+    if complex_:
+        A = A + 1j * rng.standard_normal(A.shape)
+    Q = (A * rng.choice([-1.0, 1.0, 1e-9], size=A.shape[1])) @ A.conj().T
+    Q = (Q + Q.conj().T) / 2
+    assert float_signature(Q, zero_tol) == float_signature_by_eigenvalue(Q, zero_tol)
+
+
 def test_exact_routines_name_the_shape_of_a_malformed_matrix():
     with pytest.raises(ValueError, match="3 entries for a 2x2 matrix"):
         rational_solve([[1, 0], [0, 1]], [1, 2, 3])

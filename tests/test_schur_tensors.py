@@ -16,7 +16,7 @@ import pytest
 from hrpairs import hrcheck
 from hrpairs.errors import ConfigError
 from hrpairs.exterior import (
-    PPForm, _mid_gram, _top_functional, form_from_hermitian, std_kahler,
+    PPForm, _mid_gram, _top_functional, _unreal, _unreal_at, form_from_hermitian, std_kahler,
 )
 from hrpairs.hrcheck import (
     _bareiss, _float_grid, _hermitians, _lattice, pointwise_hr_pair, random_hermitian,
@@ -335,3 +335,19 @@ def test_schur_form_pair_refuses_a_non_real_form(exact, gap):
     with pytest.raises(ConfigError, match=f"^{re.escape(repr(bad))} is not a real form$"):
         schur_form_pair(Partition((2,)), [good, bad], 3)
     assert not bad.is_real(1e-9)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_schur_form_pair_forms_are_real(d, exact):
+    """The forms of schur_form_pair meet the reality condition by the rule
+    exterior._unreal (to 1e-9 relative in floats, exactly otherwise), which
+    is why _top_form and _mid_form seed _unreal_at as real."""
+    rng = np.random.default_rng([d, exact])
+    for e, lam in [(2, (d - 1,)), (3, (d - 2, 1))][:1 if d == 2 else 2]:
+        omegas = [form_from_hermitian(exact_hermitian(rng, d)) if exact
+                  else random_kahler(d, rng) for _ in range(e)]
+        for form in schur_form_pair(Partition(lam), omegas, d):
+            assert form.is_exact() == exact
+            assert not _unreal(form.Z, form.p, 1e-9).any()
+            assert _unreal_at(form) is None
