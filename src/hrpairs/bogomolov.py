@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError
 from .exterior import PPForm, _frozen, _mid_gram, _peak, _promote, _top_functional, _unreal_at
-from .exterior import _zeros
+from .exterior import _json_indices, _zeros
 from .scalars import ExactArray, magnitude, negligible, to_float
 from .verdict import FAIL, PASS, Verdict, jsonable
 
@@ -226,16 +226,6 @@ def _adjoint(A):
     return -A.conj().transpose(1, 0, 3, 2)
 
 
-def anti_selfadjoint_part(F):
-    """(F - F^adj)/2; fixed points are exactly the admissible matrices."""
-    return CurvatureMatrix._of((F.coeffs - _adjoint(F.coeffs)) / 2)
-
-
-def trace_free_part(F):
-    """Remove (tr F / r) times the identity."""
-    return CurvatureMatrix._of(_trace_free(F.coeffs.copy()))
-
-
 def _trace_free(A):
     """Remove (tr A / r) times the identity from the writable array A, in place."""
     diag = np.arange(len(A))
@@ -252,7 +242,8 @@ def _check_form(name, form, d, k):
         raise DegreeError(f"need a ({k},{k})-form {name} on C^{d}, got {form!r}")
     at = _unreal_at(form)
     if at is not None:
-        raise ConfigError(f"{name} is not a real form: it fails the reality condition at {at}")
+        raise ConfigError(f"{name} is not a real form: it fails the reality condition at "
+                          f"{_json_indices(at)}")
 
 
 def constraint_project(F, omega_top):

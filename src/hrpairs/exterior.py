@@ -155,6 +155,11 @@ def _unreal_at(form):
     return (subsets[rows[0]], subsets[cols[0]]) if len(rows) else None
 
 
+def _json_indices(at):
+    """The 0-based (I, J) of _unreal_at as form JSON names them, 1-based."""
+    return "I = {}, J = {}".format(*([i + 1 for i in S] for S in at))
+
+
 class PPForm:
     """Constant-coefficient (p,q)-form on C^d, stored as its coefficient
     matrix Z (see the module docstring).

@@ -28,9 +28,14 @@ signature of the kernel characterization is the inertia of the bordered
 matrix of the Gram form and the functional, filled in from their integer
 numerators, by linalg.rational_inertia without a right-hand side: from
 linalg.CERTIFY_FROM rows up a verified float certificate decides it, and a
-second integer elimination runs only where the certificate abstains.  It
-is never derived from the elimination that gave In(Q), so the cross-check
-stays independent.
+second integer elimination runs only where the certificate abstains.  The
+float one is the inertia of Q on {f = 0} in the basis of a Householder
+reflection that sends f to a multiple of e_0, one rank-two update of Q
+with no SVD.  Neither is derived from In(Q) or the quotient q (no
+Haynsworth shortcut through In(Q) on the float path either), so the
+cross-check stays independent and its ConsistencyError can still fire.
+In floats, In(Q) is read once, by linalg.float_signature, and its
+eigenvalues serve the verdict as they are.
 
 One core, _pair_verdict, decides every pair from coordinates: the Gram
 matrix, the multiplication matrix of eta_mid, eta_top, the functional
@@ -130,15 +135,16 @@ def _kernel_witness(Q):
     return float_kernel_vector(Q)
 
 
-def _hr_property(Q, zero_tol, hval=None, sig=None):
+def _hr_property(Q, zero_tol, hval=None, inertia=None):
     """has_hr_property's verdict from the Gram matrix and, if given, Q(h, h).
 
     Q is an ExactArray, decided exactly, or a float array, decided with the
-    relative zero_tol.  sig is Q's exact inertia when the caller already
-    has it (_pair_verdict); the eigenvalues are float evidence either way.
+    relative zero_tol.  inertia is (signature, eigenvalues) of Q when the
+    caller already has it (_pair_verdict), else signature reads it; the
+    eigenvalues are float evidence in the exact backend.
     """
     exact = isinstance(Q, ExactArray)
-    sig, eigs = signature(Q, zero_tol) if sig is None else (sig, eigenvalue_evidence(Q))
+    sig, eigs = signature(Q, zero_tol) if inertia is None else inertia
     pos, zero, neg = sig
     n = len(Q)
     tolerances = {} if exact else {"zero_tol": zero_tol}
@@ -202,7 +208,7 @@ def _solve_division(M, b, zero_tol=None, q=None):
             "multiplication by eta is numerically singular on degree-1 classes",
             witness=[float(v) for v in vh[-1]] if deficient else None,
         )
-    return np.asarray(x)
+    return x
 
 
 def divide(model, gamma, eta):
@@ -221,7 +227,18 @@ def divide(model, gamma, eta):
 
 
 def _restricted_negdef(Q, functional, zero_tol):
-    """Signature of Q restricted to the hyperplane {functional = 0}; functional != 0."""
+    """Signature of Q restricted to the hyperplane {functional = 0}; functional != 0.
+
+    Exact: the bordered inertia below.  Float: with f = functional / |f|,
+    v = f + sign(f_0) e_0 and beta = 2 / |v|^2 = 1 / |v_0|, the Householder
+    reflection P = I - beta v v^T (Householder 1958; Golub-Van Loan 5.1)
+    sends f to -sign(f_0) e_0, so Q on {f = 0} is (P Q P)[1:, 1:], and P Q P =
+    Q - (v u^T + u v^T) for w = Q v and u = beta w - (beta^2 v.w / 2) v: one
+    rank-two update, no SVD, and no cancellation in v_0.  Neither backend
+    reads In(Q) or the quotient (no Haynsworth shortcut through In(Q)), so
+    the kernel characterization stays an independent cross-check of the
+    three conditions and ConsistencyError can still fire.
+    """
     if isinstance(Q, ExactArray):
         # In([[Q, f], [f^T, 0]]) = In(Q on {f = 0}) + (1, 0, 1) (Haynsworth 1968).  Built
         # from the numerators: q [[Q, f], [f^T, 0]] is congruent by diag(I, r/q) to it,
@@ -231,10 +248,13 @@ def _restricted_negdef(Q, functional, zero_tol):
         border[:n, :n], border[:n, n], border[n, :n] = Q.re, functional.re, functional.re
         pos, zero, neg = rational_inertia(ExactArray(border, np.zeros_like(border)))
         return pos - 1, zero, neg - 1
-    _, _, vh = np.linalg.svd(functional[None, :])
-    B = vh[1:].T
-    sig, _ = float_signature(B.T @ Q @ B, zero_tol)
-    return sig
+    v = functional / math.hypot(*functional.tolist())  # |f| without overflow or underflow
+    v[0] += math.copysign(1.0, v[0])
+    beta = 1.0 / abs(v[0])
+    w = Q @ v
+    u = beta * w - (beta * beta * (v @ w) / 2) * v
+    vu = v[1:, None] * u[1:]
+    return float_signature(Q[1:, 1:] - (vu + vu.T), zero_tol)[0]
 
 
 def float_copy(values, name):
@@ -273,10 +293,15 @@ def _pair_verdict(Q, M, top, functional, h, zero_tol):
     exact = isinstance(Q, ExactArray)
     tolerances = {} if exact else {"zero_tol": zero_tol}
     hval = _value(h, Q, h)
-    sig, q = rational_inertia(Q, functional) if exact else (None, None)
-    prop = _hr_property(Q, zero_tol, hval, sig)
+    if exact:
+        sig, q = rational_inertia(Q, functional)
+        inertia = sig, eigenvalue_evidence(Q)
+    else:
+        inertia, q = float_signature(Q, zero_tol), None
+    prop = _hr_property(Q, zero_tol, hval, inertia)
     c2val = _value(h, functional)
-    details = {"hr_property": prop.to_dict(), "pairing_with_h": jsonable(c2val)}
+    # prop's fields as they are; to_dict makes them JSON with the rest
+    details = {"hr_property": vars(prop), "pairing_with_h": jsonable(c2val)}
     verdict = partial(Verdict, signature=prop.signature, eigenvalues=prop.eigenvalues,
                       tolerances=tolerances, details=details)
     if prop.outcome == DEGENERATE:
@@ -623,7 +648,7 @@ def _float_schur_tensors(lam, H):
         except np.linalg.LinAlgError:  # a singular X in the chunk
             Y = np.full_like(X, np.nan)
         x, y = (np.square(Z.reshape(len(Z), -1).view(float)) for Z in (X, Y))
-        ok = np.einsum("ki,kj->k", x, y) <= 1e12  # |X|_F^2 |Y|_F^2, one reduction
+        ok = x.sum(axis=1) * y.sum(axis=1) <= 1e12  # |X|_F^2 |Y|_F^2, two row sums
         well = ok.all()
         good = slice(None) if well else ok  # views, not copies, when every point is good
         det = np.linalg.det(X[good])

@@ -17,6 +17,7 @@ tolerance.  inertia is the one entry point for signatures in both backends.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -454,20 +455,21 @@ def float_signature(Q, zero_tol=1e-9):
     An eigenvalue counts as zero when |l| <= zero_tol * max|l|.  Returns
     ((pos, zero, neg), eigenvalues sorted ascending); ConfigError for an
     eigenvalue that is not finite, as a scale of inf counts all as zero.
+    The counts are two bisections of the sorted eigenvalues, at -t and t
+    for t = zero_tol * max|l|, and max|l| is the larger of -l_min and l_max.
     """
     A = np.asarray(Q)
     if A.size == 0:
         return (0, 0, 0), []
-    eigs = np.linalg.eigvalsh(A)
-    scale = float(np.abs(eigs).max())
-    if not math.isfinite(scale):
+    eigs = np.linalg.eigvalsh(A).tolist()
+    # a finite sum has no inf or nan in it; a sum that overflowed is read entry by entry
+    if not math.isfinite(sum(eigs)) and not all(map(math.isfinite, eigs)):
         raise ConfigError("an eigenvalue is beyond float range; decide with the exact backend")
+    n, scale = len(eigs), max(-eigs[0], eigs[-1])
     if scale == 0.0:
-        return (0, len(eigs), 0), [0.0] * len(eigs)
-    zeros = np.abs(eigs) <= zero_tol * scale
-    zero = int(np.count_nonzero(zeros))
-    pos = int(np.count_nonzero(~zeros & (eigs > 0)))
-    return (pos, zero, len(eigs) - zero - pos), eigs.tolist()
+        return (0, n, 0), [0.0] * n
+    neg, pos = bisect_left(eigs, -zero_tol * scale), n - bisect_right(eigs, zero_tol * scale)
+    return (pos, n - pos - neg, neg), eigs
 
 
 def float_kernel_vector(Q):
@@ -479,7 +481,9 @@ def float_kernel_vector(Q):
 
 
 def float_solve(M, b):
-    """Solve M x = b in floats; returns None when M is numerically singular."""
+    """Solve M x = b in floats: x as an array, or None when M is numerically
+    singular, that is when the residual exceeds 1e-6 (|M| |x| + |b|),
+    Frobenius and Euclidean norms read from dot products."""
     A = np.asarray(M, dtype=float)
     rhs = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1]:
@@ -491,7 +495,8 @@ def float_solve(M, b):
             x = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
             return None
-    scale = np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(rhs)
-    if scale > 0 and np.linalg.norm(A @ x - rhs) > 1e-6 * scale:
+    a, r = A.ravel(), A @ x - rhs
+    scale = math.sqrt(a @ a) * math.sqrt(x @ x) + math.sqrt(rhs @ rhs)
+    if scale > 0 and math.sqrt(r @ r) > 1e-6 * scale:
         return None
-    return [float(v) for v in x]
+    return x

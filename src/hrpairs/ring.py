@@ -57,8 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import PPForm, _hermitian, _memoized, _merge_signs, _subset_index, _unreal_at
-from .exterior import std_kahler
+from .exterior import PPForm, _hermitian, _json_indices, _memoized, _merge_signs, _subset_index
+from .exterior import _unreal_at, std_kahler
 from .linalg import rational_rref
 from .scalars import ExactArray, GaussianRational, is_exact
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
@@ -486,7 +486,7 @@ def _check_real(form):
     at = _unreal_at(form)
     if at is not None:
         i, j = (_subset_index(form.dim, form.p)[S] for S in at)
-        raise ConsistencyError(f"form is not real at indices {at}: "
+        raise ConsistencyError(f"form is not real at indices {_json_indices(at)}: "
                                f"{form.Z.item(i, j)} vs {form.Z.item(j, i)}")
     return _hermitian(form.Z, form.p)
 

@@ -17,8 +17,8 @@ from hrpairs.bogomolov import (
     SheafClassData,
     _adjoint,
     _project,
+    _trace_free,
     _trace_verdict,
-    anti_selfadjoint_part,
     bogomolov_value,
     constraint_project,
     discriminant,
@@ -29,7 +29,6 @@ from hrpairs.bogomolov import (
     random_higgs,
     slope,
     trace_check,
-    trace_free_part,
 )
 from hrpairs.errors import ConfigError, ConsistencyError, DegreeError
 from hrpairs.exterior import (
@@ -212,6 +211,16 @@ def random_exact_11(rng, d):
             if z != 0:
                 coeffs[((j,), (k,))] = z
     return PPForm(d, 1, 1, coeffs)
+
+
+def anti_selfadjoint_part(F):
+    """(F - F^adj)/2; its fixed points are the anti-selfadjoint matrices."""
+    return CurvatureMatrix._of((F.coeffs - _adjoint(F.coeffs)) / 2)
+
+
+def trace_free_part(F):
+    """F minus (tr F / r) times the identity, as constraint_project removes it."""
+    return CurvatureMatrix._of(_trace_free(F.coeffs.copy()))
 
 
 def random_exact_curvature(rng, r, d):
@@ -817,7 +826,8 @@ def test_array_trace_verdict_matches_the_per_entry_oracle(d, r, exact, higgs, ki
 def test_a_form_that_is_not_real_is_a_config_error(exact):
     """omega_mid or omega_top with one coefficient off the reality condition:
     trace_check and constraint_project name the indices in a ConfigError,
-    to 1e-9 relative in floats and exactly otherwise."""
+    1-based as form JSON writes them, to 1e-9 relative in floats and exactly
+    otherwise."""
     d = 3
     one = GaussianRational(1) if exact else 1.0
     off = PPForm(d, 1, 1, {((0,), (1,)): one})
@@ -827,10 +837,12 @@ def test_a_form_that_is_not_real_is_a_config_error(exact):
     if not exact:
         F0 = float_copy(F0)
     assert trace_check(F0, top, mid).passed
-    with pytest.raises(ConfigError, match=r"omega_mid is not a real form.*\(\(0,\), \(1,\)\)"):
+    with pytest.raises(ConfigError,
+                       match=r"omega_mid is not a real form.* at I = \[1\], J = \[2\]$"):
         trace_check(F0, top, mid + off)
     bad_top = top + PPForm(d, 2, 2, {((0, 1), (0, 2)): one})
-    with pytest.raises(ConfigError, match=r"omega_top is not a real form.*\(\(0, 1\), \(0, 2\)\)"):
+    with pytest.raises(ConfigError,
+                       match=r"omega_top is not a real form.* at I = \[1, 2\], J = \[1, 3\]$"):
         trace_check(F0, bad_top, mid)
     with pytest.raises(ConfigError, match="omega_top is not a real form"):
         constraint_project(F0, bad_top)

@@ -547,6 +547,21 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, spec, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_a_non_real_omega_mid_is_named_by_its_json_indices(tmp_path, exact):
+    """The coefficient off the reality condition sits at "I": [1], "J": [2]
+    of the JSON file, and the message names it so, not 0-based."""
+    one = GaussianRational(1) if exact else 1.0
+    mid = form_to_dict(std_kahler(3, exact=exact) + PPForm(3, 1, 1, {((0,), (1,)): one}))
+    assert [(t["I"], t["J"]) for t in mid["terms"] if t["I"] != t["J"]] == [([1], [2])]
+    paths = write_inputs(tmp_path, InputFiles(trace_check_files(), MID=mid))
+    proc = run_process(*(paths.get(a, a) for a in TRACE_CHECK_FILES))
+    assert proc.returncode == 2, proc.stderr
+    assert "omega_mid is not a real form" in proc.stderr
+    assert "at I = [1], J = [2]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def declared_console_scripts():
     try:
         import tomllib

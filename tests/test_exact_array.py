@@ -114,7 +114,7 @@ def test_entrywise_and_shape_operations_match_the_oracle(seed, shape, huge):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=SEEDS, r=st.integers(0, 3), d=st.integers(0, 3), huge=st.booleans())
 def test_assignment_matches_the_oracle(seed, r, d, huge):
-    """A[diag, diag] -= B, as bogomolov.trace_free_part writes it, and
+    """A[diag, diag] -= B, as bogomolov._trace_free writes it, and
     A[diag, diag] = B, with B over another denominator; the copy they work
     on leaves the original."""
     rng = np.random.default_rng(seed)

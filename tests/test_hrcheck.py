@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -55,7 +56,7 @@ from hrpairs.ring import (
     subring,
     torus_ring,
 )
-from hrpairs.linalg import inertia, rational_inertia, rational_nullspace
+from hrpairs.linalg import float_signature, inertia, rational_inertia, rational_nullspace
 from hrpairs.scalars import ExactArray, GaussianRational
 from hrpairs.symfunc import Partition, derived, evaluate, schur
 from hrpairs.verdict import jsonable
@@ -83,6 +84,46 @@ def test_float_restriction_to_a_hyperplane_matches_the_exact_one(functional):
     flt = _restricted_negdef(np.array(rows, dtype=float), np.array(functional, dtype=float),
                              1e-9)
     assert flt == exact and sum(flt) == 3
+
+
+def svd_restriction(Q, functional, zero_tol):
+    """The oracle of the float _restricted_negdef: an orthonormal basis B of
+    {functional = 0} from the SVD of the one-row matrix, and the inertia of
+    B^T Q B."""
+    _, _, vh = np.linalg.svd(functional[None, :])
+    B = vh[1:].T
+    return float_signature(B.T @ Q @ B, zero_tol)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["any", "first-zero", "unit"]),
+       spread=st.sampled_from([0, 10, 100, 200]))
+def test_householder_restriction_matches_the_svd_basis(n, seed, kind, spread):
+    """f with entries 10^k N(0, 1), |k| <= spread, or with f_0 = 0, or
+    f = +-10^k e_k, and Q = 10^k (B diag(lam) B^T + terms in f) for an
+    orthonormal basis B of {f = 0}: its restriction has the eigenvalues
+    lam, some of them 0 and one +-1, so that the relative tolerance sees
+    them; at spread 200, f . f overflows or underflows.  The float triple
+    must be the SVD basis's."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.integers(-spread, spread + 1, size=n + 1)
+    f = rng.standard_normal(n) * scales[:n]
+    if kind == "first-zero" and n > 1:
+        f[0] = 0.0
+    elif kind == "unit":
+        k = rng.integers(n)
+        f = np.zeros(n)
+        f[k] = rng.choice([-1.0, 1.0]) * scales[k]
+    basis, _ = np.linalg.qr(np.column_stack([f, rng.standard_normal((n, n - 1))]))
+    B, g = basis[:, 1:], rng.standard_normal(n)
+    lam = rng.choice([-1.0, 0.0, 1.0], size=n - 1) * rng.uniform(0.5, 2.0, size=n - 1)
+    if n > 1:
+        lam[rng.integers(n - 1)] = rng.choice([-1.0, 1.0])
+    Q = scales[n] * ((B * lam) @ B.T + np.outer(basis[:, 0], g) + np.outer(g, basis[:, 0]))
+    want = svd_restriction(Q, f, 1e-9)
+    assert want == (int((lam > 0).sum()), int((lam == 0).sum()), int((lam < 0).sum()))
+    assert _restricted_negdef(Q, f, 1e-9) == want
 
 
 def test_signature_exact_and_float_agree():
@@ -964,17 +1005,18 @@ def test_exact_pointwise_verdict_is_the_torus_ring_oracle(case, seed, negate, st
     assert pointwise_hr_pair(top, mid, omega).to_dict() == exact_verdict(top, mid, omega).to_dict()
 
 
-@pytest.mark.parametrize("part, skew", [
-    ("top", PPForm.monomial(3, (0, 1), (0, 2), GaussianRational(0, 1))),
-    ("mid", PPForm.monomial(3, (0,), (1,), GaussianRational(1))),
-    ("mid", std_kahler(3) * GaussianRational(0, 1)),  # i times a real form
-])
-def test_exact_pointwise_check_rejects_a_non_real_form(part, skew):
+@pytest.mark.parametrize("part, skew, at", [
+    ("top", PPForm.monomial(3, (0, 1), (0, 2), GaussianRational(0, 1)), "I = [1, 2], J = [1, 3]"),
+    ("mid", PPForm.monomial(3, (0,), (1,), GaussianRational(1)), "I = [1], J = [2]"),
+    ("mid", std_kahler(3) * GaussianRational(0, 1), "I = [1], J = [1]"),  # i times a real form
+], ids=["top-skew0", "mid-skew1", "mid-skew2"])
+def test_exact_pointwise_check_rejects_a_non_real_form(part, skew, at):
+    """The message names the first gap 1-based, as form JSON writes it."""
     rng = np.random.default_rng(17)
     pair = dict(zip(("top", "mid"), schur_form_pair(
         Partition((2,)), [exact_kahler(3, rng) for _ in range(2)], 3)))
     pair[part] = pair[part] + skew
-    with pytest.raises(ConsistencyError, match="form is not real at indices"):
+    with pytest.raises(ConsistencyError, match=f"form is not real at indices {re.escape(at)}: "):
         pointwise_hr_pair(pair["top"], pair["mid"], std_kahler(3))
 
 
