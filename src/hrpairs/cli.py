@@ -18,7 +18,6 @@ from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeErro
 from .exterior import form_from_dict, wedge
 from .ring import (
     MAX_SCHUR_ORDER,
-    MAX_SCHUR_VARS,
     MAX_SCHUR_WEIGHT,
     MAX_SEGRE_DEGREE,
     MAX_TRACE_RANK,
@@ -154,11 +153,9 @@ def _fixture(name):
 # -- symfunc verbs ---------------------------------------------------------
 
 
-def _check_partition(lam, num_vars):
-    """ConfigError above ring.MAX_SCHUR_VARS variables, ring.MAX_SCHUR_ORDER columns (the order
-    of the dual Jacobi-Trudi determinant) or ring.MAX_SCHUR_WEIGHT boxes."""
-    if num_vars > MAX_SCHUR_VARS:
-        raise ConfigError(f"{num_vars} variables are above {MAX_SCHUR_VARS} (ring.MAX_SCHUR_VARS)")
+def _check_partition(lam):
+    """ConfigError above ring.MAX_SCHUR_ORDER columns (the order of the dual Jacobi-Trudi
+    determinant) or ring.MAX_SCHUR_WEIGHT boxes; --vars does not enter the cost, so is free."""
     if lam.parts and lam.parts[0] > MAX_SCHUR_ORDER:
         raise ConfigError(f"partition {lam} makes a dual Jacobi-Trudi determinant of order "
                           f"{lam.parts[0]}, above {MAX_SCHUR_ORDER} (ring.MAX_SCHUR_ORDER)")
@@ -169,7 +166,7 @@ def _check_partition(lam, num_vars):
 
 def cmd_schur(args):
     lam = args.partition
-    _check_partition(lam, args.vars)
+    _check_partition(lam)
     p = schur(lam, args.vars)
     if args.json:
         print(json.dumps({"partition": str(lam), "vars": args.vars, "schur": str(p)}))
@@ -180,7 +177,7 @@ def cmd_schur(args):
 
 def cmd_derived(args):
     lam = args.partition
-    _check_partition(lam, args.vars)
+    _check_partition(lam)
     try:
         p = derived(schur(lam, args.vars), args.order)
     except DegreeError as exc:  # an order past the weight

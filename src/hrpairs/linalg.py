@@ -454,13 +454,16 @@ def float_signature(Q, zero_tol=1e-9):
 
     An eigenvalue counts as zero when |l| <= zero_tol * max|l|.  Returns
     ((pos, zero, neg), eigenvalues sorted ascending); ConfigError for an
-    eigenvalue that is not finite, as a scale of inf counts all as zero.
-    The counts are two bisections of the sorted eigenvalues, at -t and t
-    for t = zero_tol * max|l|, and max|l| is the larger of -l_min and l_max.
+    entry of Q (LAPACK may read a NaN as finite) or an eigenvalue (a scale
+    of inf counts all as zero) that is not finite.  The counts are two
+    bisections of the sorted eigenvalues, at -t and t for t = zero_tol *
+    max|l|, and max|l| is the larger of -l_min and l_max.
     """
     A = np.asarray(Q)
     if A.size == 0:
         return (0, 0, 0), []
+    if not np.isfinite(A).all():
+        raise ConfigError("a matrix entry is not finite (nan or inf)")
     eigs = np.linalg.eigvalsh(A).tolist()
     # a finite sum has no inf or nan in it; a sum that overflowed is read entry by entry
     if not math.isfinite(sum(eigs)) and not all(map(math.isfinite, eigs)):

@@ -913,15 +913,12 @@ MAX_TRACE_RANK = 32
 # Largest partition of the schur and derived verbs: its first part lam_1 is
 # the order of the dual Jacobi-Trudi determinant (a cofactor expansion over
 # column subsets, exponential in it), and its weight sets the size of the
-# polynomials.  schur (n) in n variables took 0.4 s at n = 12 and 4.4 s at 16;
-# (12, 4) in 16 variables, the slowest shape within both caps, 0.4 s (the verb
-# 0.6 s), and (12, 12) in 24 1.0 s (Python 3.11, one core, in process).
+# polynomials, not the number of variables.  schur (n) in n variables took
+# 0.2 s at n = 12 and 4.5 s at 16; (12, 4), the slowest shape within both
+# caps, 0.3 s in 16 variables as in 100 000 (the verb 0.5 s and 33 MB), and
+# (12, 12) in 24 0.9 s (Python 3.11, one core, in process).
 MAX_SCHUR_ORDER = 12
 MAX_SCHUR_WEIGHT = 16
-# Largest --vars of the schur and derived verbs (an e-monomial is a tuple of that
-# length): the verb schur (12, 4) took 1.0 s and 43 MB at 1 000 variables, 2.7 s
-# and 80 MB at 4 000, 5.9 s and 155 MB at 10 000, and 53 s and 1.1 GB at 100 000.
-MAX_SCHUR_VARS = 1_000
 # Largest segre degree: 0.3 s at 1 000, 10 s and 30 MB of output at 20 000.
 MAX_SEGRE_DEGREE = 1_000
 

@@ -85,8 +85,10 @@ class Partition:
 class SymPoly:
     """Polynomial in e_1..e_e with Fraction coefficients.
 
-    terms maps exponent tuples (m_1, ..., m_e) -> coefficient, where m_k is
-    the power of e_k.  Zero coefficients are never stored.
+    terms maps exponent tuples (m_1, ..., m_j) -> coefficient, where m_k is
+    the power of e_k and m_j > 0 (j <= e; the unit is ()), so no arithmetic
+    cost grows with e.  The constructor and coefficient cut longer tuples to
+    that key.  Zero coefficients are never stored.
     """
 
     __slots__ = ("num_vars", "terms")
@@ -98,11 +100,12 @@ class SymPoly:
             for mono, c in terms.items():
                 c = Fraction(c)
                 if c != 0:
-                    if len(mono) != self.num_vars:
+                    mono = _cut(mono)
+                    if len(mono) > self.num_vars:
                         raise DegreeError(
-                            f"exponent tuple {mono} does not have length {self.num_vars}"
+                            f"exponent tuple {mono} uses e_{len(mono)}, past {self.num_vars} variables"
                         )
-                    self.terms[tuple(mono)] = c
+                    self.terms[mono] = c
 
     # -- constructors ------------------------------------------------------
 
@@ -112,11 +115,11 @@ class SymPoly:
 
     @classmethod
     def one(cls, num_vars):
-        return cls(num_vars, {(0,) * num_vars: Fraction(1)})
+        return cls(num_vars, {(): Fraction(1)})
 
     @classmethod
     def constant(cls, num_vars, c):
-        return cls(num_vars, {(0,) * num_vars: Fraction(c)})
+        return cls(num_vars, {(): Fraction(c)})
 
     # -- structure ---------------------------------------------------------
 
@@ -134,7 +137,7 @@ class SymPoly:
         return weights.pop()
 
     def coefficient(self, mono):
-        return self.terms.get(tuple(mono), Fraction(0))
+        return self.terms.get(_cut(mono), Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -150,11 +153,7 @@ class SymPoly:
         self._check_compatible(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = terms.get(mono, Fraction(0)) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
+            terms[mono] = terms.get(mono, 0) + c
         return SymPoly(self.num_vars, terms)
 
     __radd__ = __add__
@@ -179,12 +178,8 @@ class SymPoly:
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
+                m = tuple(a + b for a, b in itertools.zip_longest(m1, m2, fillvalue=0))
+                terms[m] = terms.get(m, 0) + c1 * c2
         return SymPoly(self.num_vars, terms)
 
     __rmul__ = __mul__
@@ -231,14 +226,19 @@ class SymPoly:
         return f"SymPoly[{self.num_vars}]({self})"
 
 
+def _cut(mono):
+    """The exponent tuple mono up to its last nonzero entry: the key of its e-monomial."""
+    mono = tuple(mono)
+    return mono[:max((k + 1 for k, m in enumerate(mono) if m), default=0)]
+
+
 def elementary(k, num_vars):
     """e_k as a SymPoly; zero when k exceeds the number of variables."""
     if k < 0 or k > num_vars:
         return SymPoly.zero(num_vars)
     if k == 0:
         return SymPoly.one(num_vars)
-    mono = tuple(1 if i == k - 1 else 0 for i in range(num_vars))
-    return SymPoly(num_vars, {mono: Fraction(1)})
+    return SymPoly(num_vars, {(0,) * (k - 1) + (1,): Fraction(1)})
 
 
 def complete_homogeneous(k, num_vars):
@@ -370,9 +370,9 @@ def derived(p, order=1):
     for j in range(1, order + 1):
         out = {}
         for mono, c in terms.items():
-            for k in range(e):  # D e_(k+1) = (e - k) e_k, e_0 = 1
+            for k in range(len(mono)):  # D e_(k+1) = (e - k) e_k, e_0 = 1
                 if mono[k]:
-                    lower = tuple(m - (i == k) + (i == k - 1) for i, m in enumerate(mono))
+                    lower = _cut(m - (i == k) + (i == k - 1) for i, m in enumerate(mono))
                     out[lower] = out.get(lower, 0) + c * mono[k] * (e - k)
         terms = {mono: c / j for mono, c in out.items()}
     return SymPoly(e, terms)
@@ -526,16 +526,16 @@ def to_monomials(p):
     and scaled by its coefficient once; only the e_k that p uses are listed.
     """
     e = p.num_vars
-    top = max((k + 1 for mono in p.terms for k, m in enumerate(mono) if m), default=0)
+    top = max(map(len, p.terms), default=0)
     subsets = [[tuple(int(i in S) for i in range(e)) for S in itertools.combinations(range(e), k)]
                for k in range(top + 1)]
-    memo = {(0,) * e: {(0,) * e: 1}}
+    memo = {(): {(0,) * e: 1}}
 
     def expand(mono):
         if mono not in memo:
-            k = max(i for i, m in enumerate(mono) if m)
+            k = len(mono) - 1
             out = {}
-            for m1, c in expand(mono[:k] + (mono[k] - 1,) + mono[k + 1:]).items():
+            for m1, c in expand(_cut(mono[:k] + (mono[k] - 1,))).items():
                 for m2 in subsets[k + 1]:
                     m = tuple(a + b for a, b in zip(m1, m2))
                     out[m] = out.get(m, 0) + c

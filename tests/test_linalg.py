@@ -441,6 +441,20 @@ def test_float_signature_refuses_an_eigenvalue_beyond_float_range():
     assert sig == (1, 1, 0) and eigs[-1] == math.inf
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1), (1, 0)])
+def test_float_signature_refuses_an_entry_that_is_not_finite(bad, at):
+    """LAPACK may read a NaN on the diagonal as a finite matrix, and reads
+    only one triangle of Q; every entry is checked."""
+    Q = np.eye(2)
+    Q[at] = bad
+    for M in (Q, Q + 0j):
+        with pytest.raises(ConfigError, match="not finite"):
+            float_signature(M)
+        with pytest.raises(ConfigError, match="not finite"):
+            inertia(M.tolist())
+
+
 def float_signature_by_eigenvalue(Q, zero_tol=1e-9):
     """The oracle of float_signature: the eigenvalues counted one at a time."""
     eigs = np.linalg.eigvalsh(np.asarray(Q))

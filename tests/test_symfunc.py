@@ -128,6 +128,12 @@ def test_schur_small_closed_forms():
     assert schur(Partition((1,)), 3) == e1
     assert schur(Partition((1, 1)), 3) == e2
     assert schur(Partition((2,)), 3) == e1 * e1 - e2
+    # an exponent tuple is keyed up to its last nonzero entry; the full-length
+    # form builds the same polynomial and reads the same coefficient
+    for key in [(0, 1, 0), (0, 1)]:
+        assert SymPoly(3, {key: 1}) == e2 and str(SymPoly(3, {key: 1})) == str(e2) == "e2"
+        assert e2.coefficient(key) == 1 and e1.coefficient(key) == 0
+    assert SymPoly.one(3).coefficient((0, 0, 0)) == SymPoly.one(3).coefficient(()) == 1
 
 
 def test_pieri_s1_squared():
@@ -272,9 +278,10 @@ def test_shift_is_a_ring_homomorphism():
 
 @st.composite
 def schur_classes(draw):
-    """(lam, e) with e <= 6 variables and |lam| <= 8 boxes, at most e rows."""
-    e = draw(st.integers(1, 6))
-    parts = sorted(draw(st.lists(st.integers(1, 8), max_size=e)), reverse=True)
+    """(lam, e) with |lam| <= 8 boxes, at most e rows, and e <= 6 variables or
+    e far above the weight, up to 1 000, where most e_k go unused."""
+    e = draw(st.integers(1, 6) | st.integers(9, 1000))
+    parts = sorted(draw(st.lists(st.integers(1, 8), max_size=min(e, 8))), reverse=True)
     while sum(parts) > 8:
         parts.pop(0)
     return Partition(parts), e
@@ -426,5 +433,8 @@ def test_partition_rejects_bad_input():
 def test_sympoly_rejects_mixed_variable_counts():
     with pytest.raises(DegreeError):
         elementary(1, 2) + elementary(1, 3)
+    with pytest.raises(DegreeError):  # e_3 in 2 variables
+        SymPoly(2, {(0, 0, 1): 1})
+    assert SymPoly(2, {(1, 0, 0): 1}) == elementary(1, 2)  # zero exponents past e are cut
     with pytest.raises(DegreeError):
         evaluate(elementary(1, 3), [Fraction(1)] * 2, Fraction(1))
