@@ -19,21 +19,21 @@ definite on {a : int(a * eta_top) = 0} and Q_eta_mid(h, h) > 0".
 Verdicts carry inertia triples from signature, which is linalg.inertia: in
 the exact backend they are exact, with no tolerance (fraction-free integer
 elimination, or a verified float certificate where it decides), and
-eigenvalues are float evidence.  A pair verdict's exact quotient comes from
-the same elimination of the Gram form that gives its inertia
-(linalg.rational_inertia with a right-hand side), checked by one integer
-product against the multiplication matrix; linalg.rational_solve remains
-for divide and the Vandermonde weights of _lattice.  The exact restricted
-signature of the kernel characterization is the inertia of the bordered
-matrix of the Gram form and the functional, filled in from their integer
-numerators, by linalg.rational_inertia without a right-hand side: from
-linalg.CERTIFY_FROM rows up a verified float certificate decides it, and a
-second integer elimination runs only where the certificate abstains.  The
-float one is the inertia of Q on {f = 0} in the basis of a Householder
-reflection that sends f to a multiple of e_0, one rank-two update of Q
-with no SVD.  Neither is derived from In(Q) or the quotient q (no
-Haynsworth shortcut through In(Q) on the float path either), so the
-cross-check stays independent and its ConsistencyError can still fire.
+eigenvalues are float evidence.  A pair verdict's quotient is Q^-1 f in
+both backends, exactly from the elimination that gives In(Q)
+(linalg.rational_inertia with a right-hand side), else one float_solve,
+and one rule, M q == top (_divides), decides the division.  The exact
+restricted signature of the kernel characterization is the inertia of the
+bordered matrix of the Gram form and the functional, from their integer
+numerators balanced by a power of two, by linalg.rational_inertia without
+a right-hand side: from linalg.CERTIFY_FROM rows up a verified float
+certificate decides it, and a second integer elimination runs only where
+the certificate abstains.  The float one is the inertia of Q on {f = 0}
+in the basis of a Householder reflection that sends f to a multiple of
+e_0, one rank-two update of Q with no SVD.  Neither is derived from In(Q)
+or the quotient q (no Haynsworth shortcut through In(Q) on the float path
+either), so the cross-check stays independent and its ConsistencyError
+can still fire.
 In floats, In(Q) is read once, by linalg.float_signature, and its
 eigenvalues serve the verdict as they are.
 
@@ -182,40 +182,15 @@ def has_hr_property(model, eta, h=None):
     return _hr_property(Q, None, _value(h.coeffs, Q, h.coeffs))
 
 
-def _solve_division(M, b, zero_tol=None, q=None):
-    """x with M x = b, an array of M's backend; SingularPairingError with a
-    kernel witness if there is none.
-
-    q, given in the exact backend, is the only candidate: Q^-1 f for a
-    nonsingular Q = P M and f = P b (_pair_verdict), so M is injective and
-    one product M q == b decides in place of a solve.
-    """
-    if isinstance(M, ExactArray):
-        x = rational_solve(M, b) if q is None else q
-        if x is not None:
-            x = ExactArray.of(x)
-            # M x == b on the integer parts, all real
-            if q is None or ((M.re @ x.re) * b.den == b.re * (M.den * x.den)).all():
-                return x
-        raise SingularPairingError("multiplication by eta is singular on degree-1 classes",
-                                   witness=_kernel_witness(M))
-    x = float_solve(M, b)
-    if x is None:
-        # a witness only when M is numerically rank-deficient, as in the exact branch
-        _, s, vh = np.linalg.svd(M)
-        deficient = M.shape[0] < M.shape[1] or s[-1] <= zero_tol * s[0]
-        raise SingularPairingError(
-            "multiplication by eta is numerically singular on degree-1 classes",
-            witness=[float(v) for v in vh[-1]] if deficient else None,
-        )
-    return x
+_SINGULAR_DIVISION = "multiplication by eta is singular on degree-1 classes"
 
 
 def divide(model, gamma, eta):
     """The class gamma / eta: solves eta * x = gamma for x of degree 1, exactly.
 
-    Raises SingularPairingError (with a kernel witness when available) if the
-    multiplication map by eta is singular or gamma is not in its image.
+    Of many solutions, the one linalg.rational_solve picks.  Raises
+    SingularPairingError, with a kernel vector of the multiplication map by
+    eta as witness (None when it is injective), if gamma is not in its image.
     """
     qdeg = gamma.degree - eta.degree
     if qdeg != 1:
@@ -223,18 +198,34 @@ def divide(model, gamma, eta):
             f"division expects quotient degree 1, got {qdeg} "
             f"(gamma degree {gamma.degree}, eta degree {eta.degree})"
         )
-    return model.from_coeffs(1, _solve_division(model.multiplication_matrix(eta), gamma.coeffs))
+    M = model.multiplication_matrix(eta)
+    x = rational_solve(M, gamma.coeffs)
+    if x is None:
+        raise SingularPairingError(_SINGULAR_DIVISION, witness=_kernel_witness(M))
+    return model.from_coeffs(1, x)
+
+
+def _divides(M, q, top):
+    """Does q solve M q = top?  Exact: equality on the integer parts, all
+    real.  Float: the residual is at most 1e-6 (|M| |q| + |top|), Frobenius
+    and Euclidean norms read from dot products."""
+    if isinstance(M, ExactArray):
+        return ((M.re @ q.re) * top.den == top.re * (M.den * q.den)).all()
+    a, r = M.ravel(), M @ q - top
+    scale = math.sqrt(a @ a) * math.sqrt(q @ q) + math.sqrt(top @ top)
+    return not math.sqrt(r @ r) > 1e-6 * scale
 
 
 def _restricted_negdef(Q, functional, zero_tol):
     """Signature of Q restricted to the hyperplane {functional = 0}; functional != 0.
 
-    Exact: the bordered inertia below.  Float: with f = functional / |f|,
-    v = f + sign(f_0) e_0 and beta = 2 / |v|^2 = 1 / |v_0|, the Householder
-    reflection P = I - beta v v^T (Householder 1958; Golub-Van Loan 5.1)
-    sends f to -sign(f_0) e_0, so Q on {f = 0} is (P Q P)[1:, 1:], and P Q P =
-    Q - (v u^T + u v^T) for w = Q v and u = beta w - (beta^2 v.w / 2) v: one
-    rank-two update, no SVD, and no cancellation in v_0.  Neither backend
+    Exact: the bordered inertia below (its blocks balanced).  Float: with
+    f = functional / |f|, v = f + sign(f_0) e_0 and beta = 2 / |v|^2 =
+    1 / |v_0|, the Householder reflection P = I - beta v v^T (Householder
+    1958; Golub-Van Loan 5.1) sends f to -sign(f_0) e_0, so Q on {f = 0} is
+    (P Q P)[1:, 1:], and P Q P = Q - (v u^T + u v^T) for w = Q v and
+    u = beta w - (beta^2 v.w / 2) v: one rank-two update, no SVD, and no
+    cancellation in v_0.  Neither backend
     reads In(Q) or the quotient (no Haynsworth shortcut through In(Q)), so
     the kernel characterization stays an independent cross-check of the
     three conditions and ConsistencyError can still fire.
@@ -242,10 +233,19 @@ def _restricted_negdef(Q, functional, zero_tol):
     if isinstance(Q, ExactArray):
         # In([[Q, f], [f^T, 0]]) = In(Q on {f = 0}) + (1, 0, 1) (Haynsworth 1968).  Built
         # from the numerators: q [[Q, f], [f^T, 0]] is congruent by diag(I, r/q) to it,
-        # for q and r the denominators of Q and f
+        # for q and r the denominators of Q and f.  The Q block times 2^k (a positive
+        # multiple of the congruence by diag(I, 2^-k)) or the border times 2^k (diag(I,
+        # 2^k)) gives the largest entries of both one bit length: f's can run 54 bits
+        # above Q's, and the float certificate abstains on such a matrix
         n = len(Q)
+        R, f = Q.re, functional.re
+        gap = np.abs(f).max(initial=0).bit_length() - np.abs(R).max(initial=0).bit_length()
+        if gap > 0:
+            R = R * 2 ** gap
+        elif gap < 0:
+            f = f * 2 ** -gap
         border = np.zeros((n + 1, n + 1), dtype=object)
-        border[:n, :n], border[:n, n], border[n, :n] = Q.re, functional.re, functional.re
+        border[:n, :n], border[:n, n], border[n, :n] = R, f, f
         pos, zero, neg = rational_inertia(ExactArray(border, np.zeros_like(border)))
         return pos - 1, zero, neg - 1
     v = functional / math.hypot(*functional.tolist())  # |f| without overflow or underflow
@@ -278,13 +278,12 @@ def _pair_verdict(Q, M, top, functional, h, zero_tol):
     coordinates of h.  The array type is the backend: all are real
     ExactArrays, decided exactly, or all float arrays, decided with the
     relative zero_tol.  Callers pass Q = P M and functional = P top for
-    the pairing P of degrees 1 and d-1.  In the exact backend one
-    elimination gives In(Q) and the Fractions of q = Q^-1 functional
-    (linalg.rational_inertia with a right-hand side), which the record
-    reports as they are; q is made an ExactArray once, M q == top on its
-    integer parts decides the division, and then Q q = functional, so
-    q Q q = q . functional.  The values Q(h, h), h . functional and that
-    one are single Fractions of integer products (_value).
+    the pairing P of degrees 1 and d-1.  q = Q^-1 functional comes from the
+    elimination that gives In(Q) (linalg.rational_inertia with a right-hand
+    side), or from float_solve once Q is nondegenerate; M is then injective,
+    so M q == top (_divides) decides the division, and exactly q Q q =
+    q . functional.  The values Q(h, h), h . functional and that one are
+    single Fractions of integer products (_value).
 
     Any zero inertia along the way yields outcome "degenerate" (never a hard
     pass/fail); otherwise the kernel characterization is recomputed and a
@@ -297,7 +296,7 @@ def _pair_verdict(Q, M, top, functional, h, zero_tol):
         sig, q = rational_inertia(Q, functional)
         inertia = sig, eigenvalue_evidence(Q)
     else:
-        inertia, q = float_signature(Q, zero_tol), None
+        inertia = float_signature(Q, zero_tol)
     prop = _hr_property(Q, zero_tol, hval, inertia)
     c2val = _value(h, functional)
     # prop's fields as they are; to_dict makes them JSON with the rest
@@ -306,13 +305,13 @@ def _pair_verdict(Q, M, top, functional, h, zero_tol):
                       tolerances=tolerances, details=details)
     if prop.outcome == DEGENERATE:
         return verdict(DEGENERATE, witness=prop.witness)
-    try:
-        quotient = _solve_division(M, top, zero_tol, q)
-    except SingularPairingError as exc:
-        # Gram nondegenerate but the division failed: numerically borderline
-        return verdict(DEGENERATE, witness={"division": str(exc), "kernel_vector": exc.witness})
-    c3val = _value(quotient, functional) if exact else _value(quotient, Q, quotient)
-    details["quotient"] = jsonable(q if exact else _real(quotient))
+    if not exact:
+        q = float_solve(Q, functional)
+    if q is None or not _divides(M, q, top):
+        # Q nondegenerate, so M is injective: top is outside im M (or LAPACK found Q singular)
+        return verdict(DEGENERATE, witness={"division": _SINGULAR_DIVISION, "kernel_vector": None})
+    c3val = _value(q, functional) if exact else _value(q, Q, q)
+    details["quotient"] = jsonable(_real(q))
     details["quotient_square_value"] = jsonable(c3val)
     checks = {"hr_property": prop.passed, "pairing_with_h_positive": c2val > 0,
               "quotient_square_positive": c3val > 0}
@@ -621,7 +620,8 @@ def _lattice(lam, e):
         nodes = monomials if n else [(1,) + (0,) * (e - 1)]
         vandermonde = [[math.prod(t ** x for t, x in zip(node, mu)) for node in nodes]
                        for mu in monomials]
-        parts.append((nodes, rational_solve(vandermonde, [target.get(mu, 0) for mu in monomials])))
+        weights = rational_solve(vandermonde, [target.get(mu, 0) for mu in monomials])
+        parts.append((nodes, weights.fractions()))
     (top, w_top), (mid, w_mid) = parts
     return (np.array(top + mid, dtype=object), np.array(w_top + [0] * len(mid), dtype=object),
             np.array([0] * len(top) + w_mid, dtype=object))

@@ -186,7 +186,7 @@ class SymPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = SymPoly.constant(self.num_vars, other)
+            return self.terms == ({(): other} if other else {})
         return (
             isinstance(other, SymPoly)
             and self.num_vars == other.num_vars

@@ -9,7 +9,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hrpairs import exterior, hrcheck, ring
@@ -34,7 +34,6 @@ from hrpairs.hrcheck import (
     _hermitians,
     _pair_verdict,
     _restricted_negdef,
-    _solve_division,
     divide,
     gram,
     has_hr_property,
@@ -56,7 +55,13 @@ from hrpairs.ring import (
     subring,
     torus_ring,
 )
-from hrpairs.linalg import float_signature, inertia, rational_inertia, rational_nullspace
+from hrpairs.linalg import (
+    float_signature,
+    inertia,
+    rational_inertia,
+    rational_nullspace,
+    rational_solve,
+)
 from hrpairs.scalars import ExactArray, GaussianRational
 from hrpairs.symfunc import Partition, derived, evaluate, schur
 from hrpairs.verdict import jsonable
@@ -741,7 +746,75 @@ def test_singular_division_is_degenerate_in_both_backends():
         assert tuple(v.signature) == (1, 0, 1)
         assert "division" in v.witness
         assert v.witness["kernel_vector"] is None  # M is injective: no kernel to show
+    assert exact.witness == flt.witness  # one division rule, one witness
     assert exact.details.keys() == flt.details.keys()
+
+
+SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def subring_pairs(draw):
+    """(model, eta_top, eta_mid, h) on the subring of torus_ring(3) or (4)
+    generated by 1-3 random integer degree-1 classes, so that M is often
+    not square; eta_top is eta_mid times a random degree-1 class (top in
+    im M) or a random class, usually outside im M."""
+    d = draw(st.sampled_from([3, 4]))
+    ambient = torus_ring(d)
+    n = len(ambient.basis(1))
+    gens = {f"g{k}": ambient.from_coeffs(1, draw(st.lists(SMALL, min_size=n, max_size=n)))
+            for k in range(draw(st.integers(1, 3)))}
+    model = subring(ambient, gens)
+    assume(model.basis(1) and model.basis(d))
+
+    def element(degree):
+        k = len(model.basis(degree))
+        return model.from_coeffs(degree, draw(st.lists(SMALL, min_size=k, max_size=k)))
+
+    mid, h = element(d - 2), element(1)
+    top = mid * element(1) if draw(st.booleans()) else element(d - 1)
+    return model, top, mid, h
+
+
+def float_margin(verdict, h, functional):
+    """The smallest relative size of the values whose signs a float pair
+    verdict decides: |eigenvalue| / max |eigenvalue| of the Gram matrix,
+    h . functional over |h| |functional| and q Q q over |q|^2 max |eigenvalue|."""
+    def ratio(a, b):
+        return abs(a) / b if b else 0.0
+
+    eigs = np.abs(verdict.eigenvalues)
+    details = verdict.details
+    margins = [ratio(eigs.min(), eigs.max()),
+               ratio(details["pairing_with_h"], np.linalg.norm(h) * np.linalg.norm(functional))]
+    if "quotient" in details:
+        q = np.asarray(details["quotient"])
+        margins.append(ratio(details["quotient_square_value"], q @ q * eigs.max()))
+    return min(margins)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=subring_pairs())
+def test_float_division_from_q_matches_the_exact_verdict(case):
+    """The float verdict divides as the exact one does, q = Q^-1 functional
+    checked by M q == top, also where M is not square: away from a float
+    margin of 1e-6, outcome and signature are the exact ones, the quotient
+    agrees to 1e-9 relative, and a top outside im M is refused alike."""
+    model, top, mid, h = case
+    exact = is_hr_pair(model, top, mid, h)
+    flt = is_hr_pair(model, top, mid, h, exact=False)
+    functional = model.pairing_matrix(1) @ top.coeffs
+    if exact.outcome == "degenerate" and "division" not in exact.witness:
+        return
+    if float_margin(flt, h.coeffs.saturated(), functional.saturated()) <= 1e-6:
+        return
+    assert (flt.outcome, tuple(flt.signature)) == (exact.outcome, tuple(exact.signature))
+    if "division" in exact.witness:
+        assert flt.witness == exact.witness
+        return
+    want = np.array([float(Fraction(x)) for x in exact.details["quotient"]])
+    got = np.asarray(flt.details["quotient"])
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_exact_division_check_refuses_a_top_outside_the_image():
@@ -752,13 +825,13 @@ def test_exact_division_check_refuses_a_top_outside_the_image():
     M = ExactArray.of([[1, 0], [0, 1], [1, 1]])
     top = ExactArray.of([1, 1, 0])
     Q, functional = P @ M, P @ top
-    assert rational_inertia(Q, functional) == ((1, 0, 1), [1, 1])
+    sig, q = rational_inertia(Q, functional)
+    assert (sig, q.fractions()) == ((1, 0, 1), [1, 1])
     verdict = _pair_verdict(Q, M, top, functional, ExactArray.of([1, 0]), None)
-    with pytest.raises(SingularPairingError) as info:
-        _solve_division(M, top)  # rational_solve(M, top), no candidate
-    assert info.value.witness is None  # rational_nullspace(M) is empty
+    assert rational_solve(M, top) is None and rational_nullspace(M) == []
     assert (verdict.outcome, tuple(verdict.signature)) == ("degenerate", (1, 0, 1))
-    assert verdict.witness == {"division": str(info.value), "kernel_vector": None}
+    assert verdict.witness == {"division": "multiplication by eta is singular on degree-1 classes",
+                               "kernel_vector": None}
     assert verdict.details["hr_property"]["outcome"] == "pass"
 
 
@@ -774,12 +847,6 @@ def test_rank_deficient_division_reports_a_kernel_witness():
         divide(model, gamma, eta)
     v = [Fraction(x) for x in info.value.witness]
     assert any(v) and all(sum(a * b for a, b in zip(row, v)) == 0 for row in M)
-    M = np.array(M, dtype=float)
-    with pytest.raises(SingularPairingError) as info:
-        _solve_division(M, np.array(gamma.coeffs.fractions(), dtype=float), 1e-9)
-    v = np.asarray(info.value.witness)
-    assert np.linalg.norm(v) == pytest.approx(1.0)
-    assert np.linalg.norm(M @ v) <= 1e-9 * np.linalg.norm(M)
 
 
 def test_dense_kernel_matches_torus_ring_at_dimension_five():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hrpairs import hrcheck
+from hrpairs import hrcheck, linalg
 from hrpairs.errors import ConfigError
 from hrpairs.exterior import (
     PPForm, _mid_gram, _top_functional, _unreal, _unreal_at, form_from_hermitian, std_kahler,
@@ -22,6 +22,7 @@ from hrpairs.hrcheck import (
     _bareiss, _float_grid, _hermitians, _lattice, pointwise_hr_pair, random_hermitian,
     random_kahler, sample_search, schur_form_pair, schur_tensors,
 )
+from hrpairs.ring import real_coordinates
 from hrpairs.scalars import ExactArray, GaussianRational
 from hrpairs.symfunc import Partition, derived, schur, to_monomials
 
@@ -216,6 +217,27 @@ def test_exact_kernel_equals_the_lcm_oracle_on_a_rationalized_draw():
     determinant has about d * 52 bits."""
     lam, H = Partition((6, 1)), rationalized_draw(8, 2, 8)
     assert_equal_exact(schur_tensors(lam, H)[0], lcm_oracle(lam, H)[0])
+
+
+def test_float_certificate_decides_the_balanced_border(monkeypatch):
+    """At (4, (2,1), 3) on float draws rationalized exactly, the numerators
+    of the functional run 53 bits above those of the Gram matrix; with the
+    bordered matrix of the kernel characterization balanced by a power of
+    two, the float certificate decides its inertia, and no second integer
+    elimination runs."""
+    decided = []
+    certify = linalg._certified_inertia
+
+    def spy(R, den=1):
+        decided.append(certify(R, den))
+        return decided[-1]
+
+    monkeypatch.setattr(linalg, "_certified_inertia", spy)
+    G, m = schur_tensors(Partition((2, 1)), rationalized_draw(4, 3, 0))
+    verdict = hrcheck._pointwise_verdict(G, m, real_coordinates(std_kahler(4, exact=True)), None)
+    assert decided == [(1, 0, 16)]
+    assert verdict.outcome == "pass"
+    assert verdict.details["kernel_characterization"]["restricted_signature"] == (0, 0, 15)
 
 
 def test_exact_schur_form_pair_is_the_oracle_pair():

@@ -134,6 +134,11 @@ def test_schur_small_closed_forms():
         assert SymPoly(3, {key: 1}) == e2 and str(SymPoly(3, {key: 1})) == str(e2) == "e2"
         assert e2.coefficient(key) == 1 and e1.coefficient(key) == 0
     assert SymPoly.one(3).coefficient((0, 0, 0)) == SymPoly.one(3).coefficient(()) == 1
+    # a number equals the polynomial whose only term is that constant; 0 the one with none
+    assert schur(Partition((1, 1, 1, 1)), 3) == 0 == SymPoly(3) == e1 - e1 and e1 != 0
+    assert SymPoly.one(3) == 1 != SymPoly.constant(3, 2) and e1 != 1
+    half = SymPoly.constant(3, Fraction(1, 2))
+    assert half == Fraction(1, 2) and half != 0 and half + half == 1
 
 
 def test_pieri_s1_squared():
