@@ -265,9 +265,8 @@ def cmd_ring_check(args):
 
 def cmd_gram(args):
     model = _load_ring(args.ring)
-    Q = hrcheck.gram(model, _element(model, args.eta, model.dimension - 2))
-    if args.backend == "float":
-        Q = hrcheck.float_copy(Q, "Gram matrix").tolist()
+    Q = hrcheck._gram(model, _element(model, args.eta, model.dimension - 2))
+    Q = hrcheck.float_copy(Q, "Gram matrix").tolist() if args.backend == "float" else Q.fractions()
     if args.json:
         print(json.dumps({"eta": args.eta, "gram": jsonable(Q)}, indent=2))
     else:

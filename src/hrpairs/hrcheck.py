@@ -89,7 +89,7 @@ from .linalg import (
 )
 from .ring import MAX_SWEEP_DIMENSION, MAX_SWEEP_EXPONENTS, MAX_SWEEP_POINTS
 from .ring import _check_real, _hermitian_entries, _real_array, real_coordinates
-from .scalars import ExactArray, GaussianRational, to_float
+from .scalars import ExactArray, to_float
 from .symfunc import Partition, schur, to_monomials
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
@@ -257,14 +257,14 @@ def _restricted_negdef(Q, functional, zero_tol):
     return float_signature(Q[1:, 1:] - (vu + vu.T), zero_tol)[0]
 
 
-def float_copy(values, name):
-    """values (exact numbers, nested lists) as a float array; ConfigError
-    naming the first entry beyond float range."""
+def float_copy(x, name):
+    """The real ExactArray x as a float array of its shape, each entry
+    correctly rounded; ConfigError naming the first entry beyond float
+    range."""
     try:
-        return np.asarray(values, dtype=float)
+        return np.asarray(x.re / x.den, dtype=float)
     except OverflowError:
-        index = next(i for i, x in np.ndenumerate(np.asarray(values, dtype=object))
-                     if math.isinf(to_float(x)))
+        index = next(i for i, a in np.ndenumerate(x.re) if math.isinf(to_float(Fraction(a, x.den))))
         raise ConfigError(f"{name} entry {list(index)} does not fit in a float; "
                           "decide with the exact backend") from None
 
@@ -354,8 +354,7 @@ def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9, exact=True):
     if exact:
         return _pair_verdict(*values, zero_tol)
     names = ("Gram matrix", "multiplication matrix", "eta_top", "functional", "h")
-    return _pair_verdict(*(float_copy(_real(v), name) for v, name in zip(values, names)),
-                         zero_tol)
+    return _pair_verdict(*(float_copy(v, name) for v, name in zip(values, names)), zero_tol)
 
 
 def pos_cone_contains(model, beta, eta, h):
@@ -498,7 +497,7 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
         for form in (omega_top, omega_mid):
             _check_real(form)
     elif isinstance(h, ExactArray):
-        h = float_copy(_real(h), "h")
+        h = float_copy(h, "h")
     return _pointwise_verdict(_mid_gram(omega_mid), _top_functional(omega_top), h, zero_tol)
 
 
@@ -608,11 +607,13 @@ def _float_grid(lam, e):
 
 @lru_cache(maxsize=None)
 def _lattice(lam, e):
-    """(points, w_top, w_mid): integer points t_k, the rows of an object
-    array, and the Fraction weights of s_lam and of s'_lam, each 0 on the
-    other's points.  The points of degree n are the nu >= 0 with |nu| = n,
-    unisolvent for the forms of degree n (the one point (1, 0, ..., 0) when
-    n = 0), and the weights one exact Vandermonde solve."""
+    """(points, (w_top, W_top), (w_mid, W_mid)), read-only: integer points
+    t_k, the rows of an np.int64 array, and the weights of s_lam and of
+    s'_lam, each 0 on the other's points, as integer numerators (object
+    arrays) over their common denominators W.  The points of degree n are
+    the nu >= 0 with |nu| = n, unisolvent for the forms of degree n (the one
+    point (1, 0, ..., 0) when n = 0), and the weights one exact Vandermonde
+    solve."""
     d = lam.weight + 1
     parts = []
     for target, n in zip(_schur_targets(lam, e), (d - 1, d - 2)):
@@ -623,8 +624,15 @@ def _lattice(lam, e):
         weights = rational_solve(vandermonde, [target.get(mu, 0) for mu in monomials])
         parts.append((nodes, weights.fractions()))
     (top, w_top), (mid, w_mid) = parts
-    return (np.array(top + mid, dtype=object), np.array(w_top + [0] * len(mid), dtype=object),
-            np.array([0] * len(top) + w_mid, dtype=object))
+    points = np.array(top + mid, dtype=np.int64)
+    points.flags.writeable = False
+    out = [points]
+    for w in (w_top + [0] * len(mid), [0] * len(top) + w_mid):
+        W = math.lcm(*(x.denominator for x in w))
+        num = np.array([x.numerator * (W // x.denominator) for x in w], dtype=object)
+        num.flags.writeable = False
+        out.append((num, W))
+    return tuple(out)
 
 
 def _float_schur_tensors(lam, H):
@@ -670,31 +678,61 @@ def _float_schur_tensors(lam, H):
 
 
 def _bareiss(R, J):
-    """(adj, det, ok) of the Gaussian-integer Hermitian K = R + iJ, stacked
-    (N, d, d) object arrays, by fraction-free Gauss-Jordan elimination of
-    [K | I] for all N at once with diagonal pivots: it leaves det K I and
-    adj K.  Every pivot is a leading principal minor, real for a Hermitian
-    K and positive for a positive definite one, and every update divides
-    exactly by the previous pivot.  Step k touches columns k+1..d+k only:
-    those to its left are done, and identity column j > k is still the
-    previous pivot times e_j.  ok is False where a pivot is 0.
+    """(adj_re, adj_im, det, ok) of the Gaussian-integer Hermitian K = R +
+    iJ, stacked (N, d, d) arrays of one dtype, np.int64 or object, by
+    fraction-free Gauss-Jordan elimination of [K | I] for all N at once with
+    diagonal pivots: it leaves det K I and adj K, in that dtype.  Every
+    pivot is a leading principal minor, real for a Hermitian K and positive
+    for a positive definite one, and every update divides exactly by the
+    previous pivot.  By Sylvester's identity (Bareiss 1968) every entry it
+    stores is a minor of [K | I] up to sign, which bounds them
+    (_exact_schur_tensors).  Step k touches columns k+1..d+k only: those to
+    its left are done, and identity column j > k is still the previous pivot
+    times e_j.  ok is False where a pivot is 0; past it the point's pivot is
+    1 and its column k is taken as 0, so its entries only divide and stay
+    bounded (they are not minors then, and no caller reads them).
     """
     N, d, _ = R.shape
-    R = np.concatenate([R, np.zeros((N, d, d), dtype=object)], axis=2)
-    J = np.concatenate([J, np.zeros((N, d, d), dtype=object)], axis=2)
-    prev, ok = np.ones((N, 1, 1), dtype=object), np.ones(N, dtype=bool)
+    R = np.concatenate([R, np.zeros((N, d, d), dtype=R.dtype)], axis=2)
+    J = np.concatenate([J, np.zeros((N, d, d), dtype=J.dtype)], axis=2)
+    prev, ok = np.ones((N, 1, 1), dtype=R.dtype), np.ones(N, dtype=bool)
     for k in range(d):
         R[:, k, d + k] = prev.ravel()
         p = R[:, k:k + 1, k:k + 1]
         ok &= (p != 0).ravel()
-        p = np.where(ok[:, None, None], p, 1)
+        live = ok[:, None, None]
+        p = np.where(live, p, 1)
         cols = slice(k + 1, d + k + 1)
-        a, b, r, j = R[:, :, k:k + 1], J[:, :, k:k + 1], R[:, k:k + 1, cols], J[:, k:k + 1, cols]
+        a, b = R[:, :, k:k + 1] * live, J[:, :, k:k + 1] * live
+        r, j = R[:, k:k + 1, cols], J[:, k:k + 1, cols]
         R_ = (p * R[:, :, cols] - a * r + b * j) // prev
         J_ = (p * J[:, :, cols] - a * j - b * r) // prev
         R_[:, k], J_[:, k] = r[:, 0], j[:, 0]
         R[:, :, cols], J[:, :, cols], prev = R_, J_, p
-    return ExactArray(R[:, :, d:], J[:, :, d:]), prev.ravel(), ok
+    return R[:, :, d:], J[:, :, d:], prev.ravel(), ok
+
+
+_INT64_LOG2 = 62  # an np.int64 exact Schur kernel keeps every intermediate below 2^62
+
+
+def _log2_hadamard(K2):
+    """log2 of prod_i |row i of [K | I]|_2 for each K of a stack, from K2,
+    float upper bounds of the |K[i, j]|^2, shape (N, d, d).  Every minor of
+    [K | I] is at most this h in absolute value (Hadamard's inequality,
+    complex rows): a square submatrix's determinant is at most the product
+    of its row norms, each at most that of its row of [K | I], and the
+    other rows' norms are >= 1 (their identity entry)."""
+    return 0.5 * np.log2(1 + K2.sum(axis=2)).sum(axis=1)
+
+
+def _kernel_dtype(log2_h, *weights):
+    """np.int64 if the bound of _exact_schur_tensors is below 2^_INT64_LOG2,
+    else object: log2_h from _log2_hadamard at every point, the weights
+    integer numerators (object arrays), one per weighted sum."""
+    top = log2_h.max(initial=0)
+    size = max(np.abs(w).sum() for w in weights)
+    bound = max(2 + 2 * top, top + math.log2(max(size, 1)))
+    return np.int64 if bound + 1 < _INT64_LOG2 else object
 
 
 @lru_cache(maxsize=None)
@@ -728,42 +766,78 @@ def _exact_schur_tensors(lam, H):
     adj K[b, a] adj K[e, c], on the C(d,2)^2 entries a < c, b < e that
     determine G (_minor_tables), divides by det K exactly at each point.
     G sums these with the integer numerators of the weights over their one
-    denominator W, over W den^(d-2): no lcm of determinants.
+    denominator W, over W den^(d-2): no lcm of determinants; m likewise.
 
     A point whose elimination meets a zero pivot (X(t) not positive
-    definite) is replaced by the d shifts K(t) + s I for s above the largest
-    absolute row sum, weighted by the Lagrange weights that extrapolate a
-    polynomial of degree < d in s to s = 0; they enter W like the others.
+    definite) is replaced by the d shifts K(t) + s I, s = s0 + 1 + i for s0
+    the largest absolute row sum, weighted by the Lagrange weights that
+    extrapolate a polynomial of degree < d in s to s = 0: prod_(t != s)
+    t / (t - s) = (-1)^i C(d-1, i) prod_(t != s) t / (d-1)!, which enters
+    W as the factor (d-1)!.
+
+    One text runs on np.int64 arrays where a bound proves every
+    intermediate below 2^62, and on object arrays of Python ints otherwise
+    (_kernel_dtype).  With h_k the Hadamard bound of [K(t_k) | I]
+    (_log2_hadamard), every entry _bareiss stores at t_k is a minor of that
+    matrix (Sylvester's identity), hence at most h_k, and so are the
+    entries of K(t_k) (with the partial sums of sum_i t_i re_i, the t_i >= 0)
+    and of adj K and det K; an update sums three products, at most 3 h_k^2,
+    and a numerator of S four, at most 4 h_k^2; S / det K is a minor of K,
+    at most h_k.  m and S sum w_k times such entries, at most h ||w||_1 for
+    h = max h_k and the numerators w.  So every intermediate is at most
+    max(4 h^2, h ||w||_1), for the shifted points too, with their own h_k
+    and the weights times the Lagrange numerators.  h comes from float
+    upper bounds of |K|: |t| |re| + ... in floats, squared and summed per
+    row; every step rounds by at most 2^-53 relative, so for d, e < 2^10
+    the float log2 bound is below the true one by less than 2^-40.  It
+    must stay below 62 - 1: a safety factor of 2 on a bound already 2x
+    under the int64 range.  Parts of H of 2^62 or more go to object at
+    once, so no float overflows.  The results become ExactArrays once,
+    after the gcd reduction (ExactArray._reduced).
     """
     e, d = H.shape[:2]
-    points, w_top, w_mid = _lattice(lam, e)
-    R, J = np.tensordot(points, H.re, axes=1), np.tensordot(points, H.im, axes=1)
-    adj, det, ok = _bareiss(R, J)
+    points, (w_top, W_top), (w_mid, W_mid) = _lattice(lam, e)
+    parts = np.stack([H.re, H.im])
+    absolute = np.abs(parts)
+    dtype = object
+    if absolute.max(initial=0) < 2 ** _INT64_LOG2:
+        bound = np.tensordot(points, absolute.astype(float), axes=(1, 1))  # (N, 2, d, d)
+        log2_h = _log2_hadamard(np.square(bound).sum(axis=1))
+        dtype = _kernel_dtype(log2_h, w_top, w_mid)
+    K = np.tensordot(points, parts.astype(dtype), axes=(1, 1))
+    R, J = K[:, 0], K[:, 1]
+    adj_re, adj_im, det, ok = _bareiss(R, J)
     if not ok.all():
         s0 = max((np.abs(R[~ok]) + np.abs(J[~ok])).sum(axis=2).ravel().tolist())
         shifts = range(s0 + 1, s0 + d + 1)
-        lagrange = [math.prod(Fraction(t, t - s) for t in shifts if t != s) for s in shifts]
-        shifted = R[~ok][:, None] + np.multiply.outer(shifts, np.eye(d, dtype=int)).astype(object)
-        adj2, det2, _ = _bareiss(shifted.reshape(-1, d, d),
-                                 np.repeat(J[~ok], d, axis=0))
-        adj = ExactArray(*(np.concatenate([x[ok], y]) for x, y in ((adj.re, adj2.re),
-                                                                    (adj.im, adj2.im))))
-        det = np.concatenate([det[ok], det2])
-        w_top, w_mid = (np.concatenate([w[ok], np.outer(w[~ok], lagrange).ravel()])
-                        for w in (w_top, w_mid))
-    V = adj.transpose(0, 2, 1).reshape(-1, d * d)
+        lagrange = np.array([(-1) ** i * math.comb(d - 1, i) * math.prod(shifts) // s
+                             for i, s in enumerate(shifts)], dtype=object)
+        (w_top, W_top), (w_mid, W_mid) = (
+            (np.concatenate([w[ok] * math.factorial(d - 1), np.outer(w[~ok], lagrange).ravel()]),
+             W * math.factorial(d - 1)) for w, W in ((w_top, W_top), (w_mid, W_mid)))
+        shifted = R[~ok][:, None] + np.multiply.outer(np.array(shifts, dtype=R.dtype),
+                                                      np.eye(d, dtype=R.dtype))
+        shifted, J2 = shifted.reshape(-1, d, d), np.repeat(J[~ok], d, axis=0)
+        if dtype is np.int64:
+            K2 = np.square(shifted.astype(float)) + np.square(J2.astype(float))
+            log2_h = np.concatenate([log2_h, _log2_hadamard(K2)])
+            dtype = _kernel_dtype(log2_h, w_top, w_mid)
+        re2, im2, det2, _ = _bareiss(shifted.astype(dtype), J2.astype(dtype))
+        adj_re, adj_im, det = (np.concatenate([x[ok], y]) for x, y in ((adj_re, re2),
+                                                                      (adj_im, im2), (det, det2)))
+    Vre, Vim = (x.transpose(0, 2, 1).reshape(-1, d * d) for x in (adj_re, adj_im))
     top, mid = np.flatnonzero(w_top), np.flatnonzero(w_mid)
-    m = ExactArray.of(w_top[top]) @ V[top] * GaussianRational(0, -1) / H.den ** (d - 1)
+    w = w_top[top].astype(dtype)
+    # -i (w @ V) = (w @ V_im - i w @ V_re)
+    m = ExactArray._reduced(w @ Vim[top], -(w @ Vre[top]), W_top * H.den ** (d - 1))
     factors, index = _minor_tables(d)
-    x, y = (part.reshape(len(det), -1)[mid].T[factors] for part in (adj.re, adj.im))
+    x, y = (part.reshape(len(det), -1)[mid].T[factors] for part in (adj_re, adj_im))
     # S / det K at every point: Re and Im of f0 f1 - f2 f3, f = x + i y the four factors
     D = np.stack([x[0] * x[1] - y[0] * y[1] - x[2] * x[3] + y[2] * y[3],
                   x[0] * y[1] + y[0] * x[1] - x[2] * y[3] - y[2] * x[3]]) // det[mid]
-    W = math.lcm(*(w.denominator for w in w_mid[mid]))
-    w = np.array([w.numerator * (W // w.denominator) for w in w_mid[mid]], dtype=object)
-    S = (D.reshape(-1, len(mid)) @ w).reshape(2, -1)
-    G = np.concatenate([S, -S, np.zeros((2, 1), dtype=object)], axis=1)[:, index]
-    return ExactArray._reduced(G[0], G[1], W * H.den ** (d - 2)), m.reshape(d, d)
+    S = (D.reshape(-1, len(mid)) @ w_mid[mid].astype(dtype)).reshape(2, -1)
+    G = np.concatenate([S, -S, np.zeros((2, 1), dtype=S.dtype)], axis=1)[:, index]
+    return ExactArray._reduced(G[0], G[1], W_mid * H.den ** (d - 2)), m.reshape(d, d)
 
 
 def schur_tensors(lam, H):

@@ -269,10 +269,15 @@ class ExactArray:
 
     @classmethod
     def _reduced(cls, re, im, den):
-        """The array with den and the entries divided by their common factor."""
+        """The array with den and the entries divided by their common factor.
+        The parts may be np.int64 arrays, which become object arrays after
+        the division; one whose entries are all 0 is not divided (a den
+        beyond int64 would not convert), its den becomes 1."""
         if den != 1:
             g = math.gcd(den, *np.ravel(re).tolist(), *np.ravel(im).tolist())
-            if g != 1:
+            if g == den and not (np.any(re) or np.any(im)):
+                den = 1
+            elif g != 1:
                 re, im, den = re // g, im // g, den // g
         return cls(re, im, den)
 

@@ -107,6 +107,15 @@ class SymPoly:
                         )
                     self.terms[mono] = c
 
+    @classmethod
+    def _of(cls, num_vars, terms):
+        """The polynomial of terms without the constructor's checks, zero
+        coefficients dropped: for the results of the class's own arithmetic,
+        whose coefficients are Fractions on cut keys within num_vars."""
+        poly = cls.__new__(cls)
+        poly.num_vars, poly.terms = num_vars, {m: c for m, c in terms.items() if c}
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -154,12 +163,12 @@ class SymPoly:
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             terms[mono] = terms.get(mono, 0) + c
-        return SymPoly(self.num_vars, terms)
+        return SymPoly._of(self.num_vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly(self.num_vars, {m: -c for m, c in self.terms.items()})
+        return SymPoly._of(self.num_vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -169,9 +178,7 @@ class SymPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SymPoly(
-                self.num_vars, {m: c * other for m, c in self.terms.items()}
-            )
+            return SymPoly._of(self.num_vars, {m: c * other for m, c in self.terms.items()})
         if not isinstance(other, SymPoly):
             return NotImplemented
         self._check_compatible(other)
@@ -180,7 +187,7 @@ class SymPoly:
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in itertools.zip_longest(m1, m2, fillvalue=0))
                 terms[m] = terms.get(m, 0) + c1 * c2
-        return SymPoly(self.num_vars, terms)
+        return SymPoly._of(self.num_vars, terms)
 
     __rmul__ = __mul__
 
@@ -375,7 +382,7 @@ def derived(p, order=1):
                     lower = _cut(m - (i == k) + (i == k - 1) for i, m in enumerate(mono))
                     out[lower] = out.get(lower, 0) + c * mono[k] * (e - k)
         terms = {mono: c / j for mono, c in out.items()}
-    return SymPoly(e, terms)
+    return SymPoly._of(e, terms)
 
 
 class ChernVector:

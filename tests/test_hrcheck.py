@@ -817,6 +817,23 @@ def test_float_division_from_q_matches_the_exact_verdict(case):
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
+def test_a_ring_without_degree_one_classes_fails_alike_in_both_backends():
+    """The subring of torus_ring(3) generated by 0 has dims [1, 0, 0, 0]:
+    the Gram matrix is 0 x 0 and both backends give fail (0, 0, 0).  The
+    float copies keep their shapes, and an entry beyond float range is still
+    a ConfigError naming it."""
+    ambient = torus_ring(3)
+    model = subring(ambient, {"z": ambient.zero(1)})
+    assert [len(model.basis(k)) for k in range(4)] == [1, 0, 0, 0]
+    for exact in (True, False):
+        verdict = is_hr_pair(model, model.zero(2), model.zero(1), model.zero(1), exact=exact)
+        assert (verdict.outcome, tuple(verdict.signature)) == ("fail", (0, 0, 0))
+    assert hrcheck.float_copy(hrcheck._gram(model, model.zero(1)), "Gram matrix").shape == (0, 0)
+    huge = ExactArray.of([[1, 0], [0, 10 ** 400]])
+    with pytest.raises(ConfigError, match=r"^M entry \[1, 1\] does not fit in a float; "):
+        hrcheck.float_copy(huge, "M")
+
+
 def test_exact_division_check_refuses_a_top_outside_the_image():
     """Q = P M nonsingular, M 3x2 and injective, top outside im M: the one
     elimination of Q gives q = Q^-1 functional = (1, 1), but M q = (1, 1, 2)

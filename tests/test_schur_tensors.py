@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrpairs import hrcheck, linalg
 from hrpairs.errors import ConfigError
@@ -89,13 +91,13 @@ def test_weights_reproduce_the_monomial_targets(d, e, lam):
     T, *float_weights = _float_grid(lam, e)
     points, *exact_weights = _lattice(lam, e)
     polys = (schur(lam, e), derived(schur(lam, e), 1))
-    for p, n, wf, wx in zip(polys, (d - 1, d - 2), float_weights, exact_weights):
+    for p, n, wf, (wx, W) in zip(polys, (d - 1, d - 2), float_weights, exact_weights):
         targets = monomial_targets(p)
         scale = max(abs(c) for c in targets.values())
         for mu in (mu for mu in np.ndindex(*(n + 1,) * e) if sum(mu) == n):
             want = targets.get(mu, 0)
             powers = [math.prod(int(t) ** x for t, x in zip(point, mu)) for point in points]
-            assert sum(w * v for w, v in zip(wx, powers)) == want, (p, mu)
+            assert sum(w * v for w, v in zip(wx, powers)) == want * W, (p, mu)
             got = wf @ np.prod(T ** np.array(mu), axis=1)
             assert abs(got - want) <= 1e-12 * scale, (p, mu, got, want)
 
@@ -105,10 +107,10 @@ def test_degree_zero_derived_polynomial_has_one_point():
     sum to it."""
     for e in (1, 2, 3):
         lam = Partition((1,))
-        points, w_top, w_mid = _lattice(lam, e)
-        mid_points = [tuple(p) for p, w in zip(points, w_mid) if w]
+        points, _, (w_mid, W) = _lattice(lam, e)
+        mid_points = [tuple(p) for p, w in zip(points.tolist(), w_mid) if w]
         assert mid_points == [(1,) + (0,) * (e - 1)]
-        assert [w for w in w_mid if w] == [e]  # s'_1 = e in e variables
+        assert [Fraction(w, W) for w in w_mid if w] == [e]  # s'_1 = e in e variables
         T, _, wf = _float_grid(lam, e)
         assert abs(wf.sum() - e) <= 1e-12
 
@@ -165,17 +167,19 @@ def lcm_oracle(lam, H):
     points with a zero pivot are replaced by their shifts, as in
     _exact_schur_tensors; shifted says whether any was."""
     e, d = H.shape[:2]
-    points, _, w_mid = _lattice(lam, e)
+    points, _, (w_mid, W) = _lattice(lam, e)
+    w_mid = np.array([Fraction(w, W) for w in w_mid], dtype=object)
     R, J = np.tensordot(points, H.re, axes=1), np.tensordot(points, H.im, axes=1)
-    adj, det, ok = _bareiss(R, J)
+    re, im, det, ok = _bareiss(R, J)
+    adj = ExactArray(re, im)
     if not ok.all():
         s0 = max((np.abs(R[~ok]) + np.abs(J[~ok])).sum(axis=2).ravel().tolist())
         shifts = range(s0 + 1, s0 + d + 1)
         lagrange = [math.prod(Fraction(t, t - s) for t in shifts if t != s) for s in shifts]
         shifted = R[~ok][:, None] + np.multiply.outer(shifts, np.eye(d, dtype=int)).astype(object)
-        adj2, det2, _ = _bareiss(shifted.reshape(-1, d, d), np.repeat(J[~ok], d, axis=0))
-        adj = ExactArray(*(np.concatenate([x[ok], y]) for x, y in ((adj.re, adj2.re),
-                                                                    (adj.im, adj2.im))))
+        re2, im2, det2, _ = _bareiss(shifted.reshape(-1, d, d), np.repeat(J[~ok], d, axis=0))
+        adj = ExactArray(*(np.concatenate([x[ok], y]) for x, y in ((adj.re, re2),
+                                                                    (adj.im, im2))))
         det = np.concatenate([det[ok], det2])
         w_mid = np.concatenate([w_mid[ok], np.outer(w_mid[~ok], lagrange).ravel()])
     V = adj.transpose(0, 2, 1).reshape(-1, d * d)
@@ -217,6 +221,74 @@ def test_exact_kernel_equals_the_lcm_oracle_on_a_rationalized_draw():
     determinant has about d * 52 bits."""
     lam, H = Partition((6, 1)), rationalized_draw(8, 2, 8)
     assert_equal_exact(schur_tensors(lam, H)[0], lcm_oracle(lam, H)[0])
+
+
+def kernel_run(lam, H, dtype):
+    """(G, m, dtypes): _exact_schur_tensors as it runs (dtype None) or on
+    object arrays throughout (dtype object: no bound is below 2^0), and the
+    dtypes its eliminations ran on."""
+    dtypes = []
+
+    def spy(R, J):
+        dtypes.append(R.dtype)
+        return _bareiss(R, J)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hrcheck, "_bareiss", spy)
+        if dtype is object:
+            patch.setattr(hrcheck, "_INT64_LOG2", 0)
+        return (*hrcheck._exact_schur_tensors(lam, H), dtypes)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(lam, H): e = 1-4 forms and lam any partition of d - 1 with at most e
+    rows.  Half are at d = 2-6: Gaussian-integer forms, with denominators,
+    indefinite (shift -2) or singular (without_first_row, shifted points),
+    times 2^k, so that the bound falls on both sides of 2^62.  The others
+    are diag(1, a s, 1) at d = 3, a = 1-3, on which the elimination's
+    largest product is within 2^5 of the bound: s = 2^(25-32), in steps of
+    2^(1/8), puts that product on both sides of 2^63."""
+    tight = draw(st.booleans())
+    d, e = 3 if tight else draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    lam = Partition(draw(st.sampled_from([p for p in partitions(d - 1) if len(p) <= e])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    if tight:
+        scale = int(2 ** (draw(st.integers(8 * 25, 8 * 32)) / 8))
+        Hs = [np.diag([1, int(a) * scale, 1]).tolist() for a in rng.integers(1, 4, e)]
+    else:
+        denominators = draw(st.sampled_from([(1, 1), (3, 1), (2, 5)]))
+        shift = draw(st.sampled_from([1, 0, -2]))
+        Hs = [exact_hermitian(rng, d, denominators, shift) for _ in range(e)]
+        if shift == 0:
+            Hs[0] = without_first_row(Hs[0])
+        scale = 2 ** draw(st.integers(0, 72 // d))
+        Hs = [[[x * scale for x in row] for row in H] for H in Hs]
+    return lam, _hermitians([form_from_hermitian(H) for H in Hs], d)
+
+
+def test_int64_kernel_equals_the_object_kernel():
+    """Where the Hadamard bound puts the exact Schur kernel on np.int64, its
+    (G, m), parts and den, are those of the same text on object arrays.  Of
+    250 derandomized cases at least 10 run on each side of the bound, and
+    at least 10 on int64 with shifted points.  The limit raised by 2^8 fails
+    here: on diag(1, a s, 1) the elimination then overflows."""
+    sides = {"int64": 0, "object": 0, "shifted int64": 0}
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(case=kernel_cases())
+    def check(case):
+        lam, H = case
+        G, m, dtypes = kernel_run(lam, H, None)
+        G0, m0, _ = kernel_run(lam, H, object)
+        assert_equal_exact(G, G0)
+        assert_equal_exact(m, m0)
+        machine = all(t == np.int64 for t in dtypes)
+        sides["int64" if machine else "object"] += 1
+        sides["shifted int64"] += machine and len(dtypes) == 2
+
+    check()
+    assert min(sides.values()) >= 10, sides
 
 
 def test_float_certificate_decides_the_balanced_border(monkeypatch):
