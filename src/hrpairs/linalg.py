@@ -5,10 +5,15 @@ they convert once, and use no tolerances at all.  They eliminate in Python
 ints, on the integer parts: each row is divided by the gcd of its entries,
 and fraction-free (Bareiss) elimination divides every update exactly by the
 previous pivot; a solution is a real ExactArray over one positive
-denominator (_solution).  An exact inertia without a right-hand side of
-CERTIFY_FROM rows or more is first tried by a float certificate, Gershgorin
-discs of a congruence with rigorous rounding bounds (_certified_inertia),
-which decides or abstains; the elimination runs where it abstains.
+denominator (_solution).  The symmetric elimination of an inertia stores
+and updates the upper triangle only, reading the lower one through the
+ratio of the row gcds, and drops a pivot that is alone in its row without
+updating anything (_symmetric_inertia); rational_nullspace makes Fractions
+only of the entries it returns.  An exact inertia without a right-hand
+side of CERTIFY_FROM rows or more is first tried by a float certificate,
+Gershgorin discs of a congruence with rigorous rounding bounds
+(_certified_inertia), which decides or abstains; the elimination runs
+where it abstains.
 rational_inertia is the validated entry point: square, and symmetric
 (Hermitian when the imaginary part is not 0).  Float routines delegate to
 numpy; the signature takes an explicit relative zero tolerance, and
@@ -65,67 +70,110 @@ def _primitive_rows(A):
     return [[x // g for x in row] if (g := math.gcd(*row)) > 1 else row for row in A.tolist()]
 
 
-def _symmetric_inertia(A, solve=False):
-    """((pos, zero, neg), solution) of a real symmetric S, given integer rows
-    A[i] = c_i S[i], c_i > 0, each followed by c_i f_i when solve.
+def _symmetric_inertia(A, g, solve=False):
+    """((pos, zero, neg), solution) of a real symmetric S = R / den, R the
+    integer parts, given the upper triangle A[i] = R[i][i:] / g_i of each
+    row, g_i > 0 dividing R[i], followed by c f_i / g_i when solve (c > 0
+    an int).  Consumes A and g.
 
     Fraction-free (Bareiss) elimination with diagonal pivots.  After each
-    step the active block is D diag(c) S', with S' the Schur complement of S
-    and D the last pivot, a principal minor of diag(c) S.  Positive row
-    scalings keep the sign of every principal minor, so each pivot of S has
-    the sign of D_k / D_(k-1).  When the active diagonal is all 0 but A[i][j]
-    is not, elimination restarts from the block |D| diag(c) S' and the
-    congruence b_i -> b_i + t b_j, t a positive multiple of S'_ij: on these
-    rows it adds A[i][j] times row j to row i and A[j][i] times column j to
-    column i, and makes the pivot 2 A[i][j] A[j][i] > 0.
+    step the active block B is D diag(1/g) S', with S' the Schur complement
+    of R on the pivots so far and D the last pivot, a principal minor of
+    diag(1/g) R; each update (p B[y][x] - B[y][r] B[r][x]) / D on pivot
+    p = B[r][r] divides exactly (Sylvester's identity).  Positive row
+    scalings keep the sign of every principal minor, so each pivot of R,
+    S'_rr = g_r p / D, has the sign of p / D.
+
+    Upper triangle.  S' is symmetric, so for active x, y
+        B[y][x] = D S'_yx / g_y = D S'_xy / g_y = B[x][y] g_x / g_y,
+    an int, exactly.  Only B[x][y] with y >= x is stored (A[x][0] is the
+    diagonal entry).  A step on pivot r removes the column above r from the
+    rows that hold it and rebuilds the pivot row's left part as
+    B[r][x] = B[x][r] g_x / g_r and the multipliers below r as
+    B[y][r] = B[r][y] g_r / g_y: one pass over the active indices.  The
+    update then runs on x >= y only, about n^3/6 products and divisions
+    against n^3/3 on whole rows.
+
+    Isolated pivots.  If B[r][x] = 0 for every active x != r, then
+    S'_rx = 0: S' is S'_rr (+) S'', S'' the rest, and the Schur complement
+    on r is S'' itself.  S'' is also the Schur complement of R without
+    index r on the same pivots, so B without row and column r is already
+    D diag(1/g) S'', the Bareiss block of R without r over the same D:
+    every entry is still a minor and the next update divides by D exactly.
+    So the step counts the sign of p / D, drops row and column r, updates
+    no other row and leaves D the last pivot.  (Updating would only scale
+    the rest by p / D.)
+
+    Restarts.  When the active diagonal is all 0 but B[i][j] is not,
+    elimination restarts from the block |D| diag(1/g) S' and the
+    congruence b_i -> b_i + s b_j, s a positive multiple of S'_ij: on these
+    rows it adds t = B[i][j] times row j to row i and u = B[j][i] =
+    t g_i / g_j times column j to column i.  For y != i the new B[y][i] is
+    B[y][i] + u B[y][j] = (B[i][y] + t B[j][y]) g_i / g_y, so the ratio
+    still holds, and the pivot is 2 t u > 0.  Row i is rebuilt whole and
+    column i written back from it by the ratio.
 
     With solve, f rides along as the last entry of each row and the pivot
-    rows are kept.  Every step is a row operation but a restart's column
-    operation, the substitution x_j = y_j + A[j][i] y_i: it is applied to
+    rows are kept, whole (an isolated one as its right-hand side alone:
+    its other entries are 0).  Every step is a row operation but a restart's
+    column operation, the substitution x_j = y_j + u y_i: it is applied to
     the kept rows too and undone, last first, after back substitution,
     which runs in ints on X = den x over a running common denominator den.
-    The solution is (X, den) for the x with S x = f; None without solve or
-    when S is singular.
+    The solution is (X, den) for the x with R x = c f; None without solve
+    or when S is singular.
     """
     pos = zero = neg = 0
     prev = 1
     n = len(A)
-    unknowns = list(range(n))  # the unknown of each active column
+    unknowns = list(range(n))  # the unknown of each active index
     kept, moves = [], []  # (unknown, pivot, pivot row, its unknowns); (j, u, i)
     while A:
-        k = next((k for k, row in enumerate(A) if row[k]), None)
+        m = len(A)
+        k = next((k for k, row in enumerate(A) if row[0]), None)
         if k is None:
-            pair = next(((i, j) for i, row in enumerate(A)
-                         for j in range(i + 1, len(A)) if row[j]), None)
+            pair = next(((i, i + c) for i, row in enumerate(A)
+                         for c in range(1, m - i) if row[c]), None)
             if pair is None:
-                zero += len(A)
+                zero += m
                 break
             if prev < 0:
                 A = [[-x for x in row] for row in A]
             prev = 1
             i, j = pair
-            t, u = A[i][j], A[j][i]
-            A[i] = [x + t * y for x, y in zip(A[i], A[j])]
-            for row in A:
-                row[i] += row[j] * u
+            t = A[i][j - i]
+            u = t * g[i] // g[j]
+            rows = [[A[x][r - x] * g[x] // g[r] for x in range(r)] + A[r] for r in (i, j)]
+            new = [x + t * y for x, y in zip(*rows)]
+            new[i] = 2 * t * u
+            A[i] = new[i:]
+            for x in range(i):
+                A[x][i - x] = new[x] * g[i] // g[x]
             if solve:
                 a, b = unknowns[i], unknowns[j]
                 for _, _, row, names in kept:
-                    row[names.index(a)] += row[names.index(b)] * u
+                    if names:
+                        row[names.index(a)] += row[names.index(b)] * u
                 moves.append((b, u, a))
             k = i
         top = A.pop(k)
-        p = top.pop(k)
+        gk = g.pop(k)
         unknown = unknowns.pop(k)
+        p = top[0]
         if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        col = [A[x].pop(k - x) for x in range(k)]  # B[x][k] above the pivot
+        if not (any(col) or any(top[1:m - k])):
+            if solve:
+                kept.append((unknown, p, top[m - k:], ()))
+            continue
+        full = [a * gx // gk for a, gx in zip(col, g)] + top[1:]
         for idx, row in enumerate(A):
-            a = row.pop(k)
-            A[idx] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+            a = col[idx] if idx < k else full[idx] * gk // g[idx]
+            A[idx] = [(p * x - a * y) // prev for x, y in zip(row, full[idx:])]
         if solve:
-            kept.append((unknown, p, top, tuple(unknowns)))
+            kept.append((unknown, p, full, tuple(unknowns)))
         prev = p
     if not solve or zero:
         return (pos, zero, neg), None
@@ -144,12 +192,15 @@ def _symmetric_inertia(A, solve=False):
 
 
 # rational_inertia tries _certified_inertia first from this many rows up.  On
-# random symmetric integer matrices (medians of 7, with 4-, 15- and 40-bit
-# entries; Python 3.11, numpy 2.4, OpenBLAS, 2 cores) the certificate took
-# 46-101 us at n = 7, 49-50 at 8, 51-54 at 9 and 54-94 at 10, against 33-52,
-# 37-67, 50-95 and 84-137 us for the Bareiss elimination: it wins at every
-# entry size from n = 10, and on the bordered 17 x 17 matrices of the DELV
-# and d = 4 Schur pairs takes 78 us against 338.
+# random symmetric integer matrices (medians of 7, each the best of 20 runs,
+# with 4-, 15- and 40-bit entries; Python 3.11, numpy 2.4, OpenBLAS, 2 cores)
+# the certificate took 44-46 us at n = 7, 46-48 at 8, 49-51 at 9 and 52-54 at
+# 10, against 32-45, 42-62, 53-85 and 65-111 us for the upper-triangle
+# elimination.  It wins at every entry size from n = 9, by 4 us at 4 bits;
+# from n = 10, where it also won against the elimination of whole rows, by
+# 13 us or more.  On the bordered 10 x 10 matrices of the d = 3 Schur pairs
+# it takes 52 us against 81, on the bordered 17 x 17 of the d = 4 ones 79
+# against 340.
 CERTIFY_FROM = 10
 _U = 2.0 ** -53  # the unit roundoff of a double
 _TINY = np.finfo(float).tiny  # the least positive normal double
@@ -262,37 +313,26 @@ def _column(b, shape):
     return B
 
 
-def _with_rhs(R, F):
-    """(rows, t): the rows of _primitive_rows(R), each followed by t F_i / g_i
-    for g_i the gcd it was divided by and t the least positive int that
-    makes every such entry an int."""
-    A = R.tolist()
-    gs = [math.gcd(*row) or 1 for row in A]
-    t = math.lcm(*(g // math.gcd(g, y) for g, y in zip(gs, F)))
-    return [(row if g == 1 else [x // g for x in row]) + [y * t // g]
-            for row, g, y in zip(A, gs, F)], t
-
-
 def rational_inertia(Q, rhs=None):
     """Inertia (positive, zero, negative) of an exact symmetric or Hermitian matrix.
 
     Q is an ExactArray or a list of rows of rationals or GaussianRationals.
     A Hermitian H = R + iJ, J != 0, is decided through the real symmetric
-    [[R, -J], [J, R]], whose eigenvalues are those of H, each twice.  The
-    rows of the integer parts are divided by their gcds and eliminated in
-    integers (_symmetric_inertia); when the matrix eliminated (the real
-    double of a Hermitian one) has CERTIFY_FROM rows or more, the float
-    certificate _certified_inertia is tried first, and the elimination
-    runs only where it abstains.
+    [[R, -J], [J, R]], whose eigenvalues are those of H, each twice.  Each
+    row of the integer parts is divided by its gcd g_i, and the upper
+    triangles of these rows, with the g_i, are eliminated in integers
+    (_symmetric_inertia); when the matrix eliminated (the real double of a
+    Hermitian one) has CERTIFY_FROM rows or more, the float certificate
+    _certified_inertia is tried first, and the elimination runs only where
+    it abstains.
 
     Given a right-hand side rhs (ExactArray or list of rationals), Q must be
     real, and the result is (inertia, x), x = Q^-1 rhs as a real ExactArray
-    (_solution) or None when Q is singular, from the same elimination: the
-    rows of Q as above carry t F_i / g_i (_with_rhs), for F = r rhs and
-    R = q Q the integer parts, g_i the gcd of R_i and t the least positive
-    int that makes these ints.  So Q's rows are those of the inertia alone,
-    whatever rhs's denominator, and the elimination solves R y = t F,
-    x = q y / (t r).
+    (_solution) or None when Q is singular, from the same elimination: row
+    i carries t F_i / g_i, for F = r rhs and R = q Q the integer parts and
+    t the least positive int that makes every such entry an int.  So Q's
+    rows are those of the inertia alone, whatever rhs's denominator, and
+    the elimination solves R y = t F, x = q y / (t r).
     """
     Q = _exact(Q, real=False)
     rows, cols = Q.shape
@@ -306,16 +346,25 @@ def rational_inertia(Q, rhs=None):
         if hermitian:
             raise ValueError("a right-hand side needs a real symmetric matrix")
         F = _column(rhs, Q.shape)
-        A, t = _with_rhs(R, F.re.ravel().tolist())
-        sig, solution = _symmetric_inertia(A, solve=True)
-        if solution is None:
-            return sig, None
-        X, den = solution
-        return sig, _solution([x * Q.den for x in X], den * t * F.den)
     S = np.block([[R, -J], [J, R]]) if hermitian else R
-    sig = _certified_inertia(S, Q.den) if len(S) >= CERTIFY_FROM else None
+    sig = _certified_inertia(S, Q.den) if rhs is None and len(S) >= CERTIFY_FROM else None
     if sig is None:
-        sig = _symmetric_inertia(_primitive_rows(S))[0]
+        A = S.tolist()
+        g = [math.gcd(*row) or 1 for row in A]
+        A = [row[i:] if c == 1 else [x // c for x in row[i:]]
+             for i, (row, c) in enumerate(zip(A, g))]
+        if rhs is None:
+            sig = _symmetric_inertia(A, g)[0]
+        else:
+            f = F.re.ravel().tolist()
+            t = math.lcm(*(c // math.gcd(c, y) for c, y in zip(g, f)))
+            for row, c, y in zip(A, g, f):
+                row.append(y * t // c)
+            sig, solution = _symmetric_inertia(A, g, solve=True)
+            if solution is None:
+                return sig, None
+            X, den = solution
+            return sig, _solution([x * Q.den for x in X], den * t * F.den)
     return sig if S is R else tuple(x // 2 for x in sig)
 
 
@@ -418,15 +467,20 @@ def rational_rref(M):
 
 
 def rational_nullspace(M):
-    """Basis of the right nullspace of a rational matrix."""
-    A, pivots = rational_rref(M)
+    """Basis of the right nullspace of a rational matrix: for each non-pivot
+    column c of the reduced row echelon form (as rational_rref), the vector
+    with 1 at c and minus column c at the pivot columns.  Only those entries
+    of the integer reduction (_eliminate) become Fractions."""
+    M = _exact(M)
+    A = _primitive_rows(M.re)
     cols = len(A[0]) if A else 0
+    pivots, last = _eliminate(A, cols)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -A[r][fc]
+        for row, pc in zip(A, pivots):
+            v[pc] = Fraction(-row[fc], last)
         basis.append(v)
     return basis
 

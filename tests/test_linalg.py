@@ -223,6 +223,56 @@ def test_two_restarts_are_undone_last_first(Q):
                                             reference.rational_solve(Q, f))
 
 
+BLOCKS = st.sampled_from(["isolated", "zero", "hollow", "dense"])
+# block scales: every block's rows over their own denominators, so row gcds differ
+BLOCK_SCALES = st.one_of(st.sampled_from([Fraction(1), Fraction(3, 7), Fraction(-10 ** 6, 11)]),
+                         *FINITE).filter(bool)
+
+
+@st.composite
+def permuted_blocks(draw):
+    """P (B_1 (+) ... (+) B_b) P^T, fewer than CERTIFY_FROM rows, P a random
+    permutation: isolated nonzero diagonal entries, zero rows, hollow
+    blocks (zero diagonal: they force restarts) and dense symmetric blocks
+    of up to 4 rows, each block times its own rational scale, so that
+    rows over distinct denominators have gcds of unequal ratio."""
+    Q = []
+    for kind in draw(st.lists(BLOCKS, max_size=6)):
+        k = 1 if kind in ("isolated", "zero") else draw(st.integers(1 + (kind == "hollow"), 4))
+        if len(Q) + k >= CERTIFY_FROM:
+            break
+        scale = draw(BLOCK_SCALES)
+        B = [[ZERO] * k for _ in range(k)]
+        for i in range(k):
+            if kind == "isolated":
+                B[i][i] = draw(SCALARS.filter(bool))
+            elif kind == "dense":
+                B[i][i] = draw(SPARSE)
+            for j in range(i + 1, k):
+                B[i][j] = B[j][i] = draw(SPARSE)
+        Q = ([row + [ZERO] * k for row in Q]
+             + [[ZERO] * len(Q) + [scale * x for x in row] for row in B])
+    perm = draw(st.permutations(range(len(Q))))
+    return [[Q[i][j] for j in perm] for i in perm]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(Q=permuted_blocks(), data=st.data())
+def test_upper_triangle_elimination_matches_the_fraction_routines(Q, data):
+    """The elimination on the upper triangle, with isolated pivots dropped
+    free and restarts on hollow blocks, gives the oracle's inertia with and
+    without a right-hand side, and its solution when Q is nonsingular.  The
+    matrices are below CERTIFY_FROM rows, so the elimination decides every
+    inertia."""
+    f = data.draw(st.lists(SPARSE, min_size=len(Q), max_size=len(Q)))
+    want = reference.rational_inertia(Q)
+    x = reference.rational_solve(Q, f) if want[1] == 0 else None
+    for A, rhs in zip(input_forms(Q), (f, ExactArray.of(f))):
+        assert rational_inertia(A) == want
+        got, y = rational_inertia(A, rhs)
+        assert got == want and solution_fractions(y) == x
+
+
 def test_a_right_hand_side_needs_a_real_symmetric_matrix():
     with pytest.raises(ValueError, match="real symmetric"):
         rational_inertia([[1, GaussianRational(0, 1)], [GaussianRational(0, -1), 1]], [1, 2])
