@@ -1,6 +1,9 @@
 """Command-line surface: run checks on ring specs and reproduce examples.
 
 Exit codes: 0 = pass, 1 = failing/degenerate verdict, 2 = usage or I/O error.
+argparse refuses what it cannot parse; every other refusal is a ConfigError
+(or a DegreeError) raised where the input is read, and main alone prints it
+as one "error:" line and returns 2.
 """
 
 import argparse
@@ -29,13 +32,9 @@ from .ring import (
     subring,
     torus_ring,
 )
+from .scalars import float_array
 from .symfunc import ChernVector, Partition, derived, schur, segre_from_chern, twist_chern
 from .verdict import DEGENERATE, FAIL, PASS, jsonable
-
-
-def _die(msg):
-    print(f"error: {msg}", file=sys.stderr)
-    raise SystemExit(2)
 
 
 def _checked(convert, what, ok=lambda value: True):
@@ -62,29 +61,25 @@ def _fraction(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        _die(f"not a rational number: {text!r}")
+        raise ConfigError(f"not a rational number: {text!r}") from None
 
 
 def _load_ring(path):
     try:
         return load_ring_spec(path)
-    except OSError as exc:
-        _die(f"cannot read ring spec {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        _die(f"ring spec {path} is not valid JSON: line {exc.lineno}: {exc.msg}")
-    except (ConfigError, ConstructionError) as exc:
-        _die(f"ring spec {path}: {exc}")
+    except ConstructionError as exc:  # INVALID to ring check, unusable input to the others
+        raise ConfigError(f"ring spec {path}: {exc}") from None
 
 
 def _element(model, expr, degree=None):
     try:
         elem = parse_element(model, expr)
     except (ConfigError, DegreeError) as exc:
-        _die(f"bad element {expr!r}: {exc}")
+        raise ConfigError(f"bad element {expr!r}: {exc}") from None
     if degree is not None and elem.degree != degree:
         if elem.is_zero():
             return model.zero(degree)
-        _die(f"element {expr!r} has degree {elem.degree}, expected {degree}")
+        raise ConfigError(f"element {expr!r} has degree {elem.degree}, expected {degree}")
     return elem
 
 
@@ -115,19 +110,19 @@ def _matrix_from_arg(text):
             with open(text) as fh:
                 text = fh.read()
         except OSError as exc:
-            _die(f"cannot read matrix {text!r}: {exc}")
+            raise ConfigError(f"cannot read matrix {text!r}: {exc}") from None
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
-        _die(f"matrix is not valid JSON: {exc.msg}")
+        raise ConfigError(f"matrix is not valid JSON: {exc.msg}") from None
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        _die("matrix must be a JSON list of rows")
+        raise ConfigError("matrix must be a JSON list of rows")
     out = []
     for row in rows:
         conv = []
         for x in row:
             if isinstance(x, bool):
-                _die("matrix entries must be numbers")
+                raise ConfigError("matrix entries must be numbers")
             elif isinstance(x, int):
                 conv.append(Fraction(x))
             elif isinstance(x, str):
@@ -135,13 +130,13 @@ def _matrix_from_arg(text):
             elif isinstance(x, float) and math.isfinite(x):
                 conv.append(x)
             else:
-                _die(f"bad matrix entry {x!r}")
+                raise ConfigError(f"bad matrix entry {x!r}")
         out.append(conv)
     n = len(out)
     if any(len(r) != n for r in out):
-        _die("matrix must be square")
+        raise ConfigError("matrix must be square")
     if any(out[i][j] != out[j][i] for i in range(n) for j in range(i)):
-        _die("matrix must be symmetric")
+        raise ConfigError("matrix must be symmetric")
     return out
 
 
@@ -178,10 +173,7 @@ def cmd_schur(args):
 def cmd_derived(args):
     lam = args.partition
     _check_partition(lam)
-    try:
-        p = derived(schur(lam, args.vars), args.order)
-    except DegreeError as exc:  # an order past the weight
-        _die(str(exc))
+    p = derived(schur(lam, args.vars), args.order)
     if args.json:
         print(json.dumps({
             "partition": str(lam), "vars": args.vars,
@@ -234,14 +226,7 @@ def cmd_segre(args):
 
 def cmd_ring_check(args):
     try:
-        with open(args.spec) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        _die(f"cannot read {args.spec}: {exc}")
-    except json.JSONDecodeError as exc:
-        _die(f"{args.spec} is not valid JSON: line {exc.lineno}: {exc.msg}")
-    try:
-        model = ring_from_spec(data)
+        model = load_ring_spec(args.spec)
     except (ConstructionError, ConsistencyError) as exc:
         info = {"valid": False, "error": str(exc)}
         if getattr(exc, "witness", None) is not None:
@@ -249,8 +234,6 @@ def cmd_ring_check(args):
         print(json.dumps(info, indent=2) if args.json
               else f"INVALID: {exc}")
         return 1
-    except ConfigError as exc:
-        _die(f"ring spec {args.spec}: {exc}")
     dims = [len(model.basis(p)) for p in range(model.dimension + 1)]
     if args.json:
         print(json.dumps({
@@ -266,7 +249,7 @@ def cmd_ring_check(args):
 def cmd_gram(args):
     model = _load_ring(args.ring)
     Q = hrcheck._gram(model, _element(model, args.eta, model.dimension - 2))
-    Q = hrcheck.float_copy(Q, "Gram matrix").tolist() if args.backend == "float" else Q.fractions()
+    Q = float_array(Q, float, "Gram matrix").tolist() if args.backend == "float" else Q.fractions()
     if args.json:
         print(json.dumps({"eta": args.eta, "gram": jsonable(Q)}, indent=2))
     else:
@@ -286,7 +269,7 @@ def cmd_signature(args):
         eta = _element(model, args.eta, model.dimension - 2)
         Q = hrcheck.gram(model, eta)
     else:
-        _die("signature needs --matrix or both --ring and --eta")
+        raise ConfigError("signature needs --matrix or both --ring and --eta")
     sig, eigs = hrcheck.signature(Q, zero_tol=args.tolerance)
     if args.json:
         print(json.dumps({"signature": list(sig), "eigenvalues": eigs}))
@@ -379,7 +362,7 @@ def cmd_extension_identity(args):
 def cmd_trace_check(args):
     if args.curvature is not None:
         if not (args.omega_top and args.omega_mid):
-            _die("file mode needs --curvature, --omega-top and --omega-mid")
+            raise ConfigError("file mode needs --curvature, --omega-top and --omega-mid")
         try:
             with open(args.curvature) as fh:
                 cdata = json.load(fh)
@@ -389,8 +372,8 @@ def cmd_trace_check(args):
             with open(args.omega_mid) as fh:
                 mid = form_from_dict(json.load(fh))
             F0 = bg.CurvatureMatrix(entries, check=False)
-        except (OSError, KeyError, ValueError, TypeError, DegreeError, ConfigError) as exc:
-            _die(f"cannot load curvature data: {exc}")
+        except (OSError, KeyError, ValueError, TypeError) as exc:
+            raise ConfigError(f"cannot load curvature data: {exc}") from None
     else:
         # the Schur pair of two seeded Kahler forms, as its intersection numbers
         if args.rank > MAX_TRACE_RANK:
@@ -403,11 +386,8 @@ def cmd_trace_check(args):
         if args.higgs:
             raw = raw + bg.higgs_curvature_term(bg.random_higgs(args.rank, args.dim, rng))
         F0 = bg._project(raw, m)
-    try:
-        v = (bg.trace_check(F0, top, mid, zero_tol=args.tolerance) if args.curvature
-             else bg._trace_verdict(F0, G, m, args.tolerance))
-    except (ConfigError, DegreeError) as exc:
-        _die(str(exc))
+    v = (bg.trace_check(F0, top, mid, zero_tol=args.tolerance) if args.curvature
+         else bg._trace_verdict(F0, G, m, args.tolerance))
     extra = None if args.curvature else {"seed": args.seed, "higgs": args.higgs}
     return _emit_verdict(v, args.json, extra=extra)
 
@@ -675,9 +655,12 @@ def build_parser():
     p.set_defaults(fn=cmd_sample_search)
 
     p = sub.add_parser("demo", help="golden example reproductions")
-    p.add_argument("example", choices=("delv", "fulger-lehmann", "non-hr-limit"))
-    _add_common(p, tolerance=False)
-    p.set_defaults(fn=None)
+    dsub = p.add_subparsers(dest="example", required=True)
+    for name, fn in (("delv", cmd_demo_delv), ("fulger-lehmann", cmd_demo_fl),
+                     ("non-hr-limit", cmd_demo_nonhr)):
+        d = dsub.add_parser(name)
+        _add_common(d, tolerance=False)
+        d.set_defaults(fn=fn)
 
     return ap
 
@@ -685,21 +668,11 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.verb == "demo":
-        fn = {
-            "delv": cmd_demo_delv,
-            "fulger-lehmann": cmd_demo_fl,
-            "non-hr-limit": cmd_demo_nonhr,
-        }[args.example]
-    else:
-        fn = args.fn
     try:
-        return fn(args)
-    except ConfigError as exc:  # a value the program cannot use
-        _die(str(exc))
-    except HRPairsError as exc:
+        return args.fn(args)
+    except HRPairsError as exc:  # 2 for input the program cannot use
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, DegreeError)) else 1
 
 
 if __name__ == "__main__":

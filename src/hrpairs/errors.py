@@ -38,4 +38,6 @@ class ConsistencyError(HRPairsError):
 
 
 class ConfigError(HRPairsError):
-    """Malformed user-facing input: spec files, CLI expressions, options."""
+    """Input the program cannot use: malformed spec files, CLI expressions and
+    options, or exact values beyond float range for a float decision
+    (scalars.float_array).  The CLI exits 2 on it."""

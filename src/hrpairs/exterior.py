@@ -43,8 +43,8 @@ import numpy as np
 from .errors import ConsistencyError, DegreeError
 from .linalg import _matrix, inertia
 from .scalars import (
-    ExactArray, GaussianRational, i_power, imag_part, is_exact, magnitude, negligible,
-    real_part, to_complex,
+    ExactArray, GaussianRational, float_array, i_power, imag_part, is_exact, magnitude,
+    negligible, real_part, to_complex,
 )
 from .verdict import DEGENERATE, FAIL, PASS, Verdict
 
@@ -178,7 +178,7 @@ class PPForm:
         """The form sum c dz_I wedge dzbar_J over {(I, J): c}, the keys
         strictly increasing index tuples of lengths p and q in range(dim):
         exact when every c is (int, Fraction or GaussianRational), complex
-        otherwise."""
+        (float_array) otherwise."""
         self.dim, self.p, self.q = d, p, q = int(dim), int(p), int(q)
         if p < 0 or q < 0:
             raise DegreeError(f"bidegree ({p},{q}) is negative")
@@ -190,11 +190,11 @@ class PPForm:
         coeffs = coeffs or {}
         for I, J in coeffs:
             self._check_key(I, J)
-        exact = all(map(is_exact, coeffs.values()))
-        Z = np.zeros((len(rows), len(cols)), dtype=object if exact else complex)
+        Z = np.zeros((len(rows), len(cols)), dtype=object)
         for (I, J), c in coeffs.items():
-            Z[rows[tuple(I)], cols[tuple(J)]] = c if exact else complex(c)
-        self.Z = _frozen(ExactArray.of(Z) if exact else Z)
+            Z[rows[tuple(I)], cols[tuple(J)]] = c
+        exact = all(map(is_exact, coeffs.values()))
+        self.Z = _frozen(ExactArray.of(Z) if exact else float_array(Z, complex))
         self._memo = {}
 
     def _check_key(self, I, J):
@@ -476,7 +476,7 @@ def integrate_top(form, allow_complex=False):
     if allow_complex:
         return value
     im = imag_part(value)
-    if not negligible(im, 1e-9 * max(1.0, abs(complex(value)))):
+    if not negligible(im, 0.0 if form.is_exact() else 1e-9 * max(1.0, abs(value))):
         raise ConsistencyError(f"integral has imaginary part {im}")
     return real_part(value)
 
@@ -569,8 +569,8 @@ def _scalar_from_json(re, im):
 def form_to_dict(form):
     """JSON-ready dict; indices are 1-based in the serialized records."""
     terms = []
-    for (I, J) in sorted(form.coeffs):
-        re, im = _scalar_to_json(form.coeffs[(I, J)])
+    for (I, J), c in sorted(form.coeffs.items()):
+        re, im = _scalar_to_json(c)
         terms.append(
             {"I": [int(i) + 1 for i in I], "J": [int(j) + 1 for j in J], "re": re, "im": im}
         )

@@ -89,27 +89,25 @@ from .linalg import (
 )
 from .ring import MAX_SWEEP_DIMENSION, MAX_SWEEP_EXPONENTS, MAX_SWEEP_POINTS
 from .ring import _check_real, _hermitian_entries, _real_array, real_coordinates
-from .scalars import ExactArray, to_float
+from .scalars import ExactArray, float_array
 from .symfunc import Partition, schur, to_monomials
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
 
-def _gram(model, eta, degree=1):
-    """The ExactArray P M of int(b_i * eta * b_j) over the basis of the
-    given degree, for the model's cached pairing matrix P and the
-    multiplication matrix M of eta."""
+def _gram(model, eta):
+    """The ExactArray P M of int(b_i * eta * b_j) over the degree-1 basis,
+    for the model's cached pairing matrix P and the multiplication matrix M
+    of eta."""
     d = model.dimension
-    if eta.degree + 2 * degree != d:
-        raise DegreeError(
-            f"eta has degree {eta.degree}; need {d - 2 * degree} to pair degree-{degree} classes"
-        )
-    return model.pairing_matrix(degree) @ model.multiplication_matrix(eta, degree)
+    if eta.degree != d - 2:
+        raise DegreeError(f"eta has degree {eta.degree}; need {d - 2} to pair degree-1 classes")
+    return model.pairing_matrix(1) @ model.multiplication_matrix(eta)
 
 
-def gram(model, eta, degree=1):
+def gram(model, eta):
     """Gram matrix int(b_i * eta * b_j) over the degree-1 basis (symmetric),
     as lists of Fractions."""
-    return _real(_gram(model, eta, degree))
+    return _real(_gram(model, eta))
 
 
 def _real(x):
@@ -257,18 +255,6 @@ def _restricted_negdef(Q, functional, zero_tol):
     return float_signature(Q[1:, 1:] - (vu + vu.T), zero_tol)[0]
 
 
-def float_copy(x, name):
-    """The real ExactArray x as a float array of its shape, each entry
-    correctly rounded; ConfigError naming the first entry beyond float
-    range."""
-    try:
-        return np.asarray(x.re / x.den, dtype=float)
-    except OverflowError:
-        index = next(i for i, a in np.ndenumerate(x.re) if math.isinf(to_float(Fraction(a, x.den))))
-        raise ConfigError(f"{name} entry {list(index)} does not fit in a float; "
-                          "decide with the exact backend") from None
-
-
 def _pair_verdict(Q, M, top, functional, h, zero_tol):
     """The Hodge-Riemann pair verdict from coordinates; every pair check ends here.
 
@@ -354,7 +340,8 @@ def is_hr_pair(model, eta_top, eta_mid, h, zero_tol=1e-9, exact=True):
     if exact:
         return _pair_verdict(*values, zero_tol)
     names = ("Gram matrix", "multiplication matrix", "eta_top", "functional", "h")
-    return _pair_verdict(*(float_copy(v, name) for v, name in zip(values, names)), zero_tol)
+    return _pair_verdict(*(float_array(v, float, name) for v, name in zip(values, names)),
+                         zero_tol)
 
 
 def pos_cone_contains(model, beta, eta, h):
@@ -497,7 +484,7 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
         for form in (omega_top, omega_mid):
             _check_real(form)
     elif isinstance(h, ExactArray):
-        h = float_copy(h, "h")
+        h = float_array(h, float, "h")
     return _pointwise_verdict(_mid_gram(omega_mid), _top_functional(omega_top), h, zero_tol)
 
 

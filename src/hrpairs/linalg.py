@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .scalars import ExactArray, is_exact
+from .scalars import ExactArray, float_array, is_exact
 
 
 def _shape(M):
@@ -43,16 +43,16 @@ def _shape(M):
 def _matrix(M):
     """M as an array, converted once: a list of rows (or an object array) of
     exact numbers becomes an ExactArray, any other a float ndarray (complex
-    when an entry is complex); other arrays pass through."""
+    when an entry is complex) by float_array; other arrays pass through."""
     if isinstance(M, ExactArray) or (isinstance(M, np.ndarray) and M.dtype != object):
         return M
     A = np.asarray(M, dtype=object).reshape(_shape(M))
     if all(map(is_exact, A.flat)):
         return ExactArray.of(A)
     try:
-        return A.astype(float)
+        return float_array(A, float, "matrix")
     except TypeError:
-        return A.astype(complex)
+        return float_array(A, complex, "matrix")
 
 
 def _exact(M, real=True):

@@ -1011,8 +1011,13 @@ def ring_from_spec(data):
 
 
 def load_ring_spec(path):
-    with open(path) as fh:
-        data = json.load(fh)
+    """ring_from_spec of the JSON file at path; ConfigError, naming the file,
+    when it cannot be read or is not JSON."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ConfigError(f"cannot read ring spec {path}: {exc}") from None
     return ring_from_spec(data)
 
 

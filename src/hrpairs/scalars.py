@@ -6,7 +6,8 @@ implements the same small protocol (+, -, *, /, ``conjugate``, ``.real``,
 Mixing a GaussianRational with a float or complex demotes the result to
 ``complex``.  ExactArray is the exact counterpart of a complex ndarray:
 integer numerators over one denominator, which the dense kernels, the
-verdict core and the exact linear algebra all run on.
+verdict core and the exact linear algebra all run on; float_array turns
+exact values into floats for a float decision.
 """
 
 import itertools
@@ -15,6 +16,8 @@ import operator
 from fractions import Fraction
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def from_parts(a, b, n):
@@ -235,6 +238,26 @@ def negligible(x, bound):
     return abs(x) <= bound
 
 
+def float_array(x, dtype, name=None):
+    """x, an ExactArray (real for dtype float) or an object array of numbers,
+    as an ndarray of dtype float or complex, each part correctly rounded: the
+    one conversion of exact values for a float decision.  An entry beyond
+    float range raises ConfigError naming its index (and name, if given)."""
+    try:
+        if not isinstance(x, ExactArray):
+            return x.astype(dtype)
+        out = np.empty(x.shape, dtype=dtype)
+        out.real = x.re / x.den
+        if out.dtype.kind == "c":
+            out.imag = x.im / x.den
+        return out
+    except OverflowError:
+        index = next(i for i in np.ndindex(x.shape) if not np.isfinite(to_complex(x[i])))
+        what = f"{name} entry" if name else "entry"
+        raise ConfigError(f"{what} {list(index)} does not fit in a float; "
+                          "decide with the exact backend") from None
+
+
 class ExactArray:
     """The exact array (re + i*im)/den of the exact backend: re and im are
     numpy object arrays of Python ints of one shape, den a Python int > 0,
@@ -252,12 +275,12 @@ class ExactArray:
     einsum is numpy's on the parts, in the order numpy picks: exact sums
     do not depend on it.  Values enter from nested lists of exact numbers
     (of) and leave as GaussianRationals (item, tolist, np.vdot), as the
-    Fractions of their real parts (fractions), as complex (astype) or as
-    float evidence that saturates beyond float range (saturated); the exact
-    linear algebra and the ring kernels read the integer parts.  An
-    assignment that changes den replaces the parts, so views taken before it
-    no longer follow the array; setflags(write=False) makes both parts
-    read-only, as the coefficients of a form are.
+    Fractions of their real parts (fractions), as complex (astype, which is
+    float_array) or as float evidence that saturates beyond float range
+    (saturated); the exact linear algebra and the ring kernels read the
+    integer parts.  An assignment that changes den replaces the parts, so
+    views taken before it no longer follow the array; setflags(write=False)
+    makes both parts read-only, as the coefficients of a form are.
     """
 
     __slots__ = ("re", "im", "den")
@@ -419,13 +442,11 @@ class ExactArray:
         return np.frompyfunc(Fraction, 2, 1)(self.re, self.den, out=out).tolist()
 
     def astype(self, dtype, copy=True):
-        """The complex ndarray of the entries, each part correctly rounded
-        (OverflowError beyond float range); dtype must be complex."""
+        """The complex ndarray of the entries (float_array: ConfigError
+        beyond float range); dtype must be complex."""
         if np.dtype(dtype) != np.complex128:
             raise TypeError(f"an exact array converts to complex only, not {dtype}")
-        out = np.empty(self.shape, dtype=complex)
-        out.real, out.imag = self.re / self.den, self.im / self.den
-        return out
+        return float_array(self, complex)
 
     def saturated(self):
         """The float ndarray of the entries, complex when an imaginary part

@@ -249,17 +249,12 @@ def elementary(k, num_vars):
 
 
 def complete_homogeneous(k, num_vars):
-    """h_k in the elementary basis, via h_k = sum_i (-1)^(i-1) e_i h_(k-i)."""
+    """h_k in the elementary basis: the Segre class s_k of the Chern classes
+    e_1, e_2, ... (segre_from_chern)."""
     if k < 0:
         return SymPoly.zero(num_vars)
-    hs = [SymPoly.one(num_vars)]
-    for n in range(1, k + 1):
-        acc = SymPoly.zero(num_vars)
-        for i in range(1, min(n, num_vars) + 1):
-            term = elementary(i, num_vars) * hs[n - i]
-            acc = acc + term if i % 2 == 1 else acc - term
-        hs.append(acc)
-    return hs[k]
+    chern = [elementary(i, num_vars) for i in range(min(k, num_vars) + 1)]
+    return segre_from_chern(chern, upto=k)[k]
 
 
 def schur(lam, num_vars):

@@ -20,7 +20,7 @@ from hrpairs.scalars import GaussianRational
 def run(capsys, *argv):
     try:
         code = main(list(argv))
-    except SystemExit as exc:  # usage and I/O errors exit through argparse-style die
+    except SystemExit as exc:  # only argparse exits so; main returns every other code
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -118,6 +118,7 @@ def test_bad_partition_is_reported_not_raised(capsys):
     ["trace-check", "--dim", "3", "--seed", "-5"],
     ["derived", "--partition", "2", "--vars", "2", "--order", "5"],
     ["signature", "--matrix", "[[1e308, 1e308], [1e308, 1e308]]"],
+    ["signature", "--matrix", '[[1.0, "1e400"], ["1e400", 1.0]]'],
     ["sample-search", "--dim", "14", "--partition", "13", "--vars", "6"],
     ["sample-search", "--dim", "14", "--partition", "13", "--vars", "7"],
     ["sample-search", "--dim", "2", "--partition", "1", "--vars", "1000000000"],
@@ -170,6 +171,11 @@ def test_ring_check_rejects_unreadable_and_malformed_files(capsys, tmp_path):
     code, _, err = run(capsys, "ring", "check", str(path))
     assert code == 2
     assert "line" in err
+    path.write_bytes(b"\xff\xfe")  # not UTF-8 text
+    for argv in (["ring", "check", str(path)], ["gram", "--ring", str(path), "--eta", "xi"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: cannot read ring spec {path}: ")
 
 
 def test_malformed_spec_fields_exit_two(capsys, tmp_path):
@@ -455,6 +461,18 @@ def trace_check_files(**edit):
     )
 
 
+def trace_check_beyond_float_range():
+    """trace_check_files() with float curvature entries and an exact omega_top
+    coefficient of 10^400, which no float holds."""
+    files = trace_check_files()
+    for row in files["CURVATURE"]["entries"]:
+        for entry in row:
+            for term in entry["terms"]:
+                term["re"], term["im"] = float(term["re"]), 0.0
+    files["TOP"]["terms"][0]["re"] = "1e400"
+    return files
+
+
 def trace_check_curvature(edit):
     """trace_check_files() with edit applied to the curvature's list of rows."""
     files = trace_check_files()
@@ -541,6 +559,8 @@ MALFORMED_INPUT = [
     pytest.param(InputFiles(trace_check_files(), MID=form_to_dict(
         std_kahler(3) + PPForm(3, 1, 1, {((0,), (1,)): GaussianRational(1)}))),
                  TRACE_CHECK_FILES, id="trace-check-exact-omega-not-real"),
+    pytest.param(trace_check_beyond_float_range(), TRACE_CHECK_FILES,
+                 id="trace-check-exact-omega-beyond-float-range"),
 ]
 
 

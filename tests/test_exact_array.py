@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hrpairs.errors import ConfigError
 from hrpairs.scalars import ExactArray, from_parts, to_complex
 
 DENOMINATORS = [1, 2, 3, 7, 21, 10 ** 40]
@@ -103,8 +104,8 @@ def test_entrywise_and_shape_operations_match_the_oracle(seed, shape, huge):
     assert np.array_equal(X.saturated(), saturated if X.im.any() else saturated.real)
     try:
         want = entrywise(complex, x).astype(complex)
-    except OverflowError:  # the one conversion that may raise it, as complex() does
-        with pytest.raises(OverflowError):
+    except OverflowError:  # complex() raises it; the one conversion refuses the entry
+        with pytest.raises(ConfigError, match="does not fit in a float"):
             X.astype(complex)
     else:
         assert np.array_equal(X.astype(complex), want)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hrpairs import exterior
-from hrpairs.errors import ConsistencyError, DegreeError
+from hrpairs.errors import ConfigError, ConsistencyError, DegreeError
 from hrpairs.exterior import (
     PPForm,
     form_from_dict,
@@ -233,6 +233,16 @@ def test_integrate_top_rejects_wrong_degree_and_complex_values():
     with pytest.raises(ConsistencyError):
         integrate_top(crooked)
     assert integrate_top(crooked, allow_complex=True) == i_power(-9)
+
+
+def test_exact_values_beyond_float_range_stay_exact_or_are_refused():
+    """An exact top form of volume 10^400 integrates exactly; a float form
+    cannot take a coefficient of 10^400, and says which."""
+    full = (0, 1, 2)
+    huge = PPForm.monomial(3, full, full, i_power(9) * 10 ** 400)
+    assert integrate_top(huge) == 10 ** 400
+    with pytest.raises(ConfigError, match=r"^entry \[0, 0\] does not fit in a float"):
+        PPForm(2, 1, 1, {((0,), (0,)): Fraction(10 ** 400), ((1,), (1,)): 1.0})
 
 
 # -- hermitian bridge ------------------------------------------------------

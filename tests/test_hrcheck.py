@@ -62,7 +62,7 @@ from hrpairs.linalg import (
     rational_nullspace,
     rational_solve,
 )
-from hrpairs.scalars import ExactArray, GaussianRational
+from hrpairs.scalars import ExactArray, GaussianRational, float_array
 from hrpairs.symfunc import Partition, derived, evaluate, schur
 from hrpairs.verdict import jsonable
 
@@ -483,6 +483,15 @@ def test_pointwise_rejects_non_positive_omega():
         pointwise_hr_pair(wedge(omega, omega), omega, omega * (-1.0))
 
 
+def test_pointwise_refuses_exact_coefficients_beyond_float_range_with_a_float_omega():
+    """An exact (2,2)-form with a coefficient of 10^400 and a float omega: the
+    exact intersection numbers have no float copy, a ConfigError."""
+    omega = std_kahler(3)
+    top = wedge(omega, omega) + PPForm(3, 2, 2, {((0, 1), (0, 1)): GaussianRational(10 ** 400)})
+    with pytest.raises(ConfigError, match="does not fit in a float; decide with the exact"):
+        pointwise_hr_pair(top, omega, std_kahler(3, exact=False))
+
+
 def test_pointwise_flags_negated_middle_form():
     omega = std_kahler(3, exact=False)
     verdict = pointwise_hr_pair(wedge(omega, omega), omega * (-1.0), omega)
@@ -828,10 +837,10 @@ def test_a_ring_without_degree_one_classes_fails_alike_in_both_backends():
     for exact in (True, False):
         verdict = is_hr_pair(model, model.zero(2), model.zero(1), model.zero(1), exact=exact)
         assert (verdict.outcome, tuple(verdict.signature)) == ("fail", (0, 0, 0))
-    assert hrcheck.float_copy(hrcheck._gram(model, model.zero(1)), "Gram matrix").shape == (0, 0)
+    assert float_array(hrcheck._gram(model, model.zero(1)), float, "Gram matrix").shape == (0, 0)
     huge = ExactArray.of([[1, 0], [0, 10 ** 400]])
     with pytest.raises(ConfigError, match=r"^M entry \[1, 1\] does not fit in a float; "):
-        hrcheck.float_copy(huge, "M")
+        float_array(huge, float, "M")
 
 
 def test_exact_division_check_refuses_a_top_outside_the_image():

@@ -383,13 +383,6 @@ def universal_chern(e):
     return ChernVector(e, [elementary(k, e) for k in range(e + 1)])
 
 
-def test_segre_of_universal_chern_is_complete_homogeneous():
-    for e in (2, 3, 4):
-        seg = segre_from_chern(list(universal_chern(e)), upto=e + 1)
-        for k in range(e + 2):
-            assert seg[k] == complete_homogeneous(k, e)
-
-
 def test_segre_closed_forms():
     seg = segre_from_chern(list(universal_chern(3)), upto=3)
     e1, e2, e3 = (elementary(k, 3) for k in (1, 2, 3))
