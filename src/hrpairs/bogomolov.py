@@ -20,8 +20,9 @@ for exact data.  constraint_project, trace_check, higgs_curvature_term and
 HiggsField.square_residual are a few einsums over them and over the
 intersection numbers m = exterior._top_functional(omega_top) and
 G = exterior._mid_gram(omega_mid), read from the memo of each form (an
-exact operand meeting a float one is read in complex); omega_top and
-omega_mid must be real forms.  trace_check decides every check on whole
+exact operand meeting a float one is read in complex, an exact form under
+its name); omega_top and omega_mid must be real forms, and every input
+precondition is a ConfigError.  trace_check decides every check on whole
 arrays, with one text for both backends, and names an entry only when a
 check fails.  _project and _trace_verdict take (G, m) themselves, so a
 seeded trial (the CLI's trace-check) reads them from hrcheck.schur_tensors
@@ -36,8 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError
-from .exterior import PPForm, _frozen, _mid_gram, _peak, _promote, _top_functional, _unreal_at
-from .exterior import _json_indices, _zeros
+from .exterior import PPForm, _float_form, _frozen, _mid_gram, _peak, _promote, _require_real
+from .exterior import _top_functional, _zeros
 from .scalars import ExactArray, magnitude, negligible, to_float
 from .verdict import FAIL, PASS, Verdict, jsonable
 
@@ -197,11 +198,7 @@ class CurvatureMatrix(_FormMatrix):
     def __init__(self, entries, check=True):
         super().__init__(entries)
         if check:
-            res = self.anti_selfadjoint_residual()
-            if not negligible(res, 0.0):
-                raise ConsistencyError(
-                    f"matrix is not anti-selfadjoint: residual {res}"
-                )
+            _require_anti_selfadjoint(self.coeffs, 1e-9 * max(self.max_abs(), 1.0))
 
     @classmethod
     def zero(cls, r, d):
@@ -226,6 +223,14 @@ def _adjoint(A):
     return -A.conj().transpose(1, 0, 3, 2)
 
 
+def _require_anti_selfadjoint(A, bound):
+    """ConfigError unless F + F^adj, F the curvature of coefficients A, is
+    negligible to bound (0 for exact data)."""
+    res = _peak(A + _adjoint(A))
+    if not negligible(res, bound):
+        raise ConfigError(f"curvature is not anti-selfadjoint: residual {res}")
+
+
 def _trace_free(A):
     """Remove (tr A / r) times the identity from the writable array A, in place."""
     diag = np.arange(len(A))
@@ -233,17 +238,11 @@ def _trace_free(A):
     return A
 
 
-def _check_form(name, form, d, k):
-    """DegreeError unless form is a (k,k)-form on C^d, ConfigError naming
-    the indices unless it is real (exterior._unreal_at, read through its memo)."""
-    if form.dim != d:
-        raise DegreeError(f"{name} lives on C^{form.dim}, the curvature on C^{d}")
-    if (form.p, form.q) != (k, k):
-        raise DegreeError(f"need a ({k},{k})-form {name} on C^{d}, got {form!r}")
-    at = _unreal_at(form)
-    if at is not None:
-        raise ConfigError(f"{name} is not a real form: it fails the reality condition at "
-                          f"{_json_indices(at)}")
+def _check_form(name, form, F, k):
+    """form, a real (k,k)-form on the C^d of the curvature F
+    (exterior._require_real), in complex for a float F (_float_form)."""
+    _require_real(form, name, F.dim, k)
+    return form if F.is_exact() else _float_form(form, name)
 
 
 def constraint_project(F, omega_top):
@@ -255,8 +254,7 @@ def constraint_project(F, omega_top):
     (1,1)-form, so the first two constraints survive the third (_project).
     Exact when F and omega_top are, complex otherwise.
     """
-    _check_form("omega_top", omega_top, F.dim, F.dim - 1)
-    return _project(F, _top_functional(omega_top))
+    return _project(F, _top_functional(_check_form("omega_top", omega_top, F, F.dim - 1)))
 
 
 def _project(F, m):
@@ -285,8 +283,8 @@ def trace_check(F0, omega_top, omega_mid, zero_tol=1e-9):
     on the intersection numbers of the forms.
     """
     d = F0.dim
-    _check_form("omega_top", omega_top, d, d - 1)
-    _check_form("omega_mid", omega_mid, d, d - 2)
+    omega_top = _check_form("omega_top", omega_top, F0, d - 1)
+    omega_mid = _check_form("omega_mid", omega_mid, F0, d - 2)
     return _trace_verdict(F0, _mid_gram(omega_mid), _top_functional(omega_top), zero_tol)
 
 
@@ -301,9 +299,7 @@ def _trace_verdict(F0, G, m, zero_tol):
     exact = isinstance(A, ExactArray)
     curvature_max = magnitude(_peak(A))
     fscale = max(curvature_max, 1.0)
-    res = _peak(A + _adjoint(A))
-    if not negligible(res, zero_tol * fscale):
-        raise ConfigError(f"curvature is not anti-selfadjoint: residual {res}")
+    _require_anti_selfadjoint(A, zero_tol * fscale)
     tr_res = _peak(np.einsum("iiab->ab", A))
     if not negligible(tr_res, zero_tol * fscale):
         raise ConfigError(f"curvature is not trace-free: residual {tr_res}")
@@ -365,14 +361,10 @@ class HiggsField(_FormMatrix):
     __slots__ = ()
     kind, bidegree = "Higgs", (1, 0)
 
-    def __init__(self, entries, check=True, tol=0.0):
+    def __init__(self, entries, check=True):
         super().__init__(entries)
         if check:
-            res = self.square_residual()
-            if not negligible(res, tol * max(1.0, self.max_abs()) ** 2):
-                raise ConsistencyError(
-                    f"Higgs field fails theta ^ theta = 0: residual {res}"
-                )
+            _require_square_zero(self)
 
     def square_residual(self):
         """The largest coefficient of theta ^ theta (see _peak)."""
@@ -381,16 +373,23 @@ class HiggsField(_FormMatrix):
         return _peak(P - P.transpose(0, 1, 3, 2))
 
 
+def _require_square_zero(theta):
+    """ConfigError unless theta ^ theta = 0: to 1e-9 relative to
+    max(1, max |theta|)^2 in floats, exactly for exact data."""
+    res = theta.square_residual()
+    if not negligible(res, 1e-9 * max(1.0, theta.max_abs()) ** 2):
+        raise ConfigError(f"Higgs field fails theta ^ theta = 0: residual {res}")
+
+
 def higgs_curvature_term(theta):
     """[theta, theta^adj] = theta ^ theta^adj + theta^adj ^ theta.
 
     The result is an anti-selfadjoint matrix of (1,1)-forms, the extra
     curvature the Higgs field contributes on top of the Chern connection,
-    exact for an exact theta.  theta ^ theta must vanish to 1e-9 relative in
-    floats, exactly otherwise.
+    exact for an exact theta.  theta ^ theta must vanish
+    (_require_square_zero).
     """
-    if not negligible(theta.square_residual(), 1e-9 * max(1.0, theta.max_abs()) ** 2):
-        raise ConsistencyError("Higgs field fails theta ^ theta = 0")
+    _require_square_zero(theta)
     T = theta.coeffs
     Tc = T.conj()
     return CurvatureMatrix._of(np.einsum("ika,jkb->ijab", T, Tc)
@@ -403,20 +402,7 @@ def random_higgs(r, d, rng):
     for i in range(r):
         for j in range(i + 1, r):
             N[i][j] = rng.standard_normal() + 1j * rng.standard_normal()
-    N2 = [
-        [sum(N[i][k] * N[k][j] for k in range(r)) for j in range(r)]
-        for i in range(r)
-    ]
-
-    def random_10():
-        return PPForm(d, 1, 0, {
-            ((j,), ()): rng.standard_normal() + 1j * rng.standard_normal()
-            for j in range(d)
-        })
-
-    phi1, phi2 = random_10(), random_10()
-    entries = [
-        [phi1 * N[i][j] + phi2 * N2[i][j] for j in range(r)]
-        for i in range(r)
-    ]
-    return HiggsField(entries, check=True, tol=1e-12)
+    N2 = [[sum(N[i][k] * N[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
+    phi1, phi2 = (PPForm(d, 1, 0, {((j,), ()): rng.standard_normal() + 1j * rng.standard_normal()
+                                   for j in range(d)}) for _ in range(2))
+    return HiggsField([[phi1 * N[i][j] + phi2 * N2[i][j] for j in range(r)] for i in range(r)])

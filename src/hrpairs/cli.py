@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bogomolov as bg
 from . import hrcheck
-from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError, HRPairsError
+from .errors import ConfigError, ConstructionError, DegreeError, HRPairsError
 from .exterior import form_from_dict, wedge
 from .ring import (
     MAX_SCHUR_ORDER,
@@ -227,7 +227,7 @@ def cmd_segre(args):
 def cmd_ring_check(args):
     try:
         model = load_ring_spec(args.spec)
-    except (ConstructionError, ConsistencyError) as exc:
+    except ConstructionError as exc:
         info = {"valid": False, "error": str(exc)}
         if getattr(exc, "witness", None) is not None:
             info["witness"] = jsonable(exc.witness)

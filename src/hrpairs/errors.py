@@ -34,10 +34,12 @@ class SingularPairingError(HRPairsError):
 
 
 class ConsistencyError(HRPairsError):
-    """Two computations that must agree did not (internal cross-check)."""
+    """Two computations that must agree did not: the internal cross-checks of
+    hrcheck._pair_verdict and bogomolov._trace_verdict, never input."""
 
 
 class ConfigError(HRPairsError):
-    """Input the program cannot use: malformed spec files, CLI expressions and
-    options, or exact values beyond float range for a float decision
-    (scalars.float_array).  The CLI exits 2 on it."""
+    """Input the program cannot use: malformed specs, CLI expressions and
+    options, data off a precondition of the code that reads it (a form that
+    is not real: exterior._require_real), or exact values beyond float range
+    for a float decision (scalars.float_array).  The CLI exits 2 on it."""

@@ -16,7 +16,8 @@ form is made, and what is derived from it is kept in the form's memo
 
 wedge is one product of coefficient matrices over the sign tables
 _merge_signs; sums, scalar multiples, conjugation and the rules _unreal
-(realness) and _hermitian are array arithmetic.  _top_functional and
+(realness) and _hermitian are array arithmetic; every check that reads a
+form as real refuses it by _require_real, in both backends.  _top_functional and
 _mid_gram turn a form into the intersection numbers that the pointwise
 checks read, and _top_form and _mid_form turn those back into forms whose
 memos hold them; all four are signed gathers through tables cached per
@@ -40,11 +41,11 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .errors import ConsistencyError, DegreeError
+from .errors import ConfigError, DegreeError
 from .linalg import _matrix, inertia
 from .scalars import (
-    ExactArray, GaussianRational, float_array, i_power, imag_part, is_exact, magnitude,
-    negligible, real_part, to_complex,
+    BEYOND_FLOAT, ExactArray, GaussianRational, float_array, float_value, i_power, imag_part,
+    is_exact, magnitude, negligible, real_part, to_complex,
 )
 from .verdict import DEGENERATE, FAIL, PASS, Verdict
 
@@ -77,7 +78,7 @@ def _scaled(Z, c):
     """Z * c for a complex array Z and a scalar c, each part rounded as
     Python rounds complex * complex: numpy's complex product may fuse a
     multiply and an add, and a form's coefficients must not depend on it."""
-    c = complex(c)
+    c = float_value(c)
     out = np.empty(Z.shape, dtype=complex)
     out.real = Z.real * c.real - Z.imag * c.imag
     out.imag = Z.real * c.imag + Z.imag * c.real
@@ -158,6 +159,30 @@ def _unreal_at(form):
 def _json_indices(at):
     """The 0-based (I, J) of _unreal_at as form JSON names them, 1-based."""
     return "I = {}, J = {}".format(*([i + 1 for i in S] for S in at))
+
+
+def _require_real(form, name, d, k):
+    """DegreeError unless form, named name, is a (k,k)-form on C^d, and
+    ConfigError naming its first gap, 1-based, unless _unreal_at finds it
+    real: the one refusal of a non-real form."""
+    if (form.dim, form.p, form.q) != (d, k, k):
+        raise DegreeError(f"{name} must be a ({k},{k})-form on C^{d}, got {form!r}")
+    at = _unreal_at(form)
+    if at is not None:
+        raise ConfigError(f"{name} is not a real form: it fails the reality condition at "
+                          f"{_json_indices(at)}")
+
+
+def _float_form(form, name):
+    """form for a float decision: an exact form's complex copy (float_array),
+    naming name and the 1-based I, J of a coefficient beyond float range."""
+    if not form.is_exact():
+        return form
+    try:
+        return PPForm._of(form.dim, form.p, form.q, float_array(form.Z, complex))
+    except ConfigError:
+        at = next(key for key, c in form.coeffs.items() if not np.isfinite(to_complex(c)))
+        raise ConfigError(f"{name} coefficient at {_json_indices(at)} {BEYOND_FLOAT}") from None
 
 
 class PPForm:
@@ -462,22 +487,20 @@ def wedge_all(forms, dim=None, exact=True):
     return acc
 
 
-def integrate_top(form, allow_complex=False):
-    """Integral of a (d,d)-form under int prod_j (i dz_j dzbar_j) = 1.
+def integrate_top(form):
+    """Integral of a real (d,d)-form under int prod_j (i dz_j dzbar_j) = 1.
 
-    Returns a Fraction in the exact backend, a float otherwise.  Unless
-    allow_complex is set, an imaginary part that is not negligible (beyond
-    1e-9 relative in floats, nonzero in rationals) raises ConsistencyError.
+    Returns a Fraction in the exact backend, a float otherwise.  An
+    imaginary part that is not negligible (beyond 1e-9 relative in floats,
+    nonzero in rationals) raises ConfigError: the form is not real.
     """
     d = form.dim
     if form.p != d or form.q != d:
         raise DegreeError(f"integrating a ({form.p},{form.q})-form on C^{d}")
     value = form.Z.item(0, 0) * _volume_unit(d, form.is_exact())
-    if allow_complex:
-        return value
     im = imag_part(value)
     if not negligible(im, 0.0 if form.is_exact() else 1e-9 * max(1.0, abs(value))):
-        raise ConsistencyError(f"integral has imaginary part {im}")
+        raise ConfigError(f"the form is not real: its integral has imaginary part {im}")
     return real_part(value)
 
 
@@ -486,16 +509,16 @@ def form_from_hermitian(H, exact=None):
 
     H is any matrix-like (nested sequences, a numpy array or an ExactArray);
     the form is exact when every entry is, unless exact=False asks for
-    complex.  Hermitian symmetry is checked exactly for exact entries and
-    not at all otherwise (callers symmetrize float input themselves if
-    needed).
+    complex.  Hermitian symmetry, the realness of the form, is checked
+    exactly for exact entries (_require_real, naming the form i H and the
+    first entry off it, 1-based) and not at all otherwise (callers
+    symmetrize float input themselves if needed).
     """
     H = _matrix(H)
     if isinstance(H, ExactArray) and exact is not False:
-        rows, cols = _unreal(H, 0).nonzero()
-        if len(rows):
-            raise ConsistencyError(f"matrix is not Hermitian at ({rows[0]},{cols[0]})")
-        return PPForm._of(len(H), 1, 1, H * GaussianRational(0, 1))
+        form = PPForm._of(len(H), 1, 1, H * GaussianRational(0, 1))
+        _require_real(form, "i H", len(H), 1)
+        return form
     if exact:
         raise TypeError("an exact form needs exact entries")
     return PPForm._of(len(H), 1, 1, _scaled(H.astype(complex, copy=False), 1j))
@@ -524,8 +547,7 @@ def positivity_dminus1(form, zero_tol=1e-9):
     rationally and the eigenvalues are float evidence only.
     """
     d = form.dim
-    if (form.p, form.q) != (d - 1, d - 1):
-        raise DegreeError(f"expected a ({d - 1},{d - 1})-form on C^{d}")
+    _require_real(form, "form", d, d - 1)
     exact = form.is_exact()
     H = (GaussianRational(0, 1) if exact else 1j) * _top_functional(form)
     sig, eigs = inertia(H, zero_tol)

@@ -74,9 +74,9 @@ from functools import lru_cache, partial, reduce
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingError
-from .exterior import _hermitian, _memoized, _mid_form, _mid_gram, _promote, _top_form
-from .exterior import _top_functional, _unreal, _zeros, form_from_hermitian, hermitian_from_form
-from .exterior import std_kahler
+from .exterior import _float_form, _hermitian, _memoized, _mid_form, _mid_gram, _promote
+from .exterior import _require_real, _top_form, _top_functional, _unreal, _zeros
+from .exterior import form_from_hermitian, hermitian_from_form, std_kahler
 from .linalg import (
     eigenvalue_evidence,
     float_kernel_vector,
@@ -88,7 +88,7 @@ from .linalg import (
     rational_solve,
 )
 from .ring import MAX_SWEEP_DIMENSION, MAX_SWEEP_EXPONENTS, MAX_SWEEP_POINTS
-from .ring import _check_real, _hermitian_entries, _real_array, real_coordinates
+from .ring import _hermitian_entries, _real_array, real_coordinates
 from .scalars import ExactArray, float_array
 from .symfunc import Partition, schur, to_monomials
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
@@ -420,8 +420,6 @@ def _degree_one_pairing(G, m, exact):
     B, G = _mid_gram(eta_mid) and m = _top_functional(eta_top): signed
     gathers (_gather_tables), O(d^4), of the integer parts of exact G and m,
     giving real ExactArrays, or of the float parts of complex ones."""
-    if not exact:
-        G, m = (X.astype(complex, copy=False) for X in (G, m))
     q_index, q_sign, f_index, f_sign = _gather_tables(len(m), exact)
     g = q_sign * _interleaved(G)[q_index]
     Q = (g[0] + g[1]) + (g[2] + g[3])
@@ -459,33 +457,26 @@ def pointwise_hr_pair(omega_top, omega_mid, omega, zero_tol=1e-9):
     """Hodge-Riemann pair check for constant-coefficient forms.
 
     omega_top is a (d-1,d-1)-form, omega_mid a (d-2,d-2)-form and omega a
-    strictly positive (1,1)-form.  Their intersection numbers come from
+    strictly positive (1,1)-form, all real in both backends
+    (exterior._require_real).  Their intersection numbers come from
     exterior._mid_gram and exterior._top_functional, exactly when all three
-    forms are exact and in complex otherwise, and _pointwise_verdict
-    decides; no ring model is built.  The intersection numbers, the inertia
-    of omega and its coordinates are read through the memos of the forms
-    (exterior._memoized), so a form checked again is not read again, and the
-    forms of schur_form_pair carry (G, m) from the start.  In the exact
-    backend omega_top and omega_mid must be exactly real: ring._check_real
-    names the indices where they are not.
+    forms are exact and in complex otherwise (exterior._float_form), and
+    _pointwise_verdict decides; no ring model is built.  The realness, the
+    intersection numbers, the inertia of omega and its coordinates are read
+    through the memos of the forms (exterior._memoized), so a form checked
+    again is not read again; the forms of schur_form_pair carry theirs.
     """
     d = omega_top.dim
-    if (omega_top.p, omega_top.q) != (d - 1, d - 1):
-        raise DegreeError(f"expected a ({d - 1},{d - 1})-form, got {omega_top!r}")
-    if (omega_mid.p, omega_mid.q) != (d - 2, d - 2) or omega_mid.dim != d:
-        raise DegreeError(f"expected a ({d - 2},{d - 2})-form on C^{d}, got {omega_mid!r}")
-    if omega.dim != d:
-        raise DegreeError(f"expected a (1,1)-form on C^{d}, got {omega!r}")
+    forms = (omega_top, "omega_top"), (omega_mid, "omega_mid"), (omega, "omega")
+    for (form, name), k in zip(forms, (d - 1, d - 2, 1)):
+        _require_real(form, name, d, k)
     sig = _kahler_inertia(omega, zero_tol)
     if sig != (d, 0, 0):
         raise ConfigError(f"omega is not strictly positive: Hermitian inertia {sig}")
-    h = real_coordinates(omega)
-    if isinstance(h, ExactArray) and omega_top.is_exact() and omega_mid.is_exact():
-        for form in (omega_top, omega_mid):
-            _check_real(form)
-    elif isinstance(h, ExactArray):
-        h = float_array(h, float, "h")
-    return _pointwise_verdict(_mid_gram(omega_mid), _top_functional(omega_top), h, zero_tol)
+    if not (omega_top.is_exact() and omega_mid.is_exact() and omega.is_exact()):
+        omega_top, omega_mid, omega = (_float_form(form, name) for form, name in forms)
+    return _pointwise_verdict(_mid_gram(omega_mid), _top_functional(omega_top),
+                              real_coordinates(omega), zero_tol)
 
 
 DELTA = 1e-3  # the shift that keeps a random Hermitian matrix nonsingular
@@ -862,9 +853,8 @@ def _hermitians(omegas, dim):
     """The stacked H_i of the (1,1)-forms omega_i = i sum H_i[j, k] dz_j
     dzbar_k on C^dim: an ExactArray when every form is exact, else complex.
 
-    ConfigError unless each form is real, i.e. H_i is Hermitian: the rule
-    of PPForm.is_real(1e-9), exterior._unreal on the stacked coefficient
-    matrices.
+    ConfigError unless each form is real, i.e. H_i is Hermitian: the rule of
+    exterior._unreal_at on the stacked matrices, refused as _require_real does.
     """
     for w in omegas:
         if (w.dim, w.p, w.q) != (dim, 1, 1):
@@ -872,9 +862,9 @@ def _hermitians(omegas, dim):
     if not omegas:
         return _zeros((0, dim, dim), True)
     Z = np.stack(_promote(*(w.Z for w in omegas)))
-    unreal = _unreal(Z, 1, 1e-9).any(axis=(1, 2))
-    if unreal.any():
-        raise ConfigError(f"{omegas[np.flatnonzero(unreal)[0]]!r} is not a real form")
+    unreal = np.flatnonzero(_unreal(Z, 1, 1e-9).any(axis=(1, 2)))
+    if len(unreal):
+        _require_real(omegas[unreal[0]], f"omegas[{unreal[0]}]", dim, 1)
     return _hermitian(Z, 1)
 
 

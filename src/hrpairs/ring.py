@@ -41,7 +41,8 @@ The real basis of (p,p)-forms is written down once, as the slot table
 _slot_positions; its labels, the coefficient matrices _real_basis_matrix,
 real_coordinates (arrays), form_from_real_coordinates and the torus
 product tables (real_product_table, with the _merge_signs tables of the
-dense kernels) are all read from it.  torus_ring(d) serves the worked
+dense kernels) are all read from it; a form that is not real has none
+(exterior._require_real).  torus_ring(d) serves the worked
 examples and is the test suite's exact oracle for the pointwise checks.
 """
 
@@ -56,9 +57,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ConstructionError, ConsistencyError, DegreeError
-from .exterior import PPForm, _hermitian, _json_indices, _memoized, _merge_signs, _subset_index
-from .exterior import _unreal_at, std_kahler
+from .errors import ConfigError, ConstructionError, DegreeError
+from .exterior import PPForm, _hermitian, _memoized, _merge_signs, _require_real, _subset_index
+from .exterior import std_kahler
 from .linalg import rational_rref
 from .scalars import ExactArray, GaussianRational, is_exact
 from .symfunc import RingTPoly  # noqa: F401  -- re-exported as hrpairs.ring.RingTPoly
@@ -478,19 +479,6 @@ def _real_basis_matrix(d, p, exact):
     return B
 
 
-def _check_real(form):
-    """H = exterior._hermitian(Z, p) for the coefficient matrix Z of an exact
-    (p,p)-form; ConsistencyError, naming the first indices where
-    exterior._unreal_at finds a gap, unless the form is exactly real:
-    c[J, I] = (-1)^(p^2) conj(c[I, J]) for every (I, J), i.e. H Hermitian."""
-    at = _unreal_at(form)
-    if at is not None:
-        i, j = (_subset_index(form.dim, form.p)[S] for S in at)
-        raise ConsistencyError(f"form is not real at indices {_json_indices(at)}: "
-                               f"{form.Z.item(i, j)} vs {form.Z.item(j, i)}")
-    return _hermitian(form.Z, form.p)
-
-
 @_memoized
 def real_coordinates(form):
     """Coordinates of a real (p,p)-form in the real basis of _slot_positions,
@@ -498,18 +486,16 @@ def real_coordinates(form):
 
     They are read from the Hermitian part of H = exterior._hermitian(Z, p),
     Z the coefficient matrix: u[I] = H[I, I], x[I|J] = Re H[I, J] and
-    y[I|J] = Im H[I, J].  Exact forms must be exactly real, so that H is
-    its own Hermitian part, and give a real ExactArray read from the integer
-    parts of H; float forms give a float ndarray, and the Hermitian part
-    takes the real part of slightly non-real input.
+    y[I|J] = Im H[I, J].  The form must be real (exterior._require_real):
+    an exact one gives a real ExactArray read from the integer parts of H,
+    its own Hermitian part; a float one, real to 1e-9 relative, a float
+    ndarray.
     """
-    if form.p != form.q:
-        raise DegreeError(f"expected a (p,p)-form, got {form!r}")
+    _require_real(form, "form", form.dim, form.p)
     rows, cols, imag = _slot_positions(form.dim, form.p)
-    if form.is_exact():
-        H = _check_real(form)
-        return _real_array(np.where(imag, H.im[rows, cols], H.re[rows, cols]), H.den)
     H = _hermitian(form.Z, form.p)
+    if form.is_exact():
+        return _real_array(np.where(imag, H.im[rows, cols], H.re[rows, cols]), H.den)
     z = ((H + H.conj().T) / 2)[rows, cols]
     return np.where(imag, z.imag, z.real)
 

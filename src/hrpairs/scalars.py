@@ -4,10 +4,10 @@ The float backend uses Python ``complex`` directly.  GaussianRational
 implements the same small protocol (+, -, *, /, ``conjugate``, ``.real``,
 ``.imag``) so the form and matrix code never has to branch on the backend.
 Mixing a GaussianRational with a float or complex demotes the result to
-``complex``.  ExactArray is the exact counterpart of a complex ndarray:
-integer numerators over one denominator, which the dense kernels, the
-verdict core and the exact linear algebra all run on; float_array turns
-exact values into floats for a float decision.
+``complex`` (float_value).  ExactArray is the exact counterpart of a
+complex ndarray: integer numerators over one denominator, which the dense
+kernels, the verdict core and the exact linear algebra all run on;
+float_array turns exact values into floats for a float decision.
 """
 
 import itertools
@@ -76,7 +76,7 @@ class GaussianRational:
             q = other.denominator
             return from_parts(a * q + other.numerator * n, b * q, n * q)
         if isinstance(other, (float, complex)):
-            return complex(self) + other
+            return float_value(self) + other
         return NotImplemented
 
     __radd__ = __add__
@@ -99,7 +99,7 @@ class GaussianRational:
             p = other.numerator
             return from_parts(a * p, b * p, n * other.denominator)
         if isinstance(other, (float, complex)):
-            return complex(self) * other
+            return float_value(self) * other
         return NotImplemented
 
     __rmul__ = __mul__
@@ -120,7 +120,7 @@ class GaussianRational:
                 p, q = -p, -q
             return from_parts(self._a * q, self._b * q, self._n * p)
         if isinstance(other, (float, complex)):
-            return complex(self) / other
+            return float_value(self) / other
         return NotImplemented
 
     def __eq__(self, other):
@@ -129,8 +129,9 @@ class GaussianRational:
         if isinstance(other, (int, Fraction)):
             return (self._b == 0 and self._n == other.denominator
                     and self._a == other.numerator)
-        if isinstance(other, (float, complex)):
-            return complex(self) == other
+        if isinstance(other, (float, complex)):  # exactly: a finite float is a Fraction
+            other = complex(other)
+            return bool(np.isfinite(other)) and self == GaussianRational(other.real, other.imag)
         return NotImplemented
 
     def __hash__(self):
@@ -238,6 +239,18 @@ def negligible(x, bound):
     return abs(x) <= bound
 
 
+BEYOND_FLOAT = "does not fit in a float; decide with the exact backend"  # float_array's refusal
+
+
+def float_value(x):
+    """complex(x) for a number x that meets a float, each part correctly
+    rounded: float_array's rule for one value."""
+    try:
+        return complex(x)
+    except OverflowError:
+        raise ConfigError(f"an exact value {BEYOND_FLOAT}") from None
+
+
 def float_array(x, dtype, name=None):
     """x, an ExactArray (real for dtype float) or an object array of numbers,
     as an ndarray of dtype float or complex, each part correctly rounded: the
@@ -254,8 +267,7 @@ def float_array(x, dtype, name=None):
     except OverflowError:
         index = next(i for i in np.ndindex(x.shape) if not np.isfinite(to_complex(x[i])))
         what = f"{name} entry" if name else "entry"
-        raise ConfigError(f"{what} {list(index)} does not fit in a float; "
-                          "decide with the exact backend") from None
+        raise ConfigError(f"{what} {list(index)} {BEYOND_FLOAT}") from None
 
 
 class ExactArray:

@@ -502,75 +502,90 @@ def test_trace_check_file_mode_reads_its_inputs(tmp_path):
     assert "pass" in proc.stdout
 
 
-# (JSON written to SPEC, None, or InputFiles; arguments)
+def malformed(spec, argv, id, error=None):
+    """A MALFORMED_INPUT case: JSON written to SPEC, None, or InputFiles; the
+    arguments; and, where it is pinned, the one line expected on stderr."""
+    return pytest.param(spec, argv, error, id=id)
+
+
+NON_REAL_OMEGA_MID = ("error: omega_mid is not a real form: it fails the reality condition at "
+                      "I = [1], J = [2]")
+
 MALFORMED_INPUT = [
-    pytest.param(fl_spec_with(lambda s: s["relations"][0].pop("monomial")),
-                 ["gram", "--ring", "SPEC", "--eta", "xi"],
-                 id="relation-without-monomial"),
-    pytest.param(fl_spec_with(lambda s: s["relations"][0].update(monomial="f^x")),
-                 ["gram", "--ring", "SPEC", "--eta", "xi"],
-                 id="bad-power-in-spec-monomial"),
-    pytest.param(fl_spec_with(
+    malformed(fl_spec_with(lambda s: s["relations"][0].pop("monomial")),
+              ["gram", "--ring", "SPEC", "--eta", "xi"],
+              id="relation-without-monomial"),
+    malformed(fl_spec_with(lambda s: s["relations"][0].update(monomial="f^x")),
+              ["gram", "--ring", "SPEC", "--eta", "xi"],
+              id="bad-power-in-spec-monomial"),
+    malformed(fl_spec_with(
         lambda s: s["relations"][1]["rewrite"][0].update(coeff="abc")),
-                 ["gram", "--ring", "SPEC", "--eta", "xi"],
-                 id="bad-coeff"),
-    pytest.param(fl_spec_with(lambda s: s.update(labels={"h": "xi^y"})),
-                 ["gram", "--ring", "SPEC", "--eta", "xi"],
-                 id="bad-power-in-label"),
-    pytest.param(FL_SPEC, ["gram", "--ring", "SPEC", "--eta", "xi^z"],
-                 id="bad-power-in-eta"),
-    pytest.param(None, ["signature", "--matrix", "[[1,2],[3,4]]"],
-                 id="asymmetric-matrix"),
-    pytest.param(None, ["signature", "--matrix", "[[1.0,2.0],[3.0,4.0]]"],
-                 id="asymmetric-float-matrix"),
-    pytest.param(None, ["signature", "--matrix", "[1,2]"],
-                 id="matrix-not-a-list-of-rows"),
-    pytest.param(None, ["sample-search", "--dim", "1", "--vars", "1", "--partition", "0"],
-                 id="sample-search-dim-below-two"),
-    pytest.param(None, ["sample-search", "--dim", "3", "--vars", "2", "--partition", "2",
-                        "--trials", "-3"],
-                 id="sample-search-negative-trials"),
-    pytest.param(None, ["sample-search", "--dim", "15", "--vars", "2", "--partition", "14",
-                        "--trials", "1"],
-                 id="sample-search-dim-above-cap"),
-    pytest.param(None, ["trace-check", "--dim", "15"], id="trace-check-dim-above-cap"),
-    pytest.param(None, ["trace-check", "--rank", "0"], id="trace-check-rank-zero"),
-    pytest.param(None, ["trace-check", "--rank", "-1"], id="trace-check-negative-rank"),
-    pytest.param(None, ["twist", "--rank", "0", "--t", "1"], id="twist-rank-zero"),
-    pytest.param({"dimension": 100000, "generators": [{"name": "x", "degree": 1},
-                                                      {"name": "y", "degree": 1}]},
-                 ["ring", "check", "SPEC"],
-                 id="ring-spec-too-large"),
-    pytest.param(trace_check_files(I=[9]), TRACE_CHECK_FILES,
-                 id="trace-check-index-out-of-range"),
-    pytest.param(trace_check_files(re="abc"), TRACE_CHECK_FILES,
-                 id="trace-check-bad-coefficient"),
-    pytest.param(trace_check_curvature(lambda rows: rows[0][1].update(p=2)),
-                 TRACE_CHECK_FILES, id="trace-check-entry-not-1-1"),
-    pytest.param(trace_check_curvature(lambda rows: rows[1].pop()),
-                 TRACE_CHECK_FILES, id="trace-check-ragged-matrix"),
-    pytest.param(trace_check_curvature(lambda rows: rows.clear()),
-                 TRACE_CHECK_FILES, id="trace-check-empty-matrix"),
-    pytest.param(InputFiles(trace_check_files(), TOP={"dim": 40, "p": 20, "q": 20, "terms": []}),
-                 TRACE_CHECK_FILES, id="trace-check-form-too-large-to-store"),
-    pytest.param(InputFiles(trace_check_files(), MID=form_to_dict(
+              ["gram", "--ring", "SPEC", "--eta", "xi"],
+              id="bad-coeff"),
+    malformed(fl_spec_with(lambda s: s.update(labels={"h": "xi^y"})),
+              ["gram", "--ring", "SPEC", "--eta", "xi"],
+              id="bad-power-in-label"),
+    malformed(FL_SPEC, ["gram", "--ring", "SPEC", "--eta", "xi^z"],
+              id="bad-power-in-eta"),
+    malformed(None, ["signature", "--matrix", "[[1,2],[3,4]]"],
+              id="asymmetric-matrix"),
+    malformed(None, ["signature", "--matrix", "[[1.0,2.0],[3.0,4.0]]"],
+              id="asymmetric-float-matrix"),
+    malformed(None, ["signature", "--matrix", "[1,2]"],
+              id="matrix-not-a-list-of-rows"),
+    malformed(None, ["sample-search", "--dim", "1", "--vars", "1", "--partition", "0"],
+              id="sample-search-dim-below-two"),
+    malformed(None, ["sample-search", "--dim", "3", "--vars", "2", "--partition", "2",
+                     "--trials", "-3"],
+              id="sample-search-negative-trials"),
+    malformed(None, ["sample-search", "--dim", "15", "--vars", "2", "--partition", "14",
+                     "--trials", "1"],
+              id="sample-search-dim-above-cap"),
+    malformed(None, ["trace-check", "--dim", "15"], id="trace-check-dim-above-cap"),
+    malformed(None, ["trace-check", "--rank", "0"], id="trace-check-rank-zero"),
+    malformed(None, ["trace-check", "--rank", "-1"], id="trace-check-negative-rank"),
+    malformed(None, ["twist", "--rank", "0", "--t", "1"], id="twist-rank-zero"),
+    malformed({"dimension": 100000, "generators": [{"name": "x", "degree": 1},
+                                                   {"name": "y", "degree": 1}]},
+              ["ring", "check", "SPEC"],
+              id="ring-spec-too-large"),
+    malformed(trace_check_files(I=[9]), TRACE_CHECK_FILES,
+              id="trace-check-index-out-of-range"),
+    malformed(trace_check_files(re="abc"), TRACE_CHECK_FILES,
+              id="trace-check-bad-coefficient"),
+    malformed(trace_check_curvature(lambda rows: rows[0][1].update(p=2)),
+              TRACE_CHECK_FILES, id="trace-check-entry-not-1-1"),
+    malformed(trace_check_curvature(lambda rows: rows[1].pop()),
+              TRACE_CHECK_FILES, id="trace-check-ragged-matrix"),
+    malformed(trace_check_curvature(lambda rows: rows.clear()),
+              TRACE_CHECK_FILES, id="trace-check-empty-matrix"),
+    malformed(InputFiles(trace_check_files(), TOP={"dim": 40, "p": 20, "q": 20, "terms": []}),
+              TRACE_CHECK_FILES, id="trace-check-form-too-large-to-store"),
+    malformed(InputFiles(trace_check_files(), MID=form_to_dict(
         std_kahler(3, exact=False) + PPForm(3, 1, 1, {((0,), (1,)): 1.0}))),
-                 TRACE_CHECK_FILES, id="trace-check-float-omega-not-real"),
-    pytest.param(InputFiles(trace_check_files(), MID=form_to_dict(
+              TRACE_CHECK_FILES, id="trace-check-float-omega-not-real",
+              error=NON_REAL_OMEGA_MID),
+    malformed(InputFiles(trace_check_files(), MID=form_to_dict(
         std_kahler(3) + PPForm(3, 1, 1, {((0,), (1,)): GaussianRational(1)}))),
-                 TRACE_CHECK_FILES, id="trace-check-exact-omega-not-real"),
-    pytest.param(trace_check_beyond_float_range(), TRACE_CHECK_FILES,
-                 id="trace-check-exact-omega-beyond-float-range"),
+              TRACE_CHECK_FILES, id="trace-check-exact-omega-not-real",
+              error=NON_REAL_OMEGA_MID),
+    # the coefficient is the form's, at its JSON indices, not an entry of an internal array
+    malformed(trace_check_beyond_float_range(), TRACE_CHECK_FILES,
+              id="trace-check-exact-omega-beyond-float-range",
+              error="error: omega_top coefficient at I = [1, 2], J = [1, 2] does not fit in a "
+                    "float; decide with the exact backend"),
 ]
 
 
-@pytest.mark.parametrize("spec, argv", MALFORMED_INPUT)
-def test_malformed_input_exits_two_without_traceback(tmp_path, spec, argv):
+@pytest.mark.parametrize("spec, argv, error", MALFORMED_INPUT)
+def test_malformed_input_exits_two_without_traceback(tmp_path, spec, argv, error):
     paths = write_inputs(tmp_path, spec)
     proc = run_process(*(paths.get(a, a) for a in argv))
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    if error is not None:
+        assert proc.stderr.splitlines() == [error]
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hrpairs import exterior
-from hrpairs.errors import ConfigError, ConsistencyError, DegreeError
+from hrpairs.errors import ConfigError, DegreeError
 from hrpairs.exterior import (
     PPForm,
     form_from_dict,
@@ -230,9 +230,9 @@ def test_integrate_top_rejects_wrong_degree_and_complex_values():
         integrate_top(std_kahler(2))
     full = (0, 1, 2)
     crooked = PPForm.monomial(3, full, full, GaussianRational(1))  # missing i^9
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConfigError, match="^the form is not real: its integral has imaginary "):
         integrate_top(crooked)
-    assert integrate_top(crooked, allow_complex=True) == i_power(-9)
+    assert integrate_top(crooked * i_power(9)) == 1
 
 
 def test_exact_values_beyond_float_range_stay_exact_or_are_refused():
@@ -260,6 +260,9 @@ def test_form_from_hermitian_round_trip_exact():
     assert back[0][0] == 2 and back[1][1] == 5
     assert back[0][1] == GaussianRational(1, 1)
     assert back[1][0] == GaussianRational(1, -1)
+    # an exact matrix off Hermitian symmetry makes a form that is not real
+    with pytest.raises(ConfigError, match=r"^i H is not a real form: .* at I = \[1\], J = \[2\]$"):
+        form_from_hermitian([[Fraction(2), GaussianRational(1, 1)], [GaussianRational(1, 1), 5]])
 
 
 def test_std_kahler_is_identity_matrix():
@@ -312,9 +315,9 @@ def test_positivity_reads_the_wedge_pairing(monkeypatch, d, exact):
         })
         form = raw + raw.conj()
         positivity_dminus1(form)
-        want = [[integrate_top(wedge(form, PPForm.monomial(d, (j,), (k,), unit)),
-                               allow_complex=True)
-                 for k in range(d)] for j in range(d)]
+        # the integrals, complex off the diagonal: the one coefficient times the volume unit
+        want = [[wedge(form, PPForm.monomial(d, (j,), (k,), unit)).Z.item(0, 0)
+                 * exterior._volume_unit(d, exact) for k in range(d)] for j in range(d)]
         assert seen.pop().tolist() == want
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hrpairs import exterior, hrcheck, ring
 from hrpairs.errors import (
     ConfigError,
-    ConsistencyError,
     DegreeError,
     SingularPairingError,
 )
@@ -26,6 +25,7 @@ from hrpairs.exterior import (
     form_from_dict,
     form_from_hermitian,
     hermitian_from_form,
+    positivity_dminus1,
     std_kahler,
     wedge,
 )
@@ -1098,19 +1098,43 @@ def test_exact_pointwise_verdict_is_the_torus_ring_oracle(case, seed, negate, st
     assert pointwise_hr_pair(top, mid, omega).to_dict() == exact_verdict(top, mid, omega).to_dict()
 
 
-@pytest.mark.parametrize("part, skew, at", [
-    ("top", PPForm.monomial(3, (0, 1), (0, 2), GaussianRational(0, 1)), "I = [1, 2], J = [1, 3]"),
-    ("mid", PPForm.monomial(3, (0,), (1,), GaussianRational(1)), "I = [1], J = [2]"),
-    ("mid", std_kahler(3) * GaussianRational(0, 1), "I = [1], J = [1]"),  # i times a real form
-], ids=["top-skew0", "mid-skew1", "mid-skew2"])
-def test_exact_pointwise_check_rejects_a_non_real_form(part, skew, at):
-    """The message names the first gap 1-based, as form JSON writes it."""
+# {id: (the form made non-real, the exact skew added to it, its first gap)}
+NON_REAL = {
+    "top-skew0": ("omega_top", PPForm.monomial(3, (0, 1), (0, 2), GaussianRational(0, 1)),
+                  "I = [1, 2], J = [1, 3]"),
+    "mid-skew1": ("omega_mid", PPForm.monomial(3, (0,), (1,), GaussianRational(1)),
+                  "I = [1], J = [2]"),
+    # i times a real form
+    "mid-skew2": ("omega_mid", std_kahler(3) * GaussianRational(0, 1), "I = [1], J = [1]"),
+    "omega-skew1": ("omega", PPForm.monomial(3, (1,), (2,), GaussianRational(1, 3)),
+                    "I = [2], J = [3]"),
+    "positivity-skew0": ("form", PPForm.monomial(3, (0, 1), (0, 2), GaussianRational(0, 1)),
+                         "I = [1, 2], J = [1, 3]"),
+}
+
+
+@pytest.mark.parametrize("exact, part, skew, at", [
+    pytest.param(exact, *case, id=name if exact else f"float-{name}")
+    for exact in (True, False) for name, case in NON_REAL.items()])
+def test_exact_pointwise_check_rejects_a_non_real_form(exact, part, skew, at):
+    """Both backends refuse a non-real omega_top, omega_mid or omega in
+    pointwise_hr_pair, and a non-real form in positivity_dminus1, by the one
+    rule exterior._require_real: the message names the form and its first
+    gap 1-based, as form JSON writes it.  The float cases are the complex
+    copies of the exact ones."""
     rng = np.random.default_rng(17)
-    pair = dict(zip(("top", "mid"), schur_form_pair(
-        Partition((2,)), [exact_kahler(3, rng) for _ in range(2)], 3)))
-    pair[part] = pair[part] + skew
-    with pytest.raises(ConsistencyError, match=f"form is not real at indices {re.escape(at)}: "):
-        pointwise_hr_pair(pair["top"], pair["mid"], std_kahler(3))
+    top, mid = schur_form_pair(Partition((2,)), [exact_kahler(3, rng) for _ in range(2)], 3)
+    forms = {"omega_top": top, "omega_mid": mid, "omega": std_kahler(3), "form": top}
+    forms[part] = forms[part] + skew
+    if not exact:
+        forms = {name: form * 1.0 for name, form in forms.items()}
+        assert not any(form.is_exact() for form in forms.values())
+    message = f"^{part} is not a real form: it fails the reality condition at {re.escape(at)}$"
+    with pytest.raises(ConfigError, match=message):
+        if part == "form":
+            positivity_dminus1(forms["form"])
+        else:
+            pointwise_hr_pair(forms["omega_top"], forms["omega_mid"], forms["omega"])
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ import pytest
 
 from hrpairs.errors import (
     ConfigError,
-    ConsistencyError,
     ConstructionError,
     DegreeError,
 )
@@ -219,7 +218,7 @@ def test_torus_multiplication_is_wedge():
 def test_torus_rejects_non_real_forms():
     model = torus_ring(2)
     lopsided = PPForm(2, 1, 1, {((0,), (1,)): GaussianRational(1)})
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConfigError, match=r"^form is not a real form: .* at I = \[1\], J = \[2\]$"):
         model.from_form(lopsided)
 
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrpairs.scalars import GaussianRational
+from hrpairs.errors import ConfigError
+from hrpairs.exterior import std_kahler
+from hrpairs.scalars import ExactArray, GaussianRational, magnitude, to_complex
 
 FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 PAIRS = st.tuples(FRACTIONS, FRACTIONS)
@@ -109,3 +111,39 @@ def test_constructor_and_repr_examples():
         GaussianRational(1, 1) / Fraction(0)
     with pytest.raises(ZeroDivisionError):
         GaussianRational(1, 1) / GaussianRational(0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(x=PAIRS, re=st.floats(), im=st.floats())
+def test_equality_with_a_float_is_exact(x, re, im):
+    """A finite float is a Fraction, so == decides exactly; a non-finite one
+    equals no exact value."""
+    z = complex(re, im)
+    want = math.isfinite(re) and math.isfinite(im) and gauss(x) == GaussianRational(
+        Fraction(re), Fraction(im))
+    assert (gauss(x) == z) == want
+    assert (gauss(x) == re) == (math.isfinite(re) and gauss(x) == GaussianRational(Fraction(re)))
+
+
+def test_equality_with_floats_examples():
+    assert GaussianRational(Fraction(1, 3)) != 1 / 3  # 1/3 rounds; complex(1/3) == 1/3 did not
+    assert GaussianRational(1, 2) == complex(1, 2) and GaussianRational(0.1) == 0.1
+    assert GaussianRational(Fraction(1, 2 ** 1074)) == 5e-324
+    assert GaussianRational(0) != math.nan and GaussianRational(10 ** 400) != math.inf
+    assert GaussianRational(10 ** 400) != 1.0  # converted to complex, it raised OverflowError
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: x + 1.0, lambda x: 1.0 + x, lambda x: x - 1.0, lambda x: x * 1j,
+    lambda x: x / 2.0, lambda x: std_kahler(2, exact=False) * x,
+], ids=["add", "radd", "sub", "mul", "div", "form-times-scalar"])
+def test_an_exact_value_beyond_float_range_meets_a_float_by_one_rule(op):
+    """Beyond float range the exact operand cannot be demoted to complex:
+    float_array's ConfigError, where a bare OverflowError escaped; the float
+    evidence converters still saturate."""
+    huge = GaussianRational(10 ** 400)
+    with pytest.raises(ConfigError, match="^an exact value does not fit in a float; "
+                                          "decide with the exact backend$"):
+        op(huge)
+    assert to_complex(huge) == complex(math.inf, 0) and magnitude(huge) == math.inf
+    assert ExactArray.of([[huge, 1]]).saturated().tolist() == [[math.inf, 1.0]]
