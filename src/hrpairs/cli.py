@@ -117,27 +117,18 @@ def _matrix_from_arg(text):
         raise ConfigError(f"matrix is not valid JSON: {exc.msg}") from None
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ConfigError("matrix must be a JSON list of rows")
-    out = []
-    for row in rows:
-        conv = []
-        for x in row:
-            if isinstance(x, bool):
-                raise ConfigError("matrix entries must be numbers")
-            elif isinstance(x, int):
-                conv.append(Fraction(x))
-            elif isinstance(x, str):
-                conv.append(_fraction(x))
-            elif isinstance(x, float) and math.isfinite(x):
-                conv.append(x)
-            else:
-                raise ConfigError(f"bad matrix entry {x!r}")
-        out.append(conv)
-    n = len(out)
-    if any(len(r) != n for r in out):
-        raise ConfigError("matrix must be square")
-    if any(out[i][j] != out[j][i] for i in range(n) for j in range(i)):
-        raise ConfigError("matrix must be symmetric")
-    return out
+    return [[_matrix_entry(x) for x in row] for row in rows]
+
+
+def _matrix_entry(x):
+    """A JSON matrix entry as linalg takes it: int, finite float or string."""
+    if isinstance(x, str):
+        return _fraction(x)
+    if isinstance(x, bool):
+        raise ConfigError("matrix entries must be numbers")
+    if isinstance(x, int) or (isinstance(x, float) and math.isfinite(x)):
+        return x
+    raise ConfigError(f"bad matrix entry {x!r}")
 
 
 def _fixture(name):
@@ -266,8 +257,7 @@ def cmd_signature(args):
         Q = _matrix_from_arg(args.matrix)
     elif args.ring is not None and args.eta is not None:
         model = _load_ring(args.ring)
-        eta = _element(model, args.eta, model.dimension - 2)
-        Q = hrcheck.gram(model, eta)
+        Q = hrcheck._gram(model, _element(model, args.eta, model.dimension - 2))
     else:
         raise ConfigError("signature needs --matrix or both --ring and --eta")
     sig, eigs = hrcheck.signature(Q, zero_tol=args.tolerance)
@@ -431,9 +421,7 @@ def cmd_demo_delv(args):
     eta = parse_element(model, "theta1*theta2")
     h = parse_element(model, "theta1+theta2")
     Q = hrcheck.gram(model, eta)
-    gram_ok = [[Fraction(x) for x in row] for row in Q] == [
-        [Fraction(x) for x in row] for row in _DELV_EXPECTED
-    ]
+    gram_ok = Q == _DELV_EXPECTED
     eta_h = eta * h
     cube_ok = eta_h == Fraction(1, 3) * h ** 3
     pair = hrcheck.is_hr_pair(model, eta_h, eta, h)

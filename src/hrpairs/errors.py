@@ -40,6 +40,6 @@ class ConsistencyError(HRPairsError):
 
 class ConfigError(HRPairsError):
     """Input the program cannot use: malformed specs, CLI expressions and
-    options, data off a precondition of the code that reads it (a form that
-    is not real: exterior._require_real), or exact values beyond float range
-    for a float decision (scalars.float_array).  The CLI exits 2 on it."""
+    options, data off a precondition of the code that reads it (a matrix off
+    linalg._require_hermitian, a form off exterior._require_real), or values
+    beyond float range for a float decision.  The CLI exits 2 on it."""

@@ -15,9 +15,10 @@ form is made, and what is derived from it is kept in the form's memo
 (_memoized), so a check that reads a form again computes nothing twice.
 
 wedge is one product of coefficient matrices over the sign tables
-_merge_signs; sums, scalar multiples, conjugation and the rules _unreal
-(realness) and _hermitian are array arithmetic; every check that reads a
-form as real refuses it by _require_real, in both backends.  _top_functional and
+_merge_signs; sums, scalar multiples, conjugation and _hermitian are array
+arithmetic; a form is real when its _hermitian matrix keeps linalg's one
+Hermitian rule (_unhermitian), and every check that reads a form as real
+refuses it by _require_real, in both backends.  _top_functional and
 _mid_gram turn a form into the intersection numbers that the pointwise
 checks read, and _top_form and _mid_form turn those back into forms whose
 memos hold them; all four are signed gathers through tables cached per
@@ -37,12 +38,12 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
 
 import numpy as np
 
 from .errors import ConfigError, DegreeError
-from .linalg import _matrix, inertia
+from .linalg import _matrix, _unhermitian, inertia
 from .scalars import (
     BEYOND_FLOAT, ExactArray, GaussianRational, float_array, float_value, i_power, imag_part,
     is_exact, magnitude, negligible, real_part, to_complex,
@@ -88,8 +89,8 @@ def _scaled(Z, c):
 def _hermitian(Z, p):
     """H = i^(-p^2) Z for the coefficient matrix Z of a (p,p)-form, or a stack
     of them on the last two axes, Hermitian exactly when the form is real:
-    Z for even p, -i Z for odd p, whose parts are products by 0 and -1, so
-    that no product rounds (see _scaled).  The one Hermitian rule."""
+    Z for even p, -i Z for odd p by products of parts by 0 and -1 (_scaled),
+    so that its gaps are the reality condition's times 1 or -i, bit for bit."""
     if p % 2 == 0:
         return Z
     return Z * (GaussianRational(0, -1) if isinstance(Z, ExactArray) else -1j)
@@ -102,21 +103,6 @@ def _peak(X):
     if isinstance(X, ExactArray):
         return X.item(np.argmax((X.re * X.re + X.im * X.im).ravel())) if X.re.size else 0
     return float(np.abs(X).max(initial=0.0))
-
-
-def _unreal(Z, p, tol=0.0):
-    """Where the coefficient matrix Z of a (p,p)-form, or a stack of them on
-    the last two axes, breaks the reality condition
-    Z[i, j] = (-1)^(p^2) conj(Z[j, i]): a bool mask, true at the nonzero
-    gaps of an exact Z and at the gaps beyond tol * max(max |Z|, 1), per
-    matrix, of a float one.  The one realness rule; p = 0 reads a Hermitian
-    matrix."""
-    n = len(Z.shape)
-    mirror = Z.conj().transpose(*range(n - 2), n - 1, n - 2)
-    gap = Z + mirror if p % 2 else Z - mirror
-    if isinstance(gap, ExactArray):
-        return (gap.re != 0) | (gap.im != 0)
-    return ~(np.abs(gap) <= tol * np.abs(Z).max(axis=(-2, -1), keepdims=True, initial=1.0))
 
 
 def _frozen(X):
@@ -149,9 +135,9 @@ def _memoized(rule):
 
 @_memoized
 def _unreal_at(form):
-    """The first (I, J) where the (p,p)-form fails the rule _unreal, to 1e-9
-    relative in floats, or None; the forms of _top_form and _mid_form are real."""
-    rows, cols = _unreal(form.Z, form.p, 1e-9).nonzero()
+    """The first (I, J) where the form's _hermitian matrix breaks _unhermitian
+    (1e-9 relative in floats), or None; _top_form's and _mid_form's are real."""
+    rows, cols = _unhermitian(_hermitian(form.Z, form.p), 1e-9).nonzero()
     subsets = list(_subset_index(form.dim, form.p))
     return (subsets[rows[0]], subsets[cols[0]]) if len(rows) else None
 
@@ -324,8 +310,8 @@ class PPForm:
 
     def is_real(self, tol=0.0):
         """Is self == self.conj(), to tol relative to max(max_abs, 1)?  Exact
-        forms are real only when every gap is exactly 0 (_unreal)."""
-        return self.p == self.q and not _unreal(self.Z, self.p, tol).any()
+        forms are real only when every gap is exactly 0 (_unhermitian)."""
+        return self.p == self.q and not _unhermitian(_hermitian(self.Z, self.p), tol).any()
 
     def max_abs(self):
         """Largest |coefficient| as a float, inf beyond float range."""
@@ -477,14 +463,13 @@ def _mid_form(G):
 
 
 def wedge_all(forms, dim=None, exact=True):
-    acc = None
-    for f in forms:
-        acc = f if acc is None else wedge(acc, f)
-    if acc is None:
-        if dim is None:
-            raise ValueError("empty wedge needs an explicit dimension")
-        return PPForm.one(dim, exact=exact)
-    return acc
+    """The wedge of the forms in order; PPForm.one(dim, exact) of none."""
+    forms = list(forms)
+    if forms:
+        return reduce(wedge, forms)
+    if dim is None:
+        raise ConfigError("empty wedge needs an explicit dimension")
+    return PPForm.one(dim, exact=exact)
 
 
 def integrate_top(form):

@@ -74,10 +74,11 @@ from functools import lru_cache, partial, reduce
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegreeError, SingularPairingError
-from .exterior import _float_form, _hermitian, _memoized, _mid_form, _mid_gram, _promote
-from .exterior import _require_real, _top_form, _top_functional, _unreal, _zeros
+from .exterior import _float_form, _hermitian, _memoized, _mid_form, _mid_gram
+from .exterior import _require_real, _top_form, _top_functional, _zeros
 from .exterior import form_from_hermitian, hermitian_from_form, std_kahler
 from .linalg import (
+    _unhermitian,
     eigenvalue_evidence,
     float_kernel_vector,
     float_signature,
@@ -89,7 +90,7 @@ from .linalg import (
 )
 from .ring import MAX_SWEEP_DIMENSION, MAX_SWEEP_EXPONENTS, MAX_SWEEP_POINTS
 from .ring import _hermitian_entries, _real_array, real_coordinates
-from .scalars import ExactArray, float_array
+from .scalars import BEYOND_FLOAT, ExactArray, float_array
 from .symfunc import Partition, schur, to_monomials
 from .verdict import DEGENERATE, FAIL, PASS, Verdict, jsonable
 
@@ -255,6 +256,12 @@ def _restricted_negdef(Q, functional, zero_tol):
     return float_signature(Q[1:, 1:] - (vu + vu.T), zero_tol)[0]
 
 
+def _beyond_float(kind, flag):
+    """np.errstate's callback in _pair_verdict: a float value left float range."""
+    raise ConfigError(f"a value of the pair verdict {BEYOND_FLOAT}")
+
+
+@np.errstate(over="call", invalid="call", call=_beyond_float)
 def _pair_verdict(Q, M, top, functional, h, zero_tol):
     """The Hodge-Riemann pair verdict from coordinates; every pair check ends here.
 
@@ -853,19 +860,21 @@ def _hermitians(omegas, dim):
     """The stacked H_i of the (1,1)-forms omega_i = i sum H_i[j, k] dz_j
     dzbar_k on C^dim: an ExactArray when every form is exact, else complex.
 
-    ConfigError unless each form is real, i.e. H_i is Hermitian: the rule of
-    exterior._unreal_at on the stacked matrices, refused as _require_real does.
+    ConfigError unless each form is real (_unhermitian on the stack), as
+    _require_real refuses; a mixed list is read in complex (_float_form).
     """
     for w in omegas:
         if (w.dim, w.p, w.q) != (dim, 1, 1):
             raise DegreeError(f"expected a (1,1)-form on C^{dim}, got {w!r}")
     if not omegas:
         return _zeros((0, dim, dim), True)
-    Z = np.stack(_promote(*(w.Z for w in omegas)))
-    unreal = np.flatnonzero(_unreal(Z, 1, 1e-9).any(axis=(1, 2)))
+    if not all(w.is_exact() for w in omegas):
+        omegas = [_float_form(w, f"omegas[{i}]") for i, w in enumerate(omegas)]
+    H = _hermitian(np.stack([w.Z for w in omegas]), 1)
+    unreal = np.flatnonzero(_unhermitian(H, 1e-9).any(axis=(1, 2)))
     if len(unreal):
         _require_real(omegas[unreal[0]], f"omegas[{unreal[0]}]", dim, 1)
-    return _hermitian(Z, 1)
+    return H
 
 
 def schur_form_pair(lam, omegas, dim):

@@ -14,11 +14,11 @@ side of CERTIFY_FROM rows or more is first tried by a float certificate,
 Gershgorin discs of a congruence with rigorous rounding bounds
 (_certified_inertia), which decides or abstains; the elimination runs
 where it abstains.
-rational_inertia is the validated entry point: square, and symmetric
-(Hermitian when the imaginary part is not 0).  Float routines delegate to
-numpy; the signature takes an explicit relative zero tolerance, and
-float_solve checks no residual.  inertia is the one entry point for
-signatures in both backends.
+inertia, the one entry point for signatures in both backends, and
+rational_inertia refuse a matrix that is not square or breaks the one
+Hermitian rule _unhermitian (exact, or 1e-9 relative in floats) with
+ConfigError, as linalg refuses all input it cannot use.  Float routines
+delegate to numpy, and float_solve checks no residual.
 """
 
 import math
@@ -31,22 +31,17 @@ from .errors import ConfigError
 from .scalars import ExactArray, float_array, is_exact
 
 
-def _shape(M):
-    """(rows, cols) of a matrix given as a list of rows; ValueError if rows differ in length."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    if any(len(row) != cols for row in M):
-        raise ValueError(f"ragged matrix: row lengths {[len(row) for row in M]}")
-    return rows, cols
-
-
 def _matrix(M):
     """M as an array, converted once: a list of rows (or an object array) of
     exact numbers becomes an ExactArray, any other a float ndarray (complex
-    when an entry is complex) by float_array; other arrays pass through."""
+    when an entry is complex) by float_array; other arrays pass through.
+    ConfigError for ragged rows."""
     if isinstance(M, ExactArray) or (isinstance(M, np.ndarray) and M.dtype != object):
         return M
-    A = np.asarray(M, dtype=object).reshape(_shape(M))
+    lengths = [len(row) for row in M]
+    if len(set(lengths)) > 1:
+        raise ConfigError(f"ragged matrix: row lengths {lengths}")
+    A = np.asarray(M, dtype=object).reshape(len(lengths), max(lengths, default=0))
     if all(map(is_exact, A.flat)):
         return ExactArray.of(A)
     try:
@@ -55,12 +50,37 @@ def _matrix(M):
         return float_array(A, complex, "matrix")
 
 
+def _unhermitian(M, tol=0.0):
+    """The one Hermitian rule: a bool mask where M, or each matrix of a stack,
+    differs from M^*, exactly, or beyond tol * max(1, max |M|) in floats."""
+    if isinstance(M, ExactArray):
+        re, im = M.re, M.im
+        bad = re != re.swapaxes(-1, -2)
+        return bad | (im != -im.swapaxes(-1, -2)) if im.any() else bad
+    gap = np.abs(M - M.conj().swapaxes(-1, -2))
+    return ~(gap <= tol * np.abs(M).max(axis=(-2, -1), keepdims=True, initial=1.0))
+
+
+def _require_hermitian(M):
+    """ConfigError unless the array M is square and keeps _unhermitian, 1e-9
+    relative in floats, naming its first entry off it, 0-based; a float
+    entry that is not finite is left to float_signature's refusal."""
+    shape = M.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ConfigError(f"matrix is {'x'.join(map(str, shape))}, not square")
+    if isinstance(M, ExactArray) or np.isfinite(M).all():
+        bad = _unhermitian(M, 1e-9)
+        if bad.any():
+            at = np.argwhere(bad)[0].tolist()
+            raise ConfigError(f"matrix is not symmetric or Hermitian at entry {at}")
+
+
 def _exact(M, real=True):
     """M as an ExactArray (lists converted once), real unless real=False;
-    ValueError for float entries or a nonzero imaginary part."""
+    ConfigError for float entries or a nonzero imaginary part."""
     A = _matrix(M)
     if not isinstance(A, ExactArray) or (real and A.im.any()):
-        raise ValueError("an exact routine takes " + ("rationals" if real else "exact numbers"))
+        raise ConfigError("an exact routine takes " + ("rationals" if real else "exact numbers"))
     return A
 
 
@@ -305,11 +325,11 @@ def _solution(X, den):
 
 def _column(b, shape):
     """The right-hand side b (ExactArray or list) of a matrix of the given
-    shape as an exact column; ValueError for a wrong length."""
+    shape as an exact column; ConfigError for a wrong length."""
     B = _exact(b[:, None] if isinstance(b, ExactArray) else [[x] for x in b])
     rows, cols = shape
     if len(B) != rows:
-        raise ValueError(f"right-hand side has {len(B)} entries for a {rows}x{cols} matrix")
+        raise ConfigError(f"right-hand side has {len(B)} entries for a {rows}x{cols} matrix")
     return B
 
 
@@ -335,16 +355,12 @@ def rational_inertia(Q, rhs=None):
     the elimination solves R y = t F, x = q y / (t r).
     """
     Q = _exact(Q, real=False)
-    rows, cols = Q.shape
-    if rows != cols:
-        raise ValueError(f"matrix is {rows}x{cols}, not square")
+    _require_hermitian(Q)
     R, J = Q.re, Q.im
     hermitian = J.any()
-    if not ((R == R.T).all() and (not hermitian or (J == -J.T).all())):
-        raise ValueError("matrix is not symmetric or Hermitian")
     if rhs is not None:
         if hermitian:
-            raise ValueError("a right-hand side needs a real symmetric matrix")
+            raise ConfigError("a right-hand side needs a real symmetric matrix")
         F = _column(rhs, Q.shape)
     S = np.block([[R, -J], [J, R]]) if hermitian else R
     sig = _certified_inertia(S, Q.den) if rhs is None and len(S) >= CERTIFY_FROM else None
@@ -372,18 +388,17 @@ def inertia(M, zero_tol=1e-9):
     """((pos, zero, neg), eigenvalues) of a real symmetric or Hermitian matrix.
 
     The one inertia routine of both backends.  M is an ndarray, an
-    ExactArray or a list of rows, converted once (_matrix); it is Hermitian
-    when it is complex.  Float arrays go through float_signature with the
+    ExactArray or a list of rows, converted once (_matrix).  A float array,
+    checked by _require_hermitian, goes through float_signature with the
     relative zero_tol.  Exact input is classified by rational_inertia, with
     no tolerance; its float eigenvalues are evidence only, of the saturated
     copy (ExactArray.saturated; NaN when it is not finite), never raising.
     """
     M = _matrix(M)
-    if isinstance(M, np.ndarray):
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError(f"matrix of shape {M.shape} is not square")
-        return float_signature(M, zero_tol)
-    return rational_inertia(M), eigenvalue_evidence(M)
+    if isinstance(M, ExactArray):
+        return rational_inertia(M), eigenvalue_evidence(M)
+    _require_hermitian(M)
+    return float_signature(M, zero_tol)
 
 
 def eigenvalue_evidence(M):
@@ -517,7 +532,9 @@ def float_signature(Q, zero_tol=1e-9):
     entry of Q (LAPACK may read a NaN as finite) or an eigenvalue (a scale
     of inf counts all as zero) that is not finite.  The counts are two
     bisections of the sorted eigenvalues, at -t and t for t = zero_tol *
-    max|l|, and max|l| is the larger of -l_min and l_max.
+    max|l|, and max|l| is the larger of -l_min and l_max.  Q is not checked
+    to be Hermitian: its callers build exactly symmetric matrices, and
+    inertia checks any other.
     """
     A = np.asarray(Q)
     if A.size == 0:

@@ -496,7 +496,7 @@ def real_coordinates(form):
     H = _hermitian(form.Z, form.p)
     if form.is_exact():
         return _real_array(np.where(imag, H.im[rows, cols], H.re[rows, cols]), H.den)
-    z = ((H + H.conj().T) / 2)[rows, cols]
+    z = (H / 2 + H.conj().T / 2)[rows, cols]  # halved first: no sum leaves float range
     return np.where(imag, z.imag, z.real)
 
 
@@ -631,8 +631,8 @@ class SubringModel(RingModel):
         for p in range(d + 1):
             monos = _exponents_of_degree(g, [1] * g, p)
             elems = [reduce(mul, map(pow, gens, expo), ambient.one()) for expo in monos]
-            vectors = np.array([e.coeffs.fractions() for e in elems], dtype=object)
-            R, pivots = rational_rref(vectors.T.tolist())
+            coords = [e.coeffs for e in elems]  # as the columns
+            R, pivots = rational_rref(np.stack(coords, axis=1)) if coords else ([], [])
             bases.append([_monomial_label(names, monos[c]) for c in pivots])
             lifts.append([elems[c] for c in pivots])
             basis_expos.append([monos[c] for c in pivots])

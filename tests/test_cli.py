@@ -200,6 +200,15 @@ def test_gram_and_signature_round_trip(capsys, fl_spec):
     assert json.loads(out)["signature"] == [1, 0, 1]
 
 
+def test_signature_of_a_ring_gram_matrix_is_that_of_its_json(capsys, fl_spec):
+    code, out, _ = run(capsys, "gram", "--ring", fl_spec, "--eta", "xi", "--json")
+    Q = json.loads(out)["gram"]
+    outs = [run(capsys, "signature", *argv, "--json")
+            for argv in (["--ring", fl_spec, "--eta", "xi"], ["--matrix", json.dumps(Q)])]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and json.loads(outs[0][1])["signature"] == [1, 0, 1]
+
+
 def test_signature_needs_some_input(capsys):
     code, _, err = run(capsys, "signature")
     assert code == 2
@@ -511,6 +520,8 @@ def malformed(spec, argv, id, error=None):
 NON_REAL_OMEGA_MID = ("error: omega_mid is not a real form: it fails the reality condition at "
                       "I = [1], J = [2]")
 
+ASYMMETRIC_MATRIX = "error: matrix is not symmetric or Hermitian at entry [0, 1]"
+
 MALFORMED_INPUT = [
     malformed(fl_spec_with(lambda s: s["relations"][0].pop("monomial")),
               ["gram", "--ring", "SPEC", "--eta", "xi"],
@@ -528,11 +539,15 @@ MALFORMED_INPUT = [
     malformed(FL_SPEC, ["gram", "--ring", "SPEC", "--eta", "xi^z"],
               id="bad-power-in-eta"),
     malformed(None, ["signature", "--matrix", "[[1,2],[3,4]]"],
-              id="asymmetric-matrix"),
+              id="asymmetric-matrix", error=ASYMMETRIC_MATRIX),
     malformed(None, ["signature", "--matrix", "[[1.0,2.0],[3.0,4.0]]"],
-              id="asymmetric-float-matrix"),
+              id="asymmetric-float-matrix", error=ASYMMETRIC_MATRIX),
     malformed(None, ["signature", "--matrix", "[1,2]"],
               id="matrix-not-a-list-of-rows"),
+    malformed(None, ["signature", "--matrix", "[[1,2],[2]]"], id="ragged-matrix",
+              error="error: ragged matrix: row lengths [2, 1]"),
+    malformed(None, ["signature", "--matrix", "[[1.0,2.0,3.0],[2.0,1.0,0.0]]"],
+              id="non-square-matrix", error="error: matrix is 2x3, not square"),
     malformed(None, ["sample-search", "--dim", "1", "--vars", "1", "--partition", "0"],
               id="sample-search-dim-below-two"),
     malformed(None, ["sample-search", "--dim", "3", "--vars", "2", "--partition", "2",

@@ -210,7 +210,7 @@ def test_inertia_pivots_on_an_off_diagonal_entry():
     assert rational_inertia([[0, i], [-i, 0]]) == (1, 0, 1)
     assert rational_inertia([[0, 2, 0], [2, 0, 0], [0, 0, 0]]) == (1, 1, 1)
     assert inertia([[0, i], [-i, 0]])[0] == (1, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"entry \[0, 1\]"):
         rational_inertia([[0, i], [i, 0]])
 
 
@@ -490,6 +490,23 @@ def test_pointwise_refuses_exact_coefficients_beyond_float_range_with_a_float_om
     top = wedge(omega, omega) + PPForm(3, 2, 2, {((0, 1), (0, 1)): GaussianRational(10 ** 400)})
     with pytest.raises(ConfigError, match="does not fit in a float; decide with the exact"):
         pointwise_hr_pair(top, omega, std_kahler(3, exact=False))
+
+
+def test_a_float_pair_value_beyond_float_range_is_refused_not_warned():
+    """omega = 10^308 omega_std fits in a float, but its Hermitian part was
+    summed before halving (an overflow warning in ring.real_coordinates), and
+    Q(h, h) ~ 10^616 overflows the matmul: the float verdict refuses it with
+    the ConfigError of every value beyond float range (RuntimeWarnings fail
+    this suite)."""
+    omega = std_kahler(3, exact=False)
+    big = std_kahler(3) * GaussianRational(10 ** 308)
+    assert (real_coordinates(exterior._float_form(big, "omega"))[:3] == 1e308).all()
+    with pytest.raises(ConfigError, match="^a value of the pair verdict does not fit in a float"):
+        pointwise_hr_pair(wedge(omega, omega), omega, big)
+    Q, f, h = np.diag([1e150, -1e150]), np.array([1.0, 0.0]), np.array([1e80, 0.0])
+    with pytest.raises(ConfigError, match="does not fit in a float; decide with the exact"):
+        _pair_verdict(Q, Q, f, f, h, 1e-9)
+    assert _pair_verdict(Q, Q, f, f, h / 1e80, 1e-9).outcome == "pass"
 
 
 def test_pointwise_flags_negated_middle_form():

@@ -1,6 +1,8 @@
 """ConsistencyError is the failure of an internal cross-check, never a
 refusal of input (that is ConfigError): every raise of it under
-src/hrpairs sits in hrcheck._pair_verdict or bogomolov._trace_verdict."""
+src/hrpairs sits in hrcheck._pair_verdict or bogomolov._trace_verdict.
+Nor is ValueError a refusal of input: it is raised only by
+ExactArray.__setitem__, numpy's type for a read-only destination."""
 
 import ast
 from pathlib import Path
@@ -43,3 +45,9 @@ def test_consistency_error_is_raised_only_by_the_two_cross_checks():
     sites = sorted((path.name, function) for path in PACKAGE.glob("*.py")
                    for function in raise_sites(path.read_text(), "ConsistencyError"))
     assert sites == CROSS_CHECKS
+
+
+def test_value_error_is_raised_only_for_a_read_only_exact_array():
+    sites = sorted((path.name, function) for path in PACKAGE.glob("*.py")
+                   for function in raise_sites(path.read_text(), "ValueError"))
+    assert sites == [("scalars.py", "__setitem__")]

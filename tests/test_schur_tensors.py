@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hrpairs import hrcheck, linalg
 from hrpairs.errors import ConfigError
 from hrpairs.exterior import (
-    PPForm, _mid_gram, _top_functional, _unreal, _unreal_at, form_from_hermitian, std_kahler,
+    PPForm, _mid_gram, _top_functional, _unreal_at, form_from_hermitian, std_kahler,
 )
 from hrpairs.hrcheck import (
     _bareiss, _float_grid, _hermitians, _lattice, pointwise_hr_pair, random_hermitian,
@@ -433,11 +433,27 @@ def test_schur_form_pair_refuses_a_non_real_form(exact, gap):
     assert not bad.is_real(1e-9)
 
 
+def test_a_mixed_list_names_the_exact_form_beyond_float_range():
+    """A mixed list is read in complex form by form (exterior._float_form),
+    so an exact coefficient beyond float range is named by its form and its
+    1-based I, J, not by an index of the stacked array."""
+    huge = std_kahler(3) * GaussianRational(10 ** 400)
+    message = (r"^omegas\[1\] coefficient at I = \[1\], J = \[1\] does not fit in a float; "
+               r"decide with the exact backend$")
+    with pytest.raises(ConfigError, match=message):
+        schur_form_pair(Partition((2,)), [std_kahler(3, exact=False), huge], 3)
+    mixed = schur_form_pair(Partition((2,)), [std_kahler(3, exact=False), std_kahler(3)], 3)
+    assert [f.is_exact() for f in mixed] == [False, False]
+    bad = std_kahler(3) + PPForm.monomial(3, (0,), (1,), GaussianRational(1))
+    with pytest.raises(ConfigError, match=r"^omegas\[1\] is not a real form: .* I = \[1\], J = \[2\]$"):
+        schur_form_pair(Partition((2,)), [std_kahler(3, exact=False), bad], 3)
+
+
 @pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("d", range(2, 9))
 def test_schur_form_pair_forms_are_real(d, exact):
     """The forms of schur_form_pair meet the reality condition by the rule
-    exterior._unreal (to 1e-9 relative in floats, exactly otherwise), which
+    PPForm.is_real (to 1e-9 relative in floats, exactly otherwise), which
     is why _top_form and _mid_form seed _unreal_at as real."""
     rng = np.random.default_rng([d, exact])
     for e, lam in [(2, (d - 1,)), (3, (d - 2, 1))][:1 if d == 2 else 2]:
@@ -445,5 +461,5 @@ def test_schur_form_pair_forms_are_real(d, exact):
                   else random_kahler(d, rng) for _ in range(e)]
         for form in schur_form_pair(Partition(lam), omegas, d):
             assert form.is_exact() == exact
-            assert not _unreal(form.Z, form.p, 1e-9).any()
+            assert form.is_real(1e-9)
             assert _unreal_at(form) is None
