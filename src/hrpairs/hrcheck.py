@@ -21,21 +21,16 @@ the exact backend they are exact, with no tolerance (fraction-free integer
 elimination, or a verified float certificate where it decides), and
 eigenvalues are float evidence.  A pair verdict's quotient is Q^-1 f in
 both backends, exactly from the elimination that gives In(Q)
-(linalg.rational_inertia with a right-hand side), else one float_solve,
-and one rule, M q == top (_divides), decides the division.  The exact
-restricted signature of the kernel characterization is the inertia of the
-bordered matrix of the Gram form and the functional, from their integer
-numerators balanced by a power of two, by linalg.rational_inertia without
-a right-hand side: from linalg.CERTIFY_FROM rows up a verified float
-certificate decides it, and a second integer elimination runs only where
-the certificate abstains.  The float one is the inertia of Q on {f = 0}
-in the basis of a Householder reflection that sends f to a multiple of
-e_0, one rank-two update of Q with no SVD.  Neither is derived from In(Q)
-or the quotient q (no Haynsworth shortcut through In(Q) on the float path
-either), so the cross-check stays independent and its ConsistencyError
-can still fire.
-In floats, In(Q) is read once, by linalg.float_signature, and its
-eigenvalues serve the verdict as they are.
+(linalg.rational_inertia with a right-hand side), else one float_solve;
+one rule, M q == top (_divides), decides the division, and Q q = f makes
+the quotient square q . f.  The restricted signature of the kernel
+characterization is one bordered inertia in both backends
+(_restricted_negdef), by linalg.rational_inertia or by float_signature,
+whose zero_tol is then relative to the largest eigenvalue of the balanced
+border.  Neither is derived from In(Q) or q, so the cross-check stays
+independent and its ConsistencyError can still fire.  In floats, In(Q) is
+read once, by linalg.float_signature, and its eigenvalues serve the
+verdict as they are.
 
 One core, _pair_verdict, decides every pair from coordinates: the Gram
 matrix, the multiplication matrix of eta_mid, eta_top, the functional
@@ -206,54 +201,48 @@ def divide(model, gamma, eta):
 
 def _divides(M, q, top):
     """Does q solve M q = top?  Exact: equality on the integer parts, all
-    real.  Float: the residual is at most 1e-6 (|M| |q| + |top|), Frobenius
-    and Euclidean norms read from dot products."""
+    real.  Float: the residual is at most 1e-6 (|M| |q| + |top|), each norm
+    by math.hypot, which scales the largest entry out by a power of two;
+    |M| |q| + |top| beyond float range is refused."""
     if isinstance(M, ExactArray):
         return ((M.re @ q.re) * top.den == top.re * (M.den * q.den)).all()
-    a, r = M.ravel(), M @ q - top
-    scale = math.sqrt(a @ a) * math.sqrt(q @ q) + math.sqrt(top @ top)
-    return not math.sqrt(r @ r) > 1e-6 * scale
+    a, b, c, r = (math.hypot(*x.tolist()) for x in (M.ravel(), q, top, M @ q - top))
+    scale = a * b + c
+    if scale == math.inf:
+        _beyond_float("overflow", None)
+    return not r > 1e-6 * scale
 
 
 def _restricted_negdef(Q, functional, zero_tol):
     """Signature of Q restricted to the hyperplane {functional = 0}; functional != 0.
 
-    Exact: the bordered inertia below (its blocks balanced).  Float: with
-    f = functional / |f|, v = f + sign(f_0) e_0 and beta = 2 / |v|^2 =
-    1 / |v_0|, the Householder reflection P = I - beta v v^T (Householder
-    1958; Golub-Van Loan 5.1) sends f to -sign(f_0) e_0, so Q on {f = 0} is
-    (P Q P)[1:, 1:], and P Q P = Q - (v u^T + u v^T) for w = Q v and
-    u = beta w - (beta^2 v.w / 2) v: one rank-two update, no SVD, and no
-    cancellation in v_0.  Neither backend
-    reads In(Q) or the quotient (no Haynsworth shortcut through In(Q)), so
-    the kernel characterization stays an independent cross-check of the
-    three conditions and ConsistencyError can still fire.
+    In([[Q, f], [f^T, 0]]) - (1, 0, 1) (Haynsworth 1968) in both backends,
+    from the numerators: the integer parts of ExactArrays (q [[Q, f], [f^T,
+    0]] is congruent to that matrix by diag(I, r/q), for q and r the
+    denominators of Q and f) or the float arrays.  The Q block or the border
+    is scaled by the power of two (an int multiple, an exact float ldexp, the
+    smaller block up) that gives the largest entries of both one exponent, a
+    positive multiple of a congruence: unbalanced, neither rational_inertia's
+    float certificate nor a relative zero_tol resolves an f far from Q.  The
+    inertia is rational_inertia's or float_signature's, whose zero_tol is
+    then relative to the largest eigenvalue of the balanced border, not of
+    the restricted matrix.  Neither reads In(Q) or the quotient, so the
+    kernel characterization stays an independent cross-check and
+    ConsistencyError can still fire.
     """
-    if isinstance(Q, ExactArray):
-        # In([[Q, f], [f^T, 0]]) = In(Q on {f = 0}) + (1, 0, 1) (Haynsworth 1968).  Built
-        # from the numerators: q [[Q, f], [f^T, 0]] is congruent by diag(I, r/q) to it,
-        # for q and r the denominators of Q and f.  The Q block times 2^k (a positive
-        # multiple of the congruence by diag(I, 2^-k)) or the border times 2^k (diag(I,
-        # 2^k)) gives the largest entries of both one bit length: f's can run 54 bits
-        # above Q's, and the float certificate abstains on such a matrix
-        n = len(Q)
-        R, f = Q.re, functional.re
-        gap = np.abs(f).max(initial=0).bit_length() - np.abs(R).max(initial=0).bit_length()
-        if gap > 0:
-            R = R * 2 ** gap
-        elif gap < 0:
-            f = f * 2 ** -gap
-        border = np.zeros((n + 1, n + 1), dtype=object)
-        border[:n, :n], border[:n, n], border[n, :n] = R, f, f
-        pos, zero, neg = rational_inertia(ExactArray(border, np.zeros_like(border)))
-        return pos - 1, zero, neg - 1
-    v = functional / math.hypot(*functional.tolist())  # |f| without overflow or underflow
-    v[0] += math.copysign(1.0, v[0])
-    beta = 1.0 / abs(v[0])
-    w = Q @ v
-    u = beta * w - (beta * beta * (v @ w) / 2) * v
-    vu = v[1:, None] * u[1:]
-    return float_signature(Q[1:, 1:] - (vu + vu.T), zero_tol)[0]
+    exact = isinstance(Q, ExactArray)
+    R, f = (Q.re, functional.re) if exact else (Q, functional)
+    e_R, e_f = (np.abs(x).max(initial=0).bit_length() if exact
+                else math.frexp(np.abs(x).max(initial=0.0))[1] for x in (R, f))
+    if e_f > e_R:
+        R = R * 2 ** (e_f - e_R) if exact else np.ldexp(R, e_f - e_R)
+    elif e_R > e_f:
+        f = f * 2 ** (e_R - e_f) if exact else np.ldexp(f, e_R - e_f)
+    border = np.zeros((len(Q) + 1,) * 2, dtype=R.dtype)
+    border[:-1, :-1], border[:-1, -1], border[-1, :-1] = R, f, f
+    pos, zero, neg = (rational_inertia(ExactArray(border, np.zeros_like(border))) if exact
+                      else float_signature(border, zero_tol)[0])
+    return pos - 1, zero, neg - 1
 
 
 def _beyond_float(kind, flag):
@@ -274,13 +263,14 @@ def _pair_verdict(Q, M, top, functional, h, zero_tol):
     the pairing P of degrees 1 and d-1.  q = Q^-1 functional comes from the
     elimination that gives In(Q) (linalg.rational_inertia with a right-hand
     side), or from float_solve once Q is nondegenerate; M is then injective,
-    so M q == top (_divides) decides the division, and exactly q Q q =
-    q . functional.  The values Q(h, h), h . functional and that one are
-    single Fractions of integer products (_value).
+    so M q == top (_divides) decides the division, and Q q = functional
+    makes the quotient square q . functional in both backends.  The exact
+    values Q(h, h), h . functional and that one are single Fractions of
+    integer products (_value).
 
     Any zero inertia along the way yields outcome "degenerate" (never a hard
-    pass/fail); otherwise the kernel characterization is recomputed and a
-    disagreement raises ConsistencyError.
+    pass/fail); otherwise the kernel characterization is recomputed
+    (_restricted_negdef) and a disagreement raises ConsistencyError.
     """
     exact = isinstance(Q, ExactArray)
     tolerances = {} if exact else {"zero_tol": zero_tol}
@@ -303,7 +293,7 @@ def _pair_verdict(Q, M, top, functional, h, zero_tol):
     if q is None or not _divides(M, q, top):
         # Q nondegenerate, so M is injective: top is outside im M (or LAPACK found Q singular)
         return verdict(DEGENERATE, witness={"division": _SINGULAR_DIVISION, "kernel_vector": None})
-    c3val = _value(q, functional) if exact else _value(q, Q, q)
+    c3val = _value(q, functional)
     details["quotient"] = jsonable(_real(q))
     details["quotient_square_value"] = jsonable(c3val)
     checks = {"hr_property": prop.passed, "pairing_with_h_positive": c2val > 0,

@@ -23,7 +23,9 @@ delegate to numpy, and float_solve checks no residual.
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
+from numbers import Number, Real
 
 import numpy as np
 
@@ -34,20 +36,27 @@ from .scalars import ExactArray, float_array, is_exact
 def _matrix(M):
     """M as an array, converted once: a list of rows (or an object array) of
     exact numbers becomes an ExactArray, any other a float ndarray (complex
-    when an entry is complex) by float_array; other arrays pass through.
-    ConfigError for ragged rows."""
+    when an entry is not real) by float_array; other arrays pass through.
+    ConfigError for M or a row that is not a sequence, or an entry that is
+    not a number, naming the first one, 0-based, and for ragged rows."""
     if isinstance(M, ExactArray) or (isinstance(M, np.ndarray) and M.dtype != object):
         return M
+    if not (isinstance(M, Sequence) or getattr(M, "ndim", 0) > 0):
+        raise ConfigError("matrix is not a sequence of rows")
+    for i, row in enumerate(M):
+        if not isinstance(row, (Sequence, np.ndarray)):
+            raise ConfigError(f"matrix row [{i}] is not a sequence")
+        for j, x in enumerate(row):
+            if not (is_exact(x) or isinstance(x, Number)):
+                raise ConfigError(f"matrix entry [{i}, {j}] is not a number")
     lengths = [len(row) for row in M]
     if len(set(lengths)) > 1:
         raise ConfigError(f"ragged matrix: row lengths {lengths}")
     A = np.asarray(M, dtype=object).reshape(len(lengths), max(lengths, default=0))
     if all(map(is_exact, A.flat)):
         return ExactArray.of(A)
-    try:
-        return float_array(A, float, "matrix")
-    except TypeError:
-        return float_array(A, complex, "matrix")
+    real = all(isinstance(x, Real) for x in A.flat)
+    return float_array(A, float if real else complex, "matrix")
 
 
 def _unhermitian(M, tol=0.0):

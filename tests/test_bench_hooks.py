@@ -64,3 +64,24 @@ def test_spans_count_the_exact_linear_algebra_of_a_pair_verdict_then_restore():
     assert table["linalg.rational_inertia.n_max"] == 10
     assert (linalg.rational_inertia, linalg.rational_solve, hrcheck.rational_inertia,
             hrcheck.rational_solve) == originals
+
+
+def test_spans_count_the_float_linear_algebra_of_a_pair_verdict():
+    """In(Q) and the bordered inertia of the restricted signature are one
+    float_signature each, the quotient one float_solve; nothing exact."""
+    spans = load_spans()
+    model = ring.torus_ring(3)
+    omega = model.from_form(std_kahler(3))
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        tracer.begin_op(0)
+        verdict = hrcheck.is_hr_pair(model, omega * omega, omega, omega, exact=False)
+        tracer.end_op()
+    finally:
+        restore()
+    assert (verdict.outcome, tuple(verdict.signature)) == ("pass", (1, 0, 8))
+    table = tracer.layer_table(1)
+    assert table["linalg.float_signature.calls"] == 2
+    assert table["linalg.float_solve.calls"] == 1
+    assert table["linalg.rational_inertia.calls"] == 0

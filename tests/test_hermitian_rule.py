@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fraction_linalg as reference
 from hrpairs.errors import ConfigError
 from hrpairs.exterior import PPForm, _hermitian, _subset_index, _unreal_at
-from hrpairs.linalg import _unhermitian, float_signature, inertia, rational_inertia
+from hrpairs.linalg import _matrix, _unhermitian, float_signature, inertia, rational_inertia
 from hrpairs.scalars import ExactArray, GaussianRational, conj, float_array
 
 OFF_THE_RULE = r"^matrix is not symmetric or Hermitian at entry \[{}, {}\]$"
@@ -61,6 +61,34 @@ def test_square_and_ragged_input_is_refused_in_both_backends():
             inertia(M)
     with pytest.raises(ConfigError, match="matrix is 2x2x2, not square"):
         inertia(np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("M, message", [
+    ([[1, [2]], [3, 4]], r"^matrix entry \[0, 1\] is not a number$"),
+    ([[1, 2], [3, 4], 5], r"^matrix row \[2\] is not a sequence$"),
+    ([["1", 0], [0, 1]], r"^matrix entry \[0, 0\] is not a number$"),
+    ([[1.0, 0.0], [None, 1.0]], r"^matrix entry \[1, 0\] is not a number$"),
+    (5, r"^matrix is not a sequence of rows$"),
+    (np.array(5, dtype=object), r"^matrix is not a sequence of rows$"),
+])
+def test_a_row_or_entry_that_is_not_a_number_is_refused_by_name(M, message):
+    """These raised numpy's ValueError, a TypeError, returned (2, 0, 0) for
+    a string, called None not finite and raised two TypeErrors."""
+    with pytest.raises(ConfigError, match=message):
+        inertia(M)
+
+
+def test_numeric_entries_keep_their_backend():
+    """Python and numpy numbers are read as before the refusal: bools, ints,
+    Fractions and GaussianRationals exactly, the rest as floats, complex
+    when one is not real (a numpy complex entry was cast to float, its
+    imaginary part dropped with a ComplexWarning)."""
+    exact = [[True, 0], [Fraction(1, 2), GaussianRational(0, 1)]]
+    assert isinstance(_matrix(exact), ExactArray)
+    for M, dtype in (([[np.int64(1), 0], [0, 1]], float), ([[np.float32(1), 0.5], [0, 1]], float),
+                     ([[1, 0], [0, np.complex128(1)]], complex), ([[1, 2.0], [3, 4]], float)):
+        A = _matrix(M)
+        assert isinstance(A, np.ndarray) and A.dtype == dtype
 
 
 @st.composite

@@ -104,7 +104,7 @@ def svd_restriction(Q, functional, zero_tol):
 @given(n=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1),
        kind=st.sampled_from(["any", "first-zero", "unit"]),
        spread=st.sampled_from([0, 10, 100, 200]))
-def test_householder_restriction_matches_the_svd_basis(n, seed, kind, spread):
+def test_float_restriction_matches_the_svd_basis(n, seed, kind, spread):
     """f with entries 10^k N(0, 1), |k| <= spread, or with f_0 = 0, or
     f = +-10^k e_k, and Q = 10^k (B diag(lam) B^T + terms in f) for an
     orthonormal basis B of {f = 0}: its restriction has the eigenvalues
@@ -129,6 +129,40 @@ def test_householder_restriction_matches_the_svd_basis(n, seed, kind, spread):
     want = svd_restriction(Q, f, 1e-9)
     assert want == (int((lam > 0).sum()), int((lam == 0).sum()), int((lam < 0).sum()))
     assert _restricted_negdef(Q, f, 1e-9) == want
+
+
+def exact_copy(x):
+    """The ExactArray of a float array's exact binary values."""
+    return ExactArray.of(np.vectorize(Fraction, otypes=[object])(x))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["any", "first-zero", "unit"]),
+       spread=st.sampled_from([0, 10, 100]))
+def test_float_restriction_matches_the_exact_one_on_the_same_binary_values(n, seed, kind,
+                                                                            spread):
+    """The SVD-oracle property's f and Q, with every restricted eigenvalue
+    +-10^k lam, 0.5 <= lam <= 2, so that none is 0 or near it: the float
+    _restricted_negdef and the exact one of the same floats, rationalized
+    exactly, are one bordered inertia and give one triple, lam's signs."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.integers(-spread, spread + 1, size=n + 1)
+    f = rng.standard_normal(n) * scales[:n]
+    if kind == "first-zero" and n > 1:
+        f[0] = 0.0
+    elif kind == "unit":
+        k = rng.integers(n)
+        f = np.zeros(n)
+        f[k] = rng.choice([-1.0, 1.0]) * scales[k]
+    basis, _ = np.linalg.qr(np.column_stack([f, rng.standard_normal((n, n - 1))]))
+    B, g = basis[:, 1:], rng.standard_normal(n)
+    lam = rng.choice([-1.0, 1.0], size=n - 1) * rng.uniform(0.5, 2.0, size=n - 1)
+    Q = scales[n] * ((B * lam) @ B.T + np.outer(basis[:, 0], g) + np.outer(g, basis[:, 0]))
+    Q = (Q + Q.T) / 2  # exactly symmetric, as its exact copy must be
+    exact = _restricted_negdef(exact_copy(Q), exact_copy(f), None)
+    assert exact == (int((lam > 0).sum()), 0, int((lam < 0).sum()))
+    assert _restricted_negdef(Q, f, 1e-9) == exact
 
 
 def test_signature_exact_and_float_agree():
@@ -507,6 +541,22 @@ def test_a_float_pair_value_beyond_float_range_is_refused_not_warned():
     with pytest.raises(ConfigError, match="does not fit in a float; decide with the exact"):
         _pair_verdict(Q, Q, f, f, h, 1e-9)
     assert _pair_verdict(Q, Q, f, f, h / 1e80, 1e-9).outcome == "pass"
+
+
+def test_a_float_pair_verdict_is_decided_where_only_a_norm_square_overflows():
+    """|M| of diag(1e300, -1e300) is in float range but |M|^2 is not: the
+    division rule reads each norm with its largest entry scaled out, so the
+    float verdict is the exact one of the same binary values, where it was
+    refused.  Where |M| |q| itself is beyond float range it is refused."""
+    Q, f = np.diag([1e300, -1e300]), np.array([1.0, 0.0])
+    E, e = exact_copy(Q), exact_copy(f)
+    flt, exact = _pair_verdict(Q, Q, f, f, f, 1e-9), _pair_verdict(E, E, e, e, e, None)
+    for v in (flt, exact):
+        assert v.outcome == "pass" and tuple(v.signature) == (1, 0, 1)
+        assert v.details["kernel_characterization"]["restricted_signature"] == (0, 0, 1)
+    Q, M, q = np.diag([1.0, -1.0]), np.diag([1e300, 1.0]), np.array([1.0, 1e10])
+    with pytest.raises(ConfigError, match="^a value of the pair verdict does not fit in a float"):
+        _pair_verdict(Q, M, M @ q, Q @ q, f, 1e-9)
 
 
 def test_pointwise_flags_negated_middle_form():
