@@ -505,7 +505,7 @@ def form_from_hermitian(H, exact=None):
         _require_real(form, "i H", len(H), 1)
         return form
     if exact:
-        raise TypeError("an exact form needs exact entries")
+        raise ConfigError("i H is not exact: an exact form needs exact entries")
     return PPForm._of(len(H), 1, 1, _scaled(H.astype(complex, copy=False), 1j))
 
 

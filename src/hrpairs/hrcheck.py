@@ -546,8 +546,8 @@ def _unit(x):
 
 @lru_cache(maxsize=None)
 def _float_grid(lam, e):
-    """(T, w_top, w_mid): points t_k, the rows of T, and the complex weights
-    of s_lam and of s'_lam.
+    """(T, w_top, w_mid), read-only: points t_k, the rows of T, and the
+    complex weights of s_lam and of s'_lam.
 
     With t_1 = 1 the monomials of both are zeta^nu, nu in A, the exponents
     of e - 1 entries with |nu| < d = |lam| + 1.  The points are a rank-1
@@ -577,7 +577,10 @@ def _float_grid(lam, e):
         for mu, value in targets.items():
             c[column[mu[1:]]] = value
         weights.append(phase @ c)
-    return (np.concatenate([np.ones((M, 1)), T], axis=1), *weights)
+    tables = (np.concatenate([np.ones((M, 1)), T], axis=1), *weights)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 @lru_cache(maxsize=None)

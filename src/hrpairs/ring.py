@@ -451,14 +451,17 @@ def _real_labels(d, p):
 
 @lru_cache(maxsize=None)
 def _hermitian_entries(d, p):
-    """(rows, cols, re, im), int arrays of shape (m^2, 2) for m = C(d, p):
+    """(rows, cols, re, im), read-only int arrays of shape (m^2, 2) for m = C(d, p):
     the Hermitian matrix H_j of the j-th real basis form is the sum of its two
     entries re + i im at (rows[j, t], cols[j, t]), the second 0 for u[I]."""
     rows, cols, imag = _slot_positions(d, p)
     re, im = (~imag).astype(np.int64), imag.astype(np.int64)
     off = rows != cols
-    return (np.stack([rows, cols], axis=1), np.stack([cols, rows], axis=1),
-            np.stack([re, re * off], axis=1), np.stack([im, -im], axis=1))
+    tables = (np.stack([rows, cols], axis=1), np.stack([cols, rows], axis=1),
+              np.stack([re, re * off], axis=1), np.stack([im, -im], axis=1))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 @lru_cache(maxsize=None)
@@ -1040,6 +1043,8 @@ def parse_element(model, text):
                     coeff *= Fraction(factor)
                 except ZeroDivisionError:
                     raise ConfigError(f"zero denominator in {text!r}") from None
+                except ValueError as exc:  # _COEF_RE leaves only Python's int digit limit
+                    raise ConfigError(f"a coefficient has too many digits: {exc}") from None
             else:
                 factors.append(factor)
         elem = None

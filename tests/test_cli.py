@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, demos, JSON round trips."""
 
+import ast
 import json
 import os
 import pkgutil
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hrpairs
+from hrpairs import cli
 from hrpairs.cli import main
 from hrpairs.exterior import PPForm, form_to_dict, std_kahler, wedge
 from hrpairs.scalars import GaussianRational
@@ -42,11 +44,51 @@ FL_SPEC = {
 }
 
 
+FL_FIXTURE = str(resources.files("hrpairs").joinpath("fixtures/fulger_lehmann.json"))
+
+
 @pytest.fixture
 def fl_spec(tmp_path):
     path = tmp_path / "fl.json"
     path.write_text(json.dumps(FL_SPEC))
     return str(path)
+
+
+# -- one output path -------------------------------------------------------
+
+
+def output_sites(source):
+    """The innermost function around each print to stdout (a print without
+    file=) and each read of args.json in source, None at module level."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "print"
+                    and not any(k.arg == "file" for k in child.keywords)):
+                sites.append(("print", function))
+            if (isinstance(child, ast.Attribute) and child.attr == "json"
+                    and getattr(child.value, "id", None) == "args"):
+                sites.append(("args.json", function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_the_output_check_sees_every_print_and_json_fork():
+    source = ("def f(args):\n    if args.json:\n        print(1)\n"
+              "    print(2, file=sys.stderr)\nprint(3)\n")
+    assert output_sites(source) == [("args.json", "f"), ("print", "f"), ("print", None)]
+
+
+def test_only_main_prints_and_reads_the_json_flag():
+    """Every verb returns (exit code, record, text); main alone prints one of them."""
+    sites = output_sites(Path(cli.__file__).read_text())
+    assert sorted(set(sites)) == [("args.json", "main"), ("print", "main")]
 
 
 # -- symfunc verbs ---------------------------------------------------------
@@ -131,6 +173,16 @@ def test_bad_partition_is_reported_not_raised(capsys):
     ["segre", "--chern", "1,1", "--upto", "100000000"],
     ["segre", "--upto", "400", "--chern", "1234567891/987654321,7777777777/3"],
     ["gram", "--ring", "ring.json", "--eta", "xi", "--tolerance", "5"],
+    # numbers past Python's limit on the digits of an int read from or turned into text
+    *[argv + mode for mode in ([], ["--json"]) for argv in (
+        ["slope", "--ring", FL_FIXTURE, "--c1", "9" * 5000 + "*xi", "--rank", "1",
+         "--eta", "xi^2"],
+        ["discriminant", "--c1", "9" * 4000 + "*xi", "--ring", FL_FIXTURE, "--rank", "2"],
+        ["gram", "--eta", "9" * 3000 + "*" + "9" * 3000 + "*xi", "--ring", FL_FIXTURE,
+         "--backend", "exact"],
+        ["segre", "--chern", "9" * 3000 + ",1", "--upto", "3"],
+        ["signature", "--matrix", "[[" + "9" * 5000 + "]]", "--tolerance", "0"],
+    )],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_unusable_option_values_exit_two_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -252,7 +304,6 @@ def test_pos_cone_verb(capsys, fl_spec):
 
 # -- the two backends on the packaged fixture ---------------------------------
 
-FL_FIXTURE = str(resources.files("hrpairs").joinpath("fixtures/fulger_lehmann.json"))
 FL_HR_PAIR = ["hr-pair", "--ring", FL_FIXTURE, "--eta-top", "xi^2+3*xi*f",
               "--eta-mid", "xi+2*f", "--h", "xi+2*f"]
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hrpairs import exterior, hrcheck, ring
 from hrpairs.bogomolov import CurvatureMatrix, HiggsField, constraint_project, trace_check
 from hrpairs.errors import ConfigError
 from hrpairs.exterior import (
@@ -171,3 +172,38 @@ def test_curvature_arithmetic_leaves_its_operands_alone():
     F0 = constraint_project(F, top)
     assert np.array_equal(F.coeffs, before)
     assert not F0.coeffs.flags.writeable
+
+
+# a small argument for each lru-cached builder of the three modules
+CACHED_TABLES = {
+    exterior: {"_subset_index": (3, 1), "_merge_signs": (3, 1, 1), "_complements": (3, 2),
+               "_gathers": (3, 1, True)},
+    ring: {"_slot_positions": (3, 1), "_hermitian_entries": (3, 1),
+           "_real_basis_matrix": (3, 1, True), "torus_ring": (2,)},
+    hrcheck: {"_gather_tables": (3, True), "_float_grid": (Partition((2,)), 2),
+              "_lattice": (Partition((2,)), 2), "_minor_tables": (3,)},
+}
+
+
+def arrays_in(value):
+    """Every ndarray in value, through tuples, lists and ExactArray parts."""
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in arrays_in(v)]
+    if isinstance(value, (np.ndarray, ExactArray)):
+        return parts(value)
+    return []
+
+
+@pytest.mark.parametrize("module", list(CACHED_TABLES), ids=lambda m: m.__name__)
+def test_cached_tables_are_read_only(module):
+    """Every caller in a process shares what an lru-cached builder returns,
+    so one write by any of them would change every later sweep or model
+    built from it."""
+    cached = {name for name, fn in vars(module).items()
+              if hasattr(fn, "cache_info") and fn.__module__ == module.__name__}
+    assert cached == set(CACHED_TABLES[module])
+    for name, args in CACHED_TABLES[module].items():
+        for part in arrays_in(getattr(module, name)(*args)):
+            assert not part.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                part[(0,) * part.ndim] = 7

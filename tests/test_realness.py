@@ -77,3 +77,8 @@ def test_every_form_check_refuses_exactly_where_unreal_at_finds_a_gap(d, role, k
         refuses(role, lambda: trace_check(F0, forms["omega_top"], forms["omega_mid"]))
     if bad.p == 1:  # omega, omega_top at d = 2, omega_mid at d = 3
         refuses("omegas[1]", lambda: schur_form_pair(lam, [omegas[0], bad], d))
+
+
+def test_an_exact_form_of_float_entries_is_refused_as_input():
+    with pytest.raises(ConfigError, match="^i H is not exact"):
+        form_from_hermitian([[1.0, 0.0], [0.0, 1.0]], exact=True)
